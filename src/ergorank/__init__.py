@@ -1,12 +1,13 @@
 """Finite-horizon ergodicity analysis for linear operators.
 
 Core objects: operator specs with exact matrix-free application
-(`OperatorSpec`, `apply`), Cesaro-mean trajectories computed by a stable
-incremental recurrence (`trajectory`, `cesaro_matrices`), one-sided family
-verdicts (`check_power_bounded`, `check_cesaro_bounded`, `check_ergodic`,
-`check_uniformly_ergodic`), separation-tree truncations (`build_truncation`),
-and replayable non-convergence certificates (`search_nse`,
-`check_certificate`).
+(`OperatorSpec`, `apply`), Cesaro means computed by one overflow-guarded
+incremental recurrence (`CesaroStream`, with `trajectory` and
+`cesaro_matrices` as views), one-sided family verdicts
+(`check_power_bounded`, `check_cesaro_bounded`, `check_ergodic`,
+`check_uniformly_ergodic`, or all at once with `check_families`),
+separation-tree truncations (`build_truncation`), and replayable
+non-convergence certificates (`search_nse`, `check_certificate`).
 """
 
 __version__ = "0.1.0"
@@ -30,12 +31,10 @@ from .operators import (
     DEFAULT_SEED,
 )
 from .cesaro import (
+    CesaroStream,
     CesaroTrajectory,
     CesaroMatrixSeq,
-    TrajectoryCache,
     trajectory,
-    start_trajectory,
-    cesaro_extend,
     cesaro_diff,
     cesaro_matrices,
     OVERFLOW_LIMIT,
@@ -45,6 +44,8 @@ from .classify import (
     HOLDS,
     FAILS,
     INCONCLUSIVE,
+    FamilyVerdicts,
+    check_families,
     check_power_bounded,
     check_cesaro_bounded,
     check_ergodic,
@@ -54,10 +55,8 @@ from .classify import (
 )
 from .tree import (
     NodeMembership,
-    CombinedNode,
     TreeTruncation,
     node_member,
-    combined_member,
     build_truncation,
     truncated_height,
     longest_members,
@@ -93,12 +92,10 @@ __all__ = [
     "gallery",
     "built_in_gallery",
     "DEFAULT_SEED",
+    "CesaroStream",
     "CesaroTrajectory",
     "CesaroMatrixSeq",
-    "TrajectoryCache",
     "trajectory",
-    "start_trajectory",
-    "cesaro_extend",
     "cesaro_diff",
     "cesaro_matrices",
     "OVERFLOW_LIMIT",
@@ -106,6 +103,8 @@ __all__ = [
     "HOLDS",
     "FAILS",
     "INCONCLUSIVE",
+    "FamilyVerdicts",
+    "check_families",
     "check_power_bounded",
     "check_cesaro_bounded",
     "check_ergodic",
@@ -113,10 +112,8 @@ __all__ = [
     "replay_witness",
     "trusted_horizon",
     "NodeMembership",
-    "CombinedNode",
     "TreeTruncation",
     "node_member",
-    "combined_member",
     "build_truncation",
     "truncated_height",
     "longest_members",

@@ -27,15 +27,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cesaro import cesaro_diff, trajectory
-from .operators import OperatorSpec, ProbeSet, UNIT_BALL_SLACK, vec_norm
+from .cesaro import CesaroStream, cesaro_diff, trajectory
+from .operators import OperatorSpec, ProbeSet, UNIT_BALL_SLACK, column_norms, vec_norm
 from .tree import (
     SEPARATION_SLACK,
     build_truncation,
     longest_members,
     node_member,
     truncated_height,
-    _mean_snapshots,
 )
 
 #: Recomputed margins must match stated ones to this absolute tolerance.
@@ -129,7 +128,7 @@ def check_certificate(cert: NSECertificate, margin_tol: float = MARGIN_RTOL) -> 
             return CheckResult(False, "margins shape inconsistent with depth")
     for m, (w, row) in enumerate(zip(cert.witnesses, cert.margins), start=1):
         traj = trajectory(spec, w, cert.J[m])
-        if traj.diverged_at is not None:
+        if traj.horizon < cert.J[m]:
             return CheckResult(False, f"witness {m} trajectory overflows")
         for p in range(1, m + 1):
             recomputed = cesaro_diff(traj, cert.J[p - 1], cert.J[p])
@@ -185,10 +184,14 @@ def _search_doubling(spec, probes, epsilon, target_depth, index_bound):
             return None
         t = min(t, int(math.floor(math.log2(index_bound))))
     J = tuple(2 ** i for i in range(t + 1))
-    snaps = _mean_snapshots(spec, probes, J)
+    snaps = CesaroStream(spec, probes.vectors.T).means_at(J)
+    # Indices past the overflow stop never separate.
+    J = J[: len(snaps)]
+    if len(J) < 2:
+        return None
     table = np.stack(
         [
-            _column_margins(snaps[a] - snaps[b], spec.norm_tag)
+            column_norms(snaps[a] - snaps[b], spec.norm_tag)
             for a, b in zip(J, J[1:])
         ]
     )  # (t, n_probes)
@@ -218,14 +221,6 @@ def _search_doubling(spec, probes, epsilon, target_depth, index_bound):
         depth=depth,
         probe_label=probes.label,
     )
-
-
-def _column_margins(diff, norm_tag):
-    if norm_tag == "l1":
-        return np.abs(diff).sum(axis=0)
-    if norm_tag == "l2":
-        return np.sqrt((diff * diff).sum(axis=0))
-    return np.abs(diff).max(axis=0)
 
 
 def _search_beam(spec, probes, epsilon, target_depth, index_bound, beam_width, max_nodes):

@@ -1,19 +1,22 @@
 """Incremental Cesaro means of operator powers.
 
-For an operator T and a probe x the trajectory holds A_n x for
-n = 1..horizon, where A_n x = (x + Tx + ... + T^(n-1) x) / n.  Extension
-uses the running-mean recurrence
+For an operator T and a column block X, the Cesaro means are
+A_n X = (X + TX + ... + T^(n-1) X) / n.  `CesaroStream` is the one place
+they are computed: it steps the running-mean recurrence
 
-    A_(n+1) x = (n * A_n x + T^n x) / (n + 1)
+    A_(n+1) X = (n A_n X + T^n X) / (n+1)
 
-so extending a horizon-N trajectory to N' costs N' - N operator
-applications.  A matrix-level twin of the same recurrence produces the
-sequence A_1..A_N as dense matrices for norm-level analysis.
+with the power cursor P_n = T^n X, and applies the overflow policy to every
+cursor it produces.  Probe blocks step with `apply_columns`; dense mode
+(X = I) steps the dense matrix power by right multiplication.  A stream can
+resume from any (n, A_n, P_n) it yielded, so a tail can be re-scanned
+without replaying its prefix.  `trajectory` (one probe) and
+`cesaro_matrices` (dense A_1..A_N) are thin views over the stream.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,13 +27,72 @@ from .operators import (
     OperatorSpec,
     apply_columns,
     as_dense,
+    column_norms,
     vec_norm,
 )
 
-#: Entry magnitudes beyond this are treated as divergence and truncate the
-#: run.  The limit leaves headroom so norms (and norms of differences) of
-#: anything the recurrence produced stay finite in double precision.
+#: Column norms of a power beyond this are treated as divergence and stop
+#: the stream.  The limit leaves headroom so norms (and norms of
+#: differences) of every mean the recurrence produced stay finite in double
+#: precision.
 OVERFLOW_LIMIT = 1e140
+
+
+class CesaroStream:
+    """The Cesaro means of one column block X under an operator.
+
+    `run` yields (n, A_n X, P_n) for n = 1, 2, ..., horizon, where
+    P_n = T^n X.  It stops early at the first n whose power has a column
+    norm that is non-finite or above `OVERFLOW_LIMIT`; that step is still
+    yielded, and `diverged_at` is set to n before it is.  `power_norms`
+    holds the column norms of the P_n just yielded, with the overflowed
+    ones replaced by the limit.  Yielded arrays are never mutated, so a
+    consumer may keep them as snapshots or as a checkpoint for `run`.
+    """
+
+    def __init__(self, spec: OperatorSpec, X: np.ndarray | None = None):
+        self.spec = spec
+        if X is None:
+            t = as_dense(spec)
+            self._step = lambda C: C @ t
+            X = np.eye(spec.dim)
+        else:
+            self._step = lambda C: apply_columns(spec, C)
+        self.X = X
+        self.diverged_at: int | None = None
+        self.power_norms: np.ndarray | None = None
+
+    def run(self, horizon: int, start: tuple | None = None):
+        """Yield (n, A_n X, P_n) up to `horizon`, from n = 1 or from the
+        checkpoint `start` = (n, A_n X, P_n)."""
+        if horizon < 1:
+            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        if start is None:
+            # C order keeps every column-norm reduction in one summation order.
+            start = (1, np.ascontiguousarray(self.X), np.ascontiguousarray(self._step(self.X)))
+        n, A, P = start
+        self.diverged_at = None
+        while True:
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = column_norms(P, self.spec.norm_tag)
+                ok = norms <= OVERFLOW_LIMIT
+            if not ok.all():
+                norms = np.where(ok, norms, OVERFLOW_LIMIT)
+                self.diverged_at = n
+            self.power_norms = norms
+            yield n, A, P
+            if self.diverged_at is not None or n >= horizon:
+                return
+            A = (n * A + P) / (n + 1)
+            P = self._step(P)
+            n += 1
+
+    def means_at(self, indices) -> dict[int, np.ndarray]:
+        """A_n X for each requested n that the stream reaches."""
+        wanted = {int(i) for i in indices}
+        if not wanted:
+            return {}
+        return {n: A for n, A, _ in self.run(max(wanted)) if n in wanted}
 
 
 @dataclass(eq=False)
@@ -41,75 +103,34 @@ class CesaroTrajectory:
     ----------
     values : list of ndarray
         ``values[n - 1]`` is A_n(probe) for n = 1..horizon.
-    power_cursor : ndarray
-        T^horizon(probe), ready for the next extension step.
     diverged_at : int or None
         Power index n at which ||T^n probe|| exceeded the overflow limit;
-        the trajectory is truncated just before it.
+        the trajectory ends at A_n.
     """
 
     probe: np.ndarray
     norm_tag: str
     horizon: int
     values: list
-    power_cursor: np.ndarray
     diverged_at: int | None = None
 
 
-def start_trajectory(spec: OperatorSpec, probe: np.ndarray) -> CesaroTrajectory:
-    """Horizon-1 trajectory: A_1 x = x, with the power cursor at T x."""
-    probe = np.asarray(probe, dtype=np.float64)
+def trajectory(spec: OperatorSpec, probe: np.ndarray, horizon: int) -> CesaroTrajectory:
+    """A_1 x .. A_horizon x for one probe x, truncated at overflow."""
+    probe = np.array(probe, dtype=np.float64)
     if probe.shape != (spec.dim,):
         raise DimensionMismatchError(
             f"operator has dim {spec.dim} but probe has shape {probe.shape}"
         )
-    cursor = apply_columns(spec, probe[:, None])[:, 0]
+    stream = CesaroStream(spec, probe[:, None])
+    values = [A[:, 0] for _, A, _ in stream.run(horizon)]
     return CesaroTrajectory(
         probe=probe,
         norm_tag=spec.norm_tag,
-        horizon=1,
-        values=[probe.copy()],
-        power_cursor=cursor,
-    )
-
-
-def cesaro_extend(traj: CesaroTrajectory, spec: OperatorSpec, new_horizon: int) -> CesaroTrajectory:
-    """Extend a trajectory to `new_horizon`, returning a new trajectory.
-
-    The prefix of `values` is shared with the input (values are never
-    mutated).  If some power norm exceeds the overflow limit the result is
-    truncated at the last finite horizon and flagged via `diverged_at`.
-    """
-    if new_horizon < traj.horizon:
-        raise ValueError(f"new horizon {new_horizon} is below current horizon {traj.horizon}")
-    if traj.diverged_at is not None or new_horizon == traj.horizon:
-        return traj
-    values = list(traj.values)
-    cursor = traj.power_cursor
-    diverged_at = None
-    n = traj.horizon
-    while n < new_horizon:
-        if not np.all(np.isfinite(cursor)) or np.max(np.abs(cursor)) > OVERFLOW_LIMIT:
-            diverged_at = n
-            break
-        values.append((n * values[n - 1] + cursor) / (n + 1))
-        cursor = apply_columns(spec, cursor[:, None])[:, 0]
-        n += 1
-    return CesaroTrajectory(
-        probe=traj.probe,
-        norm_tag=traj.norm_tag,
         horizon=len(values),
         values=values,
-        power_cursor=cursor,
-        diverged_at=diverged_at,
+        diverged_at=stream.diverged_at,
     )
-
-
-def trajectory(spec: OperatorSpec, probe: np.ndarray, horizon: int) -> CesaroTrajectory:
-    """Convenience: start a trajectory and extend it to `horizon`."""
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
-    return cesaro_extend(start_trajectory(spec, probe), spec, horizon)
 
 
 def cesaro_diff(traj: CesaroTrajectory, n: int, m: int) -> float:
@@ -133,53 +154,19 @@ class CesaroMatrixSeq:
 
 
 def cesaro_matrices(spec: OperatorSpec, horizon: int, dense_cap: int = DENSE_CAP) -> CesaroMatrixSeq:
-    """Matrix-level Cesaro means A_1..A_horizon via the same recurrence.
+    """Matrix-level Cesaro means A_1..A_horizon (the stream in dense mode).
 
-    Only available for dim <= `dense_cap`; the power cursor here is the
-    dense matrix T^n.
+    Only available for dim <= `dense_cap`.
     """
-    if horizon < 1:
-        raise ValueError(f"horizon must be >= 1, got {horizon}")
     if spec.dim > dense_cap:
         raise CapExceededError(
             f"matrix-mode Cesaro means are capped at dim {dense_cap} (got {spec.dim})"
         )
-    t = as_dense(spec)
-    mats = [np.eye(spec.dim)]
-    cursor = t.copy()
-    diverged_at = None
-    for n in range(1, horizon):
-        if not np.all(np.isfinite(cursor)) or np.max(np.abs(cursor)) > OVERFLOW_LIMIT:
-            diverged_at = n
-            break
-        mats.append((n * mats[n - 1] + cursor) / (n + 1))
-        cursor = cursor @ t
+    stream = CesaroStream(spec)
+    mats = [A for _, A, _ in stream.run(horizon)]
     return CesaroMatrixSeq(
         norm_tag=spec.norm_tag,
         horizon=len(mats),
         matrices=mats,
-        diverged_at=diverged_at,
+        diverged_at=stream.diverged_at,
     )
-
-
-class TrajectoryCache:
-    """Lazily extended per-probe trajectories for one spec and probe set.
-
-    Trees and certificate search hit the same (probe, horizon) values many
-    times; this cache guarantees each probe's trajectory is computed once
-    and only ever extended.
-    """
-
-    def __init__(self, spec: OperatorSpec, probes):
-        self.spec = spec
-        self.probes = probes
-        self._trajs: dict[int, CesaroTrajectory] = {}
-
-    def get(self, probe_index: int, horizon: int) -> CesaroTrajectory:
-        traj = self._trajs.get(probe_index)
-        if traj is None:
-            traj = start_trajectory(self.spec, self.probes[probe_index])
-        if traj.horizon < horizon:
-            traj = cesaro_extend(traj, self.spec, horizon)
-        self._trajs[probe_index] = traj
-        return traj

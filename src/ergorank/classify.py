@@ -13,6 +13,13 @@ uniformly ergodic) certify a small tail diameter over [N/2, N] via the
 radius bound diam <= 2 * max_n ||A_n - A_N||, and treat a non-decaying gap
 at the three dyadic scales (N/4, N/2, N) as divergence evidence.
 
+Every check is a reducer over one pass of `CesaroStream`, with norms
+reduced per step; the tail radius re-runs only [N/2, N] from a checkpoint.
+`check_families` reads the power-bounded, Cesaro-bounded and ergodic
+verdicts off a single shared probe pass.  No ``holds`` comes from a scan
+that the overflow guard stopped, nor from a tail with fewer than two
+indices.
+
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
 dim/2; `trusted_horizon` returns the horizon below which the two agree.
@@ -22,10 +29,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from .cesaro import OVERFLOW_LIMIT, cesaro_diff, trajectory
+from .cesaro import CesaroStream
 from .operators import (
     DENSE_CAP,
     KIND_SHIFT,
@@ -33,8 +41,6 @@ from .operators import (
     OperatorSpec,
     ProbeSet,
     _l2_norm_power_iteration,
-    apply_columns,
-    as_dense,
     column_norms,
     matrix_norm,
 )
@@ -116,18 +122,6 @@ def _int_bound(max_value: float) -> int:
     return max(0, math.ceil(max_value - BOUND_SLACK))
 
 
-def _capped_norms(X: np.ndarray, norm_tag: str) -> tuple[np.ndarray, bool]:
-    """Column norms with non-finite or huge values capped at the overflow
-    limit; the flag reports whether capping occurred."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        norms = column_norms(X, norm_tag)
-    bad = ~np.isfinite(norms) | (norms > OVERFLOW_LIMIT)
-    if bad.any():
-        norms = np.where(bad, OVERFLOW_LIMIT, norms)
-        return norms, True
-    return norms, False
-
-
 def _growth_fails(values: np.ndarray, first_step: int, cap: float, diverged: bool) -> bool:
     """Divergence heuristic on a per-step maxima series.
 
@@ -152,61 +146,6 @@ def _growth_fails(values: np.ndarray, first_step: int, cap: float, diverged: boo
     return bool(np.all(np.diff(window) > 0))
 
 
-# -- power-bounded -------------------------------------------------------
-
-
-def check_power_bounded(
-    spec: OperatorSpec,
-    probes: ProbeSet,
-    horizon: int,
-    bound_cap: float = 1e3,
-) -> Verdict:
-    """Scan ||T^m x|| for all probes and m = 0..horizon."""
-    _check_probes(spec, probes)
-    _require_positive("horizon", horizon)
-    _require_positive("bound_cap", bound_cap)
-
-    Y = probes.vectors.T.copy()
-    step_max = np.empty(horizon + 1)
-    witness = None
-    diverged = False
-    steps_done = 0
-    for m in range(horizon + 1):
-        norms, capped = _capped_norms(Y, spec.norm_tag)
-        step_max[m] = norms.max()
-        steps_done = m
-        if witness is None and step_max[m] > bound_cap:
-            probe_idx = int(np.argmax(norms > bound_cap))
-            witness = {
-                "probe": probe_idx,
-                "power": m,
-                "value": float(norms[probe_idx]),
-                "cap": bound_cap,
-            }
-        if capped:
-            diverged = True
-            break
-        if m < horizon:
-            Y = apply_columns(spec, Y)
-    values = step_max[: steps_done + 1]
-    overall = float(values.max())
-    evidence = {"max": overall, "diverged": diverged, "steps": steps_done}
-    if overall <= bound_cap:
-        return Verdict(
-            FAMILY_POWER_BOUNDED, HOLDS, horizon, None, _int_bound(overall),
-            None, probes.label, evidence,
-        )
-    if _growth_fails(values, 0, bound_cap, diverged):
-        return Verdict(
-            FAMILY_POWER_BOUNDED, FAILS, horizon, None, None,
-            witness, probes.label, evidence,
-        )
-    return Verdict(
-        FAMILY_POWER_BOUNDED, INCONCLUSIVE, horizon, None, None,
-        None, probes.label, evidence,
-    )
-
-
 def _check_probes(spec: OperatorSpec, probes: ProbeSet) -> None:
     if probes is None or len(probes) == 0:
         raise ValueError("a non-empty probe set is required")
@@ -216,187 +155,103 @@ def _check_probes(spec: OperatorSpec, probes: ProbeSet) -> None:
         )
 
 
-# -- Cesaro-bounded ------------------------------------------------------
+def _mat_norm_ub(mat, norm_tag, dim):
+    if norm_tag != "l2" or dim <= _L2_EXACT_DIM:
+        return matrix_norm(mat, norm_tag)
+    return math.sqrt(matrix_norm(mat, "l1") * matrix_norm(mat, "linf"))
 
 
-def check_cesaro_bounded(
-    spec: OperatorSpec,
-    probes: ProbeSet,
-    horizon: int,
-    bound_cap: float = 1e3,
-    mode: str = "auto",
-    dense_cap: int = DENSE_CAP,
-) -> Verdict:
-    """Scan ||A_n x|| over probes (probe mode) or exact ||A_n|| (dense mode)
-    for n = 1..horizon.
+def _mat_norm_lb(mat, norm_tag, dim):
+    if norm_tag != "l2" or dim <= _L2_EXACT_DIM:
+        return matrix_norm(mat, norm_tag)
+    return _l2_norm_power_iteration(mat)
 
-    Mode ``auto`` picks dense only when it is cheap (dim <= 32 and horizon
-    <= 1024); dense mode is exact but materializes matrices.
+
+# -- one pass over the means ---------------------------------------------
+
+
+class _Maxima:
+    """Per-step maxima of a stream of norms, and the first step above a cap
+    with its norms (plus whatever the caller keeps alongside)."""
+
+    def __init__(self, cap: float):
+        self.cap = cap
+        self.values: list = []
+        self.hit: tuple | None = None
+
+    def add(self, step: int, norms, *keep) -> None:
+        top = norms.max()
+        self.values.append(top)
+        if self.hit is None and top > self.cap:
+            self.hit = (step, norms, *keep)
+
+
+@dataclass(eq=False)
+class _Scan:
+    """What one stream pass keeps; norms are reduced as the pass goes.
+
+    `means` holds the mean-norm maxima for n = 1..steps (its hit keeps
+    A_n), `powers` the power-norm maxima for m = 0..steps (probe passes
+    only).  `snapshots` maps the requested indices to A_n, and
+    `checkpoint` is (n, A_n, P_n) at the requested tail start.
     """
-    _require_positive("horizon", horizon)
-    _require_positive("bound_cap", bound_cap)
-    if mode == "auto":
-        mode = "dense" if (spec.dim <= 32 and horizon <= 1024) else "probe"
-    if mode == "probe":
-        _check_probes(spec, probes)
-        values, per_step_meta, diverged, steps = _mean_probe_maxima(spec, probes, horizon, bound_cap)
-        label = probes.label
-    elif mode == "dense":
-        if spec.dim > dense_cap:
-            raise CapExceededError(
-                f"dense Cesaro-bounded mode is capped at dim {dense_cap} (got {spec.dim})"
-            )
-        values, per_step_meta, diverged, steps = _mean_matrix_maxima(spec, horizon, bound_cap)
-        label = None
-    else:
-        raise ValueError(f"unknown mode {mode!r}, expected probe, dense, or auto")
 
-    overall = float(values.max())
-    evidence = {"max": overall, "mode": mode, "diverged": diverged, "steps": steps}
-    if overall <= bound_cap:
-        return Verdict(
-            FAMILY_CESARO_BOUNDED, HOLDS, horizon, None, _int_bound(overall),
-            None, label, evidence,
-        )
-    if _growth_fails(values, 1, bound_cap, diverged):
-        witness = per_step_meta
-        if mode == "dense" and spec.norm_tag == "l2" and spec.dim > _L2_EXACT_DIM:
-            # The scan stream used norm upper bounds; confirm the witness
-            # value with a lower bound before claiming failure.
-            lb = _mat_norm_lb(
-                _nth_mean_matrix(as_dense(spec), spec.dim, witness["n"]),
-                spec.norm_tag,
-                spec.dim,
-            )
-            if lb <= bound_cap:
-                return Verdict(
-                    FAMILY_CESARO_BOUNDED, INCONCLUSIVE, horizon, None, None,
-                    None, label, evidence,
-                )
-            witness = dict(witness)
-            witness["value"] = lb
-        return Verdict(
-            FAMILY_CESARO_BOUNDED, FAILS, horizon, None, None,
-            witness, label, evidence,
-        )
-    return Verdict(
-        FAMILY_CESARO_BOUNDED, INCONCLUSIVE, horizon, None, None,
-        None, label, evidence,
+    stream: CesaroStream
+    horizon: int
+    means: _Maxima
+    powers: _Maxima | None
+    steps: int = 0
+    diverged_at: int | None = None
+    snapshots: dict = field(default_factory=dict)
+    checkpoint: tuple | None = None
+
+
+def _scan(stream, horizon, bound_cap, mean_norm, powers=False, wanted=(), checkpoint_at=None) -> _Scan:
+    scan = _Scan(stream, horizon, _Maxima(bound_cap), _Maxima(bound_cap) if powers else None)
+    for n, A, P in stream.run(horizon):
+        norms = mean_norm(A)
+        scan.means.add(n, norms, A)
+        if powers:
+            if n == 1:
+                scan.powers.add(0, norms)  # T^0 X = A_1 X
+            scan.powers.add(n, stream.power_norms)
+        if n in wanted:
+            scan.snapshots[n] = A
+        if n == checkpoint_at:
+            scan.checkpoint = (n, A, P)
+    scan.steps = n
+    scan.diverged_at = stream.diverged_at
+    return scan
+
+
+def _probe_scan(spec, probes, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _Scan:
+    return _scan(
+        CesaroStream(spec, probes.vectors.T), horizon, bound_cap,
+        lambda A: column_norms(A, spec.norm_tag), True, wanted, checkpoint_at,
     )
 
 
-def _mean_probe_maxima(spec, probes, horizon, bound_cap):
-    X = probes.vectors.T
-    A = X.copy()
-    cursor = apply_columns(spec, X)
-    step_max = np.empty(horizon)
-    witness = None
-    diverged = False
-    steps = 0
-    for n in range(1, horizon + 1):
-        norms, _ = _capped_norms(A, spec.norm_tag)
-        step_max[n - 1] = norms.max()
-        steps = n
-        if witness is None and step_max[n - 1] > bound_cap:
-            probe_idx = int(np.argmax(norms > bound_cap))
-            witness = {
-                "mode": "probe",
-                "probe": probe_idx,
-                "n": n,
-                "value": float(norms[probe_idx]),
-                "cap": bound_cap,
-            }
-        if n < horizon:
-            cursor_norms, capped = _capped_norms(cursor, spec.norm_tag)
-            if capped:
-                diverged = True
-                break
-            A = (n * A + cursor) / (n + 1)
-            cursor = apply_columns(spec, cursor)
-    return step_max[:steps], witness, diverged, steps
-
-
-def _mean_matrix_maxima(spec, horizon, bound_cap):
-    t = as_dense(spec)
-    A = np.eye(spec.dim)
-    cursor = t.copy()
-    step_max = np.empty(horizon)
-    witness = None
-    diverged = False
-    steps = 0
-    for n in range(1, horizon + 1):
-        value = _mat_norm_ub(A, spec.norm_tag, spec.dim)
-        step_max[n - 1] = value
-        steps = n
-        if witness is None and value > bound_cap:
-            witness = {"mode": "dense", "n": n, "value": value, "cap": bound_cap}
-        if n < horizon:
-            if not np.all(np.isfinite(cursor)) or np.max(np.abs(cursor)) > OVERFLOW_LIMIT:
-                diverged = True
-                break
-            A = (n * A + cursor) / (n + 1)
-            cursor = cursor @ t
-    return step_max[:steps], witness, diverged, steps
-
-
-# -- ergodic -------------------------------------------------------------
-
-
-def check_ergodic(
-    spec: OperatorSpec,
-    probes: ProbeSet,
-    horizon: int,
-    tolerance: float,
-    bound_cap: float = 1e3,
-) -> Verdict:
-    """Probe-level Cauchy check of the means over the tail [N/2, N].
-
-    Requires the Cesaro-bounded check not to fail (its witness is inherited
-    on failure); holds only when that check holds and every probe's
-    certified tail diameter bound 2 * max_n ||A_n x - A_N x|| is below the
-    tolerance.
-    """
-    _check_probes(spec, probes)
-    _require_positive("horizon", horizon)
-    _require_positive("tolerance", tolerance)
-    cb = check_cesaro_bounded(spec, probes, horizon, bound_cap, mode="probe")
-    if cb.status == FAILS:
-        witness = {"inherited_from": FAMILY_CESARO_BOUNDED, **(cb.witness or {})}
-        return Verdict(
-            FAMILY_ERGODIC, FAILS, horizon, tolerance, None,
-            witness, probes.label, {"cb_status": cb.status},
-        )
-
-    scan = _vector_tail_scan(spec, probes, horizon)
-    evidence = {
-        "cb_status": cb.status,
-        "cb_bound": cb.bound,
-        "diverged_at": scan["diverged_at"],
-        "tail_radius": scan["tail_radius"],
-        "tail_diameter_ub": scan["diam_ub"],
-        "tail_diameter_lb": scan["diam_lb"],
-        "dyadic_scales": scan["scales"],
-    }
-    if scan["diverged_at"] is not None:
-        return Verdict(
-            FAMILY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
-            None, probes.label, evidence,
-        )
-    gap_witness = _dyadic_gap_witness(scan["gaps"], scan["scales"], tolerance)
-    if gap_witness is not None:
-        return Verdict(
-            FAMILY_ERGODIC, FAILS, horizon, tolerance, None,
-            gap_witness, probes.label, evidence,
-        )
-    if cb.status == HOLDS and scan["diam_ub"] and max(scan["diam_ub"]) < tolerance:
-        return Verdict(
-            FAMILY_ERGODIC, HOLDS, horizon, tolerance, None,
-            None, probes.label, evidence,
-        )
-    return Verdict(
-        FAMILY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
-        None, probes.label, evidence,
+def _dense_scan(spec, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _Scan:
+    return _scan(
+        CesaroStream(spec), horizon, bound_cap,
+        lambda A: np.float64(_mat_norm_ub(A, spec.norm_tag, spec.dim)),
+        False, wanted, checkpoint_at,
     )
+
+
+def _tail_plan(horizon: int, grid_count: int):
+    """Tail start max(1, N//2), the sampled tail grid, the dyadic scales,
+    and every index a scan must snapshot for them."""
+    lo = max(1, horizon // 2)
+    grid = _grid_indices(lo, horizon, grid_count)
+    scales = _dyadic_scales(horizon)
+    return lo, grid, scales, set(grid) | set(scales or ())
+
+
+def _grid_indices(lo: int, hi: int, count: int) -> list[int]:
+    if hi <= lo:
+        return [hi]
+    return [int(v) for v in np.unique(np.linspace(lo, hi, min(count, hi - lo + 1)).astype(int))]
 
 
 def _dyadic_scales(horizon: int) -> tuple[int, int, int] | None:
@@ -404,6 +259,15 @@ def _dyadic_scales(horizon: int) -> tuple[int, int, int] | None:
     if base < 1:
         return None
     return (base, 2 * base, 4 * base)
+
+
+def _gaps(snapshots, scales, norm):
+    """norm(A_a - A_b), norm(A_b - A_c), norm(A_a - A_c) at the dyadic
+    scales (a, b, c), or None when some scale was not reached."""
+    if scales is None or any(s not in snapshots for s in scales):
+        return None
+    a, b, c = (snapshots[s] for s in scales)
+    return norm(a - b), norm(b - c), norm(a - c)
 
 
 def _dyadic_gap_witness(gaps, scales, tolerance):
@@ -423,88 +287,232 @@ def _dyadic_gap_witness(gaps, scales, tolerance):
     return None
 
 
-def _vector_tail_scan(spec, probes, horizon):
-    """Two-pass probe scan: final means, dyadic snapshots, tail radii and a
-    sampled tail diameter lower bound."""
-    X = probes.vectors.T
-    n_probes = X.shape[1]
-    tail_lo = max(1, horizon // 2)
-    grid = _grid_indices(tail_lo, horizon, _ERGODIC_GRID)
-    scales = _dyadic_scales(horizon)
-    wanted = set(grid) | (set(scales) if scales else set())
+def _tail_radius(scan: _Scan, norm):
+    """max_n norm(A_n - A_N) over the tail [max(1, N//2), N], re-run from
+    the checkpoint the scan took at the tail start."""
+    final = scan.snapshots[scan.horizon]
+    radius = 0.0
+    for _, A, _ in scan.stream.run(scan.horizon, start=scan.checkpoint):
+        radius = np.maximum(radius, norm(A - final))
+    return radius
 
-    snapshots = {}
-    A = X.copy()
-    cursor = apply_columns(spec, X)
-    diverged_at = None
-    reached = 1
-    if 1 in wanted:
-        snapshots[1] = A.copy()
-    for n in range(1, horizon):
-        _, capped = _capped_norms(cursor, spec.norm_tag)
-        if capped:
-            diverged_at = n
-            break
-        A = (n * A + cursor) / (n + 1)
-        cursor = apply_columns(spec, cursor)
-        reached = n + 1
-        if reached in wanted:
-            snapshots[reached] = A.copy()
-    if diverged_at is not None:
-        return {
-            "diverged_at": diverged_at,
-            "tail_radius": [],
-            "diam_ub": [],
-            "diam_lb": [],
-            "gaps": None,
-            "scales": scales,
+
+def _tail_holds(horizon: int, diameter_ub: float, tolerance: float) -> bool:
+    """A tail diameter certifies convergence only over a tail
+    [max(1, N//2), N] with at least two indices."""
+    return max(1, horizon // 2) < horizon and diameter_ub < tolerance
+
+
+def _grid_diameter(snapshots, grid, norm, initial):
+    """Largest norm(A_i - A_j) over the snapshotted tail grid: a lower
+    bound on the tail diameter."""
+    mats = [snapshots[g] for g in grid if g in snapshots]
+    diam = initial
+    for i in range(len(mats)):
+        for j in range(i + 1, len(mats)):
+            diam = np.maximum(diam, norm(mats[i] - mats[j]))
+    return diam
+
+
+# -- bounded families ----------------------------------------------------
+
+
+def _bounded_verdict(family, maxima, first_step, scan, witness, label, evidence) -> Verdict:
+    """holds with the integer bound when every step stayed under the cap
+    and the scan reached the horizon; fails on sustained growth (or
+    overflow) above the cap; inconclusive otherwise."""
+    values = np.asarray(maxima.values)
+    overall = float(values.max())
+    diverged = scan.diverged_at is not None
+    evidence = {"max": overall, **evidence, "diverged": diverged, "steps": scan.steps}
+    if overall <= maxima.cap and not diverged:
+        return Verdict(
+            family, HOLDS, scan.horizon, None, _int_bound(overall), None, label, evidence
+        )
+    if _growth_fails(values, first_step, maxima.cap, diverged):
+        return Verdict(family, FAILS, scan.horizon, None, None, witness, label, evidence)
+    return Verdict(family, INCONCLUSIVE, scan.horizon, None, None, None, label, evidence)
+
+
+def _pb_verdict(scan: _Scan, label: str) -> Verdict:
+    witness = None
+    if scan.powers.hit is not None:
+        m, norms = scan.powers.hit
+        probe_idx = int(np.argmax(norms > scan.powers.cap))
+        witness = {
+            "probe": probe_idx,
+            "power": m,
+            "value": float(norms[probe_idx]),
+            "cap": scan.powers.cap,
         }
-    final = A
+    return _bounded_verdict(FAMILY_POWER_BOUNDED, scan.powers, 0, scan, witness, label, {})
 
-    # Second pass: exact per-probe max distance to A_N over the whole tail.
-    radius = np.zeros(n_probes)
-    A = X.copy()
-    cursor = apply_columns(spec, X)
-    if 1 >= tail_lo:
-        radius = np.maximum(radius, column_norms(A - final, spec.norm_tag))
-    for n in range(1, horizon):
-        A = (n * A + cursor) / (n + 1)
-        cursor = apply_columns(spec, cursor)
-        if n + 1 >= tail_lo:
-            radius = np.maximum(radius, column_norms(A - final, spec.norm_tag))
 
-    diam_lb = np.zeros(n_probes)
-    grid_mats = [snapshots[g] for g in grid if g in snapshots]
-    for i in range(len(grid_mats)):
-        for j in range(i + 1, len(grid_mats)):
-            diff = column_norms(grid_mats[i] - grid_mats[j], spec.norm_tag)
-            diam_lb = np.maximum(diam_lb, diff)
+def _cb_probe_verdict(scan: _Scan, label: str) -> Verdict:
+    witness = None
+    if scan.means.hit is not None:
+        n, norms, _ = scan.means.hit
+        probe_idx = int(np.argmax(norms > scan.means.cap))
+        witness = {
+            "mode": "probe",
+            "probe": probe_idx,
+            "n": n,
+            "value": float(norms[probe_idx]),
+            "cap": scan.means.cap,
+        }
+    return _bounded_verdict(
+        FAMILY_CESARO_BOUNDED, scan.means, 1, scan, witness, label, {"mode": "probe"}
+    )
 
-    gaps = None
-    if scales and all(s in snapshots for s in scales):
-        a, b, c = (snapshots[s] for s in scales)
-        gaps = np.stack(
-            [
-                column_norms(a - b, spec.norm_tag),
-                column_norms(b - c, spec.norm_tag),
-                column_norms(a - c, spec.norm_tag),
-            ],
-            axis=1,
-        ).tolist()
-    return {
-        "diverged_at": None,
-        "tail_radius": radius.tolist(),
-        "diam_ub": (2.0 * radius).tolist(),
-        "diam_lb": diam_lb.tolist(),
-        "gaps": gaps,
-        "scales": scales,
+
+def _dense_gate_witness(spec: OperatorSpec, scan: _Scan) -> dict | None:
+    """The first dense mean above the cap, with its value confirmed by a
+    norm lower bound (the scan used upper bounds); None if the lower bound
+    does not clear the cap."""
+    n, _, A = scan.means.hit
+    lb = _mat_norm_lb(A, spec.norm_tag, spec.dim)
+    if lb <= scan.means.cap:
+        return None
+    return {"mode": "dense", "n": n, "value": lb, "cap": scan.means.cap}
+
+
+def check_power_bounded(
+    spec: OperatorSpec,
+    probes: ProbeSet,
+    horizon: int,
+    bound_cap: float = 1e3,
+) -> Verdict:
+    """Scan ||T^m x|| for all probes and m = 0..horizon."""
+    _check_probes(spec, probes)
+    _require_positive("horizon", horizon)
+    _require_positive("bound_cap", bound_cap)
+    return _pb_verdict(_probe_scan(spec, probes, horizon, bound_cap), probes.label)
+
+
+def _auto_mode(spec: OperatorSpec, horizon: int) -> str:
+    return "dense" if (spec.dim <= 32 and horizon <= 1024) else "probe"
+
+
+def check_cesaro_bounded(
+    spec: OperatorSpec,
+    probes: ProbeSet,
+    horizon: int,
+    bound_cap: float = 1e3,
+    mode: str = "auto",
+    dense_cap: int = DENSE_CAP,
+) -> Verdict:
+    """Scan ||A_n x|| over probes (probe mode) or exact ||A_n|| (dense mode)
+    for n = 1..horizon.
+
+    Mode ``auto`` picks dense only when it is cheap (dim <= 32 and horizon
+    <= 1024); dense mode is exact but materializes matrices.
+    """
+    _require_positive("horizon", horizon)
+    _require_positive("bound_cap", bound_cap)
+    if mode == "auto":
+        mode = _auto_mode(spec, horizon)
+    if mode == "probe":
+        _check_probes(spec, probes)
+        return _cb_probe_verdict(_probe_scan(spec, probes, horizon, bound_cap), probes.label)
+    if mode != "dense":
+        raise ValueError(f"unknown mode {mode!r}, expected probe, dense, or auto")
+    if spec.dim > dense_cap:
+        raise CapExceededError(
+            f"dense Cesaro-bounded mode is capped at dim {dense_cap} (got {spec.dim})"
+        )
+    scan = _dense_scan(spec, horizon, bound_cap)
+    verdict = _bounded_verdict(
+        FAMILY_CESARO_BOUNDED, scan.means, 1, scan, None, None, {"mode": "dense"}
+    )
+    if verdict.status == FAILS:
+        verdict.witness = _dense_gate_witness(spec, scan)
+        if verdict.witness is None:
+            verdict.status = INCONCLUSIVE
+    return verdict
+
+
+# -- ergodic -------------------------------------------------------------
+
+
+def _ergodic_scan(spec, probes, horizon, bound_cap) -> _Scan:
+    lo, _, _, wanted = _tail_plan(horizon, _ERGODIC_GRID)
+    return _probe_scan(spec, probes, horizon, bound_cap, wanted, lo)
+
+
+def _ergodic_verdict(spec, scan: _Scan, cb: Verdict, tolerance: float, label: str) -> Verdict:
+    horizon = scan.horizon
+    if cb.status == FAILS:
+        witness = {"inherited_from": FAMILY_CESARO_BOUNDED, **(cb.witness or {})}
+        return Verdict(
+            FAMILY_ERGODIC, FAILS, horizon, tolerance, None,
+            witness, label, {"cb_status": cb.status},
+        )
+    _, grid, scales, _ = _tail_plan(horizon, _ERGODIC_GRID)
+    evidence = {
+        "cb_status": cb.status,
+        "cb_bound": cb.bound,
+        "diverged_at": scan.diverged_at,
+        "dyadic_scales": scales,
     }
+    if scan.diverged_at is not None:
+        return Verdict(
+            FAMILY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
+            None, label, evidence,
+        )
+    norm = lambda X: column_norms(X, spec.norm_tag)  # noqa: E731
+    gaps = _gaps(scan.snapshots, scales, norm)
+    if gaps is not None:
+        gaps = np.stack(gaps, axis=1).tolist()
+    gap_witness = _dyadic_gap_witness(gaps, scales, tolerance)
+    if gap_witness is not None:
+        return Verdict(
+            FAMILY_ERGODIC, FAILS, horizon, tolerance, None,
+            gap_witness, label, evidence,
+        )
+    diam_ub = 2.0 * _tail_radius(scan, norm)
+    diam_lb = _grid_diameter(scan.snapshots, grid, norm, np.zeros(diam_ub.shape))
+    evidence.update(
+        {"tail_diameter_ub": diam_ub.tolist(), "tail_diameter_lb": diam_lb.tolist()}
+    )
+    if cb.status == HOLDS and _tail_holds(horizon, diam_ub.max(), tolerance):
+        return Verdict(
+            FAMILY_ERGODIC, HOLDS, horizon, tolerance, None,
+            None, label, evidence,
+        )
+    return Verdict(
+        FAMILY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
+        None, label, evidence,
+    )
 
 
-def _grid_indices(lo: int, hi: int, count: int) -> list[int]:
-    if hi <= lo:
-        return [hi]
-    return [int(v) for v in np.unique(np.linspace(lo, hi, min(count, hi - lo + 1)).astype(int))]
+def check_ergodic(
+    spec: OperatorSpec,
+    probes: ProbeSet,
+    horizon: int,
+    tolerance: float,
+    bound_cap: float = 1e3,
+) -> Verdict:
+    """Probe-level Cauchy check of the means over the tail [N/2, N].
+
+    Requires the Cesaro-bounded check not to fail (its witness is inherited
+    on failure); holds only when that check holds and every probe's
+    certified tail diameter bound 2 * max_n ||A_n x - A_N x|| is below the
+    tolerance.
+    """
+    _check_probes(spec, probes)
+    _require_positive("horizon", horizon)
+    _require_positive("tolerance", tolerance)
+    _require_positive("bound_cap", bound_cap)
+    return _probe_families(spec, probes, horizon, tolerance, bound_cap)[2]
+
+
+def _probe_families(spec, probes, horizon, tolerance, bound_cap):
+    """Power-bounded, probe-mode Cesaro-bounded and ergodic verdicts, all
+    read off one probe pass (plus the re-run of the ergodic tail)."""
+    scan = _ergodic_scan(spec, probes, horizon, bound_cap)
+    cb = _cb_probe_verdict(scan, probes.label)
+    erg = _ergodic_verdict(spec, scan, cb, tolerance, probes.label)
+    return _pb_verdict(scan, probes.label), cb, erg
 
 
 # -- uniformly ergodic ---------------------------------------------------
@@ -532,81 +540,33 @@ def check_uniformly_ergodic(
                 f"dim {spec.dim} exceeds the dense cap {dense_cap}; probes are "
                 "required for the lower-bound mode"
             )
-        return _ue_probe_lower_bound(spec, probes, horizon, tolerance)
+        return _ue_probe_lower_bound(spec, probes, horizon, tolerance, bound_cap)
     return _ue_dense(spec, horizon, tolerance, bound_cap)
 
 
-def _mat_norm_ub(mat, norm_tag, dim):
-    if norm_tag != "l2" or dim <= _L2_EXACT_DIM:
-        return matrix_norm(mat, norm_tag)
-    return math.sqrt(matrix_norm(mat, "l1") * matrix_norm(mat, "linf"))
-
-
-def _mat_norm_lb(mat, norm_tag, dim):
-    if norm_tag != "l2" or dim <= _L2_EXACT_DIM:
-        return matrix_norm(mat, norm_tag)
-    return _l2_norm_power_iteration(mat)
-
-
 def _ue_dense(spec, horizon, tolerance, bound_cap):
-    t = as_dense(spec)
     d = spec.dim
-    tail_lo = max(1, horizon // 2)
-    grid = _grid_indices(tail_lo, horizon, _UE_GRID)
-    scales = _dyadic_scales(horizon)
-    wanted = set(grid) | (set(scales) if scales else set())
-
-    snapshots = {}
-    norm_stream = np.empty(horizon)
-    A = np.eye(d)
-    cursor = t.copy()
-    diverged = False
-    steps = 0
-    gate_witness = None
-    for n in range(1, horizon + 1):
-        value = _mat_norm_ub(A, spec.norm_tag, d)
-        norm_stream[n - 1] = value
-        steps = n
-        if gate_witness is None and value > bound_cap:
-            gate_witness = {"mode": "dense", "n": n, "value": value, "cap": bound_cap}
-        if n in wanted:
-            snapshots[n] = A.copy()
-        if n < horizon:
-            if not np.all(np.isfinite(cursor)) or np.max(np.abs(cursor)) > OVERFLOW_LIMIT:
-                diverged = True
-                break
-            A = (n * A + cursor) / (n + 1)
-            cursor = cursor @ t
-
-    stream = norm_stream[:steps]
-    gate_max = float(stream.max())
+    lo, grid, scales, wanted = _tail_plan(horizon, _UE_GRID)
+    scan = _dense_scan(spec, horizon, bound_cap, wanted, lo)
+    gate = np.asarray(scan.means.values)
+    gate_max = float(gate.max())
+    diverged = scan.diverged_at is not None
     evidence = {"mean_norm_max": gate_max, "diverged": diverged, "mode": "dense"}
-    if _growth_fails(stream, 1, bound_cap, diverged):
-        # The sustained-growth gate uses upper bounds; confirm the witness
-        # value with a lower bound before claiming failure.
-        n_w = gate_witness["n"]
-        lb = _mat_norm_lb(_nth_mean_matrix(t, d, n_w), spec.norm_tag, d)
-        if lb > bound_cap:
-            gate_witness["value"] = lb
-            witness = {"inherited_from": FAMILY_CESARO_BOUNDED, **gate_witness}
+    if _growth_fails(gate, 1, bound_cap, diverged):
+        witness = _dense_gate_witness(spec, scan)
+        if witness is not None:
             return Verdict(
                 FAMILY_UNIFORMLY_ERGODIC, FAILS, horizon, tolerance, None,
-                witness, None, evidence,
+                {"inherited_from": FAMILY_CESARO_BOUNDED, **witness}, None, evidence,
             )
-    if diverged or steps < horizon:
+    if diverged:
         return Verdict(
             FAMILY_UNIFORMLY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
             None, None, evidence,
         )
 
-    gaps = None
-    if scales and all(s in snapshots for s in scales):
-        a, b, c = (snapshots[s] for s in scales)
-        gaps = [[
-            _mat_norm_lb(a - b, spec.norm_tag, d),
-            _mat_norm_lb(b - c, spec.norm_tag, d),
-            _mat_norm_lb(a - c, spec.norm_tag, d),
-        ]]
+    gaps = _gaps(scan.snapshots, scales, lambda X: _mat_norm_lb(X, spec.norm_tag, d))
+    gaps = None if gaps is None else [list(gaps)]
     gap_witness = _dyadic_gap_witness(gaps, scales, tolerance)
     if gap_witness is not None:
         gap_witness["mode"] = "dense"
@@ -617,24 +577,12 @@ def _ue_dense(spec, horizon, tolerance, bound_cap):
             gap_witness, None, evidence,
         )
 
-    final = snapshots[horizon]
-    radius = 0.0
-    A = np.eye(d)
-    cursor = t.copy()
-    for n in range(1, horizon + 1):
-        if n >= tail_lo:
-            radius = max(radius, _mat_norm_ub(A - final, spec.norm_tag, d))
-        if n < horizon:
-            A = (n * A + cursor) / (n + 1)
-            cursor = cursor @ t
+    radius = _tail_radius(scan, lambda X: _mat_norm_ub(X, spec.norm_tag, d))
     diam_lb = 0.0
-    grid_mats = [snapshots[g] for g in grid if g in snapshots]
     if spec.norm_tag != "l2" or d <= _L2_EXACT_DIM:
-        for i in range(len(grid_mats)):
-            for j in range(i + 1, len(grid_mats)):
-                diam_lb = max(
-                    diam_lb, matrix_norm(grid_mats[i] - grid_mats[j], spec.norm_tag)
-                )
+        diam_lb = _grid_diameter(
+            scan.snapshots, grid, lambda X: matrix_norm(X, spec.norm_tag), 0.0
+        )
     evidence.update(
         {
             "tail_radius": radius,
@@ -643,7 +591,7 @@ def _ue_dense(spec, horizon, tolerance, bound_cap):
             "dyadic_gaps": gaps[0] if gaps else None,
         }
     )
-    if gate_max <= bound_cap and 2.0 * radius < tolerance:
+    if gate_max <= bound_cap and _tail_holds(horizon, 2.0 * radius, tolerance):
         return Verdict(
             FAMILY_UNIFORMLY_ERGODIC, HOLDS, horizon, tolerance, None,
             None, None, evidence,
@@ -654,37 +602,28 @@ def _ue_dense(spec, horizon, tolerance, bound_cap):
     )
 
 
-def _nth_mean_matrix(t: np.ndarray, dim: int, n_target: int) -> np.ndarray:
-    A = np.eye(dim)
-    cursor = t.copy()
-    for n in range(1, n_target):
-        A = (n * A + cursor) / (n + 1)
-        cursor = cursor @ t
-    return A
-
-
-def _ue_probe_lower_bound(spec, probes, horizon, tolerance):
+def _ue_probe_lower_bound(spec, probes, horizon, tolerance, bound_cap):
     _check_probes(spec, probes)
-    scan = _vector_tail_scan(spec, probes, horizon)
+    scales = _dyadic_scales(horizon)
+    scan = _probe_scan(spec, probes, horizon, bound_cap, set(scales or ()))
     evidence = {
         "mode": "probe-lb",
-        "diverged_at": scan["diverged_at"],
+        "diverged_at": scan.diverged_at,
         "gap_lower_bounds": None,
     }
-    if scan["diverged_at"] is not None or scan["gaps"] is None:
+    gaps = _gaps(scan.snapshots, scales, lambda X: column_norms(X, spec.norm_tag))
+    if scan.diverged_at is not None or gaps is None:
         return Verdict(
             FAMILY_UNIFORMLY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
             None, probes.label, evidence,
         )
     # Probe diffs are valid lower bounds on the operator-norm gaps.
-    gaps_arr = np.asarray(scan["gaps"])
-    op_gaps = [gaps_arr[:, 0].max(), gaps_arr[:, 1].max(), gaps_arr[:, 2].max()]
-    evidence["gap_lower_bounds"] = [float(g) for g in op_gaps]
-    gap_witness = _dyadic_gap_witness([op_gaps], scan["scales"], tolerance)
+    op_gaps = [float(g.max()) for g in gaps]
+    evidence["gap_lower_bounds"] = op_gaps
+    gap_witness = _dyadic_gap_witness([op_gaps], scales, tolerance)
     if gap_witness is not None:
         gap_witness["mode"] = "probe-lb"
         del gap_witness["probe"]
-        gap_witness["gaps"] = [float(g) for g in gap_witness["gaps"]]
         return Verdict(
             FAMILY_UNIFORMLY_ERGODIC, FAILS, horizon, tolerance, None,
             gap_witness, probes.label, evidence,
@@ -695,7 +634,62 @@ def _ue_probe_lower_bound(spec, probes, horizon, tolerance):
     )
 
 
+# -- every family from one pass ------------------------------------------
+
+
+class FamilyVerdicts(NamedTuple):
+    power_bounded: Verdict
+    cesaro_bounded: Verdict
+    ergodic: Verdict
+    uniformly_ergodic: Verdict
+    #: Uniform ergodicity at the requested horizon when the trusted one is
+    #: shorter (a finite-section verdict); None otherwise.
+    section: Verdict | None
+
+
+def check_families(
+    spec: OperatorSpec,
+    probes: ProbeSet,
+    horizon: int,
+    tolerance: float,
+    bound_cap: float,
+    ue_horizon: int,
+) -> FamilyVerdicts:
+    """Every family verdict of an analysis report.
+
+    Power-bounded, Cesaro-bounded (``auto`` mode) and ergodic come out of
+    one probe pass of the stream, plus a re-run of the ergodic tail from a
+    checkpoint; Cesaro-bounded re-scans in dense mode when ``auto`` picks
+    it.  Uniform ergodicity is checked at the trusted horizon, and at
+    `ue_horizon` too when that is longer.
+    """
+    _check_probes(spec, probes)
+    _require_positive("horizon", horizon)
+    _require_positive("tolerance", tolerance)
+    _require_positive("bound_cap", bound_cap)
+    # The probe pass's snapshots are released before the dense scans start.
+    pb, cb, erg = _probe_families(spec, probes, horizon, tolerance, bound_cap)
+    if _auto_mode(spec, horizon) == "dense":
+        cb = check_cesaro_bounded(spec, probes, horizon, bound_cap, mode="dense")
+    trusted = trusted_horizon(spec, ue_horizon)
+    ue = check_uniformly_ergodic(spec, trusted, tolerance, probes=probes, bound_cap=bound_cap)
+    section = None
+    if trusted < ue_horizon:
+        section = check_uniformly_ergodic(
+            spec, ue_horizon, tolerance, probes=probes, bound_cap=bound_cap
+        )
+    return FamilyVerdicts(pb, cb, erg, ue, section)
+
+
 # -- witness replay ------------------------------------------------------
+
+
+def _mean_at(spec: OperatorSpec, n: int, X: np.ndarray | None = None) -> np.ndarray:
+    """A_n X (the dense A_n when X is None)."""
+    means = CesaroStream(spec, X).means_at([n])
+    if n not in means:
+        raise ValueError(f"the means stop before index {n}: the powers overflow")
+    return means[n]
 
 
 def replay_witness(
@@ -717,65 +711,44 @@ def replay_witness(
         family = w.pop("inherited_from")
     if "probe" in w and probes is None:
         raise ValueError("this witness references a probe; pass the probe set")
+    tag = spec.norm_tag
 
     if family == FAMILY_POWER_BOUNDED:
-        x = probes[w["probe"]]
-        Y = x[:, None]
-        for _ in range(w["power"]):
-            Y = apply_columns(spec, Y)
-            norms, capped = _capped_norms(Y, spec.norm_tag)
-            if capped:
-                break
-        value, _ = _capped_norms(Y, spec.norm_tag)
-        value = float(value[0])
+        x = probes[w["probe"]][:, None]
+        value = column_norms(x, tag)[0]
+        if w["power"] > 0:
+            stream = CesaroStream(spec, x)
+            for _ in stream.run(w["power"]):
+                pass
+            value = stream.power_norms[0]
+        value = float(value)
         return value, value > w["cap"]
 
     if family == FAMILY_CESARO_BOUNDED:
         if w["mode"] == "probe":
-            x = probes[w["probe"]]
-            A = x.copy()
-            cursor = apply_columns(spec, x[:, None])[:, 0]
-            for n in range(1, w["n"]):
-                A = (n * A + cursor) / (n + 1)
-                cursor = apply_columns(spec, cursor[:, None])[:, 0]
-            value, _ = _capped_norms(A[:, None], spec.norm_tag)
-            value = float(value[0])
+            mean = _mean_at(spec, w["n"], probes[w["probe"]][:, None])
+            value = float(column_norms(mean, tag)[0])
         else:
-            value = _mat_norm_lb(
-                _nth_mean_matrix(as_dense(spec), spec.dim, w["n"]), spec.norm_tag, spec.dim
-            )
+            value = _mat_norm_lb(_mean_at(spec, w["n"]), tag, spec.dim)
         return value, value > w["cap"]
 
     if "scales" in w:
         scales = w["scales"]
         mode = w.get("mode")
         if mode == "dense":
-            t = as_dense(spec)
-            mats = {s: _nth_mean_matrix(t, spec.dim, s) for s in scales}
-            g = [
-                _mat_norm_lb(mats[scales[0]] - mats[scales[1]], spec.norm_tag, spec.dim),
-                _mat_norm_lb(mats[scales[1]] - mats[scales[2]], spec.norm_tag, spec.dim),
-                _mat_norm_lb(mats[scales[0]] - mats[scales[2]], spec.norm_tag, spec.dim),
-            ]
-        elif mode == "probe-lb":
+            g = _gaps(CesaroStream(spec).means_at(scales), scales,
+                      lambda X: _mat_norm_lb(X, tag, spec.dim))
+        else:
             if probes is None:
                 raise ValueError("this witness references probes; pass the probe set")
-            g = [0.0, 0.0, 0.0]
-            for x in probes.vectors:
-                vals = _probe_dyadic_gaps(spec, x, scales)
-                g = [max(b, v) for b, v in zip(g, vals)]
-        else:
-            g = _probe_dyadic_gaps(spec, probes[w["probe"]], scales)
+            X = probes.vectors.T if mode == "probe-lb" else probes[w["probe"]][:, None]
+            g = _gaps(CesaroStream(spec, X).means_at(scales), scales,
+                      lambda D: column_norms(D, tag))
+            if g is not None:
+                g = [float(v.max()) for v in g]
+        if g is None:
+            raise ValueError("the means stop before the witness scales: the powers overflow")
         violates = min(g) > w["threshold"] and g[1] >= DECAY_RATIO * g[0]
         return float(min(g)), violates
 
     raise ValueError(f"unrecognized witness shape for family {family}: {w}")
-
-
-def _probe_dyadic_gaps(spec, x, scales):
-    traj = trajectory(spec, x, scales[2])
-    return [
-        cesaro_diff(traj, scales[0], scales[1]),
-        cesaro_diff(traj, scales[1], scales[2]),
-        cesaro_diff(traj, scales[0], scales[2]),
-    ]

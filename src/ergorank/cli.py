@@ -12,8 +12,8 @@ Subcommands:
 Reports are canonical JSON (sorted insertion order, repr floats, trailing
 newline) so identical inputs produce byte-identical output apart from the
 timings block.  ``analyze`` results are cached under ``~/.cache/ergorank``
-(override with ``ERGORANK_CACHE_DIR``) keyed by the spec and config
-hashes.
+(override with ``ERGORANK_CACHE_DIR``) keyed by the spec hash and a hash of
+the config, package version and report schema.
 
 Exit codes: 0 success; 1 certificate not found / rejected; 2 invalid
 input; 3 a node budget truncated some enumeration.
@@ -35,14 +35,7 @@ from .certify import (
     rank_estimate,
     search_nse,
 )
-from .classify import (
-    FAILS,
-    check_cesaro_bounded,
-    check_ergodic,
-    check_power_bounded,
-    check_uniformly_ergodic,
-    trusted_horizon,
-)
+from .classify import check_families, trusted_horizon
 from .operators import (
     DEFAULT_SEED,
     KIND_SHIFT,
@@ -111,19 +104,9 @@ def build_report(spec: OperatorSpec, config: dict) -> dict:
     bound_cap = config["bound_cap"]
 
     t0 = time.perf_counter()
-    pb = check_power_bounded(spec, probes, horizon, bound_cap)
-    cb = check_cesaro_bounded(spec, probes, horizon, bound_cap, mode="auto")
-    erg = check_ergodic(spec, probes, horizon, tolerance, bound_cap)
     ue_requested = config["ue_horizon"]
     ue_trusted = trusted_horizon(spec, ue_requested)
-    ue = check_uniformly_ergodic(
-        spec, ue_trusted, tolerance, probes=probes, bound_cap=bound_cap
-    )
-    section = None
-    if ue_trusted < ue_requested:
-        section = check_uniformly_ergodic(
-            spec, ue_requested, tolerance, probes=probes, bound_cap=bound_cap
-        )
+    families = check_families(spec, probes, horizon, tolerance, bound_cap, ue_requested)
     t1 = time.perf_counter()
 
     rank = rank_estimate(
@@ -150,7 +133,9 @@ def build_report(spec: OperatorSpec, config: dict) -> dict:
         "requested_horizon": ue_requested,
         "trusted_horizon": ue_trusted,
         "section_only_beyond": spec.kind == KIND_SHIFT and ue_trusted < ue_requested,
-        "section_verdict": section.to_json_dict() if section is not None else None,
+        "section_verdict": (
+            families.section.to_json_dict() if families.section is not None else None
+        ),
     }
     nse_summary = {
         "construct": NSE_CONSTRUCT,
@@ -168,10 +153,10 @@ def build_report(spec: OperatorSpec, config: dict) -> dict:
         "operator_sha256": sha256_hex(canonical_dumps(spec.to_json_dict())),
         "config": config,
         "verdicts": {
-            "power_bounded": pb.to_json_dict(),
-            "cesaro_bounded": cb.to_json_dict(),
-            "ergodic": erg.to_json_dict(),
-            "uniformly_ergodic": ue.to_json_dict(),
+            "power_bounded": families.power_bounded.to_json_dict(),
+            "cesaro_bounded": families.cesaro_bounded.to_json_dict(),
+            "ergodic": families.ergodic.to_json_dict(),
+            "uniformly_ergodic": families.uniformly_ergodic.to_json_dict(),
         },
         "norm_trusted": norm_trusted,
         "rank_estimate": rank.to_json_dict(),
@@ -214,14 +199,18 @@ def cmd_analyze(args) -> int:
     }
 
     spec_text = canonical_dumps(spec.to_json_dict())
-    config_text = canonical_dumps(config)
+    # Reports from other code (version or report schema) never match.
+    key_text = canonical_dumps(
+        {"version": __version__, "schema": REPORT_SCHEMA, "config": config}
+    )
     cache_file = os.path.join(
-        _cache_dir(), f"{sha256_hex(spec_text)[:16]}-{sha256_hex(config_text)[:16]}.json"
+        _cache_dir(), f"{sha256_hex(spec_text)[:16]}-{sha256_hex(key_text)[:16]}.json"
     )
     report = None
     if not args.no_cache and os.path.exists(cache_file):
         try:
-            report = canonical_loads(open(cache_file, encoding="utf-8").read())
+            with open(cache_file, encoding="utf-8") as handle:
+                report = canonical_loads(handle.read())
             report["timings"] = {"cached": True}
         except (OSError, ValueError):
             report = None

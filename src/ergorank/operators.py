@@ -232,13 +232,14 @@ def vec_norm(x: np.ndarray, norm_tag: str) -> float:
 
 
 def column_norms(X: np.ndarray, norm_tag: str) -> np.ndarray:
-    """Per-column vector norms of a (dim, p) array."""
+    """Per-column vector norms of a (dim, p) array, or of each (dim, p)
+    slice of a (..., dim, p) stack."""
     if norm_tag == "l1":
-        return np.sum(np.abs(X), axis=0)
+        return np.sum(np.abs(X), axis=-2)
     if norm_tag == "l2":
-        return np.linalg.norm(X, axis=0)
+        return np.linalg.norm(X, axis=-2)
     if norm_tag == "linf":
-        return np.max(np.abs(X), axis=0)
+        return np.max(np.abs(X), axis=-2)
     raise ValueError(f"unknown norm tag {norm_tag!r}")
 
 

@@ -13,9 +13,8 @@ certificates, non-membership only means "no probe witnessed it".  The
 enumeration is bounded by a depth cap and an index bound; `partial` is set
 when the node budget cuts the walk short.
 
-The combined tree pairs an integer k >= 1 with a node of the tree at
-separation 1/k; its height profile across k is what the rank estimate in
-`certify` consumes.
+Every mean comes from one `CesaroStream` pass over the probe block, so a
+pair involving an index past the stream's overflow stop never separates.
 """
 
 from __future__ import annotations
@@ -25,7 +24,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import OperatorSpec, ProbeSet, apply_columns, column_norms
+from .cesaro import CesaroStream
+from .operators import OperatorSpec, ProbeSet, column_norms
 
 #: Margins must clear the separation threshold by this absolute slack to
 #: count.  Exact boundary cases (margin mathematically equal to eps) pick
@@ -41,13 +41,6 @@ class NodeMembership(NamedTuple):
     margins: list[float] | None
 
 
-class CombinedNode(NamedTuple):
-    """Node (k, seq) of the combined tree: seq against separation 1/k."""
-
-    k: int
-    seq: tuple[int, ...]
-
-
 def _validate_seq(seq) -> tuple[int, ...]:
     seq = tuple(int(v) for v in seq)
     for v in seq:
@@ -56,26 +49,6 @@ def _validate_seq(seq) -> tuple[int, ...]:
     if any(a >= b for a, b in zip(seq, seq[1:])):
         raise ValueError(f"sequence must be strictly increasing, got {seq}")
     return seq
-
-
-def _mean_snapshots(spec: OperatorSpec, probes: ProbeSet, indices) -> dict[int, np.ndarray]:
-    """A_n X at the requested indices, X the probe columns."""
-    wanted = sorted(set(int(i) for i in indices))
-    if not wanted:
-        return {}
-    top = wanted[-1]
-    X = probes.vectors.T
-    A = X.copy()
-    cursor = apply_columns(spec, X)
-    out = {}
-    if 1 in wanted:
-        out[1] = A.copy()
-    for n in range(1, top):
-        A = (n * A + cursor) / (n + 1)
-        cursor = apply_columns(spec, cursor)
-        if n + 1 in wanted:
-            out[n + 1] = A.copy()
-    return out
 
 
 def node_member(
@@ -91,7 +64,9 @@ def node_member(
     seq = _validate_seq(seq)
     if len(seq) <= 1:
         return NodeMembership(True, None, [])
-    snaps = _mean_snapshots(spec, probes, seq)
+    snaps = CesaroStream(spec, probes.vectors.T).means_at(seq)
+    if len(snaps) < len(seq):
+        return NodeMembership(False, None, None)
     margins = np.stack(
         [
             column_norms(snaps[a] - snaps[b], spec.norm_tag)
@@ -103,16 +78,6 @@ def node_member(
         return NodeMembership(False, None, None)
     witness = int(np.argmax(ok))
     return NodeMembership(True, witness, [float(v) for v in margins[:, witness]])
-
-
-def combined_member(
-    spec: OperatorSpec,
-    node: CombinedNode,
-    probes: ProbeSet,
-) -> NodeMembership:
-    if node.k < 1:
-        raise ValueError(f"k must be >= 1, got {node.k}")
-    return node_member(spec, node.seq, 1.0 / node.k, probes)
 
 
 @dataclass(eq=False)
@@ -249,20 +214,16 @@ def build_truncation(
 
 def _pair_masks(spec, probes, epsilon, index_bound) -> list[list[int]]:
     """pair_mask[n][m] (1 <= n < m <= index_bound): bit p set iff probe p
-    separates A_n from A_m by strictly more than epsilon."""
-    snaps = _mean_snapshots(spec, probes, range(1, index_bound + 1))
-    stacked = np.stack([snaps[n] for n in range(1, index_bound + 1)])
+    separates A_n from A_m by strictly more than epsilon; 0 for pairs past
+    the overflow stop."""
+    snaps = CesaroStream(spec, probes.vectors.T).means_at(range(1, index_bound + 1))
+    stacked = np.stack(list(snaps.values()))
     masks = [[0] * (index_bound + 1) for _ in range(index_bound + 1)]
-    for n in range(1, index_bound + 1):
+    for n in range(1, len(snaps) + 1):
         diffs = stacked[n:] - stacked[n - 1][None, :, :]
         if diffs.size == 0:
             continue
-        if spec.norm_tag == "l1":
-            margins = np.abs(diffs).sum(axis=1)
-        elif spec.norm_tag == "l2":
-            margins = np.sqrt((diffs * diffs).sum(axis=1))
-        else:
-            margins = np.abs(diffs).max(axis=1)
+        margins = column_norms(diffs, spec.norm_tag)
         hits = margins > epsilon + SEPARATION_SLACK
         for offset in range(hits.shape[0]):
             row = hits[offset]

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from ergorank.certify import (
     rank_estimate,
     search_nse,
 )
-from ergorank.operators import basis_probes, default_probes, gallery
+from ergorank.operators import KIND_DIAGONAL, OperatorSpec, basis_probes, default_probes, gallery
 from ergorank.serialization import canonical_dumps, canonical_loads
 from ergorank.cesaro import trajectory, cesaro_diff
 
@@ -73,6 +75,18 @@ def test_beam_finds_chains_the_dyadic_grid_misses():
     assert cert is not None
     assert cert.depth >= 2
     assert check_certificate(cert).accepted
+
+
+def test_overflow_stops_trees_and_doubling():
+    # T x has norm 1e200, past the overflow limit, so only A_1 exists: no
+    # pair separates, and no NaN or inf mean is ever formed.
+    spec = OperatorSpec(KIND_DIAGONAL, 2, [1e200, -1e200], "linf")
+    probes = default_probes(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert rank_estimate(spec, probes).heights == [1] * 8
+        for strategy in ("doubling", "beam"):
+            assert search_nse(spec, probes, 0.5, 5, index_bound=32, strategy=strategy) is None
 
 
 def test_search_validation():

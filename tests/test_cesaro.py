@@ -4,11 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from ergorank.cesaro import (
     OVERFLOW_LIMIT,
-    TrajectoryCache,
+    CesaroStream,
     cesaro_diff,
-    cesaro_extend,
     cesaro_matrices,
-    start_trajectory,
     trajectory,
 )
 from ergorank.operators import (
@@ -79,26 +77,27 @@ def test_telescoping_and_mean_identities(seed):
         assert np.linalg.norm(traj_y.values[n - 1] - (x - power) / n) <= 1e-9
 
 
-def test_extend_shares_prefix_bitwise():
-    spec = gallery("left_shift_l1(64)")
-    x = basis_probes(64, "l1")[20]
-    short = trajectory(spec, x, 10)
-    longer = cesaro_extend(short, spec, 50)
-    direct = trajectory(spec, x, 50)
-    assert longer.horizon == 50
-    for n in range(10):
-        assert np.array_equal(longer.values[n], short.values[n])
-    for n in range(50):
-        assert np.array_equal(longer.values[n], direct.values[n])
+def test_stream_resumes_bitwise_from_a_checkpoint():
+    spec = gallery("random_diagonalizable(7,12)")
+    stream = CesaroStream(spec, default_probes(spec).vectors.T)
+    full = {n: (A, P) for n, A, P in stream.run(40)}
+    resumed = list(stream.run(40, start=(20, *full[20])))
+    assert [n for n, _, _ in resumed] == list(range(20, 41))
+    for n, A, P in resumed:
+        assert np.array_equal(A, full[n][0]) and np.array_equal(P, full[n][1])
+    snaps = stream.means_at([3, 7])
+    assert snaps.keys() == {3, 7} and np.array_equal(snaps[7], full[7][0])
 
 
-def test_extend_validation():
-    spec = gallery("identity(4)")
-    traj = trajectory(spec, np.ones(4) / 2.0, 5)
-    with pytest.raises(ValueError):
-        cesaro_extend(traj, spec, 3)
-    same = cesaro_extend(traj, spec, 5)
-    assert same.horizon == 5
+def test_stream_stops_at_the_first_overflowing_power():
+    spec = OperatorSpec(KIND_DIAGONAL, 2, [1e200, -1e200], "linf")
+    stream = CesaroStream(spec, np.eye(2))
+    assert [n for n, _, _ in stream.run(10)] == [1]
+    assert stream.diverged_at == 1
+    assert stream.means_at([1, 2, 5]).keys() == {1}
+    assert np.array_equal(stream.power_norms, [OVERFLOW_LIMIT, OVERFLOW_LIMIT])
+    # Dense mode guards the columns of T^n the same way.
+    assert cesaro_matrices(spec, 10).diverged_at == 1
 
 
 def test_cesaro_diff_basics():
@@ -121,10 +120,6 @@ def test_divergence_truncates():
     assert traj.diverged_at is not None
     assert len(traj.values) == traj.diverged_at
     assert vec_norm(traj.values[-1], "l2") <= OVERFLOW_LIMIT * 2
-    # extending past divergence is a no-op
-    again = cesaro_extend(traj, spec, 5000)
-    assert again.diverged_at == traj.diverged_at
-    assert len(again.values) == len(traj.values)
 
 
 def test_matrix_means_match_vector_means():
@@ -154,14 +149,3 @@ def test_matrix_means_cap():
     spec = OperatorSpec(KIND_DIAGONAL, 600, np.zeros(600), "l2")
     with pytest.raises(CapExceededError):
         cesaro_matrices(spec, 4)
-
-
-def test_trajectory_cache_extends_and_reuses():
-    spec = gallery("left_shift_l1(64)")
-    probes = default_probes(spec)
-    cache = TrajectoryCache(spec, probes)
-    t1 = cache.get(3, 10)
-    t2 = cache.get(3, 25)
-    assert t2.horizon >= 25
-    assert np.array_equal(t2.values[9], t1.values[9])
-    assert cache.get(3, 25) is t2

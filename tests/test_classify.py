@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import ergorank.cesaro
 from ergorank.classify import (
     FAILS,
     HOLDS,
@@ -8,6 +9,7 @@ from ergorank.classify import (
     Verdict,
     check_cesaro_bounded,
     check_ergodic,
+    check_families,
     check_power_bounded,
     check_uniformly_ergodic,
     replay_witness,
@@ -16,11 +18,16 @@ from ergorank.classify import (
 )
 from ergorank.operators import (
     KIND_DIAGONAL,
+    KIND_SHIFT,
     OperatorSpec,
     basis_probes,
     default_probes,
     gallery,
 )
+
+
+#: Powers overflow at the first step: T x already has norm 1e200.
+HUGE_DIAGONAL = OperatorSpec(KIND_DIAGONAL, 2, [1e200, -1e200], "linf")
 
 
 def _probes(name):
@@ -116,6 +123,14 @@ def test_cb_bound_never_below_pb_range():
         cb = check_cesaro_bounded(spec, probes, 300)
         assert pb.status == HOLDS and cb.status == HOLDS
         assert cb.bound <= pb.bound
+
+
+@pytest.mark.parametrize("mode", ["probe", "dense"])
+def test_cb_no_holds_from_a_stopped_scan(mode):
+    # The scan stops after A_1; a bound over one step is no verdict.
+    v = check_cesaro_bounded(HUGE_DIAGONAL, default_probes(HUGE_DIAGONAL), 100, mode=mode)
+    assert v.status == INCONCLUSIVE and v.bound is None
+    assert v.evidence["steps"] == 1 and v.evidence["diverged"]
 
 
 def test_cb_mode_validation():
@@ -245,6 +260,49 @@ def test_ue_shift_section_two_regimes():
     # The 64-dim section is nilpotent beyond its size, so at horizon 256 the
     # persistent-gap evidence is gone, but the tail is still too wide.
     assert section.status == INCONCLUSIVE
+
+
+def test_no_holds_from_a_vacuous_tail():
+    shift = OperatorSpec(KIND_SHIFT, 1, [], "l1")
+    assert trusted_horizon(shift, 256) == 1
+    assert check_uniformly_ergodic(shift, 1, 1e-2).status == INCONCLUSIVE
+    families = check_families(shift, default_probes(shift), 100, 1e-2, 1e3, 256)
+    assert families.uniformly_ergodic.status == INCONCLUSIVE
+    spec, probes = _probes("identity(8)")
+    assert check_ergodic(spec, probes, 1, 1e-2).status == INCONCLUSIVE
+    assert check_ergodic(spec, probes, 2, 1e-2).status == HOLDS
+
+
+# -- all families from one pass ------------------------------------------
+
+def test_families_match_the_single_checks():
+    for name in ["jordan_1(2)", "left_shift_l1(64)", "scalar(2.0)", "rotation(1.0)"]:
+        spec, probes = _probes(name)
+        families = check_families(spec, probes, 1500, 1e-2, 1e3, 64)
+        singles = [
+            check_power_bounded(spec, probes, 1500),
+            check_cesaro_bounded(spec, probes, 1500),
+            check_ergodic(spec, probes, 1500, 1e-2),
+            check_uniformly_ergodic(spec, trusted_horizon(spec, 64), 1e-2, probes=probes),
+        ]
+        for got, want in zip(families, singles):
+            assert got.to_json_dict() == want.to_json_dict(), name
+
+
+def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):
+    # One shared pass plus the re-run of the tail [N/2, N]; the checks used
+    # to walk the full horizon about five times.
+    spec, probes = _probes("left_shift_l1(64)")
+    real = ergorank.cesaro.apply_columns
+    widths = []
+
+    def counting(s, X):
+        widths.append(X.shape[1])
+        return real(s, X)
+
+    monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting)
+    check_families(spec, probes, 2000, 1e-2, 1e3, 64)
+    assert 0 < widths.count(len(probes)) <= 1.5 * 2000 + 2
 
 
 # -- verdict plumbing ----------------------------------------------------

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from ergorank import cli
 from ergorank.cli import REPORT_SCHEMA, main
 from ergorank.operators import KIND_SHIFT, OperatorSpec, built_in_gallery, gallery
 from ergorank.serialization import canonical_dumps, canonical_loads
@@ -92,6 +93,18 @@ def test_analyze_cache_round_trip(tmp_path, capsys):
     assert main(["analyze", spec_path, "--tol", "0.05", *ANALYZE_FAST]) == 0
     capsys.readouterr()
     assert len(os.listdir(_cache_dir())) == 2
+
+
+def test_analyze_cache_misses_for_other_code(tmp_path, capsys, monkeypatch):
+    spec_path = _write_spec(tmp_path, "scalar(0.5)")
+    assert main(["analyze", spec_path, *ANALYZE_FAST]) == 0
+    capsys.readouterr()
+    for attr, value in (("__version__", "0.0.0-other"), ("REPORT_SCHEMA", "ergorank-report-other")):
+        monkeypatch.setattr(cli, attr, value)
+        assert main(["analyze", spec_path, *ANALYZE_FAST]) == 0
+        report = canonical_loads(capsys.readouterr().out)
+        assert report["timings"] != {"cached": True}
+    assert len(os.listdir(_cache_dir())) == 3
 
 
 def test_analyze_shift_reports_section_verdict(tmp_path, capsys):

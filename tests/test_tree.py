@@ -12,10 +12,8 @@ from ergorank.operators import (
     gallery,
 )
 from ergorank.tree import (
-    CombinedNode,
     TreeTruncation,
     build_truncation,
-    combined_member,
     key_to_seq,
     longest_members,
     node_key,
@@ -114,17 +112,6 @@ def test_budget_marks_partial():
     full = build_truncation(spec, 0.25, depth_cap=4, index_bound=16, probes=probes)
     assert not full.partial
     assert trunc.members == full.members[:5]
-
-
-def test_combined_member_is_membership_at_reciprocal():
-    spec = gallery("left_shift_l1(64)")
-    probes = default_probes(spec)
-    for k, seq in [(2, (1, 2, 4)), (4, (1, 3, 9)), (1, (1, 2))]:
-        assert combined_member(spec, CombinedNode(k, seq), probes) == node_member(
-            spec, seq, 1.0 / k, probes
-        )
-    with pytest.raises(ValueError):
-        combined_member(spec, CombinedNode(0, (1, 2)), probes)
 
 
 def test_truncation_json_round_trip():
