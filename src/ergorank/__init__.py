@@ -10,7 +10,7 @@ separation-tree truncations (`build_truncation`), and replayable
 non-convergence certificates (`search_nse`, `check_certificate`).
 """
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from .operators import (
     OperatorSpec,

@@ -9,14 +9,17 @@ ergodicity.
 
 `search_nse` looks for certificates with two strategies: ``doubling``
 fixes the dyadic subsequence 1, 2, 4, ... and picks the best witness per
-level, while ``beam`` reuses the tree enumeration to pick the deepest
-member chain.  `check_certificate` re-derives every stated margin from
-scratch and rejects on any mismatch, so accepted certificates are
-self-contained evidence.
+level, while ``beam`` runs a dynamic-programming argmax over the tree's
+pair-margin tensor for the deepest chain with the largest minimum margin.
+`check_certificate` re-derives every stated margin from scratch and
+rejects on any mismatch, so accepted certificates are self-contained
+evidence.
 
 The rank estimate reports, for separations 1/k over a k-grid, the height
-of the enumerated separation tree; heights that keep growing with the
-probe budget indicate higher-rank non-convergence structure.
+of the separation tree, computed by dynamic programming over one margin
+tensor; heights that keep growing with the probe budget indicate
+higher-rank non-convergence structure.  No tree is enumerated, so the
+estimate is never cut short by a node budget.
 """
 
 from __future__ import annotations
@@ -29,16 +32,10 @@ import numpy as np
 
 from .cesaro import CesaroStream, cesaro_diff, trajectory
 from .operators import OperatorSpec, ProbeSet, UNIT_BALL_SLACK, column_norms, vec_norm
-from .tree import (
-    SEPARATION_SLACK,
-    build_truncation,
-    longest_members,
-    node_member,
-    truncated_height,
-)
+from .tree import SEPARATION_SLACK, margin_tensor, tree_height
 
 #: Recomputed margins must match stated ones to this absolute tolerance.
-MARGIN_RTOL = 1e-9
+MARGIN_ATOL = 1e-9
 
 RANK_CONSTRUCT = "separation-tree truncation heights"
 NSE_CONSTRUCT = "subsequence separation certificate"
@@ -95,7 +92,7 @@ class CheckResult(NamedTuple):
     reason: str
 
 
-def check_certificate(cert: NSECertificate, margin_tol: float = MARGIN_RTOL) -> CheckResult:
+def check_certificate(cert: NSECertificate, margin_tol: float = MARGIN_ATOL) -> CheckResult:
     """Independent validation of a certificate.
 
     Checks run in a fixed order (structure, epsilon, J, witnesses, margin
@@ -156,8 +153,6 @@ def search_nse(
     target_depth: int,
     index_bound: int | None = None,
     strategy: str = "doubling",
-    beam_width: int = 8,
-    max_nodes: int = 200_000,
 ) -> NSECertificate | None:
     """Search for a certificate of depth up to `target_depth`.
 
@@ -171,9 +166,7 @@ def search_nse(
     if strategy == "doubling":
         return _search_doubling(spec, probes, epsilon, target_depth, index_bound)
     if strategy == "beam":
-        return _search_beam(
-            spec, probes, epsilon, target_depth, index_bound, beam_width, max_nodes
-        )
+        return _search_beam(spec, probes, epsilon, target_depth, index_bound)
     raise ValueError(f"unknown strategy {strategy!r}, expected doubling or beam")
 
 
@@ -223,35 +216,43 @@ def _search_doubling(spec, probes, epsilon, target_depth, index_bound):
     )
 
 
-def _search_beam(spec, probes, epsilon, target_depth, index_bound, beam_width, max_nodes):
+def _search_beam(spec, probes, epsilon, target_depth, index_bound):
+    """The deepest separated chain J of at most target_depth + 1 indices
+    <= the bound, then the largest minimum margin along it; ties go to
+    the lowest probe, then the lexicographically smallest J."""
     bound = index_bound if index_bound is not None else 2 ** target_depth
-    trunc = build_truncation(
-        spec, epsilon, depth_cap=target_depth + 1, index_bound=bound,
-        probes=probes, max_nodes=max_nodes,
-    )
-    chains = [seq for seq in longest_members(trunc) if len(seq) >= 2]
-    if not chains:
+    # Pair margins, with -inf where the pair does not separate.
+    usable = margin_tensor(spec, probes, bound)
+    usable[~(usable > epsilon + SEPARATION_SLACK)] = -np.inf
+    # best[d][n, q]: the largest minimum margin over chains of d + 1
+    # indices starting at n that probe q separates; -inf when none exists.
+    best = [np.full(usable.shape[1:], np.inf)]
+    while len(best) <= target_depth:
+        deeper = np.minimum(usable, best[-1][None, :, :]).max(axis=1)
+        if not (deeper > -np.inf).any():
+            break
+        best.append(deeper)
+    depth = len(best) - 1
+    if depth < 1:
         return None
-    chains.sort()
-    best = None
-    for seq in chains[:beam_width]:
-        result = node_member(spec, seq, epsilon, probes)
-        if not result.member:
-            continue
-        score = (len(seq), min(result.margins))
-        if best is None or score > best[0]:
-            best = (score, seq, result)
-    if best is None:
-        return None
-    _, seq, result = best
-    depth = len(seq) - 1
-    witness_vec = probes[result.witness].copy()
+    top = best[depth]
+    value = top.max()
+    q = int(np.flatnonzero((top == value).any(axis=0))[0])
+    J = [int(np.flatnonzero(top[:, q] == value)[0])]
+    for level in range(depth - 1, -1, -1):
+        reach = np.minimum(usable[J[-1], :, q], best[level][:, q])
+        J.append(int(np.flatnonzero(reach >= value)[0]))
+    # State the margins the checker recomputes from one probe: the block
+    # arithmetic behind the tensor can differ in the last bits, which is
+    # more than MARGIN_ATOL once the means are large.
+    traj = trajectory(spec, probes[q], J[-1])
+    row = [cesaro_diff(traj, a, b) for a, b in zip(J, J[1:])]
     return NSECertificate(
         operator=spec,
         epsilon=float(epsilon),
-        J=tuple(seq),
-        witnesses=[witness_vec.copy() for _ in range(depth)],
-        margins=[[float(v) for v in result.margins[:m]] for m in range(1, depth + 1)],
+        J=tuple(J),
+        witnesses=[probes[q].copy() for _ in range(depth)],
+        margins=[row[:m] for m in range(1, depth + 1)],
         depth=depth,
         probe_label=probes.label,
     )
@@ -262,7 +263,11 @@ def _search_beam(spec, probes, epsilon, target_depth, index_bound, beam_width, m
 
 @dataclass(eq=False)
 class RankEstimate:
-    """Tree heights across a grid of separations 1/k."""
+    """Tree heights across a grid of separations 1/k.
+
+    `partial` is all False: heights come from dynamic programming, which no
+    node budget cuts short.  The field keeps the report shape.
+    """
 
     ks: list[int]
     epsilons: list[float]
@@ -291,33 +296,22 @@ def rank_estimate(
     ks: Sequence[int] = tuple(range(1, 9)),
     depth_cap: int = 4,
     index_bound: int = 32,
-    max_nodes: int = 200_000,
 ) -> RankEstimate:
-    """Truncated tree height at separation 1/k for each k in the grid.
+    """Tree height at separation 1/k for each k in the grid.
 
-    Heights are witnessed lower bounds; `partial[i]` marks grids where the
-    node budget stopped the walk early.
+    Heights are witnessed lower bounds, read by dynamic programming from
+    one margin tensor; they are never partial, and `partial` is all False.
     """
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
         raise ValueError("k grid entries must be >= 1")
-    heights = []
-    partial = []
-    epsilons = []
-    for k in ks:
-        eps = 1.0 / k
-        trunc = build_truncation(
-            spec, eps, depth_cap=depth_cap, index_bound=index_bound,
-            probes=probes, max_nodes=max_nodes,
-        )
-        heights.append(truncated_height(trunc))
-        partial.append(trunc.partial)
-        epsilons.append(eps)
+    epsilons = [1.0 / k for k in ks]
+    margins = margin_tensor(spec, probes, index_bound)
     return RankEstimate(
         ks=ks,
         epsilons=epsilons,
-        heights=heights,
-        partial=partial,
+        heights=[tree_height(margins, eps, depth_cap) for eps in epsilons],
+        partial=[False] * len(ks),
         depth_cap=depth_cap,
         index_bound=index_bound,
         probe_label=probes.label,

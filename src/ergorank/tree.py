@@ -9,12 +9,17 @@ allows depth-first enumeration with pruning.
 
 Witnesses here are drawn from a finite probe set, so the enumerated tree
 is an under-approximation of the true tree: membership and heights are
-certificates, non-membership only means "no probe witnessed it".  The
-enumeration is bounded by a depth cap and an index bound; `partial` is set
-when the node budget cuts the walk short.
+certificates, non-membership only means "no probe witnessed it".
 
-Every mean comes from one `CesaroStream` pass over the probe block, so a
+Everything here reads the epsilon-independent pair-margin tensor of the
+probe block (`margin_tensor`), built from one `CesaroStream` pass, so a
 pair involving an index past the stream's overflow stop never separates.
+A member needs a single probe that separates every consecutive pair, so
+per probe the tree height is a longest path in the DAG
+{n -> m : margin(n, m) > eps + slack}; `tree_height` finds it by dynamic
+programming without listing nodes.  `build_truncation` lists the members,
+bounded by a depth cap, an index bound and a node budget; `partial` is set
+when the budget cuts the walk short.
 """
 
 from __future__ import annotations
@@ -129,13 +134,56 @@ class TreeTruncation:
 
 
 def node_key(seq) -> str:
-    return ",".join(str(v) for v in seq)
+    return ",".join(map(str, seq))
 
 
 def key_to_seq(key: str) -> tuple[int, ...]:
     if not key:
         return ()
-    return tuple(int(v) for v in key.split(","))
+    return tuple(map(int, key.split(",")))
+
+
+def margin_tensor(spec: OperatorSpec, probes: ProbeSet, index_bound: int) -> np.ndarray:
+    """Pair margins of the probe block up to `index_bound`.
+
+    Returns a (B+1, B+1, p) array, B = index_bound, with
+    M[n, m, q] = ||A_m x_q - A_n x_q|| for 1 <= n < m <= B, and -inf for
+    every other (n, m), including pairs past the overflow stop.  The means
+    come from one `CesaroStream` pass; rows are reduced one n at a time, so
+    the difference stack stays at (B, dim, p).  The tensor does not depend
+    on epsilon: `M > epsilon + SEPARATION_SLACK` is the separation relation
+    of the tree at any epsilon.
+    """
+    if index_bound < 1:
+        raise ValueError(f"index_bound must be >= 1, got {index_bound}")
+    snaps = CesaroStream(spec, probes.vectors.T).means_at(range(1, index_bound + 1))
+    stacked = np.stack(list(snaps.values()))
+    reached = len(snaps)
+    margins = np.full((index_bound + 1, index_bound + 1, len(probes)), -np.inf)
+    for n in range(1, reached):
+        diffs = stacked[n:] - stacked[n - 1][None, :, :]
+        margins[n, n + 1 : reached + 1] = column_norms(diffs, spec.norm_tag)
+    return margins
+
+
+def tree_height(margins: np.ndarray, epsilon: float, depth_cap: int) -> int:
+    """Height of the tree at separation `epsilon` over a `margin_tensor`,
+    capped at `depth_cap`: what `truncated_height` reports for a complete
+    `build_truncation` with the same caps.
+
+    Backward dynamic programming over n, vectorised over probes:
+    longest[n, q] is the longest chain starting at n whose consecutive
+    pairs probe q all separates.
+    """
+    if depth_cap < 1:
+        raise ValueError(f"depth_cap must be >= 1, got {depth_cap}")
+    separated = margins > epsilon + SEPARATION_SLACK
+    longest = np.zeros(margins.shape[1:], dtype=np.int64)
+    for n in range(margins.shape[0] - 1, 0, -1):
+        # separated[n, m] is False for m <= n, whose entries are still 0.
+        extension = np.where(separated[n], longest, 0).max(axis=0)
+        longest[n] = np.minimum(extension + 1, depth_cap)
+    return int(longest.max())
 
 
 def build_truncation(
@@ -147,90 +195,71 @@ def build_truncation(
     max_nodes: int = 200_000,
 ) -> TreeTruncation:
     """Depth-first enumeration of member nodes with indices <= index_bound
-    and length <= depth_cap.
+    and length <= depth_cap, stopped after `max_nodes` members.
 
-    Precomputes, per index pair (n, m), the bitmask of probes separating
-    A_n from A_m by more than epsilon; a node's witness mask is the AND of
-    its consecutive pair masks, so extending a node is one bitwise AND.
+    The `margin_tensor` thresholded at epsilon gives, per index pair
+    (n, m), the bitmask of probes separating A_n from A_m; a node's witness
+    mask is the AND of its consecutive pair masks, so extending a node is
+    one bitwise AND.
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if depth_cap < 1:
         raise ValueError(f"depth_cap must be >= 1, got {depth_cap}")
-    if index_bound < 1:
-        raise ValueError(f"index_bound must be >= 1, got {index_bound}")
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
 
-    pair_mask = _pair_masks(spec, probes, epsilon, index_bound)
+    separated = margin_tensor(spec, probes, index_bound) > epsilon + SEPARATION_SLACK
+    # successors[n]: (m, mask) for every m > n that some probe separates
+    # from n; bit q of mask is probe q.
+    packed = np.packbits(separated, axis=-1, bitorder="little")
+    successors = [
+        [
+            (int(m), int.from_bytes(packed[n, m].tobytes(), "little"))
+            for m in np.flatnonzero(separated[n].any(axis=-1))
+        ]
+        for n in range(index_bound + 1)
+    ]
     full_mask = (1 << len(probes)) - 1
 
+    # Keys grow by appending to the parent's key, so each is built once.
+    labels = [str(m) for m in range(index_bound + 1)]
     members: list[str] = []
-    witnesses: dict[str, int | None] = {}
-    partial = False
+    witnesses: list[int | None] = []
 
-    def record(seq, mask) -> bool:
-        key = node_key(seq)
-        members.append(key)
-        if len(seq) == 1:
-            witnesses[key] = None
-        else:
-            witnesses[key] = (mask & -mask).bit_length() - 1
-        return len(members) < max_nodes
-
-    def walk(seq, mask) -> bool:
-        if len(seq) >= depth_cap:
-            return True
-        last = seq[-1]
-        for nxt in range(last + 1, index_bound + 1):
-            child_mask = mask & pair_mask[last][nxt]
+    def walk(key, last, length, mask) -> bool:
+        """Record the members extending the node `key`, depth first; False
+        once the budget is spent."""
+        for nxt, pair in successors[last]:
+            child_mask = mask & pair
             if child_mask:
-                child = seq + (nxt,)
-                if not record(child, child_mask):
+                child = key + "," + labels[nxt]
+                members.append(child)
+                witnesses.append((child_mask & -child_mask).bit_length() - 1)
+                if len(members) >= max_nodes:
                     return False
-                if not walk(child, child_mask):
+                if length + 1 < depth_cap and not walk(child, nxt, length + 1, child_mask):
                     return False
         return True
 
     done = True
     for start in range(1, index_bound + 1):
-        if not record((start,), full_mask):
+        members.append(labels[start])
+        witnesses.append(None)
+        if len(members) >= max_nodes or (
+            depth_cap > 1 and not walk(labels[start], start, 1, full_mask)
+        ):
             done = False
             break
-        if depth_cap > 1 and not walk((start,), full_mask):
-            done = False
-            break
-    partial = not done
     return TreeTruncation(
         epsilon=float(epsilon),
         depth_cap=depth_cap,
         index_bound=index_bound,
         probe_label=probes.label,
         members=members,
-        witnesses=witnesses,
-        partial=partial,
+        witnesses=dict(zip(members, witnesses)),
+        partial=not done,
     )
-
-
-def _pair_masks(spec, probes, epsilon, index_bound) -> list[list[int]]:
-    """pair_mask[n][m] (1 <= n < m <= index_bound): bit p set iff probe p
-    separates A_n from A_m by strictly more than epsilon; 0 for pairs past
-    the overflow stop."""
-    snaps = CesaroStream(spec, probes.vectors.T).means_at(range(1, index_bound + 1))
-    stacked = np.stack(list(snaps.values()))
-    masks = [[0] * (index_bound + 1) for _ in range(index_bound + 1)]
-    for n in range(1, len(snaps) + 1):
-        diffs = stacked[n:] - stacked[n - 1][None, :, :]
-        if diffs.size == 0:
-            continue
-        margins = column_norms(diffs, spec.norm_tag)
-        hits = margins > epsilon + SEPARATION_SLACK
-        for offset in range(hits.shape[0]):
-            row = hits[offset]
-            if row.any():
-                bits = np.flatnonzero(row)
-                masks[n][n + 1 + offset] = int(sum(1 << int(b) for b in bits))
-    return masks
 
 
 def truncated_height(trunc: TreeTruncation) -> int:

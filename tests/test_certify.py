@@ -2,9 +2,11 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import ergorank.cesaro
 from ergorank.certify import (
-    MARGIN_RTOL,
+    MARGIN_ATOL,
     CheckResult,
     NSECertificate,
     RankEstimate,
@@ -12,9 +14,21 @@ from ergorank.certify import (
     rank_estimate,
     search_nse,
 )
-from ergorank.operators import KIND_DIAGONAL, OperatorSpec, basis_probes, default_probes, gallery
+from ergorank.operators import (
+    KIND_DENSE,
+    KIND_DIAGONAL,
+    KIND_SHIFT,
+    OperatorSpec,
+    basis_probes,
+    default_probes,
+    gallery,
+)
 from ergorank.serialization import canonical_dumps, canonical_loads
 from ergorank.cesaro import trajectory, cesaro_diff
+from ergorank.tree import build_truncation, longest_members, node_member, truncated_height
+
+#: Powers overflow at the first step: T x already has norm 1e200.
+HUGE_DIAGONAL = OperatorSpec(KIND_DIAGONAL, 2, [1e200, -1e200], "linf")
 
 
 def _shift_cert(depth=5, epsilon=0.5, index_bound=32):
@@ -77,10 +91,25 @@ def test_beam_finds_chains_the_dyadic_grid_misses():
     assert check_certificate(cert).accepted
 
 
+def test_beam_certificate_accepted_on_large_means():
+    # The means grow like 2^n / n, so at J near 32 one ulp of a margin is
+    # more than MARGIN_ATOL: the beam must state the margins the checker
+    # recomputes, not the probe block's.
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    mat = q @ np.diag(np.r_[2.0, rng.uniform(-0.9, 0.9, 11)]) @ q.T
+    for norm in ("l1", "l2", "linf"):
+        spec = OperatorSpec(KIND_DENSE, 12, mat, norm)
+        cert = search_nse(spec, default_probes(spec), 0.25, 3, index_bound=32, strategy="beam")
+        assert cert is not None and cert.depth == 3
+        assert min(cert.margins[-1]) > 1e6
+        assert check_certificate(cert).accepted
+
+
 def test_overflow_stops_trees_and_doubling():
     # T x has norm 1e200, past the overflow limit, so only A_1 exists: no
     # pair separates, and no NaN or inf mean is ever formed.
-    spec = OperatorSpec(KIND_DIAGONAL, 2, [1e200, -1e200], "linf")
+    spec = HUGE_DIAGONAL
     probes = default_probes(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
@@ -165,7 +194,7 @@ def test_checker_margin_tolerance_boundary():
     assert check_certificate(NSECertificate.from_json_dict(data)).accepted
     data["margins"][0][0] += 1e-8
     assert not check_certificate(NSECertificate.from_json_dict(data)).accepted
-    assert MARGIN_RTOL == 1e-9
+    assert MARGIN_ATOL == 1e-9
 
 
 def test_certificate_version_guard():
@@ -216,3 +245,78 @@ def test_rank_estimate_json_shape():
     assert d["construct"]
     with pytest.raises(ValueError):
         rank_estimate(spec, default_probes(spec), ks=[0])
+
+
+def test_rank_estimate_makes_one_stream_pass(monkeypatch):
+    # One pass over the probe block serves every k; enumeration used to
+    # re-run the stream once per k.
+    spec = gallery("left_shift_l1(64)")
+    probes = default_probes(spec)
+    real = ergorank.cesaro.apply_columns
+    calls = []
+
+    def counting(s, X):
+        calls.append(X.shape[1])
+        return real(s, X)
+
+    monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting)
+    est = rank_estimate(spec, probes, ks=range(1, 9), index_bound=48)
+    assert 0 < len(calls) <= 48
+    assert est.heights == [4] * 8
+
+
+# -- dynamic programming against enumeration ------------------------------
+
+_ENTRIES = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, 1.0, -1.0, 1e-300, -5e-324]),
+)
+
+
+@st.composite
+def _small_specs(draw):
+    norm = draw(st.sampled_from(["l1", "l2", "linf"]))
+    kind = draw(st.sampled_from(["diagonal", "shift", "huge"]))
+    if kind == "huge":
+        return HUGE_DIAGONAL
+    dim = draw(st.integers(1, 4))
+    if kind == "diagonal":
+        diagonal = draw(st.lists(_ENTRIES, min_size=dim, max_size=dim))
+        return OperatorSpec(KIND_DIAGONAL, dim, diagonal, norm)
+    weights = draw(st.lists(_ENTRIES, min_size=dim - 1, max_size=dim - 1))
+    return OperatorSpec(KIND_SHIFT, dim, weights, norm)
+
+
+@given(_small_specs(), st.integers(1, 12), st.integers(1, 3), st.integers(1, 8))
+@settings(max_examples=80)
+def test_dp_heights_and_beam_match_enumeration(spec, bound, target_depth, k):
+    probes = default_probes(spec, random_count=3)
+    cap = target_depth + 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        est = rank_estimate(spec, probes, ks=range(1, 9), depth_cap=cap, index_bound=bound)
+        truncs = [
+            build_truncation(spec, eps, depth_cap=cap, index_bound=bound, probes=probes)
+            for eps in est.epsilons
+        ]
+        for trunc, height in zip(truncs, est.heights):
+            if not trunc.partial:
+                assert height == truncated_height(trunc)
+
+        eps, trunc = est.epsilons[k - 1], truncs[k - 1]
+        assert not trunc.partial
+        cert = search_nse(spec, probes, eps, target_depth, index_bound=bound, strategy="beam")
+        height = truncated_height(trunc)
+        if height < 2:
+            assert cert is None
+            return
+        assert cert.depth == height - 1
+        assert check_certificate(cert).accepted
+        # Brute force: the beam's minimum margin beats the lowest-probe
+        # witness of every longest member.  The beam states one-probe
+        # recomputed margins, which match the block's to MARGIN_ATOL.
+        beam_min = min(cert.margins[-1])
+        for seq in longest_members(trunc):
+            res = node_member(spec, seq, eps, probes)
+            assert res.member
+            assert beam_min >= min(res.margins) - MARGIN_ATOL

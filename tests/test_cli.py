@@ -128,14 +128,19 @@ def test_analyze_invalid_spec(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.json")]) == 2
 
 
-def test_analyze_partial_rank_exit_code(tmp_path, capsys):
+def test_analyze_max_nodes_does_not_bound_rank(tmp_path, capsys):
+    # The rank estimate lists no nodes, so a tiny budget changes nothing
+    # but the recorded config.
     spec_path = _write_spec(tmp_path, "left_shift_l1(64)")
-    code = main([
+    assert main(["analyze", spec_path, "--no-cache", *ANALYZE_FAST]) == 0
+    default = canonical_loads(capsys.readouterr().out)["rank_estimate"]
+    assert main([
         "analyze", spec_path, "--no-cache", "--max-nodes", "3", *ANALYZE_FAST,
-    ])
-    assert code == 3
-    report = canonical_loads(capsys.readouterr().out)
-    assert any(report["rank_estimate"]["partial"])
+    ]) == 0
+    tiny = canonical_loads(capsys.readouterr().out)["rank_estimate"]
+    assert tiny["heights"] == default["heights"]
+    assert max(tiny["heights"]) > 1
+    assert tiny["partial"] == default["partial"] == [False] * len(tiny["ks"])
 
 
 # -- certify / check -------------------------------------------------------
