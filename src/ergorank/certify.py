@@ -197,23 +197,11 @@ def _search_doubling(spec, probes, epsilon, target_depth, index_bound):
     depth = int(min(target_depth, depth_per_probe.max(initial=0)))
     if depth < 1:
         return None
-    witnesses = []
-    margins = []
+    witness_probes = []
     for m in range(1, depth + 1):
-        feasible = depth_per_probe >= m
-        scores = np.where(feasible, table[:m].min(axis=0), -np.inf)
-        p = int(np.argmax(scores))
-        witnesses.append(probes[p].copy())
-        margins.append([float(v) for v in table[:m, p]])
-    return NSECertificate(
-        operator=spec,
-        epsilon=float(epsilon),
-        J=J[: depth + 1],
-        witnesses=witnesses,
-        margins=margins,
-        depth=depth,
-        probe_label=probes.label,
-    )
+        scores = np.where(depth_per_probe >= m, table[:m].min(axis=0), -np.inf)
+        witness_probes.append(int(np.argmax(scores)))
+    return _certificate(spec, probes, epsilon, J[: depth + 1], witness_probes)
 
 
 def _search_beam(spec, probes, epsilon, target_depth, index_bound):
@@ -242,18 +230,27 @@ def _search_beam(spec, probes, epsilon, target_depth, index_bound):
     for level in range(depth - 1, -1, -1):
         reach = np.minimum(usable[J[-1], :, q], best[level][:, q])
         J.append(int(np.flatnonzero(reach >= value)[0]))
-    # State the margins the checker recomputes from one probe: the block
-    # arithmetic behind the tensor can differ in the last bits, which is
-    # more than MARGIN_ATOL once the means are large.
-    traj = trajectory(spec, probes[q], J[-1])
-    row = [cesaro_diff(traj, a, b) for a, b in zip(J, J[1:])]
+    return _certificate(spec, probes, epsilon, J, [q] * depth)
+
+
+def _certificate(spec, probes, epsilon, J, witness_probes):
+    """The certificate on J whose level m is witnessed by probe
+    `witness_probes[m - 1]`.  It states the margins the checker recomputes,
+    from one trajectory per distinct probe, run up to the deepest level
+    that probe witnesses: the block arithmetic of a search can differ in
+    the last bits, which is more than MARGIN_ATOL once the means are large."""
+    last = {q: m for m, q in enumerate(witness_probes, start=1)}
+    rows = {}
+    for q, m in last.items():
+        traj = trajectory(spec, probes[q], J[m])
+        rows[q] = [cesaro_diff(traj, a, b) for a, b in zip(J[:m], J[1 : m + 1])]
     return NSECertificate(
         operator=spec,
         epsilon=float(epsilon),
         J=tuple(J),
-        witnesses=[probes[q].copy() for _ in range(depth)],
-        margins=[row[:m] for m in range(1, depth + 1)],
-        depth=depth,
+        witnesses=[probes[q].copy() for q in witness_probes],
+        margins=[rows[q][:m] for m, q in enumerate(witness_probes, start=1)],
+        depth=len(witness_probes),
         probe_label=probes.label,
     )
 

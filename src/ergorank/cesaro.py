@@ -153,14 +153,14 @@ class CesaroMatrixSeq:
     diverged_at: int | None = None
 
 
-def cesaro_matrices(spec: OperatorSpec, horizon: int, dense_cap: int = DENSE_CAP) -> CesaroMatrixSeq:
+def cesaro_matrices(spec: OperatorSpec, horizon: int) -> CesaroMatrixSeq:
     """Matrix-level Cesaro means A_1..A_horizon (the stream in dense mode).
 
-    Only available for dim <= `dense_cap`.
+    Only available for dim <= `DENSE_CAP`.
     """
-    if spec.dim > dense_cap:
+    if spec.dim > DENSE_CAP:
         raise CapExceededError(
-            f"matrix-mode Cesaro means are capped at dim {dense_cap} (got {spec.dim})"
+            f"matrix-mode Cesaro means are capped at dim {DENSE_CAP} (got {spec.dim})"
         )
     stream = CesaroStream(spec)
     mats = [A for _, A, _ in stream.run(horizon)]

@@ -8,10 +8,12 @@ wrong ``fails``.
 
 Boundedness checks (power-bounded, Cesaro-bounded) look for a uniform bound
 k <= bound_cap over the scanned range and treat sustained growth of the
-running maximum as divergence evidence.  Convergence checks (ergodic,
-uniformly ergodic) certify a small tail diameter over [N/2, N] via the
-radius bound diam <= 2 * max_n ||A_n - A_N||, and treat a non-decaying gap
-at the three dyadic scales (N/4, N/2, N) as divergence evidence.
+running maximum as divergence evidence.  Ergodicity and uniform ergodicity
+are one Cauchy test of the means, read per probe (strong topology) or in
+operator norm, and one reducer, `_tail_verdict`, decides both: it certifies
+a small tail diameter over [N/2, N] via the radius bound
+diam <= 2 * max_n ||A_n - A_N||, and treats a non-decaying gap at the three
+dyadic scales (N/4, N/2, N) as divergence evidence.
 
 Every check is a reducer over one pass of `CesaroStream`, with norms
 reduced per step; the tail radius re-runs only [N/2, N] from a checkpoint.
@@ -66,8 +68,8 @@ DECAY_RATIO = 0.75
 #: a true bound of k up to k + 1.
 BOUND_SLACK = 1e-9
 
-_ERGODIC_GRID = 65
-_UE_GRID = 33
+#: Tail grid sizes for the lower bound on the tail diameter.
+_TAIL_GRID = {FAMILY_ERGODIC: 65, FAMILY_UNIFORMLY_ERGODIC: 33}
 
 #: Exact l2 matrix norms are computed by SVD up to this dimension; above
 #: it, upper bounds use sqrt(l1 * linf) and lower bounds power iteration.
@@ -239,11 +241,11 @@ def _dense_scan(spec, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _Sca
     )
 
 
-def _tail_plan(horizon: int, grid_count: int):
-    """Tail start max(1, N//2), the sampled tail grid, the dyadic scales,
-    and every index a scan must snapshot for them."""
+def _tail_plan(horizon: int, family: str):
+    """Tail start max(1, N//2), the family's sampled tail grid, the dyadic
+    scales, and every index a scan must snapshot for them."""
     lo = max(1, horizon // 2)
-    grid = _grid_indices(lo, horizon, grid_count)
+    grid = _grid_indices(lo, horizon, _TAIL_GRID[family])
     scales = _dyadic_scales(horizon)
     return lo, grid, scales, set(grid) | set(scales or ())
 
@@ -365,15 +367,22 @@ def _cb_probe_verdict(scan: _Scan, label: str) -> Verdict:
     )
 
 
-def _dense_gate_witness(spec: OperatorSpec, scan: _Scan) -> dict | None:
-    """The first dense mean above the cap, with its value confirmed by a
-    norm lower bound (the scan used upper bounds); None if the lower bound
-    does not clear the cap."""
-    n, _, A = scan.means.hit
-    lb = _mat_norm_lb(A, spec.norm_tag, spec.dim)
-    if lb <= scan.means.cap:
-        return None
-    return {"mode": "dense", "n": n, "value": lb, "cap": scan.means.cap}
+def _cb_dense_verdict(spec: OperatorSpec, scan: _Scan) -> Verdict:
+    """Cesaro-bounded from a dense scan.  Its mean norms are upper bounds,
+    so ``fails`` needs the first mean above the cap confirmed by a norm
+    lower bound, and is inconclusive when the lower bound does not clear
+    the cap."""
+    verdict = _bounded_verdict(
+        FAMILY_CESARO_BOUNDED, scan.means, 1, scan, None, None, {"mode": "dense"}
+    )
+    if verdict.status == FAILS:
+        n, _, A = scan.means.hit
+        lb = _mat_norm_lb(A, spec.norm_tag, spec.dim)
+        if lb > scan.means.cap:
+            verdict.witness = {"mode": "dense", "n": n, "value": lb, "cap": scan.means.cap}
+        else:
+            verdict.status = INCONCLUSIVE
+    return verdict
 
 
 def check_power_bounded(
@@ -399,7 +408,6 @@ def check_cesaro_bounded(
     horizon: int,
     bound_cap: float = 1e3,
     mode: str = "auto",
-    dense_cap: int = DENSE_CAP,
 ) -> Verdict:
     """Scan ||A_n x|| over probes (probe mode) or exact ||A_n|| (dense mode)
     for n = 1..horizon.
@@ -416,73 +424,87 @@ def check_cesaro_bounded(
         return _cb_probe_verdict(_probe_scan(spec, probes, horizon, bound_cap), probes.label)
     if mode != "dense":
         raise ValueError(f"unknown mode {mode!r}, expected probe, dense, or auto")
-    if spec.dim > dense_cap:
+    if spec.dim > DENSE_CAP:
         raise CapExceededError(
-            f"dense Cesaro-bounded mode is capped at dim {dense_cap} (got {spec.dim})"
+            f"dense Cesaro-bounded mode is capped at dim {DENSE_CAP} (got {spec.dim})"
         )
-    scan = _dense_scan(spec, horizon, bound_cap)
-    verdict = _bounded_verdict(
-        FAMILY_CESARO_BOUNDED, scan.means, 1, scan, None, None, {"mode": "dense"}
-    )
-    if verdict.status == FAILS:
-        verdict.witness = _dense_gate_witness(spec, scan)
-        if verdict.witness is None:
-            verdict.status = INCONCLUSIVE
-    return verdict
+    return _cb_dense_verdict(spec, _dense_scan(spec, horizon, bound_cap))
+
+
+# -- the Cauchy tail: ergodic and uniformly ergodic ----------------------
+
+
+def _gap_norm(spec: OperatorSpec, mode: str | None):
+    """The norm the dyadic gaps A_a - A_b are read in: per probe (ergodic),
+    a lower bound on the operator norm (``dense``), or the largest probe
+    column, itself an operator-norm lower bound (``probe-lb``)."""
+    tag = spec.norm_tag
+    if mode == "dense":
+        return lambda X: _mat_norm_lb(X, tag, spec.dim)
+    if mode == "probe-lb":
+        return lambda X: column_norms(X, tag).max()
+    return lambda X: column_norms(X, tag)
+
+
+def _tail_verdict(
+    family, scan, cb, tolerance, label, gap_norm,
+    radius_norm=None, grid_norm=None, mode=None,
+) -> Verdict:
+    """The Cauchy test of the means over the tail [max(1, N//2), N].
+
+    Inherits a failing Cesaro-bounded verdict `cb`; is inconclusive on a
+    diverged scan; fails on a persistent dyadic gap under `gap_norm` (per
+    probe, or one value when `mode` names a norm-level mode); holds only
+    when `cb` holds and the certified diameter 2 * radius under
+    `radius_norm` is below the tolerance.  Without `radius_norm`, holds is
+    unreachable.  `grid_norm` (optional) gives the grid lower bound on the
+    diameter reported as evidence.
+    """
+    _, grid, scales, _ = _tail_plan(scan.horizon, family)
+    evidence = {
+        "mode": mode,
+        "cb_status": None if cb is None else cb.status,
+        "cb_bound": None if cb is None else cb.bound,
+        "diverged": scan.diverged_at is not None,
+        "diverged_at": scan.diverged_at,
+        "steps": scan.steps,
+        "dyadic_scales": scales,
+        "dyadic_gaps": None,
+        "tail_diameter_ub": None,
+        "tail_diameter_lb": None,
+    }
+
+    def verdict(status, witness=None):
+        return Verdict(family, status, scan.horizon, tolerance, None, witness, label, evidence)
+
+    if cb is not None and cb.status == FAILS:
+        return verdict(FAILS, {"inherited_from": FAMILY_CESARO_BOUNDED, **(cb.witness or {})})
+    if scan.diverged_at is not None:
+        return verdict(INCONCLUSIVE)
+    gaps = _gaps(scan.snapshots, scales, gap_norm)
+    if gaps is not None:
+        # One row (g1, g2, g3) per probe, or a single row at norm level.
+        gaps = evidence["dyadic_gaps"] = np.atleast_2d(np.stack(gaps, axis=-1)).tolist()
+    witness = _dyadic_gap_witness(gaps, scales, tolerance)
+    if witness is not None:
+        if mode is not None:
+            witness["mode"] = mode
+            del witness["probe"]
+        return verdict(FAILS, witness)
+    if radius_norm is None:
+        return verdict(INCONCLUSIVE)
+    diam_ub = 2.0 * _tail_radius(scan, radius_norm)
+    diam_lb = np.zeros_like(diam_ub)
+    if grid_norm is not None:
+        diam_lb = _grid_diameter(scan.snapshots, grid, grid_norm, diam_lb)
+    evidence["tail_diameter_ub"] = np.asarray(diam_ub).tolist()
+    evidence["tail_diameter_lb"] = np.asarray(diam_lb).tolist()
+    if cb.status == HOLDS and _tail_holds(scan.horizon, diam_ub.max(), tolerance):
+        return verdict(HOLDS)
+    return verdict(INCONCLUSIVE)
 
 
 # -- ergodic -------------------------------------------------------------
-
-
-def _ergodic_scan(spec, probes, horizon, bound_cap) -> _Scan:
-    lo, _, _, wanted = _tail_plan(horizon, _ERGODIC_GRID)
-    return _probe_scan(spec, probes, horizon, bound_cap, wanted, lo)
-
-
-def _ergodic_verdict(spec, scan: _Scan, cb: Verdict, tolerance: float, label: str) -> Verdict:
-    horizon = scan.horizon
-    if cb.status == FAILS:
-        witness = {"inherited_from": FAMILY_CESARO_BOUNDED, **(cb.witness or {})}
-        return Verdict(
-            FAMILY_ERGODIC, FAILS, horizon, tolerance, None,
-            witness, label, {"cb_status": cb.status},
-        )
-    _, grid, scales, _ = _tail_plan(horizon, _ERGODIC_GRID)
-    evidence = {
-        "cb_status": cb.status,
-        "cb_bound": cb.bound,
-        "diverged_at": scan.diverged_at,
-        "dyadic_scales": scales,
-    }
-    if scan.diverged_at is not None:
-        return Verdict(
-            FAMILY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
-            None, label, evidence,
-        )
-    norm = lambda X: column_norms(X, spec.norm_tag)  # noqa: E731
-    gaps = _gaps(scan.snapshots, scales, norm)
-    if gaps is not None:
-        gaps = np.stack(gaps, axis=1).tolist()
-    gap_witness = _dyadic_gap_witness(gaps, scales, tolerance)
-    if gap_witness is not None:
-        return Verdict(
-            FAMILY_ERGODIC, FAILS, horizon, tolerance, None,
-            gap_witness, label, evidence,
-        )
-    diam_ub = 2.0 * _tail_radius(scan, norm)
-    diam_lb = _grid_diameter(scan.snapshots, grid, norm, np.zeros(diam_ub.shape))
-    evidence.update(
-        {"tail_diameter_ub": diam_ub.tolist(), "tail_diameter_lb": diam_lb.tolist()}
-    )
-    if cb.status == HOLDS and _tail_holds(horizon, diam_ub.max(), tolerance):
-        return Verdict(
-            FAMILY_ERGODIC, HOLDS, horizon, tolerance, None,
-            None, label, evidence,
-        )
-    return Verdict(
-        FAMILY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
-        None, label, evidence,
-    )
 
 
 def check_ergodic(
@@ -509,9 +531,11 @@ def check_ergodic(
 def _probe_families(spec, probes, horizon, tolerance, bound_cap):
     """Power-bounded, probe-mode Cesaro-bounded and ergodic verdicts, all
     read off one probe pass (plus the re-run of the ergodic tail)."""
-    scan = _ergodic_scan(spec, probes, horizon, bound_cap)
+    lo, _, _, wanted = _tail_plan(horizon, FAMILY_ERGODIC)
+    scan = _probe_scan(spec, probes, horizon, bound_cap, wanted, lo)
     cb = _cb_probe_verdict(scan, probes.label)
-    erg = _ergodic_verdict(spec, scan, cb, tolerance, probes.label)
+    norm = _gap_norm(spec, None)
+    erg = _tail_verdict(FAMILY_ERGODIC, scan, cb, tolerance, probes.label, norm, norm, norm)
     return _pb_verdict(scan, probes.label), cb, erg
 
 
@@ -524,113 +548,38 @@ def check_uniformly_ergodic(
     tolerance: float,
     probes: ProbeSet | None = None,
     bound_cap: float = 1e3,
-    dense_cap: int = DENSE_CAP,
 ) -> Verdict:
     """Norm-level Cauchy check of the means over the tail [N/2, N].
 
-    For dim <= `dense_cap` the matrices A_n are materialized and exact
-    operator norms are used; above the cap only probe lower bounds on
-    ||A_n - A_m|| are available, so ``holds`` is unreachable there.
+    For dim <= `DENSE_CAP` the matrices A_n are materialized: gaps read
+    norm lower bounds, the tail radius upper bounds, and the dense
+    Cesaro-bounded verdict gates ``holds``.  Above the cap only probe lower
+    bounds on ||A_n - A_m|| are available, so ``holds`` is unreachable there.
     """
     _require_positive("horizon", horizon)
     _require_positive("tolerance", tolerance)
-    if spec.dim > dense_cap:
+    family = FAMILY_UNIFORMLY_ERGODIC
+    if spec.dim > DENSE_CAP:
         if probes is None:
             raise ValueError(
-                f"dim {spec.dim} exceeds the dense cap {dense_cap}; probes are "
+                f"dim {spec.dim} exceeds the dense cap {DENSE_CAP}; probes are "
                 "required for the lower-bound mode"
             )
-        return _ue_probe_lower_bound(spec, probes, horizon, tolerance, bound_cap)
-    return _ue_dense(spec, horizon, tolerance, bound_cap)
-
-
-def _ue_dense(spec, horizon, tolerance, bound_cap):
-    d = spec.dim
-    lo, grid, scales, wanted = _tail_plan(horizon, _UE_GRID)
+        _check_probes(spec, probes)
+        scales = _dyadic_scales(horizon)
+        scan = _probe_scan(spec, probes, horizon, bound_cap, set(scales or ()))
+        return _tail_verdict(
+            family, scan, None, tolerance, probes.label,
+            _gap_norm(spec, "probe-lb"), mode="probe-lb",
+        )
+    tag, d = spec.norm_tag, spec.dim
+    lo, _, _, wanted = _tail_plan(horizon, family)
     scan = _dense_scan(spec, horizon, bound_cap, wanted, lo)
-    gate = np.asarray(scan.means.values)
-    gate_max = float(gate.max())
-    diverged = scan.diverged_at is not None
-    evidence = {"mean_norm_max": gate_max, "diverged": diverged, "mode": "dense"}
-    if _growth_fails(gate, 1, bound_cap, diverged):
-        witness = _dense_gate_witness(spec, scan)
-        if witness is not None:
-            return Verdict(
-                FAMILY_UNIFORMLY_ERGODIC, FAILS, horizon, tolerance, None,
-                {"inherited_from": FAMILY_CESARO_BOUNDED, **witness}, None, evidence,
-            )
-    if diverged:
-        return Verdict(
-            FAMILY_UNIFORMLY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
-            None, None, evidence,
-        )
-
-    gaps = _gaps(scan.snapshots, scales, lambda X: _mat_norm_lb(X, spec.norm_tag, d))
-    gaps = None if gaps is None else [list(gaps)]
-    gap_witness = _dyadic_gap_witness(gaps, scales, tolerance)
-    if gap_witness is not None:
-        gap_witness["mode"] = "dense"
-        del gap_witness["probe"]
-        evidence["dyadic_gaps"] = gaps[0]
-        return Verdict(
-            FAMILY_UNIFORMLY_ERGODIC, FAILS, horizon, tolerance, None,
-            gap_witness, None, evidence,
-        )
-
-    radius = _tail_radius(scan, lambda X: _mat_norm_ub(X, spec.norm_tag, d))
-    diam_lb = 0.0
-    if spec.norm_tag != "l2" or d <= _L2_EXACT_DIM:
-        diam_lb = _grid_diameter(
-            scan.snapshots, grid, lambda X: matrix_norm(X, spec.norm_tag), 0.0
-        )
-    evidence.update(
-        {
-            "tail_radius": radius,
-            "tail_diameter_ub": 2.0 * radius,
-            "tail_diameter_lb": diam_lb,
-            "dyadic_gaps": gaps[0] if gaps else None,
-        }
-    )
-    if gate_max <= bound_cap and _tail_holds(horizon, 2.0 * radius, tolerance):
-        return Verdict(
-            FAMILY_UNIFORMLY_ERGODIC, HOLDS, horizon, tolerance, None,
-            None, None, evidence,
-        )
-    return Verdict(
-        FAMILY_UNIFORMLY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
-        None, None, evidence,
-    )
-
-
-def _ue_probe_lower_bound(spec, probes, horizon, tolerance, bound_cap):
-    _check_probes(spec, probes)
-    scales = _dyadic_scales(horizon)
-    scan = _probe_scan(spec, probes, horizon, bound_cap, set(scales or ()))
-    evidence = {
-        "mode": "probe-lb",
-        "diverged_at": scan.diverged_at,
-        "gap_lower_bounds": None,
-    }
-    gaps = _gaps(scan.snapshots, scales, lambda X: column_norms(X, spec.norm_tag))
-    if scan.diverged_at is not None or gaps is None:
-        return Verdict(
-            FAMILY_UNIFORMLY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
-            None, probes.label, evidence,
-        )
-    # Probe diffs are valid lower bounds on the operator-norm gaps.
-    op_gaps = [float(g.max()) for g in gaps]
-    evidence["gap_lower_bounds"] = op_gaps
-    gap_witness = _dyadic_gap_witness([op_gaps], scales, tolerance)
-    if gap_witness is not None:
-        gap_witness["mode"] = "probe-lb"
-        del gap_witness["probe"]
-        return Verdict(
-            FAMILY_UNIFORMLY_ERGODIC, FAILS, horizon, tolerance, None,
-            gap_witness, probes.label, evidence,
-        )
-    return Verdict(
-        FAMILY_UNIFORMLY_ERGODIC, INCONCLUSIVE, horizon, tolerance, None,
-        None, probes.label, evidence,
+    exact = tag != "l2" or d <= _L2_EXACT_DIM
+    return _tail_verdict(
+        family, scan, _cb_dense_verdict(spec, scan), tolerance, None,
+        _gap_norm(spec, "dense"), lambda X: _mat_norm_ub(X, tag, d),
+        (lambda X: matrix_norm(X, tag)) if exact else None, mode="dense",
     )
 
 
@@ -735,19 +684,15 @@ def replay_witness(
     if "scales" in w:
         scales = w["scales"]
         mode = w.get("mode")
-        if mode == "dense":
-            g = _gaps(CesaroStream(spec).means_at(scales), scales,
-                      lambda X: _mat_norm_lb(X, tag, spec.dim))
-        else:
+        X = None
+        if mode != "dense":
             if probes is None:
                 raise ValueError("this witness references probes; pass the probe set")
             X = probes.vectors.T if mode == "probe-lb" else probes[w["probe"]][:, None]
-            g = _gaps(CesaroStream(spec, X).means_at(scales), scales,
-                      lambda D: column_norms(D, tag))
-            if g is not None:
-                g = [float(v.max()) for v in g]
+        g = _gaps(CesaroStream(spec, X).means_at(scales), scales, _gap_norm(spec, mode))
         if g is None:
             raise ValueError("the means stop before the witness scales: the powers overflow")
+        g = [float(np.max(v)) for v in g]
         violates = min(g) > w["threshold"] and g[1] >= DECAY_RATIO * g[0]
         return float(min(g)), violates
 

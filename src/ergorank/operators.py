@@ -300,7 +300,6 @@ def operator_norm(
     spec: OperatorSpec,
     mode: str = "exact",
     probes: "ProbeSet | None" = None,
-    dense_cap: int = DENSE_CAP,
 ) -> OperatorNorm:
     """Operator norm of the spec under its ambient norm.
 
@@ -309,14 +308,14 @@ def operator_norm(
     mode : str
         ``exact`` computes the induced norm in closed form (l1/linf) or by
         power iteration converged to relative tolerance 1e-10 (l2); it is
-        only available for dim <= `dense_cap`.  ``probe`` returns the max of
+        only available for dim <= `DENSE_CAP`.  ``probe`` returns the max of
         ||T x|| / ||x|| over the given probe set, a lower bound flagged as
         inexact.
     """
     if mode == "exact":
-        if spec.dim > dense_cap:
+        if spec.dim > DENSE_CAP:
             raise CapExceededError(
-                f"exact operator norm is capped at dim {dense_cap} (got {spec.dim}); "
+                f"exact operator norm is capped at dim {DENSE_CAP} (got {spec.dim}); "
                 "use mode='probe' for a lower bound"
             )
         mat = as_dense(spec)

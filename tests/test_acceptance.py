@@ -37,7 +37,7 @@ from ergorank.operators import (
     matrix_norm,
 )
 from ergorank.serialization import canonical_dumps, canonical_loads
-from ergorank.tree import TreeTruncation, build_truncation, key_to_seq, truncated_height
+from ergorank.tree import TreeTruncation, build_truncation, truncated_height
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -231,13 +231,18 @@ _TREE_BUDGET = 250_000
 
 
 def _prefixes_closed(trunc: TreeTruncation) -> bool:
+    # Every member's parent (its key minus the last index) is a member; by
+    # induction on length, so is every proper prefix.
     member_set = set(trunc.members)
-    for key in trunc.members:
-        seq = key_to_seq(key)
-        for cut in range(1, len(seq)):
-            if ",".join(str(v) for v in seq[:cut]) not in member_set:
-                return False
-    return True
+    return all(key[: key.rfind(",")] in member_set for key in trunc.members if "," in key)
+
+
+def test_prefix_closure_check_rejects_a_missing_parent():
+    def truncation(members):
+        return TreeTruncation(0.5, 3, 4, "p", members, dict.fromkeys(members), False)
+
+    assert _prefixes_closed(truncation(["1", "1,2", "1,2,3"]))
+    assert not _prefixes_closed(truncation(["1", "1,2,3"]))
 
 
 def test_criterion_4_tree_invariants():

@@ -91,18 +91,22 @@ def test_beam_finds_chains_the_dyadic_grid_misses():
     assert check_certificate(cert).accepted
 
 
-def test_beam_certificate_accepted_on_large_means():
+# The beam's chain sits among the large means; doubling's starts at J = 1.
+@pytest.mark.parametrize(
+    "strategy, depth, large", [("beam", 3, min), ("doubling", 5, max)], ids=["beam", "doubling"]
+)
+def test_beam_certificate_accepted_on_large_means(strategy, depth, large):
     # The means grow like 2^n / n, so at J near 32 one ulp of a margin is
-    # more than MARGIN_ATOL: the beam must state the margins the checker
+    # more than MARGIN_ATOL: a search must state the margins the checker
     # recomputes, not the probe block's.
     rng = np.random.default_rng(0)
     q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
     mat = q @ np.diag(np.r_[2.0, rng.uniform(-0.9, 0.9, 11)]) @ q.T
     for norm in ("l1", "l2", "linf"):
         spec = OperatorSpec(KIND_DENSE, 12, mat, norm)
-        cert = search_nse(spec, default_probes(spec), 0.25, 3, index_bound=32, strategy="beam")
-        assert cert is not None and cert.depth == 3
-        assert min(cert.margins[-1]) > 1e6
+        cert = search_nse(spec, default_probes(spec), 0.25, depth, index_bound=32, strategy=strategy)
+        assert cert is not None and cert.depth == depth
+        assert large(cert.margins[-1]) > 1e6
         assert check_certificate(cert).accepted
 
 

@@ -240,9 +240,8 @@ def test_ue_probe_lower_bound_mode():
     assert v.witness["gaps"][0] == pytest.approx(1.0)
     val, still = replay_witness(spec, v, probes)
     assert still
-    calm = gallery("identity(8)")
     with pytest.raises(ValueError, match="probes"):
-        check_uniformly_ergodic(calm, 64, 1e-2, dense_cap=4)
+        check_uniformly_ergodic(gallery("identity(513)"), 64, 1e-2)
 
 
 def test_trusted_horizon_shrinks_for_shift_only():

@@ -1,4 +1,7 @@
-"""Golden digests of `ergorank analyze` reports on the built-in gallery.
+"""Golden digests of `ergorank analyze` reports on the built-in gallery,
+and on three operators above `DENSE_CAP`, where uniform ergodicity runs
+in probe lower-bound mode (a shift, the identity, and a Jordan block
+whose powers grow).
 
 Each digest is the sha256 of a canonical report with its `timings` block
 removed, at horizon 512 (Cesaro-bounded in dense mode under ``auto`` for
@@ -23,6 +26,8 @@ from ergorank.serialization import canonical_dumps, canonical_loads, sha256_hex
 
 FIXTURE = Path(__file__).parent / "fixtures" / "analyze_golden.json"
 HORIZONS = (512, 2000)
+ABOVE_DENSE_CAP = ["left_shift_l1(600)", "identity(600)", "jordan_1(600)"]
+NAMES = built_in_gallery() + ABOVE_DENSE_CAP
 
 
 def report_digest(name: str, horizon: int, workdir: str) -> str:
@@ -44,15 +49,15 @@ def report_digest(name: str, horizon: int, workdir: str) -> str:
 @pytest.mark.parametrize("horizon", HORIZONS)
 def test_analyze_reports_match_golden_digests(horizon, tmp_path):
     golden = json.loads(FIXTURE.read_text())[str(horizon)]
-    assert sorted(golden) == sorted(built_in_gallery())
-    got = {name: report_digest(name, horizon, str(tmp_path)) for name in built_in_gallery()}
+    assert sorted(golden) == sorted(NAMES)
+    got = {name: report_digest(name, horizon, str(tmp_path)) for name in NAMES}
     assert got == golden
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as workdir:
         digests = {
-            str(h): {name: report_digest(name, h, workdir) for name in built_in_gallery()}
+            str(h): {name: report_digest(name, h, workdir) for name in NAMES}
             for h in HORIZONS
         }
     sys.stdout.write(json.dumps(digests, indent=2, sort_keys=True) + "\n")
