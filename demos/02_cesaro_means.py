@@ -1,15 +1,23 @@
-"""Cesaro mean trajectories and the algebraic identities they satisfy.
+"""Cesaro means of one vector and the algebraic identities they satisfy.
 
 The running average A_n x = (1/n) sum_{k<n} T^k x is maintained by the
 one-step recurrence A_{n+1} x = (n A_n x + T^n x) / (n + 1).  Two exact
 identities make good spot checks: the telescoping relation
 (n+1) A_{n+1} x - n A_n x = T^n x, and A_n (I - T) x = (x - T^n x) / n.
+One vector is a (dim, 1) block of a `CesaroStream`.
 """
 
 import numpy as np
 
-from ergorank.cesaro import cesaro_diff, trajectory
+from ergorank.cesaro import CesaroStream
 from ergorank.operators import apply, as_dense, gallery
+from ergorank.tree import chain_margins
+
+
+def means_of(spec, x, horizon):
+    """A_1 x .. A_horizon x (fewer if the powers overflow), and the stream."""
+    stream = CesaroStream(spec, np.asarray(x, dtype=float)[:, None])
+    return [A[:, 0] for _, A, _ in stream.run(horizon)], stream
 
 
 def main():
@@ -19,12 +27,12 @@ def main():
     spec = gallery("random_diagonalizable(3,6)")
     x = rng.standard_normal(6)
     x /= np.linalg.norm(x)
-    traj = trajectory(spec, x, 200)
+    means, _ = means_of(spec, x, 200)
     mat = as_dense(spec)
     s, power = x.copy(), mat @ x
     worst = 0.0
     for n in range(1, 201):
-        worst = max(worst, float(np.linalg.norm(traj.values[n - 1] - s / n)))
+        worst = max(worst, float(np.linalg.norm(means[n - 1] - s / n)))
         s += power
         power = mat @ power
     print(f"  max deviation over n = 1..200: {worst:.3e}")
@@ -32,37 +40,37 @@ def main():
     print("\n== telescoping and mean identities ==")
     power = x.copy()
     y = x - mat @ x
-    traj_y = trajectory(spec, y, 200)
+    means_y, _ = means_of(spec, y, 200)
     tele = mean_id = 0.0
     for n in range(1, 200):
         power = mat @ power if n > 1 else mat @ x
         tele = max(tele, float(np.linalg.norm(
-            (n + 1) * traj.values[n] - n * traj.values[n - 1] - power)))
+            (n + 1) * means[n] - n * means[n - 1] - power)))
         mean_id = max(mean_id, float(np.linalg.norm(
-            traj_y.values[n - 1] - (x - power) / n)))
+            means_y[n - 1] - (x - power) / n)))
     print(f"  telescoping residual: {tele:.3e}")
     print(f"  mean identity residual: {mean_id:.3e}")
 
     print("\n== the alternating scalar averages out ==")
     alt = gallery("scalar(-1.0)")
-    t = trajectory(alt, np.array([1.0]), 8)
-    means = [float(t.values[n][0]) for n in range(8)]
-    print(f"  A_1..A_8 of x=1 under T=-1: {means}")
-    print(f"  ||A_1 x - A_2 x|| = {cesaro_diff(t, 1, 2):.3f} (the separated pair)")
+    alt_means, _ = means_of(alt, [1.0], 8)
+    print(f"  A_1..A_8 of x=1 under T=-1: {[float(m[0]) for m in alt_means]}")
+    margin = chain_margins(alt, np.array([[1.0]]), (1, 2))[0, 0]
+    print(f"  ||A_1 x - A_2 x|| = {margin:.3f} (the separated pair)")
 
     print("\n== divergence is detected, not propagated ==")
     doubling = gallery("scalar(2.0)")
-    t = trajectory(doubling, np.array([1.0]), 10_000)
-    print(f"  horizon reached: {t.horizon}, diverged_at = {t.diverged_at}")
-    print(f"  largest mean kept finite: {float(t.values[t.horizon - 1][0]):.3e}")
+    grown, stream = means_of(doubling, [1.0], 10_000)
+    print(f"  horizon reached: {len(grown)}, diverged_at = {stream.diverged_at}")
+    print(f"  largest mean kept finite: {float(grown[-1][0]):.3e}")
 
     print("\n== nilpotent shift: means decay like (k+1)/n ==")
     shift = gallery("left_shift_l1(64)")
     e9 = np.zeros(64)
     e9[9] = 1.0
-    t = trajectory(shift, e9, 64)
+    decay, _ = means_of(shift, e9, 64)
     for n in (5, 10, 20, 40):
-        got = float(np.abs(t.values[n - 1]).sum())
+        got = float(np.abs(decay[n - 1]).sum())
         print(f"  ||A_{n:2d} e_9||_1 = {got:.6f}   (min(n,10)/n = {min(n, 10) / n:.6f})")
     assert np.allclose(apply(shift, e9), np.eye(64)[8])
 

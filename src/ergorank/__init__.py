@@ -2,12 +2,13 @@
 
 Core objects: operator specs with exact matrix-free application
 (`OperatorSpec`, `apply`), Cesaro means computed by one overflow-guarded
-incremental recurrence (`CesaroStream`, with `trajectory` and
-`cesaro_matrices` as views), one-sided family verdicts
+incremental recurrence (`CesaroStream`), one-sided family verdicts
 (`check_power_bounded`, `check_cesaro_bounded`, `check_ergodic`,
 `check_uniformly_ergodic`, or all at once with `check_families`),
-separation-tree truncations (`build_truncation`), and replayable
-non-convergence certificates (`search_nse`, `check_certificate`).
+separation margins along an index chain (`chain_margins`, which trees,
+certificate searches and the checker all read), separation-tree
+truncations (`build_truncation`), and replayable non-convergence
+certificates (`search_nse`, `check_certificate`).
 """
 
 __version__ = "0.2.0"
@@ -21,9 +22,7 @@ from .operators import (
     apply,
     apply_columns,
     as_dense,
-    vec_norm,
     matrix_norm,
-    operator_norm,
     basis_probes,
     default_probes,
     gallery,
@@ -32,11 +31,6 @@ from .operators import (
 )
 from .cesaro import (
     CesaroStream,
-    CesaroTrajectory,
-    CesaroMatrixSeq,
-    trajectory,
-    cesaro_diff,
-    cesaro_matrices,
     OVERFLOW_LIMIT,
 )
 from .classify import (
@@ -56,6 +50,7 @@ from .classify import (
 from .tree import (
     NodeMembership,
     TreeTruncation,
+    chain_margins,
     node_member,
     build_truncation,
     truncated_height,
@@ -84,20 +79,13 @@ __all__ = [
     "apply",
     "apply_columns",
     "as_dense",
-    "vec_norm",
     "matrix_norm",
-    "operator_norm",
     "basis_probes",
     "default_probes",
     "gallery",
     "built_in_gallery",
     "DEFAULT_SEED",
     "CesaroStream",
-    "CesaroTrajectory",
-    "CesaroMatrixSeq",
-    "trajectory",
-    "cesaro_diff",
-    "cesaro_matrices",
     "OVERFLOW_LIMIT",
     "Verdict",
     "HOLDS",
@@ -113,6 +101,7 @@ __all__ = [
     "trusted_horizon",
     "NodeMembership",
     "TreeTruncation",
+    "chain_margins",
     "node_member",
     "build_truncation",
     "truncated_height",

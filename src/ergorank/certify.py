@@ -10,10 +10,12 @@ ergodicity.
 `search_nse` looks for certificates with two strategies: ``doubling``
 fixes the dyadic subsequence 1, 2, 4, ... and picks the best witness per
 level, while ``beam`` runs a dynamic-programming argmax over the tree's
-pair-margin tensor for the deepest chain with the largest minimum margin.
-`check_certificate` re-derives every stated margin from scratch and
-rejects on any mismatch, so accepted certificates are self-contained
-evidence.
+pair-margin tensor for the deepest chain with the largest minimum margin;
+both apply the tree's one separation rule, `tree.separates`.  Every
+certificate states the margins of its witnesses along J as
+`tree.chain_margins` computes them, and `check_certificate` re-derives
+each one from scratch with the same function and rejects on any mismatch,
+so accepted certificates are self-contained evidence.
 
 The rank estimate reports, for separations 1/k over a k-grid, the height
 of the separation tree, computed by dynamic programming over one margin
@@ -30,9 +32,8 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .cesaro import CesaroStream, cesaro_diff, trajectory
-from .operators import OperatorSpec, ProbeSet, UNIT_BALL_SLACK, column_norms, vec_norm
-from .tree import SEPARATION_SLACK, margin_tensor, tree_height
+from .operators import OperatorSpec, ProbeSet, UNIT_BALL_SLACK, column_norms
+from .tree import chain_margins, margin_tensor, separates, tree_height
 
 #: Recomputed margins must match stated ones to this absolute tolerance.
 MARGIN_ATOL = 1e-9
@@ -116,7 +117,7 @@ def check_certificate(cert: NSECertificate, margin_tol: float = MARGIN_ATOL) -> 
             return CheckResult(False, f"witness {m} dimension mismatch")
         if not np.all(np.isfinite(w)):
             return CheckResult(False, f"witness {m} entries must be finite")
-        if vec_norm(w, spec.norm_tag) > 1.0 + UNIT_BALL_SLACK:
+        if column_norms(w[:, None], spec.norm_tag)[0] > 1.0 + UNIT_BALL_SLACK:
             return CheckResult(False, f"witness {m} outside unit ball")
     if len(cert.margins) != cert.depth:
         return CheckResult(False, "margins shape inconsistent with depth")
@@ -124,11 +125,10 @@ def check_certificate(cert: NSECertificate, margin_tol: float = MARGIN_ATOL) -> 
         if len(row) != m:
             return CheckResult(False, "margins shape inconsistent with depth")
     for m, (w, row) in enumerate(zip(cert.witnesses, cert.margins), start=1):
-        traj = trajectory(spec, w, cert.J[m])
-        if traj.horizon < cert.J[m]:
+        recomputed_row = chain_margins(spec, w[:, None], cert.J[: m + 1])[:, 0].tolist()
+        if len(recomputed_row) < m:
             return CheckResult(False, f"witness {m} trajectory overflows")
-        for p in range(1, m + 1):
-            recomputed = cesaro_diff(traj, cert.J[p - 1], cert.J[p])
+        for p, recomputed in enumerate(recomputed_row, start=1):
             if abs(recomputed - row[p - 1]) > margin_tol:
                 return CheckResult(
                     False,
@@ -177,20 +177,12 @@ def _search_doubling(spec, probes, epsilon, target_depth, index_bound):
             return None
         t = min(t, int(math.floor(math.log2(index_bound))))
     J = tuple(2 ** i for i in range(t + 1))
-    snaps = CesaroStream(spec, probes.vectors.T).means_at(J)
+    table = chain_margins(spec, probes.vectors.T, J)  # (pairs, n_probes)
     # Indices past the overflow stop never separate.
-    J = J[: len(snaps)]
+    J = J[: len(table) + 1]
     if len(J) < 2:
         return None
-    table = np.stack(
-        [
-            column_norms(snaps[a] - snaps[b], spec.norm_tag)
-            for a, b in zip(J, J[1:])
-        ]
-    )  # (t, n_probes)
-    # Same slack as tree membership: boundary-exact margins are not
-    # separation, only float dust puts them above epsilon.
-    separated = table > epsilon + SEPARATION_SLACK
+    separated = separates(table, epsilon)
     # depth_per_probe[p]: number of leading separated pairs for probe p.
     cum = np.cumprod(separated, axis=0)
     depth_per_probe = cum.sum(axis=0)
@@ -211,7 +203,7 @@ def _search_beam(spec, probes, epsilon, target_depth, index_bound):
     bound = index_bound if index_bound is not None else 2 ** target_depth
     # Pair margins, with -inf where the pair does not separate.
     usable = margin_tensor(spec, probes, bound)
-    usable[~(usable > epsilon + SEPARATION_SLACK)] = -np.inf
+    usable[~separates(usable, epsilon)] = -np.inf
     # best[d][n, q]: the largest minimum margin over chains of d + 1
     # indices starting at n that probe q separates; -inf when none exists.
     best = [np.full(usable.shape[1:], np.inf)]
@@ -236,14 +228,15 @@ def _search_beam(spec, probes, epsilon, target_depth, index_bound):
 def _certificate(spec, probes, epsilon, J, witness_probes):
     """The certificate on J whose level m is witnessed by probe
     `witness_probes[m - 1]`.  It states the margins the checker recomputes,
-    from one trajectory per distinct probe, run up to the deepest level
-    that probe witnesses: the block arithmetic of a search can differ in
-    the last bits, which is more than MARGIN_ATOL once the means are large."""
+    from one `chain_margins` pass per distinct probe, up to the deepest
+    level that probe witnesses: the block arithmetic of a search can differ
+    in the last bits, which is more than MARGIN_ATOL once the means are
+    large."""
     last = {q: m for m, q in enumerate(witness_probes, start=1)}
-    rows = {}
-    for q, m in last.items():
-        traj = trajectory(spec, probes[q], J[m])
-        rows[q] = [cesaro_diff(traj, a, b) for a, b in zip(J[:m], J[1 : m + 1])]
+    rows = {
+        q: chain_margins(spec, probes[q][:, None], J[: m + 1])[:, 0].tolist()
+        for q, m in last.items()
+    }
     return NSECertificate(
         operator=spec,
         epsilon=float(epsilon),

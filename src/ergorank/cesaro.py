@@ -10,26 +10,16 @@ with the power cursor P_n = T^n X, and applies the overflow policy to every
 cursor it produces.  Probe blocks step with `apply_columns`; dense mode
 (X = I) steps the dense matrix power by right multiplication.  A stream can
 resume from any (n, A_n, P_n) it yielded, so a tail can be re-scanned
-without replaying its prefix.  `trajectory` (one probe) and
-`cesaro_matrices` (dense A_1..A_N) are thin views over the stream.
+without replaying its prefix.  Everything that needs means reads them
+from a stream: one vector is a (dim, 1) block, and the dense A_1..A_N
+are the dense-mode run.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .operators import (
-    DENSE_CAP,
-    CapExceededError,
-    DimensionMismatchError,
-    OperatorSpec,
-    apply_columns,
-    as_dense,
-    column_norms,
-    vec_norm,
-)
+from .operators import OperatorSpec, apply_columns, as_dense, column_norms
 
 #: Column norms of a power beyond this are treated as divergence and stop
 #: the stream.  The limit leaves headroom so norms (and norms of
@@ -93,80 +83,3 @@ class CesaroStream:
         if not wanted:
             return {}
         return {n: A for n, A, _ in self.run(max(wanted)) if n in wanted}
-
-
-@dataclass(eq=False)
-class CesaroTrajectory:
-    """Cesaro means of one probe up to a horizon.
-
-    Attributes
-    ----------
-    values : list of ndarray
-        ``values[n - 1]`` is A_n(probe) for n = 1..horizon.
-    diverged_at : int or None
-        Power index n at which ||T^n probe|| exceeded the overflow limit;
-        the trajectory ends at A_n.
-    """
-
-    probe: np.ndarray
-    norm_tag: str
-    horizon: int
-    values: list
-    diverged_at: int | None = None
-
-
-def trajectory(spec: OperatorSpec, probe: np.ndarray, horizon: int) -> CesaroTrajectory:
-    """A_1 x .. A_horizon x for one probe x, truncated at overflow."""
-    probe = np.array(probe, dtype=np.float64)
-    if probe.shape != (spec.dim,):
-        raise DimensionMismatchError(
-            f"operator has dim {spec.dim} but probe has shape {probe.shape}"
-        )
-    stream = CesaroStream(spec, probe[:, None])
-    values = [A[:, 0] for _, A, _ in stream.run(horizon)]
-    return CesaroTrajectory(
-        probe=probe,
-        norm_tag=spec.norm_tag,
-        horizon=len(values),
-        values=values,
-        diverged_at=stream.diverged_at,
-    )
-
-
-def cesaro_diff(traj: CesaroTrajectory, n: int, m: int) -> float:
-    """||A_n x - A_m x|| in the trajectory's ambient norm."""
-    for idx in (n, m):
-        if not 1 <= idx <= traj.horizon:
-            raise ValueError(
-                f"index {idx} outside trajectory horizon [1, {traj.horizon}]"
-            )
-    return vec_norm(traj.values[n - 1] - traj.values[m - 1], traj.norm_tag)
-
-
-@dataclass(eq=False)
-class CesaroMatrixSeq:
-    """Dense matrices A_1..A_horizon of an operator, plus divergence flag."""
-
-    norm_tag: str
-    horizon: int
-    matrices: list
-    diverged_at: int | None = None
-
-
-def cesaro_matrices(spec: OperatorSpec, horizon: int) -> CesaroMatrixSeq:
-    """Matrix-level Cesaro means A_1..A_horizon (the stream in dense mode).
-
-    Only available for dim <= `DENSE_CAP`.
-    """
-    if spec.dim > DENSE_CAP:
-        raise CapExceededError(
-            f"matrix-mode Cesaro means are capped at dim {DENSE_CAP} (got {spec.dim})"
-        )
-    stream = CesaroStream(spec)
-    mats = [A for _, A, _ in stream.run(horizon)]
-    return CesaroMatrixSeq(
-        norm_tag=spec.norm_tag,
-        horizon=len(mats),
-        matrices=mats,
-        diverged_at=stream.diverged_at,
-    )

@@ -5,9 +5,10 @@ on a finite-dimensional real section: a dense matrix, a weighted left shift,
 a diagonal operator, or a sparse triplet list, together with the ambient
 norm (l1, l2, or linf) in which all vector and operator norms are taken.
 
-Everything downstream (Cesaro trajectories, classification, trees,
-certificates) consumes these specs through `apply` and the norm helpers, so
-the spec plus a seed fully determines every computed number.
+Everything downstream (Cesaro means, classification, trees, certificates)
+consumes these specs through `apply_columns` and the two norm reducers,
+`column_norms` for vectors and `matrix_norm` for dense matrices, so the
+spec plus a seed fully determines every computed number.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -219,18 +219,6 @@ def as_dense(spec: OperatorSpec) -> np.ndarray:
 # -- norms ---------------------------------------------------------------
 
 
-def vec_norm(x: np.ndarray, norm_tag: str) -> float:
-    """Norm of a vector under one of the three ambient norms."""
-    x = np.asarray(x, dtype=np.float64)
-    if norm_tag == "l1":
-        return float(np.sum(np.abs(x)))
-    if norm_tag == "l2":
-        return float(np.linalg.norm(x))
-    if norm_tag == "linf":
-        return float(np.max(np.abs(x))) if x.size else 0.0
-    raise ValueError(f"unknown norm tag {norm_tag!r}")
-
-
 def column_norms(X: np.ndarray, norm_tag: str) -> np.ndarray:
     """Per-column vector norms of a (dim, p) array, or of each (dim, p)
     slice of a (..., dim, p) stack."""
@@ -289,49 +277,6 @@ def _l2_norm_power_iteration(mat: np.ndarray, rtol: float = 1e-10, max_iter: int
             sigma_sq = new_sigma_sq
         best = max(best, math.sqrt(max(sigma_sq, 0.0)))
     return best
-
-
-class OperatorNorm(NamedTuple):
-    value: float
-    exact: bool
-
-
-def operator_norm(
-    spec: OperatorSpec,
-    mode: str = "exact",
-    probes: "ProbeSet | None" = None,
-) -> OperatorNorm:
-    """Operator norm of the spec under its ambient norm.
-
-    Parameters
-    ----------
-    mode : str
-        ``exact`` computes the induced norm in closed form (l1/linf) or by
-        power iteration converged to relative tolerance 1e-10 (l2); it is
-        only available for dim <= `DENSE_CAP`.  ``probe`` returns the max of
-        ||T x|| / ||x|| over the given probe set, a lower bound flagged as
-        inexact.
-    """
-    if mode == "exact":
-        if spec.dim > DENSE_CAP:
-            raise CapExceededError(
-                f"exact operator norm is capped at dim {DENSE_CAP} (got {spec.dim}); "
-                "use mode='probe' for a lower bound"
-            )
-        mat = as_dense(spec)
-        if spec.norm_tag == "l2":
-            return OperatorNorm(_l2_norm_power_iteration(mat), True)
-        return OperatorNorm(matrix_norm(mat, spec.norm_tag), True)
-    if mode == "probe":
-        if probes is None:
-            raise ValueError("mode='probe' requires a probe set")
-        images = apply_columns(spec, probes.vectors.T)
-        ratios = column_norms(images, spec.norm_tag) / np.maximum(
-            column_norms(probes.vectors.T, spec.norm_tag), 1e-300
-        )
-        value = float(np.max(ratios)) if ratios.size else 0.0
-        return OperatorNorm(value, False)
-    raise ValueError(f"unknown operator_norm mode {mode!r}")
 
 
 # -- probe sets ----------------------------------------------------------

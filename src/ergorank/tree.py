@@ -11,15 +11,18 @@ Witnesses here are drawn from a finite probe set, so the enumerated tree
 is an under-approximation of the true tree: membership and heights are
 certificates, non-membership only means "no probe witnessed it".
 
-Everything here reads the epsilon-independent pair-margin tensor of the
-probe block (`margin_tensor`), built from one `CesaroStream` pass, so a
-pair involving an index past the stream's overflow stop never separates.
-A member needs a single probe that separates every consecutive pair, so
-per probe the tree height is a longest path in the DAG
-{n -> m : margin(n, m) > eps + slack}; `tree_height` finds it by dynamic
-programming without listing nodes.  `build_truncation` lists the members,
-bounded by a depth cap, an index bound and a node budget; `partial` is set
-when the budget cuts the walk short.
+Margins come from one `CesaroStream` pass, so a pair involving an index
+past the stream's overflow stop never separates.  `chain_margins` gives
+the consecutive margins along one chain, the one number that membership,
+the certificate searches and the certificate checker all read;
+`margin_tensor` gives the epsilon-independent margins of every pair, and
+`separates` is the one separation rule applied to either.  A member needs
+a single probe that separates every consecutive pair, so per probe the
+tree height is a longest path in the DAG {n -> m : separates(margin(n, m))};
+`tree_height` finds it by dynamic programming without listing nodes.
+`build_truncation` lists the members, bounded by a depth cap, an index
+bound and a node budget; `partial` is set when the budget cuts the walk
+short.
 """
 
 from __future__ import annotations
@@ -38,6 +41,25 @@ from .operators import OperatorSpec, ProbeSet, column_norms
 #: would mint spurious members from it; the slack matches the certificate
 #: checker's recomputation tolerance and is far above that dust.
 SEPARATION_SLACK = 1e-9
+
+
+def separates(margins: np.ndarray, epsilon: float) -> np.ndarray:
+    """Where the margins separate at `epsilon`: above it by more than
+    `SEPARATION_SLACK`."""
+    return margins > epsilon + SEPARATION_SLACK
+
+
+def chain_margins(spec: OperatorSpec, X: np.ndarray, seq) -> np.ndarray:
+    """Consecutive margins ||A_a X - A_b X|| along the increasing chain
+    `seq`, per column of the (dim, p) block X, from one `CesaroStream` pass.
+
+    Returns a (reached - 1, p) array: row i is the pair (seq[i], seq[i+1]),
+    and rows stop at the last index the stream reaches before its
+    overflow stop.
+    """
+    means = list(CesaroStream(spec, X).means_at(seq).values())
+    rows = [column_norms(a - b, spec.norm_tag) for a, b in zip(means, means[1:])]
+    return np.array(rows).reshape(len(rows), X.shape[1])
 
 
 class NodeMembership(NamedTuple):
@@ -63,22 +85,16 @@ def node_member(
     probes: ProbeSet,
 ) -> NodeMembership:
     """Membership of one sequence, witnessed by the lowest-index probe whose
-    consecutive margins all exceed epsilon plus `SEPARATION_SLACK`."""
+    consecutive margins all separate."""
     if not epsilon > 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     seq = _validate_seq(seq)
     if len(seq) <= 1:
         return NodeMembership(True, None, [])
-    snaps = CesaroStream(spec, probes.vectors.T).means_at(seq)
-    if len(snaps) < len(seq):
+    margins = chain_margins(spec, probes.vectors.T, seq)
+    if len(margins) < len(seq) - 1:
         return NodeMembership(False, None, None)
-    margins = np.stack(
-        [
-            column_norms(snaps[a] - snaps[b], spec.norm_tag)
-            for a, b in zip(seq, seq[1:])
-        ]
-    )
-    ok = np.all(margins > epsilon + SEPARATION_SLACK, axis=0)
+    ok = np.all(separates(margins, epsilon), axis=0)
     if not ok.any():
         return NodeMembership(False, None, None)
     witness = int(np.argmax(ok))
@@ -151,8 +167,8 @@ def margin_tensor(spec: OperatorSpec, probes: ProbeSet, index_bound: int) -> np.
     every other (n, m), including pairs past the overflow stop.  The means
     come from one `CesaroStream` pass; rows are reduced one n at a time, so
     the difference stack stays at (B, dim, p).  The tensor does not depend
-    on epsilon: `M > epsilon + SEPARATION_SLACK` is the separation relation
-    of the tree at any epsilon.
+    on epsilon: `separates(M, epsilon)` is the separation relation of the
+    tree at any epsilon.
     """
     if index_bound < 1:
         raise ValueError(f"index_bound must be >= 1, got {index_bound}")
@@ -177,7 +193,7 @@ def tree_height(margins: np.ndarray, epsilon: float, depth_cap: int) -> int:
     """
     if depth_cap < 1:
         raise ValueError(f"depth_cap must be >= 1, got {depth_cap}")
-    separated = margins > epsilon + SEPARATION_SLACK
+    separated = separates(margins, epsilon)
     longest = np.zeros(margins.shape[1:], dtype=np.int64)
     for n in range(margins.shape[0] - 1, 0, -1):
         # separated[n, m] is False for m <= n, whose entries are still 0.
@@ -209,7 +225,7 @@ def build_truncation(
     if max_nodes < 1:
         raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
 
-    separated = margin_tensor(spec, probes, index_bound) > epsilon + SEPARATION_SLACK
+    separated = separates(margin_tensor(spec, probes, index_bound), epsilon)
     # successors[n]: (m, mask) for every m > n that some probe separates
     # from n; bit q of mask is probe q.
     packed = np.packbits(separated, axis=-1, bitorder="little")

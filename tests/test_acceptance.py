@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from ergorank.certify import NSECertificate, check_certificate, search_nse
-from ergorank.cesaro import cesaro_matrices, trajectory
+from ergorank.cesaro import CesaroStream
 from ergorank.classify import (
     FAILS,
     HOLDS,
@@ -46,6 +46,12 @@ def _rel_ok(diff: float, scale: float, tol: float) -> bool:
     return diff <= tol * max(1.0, scale)
 
 
+def _means(spec, X, horizon):
+    """A_1 X .. A_horizon X and the stream's overflow stop (X None: dense)."""
+    stream = CesaroStream(spec, X)
+    return [A for _, A, _ in stream.run(horizon)], stream.diverged_at
+
+
 # -- criterion 1: Cesaro engine identities --------------------------------
 
 def test_criterion_1_cesaro_identities():
@@ -67,23 +73,23 @@ def test_criterion_1_cesaro_identities():
         x = rng.standard_normal(d)
         x = x / np.linalg.norm(x)
 
-        traj = trajectory(spec, x, n_max)
-        assert traj.diverged_at is None
+        means, diverged_at = _means(spec, x[:, None], n_max)
+        assert diverged_at is None
         y = x - mat @ x
-        traj_y = trajectory(spec, y, n_max)
+        means_y, _ = _means(spec, y[:, None], n_max)
 
         # independent direct summation of powers
         s = x.copy()
         power = mat @ x
         for n in range(1, n_max + 1):
             direct = s / n
-            diff = np.linalg.norm(traj.values[n - 1] - direct)
+            diff = np.linalg.norm(means[n - 1][:, 0] - direct)
             scale = np.linalg.norm(direct)
             assert _rel_ok(diff, scale, 1e-10), f"case {i}: recurrence vs direct at n={n}"
             worst_recur = max(worst_recur, diff / max(1.0, scale))
 
             tele = np.linalg.norm(
-                (n + 1) * traj.values[n] - n * traj.values[n - 1] - power
+                (n + 1) * means[n][:, 0] - n * means[n - 1][:, 0] - power
             ) if n < n_max else 0.0
             if n < n_max:
                 assert _rel_ok(tele, np.linalg.norm(power), 1e-9), \
@@ -91,7 +97,7 @@ def test_criterion_1_cesaro_identities():
                 worst_tele = max(worst_tele, tele / max(1.0, np.linalg.norm(power)))
 
             mean_rhs = (x - power) / n
-            mean_diff = np.linalg.norm(traj_y.values[n - 1] - mean_rhs)
+            mean_diff = np.linalg.norm(means_y[n - 1][:, 0] - mean_rhs)
             assert _rel_ok(mean_diff, np.linalg.norm(mean_rhs), 1e-9), \
                 f"case {i}: mean identity at n={n}"
             worst_mean = max(worst_mean, mean_diff / max(1.0, np.linalg.norm(mean_rhs)))
@@ -253,11 +259,11 @@ def test_criterion_4_tree_invariants():
         probes = default_probes(spec)
 
         # exact pairwise mean distances, for the suppression property
-        seq = cesaro_matrices(spec, max(_BOUNDS))
-        assert seq.diverged_at is None
+        all_mats, diverged_at = _means(spec, None, max(_BOUNDS))
+        assert diverged_at is None
         pair_max = {}
         for bound in _BOUNDS:
-            mats = seq.matrices[:bound]
+            mats = all_mats[:bound]
             pair_max[bound] = max(
                 (
                     matrix_norm(mats[n] - mats[m], spec.norm_tag)

@@ -24,11 +24,24 @@ from ergorank.operators import (
     gallery,
 )
 from ergorank.serialization import canonical_dumps, canonical_loads
-from ergorank.cesaro import trajectory, cesaro_diff
-from ergorank.tree import build_truncation, longest_members, node_member, truncated_height
+from ergorank.tree import (
+    build_truncation,
+    chain_margins,
+    longest_members,
+    node_member,
+    truncated_height,
+)
 
 #: Powers overflow at the first step: T x already has norm 1e200.
 HUGE_DIAGONAL = OperatorSpec(KIND_DIAGONAL, 2, [1e200, -1e200], "linf")
+
+
+def _growing_dense(norm):
+    """A 12x12 operator with eigenvalue 2: its means grow like 2^n / n."""
+    rng = np.random.default_rng(0)
+    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+    mat = q @ np.diag(np.r_[2.0, rng.uniform(-0.9, 0.9, 11)]) @ q.T
+    return OperatorSpec(KIND_DENSE, 12, mat, norm)
 
 
 def _shift_cert(depth=5, epsilon=0.5, index_bound=32):
@@ -99,11 +112,8 @@ def test_beam_certificate_accepted_on_large_means(strategy, depth, large):
     # The means grow like 2^n / n, so at J near 32 one ulp of a margin is
     # more than MARGIN_ATOL: a search must state the margins the checker
     # recomputes, not the probe block's.
-    rng = np.random.default_rng(0)
-    q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
-    mat = q @ np.diag(np.r_[2.0, rng.uniform(-0.9, 0.9, 11)]) @ q.T
     for norm in ("l1", "l2", "linf"):
-        spec = OperatorSpec(KIND_DENSE, 12, mat, norm)
+        spec = _growing_dense(norm)
         cert = search_nse(spec, default_probes(spec), 0.25, depth, index_bound=32, strategy=strategy)
         assert cert is not None and cert.depth == depth
         assert large(cert.margins[-1]) > 1e6
@@ -189,6 +199,11 @@ def test_checker_rejection_reasons():
     r = check_certificate(variant(epsilon=-0.5))
     assert not r.accepted and "positive" in r.reason
 
+    # The witness stream stops at index 1, so the pair (1, 2) has no margin.
+    huge = NSECertificate(HUGE_DIAGONAL, 0.5, (1, 2), [np.array([1.0, 0.0])], [[1.0]], 1)
+    r = check_certificate(huge)
+    assert not r.accepted and "overflows" in r.reason
+
 
 def test_checker_margin_tolerance_boundary():
     _, _, cert = _shift_cert()
@@ -213,14 +228,15 @@ def test_certificate_version_guard():
         NSECertificate.from_json_dict(data)
 
 
-def test_certificate_margins_match_trajectories():
-    spec, probes, cert = _shift_cert()
+@pytest.mark.parametrize("norm", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("strategy", ["doubling", "beam"])
+def test_certificate_margins_match_trajectories(strategy, norm):
+    # Both searches state exactly the witness margins the checker recomputes.
+    spec = _growing_dense(norm)
+    cert = search_nse(spec, default_probes(spec), 0.25, 5, index_bound=32, strategy=strategy)
+    assert cert is not None and cert.depth >= 3
     for m, (w, row) in enumerate(zip(cert.witnesses, cert.margins), start=1):
-        traj = trajectory(spec, w, cert.J[m])
-        for p in range(1, m + 1):
-            assert row[p - 1] == pytest.approx(
-                cesaro_diff(traj, cert.J[p - 1], cert.J[p]), abs=1e-12
-            )
+        assert row == chain_margins(spec, w[:, None], cert.J[: m + 1])[:, 0].tolist()
 
 
 # -- rank estimate -------------------------------------------------------
@@ -309,6 +325,8 @@ def test_dp_heights_and_beam_match_enumeration(spec, bound, target_depth, k):
 
         eps, trunc = est.epsilons[k - 1], truncs[k - 1]
         assert not trunc.partial
+        doubling = search_nse(spec, probes, eps, target_depth, index_bound=bound)
+        assert doubling is None or check_certificate(doubling).accepted
         cert = search_nse(spec, probes, eps, target_depth, index_bound=bound, strategy="beam")
         height = truncated_height(trunc)
         if height < 2:

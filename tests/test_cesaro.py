@@ -2,25 +2,18 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ergorank.cesaro import (
-    OVERFLOW_LIMIT,
-    CesaroStream,
-    cesaro_diff,
-    cesaro_matrices,
-    trajectory,
-)
+from ergorank.cesaro import OVERFLOW_LIMIT, CesaroStream
 from ergorank.operators import (
     KIND_DENSE,
     KIND_DIAGONAL,
-    CapExceededError,
     OperatorSpec,
     apply,
-    as_dense,
     basis_probes,
+    column_norms,
     default_probes,
     gallery,
-    vec_norm,
 )
+from ergorank.tree import chain_margins
 
 
 def _contraction(seed: int, dim: int) -> OperatorSpec:
@@ -29,6 +22,16 @@ def _contraction(seed: int, dim: int) -> OperatorSpec:
     rho = max(np.abs(np.linalg.eigvals(m)))
     m *= rng.uniform(0.2, 1.0) / max(rho, 1e-9)
     return OperatorSpec(KIND_DENSE, dim, m, "l2")
+
+
+def _vector_means(spec, x, horizon):
+    """A_1 x, A_2 x, ... of one vector, as a (dim, 1) stream block."""
+    return [A[:, 0] for _, A, _ in CesaroStream(spec, x[:, None]).run(horizon)]
+
+
+def _dense_means(spec, horizon):
+    stream = CesaroStream(spec)
+    return [A for _, A, _ in stream.run(horizon)], stream
 
 
 def _direct_mean(spec, x, n):
@@ -47,10 +50,10 @@ def test_recurrence_matches_direct_summation(seed, dim, horizon):
     spec = _contraction(seed, dim)
     rng = np.random.default_rng(seed + 1)
     x = rng.standard_normal(dim)
-    traj = trajectory(spec, x, horizon)
+    means = _vector_means(spec, x, horizon)
     for n in {1, horizon // 2 or 1, horizon}:
         want = _direct_mean(spec, x, n)
-        got = traj.values[n - 1]
+        got = means[n - 1]
         assert np.linalg.norm(got - want) <= 1e-10 * max(1.0, np.linalg.norm(want))
 
 
@@ -61,20 +64,20 @@ def test_telescoping_and_mean_identities(seed):
     rng = np.random.default_rng(seed + 2)
     x = rng.standard_normal(5)
     N = 40
-    traj = trajectory(spec, x, N + 1)
+    means = _vector_means(spec, x, N + 1)
     power = x.copy()
     for n in range(1, N + 1):
         # (n+1) A_{n+1} x - n A_n x = T^n x
         power = apply(spec, power) if n > 1 else apply(spec, x)
-        lhs = (n + 1) * traj.values[n] - n * traj.values[n - 1]
+        lhs = (n + 1) * means[n] - n * means[n - 1]
         assert np.linalg.norm(lhs - power) <= 1e-9
     # A_n (I - T) x = (x - T^n x) / n
     y = x - apply(spec, x)
-    traj_y = trajectory(spec, y, N)
+    means_y = _vector_means(spec, y, N)
     power = x.copy()
     for n in range(1, N + 1):
         power = apply(spec, power)
-        assert np.linalg.norm(traj_y.values[n - 1] - (x - power) / n) <= 1e-9
+        assert np.linalg.norm(means_y[n - 1] - (x - power) / n) <= 1e-9
 
 
 def test_stream_resumes_bitwise_from_a_checkpoint():
@@ -97,55 +100,47 @@ def test_stream_stops_at_the_first_overflowing_power():
     assert stream.means_at([1, 2, 5]).keys() == {1}
     assert np.array_equal(stream.power_norms, [OVERFLOW_LIMIT, OVERFLOW_LIMIT])
     # Dense mode guards the columns of T^n the same way.
-    assert cesaro_matrices(spec, 10).diverged_at == 1
+    assert _dense_means(spec, 10)[1].diverged_at == 1
 
 
 def test_cesaro_diff_basics():
     spec = gallery("zero(4)")
-    x = np.array([1.0, 0.0, 0.0, 0.0])
-    traj = trajectory(spec, x, 8)
+    x = np.array([[1.0], [0.0], [0.0], [0.0]])
     # A_n x = x / n for the zero operator
-    assert cesaro_diff(traj, 1, 2) == pytest.approx(0.5)
-    assert cesaro_diff(traj, 2, 1) == pytest.approx(0.5)
-    assert cesaro_diff(traj, 3, 3) == 0.0
-    with pytest.raises(ValueError):
-        cesaro_diff(traj, 0, 1)
-    with pytest.raises(ValueError):
-        cesaro_diff(traj, 1, 9)
+    assert chain_margins(spec, x, (1, 2))[:, 0] == pytest.approx([0.5])
+    assert chain_margins(spec, x, (1, 2, 4))[:, 0] == pytest.approx([0.5, 0.25])
+    assert chain_margins(spec, x, (3,)).shape == (0, 1)
 
 
 def test_divergence_truncates():
     spec = gallery("scalar(2.0)")
-    traj = trajectory(spec, np.array([1.0]), 2000)
-    assert traj.diverged_at is not None
-    assert len(traj.values) == traj.diverged_at
-    assert vec_norm(traj.values[-1], "l2") <= OVERFLOW_LIMIT * 2
+    stream = CesaroStream(spec, np.array([[1.0]]))
+    means = [A[:, 0] for _, A, _ in stream.run(2000)]
+    assert stream.diverged_at is not None
+    assert len(means) == stream.diverged_at
+    assert column_norms(means[-1][:, None], "l2")[0] <= OVERFLOW_LIMIT * 2
+    # Chain margins stop at the same index.
+    assert len(chain_margins(spec, np.array([[1.0]]), range(1, 2001))) == stream.diverged_at - 1
 
 
 def test_matrix_means_match_vector_means():
     spec = gallery("random_diagonalizable(7,12)")
-    seq = cesaro_matrices(spec, 30)
+    mats, _ = _dense_means(spec, 30)
     probes = basis_probes(12, "l2")
     for k in range(12):
-        traj = trajectory(spec, probes[k], 30)
+        means = _vector_means(spec, probes[k], 30)
         for n in (1, 7, 30):
-            assert np.allclose(seq.matrices[n - 1][:, k], traj.values[n - 1], atol=1e-12)
+            assert np.allclose(mats[n - 1][:, k], means[n - 1], atol=1e-12)
 
 
 def test_matrix_means_hand_values():
     # For the 2x2 unipotent upper-triangular operator, A_3 = (I + T + T^2)/3
     # with T = [[1,1],[0,1]] gives exactly [[1,1],[0,1]].
     spec = gallery("jordan_1(2)")
-    seq = cesaro_matrices(spec, 3)
-    assert np.array_equal(seq.matrices[2], np.array([[1.0, 1.0], [0.0, 1.0]]))
+    mats, _ = _dense_means(spec, 3)
+    assert np.array_equal(mats[2], np.array([[1.0, 1.0], [0.0, 1.0]]))
     # Scalar -1: means alternate 1, 0, 1/3, 0.
     spec = gallery("scalar(-1.0)")
-    seq = cesaro_matrices(spec, 4)
-    got = [m[0, 0] for m in seq.matrices]
+    mats, _ = _dense_means(spec, 4)
+    got = [m[0, 0] for m in mats]
     assert got == [1.0, 0.0, pytest.approx(1 / 3), 0.0]
-
-
-def test_matrix_means_cap():
-    spec = OperatorSpec(KIND_DIAGONAL, 600, np.zeros(600), "l2")
-    with pytest.raises(CapExceededError):
-        cesaro_matrices(spec, 4)
