@@ -9,7 +9,6 @@ import numpy as np
 
 from ergorank.operators import (
     OperatorSpec,
-    apply,
     apply_columns,
     as_dense,
     basis_probes,
@@ -35,7 +34,7 @@ def main():
     rng = np.random.default_rng(11)
     shift = gallery("left_shift_l1(64)")
     x = rng.standard_normal(64)
-    direct = apply(shift, x)
+    direct = apply_columns(shift, x[:, None])[:, 0]
     via_dense = as_dense(shift) @ x
     print(f"  left shift: max |structured - dense| = {np.max(np.abs(direct - via_dense)):.3e}")
 

@@ -10,7 +10,7 @@ One vector is a (dim, 1) block of a `CesaroStream`.
 import numpy as np
 
 from ergorank.cesaro import CesaroStream
-from ergorank.operators import apply, as_dense, gallery
+from ergorank.operators import apply_columns, as_dense, gallery
 from ergorank.tree import chain_margins
 
 
@@ -72,7 +72,7 @@ def main():
     for n in (5, 10, 20, 40):
         got = float(np.abs(decay[n - 1]).sum())
         print(f"  ||A_{n:2d} e_9||_1 = {got:.6f}   (min(n,10)/n = {min(n, 10) / n:.6f})")
-    assert np.allclose(apply(shift, e9), np.eye(64)[8])
+    assert np.allclose(apply_columns(shift, e9[:, None])[:, 0], np.eye(64)[8])
 
 
 if __name__ == "__main__":

@@ -7,7 +7,7 @@ certified lower bound that grows as eps shrinks.
 """
 
 from ergorank.operators import default_probes, gallery
-from ergorank.tree import build_truncation, longest_members, tree_to_dot, truncated_height
+from ergorank.tree import build_truncation, tree_to_dot, truncated_height
 
 
 def main():
@@ -28,8 +28,11 @@ def main():
     spec = gallery("zero(4)")
     trunc = build_truncation(spec, 0.125, depth_cap=6, index_bound=32,
                              probes=default_probes(spec))
-    print(f"  members: {len(trunc.members)}, height: {truncated_height(trunc)}")
-    for seq in longest_members(trunc)[:5]:
+    height = truncated_height(trunc)
+    print(f"  members: {len(trunc.members)}, height: {height}")
+    chains = (tuple(map(int, key.split(","))) for key in trunc.members)
+    longest = [seq for seq in chains if len(seq) == height]
+    for seq in longest[:5]:
         print(f"  chain {seq}: harmonic gaps 1/s_i - 1/s_(i+1) all exceed 1/8")
 
     print("\n== a small tree rendered as DOT ==")

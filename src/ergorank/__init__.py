@@ -1,14 +1,14 @@
 """Finite-horizon ergodicity analysis for linear operators.
 
-Core objects: operator specs with exact matrix-free application
-(`OperatorSpec`, `apply`), Cesaro means computed by one overflow-guarded
-incremental recurrence (`CesaroStream`), one-sided family verdicts
-(`check_power_bounded`, `check_cesaro_bounded`, `check_ergodic`,
-`check_uniformly_ergodic`, or all at once with `check_families`),
-separation margins along an index chain (`chain_margins`, which trees,
-certificate searches and the checker all read), separation-tree
-truncations (`build_truncation`), and replayable non-convergence
-certificates (`search_nse`, `check_certificate`).
+Core objects: operator specs with exact matrix-free application of a
+column block (`OperatorSpec`, `apply_columns`), Cesaro means computed by
+one overflow-guarded incremental recurrence (`CesaroStream`), one-sided
+family verdicts (`check_power_bounded`, `check_cesaro_bounded`,
+`check_ergodic`, `check_uniformly_ergodic`, or all at once with
+`check_families`), separation margins along an index chain
+(`chain_margins`, which the certificate searches and the checker both
+read), separation-tree truncations (`build_truncation`), and replayable
+non-convergence certificates (`search_nse`, `check_certificate`).
 """
 
 __version__ = "0.2.0"
@@ -19,7 +19,6 @@ from .operators import (
     SpecValidationError,
     DimensionMismatchError,
     CapExceededError,
-    apply,
     apply_columns,
     as_dense,
     matrix_norm,
@@ -48,16 +47,11 @@ from .classify import (
     trusted_horizon,
 )
 from .tree import (
-    NodeMembership,
     TreeTruncation,
     chain_margins,
-    node_member,
     build_truncation,
     truncated_height,
-    longest_members,
     tree_to_dot,
-    node_key,
-    key_to_seq,
 )
 from .certify import (
     NSECertificate,
@@ -76,7 +70,6 @@ __all__ = [
     "SpecValidationError",
     "DimensionMismatchError",
     "CapExceededError",
-    "apply",
     "apply_columns",
     "as_dense",
     "matrix_norm",
@@ -99,16 +92,11 @@ __all__ = [
     "check_uniformly_ergodic",
     "replay_witness",
     "trusted_horizon",
-    "NodeMembership",
     "TreeTruncation",
     "chain_margins",
-    "node_member",
     "build_truncation",
     "truncated_height",
-    "longest_members",
     "tree_to_dot",
-    "node_key",
-    "key_to_seq",
     "NSECertificate",
     "CheckResult",
     "RankEstimate",

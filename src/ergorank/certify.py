@@ -253,16 +253,12 @@ def _certificate(spec, probes, epsilon, J, witness_probes):
 
 @dataclass(eq=False)
 class RankEstimate:
-    """Tree heights across a grid of separations 1/k.
-
-    `partial` is all False: heights come from dynamic programming, which no
-    node budget cuts short.  The field keeps the report shape.
-    """
+    """Tree heights across a grid of separations 1/k.  No node budget cuts
+    them short; the JSON keeps an all-false `partial` list for its shape."""
 
     ks: list[int]
     epsilons: list[float]
     heights: list[int]
-    partial: list[bool]
     depth_cap: int
     index_bound: int
     probe_label: str
@@ -273,7 +269,7 @@ class RankEstimate:
             "ks": list(self.ks),
             "epsilons": list(self.epsilons),
             "heights": list(self.heights),
-            "partial": list(self.partial),
+            "partial": [False] * len(self.ks),
             "depth_cap": self.depth_cap,
             "index_bound": self.index_bound,
             "probe_label": self.probe_label,
@@ -290,7 +286,7 @@ def rank_estimate(
     """Tree height at separation 1/k for each k in the grid.
 
     Heights are witnessed lower bounds, read by dynamic programming from
-    one margin tensor; they are never partial, and `partial` is all False.
+    one margin tensor; they are never partial.
     """
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
@@ -301,7 +297,6 @@ def rank_estimate(
         ks=ks,
         epsilons=epsilons,
         heights=[tree_height(margins, eps, depth_cap) for eps in epsilons],
-        partial=[False] * len(ks),
         depth_cap=depth_cap,
         index_bound=index_bound,
         probe_label=probes.label,

@@ -193,14 +193,14 @@ class _Scan:
     """What one stream pass keeps; norms are reduced as the pass goes.
 
     `means` holds the mean-norm maxima for n = 1..steps (its hit keeps
-    A_n), `powers` the power-norm maxima for m = 0..steps (probe passes
-    only).  `snapshots` maps the requested indices to A_n, and
-    `checkpoint` is (n, A_n, P_n) at the requested tail start.
+    A_n), `powers` the power-norm maxima for m = 0..steps; None when unread.
+    `snapshots` maps the requested indices to A_n, and `checkpoint` is
+    (n, A_n, P_n) at the requested tail start.
     """
 
     stream: CesaroStream
     horizon: int
-    means: _Maxima
+    means: _Maxima | None
     powers: _Maxima | None
     steps: int = 0
     diverged_at: int | None = None
@@ -208,11 +208,13 @@ class _Scan:
     checkpoint: tuple | None = None
 
 
-def _scan(stream, horizon, bound_cap, mean_norm, powers=False, wanted=(), checkpoint_at=None) -> _Scan:
-    scan = _Scan(stream, horizon, _Maxima(bound_cap), _Maxima(bound_cap) if powers else None)
+def _scan(stream, horizon, bound_cap, mean_norm=None, powers=False, wanted=(), checkpoint_at=None) -> _Scan:
+    means = None if mean_norm is None else _Maxima(bound_cap)
+    scan = _Scan(stream, horizon, means, _Maxima(bound_cap) if powers else None)
     for n, A, P in stream.run(horizon):
-        norms = mean_norm(A)
-        scan.means.add(n, norms, A)
+        if mean_norm is not None:
+            norms = mean_norm(A)
+            scan.means.add(n, norms, A)
         if powers:
             if n == 1:
                 scan.powers.add(0, norms)  # T^0 X = A_1 X
@@ -566,8 +568,9 @@ def check_uniformly_ergodic(
                 "required for the lower-bound mode"
             )
         _check_probes(spec, probes)
-        scales = _dyadic_scales(horizon)
-        scan = _probe_scan(spec, probes, horizon, bound_cap, set(scales or ()))
+        # The verdict reads only the dyadic snapshots, steps and diverged_at.
+        stream = CesaroStream(spec, probes.vectors.T)
+        scan = _scan(stream, horizon, bound_cap, wanted=set(_dyadic_scales(horizon) or ()))
         return _tail_verdict(
             family, scan, None, tolerance, probes.label,
             _gap_norm(spec, "probe-lb"), mode="probe-lb",

@@ -16,9 +16,8 @@ timings block.  ``analyze`` results are cached under ``~/.cache/ergorank``
 the config, package version and report schema.
 
 Exit codes: 0 success; 1 certificate not found / rejected; 2 invalid
-input; 3 the node budget truncated a ``tree`` enumeration.  ``analyze``
-lists no tree nodes (its rank estimate comes from dynamic programming), so
-the budget and exit code 3 apply only to ``tree``.
+input; 3 the node budget truncated a ``tree`` enumeration.  Only ``tree``
+lists nodes and takes ``--max-nodes``; ``analyze`` records the default.
 """
 
 from __future__ import annotations
@@ -189,7 +188,7 @@ def cmd_analyze(args) -> int:
         "ue_horizon": ue_horizon,
         "nse_epsilon": args.nse_epsilon,
         "seed": args.seed,
-        "max_nodes": args.max_nodes,
+        "max_nodes": DEFAULT_MAX_NODES,
         "probes": args.probes,
     }
 
@@ -331,11 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="horizon for the norm-level check (default min(256, horizon))",
     )
     p.add_argument("--nse-epsilon", type=float, default=DEFAULT_NSE_EPSILON)
-    p.add_argument(
-        "--max-nodes", type=int, default=DEFAULT_MAX_NODES,
-        help="recorded in the report config; analyze lists no tree nodes, "
-        "so it no longer bounds it",
-    )
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--no-cache", action="store_true", help="skip the report cache")
     _add_probe_args(p)

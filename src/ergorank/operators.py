@@ -161,22 +161,6 @@ def _validate_triplets(entries, dim: int):
 # -- application ---------------------------------------------------------
 
 
-def apply(spec: OperatorSpec, x: np.ndarray) -> np.ndarray:
-    """Apply the operator to a vector, returning a fresh array.
-
-    Raises
-    ------
-    DimensionMismatchError
-        If `x` does not have shape (spec.dim,).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape != (spec.dim,):
-        raise DimensionMismatchError(
-            f"operator has dim {spec.dim} but vector has shape {x.shape}"
-        )
-    return apply_columns(spec, x[:, None])[:, 0]
-
-
 def apply_columns(spec: OperatorSpec, X: np.ndarray) -> np.ndarray:
     """Apply the operator to each column of a (dim, p) array at once."""
     if X.ndim != 2 or X.shape[0] != spec.dim:
@@ -329,8 +313,7 @@ def basis_probes(dim: int, norm_tag: str, count: int | None = None) -> ProbeSet:
 
 
 def default_probes(
-    spec_or_dim,
-    norm_tag: str | None = None,
+    spec: OperatorSpec,
     seed: int = DEFAULT_SEED,
     random_count: int = 16,
 ) -> ProbeSet:
@@ -339,12 +322,7 @@ def default_probes(
     The first min(dim, 32) canonical basis vectors, followed by
     `random_count` seeded random vectors normalized to unit ambient norm.
     """
-    if isinstance(spec_or_dim, OperatorSpec):
-        dim, norm_tag = spec_or_dim.dim, spec_or_dim.norm_tag
-    else:
-        dim = int(spec_or_dim)
-        if norm_tag is None:
-            raise ValueError("norm_tag is required when passing a bare dimension")
+    dim, norm_tag = spec.dim, spec.norm_tag
     k = min(dim, 32)
     parts = [np.eye(dim)[:k]]
     if random_count:

@@ -13,8 +13,8 @@ certificates, non-membership only means "no probe witnessed it".
 
 Margins come from one `CesaroStream` pass, so a pair involving an index
 past the stream's overflow stop never separates.  `chain_margins` gives
-the consecutive margins along one chain, the one number that membership,
-the certificate searches and the certificate checker all read;
+the consecutive margins along one chain, the one number that the
+certificate searches and the certificate checker both read;
 `margin_tensor` gives the epsilon-independent margins of every pair, and
 `separates` is the one separation rule applied to either.  A member needs
 a single probe that separates every consecutive pair, so per probe the
@@ -28,7 +28,6 @@ short.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -60,45 +59,6 @@ def chain_margins(spec: OperatorSpec, X: np.ndarray, seq) -> np.ndarray:
     means = list(CesaroStream(spec, X).means_at(seq).values())
     rows = [column_norms(a - b, spec.norm_tag) for a, b in zip(means, means[1:])]
     return np.array(rows).reshape(len(rows), X.shape[1])
-
-
-class NodeMembership(NamedTuple):
-    member: bool
-    witness: int | None
-    margins: list[float] | None
-
-
-def _validate_seq(seq) -> tuple[int, ...]:
-    seq = tuple(int(v) for v in seq)
-    for v in seq:
-        if v < 1:
-            raise ValueError(f"sequence entries must be >= 1, got {v}")
-    if any(a >= b for a, b in zip(seq, seq[1:])):
-        raise ValueError(f"sequence must be strictly increasing, got {seq}")
-    return seq
-
-
-def node_member(
-    spec: OperatorSpec,
-    seq,
-    epsilon: float,
-    probes: ProbeSet,
-) -> NodeMembership:
-    """Membership of one sequence, witnessed by the lowest-index probe whose
-    consecutive margins all separate."""
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    seq = _validate_seq(seq)
-    if len(seq) <= 1:
-        return NodeMembership(True, None, [])
-    margins = chain_margins(spec, probes.vectors.T, seq)
-    if len(margins) < len(seq) - 1:
-        return NodeMembership(False, None, None)
-    ok = np.all(separates(margins, epsilon), axis=0)
-    if not ok.any():
-        return NodeMembership(False, None, None)
-    witness = int(np.argmax(ok))
-    return NodeMembership(True, witness, [float(v) for v in margins[:, witness]])
 
 
 @dataclass(eq=False)
@@ -147,16 +107,6 @@ class TreeTruncation:
             )
         except KeyError as exc:
             raise ValueError(f"truncation JSON is missing field {exc}") from exc
-
-
-def node_key(seq) -> str:
-    return ",".join(map(str, seq))
-
-
-def key_to_seq(key: str) -> tuple[int, ...]:
-    if not key:
-        return ()
-    return tuple(map(int, key.split(",")))
 
 
 def margin_tensor(spec: OperatorSpec, probes: ProbeSet, index_bound: int) -> np.ndarray:
@@ -285,26 +235,16 @@ def truncated_height(trunc: TreeTruncation) -> int:
     return max(key.count(",") + 1 for key in trunc.members)
 
 
-def longest_members(trunc: TreeTruncation) -> list[tuple[int, ...]]:
-    height = truncated_height(trunc)
-    return [
-        key_to_seq(key)
-        for key in trunc.members
-        if key.count(",") + 1 == height
-    ]
-
-
 def tree_to_dot(trunc: TreeTruncation) -> str:
     """Graphviz rendering; edges follow the prefix order."""
     lines = ["digraph separation_tree {", '  node [shape=box, fontsize=10];']
     lines.append('  root [label="()"];')
     for key in trunc.members:
-        seq = key_to_seq(key)
         wit = trunc.witnesses.get(key)
         suffix = "" if wit is None else f"\\nprobe {wit}"
         lines.append(f'  "{key}" [label="({key}){suffix}"];')
-        parent = node_key(seq[:-1]) if len(seq) > 1 else "root"
-        parent_id = f'"{parent}"' if parent != "root" else "root"
+        parent = key.rpartition(",")[0]
+        parent_id = f'"{parent}"' if parent else "root"
         lines.append(f'  {parent_id} -> "{key}";')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -128,19 +128,20 @@ def test_analyze_invalid_spec(tmp_path, capsys):
     assert main(["analyze", str(tmp_path / "missing.json")]) == 2
 
 
-def test_analyze_max_nodes_does_not_bound_rank(tmp_path, capsys):
-    # The rank estimate lists no nodes, so a tiny budget changes nothing
-    # but the recorded config.
+def test_analyze_has_no_node_budget(tmp_path, capsys):
+    # The rank estimate lists no nodes, so analyze takes no budget; the
+    # report still records the default one in its config.
     spec_path = _write_spec(tmp_path, "left_shift_l1(64)")
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", spec_path, "--no-cache", "--max-nodes", "3", *ANALYZE_FAST])
+    assert exc.value.code == 2
+    assert "--max-nodes" in capsys.readouterr().err
     assert main(["analyze", spec_path, "--no-cache", *ANALYZE_FAST]) == 0
-    default = canonical_loads(capsys.readouterr().out)["rank_estimate"]
-    assert main([
-        "analyze", spec_path, "--no-cache", "--max-nodes", "3", *ANALYZE_FAST,
-    ]) == 0
-    tiny = canonical_loads(capsys.readouterr().out)["rank_estimate"]
-    assert tiny["heights"] == default["heights"]
-    assert max(tiny["heights"]) > 1
-    assert tiny["partial"] == default["partial"] == [False] * len(tiny["ks"])
+    report = canonical_loads(capsys.readouterr().out)
+    assert report["config"]["max_nodes"] == 200_000
+    rank = report["rank_estimate"]
+    assert max(rank["heights"]) > 1
+    assert rank["partial"] == [False] * len(rank["ks"])
 
 
 # -- certify / check -------------------------------------------------------

@@ -12,7 +12,6 @@ from ergorank.operators import (
     OperatorSpec,
     ProbeSet,
     SpecValidationError,
-    apply,
     apply_columns,
     as_dense,
     basis_probes,
@@ -121,8 +120,8 @@ def test_from_json_missing_fields():
 @given(_spec_strategy(), st.integers(0, 2 ** 31 - 1))
 def test_apply_matches_dense(spec, seed):
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal(spec.dim)
-    assert np.allclose(apply(spec, x), as_dense(spec) @ x, atol=1e-12)
+    x = rng.standard_normal((spec.dim, 1))
+    assert np.allclose(apply_columns(spec, x), as_dense(spec) @ x, atol=1e-12)
     X = rng.standard_normal((spec.dim, 3))
     assert np.allclose(apply_columns(spec, X), as_dense(spec) @ X, atol=1e-12)
 
@@ -130,13 +129,15 @@ def test_apply_matches_dense(spec, seed):
 def test_apply_dimension_mismatch():
     spec = OperatorSpec(KIND_DIAGONAL, 3, [1.0, 2.0, 3.0], "l2")
     with pytest.raises(DimensionMismatchError, match="3"):
-        apply(spec, np.ones(4))
+        apply_columns(spec, np.ones((4, 1)))
+    with pytest.raises(DimensionMismatchError, match="3"):
+        apply_columns(spec, np.ones(3))
 
 
 def test_shift_moves_coordinates():
     spec = OperatorSpec(KIND_SHIFT, 4, [2.0, 3.0, 4.0], "l1")
-    out = apply(spec, np.array([0.0, 1.0, 2.0, 3.0]))
-    assert np.array_equal(out, [2.0, 6.0, 12.0, 0.0])
+    out = apply_columns(spec, np.array([[0.0], [1.0], [2.0], [3.0]]))
+    assert np.array_equal(out[:, 0], [2.0, 6.0, 12.0, 0.0])
 
 
 # -- norms ---------------------------------------------------------------
