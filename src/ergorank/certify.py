@@ -9,19 +9,19 @@ ergodicity.
 
 `search_nse` looks for certificates with two strategies: ``doubling``
 fixes the dyadic subsequence 1, 2, 4, ... and picks the best witness per
-level, while ``beam`` runs a dynamic-programming argmax over the tree's
-pair-margin tensor for the deepest chain with the largest minimum margin;
-both apply the tree's one separation rule, `tree.separates`.  Every
+level, while ``beam`` backtracks from `tree.best_chains` to the deepest
+chain with the largest minimum margin; both apply the tree's one
+separation rule, `tree.separates`, to minimum margins.  Every
 certificate states the margins of its witnesses along J as
 `tree.chain_margins` computes them, and `check_certificate` re-derives
 each one from scratch with the same function and rejects on any mismatch,
 so accepted certificates are self-contained evidence.
 
 The rank estimate reports, for separations 1/k over a k-grid, the height
-of the separation tree, computed by dynamic programming over one margin
-tensor; heights that keep growing with the probe budget indicate
-higher-rank non-convergence structure.  No tree is enumerated, so the
-estimate is never cut short by a node budget.
+of the separation tree, read at every k off one `tree.best_chains` run;
+heights that keep growing with the probe budget indicate higher-rank
+non-convergence structure.  No tree is enumerated, so the estimate is
+never cut short by a node budget.
 """
 
 from __future__ import annotations
@@ -33,13 +33,17 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import OperatorSpec, ProbeSet, UNIT_BALL_SLACK, column_norms
-from .tree import chain_margins, margin_tensor, separates, tree_height
+from .tree import best_chains, chain_margins, margin_tensor, separates
 
 #: Recomputed margins must match stated ones to this absolute tolerance.
 MARGIN_ATOL = 1e-9
 
 RANK_CONSTRUCT = "separation-tree truncation heights"
 NSE_CONSTRUCT = "subsequence separation certificate"
+
+#: Chain length cap and index bound of a rank estimate.
+DEFAULT_DEPTH_CAP = 4
+DEFAULT_INDEX_BOUND = 32
 
 
 @dataclass(eq=False)
@@ -93,7 +97,7 @@ class CheckResult(NamedTuple):
     reason: str
 
 
-def check_certificate(cert: NSECertificate, margin_tol: float = MARGIN_ATOL) -> CheckResult:
+def check_certificate(cert: NSECertificate) -> CheckResult:
     """Independent validation of a certificate.
 
     Checks run in a fixed order (structure, epsilon, J, witnesses, margin
@@ -129,7 +133,7 @@ def check_certificate(cert: NSECertificate, margin_tol: float = MARGIN_ATOL) -> 
         if len(recomputed_row) < m:
             return CheckResult(False, f"witness {m} trajectory overflows")
         for p, recomputed in enumerate(recomputed_row, start=1):
-            if abs(recomputed - row[p - 1]) > margin_tol:
+            if abs(recomputed - row[p - 1]) > MARGIN_ATOL:
                 return CheckResult(
                     False,
                     f"margin mismatch at level {m} pair {p}: "
@@ -177,22 +181,15 @@ def _search_doubling(spec, probes, epsilon, target_depth, index_bound):
             return None
         t = min(t, int(math.floor(math.log2(index_bound))))
     J = tuple(2 ** i for i in range(t + 1))
+    # Rows stop at the overflow stop, past which no index separates.
     table = chain_margins(spec, probes.vectors.T, J)  # (pairs, n_probes)
-    # Indices past the overflow stop never separate.
-    J = J[: len(table) + 1]
-    if len(J) < 2:
-        return None
-    separated = separates(table, epsilon)
-    # depth_per_probe[p]: number of leading separated pairs for probe p.
-    cum = np.cumprod(separated, axis=0)
-    depth_per_probe = cum.sum(axis=0)
-    depth = int(min(target_depth, depth_per_probe.max(initial=0)))
+    # lowest[m - 1, q]: the minimum margin of probe q over the first m
+    # pairs; level m separates where it does, and it never grows with m.
+    lowest = np.minimum.accumulate(table, axis=0)
+    depth = int(np.count_nonzero(separates(lowest.max(axis=1), epsilon)))
     if depth < 1:
         return None
-    witness_probes = []
-    for m in range(1, depth + 1):
-        scores = np.where(depth_per_probe >= m, table[:m].min(axis=0), -np.inf)
-        witness_probes.append(int(np.argmax(scores)))
+    witness_probes = [int(np.argmax(lowest[m])) for m in range(depth)]
     return _certificate(spec, probes, epsilon, J[: depth + 1], witness_probes)
 
 
@@ -201,26 +198,20 @@ def _search_beam(spec, probes, epsilon, target_depth, index_bound):
     <= the bound, then the largest minimum margin along it; ties go to
     the lowest probe, then the lexicographically smallest J."""
     bound = index_bound if index_bound is not None else 2 ** target_depth
-    # Pair margins, with -inf where the pair does not separate.
-    usable = margin_tensor(spec, probes, bound)
-    usable[~separates(usable, epsilon)] = -np.inf
-    # best[d][n, q]: the largest minimum margin over chains of d + 1
-    # indices starting at n that probe q separates; -inf when none exists.
-    best = [np.full(usable.shape[1:], np.inf)]
-    while len(best) <= target_depth:
-        deeper = np.minimum(usable, best[-1][None, :, :]).max(axis=1)
-        if not (deeper > -np.inf).any():
-            break
-        best.append(deeper)
-    depth = len(best) - 1
+    margins = margin_tensor(spec, probes, bound)
+    best = best_chains(margins, target_depth)
+    # A chain separates exactly when its minimum margin does; level 0
+    # always does, and no level separates once one fails.
+    depth = int(np.count_nonzero(separates(best.max(axis=(1, 2)), epsilon))) - 1
     if depth < 1:
         return None
     top = best[depth]
     value = top.max()
     q = int(np.flatnonzero((top == value).any(axis=0))[0])
     J = [int(np.flatnonzero(top[:, q] == value)[0])]
+    # Every pair on the way clears `value`, which separates.
     for level in range(depth - 1, -1, -1):
-        reach = np.minimum(usable[J[-1], :, q], best[level][:, q])
+        reach = np.minimum(margins[J[-1], :, q], best[level][:, q])
         J.append(int(np.flatnonzero(reach >= value)[0]))
     return _certificate(spec, probes, epsilon, J, [q] * depth)
 
@@ -280,23 +271,27 @@ def rank_estimate(
     spec: OperatorSpec,
     probes: ProbeSet,
     ks: Sequence[int] = tuple(range(1, 9)),
-    depth_cap: int = 4,
-    index_bound: int = 32,
+    depth_cap: int = DEFAULT_DEPTH_CAP,
+    index_bound: int = DEFAULT_INDEX_BOUND,
 ) -> RankEstimate:
     """Tree height at separation 1/k for each k in the grid.
 
-    Heights are witnessed lower bounds, read by dynamic programming from
-    one margin tensor; they are never partial.
+    Heights are witnessed lower bounds, read from one `best_chains` run:
+    the height at epsilon counts the chain lengths up to `depth_cap` whose
+    largest minimum margin separates.  They are never partial.
     """
     ks = [int(k) for k in ks]
     if any(k < 1 for k in ks):
         raise ValueError("k grid entries must be >= 1")
+    if depth_cap < 1:
+        raise ValueError(f"depth_cap must be >= 1, got {depth_cap}")
     epsilons = [1.0 / k for k in ks]
     margins = margin_tensor(spec, probes, index_bound)
+    peaks = best_chains(margins, depth_cap - 1).max(axis=(1, 2))
     return RankEstimate(
         ks=ks,
         epsilons=epsilons,
-        heights=[tree_height(margins, eps, depth_cap) for eps in epsilons],
+        heights=[int(np.count_nonzero(separates(peaks, eps))) for eps in epsilons],
         depth_cap=depth_cap,
         index_bound=index_bound,
         probe_label=probes.label,

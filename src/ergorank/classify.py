@@ -42,7 +42,6 @@ from .operators import (
     CapExceededError,
     OperatorSpec,
     ProbeSet,
-    _l2_norm_power_iteration,
     column_norms,
     matrix_norm,
 )
@@ -71,8 +70,11 @@ BOUND_SLACK = 1e-9
 #: Tail grid sizes for the lower bound on the tail diameter.
 _TAIL_GRID = {FAMILY_ERGODIC: 65, FAMILY_UNIFORMLY_ERGODIC: 33}
 
-#: Exact l2 matrix norms are computed by SVD up to this dimension; above
-#: it, upper bounds use sqrt(l1 * linf) and lower bounds power iteration.
+#: l2 matrix norms read at every scanned step (upper bounds) or on every
+#: pair of the tail grid (the grid diameter) are exact SVDs up to this
+#: dimension; above it, upper bounds use sqrt(l1 * linf) and the grid is
+#: skipped.  Lower bounds read at a few steps (a dense witness, the dyadic
+#: gaps) are `matrix_norm`, an exact SVD, at every dimension.
 _L2_EXACT_DIM = 32
 
 
@@ -161,12 +163,6 @@ def _mat_norm_ub(mat, norm_tag, dim):
     if norm_tag != "l2" or dim <= _L2_EXACT_DIM:
         return matrix_norm(mat, norm_tag)
     return math.sqrt(matrix_norm(mat, "l1") * matrix_norm(mat, "linf"))
-
-
-def _mat_norm_lb(mat, norm_tag, dim):
-    if norm_tag != "l2" or dim <= _L2_EXACT_DIM:
-        return matrix_norm(mat, norm_tag)
-    return _l2_norm_power_iteration(mat)
 
 
 # -- one pass over the means ---------------------------------------------
@@ -379,7 +375,7 @@ def _cb_dense_verdict(spec: OperatorSpec, scan: _Scan) -> Verdict:
     )
     if verdict.status == FAILS:
         n, _, A = scan.means.hit
-        lb = _mat_norm_lb(A, spec.norm_tag, spec.dim)
+        lb = matrix_norm(A, spec.norm_tag)
         if lb > scan.means.cap:
             verdict.witness = {"mode": "dense", "n": n, "value": lb, "cap": scan.means.cap}
         else:
@@ -442,7 +438,7 @@ def _gap_norm(spec: OperatorSpec, mode: str | None):
     column, itself an operator-norm lower bound (``probe-lb``)."""
     tag = spec.norm_tag
     if mode == "dense":
-        return lambda X: _mat_norm_lb(X, tag, spec.dim)
+        return lambda X: matrix_norm(X, tag)
     if mode == "probe-lb":
         return lambda X: column_norms(X, tag).max()
     return lambda X: column_norms(X, tag)
@@ -681,7 +677,7 @@ def replay_witness(
             mean = _mean_at(spec, w["n"], probes[w["probe"]][:, None])
             value = float(column_norms(mean, tag)[0])
         else:
-            value = _mat_norm_lb(_mean_at(spec, w["n"]), tag, spec.dim)
+            value = matrix_norm(_mean_at(spec, w["n"]), tag)
         return value, value > w["cap"]
 
     if "scales" in w:

@@ -30,6 +30,8 @@ import time
 
 from . import __version__
 from .certify import (
+    DEFAULT_DEPTH_CAP,
+    DEFAULT_INDEX_BOUND,
     NSE_CONSTRUCT,
     NSECertificate,
     check_certificate,
@@ -54,16 +56,13 @@ from .serialization import (
     load_json_file,
     sha256_hex,
 )
-from .tree import build_truncation, tree_to_dot
+from .tree import DEFAULT_MAX_NODES, build_truncation, tree_to_dot
 
 REPORT_SCHEMA = "ergorank-report-v1"
 
 DEFAULT_HORIZON = 10_000
 DEFAULT_TOLERANCE = 1e-2
 DEFAULT_BOUND_CAP = 1e3
-DEFAULT_DEPTH_CAP = 4
-DEFAULT_INDEX_BOUND = 32
-DEFAULT_MAX_NODES = 200_000
 DEFAULT_NSE_EPSILON = 0.5
 
 EXIT_OK = 0
@@ -295,6 +294,24 @@ def cmd_gallery(args) -> int:
     return EXIT_OK
 
 
+def _positive(convert):
+    """An argparse `type` that converts with `convert` and rejects values
+    that are not positive, so they exit with EXIT_INVALID and a usage line."""
+
+    def parse(text: str):
+        value = convert(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        return value
+
+    parse.__name__ = convert.__name__
+    return parse
+
+
+_POSITIVE_INT = _positive(int)
+_POSITIVE_FLOAT = _positive(float)
+
+
 def _add_probe_args(parser) -> None:
     parser.add_argument(
         "--probes",
@@ -318,18 +335,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="run all checks and emit a JSON report")
     p.add_argument("spec", help="operator spec JSON file")
-    p.add_argument("--horizon", type=int, default=DEFAULT_HORIZON)
-    p.add_argument("--tol", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--bound-cap", type=float, default=DEFAULT_BOUND_CAP)
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
-    p.add_argument("--index-bound", type=int, default=DEFAULT_INDEX_BOUND)
+    p.add_argument("--horizon", type=_POSITIVE_INT, default=DEFAULT_HORIZON)
+    p.add_argument("--tol", type=_POSITIVE_FLOAT, default=DEFAULT_TOLERANCE)
+    p.add_argument("--bound-cap", type=_POSITIVE_FLOAT, default=DEFAULT_BOUND_CAP)
+    p.add_argument("--depth-cap", type=_POSITIVE_INT, default=DEFAULT_DEPTH_CAP)
+    p.add_argument("--index-bound", type=_POSITIVE_INT, default=DEFAULT_INDEX_BOUND)
     p.add_argument(
         "--ue-horizon",
-        type=int,
+        type=_POSITIVE_INT,
         default=None,
         help="horizon for the norm-level check (default min(256, horizon))",
     )
-    p.add_argument("--nse-epsilon", type=float, default=DEFAULT_NSE_EPSILON)
+    p.add_argument("--nse-epsilon", type=_POSITIVE_FLOAT, default=DEFAULT_NSE_EPSILON)
     p.add_argument("--out", default=None, help="write the report here instead of stdout")
     p.add_argument("--no-cache", action="store_true", help="skip the report cache")
     _add_probe_args(p)
@@ -337,10 +354,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("certify", help="search for a separation certificate")
     p.add_argument("spec")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--epsilon", type=_POSITIVE_FLOAT, required=True)
+    p.add_argument("--depth", type=_POSITIVE_INT, required=True)
     p.add_argument("--strategy", choices=("doubling", "beam"), default="doubling")
-    p.add_argument("--index-bound", type=int, default=None)
+    p.add_argument("--index-bound", type=_POSITIVE_INT, default=None)
     p.add_argument("--out", default=None)
     _add_probe_args(p)
     p.set_defaults(func=cmd_certify)
@@ -351,10 +368,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="enumerate a separation-tree truncation")
     p.add_argument("spec")
-    p.add_argument("--epsilon", type=float, required=True)
-    p.add_argument("--depth-cap", type=int, default=DEFAULT_DEPTH_CAP)
-    p.add_argument("--index-bound", type=int, default=DEFAULT_INDEX_BOUND)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_MAX_NODES)
+    p.add_argument("--epsilon", type=_POSITIVE_FLOAT, required=True)
+    p.add_argument("--depth-cap", type=_POSITIVE_INT, default=DEFAULT_DEPTH_CAP)
+    p.add_argument("--index-bound", type=_POSITIVE_INT, default=DEFAULT_INDEX_BOUND)
+    p.add_argument("--max-nodes", type=_POSITIVE_INT, default=DEFAULT_MAX_NODES)
     p.add_argument("--out", default=None)
     p.add_argument("--dot", default=None, help="also write a Graphviz rendering here")
     _add_probe_args(p)

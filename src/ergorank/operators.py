@@ -230,39 +230,6 @@ def matrix_norm(mat: np.ndarray, norm_tag: str) -> float:
     raise ValueError(f"unknown norm tag {norm_tag!r}")
 
 
-def _l2_norm_power_iteration(mat: np.ndarray, rtol: float = 1e-10, max_iter: int = 10_000) -> float:
-    """Largest singular value by power iteration on M^T M.
-
-    Runs a handful of seeded restarts and keeps the best Rayleigh estimate;
-    iteration stops once the estimate is stable to `rtol`.
-    """
-    d = mat.shape[1]
-    gram = mat.T @ mat
-    rng = np.random.default_rng(DEFAULT_SEED)
-    best = 0.0
-    for _ in range(4):
-        v = rng.standard_normal(d)
-        nv = np.linalg.norm(v)
-        if nv == 0.0:
-            continue
-        v /= nv
-        sigma_sq = 0.0
-        for _ in range(max_iter):
-            w = gram @ v
-            nw = np.linalg.norm(w)
-            if nw == 0.0:
-                sigma_sq = 0.0
-                break
-            v = w / nw
-            new_sigma_sq = float(v @ (gram @ v))
-            if abs(new_sigma_sq - sigma_sq) <= rtol * max(new_sigma_sq, 1e-300):
-                sigma_sq = new_sigma_sq
-                break
-            sigma_sq = new_sigma_sq
-        best = max(best, math.sqrt(max(sigma_sq, 0.0)))
-    return best
-
-
 # -- probe sets ----------------------------------------------------------
 
 

@@ -17,9 +17,11 @@ the consecutive margins along one chain, the one number that the
 certificate searches and the certificate checker both read;
 `margin_tensor` gives the epsilon-independent margins of every pair, and
 `separates` is the one separation rule applied to either.  A member needs
-a single probe that separates every consecutive pair, so per probe the
-tree height is a longest path in the DAG {n -> m : separates(margin(n, m))};
-`tree_height` finds it by dynamic programming without listing nodes.
+a single probe that separates every consecutive pair, so a chain separates
+exactly when its minimum margin does.  `best_chains` finds the largest
+minimum margin over the chains of each length by dynamic programming,
+without listing nodes, and no epsilon enters it: the tree height at any
+epsilon is the number of lengths whose best chain separates.
 `build_truncation` lists the members, bounded by a depth cap, an index
 bound and a node budget; `partial` is set when the budget cuts the walk
 short.
@@ -40,6 +42,9 @@ from .operators import OperatorSpec, ProbeSet, column_norms
 #: would mint spurious members from it; the slack matches the certificate
 #: checker's recomputation tolerance and is far above that dust.
 SEPARATION_SLACK = 1e-9
+
+#: Members `build_truncation` lists before it stops and marks the walk partial.
+DEFAULT_MAX_NODES = 200_000
 
 
 def separates(margins: np.ndarray, epsilon: float) -> np.ndarray:
@@ -132,24 +137,20 @@ def margin_tensor(spec: OperatorSpec, probes: ProbeSet, index_bound: int) -> np.
     return margins
 
 
-def tree_height(margins: np.ndarray, epsilon: float, depth_cap: int) -> int:
-    """Height of the tree at separation `epsilon` over a `margin_tensor`,
-    capped at `depth_cap`: what `truncated_height` reports for a complete
-    `build_truncation` with the same caps.
+def best_chains(margins: np.ndarray, depth: int) -> np.ndarray:
+    """Largest minimum margins over the chains of a `margin_tensor`.
 
-    Backward dynamic programming over n, vectorised over probes:
-    longest[n, q] is the longest chain starting at n whose consecutive
-    pairs probe q all separates.
+    Returns a (depth + 1, B + 1, p) array: best[d, n, q] is the largest
+    minimum consecutive margin under probe q over chains of d + 1 indices
+    that start at n; +inf at d = 0 and -inf where no chain exists.  It
+    never grows with d, since a chain's prefixes have no smaller minimum.
+    Dynamic programming over d, vectorised over n and probes:
+    best[d + 1, n] is the max over m of min(margins[n, m], best[d, m]).
     """
-    if depth_cap < 1:
-        raise ValueError(f"depth_cap must be >= 1, got {depth_cap}")
-    separated = separates(margins, epsilon)
-    longest = np.zeros(margins.shape[1:], dtype=np.int64)
-    for n in range(margins.shape[0] - 1, 0, -1):
-        # separated[n, m] is False for m <= n, whose entries are still 0.
-        extension = np.where(separated[n], longest, 0).max(axis=0)
-        longest[n] = np.minimum(extension + 1, depth_cap)
-    return int(longest.max())
+    best = [np.full(margins.shape[1:], np.inf)]
+    for _ in range(depth):
+        best.append(np.minimum(margins, best[-1][None, :, :]).max(axis=1))
+    return np.stack(best)
 
 
 def build_truncation(
@@ -158,7 +159,7 @@ def build_truncation(
     depth_cap: int,
     index_bound: int,
     probes: ProbeSet,
-    max_nodes: int = 200_000,
+    max_nodes: int = DEFAULT_MAX_NODES,
 ) -> TreeTruncation:
     """Depth-first enumeration of member nodes with indices <= index_bound
     and length <= depth_cap, stopped after `max_nodes` members.

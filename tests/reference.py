@@ -3,7 +3,8 @@
 `direct_mean` sums the powers T^k x one by one, independently of the
 Cesaro recurrence.  `node_member` decides tree membership of one index
 chain from its `chain_margins`, independently of the dynamic programming
-behind `tree_height`, the beam search and `build_truncation`.
+behind `best_chains`, the rank heights, the beam search and
+`build_truncation`.
 """
 
 from __future__ import annotations

@@ -204,7 +204,7 @@ def test_checker_rejection_reasons():
     assert not r.accepted and "overflows" in r.reason
 
 
-def test_checker_margin_tolerance_boundary():
+def test_checker_margin_atol_boundary():
     _, _, cert = _shift_cert()
     data = cert.to_json_dict()
     data["margins"] = [list(row) for row in data["margins"]]

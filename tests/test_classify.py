@@ -14,15 +14,19 @@ from ergorank.classify import (
     check_uniformly_ergodic,
     replay_witness,
     trusted_horizon,
+    _L2_EXACT_DIM,
     _int_bound,
 )
+from ergorank.cesaro import CesaroStream
 from ergorank.operators import (
+    KIND_DENSE,
     KIND_DIAGONAL,
     KIND_SHIFT,
     OperatorSpec,
     basis_probes,
     default_probes,
     gallery,
+    matrix_norm,
 )
 
 
@@ -92,6 +96,20 @@ def test_cb_modes_agree_on_jordan():
     for v in (dense, probe):
         val, still = replay_witness(spec, v, probes)
         assert still and val == pytest.approx(v.witness["value"], rel=1e-9)
+
+
+def test_cb_dense_l2_witness_above_the_exact_dim():
+    # 1.1 times a cyclic shift: every mean has l2 norm sqrt(l1 * linf), so
+    # the upper bound crossing the cap is confirmed by the lower bound.
+    dim = _L2_EXACT_DIM + 8
+    spec = OperatorSpec(KIND_DENSE, dim, 1.1 * np.roll(np.eye(dim), 1, axis=0), "l2")
+    probes = default_probes(spec)
+    v = check_cesaro_bounded(spec, probes, 400, mode="dense")
+    assert v.status == FAILS and v.witness["mode"] == "dense"
+    n = v.witness["n"]
+    assert v.witness["value"] == matrix_norm(CesaroStream(spec).means_at([n])[n], "l2")
+    val, still = replay_witness(spec, v, probes)
+    assert still and val == v.witness["value"]
 
 
 def test_cb_auto_mode_selection():

@@ -240,3 +240,35 @@ def test_missing_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "command, option, value",
+    [
+        ("analyze", "--depth-cap", "0"),
+        ("analyze", "--index-bound", "0"),
+        ("analyze", "--horizon", "0"),
+        ("analyze", "--tol", "0"),
+        ("analyze", "--ue-horizon", "0"),
+        ("analyze", "--nse-epsilon", "0"),
+        ("analyze", "--bound-cap", "0"),
+        ("analyze", "--tol", "nan"),
+        ("tree", "--epsilon", "-1"),
+        ("tree", "--max-nodes", "0"),
+        ("tree", "--depth-cap", "0"),
+        ("certify", "--depth", "0"),
+        ("certify", "--epsilon", "0"),
+        ("certify", "--index-bound", "0"),
+    ],
+)
+def test_non_positive_numbers_exit_with_usage_error(tmp_path, capsys, command, option, value):
+    # Invalid input exits 2 with a usage line, not a traceback and exit 1
+    # ("certificate not found").
+    spec_path = _write_spec(tmp_path, "identity(8)")
+    required = {"tree": ["--epsilon", "0.5"], "certify": ["--epsilon", "0.5", "--depth", "2"]}
+    argv = [command, spec_path, "--no-cache"] if command == "analyze" else [command, spec_path]
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, *required.get(command, []), option, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: ") and f"argument {option}: must be positive" in err

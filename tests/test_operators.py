@@ -20,7 +20,6 @@ from ergorank.operators import (
     default_probes,
     gallery,
     matrix_norm,
-    _l2_norm_power_iteration,
 )
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
@@ -156,16 +155,6 @@ def test_matrix_norm_hand_values():
     assert matrix_norm(m, "l1") == 6.0  # max column abs sum
     assert matrix_norm(m, "linf") == 7.0  # max row abs sum
     assert matrix_norm(m, "l2") == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
-
-
-@given(st.integers(0, 2 ** 31 - 1), st.integers(1, 24))
-def test_power_iteration_matches_svd(seed, dim):
-    rng = np.random.default_rng(seed)
-    m = rng.standard_normal((dim, dim))
-    want = np.linalg.norm(m, 2)
-    got = _l2_norm_power_iteration(m)
-    assert got == pytest.approx(want, rel=1e-8, abs=1e-10)
-    assert got <= want * (1 + 1e-10)
 
 
 def _operator_norm(spec):

@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ergorank.operators import (
     KIND_DENSE,
@@ -13,6 +14,7 @@ from ergorank.operators import (
 )
 from ergorank.tree import (
     TreeTruncation,
+    best_chains,
     build_truncation,
     tree_to_dot,
     truncated_height,
@@ -170,3 +172,38 @@ def test_prefix_closure_and_antitonicity_random_specs(rng):
                 assert ",".join(map(str, seq[:-1])) in members_hi
         # membership is antitone in epsilon
         assert members_hi <= members_lo
+
+
+# -- best chains against brute force --------------------------------------
+
+
+def _brute_force_best(margins, depth, n, q):
+    """The largest minimum margin over every increasing chain of depth + 1
+    indices <= B that starts at n, listed one by one."""
+    if depth == 0:
+        return np.inf
+    bound = margins.shape[0] - 1
+    best = -np.inf
+    for rest in itertools.combinations(range(n + 1, bound + 1), depth):
+        chain = (n, *rest)
+        best = max(best, min(margins[a, b, q] for a, b in zip(chain, chain[1:])))
+    return best
+
+
+@given(
+    st.integers(0, 2 ** 32 - 1), st.integers(1, 8), st.integers(1, 3), st.integers(0, 4)
+)
+@settings(max_examples=60)
+def test_best_chains_match_brute_force(seed, bound, probes, depth):
+    # Few distinct values, so ties are common; -inf cells are pairs that no
+    # probe reached, and every pair outside 1 <= n < m <= B is -inf, as in
+    # a margin tensor.
+    rng = np.random.default_rng(seed)
+    values = rng.choice([-np.inf, 0.0, 0.25, 0.5, 1.0, 2.0], size=(bound + 1, bound + 1, probes))
+    upper = np.triu(np.ones((bound + 1, bound + 1), dtype=bool), k=1)
+    upper[0] = False
+    margins = np.where(upper[:, :, None], values, -np.inf)
+    best = best_chains(margins, depth)
+    assert best.shape == (depth + 1, bound + 1, probes)
+    for d, n, q in itertools.product(range(depth + 1), range(bound + 1), range(probes)):
+        assert best[d, n, q] == _brute_force_best(margins, d, n, q)
