@@ -10,7 +10,7 @@ One vector is a (dim, 1) block of a `CesaroStream`.
 import numpy as np
 
 from ergorank.cesaro import CesaroStream
-from ergorank.operators import apply_columns, as_dense, gallery
+from ergorank.operators import apply_columns, gallery
 from ergorank.tree import chain_margins
 
 
@@ -28,7 +28,7 @@ def main():
     x = rng.standard_normal(6)
     x /= np.linalg.norm(x)
     means, _ = means_of(spec, x, 200)
-    mat = as_dense(spec)
+    mat = apply_columns(spec, np.eye(spec.dim))
     s, power = x.copy(), mat @ x
     worst = 0.0
     for n in range(1, 201):

@@ -11,7 +11,7 @@ read), separation-tree truncations (`build_truncation`), and replayable
 non-convergence certificates (`search_nse`, `check_certificate`).
 """
 
-__version__ = "0.2.1"
+__version__ = "0.2.2"
 
 from .operators import (
     OperatorSpec,
@@ -20,7 +20,6 @@ from .operators import (
     DimensionMismatchError,
     CapExceededError,
     apply_columns,
-    as_dense,
     matrix_norm,
     basis_probes,
     default_probes,
@@ -71,7 +70,6 @@ __all__ = [
     "DimensionMismatchError",
     "CapExceededError",
     "apply_columns",
-    "as_dense",
     "matrix_norm",
     "basis_probes",
     "default_probes",

@@ -7,19 +7,18 @@ they are computed: it steps the running-mean recurrence
     A_(n+1) X = (n A_n X + T^n X) / (n+1)
 
 with the power cursor P_n = T^n X, and applies the overflow policy to every
-cursor it produces.  Probe blocks step with `apply_columns`; dense mode
-(X = I) steps the dense matrix power by right multiplication.  A stream can
-resume from any (n, A_n, P_n) it yielded, so a tail can be re-scanned
-without replaying its prefix.  Everything that needs means reads them
-from a stream: one vector is a (dim, 1) block, and the dense A_1..A_N
-are the dense-mode run.
+cursor it produces.  Every block steps the same way, by `apply_columns`.
+A stream can resume from any (n, A_n, P_n) it yielded, so a tail can be
+re-scanned without replaying its prefix.  Everything that needs means
+reads them from a stream: one vector is a (dim, 1) block, and the dense
+A_1..A_N are the stream of the identity block, X = I.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .operators import OperatorSpec, apply_columns, as_dense, column_norms
+from .operators import OperatorSpec, apply_columns, column_norms
 
 #: Column norms of a power beyond this are treated as divergence and stop
 #: the stream.  The limit leaves headroom so norms (and norms of
@@ -40,14 +39,8 @@ class CesaroStream:
     consumer may keep them as snapshots or as a checkpoint for `run`.
     """
 
-    def __init__(self, spec: OperatorSpec, X: np.ndarray | None = None):
+    def __init__(self, spec: OperatorSpec, X: np.ndarray):
         self.spec = spec
-        if X is None:
-            t = as_dense(spec)
-            self._step = lambda C: C @ t
-            X = np.eye(spec.dim)
-        else:
-            self._step = lambda C: apply_columns(spec, C)
         self.X = X
         self.diverged_at: int | None = None
         self.power_norms: np.ndarray | None = None
@@ -59,7 +52,8 @@ class CesaroStream:
             raise ValueError(f"horizon must be >= 1, got {horizon}")
         if start is None:
             # C order keeps every column-norm reduction in one summation order.
-            start = (1, np.ascontiguousarray(self.X), np.ascontiguousarray(self._step(self.X)))
+            P = apply_columns(self.spec, self.X)
+            start = (1, np.ascontiguousarray(self.X), np.ascontiguousarray(P))
         n, A, P = start
         self.diverged_at = None
         while True:
@@ -74,7 +68,7 @@ class CesaroStream:
             if self.diverged_at is not None or n >= horizon:
                 return
             A = (n * A + P) / (n + 1)
-            P = self._step(P)
+            P = apply_columns(self.spec, P)
             n += 1
 
     def means_at(self, indices) -> dict[int, np.ndarray]:

@@ -126,10 +126,10 @@ def _int_bound(max_value: float) -> int:
     return max(0, math.ceil(max_value - BOUND_SLACK))
 
 
-def _growth_fails(values: np.ndarray, first_step: int, cap: float, diverged: bool) -> bool:
+def _growth_fails(values: np.ndarray, first: int, cap: float, diverged: bool) -> bool:
     """Divergence heuristic on a per-step maxima series.
 
-    `values[i]` is the step (first_step + i) maximum.  Requires the overall
+    `values[i]` is the step (first + i) maximum.  Requires the overall
     max to exceed `cap` and, unless the scan overflowed outright, the
     running max to grow by GROWTH_FACTOR from the quarter-horizon mark
     while strictly increasing past it.
@@ -141,9 +141,9 @@ def _growth_fails(values: np.ndarray, first_step: int, cap: float, diverged: boo
         return False
     if diverged:
         return True
-    last_step = first_step + values.size - 1
-    q_step = max(first_step, last_step // 4)
-    q_pos = q_step - first_step
+    last = first + values.size - 1
+    quarter = max(first, last // 4)
+    q_pos = quarter - first
     if running[-1] < GROWTH_FACTOR * running[q_pos]:
         return False
     window = running[q_pos:]
@@ -233,7 +233,7 @@ def _probe_scan(spec, probes, horizon, bound_cap, wanted=(), checkpoint_at=None)
 
 def _dense_scan(spec, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _Scan:
     return _scan(
-        CesaroStream(spec), horizon, bound_cap,
+        CesaroStream(spec, np.eye(spec.dim)), horizon, bound_cap,
         lambda A: np.float64(_mat_norm_ub(A, spec.norm_tag, spec.dim)),
         False, wanted, checkpoint_at,
     )
@@ -317,7 +317,7 @@ def _grid_diameter(snapshots, grid, norm, initial):
 # -- bounded families ----------------------------------------------------
 
 
-def _bounded_verdict(family, maxima, first_step, scan, witness, label, evidence) -> Verdict:
+def _bounded_verdict(family, maxima, first, scan, witness, label, evidence) -> Verdict:
     """holds with the integer bound when every step stayed under the cap
     and the scan reached the horizon; fails on sustained growth (or
     overflow) above the cap; inconclusive otherwise."""
@@ -329,7 +329,7 @@ def _bounded_verdict(family, maxima, first_step, scan, witness, label, evidence)
         return Verdict(
             family, HOLDS, scan.horizon, None, _int_bound(overall), None, label, evidence
         )
-    if _growth_fails(values, first_step, maxima.cap, diverged):
+    if _growth_fails(values, first, maxima.cap, diverged):
         return Verdict(family, FAILS, scan.horizon, None, None, witness, label, evidence)
     return Verdict(family, INCONCLUSIVE, scan.horizon, None, None, None, label, evidence)
 
@@ -411,7 +411,7 @@ def check_cesaro_bounded(
     for n = 1..horizon.
 
     Mode ``auto`` picks dense only when it is cheap (dim <= 32 and horizon
-    <= 1024); dense mode is exact but materializes matrices.
+    <= 1024); dense mode is exact but steps the (dim, dim) identity block.
     """
     _require_positive("horizon", horizon)
     _require_positive("bound_cap", bound_cap)
@@ -549,10 +549,11 @@ def check_uniformly_ergodic(
 ) -> Verdict:
     """Norm-level Cauchy check of the means over the tail [N/2, N].
 
-    For dim <= `DENSE_CAP` the matrices A_n are materialized: gaps read
-    norm lower bounds, the tail radius upper bounds, and the dense
-    Cesaro-bounded verdict gates ``holds``.  Above the cap only probe lower
-    bounds on ||A_n - A_m|| are available, so ``holds`` is unreachable there.
+    For dim <= `DENSE_CAP` the stream of the identity block gives the
+    matrices A_n themselves: gaps read norm lower bounds, the tail radius
+    upper bounds, and the dense Cesaro-bounded verdict gates ``holds``.
+    Above the cap only probe lower bounds on ||A_n - A_m|| are available,
+    so ``holds`` is unreachable there.
     """
     _require_positive("horizon", horizon)
     _require_positive("tolerance", tolerance)
@@ -632,8 +633,8 @@ def check_families(
 # -- witness replay ------------------------------------------------------
 
 
-def _mean_at(spec: OperatorSpec, n: int, X: np.ndarray | None = None) -> np.ndarray:
-    """A_n X (the dense A_n when X is None)."""
+def _mean_at(spec: OperatorSpec, n: int, X: np.ndarray) -> np.ndarray:
+    """A_n X (the dense A_n when X is the identity)."""
     means = CesaroStream(spec, X).means_at([n])
     if n not in means:
         raise ValueError(f"the means stop before index {n}: the powers overflow")
@@ -677,16 +678,17 @@ def replay_witness(
             mean = _mean_at(spec, w["n"], probes[w["probe"]][:, None])
             value = float(column_norms(mean, tag)[0])
         else:
-            value = matrix_norm(_mean_at(spec, w["n"]), tag)
+            value = matrix_norm(_mean_at(spec, w["n"], np.eye(spec.dim)), tag)
         return value, value > w["cap"]
 
     if "scales" in w:
         scales = w["scales"]
         mode = w.get("mode")
-        X = None
-        if mode != "dense":
-            if probes is None:
-                raise ValueError("this witness references probes; pass the probe set")
+        if mode == "dense":
+            X = np.eye(spec.dim)
+        elif probes is None:
+            raise ValueError("this witness references probes; pass the probe set")
+        else:
             X = probes.vectors.T if mode == "probe-lb" else probes[w["probe"]][:, None]
         g = _gaps(CesaroStream(spec, X).means_at(scales), scales, _gap_norm(spec, mode))
         if g is None:

@@ -41,7 +41,6 @@ from .certify import (
 from .classify import check_families, trusted_horizon
 from .operators import (
     DEFAULT_SEED,
-    KIND_SHIFT,
     OperatorSpec,
     SpecValidationError,
     basis_probes,
@@ -131,7 +130,7 @@ def build_report(spec: OperatorSpec, config: dict) -> dict:
     norm_trusted = {
         "requested_horizon": ue_requested,
         "trusted_horizon": ue_trusted,
-        "section_only_beyond": spec.kind == KIND_SHIFT and ue_trusted < ue_requested,
+        "section_only_beyond": ue_trusted < ue_requested,
         "section_verdict": (
             families.section.to_json_dict() if families.section is not None else None
         ),
@@ -294,14 +293,17 @@ def cmd_gallery(args) -> int:
     return EXIT_OK
 
 
-def _positive(convert):
+def _positive(convert, allow_zero=False):
     """An argparse `type` that converts with `convert` and rejects values
-    that are not positive, so they exit with EXIT_INVALID and a usage line."""
+    that are not positive (negative, with `allow_zero`), so they exit with
+    EXIT_INVALID and a usage line."""
 
     def parse(text: str):
         value = convert(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text!r}")
+        if not (value >= 0 if allow_zero else value > 0):
+            raise argparse.ArgumentTypeError(
+                f"must be {'non-negative' if allow_zero else 'positive'}, got {text!r}"
+            )
         return value
 
     parse.__name__ = convert.__name__
@@ -310,6 +312,7 @@ def _positive(convert):
 
 _POSITIVE_INT = _positive(int)
 _POSITIVE_FLOAT = _positive(float)
+_NON_NEGATIVE_INT = _positive(int, allow_zero=True)
 
 
 def _add_probe_args(parser) -> None:
@@ -320,7 +323,7 @@ def _add_probe_args(parser) -> None:
         help="probe family: canonical basis plus seeded random (default) or basis only",
     )
     parser.add_argument(
-        "--seed", type=int, default=DEFAULT_SEED, help="seed for the random probes"
+        "--seed", type=_NON_NEGATIVE_INT, default=DEFAULT_SEED, help="seed for the random probes"
     )
 
 

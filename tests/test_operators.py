@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ergorank.operators import (
     KIND_DENSE,
@@ -13,7 +13,6 @@ from ergorank.operators import (
     ProbeSet,
     SpecValidationError,
     apply_columns,
-    as_dense,
     basis_probes,
     built_in_gallery,
     column_norms,
@@ -21,6 +20,7 @@ from ergorank.operators import (
     gallery,
     matrix_norm,
 )
+from reference import add_at_apply, as_dense
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
 
@@ -123,6 +123,42 @@ def test_apply_matches_dense(spec, seed):
     assert np.allclose(apply_columns(spec, x), as_dense(spec) @ x, atol=1e-12)
     X = rng.standard_normal((spec.dim, 3))
     assert np.allclose(apply_columns(spec, X), as_dense(spec) @ X, atol=1e-12)
+
+
+@st.composite
+def _sparse_case(draw):
+    """A sparse spec (no triplets, a full row, a full column, or random
+    cells, in shuffled order) and a column block of width 1..dim.  Values
+    span many magnitudes and include signed zeros, so any change in the
+    order of a row's sum shows in the bits."""
+    dim = draw(st.integers(1, 8))
+    layout = draw(st.sampled_from(["empty", "full_row", "full_column", "random"]))
+    line = draw(st.integers(0, dim - 1))
+    if layout == "empty":
+        cells = []
+    elif layout == "full_row":
+        cells = [(line, c) for c in range(dim)]
+    elif layout == "full_column":
+        cells = [(r, line) for r in range(dim)]
+    else:
+        cells = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
+                              unique=True, max_size=dim * dim))
+    cells = draw(st.permutations(cells))
+    value = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+    vals = draw(st.lists(value, min_size=len(cells), max_size=len(cells)))
+    spec = OperatorSpec(KIND_SPARSE, dim, [[r, c, v] for (r, c), v in zip(cells, vals)], "l1")
+    width = draw(st.integers(1, dim))
+    block = draw(st.lists(value, min_size=dim * width, max_size=dim * width))
+    return spec, np.array(block).reshape(dim, width)
+
+
+@given(_sparse_case())
+@settings(max_examples=300)
+def test_sparse_kernel_matches_add_at_bitwise(case):
+    spec, X = case
+    got, want = apply_columns(spec, X), add_at_apply(spec, X)
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def test_apply_dimension_mismatch():

@@ -13,7 +13,6 @@ from ergorank.operators import (
     gallery,
 )
 from ergorank.tree import (
-    TreeTruncation,
     best_chains,
     build_truncation,
     tree_to_dot,
@@ -115,19 +114,6 @@ def test_budget_marks_partial():
     full = build_truncation(spec, 0.25, depth_cap=4, index_bound=16, probes=probes)
     assert not full.partial
     assert trunc.members == full.members[:5]
-
-
-def test_truncation_json_round_trip():
-    spec = gallery("zero(4)")
-    probes = default_probes(spec)
-    trunc = build_truncation(spec, 0.5, depth_cap=3, index_bound=8, probes=probes)
-    again = TreeTruncation.from_json_dict(trunc.to_json_dict())
-    assert again.members == trunc.members
-    assert again.witnesses == trunc.witnesses
-    assert again.epsilon == trunc.epsilon
-    assert again.partial == trunc.partial
-    with pytest.raises(ValueError, match="missing"):
-        TreeTruncation.from_json_dict({"epsilon": 0.5})
 
 
 def test_dot_rendering():
