@@ -13,14 +13,18 @@ are one Cauchy test of the means, read per probe (strong topology) or in
 operator norm, and one reducer, `_tail_verdict`, decides both: it certifies
 a small tail diameter over [N/2, N] via the radius bound
 diam <= 2 * max_n ||A_n - A_N||, and treats a non-decaying gap at the three
-dyadic scales (N/4, N/2, N) as divergence evidence.
+dyadic scales (N/4, N/2, N) as divergence evidence.  The radius is also a
+lower bound on the diameter wherever it is read in an exact norm, so every
+tail is bracketed in [radius, 2 * radius].
 
 Every check is a reducer over one pass of `CesaroStream`, with norms
 reduced per step; the tail radius re-runs only [N/2, N] from a checkpoint.
-`check_families` reads the power-bounded, Cesaro-bounded and ergodic
-verdicts off a single shared probe pass.  No ``holds`` comes from a scan
-that the overflow guard stopped, nor from a tail with fewer than two
-indices.
+The scan mode (``probe``, ``dense`` or ``probe-lb``) is the one decision
+that fixes how a pass reads its norms: `_mode_norms` gives the per-step,
+gap and radius readers of each mode.  `check_families` reads the
+power-bounded, Cesaro-bounded and ergodic verdicts off a single shared
+probe pass.  No ``holds`` comes from a scan that the overflow guard
+stopped, nor from a tail with fewer than two indices.
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -67,13 +71,10 @@ DECAY_RATIO = 0.75
 #: a true bound of k up to k + 1.
 BOUND_SLACK = 1e-9
 
-#: Tail grid sizes for the lower bound on the tail diameter.
-_TAIL_GRID = {FAMILY_ERGODIC: 65, FAMILY_UNIFORMLY_ERGODIC: 33}
-
-#: l2 matrix norms read at every scanned step (upper bounds) or on every
-#: pair of the tail grid (the grid diameter) are exact SVDs up to this
-#: dimension; above it, upper bounds use sqrt(l1 * linf) and the grid is
-#: skipped.  Lower bounds read at a few steps (a dense witness, the dyadic
+#: Dense l2 norms read at every scanned step and on the tail radius are
+#: exact SVDs up to this dimension; above it they are the upper bound
+#: sqrt(l1 * linf), and the radius is then no lower bound on the tail
+#: diameter.  Lower bounds read at a few steps (a dense witness, the dyadic
 #: gaps) are `matrix_norm`, an exact SVD, at every dimension.
 _L2_EXACT_DIM = 32
 
@@ -159,10 +160,28 @@ def _check_probes(spec: OperatorSpec, probes: ProbeSet) -> None:
         )
 
 
-def _mat_norm_ub(mat, norm_tag, dim):
-    if norm_tag != "l2" or dim <= _L2_EXACT_DIM:
-        return matrix_norm(mat, norm_tag)
-    return math.sqrt(matrix_norm(mat, "l1") * matrix_norm(mat, "linf"))
+def _mode_norms(spec: OperatorSpec, mode: str):
+    """The (step, gap, radius) norm readers of a scan mode; None for what
+    the mode does not read.
+
+    ``probe`` reads every norm per probe column.  ``dense`` reads the
+    matrices A_n: per-step and radius norms are upper bounds (exact but for
+    l2 above `_L2_EXACT_DIM`), the dyadic gaps exact lower bounds.
+    ``probe-lb`` reads only gaps, as the largest probe column, itself a
+    lower bound on the operator norm.  The radius is exact exactly when it
+    is the gap reader.
+    """
+    tag = spec.norm_tag
+    if mode == "probe":
+        cols = lambda X: column_norms(X, tag)
+        return cols, cols, cols
+    if mode == "probe-lb":
+        return None, lambda X: column_norms(X, tag).max(), None
+    exact = lambda X: matrix_norm(X, tag)
+    radius = exact
+    if tag == "l2" and spec.dim > _L2_EXACT_DIM:
+        radius = lambda X: math.sqrt(matrix_norm(X, "l1") * matrix_norm(X, "linf"))
+    return (lambda X: np.float64(radius(X))), exact, radius
 
 
 # -- one pass over the means ---------------------------------------------
@@ -204,17 +223,22 @@ class _Scan:
     checkpoint: tuple | None = None
 
 
-def _scan(stream, horizon, bound_cap, mean_norm=None, powers=False, wanted=(), checkpoint_at=None) -> _Scan:
-    means = None if mean_norm is None else _Maxima(bound_cap)
-    scan = _Scan(stream, horizon, means, _Maxima(bound_cap) if powers else None)
+def _scan(spec, X, mode, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _Scan:
+    """One pass of the stream of X, reading norms as `mode` says; power
+    maxima are tracked in ``probe`` mode only."""
+    step_norm = _mode_norms(spec, mode)[0]
+    stream = CesaroStream(spec, X)
+    means = None if step_norm is None else _Maxima(bound_cap)
+    powers = _Maxima(bound_cap) if mode == "probe" else None
+    scan = _Scan(stream, horizon, means, powers)
     for n, A, P in stream.run(horizon):
-        if mean_norm is not None:
-            norms = mean_norm(A)
-            scan.means.add(n, norms, A)
-        if powers:
+        if means is not None:
+            norms = step_norm(A)
+            means.add(n, norms, A)
+        if powers is not None:
             if n == 1:
-                scan.powers.add(0, norms)  # T^0 X = A_1 X
-            scan.powers.add(n, stream.power_norms)
+                powers.add(0, norms)  # T^0 X = A_1 X
+            powers.add(n, stream.power_norms)
         if n in wanted:
             scan.snapshots[n] = A
         if n == checkpoint_at:
@@ -224,34 +248,10 @@ def _scan(stream, horizon, bound_cap, mean_norm=None, powers=False, wanted=(), c
     return scan
 
 
-def _probe_scan(spec, probes, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _Scan:
-    return _scan(
-        CesaroStream(spec, probes.vectors.T), horizon, bound_cap,
-        lambda A: column_norms(A, spec.norm_tag), True, wanted, checkpoint_at,
-    )
-
-
-def _dense_scan(spec, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _Scan:
-    return _scan(
-        CesaroStream(spec, np.eye(spec.dim)), horizon, bound_cap,
-        lambda A: np.float64(_mat_norm_ub(A, spec.norm_tag, spec.dim)),
-        False, wanted, checkpoint_at,
-    )
-
-
-def _tail_plan(horizon: int, family: str):
-    """Tail start max(1, N//2), the family's sampled tail grid, the dyadic
-    scales, and every index a scan must snapshot for them."""
-    lo = max(1, horizon // 2)
-    grid = _grid_indices(lo, horizon, _TAIL_GRID[family])
-    scales = _dyadic_scales(horizon)
-    return lo, grid, scales, set(grid) | set(scales or ())
-
-
-def _grid_indices(lo: int, hi: int, count: int) -> list[int]:
-    if hi <= lo:
-        return [hi]
-    return [int(v) for v in np.unique(np.linspace(lo, hi, min(count, hi - lo + 1)).astype(int))]
+def _tail_plan(horizon: int):
+    """Tail start max(1, N//2) and the indices a scan must snapshot: the
+    dyadic scales and N."""
+    return max(1, horizon // 2), {horizon, *(_dyadic_scales(horizon) or ())}
 
 
 def _dyadic_scales(horizon: int) -> tuple[int, int, int] | None:
@@ -303,17 +303,6 @@ def _tail_holds(horizon: int, diameter_ub: float, tolerance: float) -> bool:
     return max(1, horizon // 2) < horizon and diameter_ub < tolerance
 
 
-def _grid_diameter(snapshots, grid, norm, initial):
-    """Largest norm(A_i - A_j) over the snapshotted tail grid: a lower
-    bound on the tail diameter."""
-    mats = [snapshots[g] for g in grid if g in snapshots]
-    diam = initial
-    for i in range(len(mats)):
-        for j in range(i + 1, len(mats)):
-            diam = np.maximum(diam, norm(mats[i] - mats[j]))
-    return diam
-
-
 # -- bounded families ----------------------------------------------------
 
 
@@ -334,32 +323,24 @@ def _bounded_verdict(family, maxima, first, scan, witness, label, evidence) -> V
     return Verdict(family, INCONCLUSIVE, scan.horizon, None, None, None, label, evidence)
 
 
+def _probe_witness(maxima: _Maxima, step_key: str) -> dict | None:
+    """The first probe above the cap at the first step that crossed it."""
+    if maxima.hit is None:
+        return None
+    step, norms = maxima.hit[:2]
+    probe = int(np.argmax(norms > maxima.cap))
+    return {"probe": probe, step_key: step, "value": float(norms[probe]), "cap": maxima.cap}
+
+
 def _pb_verdict(scan: _Scan, label: str) -> Verdict:
-    witness = None
-    if scan.powers.hit is not None:
-        m, norms = scan.powers.hit
-        probe_idx = int(np.argmax(norms > scan.powers.cap))
-        witness = {
-            "probe": probe_idx,
-            "power": m,
-            "value": float(norms[probe_idx]),
-            "cap": scan.powers.cap,
-        }
+    witness = _probe_witness(scan.powers, "power")
     return _bounded_verdict(FAMILY_POWER_BOUNDED, scan.powers, 0, scan, witness, label, {})
 
 
 def _cb_probe_verdict(scan: _Scan, label: str) -> Verdict:
-    witness = None
-    if scan.means.hit is not None:
-        n, norms, _ = scan.means.hit
-        probe_idx = int(np.argmax(norms > scan.means.cap))
-        witness = {
-            "mode": "probe",
-            "probe": probe_idx,
-            "n": n,
-            "value": float(norms[probe_idx]),
-            "cap": scan.means.cap,
-        }
+    witness = _probe_witness(scan.means, "n")
+    if witness is not None:
+        witness = {"mode": "probe", **witness}
     return _bounded_verdict(
         FAMILY_CESARO_BOUNDED, scan.means, 1, scan, witness, label, {"mode": "probe"}
     )
@@ -393,7 +374,7 @@ def check_power_bounded(
     _check_probes(spec, probes)
     _require_positive("horizon", horizon)
     _require_positive("bound_cap", bound_cap)
-    return _pb_verdict(_probe_scan(spec, probes, horizon, bound_cap), probes.label)
+    return _pb_verdict(_scan(spec, probes.vectors.T, "probe", horizon, bound_cap), probes.label)
 
 
 def _auto_mode(spec: OperatorSpec, horizon: int) -> str:
@@ -419,46 +400,31 @@ def check_cesaro_bounded(
         mode = _auto_mode(spec, horizon)
     if mode == "probe":
         _check_probes(spec, probes)
-        return _cb_probe_verdict(_probe_scan(spec, probes, horizon, bound_cap), probes.label)
+        scan = _scan(spec, probes.vectors.T, "probe", horizon, bound_cap)
+        return _cb_probe_verdict(scan, probes.label)
     if mode != "dense":
         raise ValueError(f"unknown mode {mode!r}, expected probe, dense, or auto")
     if spec.dim > DENSE_CAP:
         raise CapExceededError(
             f"dense Cesaro-bounded mode is capped at dim {DENSE_CAP} (got {spec.dim})"
         )
-    return _cb_dense_verdict(spec, _dense_scan(spec, horizon, bound_cap))
+    return _cb_dense_verdict(spec, _scan(spec, np.eye(spec.dim), "dense", horizon, bound_cap))
 
 
 # -- the Cauchy tail: ergodic and uniformly ergodic ----------------------
 
 
-def _gap_norm(spec: OperatorSpec, mode: str | None):
-    """The norm the dyadic gaps A_a - A_b are read in: per probe (ergodic),
-    a lower bound on the operator norm (``dense``), or the largest probe
-    column, itself an operator-norm lower bound (``probe-lb``)."""
-    tag = spec.norm_tag
-    if mode == "dense":
-        return lambda X: matrix_norm(X, tag)
-    if mode == "probe-lb":
-        return lambda X: column_norms(X, tag).max()
-    return lambda X: column_norms(X, tag)
-
-
-def _tail_verdict(
-    family, scan, cb, tolerance, label, gap_norm,
-    radius_norm=None, grid_norm=None, mode=None,
-) -> Verdict:
+def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     """The Cauchy test of the means over the tail [max(1, N//2), N].
 
     Inherits a failing Cesaro-bounded verdict `cb`; is inconclusive on a
-    diverged scan; fails on a persistent dyadic gap under `gap_norm` (per
-    probe, or one value when `mode` names a norm-level mode); holds only
-    when `cb` holds and the certified diameter 2 * radius under
-    `radius_norm` is below the tolerance.  Without `radius_norm`, holds is
-    unreachable.  `grid_norm` (optional) gives the grid lower bound on the
-    diameter reported as evidence.
+    diverged scan; fails on a persistent dyadic gap (per probe in ``probe``
+    mode, one value at norm level); holds only when `cb` holds and the
+    certified diameter 2 * radius is below the tolerance.  Norms come from
+    `_mode_norms`; a mode without a radius reader never holds.
     """
-    _, grid, scales, _ = _tail_plan(scan.horizon, family)
+    _, gap_norm, radius_norm = _mode_norms(scan.stream.spec, mode)
+    scales = _dyadic_scales(scan.horizon)
     evidence = {
         "mode": mode,
         "cb_status": None if cb is None else cb.status,
@@ -485,16 +451,16 @@ def _tail_verdict(
         gaps = evidence["dyadic_gaps"] = np.atleast_2d(np.stack(gaps, axis=-1)).tolist()
     witness = _dyadic_gap_witness(gaps, scales, tolerance)
     if witness is not None:
-        if mode is not None:
+        if mode != "probe":
             witness["mode"] = mode
             del witness["probe"]
         return verdict(FAILS, witness)
     if radius_norm is None:
         return verdict(INCONCLUSIVE)
-    diam_ub = 2.0 * _tail_radius(scan, radius_norm)
-    diam_lb = np.zeros_like(diam_ub)
-    if grid_norm is not None:
-        diam_lb = _grid_diameter(scan.snapshots, grid, grid_norm, diam_lb)
+    radius = _tail_radius(scan, radius_norm)
+    diam_ub = 2.0 * radius
+    # A_N lies in the tail, so an exact radius is also a diameter lower bound.
+    diam_lb = radius if radius_norm is gap_norm else np.zeros_like(radius)
     evidence["tail_diameter_ub"] = np.asarray(diam_ub).tolist()
     evidence["tail_diameter_lb"] = np.asarray(diam_lb).tolist()
     if cb.status == HOLDS and _tail_holds(scan.horizon, diam_ub.max(), tolerance):
@@ -529,11 +495,10 @@ def check_ergodic(
 def _probe_families(spec, probes, horizon, tolerance, bound_cap):
     """Power-bounded, probe-mode Cesaro-bounded and ergodic verdicts, all
     read off one probe pass (plus the re-run of the ergodic tail)."""
-    lo, _, _, wanted = _tail_plan(horizon, FAMILY_ERGODIC)
-    scan = _probe_scan(spec, probes, horizon, bound_cap, wanted, lo)
+    lo, wanted = _tail_plan(horizon)
+    scan = _scan(spec, probes.vectors.T, "probe", horizon, bound_cap, wanted, lo)
     cb = _cb_probe_verdict(scan, probes.label)
-    norm = _gap_norm(spec, None)
-    erg = _tail_verdict(FAMILY_ERGODIC, scan, cb, tolerance, probes.label, norm, norm, norm)
+    erg = _tail_verdict(FAMILY_ERGODIC, scan, cb, tolerance, probes.label, "probe")
     return _pb_verdict(scan, probes.label), cb, erg
 
 
@@ -558,6 +523,7 @@ def check_uniformly_ergodic(
     _require_positive("horizon", horizon)
     _require_positive("tolerance", tolerance)
     family = FAMILY_UNIFORMLY_ERGODIC
+    lo, wanted = _tail_plan(horizon)
     if spec.dim > DENSE_CAP:
         if probes is None:
             raise ValueError(
@@ -565,22 +531,11 @@ def check_uniformly_ergodic(
                 "required for the lower-bound mode"
             )
         _check_probes(spec, probes)
-        # The verdict reads only the dyadic snapshots, steps and diverged_at.
-        stream = CesaroStream(spec, probes.vectors.T)
-        scan = _scan(stream, horizon, bound_cap, wanted=set(_dyadic_scales(horizon) or ()))
-        return _tail_verdict(
-            family, scan, None, tolerance, probes.label,
-            _gap_norm(spec, "probe-lb"), mode="probe-lb",
-        )
-    tag, d = spec.norm_tag, spec.dim
-    lo, _, _, wanted = _tail_plan(horizon, family)
-    scan = _dense_scan(spec, horizon, bound_cap, wanted, lo)
-    exact = tag != "l2" or d <= _L2_EXACT_DIM
-    return _tail_verdict(
-        family, scan, _cb_dense_verdict(spec, scan), tolerance, None,
-        _gap_norm(spec, "dense"), lambda X: _mat_norm_ub(X, tag, d),
-        (lambda X: matrix_norm(X, tag)) if exact else None, mode="dense",
-    )
+        scan = _scan(spec, probes.vectors.T, "probe-lb", horizon, bound_cap, wanted)
+        return _tail_verdict(family, scan, None, tolerance, probes.label, "probe-lb")
+    scan = _scan(spec, np.eye(spec.dim), "dense", horizon, bound_cap, wanted, lo)
+    cb = _cb_dense_verdict(spec, scan)
+    return _tail_verdict(family, scan, cb, tolerance, None, "dense")
 
 
 # -- every family from one pass ------------------------------------------
@@ -683,14 +638,14 @@ def replay_witness(
 
     if "scales" in w:
         scales = w["scales"]
-        mode = w.get("mode")
+        mode = w.get("mode", "probe")
         if mode == "dense":
             X = np.eye(spec.dim)
         elif probes is None:
             raise ValueError("this witness references probes; pass the probe set")
         else:
             X = probes.vectors.T if mode == "probe-lb" else probes[w["probe"]][:, None]
-        g = _gaps(CesaroStream(spec, X).means_at(scales), scales, _gap_norm(spec, mode))
+        g = _gaps(CesaroStream(spec, X).means_at(scales), scales, _mode_norms(spec, mode)[1])
         if g is None:
             raise ValueError("the means stop before the witness scales: the powers overflow")
         g = [float(np.max(v)) for v in g]

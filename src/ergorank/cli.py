@@ -70,9 +70,13 @@ EXIT_INVALID = 2
 EXIT_PARTIAL = 3
 
 
-def _load_spec(path: str) -> OperatorSpec:
-    data = load_json_file(path)
-    return OperatorSpec.from_json_dict(data)
+def _load_spec(path: str) -> OperatorSpec | None:
+    """The spec in `path`, or None after reporting why it is invalid."""
+    try:
+        return OperatorSpec.from_json_dict(load_json_file(path))
+    except (OSError, ValueError) as exc:
+        print(f"invalid operator spec: {exc}", file=sys.stderr)
+        return None
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -170,10 +174,8 @@ def build_report(spec: OperatorSpec, config: dict) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-    except (OSError, ValueError) as exc:
-        print(f"invalid operator spec: {exc}", file=sys.stderr)
+    spec = _load_spec(args.spec)
+    if spec is None:
         return EXIT_INVALID
 
     ue_horizon = args.ue_horizon if args.ue_horizon is not None else min(256, args.horizon)
@@ -217,10 +219,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_certify(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-    except (OSError, ValueError) as exc:
-        print(f"invalid operator spec: {exc}", file=sys.stderr)
+    spec = _load_spec(args.spec)
+    if spec is None:
         return EXIT_INVALID
     probes = _make_probes(spec, args.probes, args.seed)
     cert = search_nse(
@@ -259,10 +259,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_tree(args) -> int:
-    try:
-        spec = _load_spec(args.spec)
-    except (OSError, ValueError) as exc:
-        print(f"invalid operator spec: {exc}", file=sys.stderr)
+    spec = _load_spec(args.spec)
+    if spec is None:
         return EXIT_INVALID
     probes = _make_probes(spec, args.probes, args.seed)
     trunc = build_truncation(

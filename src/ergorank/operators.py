@@ -30,7 +30,7 @@ NORM_TAGS = ("l1", "l2", "linf")
 #: Seed used whenever no explicit seed is given.
 DEFAULT_SEED = 0xE46_0D1C
 
-#: Exact operator norms and matrix-mode recurrences refuse dims above this.
+#: The dense (identity-block) modes of `classify` refuse dims above this.
 DENSE_CAP = 512
 
 #: Probe vectors may exceed unit norm by at most this slack.

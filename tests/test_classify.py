@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import ergorank.cesaro
 from ergorank.classify import (
@@ -19,11 +20,15 @@ from ergorank.classify import (
 )
 from ergorank.cesaro import CesaroStream
 from ergorank.operators import (
+    DENSE_CAP,
     KIND_DENSE,
     KIND_DIAGONAL,
     KIND_SHIFT,
+    CapExceededError,
     OperatorSpec,
     basis_probes,
+    built_in_gallery,
+    column_norms,
     default_probes,
     gallery,
     matrix_norm,
@@ -157,6 +162,12 @@ def test_cb_mode_validation():
         check_cesaro_bounded(spec, probes, 10, mode="psychic")
 
 
+def test_cb_dense_mode_refuses_dims_above_the_cap():
+    spec, probes = _probes(f"identity({DENSE_CAP + 1})")
+    with pytest.raises(CapExceededError, match="capped"):
+        check_cesaro_bounded(spec, probes, 10, mode="dense")
+
+
 # -- ergodic -------------------------------------------------------------
 
 def test_ergodic_holds_on_convergent_examples():
@@ -260,6 +271,95 @@ def test_ue_probe_lower_bound_mode():
     assert still
     with pytest.raises(ValueError, match="probes"):
         check_uniformly_ergodic(gallery("identity(513)"), 64, 1e-2)
+
+
+def _brute_tail_diameter(spec, X, horizon, norm):
+    """Largest norm(A_i - A_j) over every pair of the tail [N/2, N]."""
+    lo = max(1, horizon // 2)
+    tail = [A for n, A, _ in CesaroStream(spec, X).run(horizon) if n >= lo]
+    diam = 0.0
+    for i, a in enumerate(tail):
+        for b in tail[i + 1:]:
+            diam = np.maximum(diam, norm(a - b))
+    return np.atleast_1d(diam)
+
+
+def test_tail_bracket_holds_against_brute_force():
+    # [lb, ub] must contain the tail diameter over every pair, per probe
+    # for ergodicity and in operator norm for uniform ergodicity.  The
+    # dim-40 l2 radius is an upper bound only, so its lb stays 0.
+    rng = np.random.default_rng(40)
+    mat = rng.standard_normal((40, 40))
+    wide_l2 = OperatorSpec(KIND_DENSE, 40, 0.9 * mat / np.linalg.norm(mat, 2), "l2")
+    specs = [gallery(name) for name in built_in_gallery()] + [wide_l2]
+    horizon, rel = 64, 1e-12
+    checked = 0
+    for spec in specs:
+        probes = default_probes(spec)
+        tag = spec.norm_tag
+        runs = [
+            (check_ergodic(spec, probes, horizon, 1e-2), probes.vectors.T,
+             lambda X: column_norms(X, tag)),
+            (check_uniformly_ergodic(spec, horizon, 1e-2), np.eye(spec.dim),
+             lambda X: matrix_norm(X, tag)),
+        ]
+        for v, X, norm in runs:
+            if v.evidence["tail_diameter_ub"] is None:
+                continue
+            checked += 1
+            lb = np.atleast_1d(v.evidence["tail_diameter_lb"])
+            ub = np.atleast_1d(v.evidence["tail_diameter_ub"])
+            diam = _brute_tail_diameter(spec, X, horizon, norm)
+            assert np.all(lb <= diam * (1 + rel)), (spec, v.family)
+            assert np.all(diam <= ub * (1 + rel)), (spec, v.family)
+    assert checked >= 16
+    ue = check_uniformly_ergodic(wide_l2, horizon, 1e-2)
+    assert ue.evidence["tail_diameter_ub"] > 0 and ue.evidence["tail_diameter_lb"] == 0.0
+
+
+_SCALES = st.one_of(
+    st.sampled_from([1e-3, 0.5, 1.0, 1e150]),
+    st.floats(-3.0, 150.0).map(lambda e: 10.0 ** e),
+)
+
+
+@st.composite
+def _small_specs(draw):
+    kind = draw(st.sampled_from(["dense", "diagonal", "shift", "rotation"]))
+    dim = draw(st.integers(1, 6))
+    tag = draw(st.sampled_from(["l1", "l2", "linf"]))
+    scale = draw(_SCALES)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "rotation":
+        theta = rng.uniform(0, np.pi)
+        c, s = np.cos(theta), np.sin(theta)
+        return OperatorSpec(KIND_DENSE, 2, scale * np.array([[c, -s], [s, c]]), tag)
+    if kind == "dense":
+        return OperatorSpec(KIND_DENSE, dim, scale * rng.uniform(-1, 1, (dim, dim)), tag)
+    if kind == "diagonal":
+        return OperatorSpec(KIND_DIAGONAL, dim, scale * rng.uniform(-1, 1, dim), tag)
+    return OperatorSpec(KIND_SHIFT, dim, scale * rng.uniform(-1, 1, dim - 1), tag)
+
+
+@given(
+    _small_specs(),
+    st.sampled_from([1, 2, 7, 64, 400]),
+    st.booleans(),
+    st.sampled_from([1e-2, 0.1, 0.5]),
+)
+@settings(max_examples=200)
+def test_family_hierarchy_holds(spec, horizon, basis, tolerance):
+    # UE => ergodic => Cesaro-bounded, and power-bounded => Cesaro-bounded:
+    # no verdict may contradict a stronger family that holds.  Loose
+    # tolerances let UE hold on more than the identity at UE horizon 64.
+    probes = basis_probes(spec.dim, spec.norm_tag) if basis else default_probes(spec)
+    pb, cb, erg, ue, _ = check_families(spec, probes, horizon, tolerance, 1e3, 64)
+    if ue.status == HOLDS:
+        assert erg.status != FAILS
+    if erg.status == HOLDS:
+        assert cb.status == HOLDS
+    if pb.status == HOLDS:
+        assert cb.status != FAILS
 
 
 def test_trusted_horizon_shrinks_for_shift_only():

@@ -123,9 +123,15 @@ def test_analyze_shift_reports_section_verdict(tmp_path, capsys):
 def test_analyze_invalid_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not valid json")
-    assert main(["analyze", str(bad)]) == 2
-    assert "invalid operator spec" in capsys.readouterr().err
-    assert main(["analyze", str(tmp_path / "missing.json")]) == 2
+    for command, *args in (
+        ["analyze"],
+        ["certify", "--epsilon", "0.5", "--depth", "2"],
+        ["tree", "--epsilon", "0.5"],
+    ):
+        assert main([command, str(bad), *args]) == 2
+        assert "invalid operator spec" in capsys.readouterr().err
+        assert main([command, str(tmp_path / "missing.json"), *args]) == 2
+        assert "invalid operator spec" in capsys.readouterr().err
 
 
 def test_analyze_has_no_node_budget(tmp_path, capsys):
