@@ -196,8 +196,8 @@ class _Maxima:
         self.values: list = []
         self.hit: tuple | None = None
 
-    def add(self, step: int, norms, *keep) -> None:
-        top = norms.max()
+    def add(self, step: int, norms, top, *keep) -> None:
+        """Record step's `norms`, whose maximum `top` the caller reduced."""
         self.values.append(top)
         if self.hit is None and top > self.cap:
             self.hit = (step, norms, *keep)
@@ -234,11 +234,11 @@ def _scan(spec, X, mode, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _
     for n, A, P in stream.run(horizon):
         if means is not None:
             norms = step_norm(A)
-            means.add(n, norms, A)
+            means.add(n, norms, norms.max(), A)
         if powers is not None:
             if n == 1:
-                powers.add(0, norms)  # T^0 X = A_1 X
-            powers.add(n, stream.power_norms)
+                powers.add(0, norms, norms.max())  # T^0 X = A_1 X
+            powers.add(n, stream.power_norms, stream.power_max)
         if n in wanted:
             scan.snapshots[n] = A
         if n == checkpoint_at:

@@ -207,12 +207,14 @@ def apply_columns(spec: OperatorSpec, X: np.ndarray) -> np.ndarray:
 def column_norms(X: np.ndarray, norm_tag: str) -> np.ndarray:
     """Per-column vector norms of a (dim, p) array, or of each (dim, p)
     slice of a (..., dim, p) stack."""
+    # The ufunc reductions directly: the same bits as np.sum, np.linalg.norm
+    # and np.max, without their Python wrappers.
     if norm_tag == "l1":
-        return np.sum(np.abs(X), axis=-2)
+        return np.add.reduce(np.abs(X), axis=-2)
     if norm_tag == "l2":
-        return np.linalg.norm(X, axis=-2)
+        return np.sqrt(np.add.reduce(X * X, axis=-2))
     if norm_tag == "linf":
-        return np.max(np.abs(X), axis=-2)
+        return np.maximum.reduce(np.abs(X), axis=-2)
     raise ValueError(f"unknown norm tag {norm_tag!r}")
 
 
@@ -223,9 +225,9 @@ def matrix_norm(mat: np.ndarray, norm_tag: str) -> float:
     singular value (computed by LAPACK SVD).
     """
     if norm_tag == "l1":
-        return float(np.max(np.sum(np.abs(mat), axis=0)))
+        return float(np.maximum.reduce(np.add.reduce(np.abs(mat), axis=0)))
     if norm_tag == "linf":
-        return float(np.max(np.sum(np.abs(mat), axis=1)))
+        return float(np.maximum.reduce(np.add.reduce(np.abs(mat), axis=1)))
     if norm_tag == "l2":
         return float(np.linalg.norm(mat, 2))
     raise ValueError(f"unknown norm tag {norm_tag!r}")

@@ -4,7 +4,9 @@
 entries, independently of `apply_columns`, and `add_at_apply` is the
 `np.add.at` scatter that the sparse row-slot kernel must match bit for
 bit.  `direct_mean` sums the powers T^k x one by one, independently of the
-Cesaro recurrence.  `node_member` decides tree membership of one index
+Cesaro recurrence, and `reference_stream` is that recurrence in its plainest
+form: it applies T and reduces the power norms, through numpy's wrapper
+reductions, at every step.  `node_member` decides tree membership of one index
 chain from its `chain_margins`, independently of the dynamic programming
 behind `best_chains`, the rank heights, the beam search and
 `build_truncation`.
@@ -24,6 +26,7 @@ from ergorank.operators import (
     ProbeSet,
     apply_columns,
 )
+from ergorank.cesaro import OVERFLOW_LIMIT
 from ergorank.tree import chain_margins, separates
 
 
@@ -61,6 +64,40 @@ def direct_mean(spec: OperatorSpec, x: np.ndarray, n: int) -> np.ndarray:
         acc += cur
         cur = apply_columns(spec, cur)
     return acc[:, 0] / n
+
+
+def _wrapper_norms(X: np.ndarray, norm_tag: str) -> np.ndarray:
+    if norm_tag == "l1":
+        return np.sum(np.abs(X), axis=0)
+    if norm_tag == "l2":
+        return np.linalg.norm(X, axis=0)
+    return np.max(np.abs(X), axis=0)
+
+
+def reference_stream(spec: OperatorSpec, X: np.ndarray, horizon: int, start=None):
+    """Every (n, A_n X, P_n, clamped power norms) that a `CesaroStream` of X
+    yields up to `horizon`, and the step whose power overflowed (or None).
+
+    T is applied and the power norms are reduced at every step, with no
+    short-circuit for powers that stopped changing.
+    """
+    if start is None:
+        P = apply_columns(spec, X)
+        start = (1, np.ascontiguousarray(X), np.ascontiguousarray(P))
+    n, A, P = start
+    steps = []
+    while True:
+        with np.errstate(over="ignore", invalid="ignore"):
+            norms = _wrapper_norms(P, spec.norm_tag)
+            ok = norms <= OVERFLOW_LIMIT
+        steps.append((n, A, P, np.where(ok, norms, OVERFLOW_LIMIT)))
+        if not ok.all():
+            return steps, n
+        if n >= horizon:
+            return steps, None
+        A = (n * A + P) / (n + 1)
+        P = apply_columns(spec, P)
+        n += 1
 
 
 class NodeMembership(NamedTuple):

@@ -2,19 +2,24 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ergorank.cesaro
 from ergorank.cesaro import OVERFLOW_LIMIT, CesaroStream
 from ergorank.operators import (
     KIND_DENSE,
     KIND_DIAGONAL,
+    KIND_SHIFT,
+    KIND_SPARSE,
+    NORM_TAGS,
     OperatorSpec,
     apply_columns,
     basis_probes,
     column_norms,
     default_probes,
     gallery,
+    matrix_norm,
 )
 from ergorank.tree import chain_margins
-from reference import direct_mean
+from reference import direct_mean, reference_stream
 
 
 def _contraction(seed: int, dim: int) -> OperatorSpec:
@@ -135,3 +140,154 @@ def test_matrix_means_hand_values():
     mats, _ = _dense_means(spec, 4)
     got = [m[0, 0] for m in mats]
     assert got == [1.0, 0.0, pytest.approx(1 / 3), 0.0]
+
+
+# -- the stream's bits against a plain recurrence ------------------------
+
+
+def _same_bits(a, b) -> bool:
+    """Equal bit for bit, so -0.0 differs from 0.0 (np.signbit included)."""
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _block(seed: int, dim: int, columns: int) -> np.ndarray:
+    """Random columns with about a third of the rows set to signed zeros."""
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((dim, columns))
+    zero_rows = rng.random(dim) < 0.35
+    X[zero_rows] = np.copysign(0.0, rng.standard_normal((int(zero_rows.sum()), columns)))
+    return X
+
+
+def _assert_stream_matches_reference(spec, X, horizon, resume_at):
+    want, want_diverged = reference_stream(spec, X, horizon)
+    stream = CesaroStream(spec, X)
+    got = [(n, A, P, stream.power_norms, stream.power_max) for n, A, P in stream.run(horizon)]
+    assert stream.diverged_at == want_diverged
+    assert [g[0] for g in got] == [w[0] for w in want]
+    for (_, A, P, norms, top), (_, wA, wP, wnorms) in zip(got, want):
+        assert _same_bits(A, wA) and _same_bits(P, wP) and _same_bits(norms, wnorms)
+        assert _same_bits(top, wnorms.max())
+        # matrix_norm's direct reductions give the wrapper reductions' bits.
+        assert _same_bits(matrix_norm(A, "l1"), float(np.max(np.sum(np.abs(A), axis=0))))
+        assert _same_bits(matrix_norm(A, "linf"), float(np.max(np.sum(np.abs(A), axis=1))))
+    # A run resumed from a checkpoint finds any fixed point again.
+    k = min(resume_at, len(want)) - 1
+    resumed = [(n, A, P, stream.power_norms) for n, A, P in stream.run(horizon, start=want[k][:3])]
+    assert stream.diverged_at == want_diverged
+    assert len(resumed) == len(want) - k
+    for g, w in zip(resumed, want[k:]):
+        assert g[0] == w[0] and all(_same_bits(a, b) for a, b in zip(g[1:], w[1:]))
+
+
+_ENTRIES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
+
+
+@st.composite
+def _stream_cases(draw):
+    kind = draw(st.sampled_from([KIND_SHIFT, KIND_DIAGONAL, KIND_SPARSE, KIND_DENSE, "huge"]))
+    dim = draw(st.integers(1, 5))
+    tag = draw(st.sampled_from(NORM_TAGS))
+    if kind == KIND_SHIFT:
+        entries = draw(st.lists(_ENTRIES, min_size=dim - 1, max_size=dim - 1))
+    elif kind == KIND_DIAGONAL:
+        entries = draw(st.lists(_ENTRIES, min_size=dim, max_size=dim))
+    elif kind == "huge":
+        kind = KIND_DIAGONAL
+        big = st.sampled_from([1e200, -1e200, 1e20, -1e20, 0.5, -1.0])
+        entries = draw(st.lists(big, min_size=dim, max_size=dim))
+    elif kind == KIND_SPARSE:
+        cell = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+        cells = draw(st.lists(cell, unique=True, max_size=dim * dim))
+        values = draw(st.lists(_ENTRIES, min_size=len(cells), max_size=len(cells)))
+        entries = [(r, c, v) for (r, c), v in zip(cells, values)]
+    else:
+        flat = draw(st.lists(_ENTRIES, min_size=dim * dim, max_size=dim * dim))
+        entries = np.reshape(flat, (dim, dim))
+    spec = OperatorSpec(kind, dim, entries, tag)
+    X = _block(draw(st.integers(0, 2**32 - 1)), dim, draw(st.integers(1, 4)))
+    horizon = draw(st.integers(1, 60))
+    return spec, X, horizon, draw(st.integers(1, horizon))
+
+
+@given(_stream_cases())
+@settings(max_examples=150)
+def test_stream_bits_match_the_plain_recurrence(case):
+    _assert_stream_matches_reference(*case)
+
+
+def _diagonal(entries, tag):
+    return OperatorSpec(KIND_DIAGONAL, len(entries), entries, tag)
+
+
+#: (spec, column block, horizon, resume index) for the cases the stream
+#: short-circuits, or must not.
+_EDGE_CASES = {
+    "nilpotent shift": (gallery("left_shift_l1(64)"), _block(1, 64, 3), 80, 40),
+    "signed shift": (
+        OperatorSpec(KIND_SHIFT, 5, [1.0, -2.0, 0.5, -1.0], "linf"), _block(2, 5, 4), 12, 3
+    ),
+    "zero": (gallery("zero(4)"), _block(3, 4, 3), 10, 5),
+    "identity": (gallery("identity(8)"), np.eye(8), 10, 4),
+    # 0.5^n x passes through the denormals and reaches signed zeros.
+    "scalar(0.5)": (gallery("scalar(0.5)"), _block(4, 1, 5), 1200, 1100),
+    # -1 flips the sign of a zero at every step: equal values, unequal bits.
+    "sign-flipping zeros": (
+        _diagonal([-1.0, 1.0], "l2"), np.array([[0.0, -0.0], [1.0, -2.0]]), 9, 4
+    ),
+    "signed-zero diagonal": (
+        _diagonal([-1.0, 0.0, -0.0, 1.0, -0.5], "l1"), _block(5, 5, 3), 30, 7
+    ),
+    "sparse nilpotent": (
+        OperatorSpec(KIND_SPARSE, 4, [(0, 1, 2.0), (0, 3, -1.0), (1, 2, -0.5), (2, 3, 1.0)], "l1"),
+        _block(6, 4, 2), 10, 2,
+    ),
+    "sparse permutation": (
+        OperatorSpec(KIND_SPARSE, 3, [(0, 1, 1.0), (1, 0, 1.0), (2, 2, -0.0)], "l2"),
+        _block(7, 3, 2), 10, 5,
+    ),
+    "dim 1": (_diagonal([0.0], "linf"), np.array([[-3.0, 0.0]]), 6, 2),
+    "overflow": (_diagonal([1e200, -1e200], "linf"), np.eye(2), 10, 1),
+    # Powers pass 1e154, so squaring them for l2 norms overflows.
+    "l2 squares overflow": (_diagonal([1e20, 0.5], "l2"), np.eye(2), 20, 3),
+}
+
+
+@pytest.mark.parametrize("case", _EDGE_CASES.values(), ids=_EDGE_CASES.keys())
+def test_stream_bits_match_the_plain_recurrence_on_edge_cases(case):
+    _assert_stream_matches_reference(*case)
+
+
+def test_stationary_powers_stop_applying_the_operator(monkeypatch):
+    real = ergorank.cesaro.apply_columns
+    calls = []
+
+    def counting(spec, X):
+        calls.append(X.shape)
+        return real(spec, X)
+
+    monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting)
+
+    def applications(name):
+        spec = gallery(name)
+        calls.clear()
+        for _ in CesaroStream(spec, default_probes(spec).vectors.T).run(10_000):
+            pass
+        return len(calls)
+
+    # P_64 = 0, and T P_64 = P_64 is the last application.
+    assert applications("left_shift_l1(64)") <= 65
+    assert applications("identity(8)") <= 2
+    # One application per power P_1 .. P_10000: the fixed-point rule never
+    # fires on an operator whose powers keep moving.
+    assert applications("rotation(1.0)") == 10_000
+
+
+def test_stream_leaves_the_callers_error_state_between_yields():
+    spec = _diagonal([1e20, 0.5], "l2")
+    with np.errstate(over="raise", invalid="warn", under="ignore", divide="print"):
+        want = np.geterr()
+        steps = CesaroStream(spec, np.eye(2)).run(20)
+        for _ in steps:
+            assert np.geterr() == want

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -388,6 +390,18 @@ def test_no_holds_from_a_vacuous_tail():
     spec, probes = _probes("identity(8)")
     assert check_ergodic(spec, probes, 1, 1e-2).status == INCONCLUSIVE
     assert check_ergodic(spec, probes, 2, 1e-2).status == HOLDS
+
+
+def test_overflowing_operators_check_without_runtime_warnings():
+    # The second operator's powers pass 1e154 while its probe columns are
+    # under the overflow limit, so squaring them for l2 norms overflows.
+    l2_overflow = OperatorSpec(KIND_DIAGONAL, 3, [1e20, 0.5, -1e20], "l2")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for spec in (HUGE_DIAGONAL, l2_overflow):
+            families = check_families(spec, default_probes(spec), 200, 1e-2, 1e3, 64)
+            assert families.power_bounded.status == FAILS
+            assert families.ergodic.status != HOLDS
 
 
 # -- all families from one pass ------------------------------------------
