@@ -17,7 +17,7 @@ from ergorank.tree import chain_margins
 def means_of(spec, x, horizon):
     """A_1 x .. A_horizon x (fewer if the powers overflow), and the stream."""
     stream = CesaroStream(spec, np.asarray(x, dtype=float)[:, None])
-    return [A[:, 0] for _, A, _ in stream.run(horizon)], stream
+    return [A[:, 0] for A in stream.means_at(range(1, horizon + 1)).values()], stream
 
 
 def main():

@@ -18,7 +18,9 @@ lower bound on the diameter wherever it is read in an exact norm, so every
 tail is bracketed in [radius, 2 * radius].
 
 Every check is a reducer over one pass of `CesaroStream`, with norms
-reduced per step; the tail radius re-runs only [N/2, N] from a checkpoint.
+reduced one chunk of steps at a time: per-step maxima are arrays, and the
+first step above a cap is found with `argmax`.  The tail radius re-runs
+only [N/2, N] from a checkpoint.
 The scan mode (``probe``, ``dense`` or ``probe-lb``) is the one decision
 that fixes how a pass reads its norms: `_mode_norms` gives the per-step,
 gap and radius readers of each mode.  `check_families` reads the
@@ -34,6 +36,7 @@ dim/2; `trusted_horizon` returns the horizon below which the two agree.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -169,7 +172,9 @@ def _mode_norms(spec: OperatorSpec, mode: str):
     l2 above `_L2_EXACT_DIM`), the dyadic gaps exact lower bounds.
     ``probe-lb`` reads only gaps, as the largest probe column, itself a
     lower bound on the operator norm.  The radius is exact exactly when it
-    is the gap reader.
+    is the gap reader.  The step and radius readers take a chunk's
+    (count, dim, p) stack of means and give one row of norms per step (one
+    norm per row in ``dense`` mode); the gap reader takes one block.
     """
     tag = spec.norm_tag
     if mode == "probe":
@@ -180,47 +185,44 @@ def _mode_norms(spec: OperatorSpec, mode: str):
     exact = lambda X: matrix_norm(X, tag)
     radius = exact
     if tag == "l2" and spec.dim > _L2_EXACT_DIM:
-        radius = lambda X: math.sqrt(matrix_norm(X, "l1") * matrix_norm(X, "linf"))
-    return (lambda X: np.float64(radius(X))), exact, radius
+        radius = lambda X: np.sqrt(matrix_norm(X, "l1") * matrix_norm(X, "linf"))
+    return (lambda X: radius(X)[:, None]), exact, radius
 
 
 # -- one pass over the means ---------------------------------------------
 
 
-class _Maxima:
-    """Per-step maxima of a stream of norms, and the first step above a cap
-    with its norms (plus whatever the caller keeps alongside)."""
-
-    def __init__(self, cap: float):
-        self.cap = cap
-        self.values: list = []
-        self.hit: tuple | None = None
-
-    def add(self, step: int, norms, top, *keep) -> None:
-        """Record step's `norms`, whose maximum `top` the caller reduced."""
-        self.values.append(top)
-        if self.hit is None and top > self.cap:
-            self.hit = (step, norms, *keep)
-
-
 @dataclass(eq=False)
 class _Scan:
-    """What one stream pass keeps; norms are reduced as the pass goes.
+    """What one stream pass keeps; norms are reduced a chunk at a time.
 
-    `means` holds the mean-norm maxima for n = 1..steps (its hit keeps
-    A_n), `powers` the power-norm maxima for m = 0..steps; None when unread.
-    `snapshots` maps the requested indices to A_n, and `checkpoint` is
-    (n, A_n, P_n) at the requested tail start.
+    `means` holds the mean-norm maxima for n = 1..steps and `mean_hit` the
+    first step above the cap as (n, norms, A_n); `powers` holds the
+    power-norm maxima for m = 0..steps and `power_hit` (m, norms).  Maxima
+    are None when unread, hits when no step crossed the cap.  `snapshots`
+    maps the requested indices to A_n, and `checkpoint` is (n, A_n, P_n) at
+    the requested tail start.  Everything kept is a copy, since the stream
+    reuses its chunk buffers.
     """
 
     stream: CesaroStream
     horizon: int
-    means: _Maxima | None
-    powers: _Maxima | None
+    cap: float
+    means: np.ndarray | None = None
+    powers: np.ndarray | None = None
+    mean_hit: tuple | None = None
+    power_hit: tuple | None = None
     steps: int = 0
     diverged_at: int | None = None
     snapshots: dict = field(default_factory=dict)
     checkpoint: tuple | None = None
+
+
+def _first_above(tops: np.ndarray, cap: float) -> int | None:
+    """Index of the first of a chunk's per-step maxima above the cap."""
+    if not np.maximum.reduce(tops) > cap:
+        return None
+    return int(np.argmax(tops > cap))
 
 
 def _scan(spec, X, mode, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _Scan:
@@ -228,23 +230,35 @@ def _scan(spec, X, mode, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _
     maxima are tracked in ``probe`` mode only."""
     step_norm = _mode_norms(spec, mode)[0]
     stream = CesaroStream(spec, X)
-    means = None if step_norm is None else _Maxima(bound_cap)
-    powers = _Maxima(bound_cap) if mode == "probe" else None
-    scan = _Scan(stream, horizon, means, powers)
-    for n, A, P in stream.run(horizon):
-        if means is not None:
-            norms = step_norm(A)
-            means.add(n, norms, norms.max(), A)
-        if powers is not None:
-            if n == 1:
-                powers.add(0, norms, norms.max())  # T^0 X = A_1 X
-            powers.add(n, stream.power_norms, stream.power_max)
-        if n in wanted:
-            scan.snapshots[n] = A
-        if n == checkpoint_at:
-            scan.checkpoint = (n, A, P)
-    scan.steps = n
+    scan = _Scan(stream, horizon, bound_cap)
+    means, powers = [], []
+    wanted = sorted(wanted)
+    for chunk in stream.chunks(horizon):
+        first, count = chunk.first, len(chunk.means)
+        if step_norm is not None:
+            norms = step_norm(chunk.means)
+            tops = np.maximum.reduce(norms, axis=-1)
+            means.append(tops)
+            if scan.mean_hit is None and (i := _first_above(tops, bound_cap)) is not None:
+                scan.mean_hit = (first + i, norms[i].copy(), chunk.means[i].copy())
+        if mode == "probe":
+            if first == 1:  # T^0 X = A_1 X
+                powers.append(tops[:1])
+                if tops[0] > bound_cap:
+                    scan.power_hit = (0, norms[0].copy())
+            powers.append(chunk.power_max)
+            if scan.power_hit is None and (i := _first_above(chunk.power_max, bound_cap)) is not None:
+                scan.power_hit = (first + i, chunk.power_norms[i].copy())
+        for n in wanted[bisect_left(wanted, first) : bisect_left(wanted, first + count)]:
+            scan.snapshots[n] = chunk.means[n - first].copy()
+        if checkpoint_at is not None and 0 <= (i := checkpoint_at - first) < count:
+            scan.checkpoint = (checkpoint_at, chunk.means[i].copy(), chunk.powers[i].copy())
+    scan.steps = first + count - 1
     scan.diverged_at = stream.diverged_at
+    if means:
+        scan.means = np.concatenate(means)
+    if powers:
+        scan.powers = np.concatenate(powers)
     return scan
 
 
@@ -292,8 +306,8 @@ def _tail_radius(scan: _Scan, norm):
     the checkpoint the scan took at the tail start."""
     final = scan.snapshots[scan.horizon]
     radius = 0.0
-    for _, A, _ in scan.stream.run(scan.horizon, start=scan.checkpoint):
-        radius = np.maximum(radius, norm(A - final))
+    for chunk in scan.stream.chunks(scan.horizon, start=scan.checkpoint):
+        radius = np.maximum(radius, np.maximum.reduce(norm(chunk.means - final), axis=0))
     return radius
 
 
@@ -306,39 +320,38 @@ def _tail_holds(horizon: int, diameter_ub: float, tolerance: float) -> bool:
 # -- bounded families ----------------------------------------------------
 
 
-def _bounded_verdict(family, maxima, first, scan, witness, label, evidence) -> Verdict:
+def _bounded_verdict(family, values, first, scan, witness, label, evidence) -> Verdict:
     """holds with the integer bound when every step stayed under the cap
     and the scan reached the horizon; fails on sustained growth (or
     overflow) above the cap; inconclusive otherwise."""
-    values = np.asarray(maxima.values)
     overall = float(values.max())
     diverged = scan.diverged_at is not None
     evidence = {"max": overall, **evidence, "diverged": diverged, "steps": scan.steps}
-    if overall <= maxima.cap and not diverged:
+    if overall <= scan.cap and not diverged:
         return Verdict(
             family, HOLDS, scan.horizon, None, _int_bound(overall), None, label, evidence
         )
-    if _growth_fails(values, first, maxima.cap, diverged):
+    if _growth_fails(values, first, scan.cap, diverged):
         return Verdict(family, FAILS, scan.horizon, None, None, witness, label, evidence)
     return Verdict(family, INCONCLUSIVE, scan.horizon, None, None, None, label, evidence)
 
 
-def _probe_witness(maxima: _Maxima, step_key: str) -> dict | None:
+def _probe_witness(hit: tuple | None, cap: float, step_key: str) -> dict | None:
     """The first probe above the cap at the first step that crossed it."""
-    if maxima.hit is None:
+    if hit is None:
         return None
-    step, norms = maxima.hit[:2]
-    probe = int(np.argmax(norms > maxima.cap))
-    return {"probe": probe, step_key: step, "value": float(norms[probe]), "cap": maxima.cap}
+    step, norms = hit[:2]
+    probe = int(np.argmax(norms > cap))
+    return {"probe": probe, step_key: step, "value": float(norms[probe]), "cap": cap}
 
 
 def _pb_verdict(scan: _Scan, label: str) -> Verdict:
-    witness = _probe_witness(scan.powers, "power")
+    witness = _probe_witness(scan.power_hit, scan.cap, "power")
     return _bounded_verdict(FAMILY_POWER_BOUNDED, scan.powers, 0, scan, witness, label, {})
 
 
 def _cb_probe_verdict(scan: _Scan, label: str) -> Verdict:
-    witness = _probe_witness(scan.means, "n")
+    witness = _probe_witness(scan.mean_hit, scan.cap, "n")
     if witness is not None:
         witness = {"mode": "probe", **witness}
     return _bounded_verdict(
@@ -355,10 +368,10 @@ def _cb_dense_verdict(spec: OperatorSpec, scan: _Scan) -> Verdict:
         FAMILY_CESARO_BOUNDED, scan.means, 1, scan, None, None, {"mode": "dense"}
     )
     if verdict.status == FAILS:
-        n, _, A = scan.means.hit
+        n, _, A = scan.mean_hit
         lb = matrix_norm(A, spec.norm_tag)
-        if lb > scan.means.cap:
-            verdict.witness = {"mode": "dense", "n": n, "value": lb, "cap": scan.means.cap}
+        if lb > scan.cap:
+            verdict.witness = {"mode": "dense", "n": n, "value": lb, "cap": scan.cap}
         else:
             verdict.status = INCONCLUSIVE
     return verdict
@@ -621,10 +634,9 @@ def replay_witness(
         x = probes[w["probe"]][:, None]
         value = column_norms(x, tag)[0]
         if w["power"] > 0:
-            stream = CesaroStream(spec, x)
-            for _ in stream.run(w["power"]):
+            for chunk in CesaroStream(spec, x).chunks(w["power"]):
                 pass
-            value = stream.power_norms[0]
+            value = chunk.power_norms[-1][0]
         value = float(value)
         return value, value > w["cap"]
 

@@ -174,26 +174,34 @@ def _validate_triplets(entries, dim: int):
 # -- application ---------------------------------------------------------
 
 
-def apply_columns(spec: OperatorSpec, X: np.ndarray) -> np.ndarray:
-    """Apply the operator to each column of a (dim, p) array at once."""
+def apply_columns(spec: OperatorSpec, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Apply the operator to each column of a (dim, p) array at once.
+
+    With `out`, a float64 array of X's shape, the product is written there
+    and `out` is returned, with the same bits as the allocating call.
+    `out` must not overlap X.
+    """
     if X.ndim != 2 or X.shape[0] != spec.dim:
         raise DimensionMismatchError(
             f"operator has dim {spec.dim} but column block has shape {X.shape}"
         )
+    if out is not None and np.may_share_memory(out, X):
+        raise ValueError("apply_columns: out must not overlap the column block")
     if spec.kind == KIND_DENSE:
-        return spec.entries @ X
+        return np.matmul(spec.entries, X, out=out)
     if spec.kind == KIND_DIAGONAL:
-        return spec.entries[:, None] * X
+        return np.multiply(spec.entries[:, None], X, out=out)
+    if out is None:
+        out = np.empty_like(X)
     if spec.kind == KIND_SHIFT:
-        out = np.zeros_like(X)
-        if spec.dim > 1:
-            out[:-1] = spec.entries[:, None] * X[1:]
+        out[-1] = 0.0
+        np.multiply(spec.entries[:, None], X[1:], out=out[:-1])
         return out
     # One fancy-indexed add per row slot: each row sums its triplets in
     # triplet order, and the loop runs as often as the fullest row has
     # entries.  The product is formed in place, which saves allocating a
     # block-sized temporary per slot.
-    out = np.zeros_like(X)
+    out.fill(0.0)
     for rows, cols, vals in spec._slots:
         prod = X[cols]
         prod *= vals
@@ -206,7 +214,12 @@ def apply_columns(spec: OperatorSpec, X: np.ndarray) -> np.ndarray:
 
 def column_norms(X: np.ndarray, norm_tag: str) -> np.ndarray:
     """Per-column vector norms of a (dim, p) array, or of each (dim, p)
-    slice of a (..., dim, p) stack."""
+    slice of a (..., dim, p) stack, with the bits of the per-slice call.
+
+    l2 squares the entries, so a nonzero column whose entries are all below
+    about 1e-162 reads norm 0 (the squares underflow), as it did through
+    `np.linalg.norm`.
+    """
     # The ufunc reductions directly: the same bits as np.sum, np.linalg.norm
     # and np.max, without their Python wrappers.
     if norm_tag == "l1":
@@ -218,19 +231,24 @@ def column_norms(X: np.ndarray, norm_tag: str) -> np.ndarray:
     raise ValueError(f"unknown norm tag {norm_tag!r}")
 
 
-def matrix_norm(mat: np.ndarray, norm_tag: str) -> float:
-    """Exact induced operator norm of a dense matrix.
+def matrix_norm(mat: np.ndarray, norm_tag: str):
+    """Exact induced operator norm of a dense matrix, or of each matrix of
+    a (..., d, d) stack (an array of norms, each with the bits of the
+    per-matrix call).
 
     l1 is the max column abs-sum, linf the max row abs-sum, l2 the largest
     singular value (computed by LAPACK SVD).
     """
     if norm_tag == "l1":
-        return float(np.maximum.reduce(np.add.reduce(np.abs(mat), axis=0)))
-    if norm_tag == "linf":
-        return float(np.maximum.reduce(np.add.reduce(np.abs(mat), axis=1)))
-    if norm_tag == "l2":
-        return float(np.linalg.norm(mat, 2))
-    raise ValueError(f"unknown norm tag {norm_tag!r}")
+        norms = np.maximum.reduce(np.add.reduce(np.abs(mat), axis=-2), axis=-1)
+    elif norm_tag == "linf":
+        norms = np.maximum.reduce(np.add.reduce(np.abs(mat), axis=-1), axis=-1)
+    elif norm_tag == "l2":
+        # What np.linalg.norm(mat, 2) computes, for a stack too.
+        norms = np.maximum.reduce(np.linalg.svd(mat, compute_uv=False), axis=-1)
+    else:
+        raise ValueError(f"unknown norm tag {norm_tag!r}")
+    return float(norms) if mat.ndim == 2 else norms
 
 
 # -- probe sets ----------------------------------------------------------

@@ -49,7 +49,7 @@ def _rel_ok(diff: float, scale: float, tol: float) -> bool:
 def _means(spec, X, horizon):
     """A_1 X .. A_horizon X and the stream's overflow stop (X = I: dense)."""
     stream = CesaroStream(spec, X)
-    return [A for _, A, _ in stream.run(horizon)], stream.diverged_at
+    return list(stream.means_at(range(1, horizon + 1)).values()), stream.diverged_at
 
 
 # -- criterion 1: Cesaro engine identities --------------------------------

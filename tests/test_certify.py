@@ -274,9 +274,9 @@ def test_rank_estimate_makes_one_stream_pass(monkeypatch):
     real = ergorank.cesaro.apply_columns
     calls = []
 
-    def counting(s, X):
+    def counting(s, X, out=None):
         calls.append(X.shape[1])
-        return real(s, X)
+        return real(s, X, out=out)
 
     monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting)
     est = rank_estimate(spec, probes, ks=range(1, 9), index_bound=48)

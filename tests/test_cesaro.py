@@ -1,3 +1,6 @@
+import contextlib
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,6 +21,7 @@ from ergorank.operators import (
     gallery,
     matrix_norm,
 )
+from ergorank.classify import _scan
 from ergorank.tree import chain_margins
 from reference import direct_mean, reference_stream
 
@@ -30,14 +34,43 @@ def _contraction(seed: int, dim: int) -> OperatorSpec:
     return OperatorSpec(KIND_DENSE, dim, m, "l2")
 
 
+@contextlib.contextmanager
+def _chunk_capacity(k):
+    """Streams started inside hold k steps per chunk (None: the default)."""
+    if k is None:
+        yield
+        return
+    with mock.patch.object(ergorank.cesaro, "_capacity", lambda block_bytes: k):
+        yield
+
+
+def _steps(stream, horizon, start=None, capacity=None):
+    """(n, A_n, P_n, power_norms, power_max) of every step, copied out of
+    the chunks before the next one is requested."""
+    steps = []
+    with _chunk_capacity(capacity):
+        for chunk in stream.chunks(horizon, start):
+            count = len(chunk.means)
+            assert 1 <= count <= (capacity or count)
+            for name in ("means", "powers", "power_norms", "power_max"):
+                assert len(getattr(chunk, name)) == count
+            steps += [
+                (chunk.first + i, chunk.means[i].copy(), chunk.powers[i].copy(),
+                 chunk.power_norms[i].copy(), chunk.power_max[i])
+                for i in range(count)
+            ]
+    return steps
+
+
 def _vector_means(spec, x, horizon):
     """A_1 x, A_2 x, ... of one vector, as a (dim, 1) stream block."""
-    return [A[:, 0] for _, A, _ in CesaroStream(spec, x[:, None]).run(horizon)]
+    means = CesaroStream(spec, x[:, None]).means_at(range(1, horizon + 1))
+    return [A[:, 0] for A in means.values()]
 
 
 def _dense_means(spec, horizon):
     stream = CesaroStream(spec, np.eye(spec.dim))
-    return [A for _, A, _ in stream.run(horizon)], stream
+    return list(stream.means_at(range(1, horizon + 1)).values()), stream
 
 
 @given(st.integers(0, 10_000), st.integers(1, 8), st.integers(1, 60))
@@ -79,10 +112,10 @@ def test_telescoping_and_mean_identities(seed):
 def test_stream_resumes_bitwise_from_a_checkpoint():
     spec = gallery("random_diagonalizable(7,12)")
     stream = CesaroStream(spec, default_probes(spec).vectors.T)
-    full = {n: (A, P) for n, A, P in stream.run(40)}
-    resumed = list(stream.run(40, start=(20, *full[20])))
-    assert [n for n, _, _ in resumed] == list(range(20, 41))
-    for n, A, P in resumed:
+    full = {n: (A, P) for n, A, P, *_ in _steps(stream, 40)}
+    resumed = _steps(stream, 40, start=(20, *full[20]))
+    assert [n for n, *_ in resumed] == list(range(20, 41))
+    for n, A, P, *_ in resumed:
         assert np.array_equal(A, full[n][0]) and np.array_equal(P, full[n][1])
     snaps = stream.means_at([3, 7])
     assert snaps.keys() == {3, 7} and np.array_equal(snaps[7], full[7][0])
@@ -91,10 +124,11 @@ def test_stream_resumes_bitwise_from_a_checkpoint():
 def test_stream_stops_at_the_first_overflowing_power():
     spec = OperatorSpec(KIND_DIAGONAL, 2, [1e200, -1e200], "linf")
     stream = CesaroStream(spec, np.eye(2))
-    assert [n for n, _, _ in stream.run(10)] == [1]
+    steps = _steps(stream, 10)
+    assert [n for n, *_ in steps] == [1]
     assert stream.diverged_at == 1
+    assert np.array_equal(steps[-1][3], [OVERFLOW_LIMIT, OVERFLOW_LIMIT])
     assert stream.means_at([1, 2, 5]).keys() == {1}
-    assert np.array_equal(stream.power_norms, [OVERFLOW_LIMIT, OVERFLOW_LIMIT])
     # Dense mode guards the columns of T^n the same way.
     assert _dense_means(spec, 10)[1].diverged_at == 1
 
@@ -111,7 +145,7 @@ def test_cesaro_diff_basics():
 def test_divergence_truncates():
     spec = gallery("scalar(2.0)")
     stream = CesaroStream(spec, np.array([[1.0]]))
-    means = [A[:, 0] for _, A, _ in stream.run(2000)]
+    means = [A[:, 0] for A in stream.means_at(range(1, 2001)).values()]
     assert stream.diverged_at is not None
     assert len(means) == stream.diverged_at
     assert column_norms(means[-1][:, None], "l2")[0] <= OVERFLOW_LIMIT * 2
@@ -161,24 +195,29 @@ def _block(seed: int, dim: int, columns: int) -> np.ndarray:
 
 
 def _assert_stream_matches_reference(spec, X, horizon, resume_at):
+    """Bitwise A_n, P_n, power norms, their maximum and `diverged_at`, at the
+    default chunk capacity and at 1, 2 and horizon - 1, horizon, horizon + 1
+    steps per chunk, fresh and resumed from a checkpoint."""
     want, want_diverged = reference_stream(spec, X, horizon)
-    stream = CesaroStream(spec, X)
-    got = [(n, A, P, stream.power_norms, stream.power_max) for n, A, P in stream.run(horizon)]
-    assert stream.diverged_at == want_diverged
-    assert [g[0] for g in got] == [w[0] for w in want]
-    for (_, A, P, norms, top), (_, wA, wP, wnorms) in zip(got, want):
-        assert _same_bits(A, wA) and _same_bits(P, wP) and _same_bits(norms, wnorms)
-        assert _same_bits(top, wnorms.max())
+    k = min(resume_at, len(want)) - 1
+    for capacity in sorted({1, 2, horizon - 1, horizon, horizon + 1} - {0}, reverse=True) + [None]:
+        stream = CesaroStream(spec, X)
+        got = _steps(stream, horizon, capacity=capacity)
+        assert stream.diverged_at == want_diverged
+        assert [g[0] for g in got] == [w[0] for w in want]
+        for (_, A, P, norms, top), (_, wA, wP, wnorms) in zip(got, want):
+            assert _same_bits(A, wA) and _same_bits(P, wP) and _same_bits(norms, wnorms)
+            assert _same_bits(top, wnorms.max())
+        # A run resumed from a checkpoint finds any fixed point again.
+        resumed = _steps(stream, horizon, start=want[k][:3], capacity=capacity)
+        assert stream.diverged_at == want_diverged
+        assert len(resumed) == len(want) - k
+        for g, w in zip(resumed, want[k:]):
+            assert g[0] == w[0] and all(_same_bits(a, b) for a, b in zip(g[1:4], w[1:]))
+    for _, A, *_ in want:
         # matrix_norm's direct reductions give the wrapper reductions' bits.
         assert _same_bits(matrix_norm(A, "l1"), float(np.max(np.sum(np.abs(A), axis=0))))
         assert _same_bits(matrix_norm(A, "linf"), float(np.max(np.sum(np.abs(A), axis=1))))
-    # A run resumed from a checkpoint finds any fixed point again.
-    k = min(resume_at, len(want)) - 1
-    resumed = [(n, A, P, stream.power_norms) for n, A, P in stream.run(horizon, start=want[k][:3])]
-    assert stream.diverged_at == want_diverged
-    assert len(resumed) == len(want) - k
-    for g, w in zip(resumed, want[k:]):
-        assert g[0] == w[0] and all(_same_bits(a, b) for a, b in zip(g[1:], w[1:]))
 
 
 _ENTRIES = st.sampled_from([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 2.0])
@@ -263,16 +302,16 @@ def test_stationary_powers_stop_applying_the_operator(monkeypatch):
     real = ergorank.cesaro.apply_columns
     calls = []
 
-    def counting(spec, X):
+    def counting(spec, X, out=None):
         calls.append(X.shape)
-        return real(spec, X)
+        return real(spec, X, out=out)
 
     monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting)
 
     def applications(name):
         spec = gallery(name)
         calls.clear()
-        for _ in CesaroStream(spec, default_probes(spec).vectors.T).run(10_000):
+        for _ in CesaroStream(spec, default_probes(spec).vectors.T).chunks(10_000):
             pass
         return len(calls)
 
@@ -288,6 +327,75 @@ def test_stream_leaves_the_callers_error_state_between_yields():
     spec = _diagonal([1e20, 0.5], "l2")
     with np.errstate(over="raise", invalid="warn", under="ignore", divide="print"):
         want = np.geterr()
-        steps = CesaroStream(spec, np.eye(2)).run(20)
-        for _ in steps:
-            assert np.geterr() == want
+        for capacity in (1, 2, None):
+            with _chunk_capacity(capacity):
+                for _ in CesaroStream(spec, np.eye(2)).chunks(20):
+                    assert np.geterr() == want
+
+
+def _overflow_diagonal_256():
+    """Entries inside (-0.9, 0.9) but four at 1.25: the powers pass the
+    overflow limit near step 1 450."""
+    rng = np.random.default_rng(0xB3)
+    diag = rng.uniform(-0.9, 0.9, 256)
+    diag[rng.choice(256, size=4, replace=False)] = 1.25
+    return _diagonal(diag, "l2")
+
+
+@pytest.mark.parametrize("capacity", [1, 2, 5, None])
+@pytest.mark.parametrize(
+    "spec, horizon",
+    [(_diagonal([1e200, -1e200], "linf"), 10), (_overflow_diagonal_256(), 2000)],
+    ids=["huge diagonal", "overflow-diagonal-256-l2"],
+)
+def test_overflow_stops_at_the_same_step_with_bounded_extra_work(spec, horizon, capacity):
+    X = default_probes(spec).vectors.T
+    want, want_diverged = reference_stream(spec, X, horizon)
+    assert want_diverged == len(want)
+    real = ergorank.cesaro.apply_columns
+    calls = []
+
+    def counting(s, X, out=None):
+        calls.append(X.shape)
+        return real(s, X, out=out)
+
+    stream = CesaroStream(spec, X)
+    with mock.patch.object(ergorank.cesaro, "apply_columns", counting):
+        got = _steps(stream, horizon, capacity=capacity)
+    K = min(capacity or ergorank.cesaro._capacity(X.nbytes), horizon)
+    assert stream.diverged_at == want_diverged and got[-1][0] == want_diverged
+    assert _same_bits(got[-1][3], want[-1][3]) and got[-1][4] == OVERFLOW_LIMIT
+    # P_1 .. P_n take n applications, and a chunk applies T at most K - 1
+    # times past the step that overflowed.
+    assert want_diverged <= len(calls) <= want_diverged + K - 1
+
+
+def test_kept_snapshots_checkpoints_and_hits_survive_later_chunks():
+    # Consumers copy what they keep, since the stream reuses its buffers.
+    spec = gallery("jordan_1(2)")
+    X = default_probes(spec).vectors.T
+    horizon = 40
+    want, _ = reference_stream(spec, X, horizon)
+    for capacity in (1, 2, 3, None):
+        with _chunk_capacity(capacity):
+            scan = _scan(spec, X, "probe", horizon, 3.0, wanted={3, 10, 11, 40}, checkpoint_at=20)
+            means = CesaroStream(spec, X).means_at([1, 2, 7, 40, 2, 7])
+            margins = chain_margins(spec, X, [1, 2, 9, 40])
+        assert scan.snapshots.keys() == {3, 10, 11, 40}
+        for n, A in scan.snapshots.items():
+            assert _same_bits(A, want[n - 1][1])
+        n, A, P = scan.checkpoint
+        assert n == 20 and _same_bits(A, want[19][1]) and _same_bits(P, want[19][2])
+        assert means.keys() == {1, 2, 7, 40}
+        for n, A in means.items():
+            assert _same_bits(A, want[n - 1][1])
+        pairs = [(1, 2), (2, 9), (9, 40)]
+        expected = [column_norms(want[b - 1][1] - want[a - 1][1], spec.norm_tag) for a, b in pairs]
+        assert _same_bits(margins, np.array(expected))
+        # The first mean and the first power above the cap, with their norms.
+        n, norms, A = scan.mean_hit
+        assert _same_bits(A, want[n - 1][1]) and _same_bits(norms, column_norms(A, spec.norm_tag))
+        assert column_norms(want[n - 2][1], spec.norm_tag).max() <= 3.0 < norms.max()
+        m, norms = scan.power_hit
+        assert _same_bits(norms, want[m - 1][3])
+        assert want[m - 2][3].max() <= 3.0 < norms.max()

@@ -278,7 +278,7 @@ def test_ue_probe_lower_bound_mode():
 def _brute_tail_diameter(spec, X, horizon, norm):
     """Largest norm(A_i - A_j) over every pair of the tail [N/2, N]."""
     lo = max(1, horizon // 2)
-    tail = [A for n, A, _ in CesaroStream(spec, X).run(horizon) if n >= lo]
+    tail = list(CesaroStream(spec, X).means_at(range(lo, horizon + 1)).values())
     diam = 0.0
     for i, a in enumerate(tail):
         for b in tail[i + 1:]:
@@ -427,9 +427,9 @@ def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):
     real = ergorank.cesaro.apply_columns
     widths = []
 
-    def counting(s, X):
+    def counting(s, X, out=None):
         widths.append(X.shape[1])
-        return real(s, X)
+        return real(s, X, out=out)
 
     monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting)
     check_families(spec, probes, 2000, 1e-2, 1e3, 64)

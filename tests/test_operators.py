@@ -25,11 +25,11 @@ from reference import add_at_apply, as_dense
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
 
 
-def _spec_strategy():
+def _spec_strategy(kinds=(KIND_DENSE, KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE)):
     def build(draw):
         dim = draw(st.integers(min_value=1, max_value=6))
         tag = draw(st.sampled_from(NORM_TAGS))
-        kind = draw(st.sampled_from([KIND_DENSE, KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE]))
+        kind = draw(st.sampled_from(kinds))
         if kind == KIND_DENSE:
             entries = draw(
                 st.lists(
@@ -161,6 +161,35 @@ def test_sparse_kernel_matches_add_at_bitwise(case):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
+@pytest.mark.parametrize("kind", [KIND_DENSE, KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE])
+@given(data=st.data())
+@settings(max_examples=60)
+def test_apply_into_out_matches_the_allocating_call_bitwise(kind, data):
+    spec = data.draw(_spec_strategy([kind]))
+    width = data.draw(st.integers(1, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**31 - 1)))
+    X = rng.standard_normal((spec.dim, width))
+    zeros = rng.random(X.shape) < 0.4
+    X[zeros] = np.copysign(0.0, rng.standard_normal(int(zeros.sum())))
+    want = apply_columns(spec, X)
+    # `out` is one slot of a stack holding stale values, as the stream passes it.
+    stack = np.full((3, spec.dim, width), np.nan)
+    got = apply_columns(spec, X, out=stack[1])
+    assert np.shares_memory(got, stack[1]) and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+    assert np.isnan(stack[[0, 2]]).all()
+
+
+def test_apply_refuses_an_out_that_overlaps_the_input():
+    spec = gallery("left_shift_l1(4)")
+    X = np.ones((4, 2))
+    with pytest.raises(ValueError, match="overlap"):
+        apply_columns(spec, X, out=X)
+    stack = np.ones((2, 4, 2))
+    with pytest.raises(ValueError, match="overlap"):
+        apply_columns(spec, stack[0], out=stack.reshape(4, 4)[:, :2])
+
+
 def test_apply_dimension_mismatch():
     spec = OperatorSpec(KIND_DIAGONAL, 3, [1.0, 2.0, 3.0], "l2")
     with pytest.raises(DimensionMismatchError, match="3"):
@@ -191,6 +220,25 @@ def test_matrix_norm_hand_values():
     assert matrix_norm(m, "l1") == 6.0  # max column abs sum
     assert matrix_norm(m, "linf") == 7.0  # max row abs sum
     assert matrix_norm(m, "l2") == pytest.approx(np.linalg.norm(m, 2), rel=1e-12)
+
+
+@pytest.mark.parametrize("dim", [*range(1, 33), 97, 256])
+def test_matrix_norms_of_a_stack_match_the_per_matrix_call_bitwise(dim):
+    # Dense scans reduce a chunk of means A_n in one call: exact l2 up to
+    # dim 32, and l1 and linf at every dim.
+    rng = np.random.default_rng(dim)
+    scales = 10.0 ** rng.integers(-3, 4, size=(6, 1, 1))
+    stack = rng.standard_normal((6, dim, dim)) * scales
+    stack[2] = np.eye(dim)
+    stack[4, :, 0] = -0.0
+    for tag in NORM_TAGS:
+        got = matrix_norm(stack, tag)
+        assert got.shape == (6,)
+        for i, mat in enumerate(stack):
+            assert got[i].tobytes() == np.float64(matrix_norm(mat, tag)).tobytes()
+    # l2 is still what np.linalg.norm(mat, 2) computes.
+    for mat in stack:
+        assert np.float64(matrix_norm(mat, "l2")).tobytes() == np.linalg.norm(mat, 2).tobytes()
 
 
 def _operator_norm(spec):
