@@ -19,8 +19,9 @@ tail is bracketed in [radius, 2 * radius].
 
 Every check is a reducer over one pass of `CesaroStream`, with norms
 reduced one chunk of steps at a time: per-step maxima are arrays, and the
-first step above a cap is found with `argmax`.  The tail radius re-runs
-only [N/2, N] from a checkpoint.
+first step above a cap is found with `argmax`.  The pass keeps the first
+means of the tail [N/2, N], as many as fit `_TAIL_KEEP_BYTES`, and the
+tail radius resumes the stream from a checkpoint only past them.
 The scan mode (``probe``, ``dense`` or ``probe-lb``) is the one decision
 that fixes how a pass reads its norms: `_mode_norms` gives the per-step,
 gap and radius readers of each mode.  `check_families` reads the
@@ -42,7 +43,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesaro import CesaroStream
+from .cesaro import _CHUNK_BYTES, CesaroStream
 from .operators import (
     DENSE_CAP,
     KIND_SHIFT,
@@ -80,6 +81,13 @@ BOUND_SLACK = 1e-9
 #: diameter.  Lower bounds read at a few steps (a dense witness, the dyadic
 #: gaps) are `matrix_norm`, an exact SVD, at every dimension.
 _L2_EXACT_DIM = 32
+
+#: Bytes of tail means a pass keeps for the tail radius, which re-runs the
+#: stream only past them.  At the default horizons this holds the whole
+#: probe tail of the scalars, jordan_1(2) and rotation(1.0), and the whole
+#: dense tail of every gallery operator of dim <= 12; a 4 MB budget timed
+#: the same on the gallery and raised its peak RSS by 1.9 MB.
+_TAIL_KEEP_BYTES = 8 * _CHUNK_BYTES
 
 
 @dataclass(eq=False)
@@ -200,9 +208,13 @@ class _Scan:
     first step above the cap as (n, norms, A_n); `powers` holds the
     power-norm maxima for m = 0..steps and `power_hit` (m, norms).  Maxima
     are None when unread, hits when no step crossed the cap.  `snapshots`
-    maps the requested indices to A_n, and `checkpoint` is (n, A_n, P_n) at
-    the requested tail start.  Everything kept is a copy, since the stream
-    reuses its chunk buffers.
+    maps the requested indices to A_n.  From the requested tail start t on,
+    `kept` lists A_t .. A_(t+k-1), as many as fit `_TAIL_KEEP_BYTES`, in
+    one (count, dim, p) stack per chunk, and `checkpoint` is (n, A_n, P_n)
+    at n = t + k, the first step not kept (None when the kept means reach
+    the horizon); both are complete only on a scan that reached the
+    horizon.  Everything kept is a copy, since the stream reuses its chunk
+    buffers.
     """
 
     stream: CesaroStream
@@ -215,6 +227,7 @@ class _Scan:
     steps: int = 0
     diverged_at: int | None = None
     snapshots: dict = field(default_factory=dict)
+    kept: list = field(default_factory=list)
     checkpoint: tuple | None = None
 
 
@@ -225,14 +238,18 @@ def _first_above(tops: np.ndarray, cap: float) -> int | None:
     return int(np.argmax(tops > cap))
 
 
-def _scan(spec, X, mode, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _Scan:
+def _scan(spec, X, mode, horizon, bound_cap, wanted=(), tail_at=None) -> _Scan:
     """One pass of the stream of X, reading norms as `mode` says; power
-    maxima are tracked in ``probe`` mode only."""
+    maxima are tracked in ``probe`` mode only.  With a tail start
+    `tail_at`, the pass keeps the tail's first means and checkpoints the
+    step after them."""
     step_norm = _mode_norms(spec, mode)[0]
     stream = CesaroStream(spec, X)
     scan = _Scan(stream, horizon, bound_cap)
     means, powers = [], []
     wanted = sorted(wanted)
+    if tail_at is not None:
+        resume_at = tail_at + min(horizon - tail_at + 1, _TAIL_KEEP_BYTES // X.nbytes)
     for chunk in stream.chunks(horizon):
         first, count = chunk.first, len(chunk.means)
         if step_norm is not None:
@@ -251,8 +268,12 @@ def _scan(spec, X, mode, horizon, bound_cap, wanted=(), checkpoint_at=None) -> _
                 scan.power_hit = (first + i, chunk.power_norms[i].copy())
         for n in wanted[bisect_left(wanted, first) : bisect_left(wanted, first + count)]:
             scan.snapshots[n] = chunk.means[n - first].copy()
-        if checkpoint_at is not None and 0 <= (i := checkpoint_at - first) < count:
-            scan.checkpoint = (checkpoint_at, chunk.means[i].copy(), chunk.powers[i].copy())
+        if tail_at is not None:
+            lo, hi = max(first, tail_at), min(first + count, resume_at)
+            if lo < hi:
+                scan.kept.append(chunk.means[lo - first : hi - first].copy())
+            if 0 <= (i := resume_at - first) < count:
+                scan.checkpoint = (resume_at, chunk.means[i].copy(), chunk.powers[i].copy())
     scan.steps = first + count - 1
     scan.diverged_at = stream.diverged_at
     if means:
@@ -302,12 +323,30 @@ def _dyadic_gap_witness(gaps, scales, tolerance):
 
 
 def _tail_radius(scan: _Scan, norm):
-    """max_n norm(A_n - A_N) over the tail [max(1, N//2), N], re-run from
-    the checkpoint the scan took at the tail start."""
+    """max_n norm(A_n - A_N) over the tail [max(1, N//2), N].
+
+    The means the scan kept are reduced in place, one chunk's stack at a
+    time; the stream resumes from the scan's checkpoint for the rest, each
+    chunk's differences going into one reused buffer.  A maximum is exact
+    and every slice reduces with the bits of the per-step call, so the
+    radius does not depend on how much was kept.
+    """
     final = scan.snapshots[scan.horizon]
     radius = 0.0
-    for chunk in scan.stream.chunks(scan.horizon, start=scan.checkpoint):
-        radius = np.maximum(radius, np.maximum.reduce(norm(chunk.means - final), axis=0))
+
+    def fold(diffs):
+        nonlocal radius
+        radius = np.maximum(radius, np.maximum.reduce(norm(diffs), axis=0))
+
+    for part in scan.kept:
+        fold(np.subtract(part, final, out=part))
+    if scan.checkpoint is not None:
+        buf = np.empty((0, *final.shape))
+        for chunk in scan.stream.chunks(scan.horizon, start=scan.checkpoint):
+            count = len(chunk.means)
+            if len(buf) < count:
+                buf = np.empty_like(chunk.means)
+            fold(np.subtract(chunk.means, final, out=buf[:count]))
     return radius
 
 
@@ -507,7 +546,8 @@ def check_ergodic(
 
 def _probe_families(spec, probes, horizon, tolerance, bound_cap):
     """Power-bounded, probe-mode Cesaro-bounded and ergodic verdicts, all
-    read off one probe pass (plus the re-run of the ergodic tail)."""
+    read off one probe pass (plus the re-run of the ergodic tail past the
+    means the pass kept)."""
     lo, wanted = _tail_plan(horizon)
     scan = _scan(spec, probes.vectors.T, "probe", horizon, bound_cap, wanted, lo)
     cb = _cb_probe_verdict(scan, probes.label)
@@ -575,9 +615,10 @@ def check_families(
     """Every family verdict of an analysis report.
 
     Power-bounded, Cesaro-bounded (``auto`` mode) and ergodic come out of
-    one probe pass of the stream, plus a re-run of the ergodic tail from a
-    checkpoint; Cesaro-bounded re-scans in dense mode when ``auto`` picks
-    it.  Uniform ergodicity is checked at the trusted horizon, and at
+    one probe pass of the stream; the ergodic tail radius reads the tail
+    means the pass kept and re-runs the stream from a checkpoint only past
+    them.  Cesaro-bounded re-scans in dense mode when ``auto`` picks it.
+    Uniform ergodicity is checked at the trusted horizon, and at
     `ue_horizon` too when that is longer.
     """
     _check_probes(spec, probes)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ergorank.cesaro
+import ergorank.classify
 from ergorank.cesaro import OVERFLOW_LIMIT, CesaroStream
 from ergorank.operators import (
     KIND_DENSE,
@@ -377,15 +378,24 @@ def test_kept_snapshots_checkpoints_and_hits_survive_later_chunks():
     horizon = 40
     want, _ = reference_stream(spec, X, horizon)
     for capacity in (1, 2, 3, None):
+        # The tail [20, 40] keeps 5 means under a 5-block budget and checkpoints
+        # step 25; under the default budget it keeps all 21, with no checkpoint.
+        with _chunk_capacity(capacity), mock.patch.object(
+            ergorank.classify, "_TAIL_KEEP_BYTES", 5 * X.nbytes
+        ):
+            scan = _scan(spec, X, "probe", horizon, 3.0, wanted={3, 10, 11, 40}, tail_at=20)
         with _chunk_capacity(capacity):
-            scan = _scan(spec, X, "probe", horizon, 3.0, wanted={3, 10, 11, 40}, checkpoint_at=20)
+            whole = _scan(spec, X, "probe", horizon, 3.0, tail_at=20)
             means = CesaroStream(spec, X).means_at([1, 2, 7, 40, 2, 7])
             margins = chain_margins(spec, X, [1, 2, 9, 40])
         assert scan.snapshots.keys() == {3, 10, 11, 40}
         for n, A in scan.snapshots.items():
             assert _same_bits(A, want[n - 1][1])
         n, A, P = scan.checkpoint
-        assert n == 20 and _same_bits(A, want[19][1]) and _same_bits(P, want[19][2])
+        assert n == 25 and _same_bits(A, want[24][1]) and _same_bits(P, want[24][2])
+        assert _same_bits(np.concatenate(scan.kept), np.stack([w[1] for w in want[19:24]]))
+        assert whole.checkpoint is None
+        assert _same_bits(np.concatenate(whole.kept), np.stack([w[1] for w in want[19:]]))
         assert means.keys() == {1, 2, 7, 40}
         for n, A in means.items():
             assert _same_bits(A, want[n - 1][1])

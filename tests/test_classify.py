@@ -1,10 +1,13 @@
+import contextlib
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ergorank.cesaro
+import ergorank.classify
 from ergorank.classify import (
     FAILS,
     HOLDS,
@@ -18,7 +21,9 @@ from ergorank.classify import (
     replay_witness,
     trusted_horizon,
     _L2_EXACT_DIM,
+    _TAIL_KEEP_BYTES,
     _int_bound,
+    _scan,
 )
 from ergorank.cesaro import CesaroStream
 from ergorank.operators import (
@@ -35,6 +40,7 @@ from ergorank.operators import (
     gallery,
     matrix_norm,
 )
+from reference import reference_stream
 
 
 #: Powers overflow at the first step: T x already has norm 1e200.
@@ -364,6 +370,106 @@ def test_family_hierarchy_holds(spec, horizon, basis, tolerance):
         assert cb.status != FAILS
 
 
+def _chunk_capacity(k):
+    """Streams started inside hold k steps per chunk (None: the default)."""
+    if k is None:
+        return contextlib.nullcontext()
+    return mock.patch.object(ergorank.cesaro, "_capacity", lambda block_bytes: k)
+
+
+def _assert_tail_budgets_agree(spec, horizon, tolerance=1e-2):
+    """Ergodic and uniformly ergodic verdicts with their evidence are bitwise
+    equal whether the pass keeps none of the tail, one mean, part of it or
+    all of it, at chunk capacities 1, 2 and the default; and the tail bracket
+    is [r, 2r] (or [0, 2r]) for the radius r of the reference means, read
+    one step at a time.  Returns how many of the two verdicts read a radius."""
+    probes = default_probes(spec)
+    tag = spec.norm_tag
+    lo = max(1, horizon // 2)
+    tail = horizon - lo + 1
+    # The dense l2 radius above the exact dim is an upper bound, and no lower bound.
+    exact = tag != "l2" or spec.dim <= _L2_EXACT_DIM
+    dense = lambda D: matrix_norm(D, tag)
+    if not exact:
+        dense = lambda D: np.sqrt(matrix_norm(D, "l1") * matrix_norm(D, "linf"))
+    checks = [
+        (lambda: check_ergodic(spec, probes, horizon, tolerance), probes.vectors.T,
+         lambda D: column_norms(D, tag), True),
+        (lambda: check_uniformly_ergodic(spec, horizon, tolerance), np.eye(spec.dim), dense, exact),
+    ]
+    read = 0
+    for check, X, norm, exact in checks:
+        want = None
+        for capacity in (1, 2, None):
+            for blocks in (0, 1, max(1, tail // 2), tail):
+                with _chunk_capacity(capacity), mock.patch.object(
+                    ergorank.classify, "_TAIL_KEEP_BYTES", blocks * X.nbytes
+                ):
+                    v = check()
+                got = (v.to_json_dict(), v.evidence, _bits(v.evidence["tail_diameter_ub"]),
+                       _bits(v.evidence["tail_diameter_lb"]))
+                assert want is None or got == want, (capacity, blocks)
+                want = got
+        ub, lb = v.evidence["tail_diameter_ub"], v.evidence["tail_diameter_lb"]
+        steps, diverged = reference_stream(spec, X, horizon)
+        if diverged is not None:
+            assert ub is None and lb is None
+        if ub is None:  # a diverged scan, a failing gate or a dyadic gap decided first
+            continue
+        final = steps[-1][1]
+        radius = np.maximum.reduce([np.maximum(0.0, norm(A - final)) for _, A, *_ in steps[lo - 1 :]])
+        assert _bits(ub) == _bits(np.asarray(2.0 * radius).tolist())
+        assert _bits(lb) == _bits(np.asarray(radius if exact else np.zeros_like(radius)).tolist())
+        read += 1
+    return read
+
+
+def _bits(value):
+    return None if value is None else np.asarray(value, dtype=float).tobytes()
+
+
+_DIM = _L2_EXACT_DIM + 8
+
+#: (spec, horizon) for the tail edges: one- to three-step horizons, a scan
+#: that diverges at once, an l2 radius that is only an upper bound, and
+#: tails longer than one chunk.
+_TAIL_CASES = {
+    "horizon 1": (gallery("jordan_1(2)"), 1),
+    "horizon 2": (gallery("rotation(1.0)"), 2),
+    "horizon 3": (gallery("scalar(-1.0)"), 3),
+    "huge diagonal": (HUGE_DIAGONAL, 10),
+    "dense l2 above the exact dim": (
+        OperatorSpec(KIND_DENSE, _DIM, np.diag(np.linspace(-0.9, 0.9, _DIM)) + 0.01 * np.eye(_DIM, k=1), "l2"),
+        64,
+    ),
+    "identity": (gallery("identity(8)"), 300),
+    "left shift": (gallery("left_shift_l1(64)"), 200),
+}
+
+
+@pytest.mark.parametrize("case", _TAIL_CASES.values(), ids=_TAIL_CASES.keys())
+def test_tail_radius_is_bitwise_the_same_at_every_keep_budget(case):
+    spec, horizon = case
+    assert _assert_tail_budgets_agree(spec, horizon) == (0 if spec is HUGE_DIAGONAL else 2)
+
+
+@given(_small_specs(), st.sampled_from([1, 2, 3, 7, 40]))
+@settings(max_examples=40)
+def test_tail_radius_is_bitwise_the_same_at_every_keep_budget_generated(spec, horizon):
+    _assert_tail_budgets_agree(spec, horizon)
+
+
+def test_a_tail_longer_than_the_budget_keeps_no_more_than_the_budget():
+    spec, probes = _probes("left_shift_l1(64)")
+    X = probes.vectors.T
+    horizon = 2000
+    assert (horizon - 1000 + 1) * X.nbytes > _TAIL_KEEP_BYTES
+    scan = _scan(spec, X, "probe", horizon, 1e3, {horizon}, 1000)
+    kept = np.concatenate(scan.kept)
+    assert _TAIL_KEEP_BYTES - X.nbytes < kept.nbytes <= _TAIL_KEEP_BYTES
+    assert scan.checkpoint[0] == 1000 + len(kept)
+
+
 def test_trusted_horizon_shrinks_for_shift_only():
     shift = gallery("left_shift_l1(64)")
     assert trusted_horizon(shift, 256) == 32
@@ -421,8 +527,9 @@ def test_families_match_the_single_checks():
 
 
 def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):
-    # One shared pass plus the re-run of the tail [N/2, N]; the checks used
-    # to walk the full horizon about five times.
+    # At most one shared pass plus a re-run of the whole tail [N/2, N]: the
+    # tail re-runs only past the means the pass kept.  The checks used to
+    # walk the full horizon about five times.
     spec, probes = _probes("left_shift_l1(64)")
     real = ergorank.cesaro.apply_columns
     widths = []
@@ -434,6 +541,23 @@ def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):
     monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting)
     check_families(spec, probes, 2000, 1e-2, 1e3, 64)
     assert 0 < widths.count(len(probes)) <= 1.5 * 2000 + 2
+
+
+@pytest.mark.parametrize("name", ["rotation(1.0)", "scalar(-1.0)"])
+def test_families_walk_the_horizon_once_when_the_tail_is_kept(monkeypatch, name):
+    # The probe pass keeps the whole tail [1000, 2000] of these small blocks,
+    # so the tail radius applies T no more: one application per power.
+    spec, probes = _probes(name)
+    real = ergorank.cesaro.apply_columns
+    widths = []
+
+    def counting(s, X, out=None):
+        widths.append(X.shape[1])
+        return real(s, X, out=out)
+
+    monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting)
+    check_families(spec, probes, 2000, 1e-2, 1e3, 64)
+    assert 0 < widths.count(len(probes)) <= 2000 + 1
 
 
 # -- verdict plumbing ----------------------------------------------------
