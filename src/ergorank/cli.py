@@ -23,6 +23,7 @@ lists nodes and takes ``--max-nodes``; ``analyze`` records the default.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -99,8 +100,9 @@ def _cache_dir() -> str:
     return os.path.join(os.path.expanduser("~"), ".cache", "ergorank")
 
 
-def build_report(spec: OperatorSpec, config: dict) -> dict:
-    """Assemble the full analysis report (everything but cache handling)."""
+def build_report(spec: OperatorSpec, config: dict, spec_sha256: str) -> dict:
+    """Assemble the full analysis report (everything but cache handling).
+    `spec_sha256` is the digest of the spec's canonical JSON text."""
     probes = _make_probes(spec, config["probes"], config["seed"])
     horizon = config["horizon"]
     tolerance = config["tolerance"]
@@ -152,7 +154,7 @@ def build_report(spec: OperatorSpec, config: dict) -> dict:
     report = {
         "schema": REPORT_SCHEMA,
         "operator": spec.to_json_dict(),
-        "operator_sha256": sha256_hex(canonical_dumps(spec.to_json_dict())),
+        "operator_sha256": spec_sha256,
         "config": config,
         "verdicts": {
             "power_bounded": families.power_bounded.to_json_dict(),
@@ -192,13 +194,13 @@ def cmd_analyze(args) -> int:
         "probes": args.probes,
     }
 
-    spec_text = canonical_dumps(spec.to_json_dict())
+    spec_sha256 = sha256_hex(canonical_dumps(spec.to_json_dict()))
     # Reports from other code (version or report schema) never match.
     key_text = canonical_dumps(
         {"version": __version__, "schema": REPORT_SCHEMA, "config": config}
     )
     cache_file = os.path.join(
-        _cache_dir(), f"{sha256_hex(spec_text)[:16]}-{sha256_hex(key_text)[:16]}.json"
+        _cache_dir(), f"{spec_sha256[:16]}-{sha256_hex(key_text)[:16]}.json"
     )
     report = None
     if not args.no_cache and os.path.exists(cache_file):
@@ -209,7 +211,7 @@ def cmd_analyze(args) -> int:
         except (OSError, ValueError):
             report = None
     if report is None:
-        report = build_report(spec, config)
+        report = build_report(spec, config, spec_sha256)
         if not args.no_cache:
             stored = {k: v for k, v in report.items() if k != "timings"}
             os.makedirs(_cache_dir(), exist_ok=True)
@@ -386,8 +388,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser: parsing leaves a parser unchanged, and each
+    call fills a fresh namespace from the defaults."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

@@ -9,12 +9,17 @@ Everything downstream (Cesaro means, classification, trees, certificates)
 consumes these specs through `apply_columns` and the two norm reducers,
 `column_norms` for vectors and `matrix_norm` for dense matrices, so the
 spec plus a seed fully determines every computed number.
+
+A spec prepares its kernel once: a sparse spec builds its slot-prefix
+layout when validated, and non-dense weights are shaped like the column
+blocks they multiply, once per block width.  Neither changes a bit.
 """
 
 from __future__ import annotations
 
 import math
 import re
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +40,15 @@ DENSE_CAP = 512
 
 #: Probe vectors may exceed unit norm by at most this slack.
 UNIT_BALL_SLACK = 1e-12
+
+#: Bytes of the largest weight block `apply_columns` keeps for a spec and
+#: of the largest gather it makes at once; wider weights stay a broadcast
+#: column.  512 KB holds the weights of a 256-wide block at dim 256 and
+#: of a 48-wide block at 900 triplets; 256 KB ran those 1.4-2.2x slower.
+_BLOCK_BYTES = 512 * 1024
+
+#: Column widths a spec keeps weight blocks for at once.
+_BLOCK_WIDTHS = 8
 
 
 class SpecValidationError(ValueError):
@@ -98,7 +112,12 @@ class OperatorSpec:
                 raise SpecValidationError(f"diagonal entries must have shape ({d},), got {diag.shape}")
             self.entries = _freeze(diag)
         else:
-            self.entries, self._slots = _validate_triplets(self.entries, d)
+            self.entries, self._layout = _validate_triplets(self.entries, d)
+            # Reused by the sparse kernel: fresh block-sized temporaries
+            # cost page faults on every call.  Per thread, so that threads
+            # may share a spec.
+            self._scratch = threading.local()
+        self._blocks: dict[int, tuple] = {}
 
     # -- serialization ---------------------------------------------------
 
@@ -139,12 +158,17 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 
 
 def _validate_triplets(entries, dim: int):
-    """The (rows, cols, vals) arrays of a triplet list, and its row slots.
+    """The (rows, cols, vals) arrays of a triplet list, and its slot-prefix
+    layout (inverse, cols, vals, bounds).
 
-    Slot s holds the s-th triplet of every row, in triplet order, as
-    (rows, cols, vals[:, None]).  Within a slot no row repeats, so
-    `apply_columns` adds one slot at a time with plain fancy indexing and
-    still sums each row in triplet order.
+    The rows are permuted by triplet count, descending and stable, and slot
+    s holds the s-th triplet of every row that has one: those rows are the
+    first w_s permuted rows.  `cols` and `vals` list the triplets slot by
+    slot, each slot in permuted-row order, and slot s spans
+    bounds[s]:bounds[s + 1].  `inverse[r]` is the permuted position of row
+    r.  So `apply_columns` adds a slot's products into a leading slice of a
+    permuted accumulator, and each row still sums its triplets in triplet
+    order.
     """
     try:
         triplets = [(int(r), int(c), float(v)) for r, c, v in entries]
@@ -167,8 +191,44 @@ def _validate_triplets(entries, dim: int):
     cols = _freeze(np.array([t[1] for t in triplets], dtype=np.int64))
     vals = _freeze(np.array([t[2] for t in triplets], dtype=np.float64))
     slot = np.array(slot, dtype=np.int64)
-    groups = np.split(np.argsort(slot, kind="stable"), np.cumsum(np.bincount(slot))[:-1])
-    return (rows, cols, vals), [(rows[i], cols[i], vals[i, None]) for i in groups]
+    inverse = np.empty(dim, dtype=np.int64)
+    inverse[np.argsort(-np.bincount(rows, minlength=dim), kind="stable")] = np.arange(dim)
+    order = np.argsort(slot * dim + inverse[rows], kind="stable")
+    bounds = np.concatenate([[0], np.cumsum(np.bincount(slot))]).tolist()
+    layout = (_freeze(inverse), _freeze(cols[order]), _freeze(vals[order]), bounds)
+    return (rows, cols, vals), layout
+
+
+def _weight_block(spec: OperatorSpec, width: int) -> tuple:
+    """The weights of a non-dense spec for column blocks of `width`: a
+    read-only (rows, width) block if it fits `_BLOCK_BYTES`, else a
+    (rows, 1) column.  For a sparse spec, also the gather pieces and the
+    triplet count of the largest one.
+
+    A piece (lo, hi, spans) gathers triplets lo:hi at once, whose products
+    fill at most `_BLOCK_BYTES` (one triplet at least).  Pieces fill greedily in
+    slot order and cut a slot where they must; a span (start, stop, row) is
+    the part of one slot in the piece, whose products go to the accumulator
+    rows from `row` on.
+    """
+    weights = spec.entries
+    pieces = []
+    if spec.kind == KIND_SPARSE:
+        _, _, weights, bounds = spec._layout
+        cap = max(1, _BLOCK_BYTES // (8 * max(width, 1)))
+        for first, end in zip(bounds[:-1], bounds[1:]):
+            start = first
+            while start < end:
+                if not pieces or pieces[-1][1] - pieces[-1][0] == cap:
+                    pieces.append([start, start, []])
+                stop = min(end, start + cap - (pieces[-1][1] - pieces[-1][0]))
+                pieces[-1][2].append((start, stop, start - first))
+                pieces[-1][1] = start = stop
+    if weights.size * width * 8 <= _BLOCK_BYTES:
+        weights = _freeze(np.repeat(weights[:, None], width, axis=1))
+    else:
+        weights = weights[:, None]
+    return weights, pieces, max((hi - lo for lo, hi, _ in pieces), default=0)
 
 
 # -- application ---------------------------------------------------------
@@ -180,6 +240,17 @@ def apply_columns(spec: OperatorSpec, X: np.ndarray, out: np.ndarray | None = No
     With `out`, a float64 array of X's shape, the product is written there
     and `out` is returned, with the same bits as the allocating call.
     `out` must not overlap X.
+
+    Dense specs are one matrix product.  The other kinds multiply by their
+    weights shaped as a (rows, p) block, which numpy runs faster than a
+    (rows, 1) broadcast and which gives the same products; a spec keeps the
+    blocks of the last few widths it saw.  A sparse spec gathers the rows of
+    X that each slot of its layout reads, scales them, and adds them into
+    the leading rows of a permuted accumulator that starts at +0.0; one
+    final gather un-permutes it.  Each row so sums ((0 + v0 x) + v1 x) + ...
+    in triplet order, with the bits of `np.add.at`: signed zeros, infinities
+    and NaNs land where it puts them (the sign of a NaN, which IEEE 754
+    leaves open, follows numpy's add loop).
     """
     if X.ndim != 2 or X.shape[0] != spec.dim:
         raise DimensionMismatchError(
@@ -189,24 +260,38 @@ def apply_columns(spec: OperatorSpec, X: np.ndarray, out: np.ndarray | None = No
         raise ValueError("apply_columns: out must not overlap the column block")
     if spec.kind == KIND_DENSE:
         return np.matmul(spec.entries, X, out=out)
+    width = X.shape[1]
+    entry = spec._blocks.get(width)
+    if entry is None:
+        if len(spec._blocks) >= _BLOCK_WIDTHS:
+            spec._blocks.clear()
+        entry = spec._blocks[width] = _weight_block(spec, width)
+    weights, pieces, most = entry
     if spec.kind == KIND_DIAGONAL:
-        return np.multiply(spec.entries[:, None], X, out=out)
+        return np.multiply(weights, X, out=out)
+    X = np.asarray(X, dtype=np.float64)  # the gathers below write float64
     if out is None:
         out = np.empty_like(X)
     if spec.kind == KIND_SHIFT:
         out[-1] = 0.0
-        np.multiply(spec.entries[:, None], X[1:], out=out[:-1])
+        np.multiply(weights, X[1:], out=out[:-1])
         return out
-    # One fancy-indexed add per row slot: each row sums its triplets in
-    # triplet order, and the loop runs as often as the fullest row has
-    # entries.  The product is formed in place, which saves allocating a
-    # block-sized temporary per slot.
-    out.fill(0.0)
-    for rows, cols, vals in spec._slots:
-        prod = X[cols]
-        prod *= vals
-        out[rows] += prod
-    return out
+    # `take` with mode="clip" writes into `out` unbuffered; every index is
+    # in range, so clipping never applies.
+    inverse, cols, _, _ = spec._layout
+    size = X.size
+    buf = getattr(spec._scratch, "buf", None)
+    if buf is None or buf.size < size + most * width:
+        buf = spec._scratch.buf = np.empty(size + most * width)
+    acc = buf[:size].reshape(X.shape)
+    acc.fill(0.0)
+    gathered = buf[size : size + most * width].reshape(most, width)
+    for lo, hi, spans in pieces:
+        prod = np.take(X, cols[lo:hi], axis=0, out=gathered[: hi - lo], mode="clip")
+        prod *= weights[lo:hi]
+        for start, stop, row in spans:
+            acc[row : row + stop - start] += prod[start - lo : stop - lo]
+    return np.take(acc, inverse, axis=0, out=out, mode="clip")
 
 
 # -- norms ---------------------------------------------------------------

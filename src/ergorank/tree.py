@@ -200,6 +200,9 @@ def build_truncation(
         ):
             done = False
             break
+    # `walk` reaches itself through its closure, a cycle that would keep the
+    # lists it closes over alive until the next garbage collection.
+    del walk
     return TreeTruncation(
         epsilon=float(epsilon),
         depth_cap=depth_cap,

@@ -1,8 +1,10 @@
 """Reference oracles the tests compare the library against.
 
 `as_dense` materializes an operator as a (dim, dim) matrix from its
-entries, independently of `apply_columns`, and `add_at_apply` is the
-`np.add.at` scatter that the sparse row-slot kernel must match bit for
+entries, independently of `apply_columns`; `add_at_apply` is the
+`np.add.at` scatter that the sparse slot-prefix kernel must match bit for
+bit, and `broadcast_apply` multiplies by (rows, 1) weight columns, which
+the block-shaped weights of every non-dense kernel must match bit for
 bit.  `direct_mean` sums the powers T^k x one by one, independently of the
 Cesaro recurrence, and `reference_stream` is that recurrence in its plainest
 form: it applies T and reduces the power norms, through numpy's wrapper
@@ -54,6 +56,18 @@ def add_at_apply(spec: OperatorSpec, X: np.ndarray) -> np.ndarray:
     out = np.zeros_like(X)
     np.add.at(out, rows, vals[:, None] * X[cols])
     return out
+
+
+def broadcast_apply(spec: OperatorSpec, X: np.ndarray) -> np.ndarray:
+    """A diagonal, shift or sparse spec applied to a column block with its
+    weights broadcast as a (rows, 1) column."""
+    if spec.kind == KIND_DIAGONAL:
+        return spec.entries[:, None] * X
+    if spec.kind == KIND_SHIFT:
+        out = np.zeros_like(X)
+        out[:-1] = spec.entries[:, None] * X[1:]
+        return out
+    return add_at_apply(spec, X)
 
 
 def direct_mean(spec: OperatorSpec, x: np.ndarray, n: int) -> np.ndarray:

@@ -243,6 +243,36 @@ def test_version_flag(capsys):
     assert "ergorank" in capsys.readouterr().out
 
 
+def test_main_parses_each_call_afresh_with_one_parser(tmp_path, monkeypatch):
+    # The parser is built once per process; two calls in a row, with
+    # different subcommands and flags, share no parsed values or defaults.
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    cli._parser.cache_clear()
+    spec_path = _write_spec(tmp_path, "scalar(0.5)")
+    first, second = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
+    assert main([
+        "analyze", spec_path, "--no-cache", "--horizon", "300", "--ue-horizon", "40",
+        "--tol", "0.05", "--probes", "basis", "--seed", "7", "--index-bound", "8",
+        "--out", first,
+    ]) == 0
+    assert main(["gallery", "zero(3)", "--out", str(tmp_path / "zero.json")]) == 0
+    assert main(["analyze", spec_path, "--no-cache", "--horizon", "200", "--index-bound", "16",
+                 "--out", second]) == 0
+    assert built == [1]
+    cli._parser.cache_clear()
+    config = canonical_loads(open(first).read())["config"]
+    assert (config["horizon"], config["ue_horizon"], config["tolerance"]) == (300, 40, 0.05)
+    assert (config["probes"], config["seed"], config["index_bound"]) == ("basis", 7, 8)
+    config = canonical_loads(open(second).read())["config"]
+    assert (config["horizon"], config["ue_horizon"], config["index_bound"]) == (200, 200, 16)
+    assert config["tolerance"] == cli.DEFAULT_TOLERANCE
+    assert (config["probes"], config["seed"]) == ("default", cli.DEFAULT_SEED)
+    zero = OperatorSpec.from_json_dict(canonical_loads((tmp_path / "zero.json").read_text()))
+    assert zero.dim == 3
+
+
 def test_missing_subcommand_exits_with_usage_error():
     with pytest.raises(SystemExit) as exc:
         main([])

@@ -1,7 +1,11 @@
+import math
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ergorank import operators
 from ergorank.operators import (
     KIND_DENSE,
     KIND_DIAGONAL,
@@ -20,7 +24,8 @@ from ergorank.operators import (
     gallery,
     matrix_norm,
 )
-from reference import add_at_apply, as_dense
+from ergorank.serialization import canonical_dumps, canonical_loads, sha256_hex
+from reference import add_at_apply, as_dense, broadcast_apply
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
 
@@ -123,16 +128,27 @@ def test_apply_matches_dense(spec, seed):
     assert np.allclose(apply_columns(spec, x), as_dense(spec) @ x, atol=1e-12)
     X = rng.standard_normal((spec.dim, 3))
     assert np.allclose(apply_columns(spec, X), as_dense(spec) @ X, atol=1e-12)
+    # Every kind computes in float64, whatever the block's dtype.
+    assert apply_columns(spec, X.astype(np.float32)).dtype == np.float64
+
+
+#: Column-block entries that stress a sum's order: infinities, nan, signed
+#: zeros, subnormals and the extremes of the finite range.
+_SPECIAL = [math.inf, -math.inf, math.nan, 0.0, -0.0, 5e-324, -5e-324, 2.2e-308,
+            1.7976931348623157e308, -1.7976931348623157e308]
 
 
 @st.composite
-def _sparse_case(draw):
-    """A sparse spec (no triplets, a full row, a full column, or random
-    cells, in shuffled order) and a column block of width 1..dim.  Values
-    span many magnitudes and include signed zeros, so any change in the
-    order of a row's sum shows in the bits."""
-    dim = draw(st.integers(1, 8))
-    layout = draw(st.sampled_from(["empty", "full_row", "full_column", "random"]))
+def _sparse_case(draw, max_dim=8, extra_width=0, special=False):
+    """A sparse spec (no triplets, a full row, a full column, a few heavy
+    rows, or random cells, in shuffled order) and a column block of width
+    1..dim + `extra_width`.  Values span many magnitudes and include signed
+    zeros, so any change in the order of a row's sum shows in the bits.
+    With `special`, the values come from a drawn seed (hypothesis is slow
+    to draw thousands of floats) and the block also holds `_SPECIAL`
+    entries."""
+    dim = draw(st.integers(1, max_dim))
+    layout = draw(st.sampled_from(["empty", "full_row", "full_column", "heavy_rows", "random"]))
     line = draw(st.integers(0, dim - 1))
     if layout == "empty":
         cells = []
@@ -140,16 +156,33 @@ def _sparse_case(draw):
         cells = [(line, c) for c in range(dim)]
     elif layout == "full_column":
         cells = [(r, line) for r in range(dim)]
+    elif layout == "heavy_rows":
+        rows = draw(st.sets(st.integers(0, dim - 1), min_size=1, max_size=4))
+        skip = draw(st.sets(st.integers(0, dim - 1), max_size=dim // 3))
+        cells = [(r, c) for r in sorted(rows) for c in range(dim) if c not in skip]
     else:
         cells = draw(st.lists(st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1)),
-                              unique=True, max_size=dim * dim))
+                              unique=True, max_size=min(dim * dim, 120)))
     cells = draw(st.permutations(cells))
-    value = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
-    vals = draw(st.lists(value, min_size=len(cells), max_size=len(cells)))
+    width = draw(st.integers(1, dim + extra_width))
+    if special:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+
+        def values(shape):
+            out = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.integers(-6, 7, shape)
+            out[rng.random(shape) < 0.1] = -0.0
+            return out
+
+        vals = values(len(cells)).tolist()
+        block = values((dim, width))
+        pick = rng.random(block.shape) < 0.15
+        block[pick] = rng.choice(_SPECIAL, int(pick.sum()))
+    else:
+        value = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False)
+        vals = draw(st.lists(value, min_size=len(cells), max_size=len(cells)))
+        block = np.array(draw(st.lists(value, min_size=dim * width, max_size=dim * width)))
     spec = OperatorSpec(KIND_SPARSE, dim, [[r, c, v] for (r, c), v in zip(cells, vals)], "l1")
-    width = draw(st.integers(1, dim))
-    block = draw(st.lists(value, min_size=dim * width, max_size=dim * width))
-    return spec, np.array(block).reshape(dim, width)
+    return spec, block.reshape(dim, width)
 
 
 @given(_sparse_case())
@@ -159,6 +192,67 @@ def test_sparse_kernel_matches_add_at_bitwise(case):
     got, want = apply_columns(spec, X), add_at_apply(spec, X)
     assert np.array_equal(got, want)
     assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _nan_as_one(a):
+    """`a` with every NaN replaced by the one NaN `np.nan`.  IEEE 754 leaves
+    the sign of a NaN result unspecified, and numpy's add picks the sign of
+    one NaN operand or the other depending on its loop (SIMD body or scalar
+    tail, in place or not), so only where NaNs are is comparable."""
+    return np.where(np.isnan(a), np.nan, a)
+
+
+@pytest.mark.parametrize("budget", [None, 64])
+@given(case=_sparse_case(max_dim=40, extra_width=6, special=True))
+@settings(max_examples=150)
+def test_sparse_kernel_matches_add_at_bytes_on_wide_and_non_finite_blocks(budget, case):
+    # Rows with more than 8 triplets would show a pairwise sum; inf, nan and
+    # signed zeros show any change in the order of a row's sum.  A 64-byte
+    # budget cuts every slot into gathers of a few triplets and leaves the
+    # values a broadcast column.
+    spec, X = case
+    with mock.patch.object(operators, "_BLOCK_BYTES", budget or operators._BLOCK_BYTES):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got, want = apply_columns(spec, X), add_at_apply(spec, X)
+    assert _nan_as_one(got).tobytes() == _nan_as_one(want).tobytes()
+
+
+def _kernel_spec(kind, dim, rng):
+    if kind == KIND_DIAGONAL:
+        return OperatorSpec(kind, dim, rng.standard_normal(dim), "l2")
+    if kind == KIND_SHIFT:
+        return OperatorSpec(kind, dim, rng.standard_normal(dim - 1), "linf")
+    cells = [(r, c) for r in range(dim) for c in range(dim) if rng.random() < 0.3]
+    cells = [cells[i] for i in rng.permutation(len(cells))]
+    return OperatorSpec(kind, dim, [[r, c, rng.standard_normal()] for r, c in cells], "l1")
+
+
+@pytest.mark.parametrize("kind", [KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE])
+@pytest.mark.parametrize("dim", [1, 2, 9, 300])
+def test_memoized_weights_match_the_broadcast_product_bitwise(kind, dim):
+    rng = np.random.default_rng(dim)
+    spec = _kernel_spec(kind, dim, rng)
+    text = canonical_dumps(spec.to_json_dict())
+    # Every width twice, in an order that revisits widths after others, and
+    # more widths than a spec keeps blocks for.
+    widths = [1, 2, dim, 3, 1, dim, *range(4, 4 + operators._BLOCK_WIDTHS), 2, dim, 1]
+    for width in widths:
+        X = rng.standard_normal((dim, width))
+        X[rng.random(X.shape) < 0.2] = -0.0
+        X[-1, 0] = math.inf  # one per row of products, so no inf - inf
+        want = broadcast_apply(spec, X)
+        assert apply_columns(spec, X).tobytes() == want.tobytes()
+        out = np.full_like(X, np.nan)
+        assert apply_columns(spec, X, out=out) is out and out.tobytes() == want.tobytes()
+        weights = spec._blocks[width][0]
+        assert not weights.flags.writeable
+        with pytest.raises(ValueError):
+            weights[...] = 0.0
+    assert len(spec._blocks) <= operators._BLOCK_WIDTHS
+    # The kernels leave the spec's JSON form, canonical text and digest alone.
+    assert canonical_dumps(spec.to_json_dict()) == text
+    assert sha256_hex(canonical_dumps(spec.to_json_dict())) == sha256_hex(text)
+    assert OperatorSpec.from_json_dict(canonical_loads(text)).to_json_dict() == spec.to_json_dict()
 
 
 @pytest.mark.parametrize("kind", [KIND_DENSE, KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE])

@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -114,6 +115,18 @@ def test_budget_marks_partial():
     full = build_truncation(spec, 0.25, depth_cap=4, index_bound=16, probes=probes)
     assert not full.partial
     assert trunc.members == full.members[:5]
+
+
+def test_truncation_holds_the_only_reference_to_its_members():
+    # The depth-first walk is a recursive closure over the member list; a
+    # closure left in a reference cycle would keep that list (and the rest
+    # of the walk's state) alive until the next garbage collection.
+    spec = gallery("left_shift_l1(64)")
+    for max_nodes in (5, 10_000):
+        trunc = build_truncation(spec, 0.25, depth_cap=4, index_bound=16,
+                                 probes=default_probes(spec), max_nodes=max_nodes)
+        refs = sys.getrefcount(trunc.members)  # outside the rewritten assert
+        assert refs == 2  # the attribute and the call's argument
 
 
 def test_dot_rendering():
