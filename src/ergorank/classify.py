@@ -21,7 +21,10 @@ Every check is a reducer over one pass of `CesaroStream`, with norms
 reduced one chunk of steps at a time: per-step maxima are arrays, and the
 first step above a cap is found with `argmax`.  The pass keeps the first
 means of the tail [N/2, N], as many as fit `_TAIL_KEEP_BYTES`, and the
-tail radius resumes the stream from a checkpoint only past them.
+entrywise min and max of the rest.  That envelope bounds every unkept
+difference A_n - A_N, so when its norm does not exceed the radius of the
+kept means, that radius is exact; otherwise the tail radius resumes the
+stream from a checkpoint past the kept means.
 The scan mode (``probe``, ``dense`` or ``probe-lb``) is the one decision
 that fixes how a pass reads its norms: `_mode_norms` gives the per-step,
 gap and radius readers of each mode.  `check_families` reads the
@@ -38,6 +41,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -83,10 +87,11 @@ BOUND_SLACK = 1e-9
 _L2_EXACT_DIM = 32
 
 #: Bytes of tail means a pass keeps for the tail radius, which re-runs the
-#: stream only past them.  At the default horizons this holds the whole
-#: probe tail of the scalars, jordan_1(2) and rotation(1.0), and the whole
-#: dense tail of every gallery operator of dim <= 12; a 4 MB budget timed
-#: the same on the gallery and raised its peak RSS by 1.9 MB.
+#: stream past them unless the envelope of the rest bounds them.  At the
+#: default horizons this holds the whole probe tail of the scalars,
+#: jordan_1(2) and rotation(1.0), and the whole dense tail of every gallery
+#: operator of dim <= 12; a 4 MB budget timed the same on the gallery and
+#: raised its peak RSS by 1.9 MB.
 _TAIL_KEEP_BYTES = 8 * _CHUNK_BYTES
 
 
@@ -171,9 +176,19 @@ def _check_probes(spec: OperatorSpec, probes: ProbeSet) -> None:
         )
 
 
-def _mode_norms(spec: OperatorSpec, mode: str):
-    """The (step, gap, radius) norm readers of a scan mode; None for what
-    the mode does not read.
+class _Norms(NamedTuple):
+    """The norm readers of a scan mode; None for what the mode does not
+    read.  `monotone` says that the radius reader cannot fall when the
+    magnitude of any entry rises."""
+
+    step: Callable | None
+    gap: Callable
+    radius: Callable | None
+    monotone: bool
+
+
+def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
+    """The step, gap and radius norm readers of a scan mode.
 
     ``probe`` reads every norm per probe column.  ``dense`` reads the
     matrices A_n: per-step and radius norms are upper bounds (exact but for
@@ -182,19 +197,23 @@ def _mode_norms(spec: OperatorSpec, mode: str):
     lower bound on the operator norm.  The radius is exact exactly when it
     is the gap reader.  The step and radius readers take a chunk's
     (count, dim, p) stack of means and give one row of norms per step (one
-    norm per row in ``dense`` mode); the gap reader takes one block.
+    norm per row in ``dense`` mode); the gap reader takes one block.  Every
+    radius reader but the exact SVD is a fixed order of abs, squares, sums,
+    maxima and square roots of the entries, so it is monotone in each
+    entry's magnitude.
     """
     tag = spec.norm_tag
     if mode == "probe":
         cols = lambda X: column_norms(X, tag)
-        return cols, cols, cols
+        return _Norms(cols, cols, cols, True)
     if mode == "probe-lb":
-        return None, lambda X: column_norms(X, tag).max(), None
+        return _Norms(None, lambda X: column_norms(X, tag).max(), None, False)
     exact = lambda X: matrix_norm(X, tag)
     radius = exact
     if tag == "l2" and spec.dim > _L2_EXACT_DIM:
         radius = lambda X: np.sqrt(matrix_norm(X, "l1") * matrix_norm(X, "linf"))
-    return (lambda X: radius(X)[:, None]), exact, radius
+    monotone = radius is not exact or tag != "l2"
+    return _Norms(lambda X: radius(X)[:, None], exact, radius, monotone)
 
 
 # -- one pass over the means ---------------------------------------------
@@ -213,8 +232,10 @@ class _Scan:
     one (count, dim, p) stack per chunk, and `checkpoint` is (n, A_n, P_n)
     at n = t + k, the first step not kept (None when the kept means reach
     the horizon); both are complete only on a scan that reached the
-    horizon.  Everything kept is a copy, since the stream reuses its chunk
-    buffers.
+    horizon.  With a checkpoint and a monotone radius reader, `low` and
+    `high` are the entrywise min and max of the means from the checkpoint
+    step to the horizon: the envelope of the tail means not kept.
+    Everything kept is a copy, since the stream reuses its chunk buffers.
     """
 
     stream: CesaroStream
@@ -229,6 +250,8 @@ class _Scan:
     snapshots: dict = field(default_factory=dict)
     kept: list = field(default_factory=list)
     checkpoint: tuple | None = None
+    low: np.ndarray | None = None
+    high: np.ndarray | None = None
 
 
 def _first_above(tops: np.ndarray, cap: float) -> int | None:
@@ -241,15 +264,17 @@ def _first_above(tops: np.ndarray, cap: float) -> int | None:
 def _scan(spec, X, mode, horizon, bound_cap, wanted=(), tail_at=None) -> _Scan:
     """One pass of the stream of X, reading norms as `mode` says; power
     maxima are tracked in ``probe`` mode only.  With a tail start
-    `tail_at`, the pass keeps the tail's first means and checkpoints the
-    step after them."""
-    step_norm = _mode_norms(spec, mode)[0]
+    `tail_at`, the pass keeps the tail's first means, checkpoints the step
+    after them and, for a monotone radius reader, tracks the envelope of
+    the rest."""
+    step_norm, _, _, monotone = _mode_norms(spec, mode)
     stream = CesaroStream(spec, X)
     scan = _Scan(stream, horizon, bound_cap)
     means, powers = [], []
     wanted = sorted(wanted)
     if tail_at is not None:
         resume_at = tail_at + min(horizon - tail_at + 1, _TAIL_KEEP_BYTES // X.nbytes)
+        envelope = monotone and resume_at <= horizon
     for chunk in stream.chunks(horizon):
         first, count = chunk.first, len(chunk.means)
         if step_norm is not None:
@@ -274,6 +299,16 @@ def _scan(spec, X, mode, horizon, bound_cap, wanted=(), tail_at=None) -> _Scan:
                 scan.kept.append(chunk.means[lo - first : hi - first].copy())
             if 0 <= (i := resume_at - first) < count:
                 scan.checkpoint = (resume_at, chunk.means[i].copy(), chunk.powers[i].copy())
+            if envelope and i < count:
+                # Each chunk reduces into one spare block: a fresh temporary
+                # the size of a wide block page-faults on every chunk.
+                rest = chunk.means[max(i, 0) :]
+                if scan.low is None:
+                    scan.low, scan.high = rest[0].copy(), rest[0].copy()
+                    spare = np.empty_like(rest[0])
+                for bound, ufunc in ((scan.low, np.minimum), (scan.high, np.maximum)):
+                    part = ufunc.reduce(rest, out=spare) if len(rest) > 1 else rest[0]
+                    ufunc(bound, part, out=bound)
     scan.steps = first + count - 1
     scan.diverged_at = stream.diverged_at
     if means:
@@ -326,10 +361,18 @@ def _tail_radius(scan: _Scan, norm):
     """max_n norm(A_n - A_N) over the tail [max(1, N//2), N].
 
     The means the scan kept are reduced in place, one chunk's stack at a
-    time; the stream resumes from the scan's checkpoint for the rest, each
-    chunk's differences going into one reused buffer.  A maximum is exact
-    and every slice reduces with the bits of the per-step call, so the
-    radius does not depend on how much was kept.
+    time, into the kept radius.  The rest of the tail is bounded by its
+    envelope [low, high]: fl(a - c) is monotone in a under round-to-nearest,
+    so every unkept |A_n - A_N| lies entrywise under
+    E = max(|low - A_N|, |high - A_N|), and a monotone reader, which reduces
+    E in the order it reduces each slice, reads norm(A_n - A_N) <= norm(E).
+    When norm(E) is at most the kept radius in every column, no unkept mean
+    can raise the maximum, and the kept radius is the radius bit for bit.
+    Otherwise (a NaN fails the test too), or without an envelope, the
+    stream resumes from the scan's checkpoint for the rest, each chunk's
+    differences going into one reused buffer.  A maximum is exact and every
+    slice reduces with the bits of the per-step call, so the radius does
+    not depend on how much was kept.
     """
     final = scan.snapshots[scan.horizon]
     radius = 0.0
@@ -340,13 +383,19 @@ def _tail_radius(scan: _Scan, norm):
 
     for part in scan.kept:
         fold(np.subtract(part, final, out=part))
-    if scan.checkpoint is not None:
-        buf = np.empty((0, *final.shape))
-        for chunk in scan.stream.chunks(scan.horizon, start=scan.checkpoint):
-            count = len(chunk.means)
-            if len(buf) < count:
-                buf = np.empty_like(chunk.means)
-            fold(np.subtract(chunk.means, final, out=buf[:count]))
+    if scan.checkpoint is None:
+        return radius
+    if scan.low is not None:
+        envelope = np.maximum(np.abs(scan.low - final), np.abs(scan.high - final))
+        ub = norm(envelope[None])[0]
+        if np.all(ub <= radius):
+            return np.maximum(radius, ub)  # the kept radius, shaped as a fold leaves it
+    buf = np.empty((0, *final.shape))
+    for chunk in scan.stream.chunks(scan.horizon, start=scan.checkpoint):
+        count = len(chunk.means)
+        if len(buf) < count:
+            buf = np.empty_like(chunk.means)
+        fold(np.subtract(chunk.means, final, out=buf[:count]))
     return radius
 
 
@@ -475,7 +524,7 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     certified diameter 2 * radius is below the tolerance.  Norms come from
     `_mode_norms`; a mode without a radius reader never holds.
     """
-    _, gap_norm, radius_norm = _mode_norms(scan.stream.spec, mode)
+    _, gap_norm, radius_norm, _ = _mode_norms(scan.stream.spec, mode)
     scales = _dyadic_scales(scan.horizon)
     evidence = {
         "mode": mode,
@@ -547,7 +596,7 @@ def check_ergodic(
 def _probe_families(spec, probes, horizon, tolerance, bound_cap):
     """Power-bounded, probe-mode Cesaro-bounded and ergodic verdicts, all
     read off one probe pass (plus the re-run of the ergodic tail past the
-    means the pass kept)."""
+    means the pass kept, when the envelope of the rest could raise it)."""
     lo, wanted = _tail_plan(horizon)
     scan = _scan(spec, probes.vectors.T, "probe", horizon, bound_cap, wanted, lo)
     cb = _cb_probe_verdict(scan, probes.label)
@@ -616,8 +665,9 @@ def check_families(
 
     Power-bounded, Cesaro-bounded (``auto`` mode) and ergodic come out of
     one probe pass of the stream; the ergodic tail radius reads the tail
-    means the pass kept and re-runs the stream from a checkpoint only past
-    them.  Cesaro-bounded re-scans in dense mode when ``auto`` picks it.
+    means the pass kept and re-runs the stream from a checkpoint past them
+    only when the envelope of the unkept means could raise it.
+    Cesaro-bounded re-scans in dense mode when ``auto`` picks it.
     Uniform ergodicity is checked at the trusted horizon, and at
     `ue_horizon` too when that is longer.
     """
@@ -698,7 +748,7 @@ def replay_witness(
             raise ValueError("this witness references probes; pass the probe set")
         else:
             X = probes.vectors.T if mode == "probe-lb" else probes[w["probe"]][:, None]
-        g = _gaps(CesaroStream(spec, X).means_at(scales), scales, _mode_norms(spec, mode)[1])
+        g = _gaps(CesaroStream(spec, X).means_at(scales), scales, _mode_norms(spec, mode).gap)
         if g is None:
             raise ValueError("the means stop before the witness scales: the powers overflow")
         g = [float(np.max(v)) for v in g]

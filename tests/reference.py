@@ -8,7 +8,8 @@ the block-shaped weights of every non-dense kernel must match bit for
 bit.  `direct_mean` sums the powers T^k x one by one, independently of the
 Cesaro recurrence, and `reference_stream` is that recurrence in its plainest
 form: it applies T and reduces the power norms, through numpy's wrapper
-reductions, at every step.  `node_member` decides tree membership of one index
+reductions, at every step; `reference_tail_radius` reads the Cauchy tail
+radius off it one step at a time.  `node_member` decides tree membership of one index
 chain from its `chain_margins`, independently of the dynamic programming
 behind `best_chains`, the rank heights, the beam search and
 `build_truncation`.
@@ -112,6 +113,17 @@ def reference_stream(spec: OperatorSpec, X: np.ndarray, horizon: int, start=None
         A = (n * A + P) / (n + 1)
         P = apply_columns(spec, P)
         n += 1
+
+
+def reference_tail_radius(spec: OperatorSpec, X: np.ndarray, horizon: int, norm):
+    """max_n norm(A_n X - A_N X) over the tail [max(1, N//2), N], one
+    `reference_stream` step at a time, or None when the powers overflow."""
+    steps, diverged = reference_stream(spec, X, horizon)
+    if diverged is not None:
+        return None
+    final = steps[-1][1]
+    tail = steps[max(1, horizon // 2) - 1 :]
+    return np.maximum.reduce([np.maximum(0.0, norm(A - final)) for _, A, *_ in tail])
 
 
 class NodeMembership(NamedTuple):

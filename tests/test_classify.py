@@ -23,6 +23,7 @@ from ergorank.classify import (
     _L2_EXACT_DIM,
     _TAIL_KEEP_BYTES,
     _int_bound,
+    _mode_norms,
     _scan,
 )
 from ergorank.cesaro import CesaroStream
@@ -31,6 +32,7 @@ from ergorank.operators import (
     KIND_DENSE,
     KIND_DIAGONAL,
     KIND_SHIFT,
+    KIND_SPARSE,
     CapExceededError,
     OperatorSpec,
     basis_probes,
@@ -40,11 +42,15 @@ from ergorank.operators import (
     gallery,
     matrix_norm,
 )
-from reference import reference_stream
+from reference import reference_tail_radius
 
 
 #: Powers overflow at the first step: T x already has norm 1e200.
 HUGE_DIAGONAL = OperatorSpec(KIND_DIAGONAL, 2, [1e200, -1e200], "linf")
+
+#: Every entry of A_n = diag((1 - d^n) / (n (1 - d))) falls with n, so the
+#: first tail mean is the farthest from A_N.
+MONOTONE_DIAGONAL = OperatorSpec(KIND_DIAGONAL, 6, np.linspace(0.1, 0.9, 6), "l1")
 
 
 def _probes(name):
@@ -411,13 +417,11 @@ def _assert_tail_budgets_agree(spec, horizon, tolerance=1e-2):
                 assert want is None or got == want, (capacity, blocks)
                 want = got
         ub, lb = v.evidence["tail_diameter_ub"], v.evidence["tail_diameter_lb"]
-        steps, diverged = reference_stream(spec, X, horizon)
-        if diverged is not None:
+        radius = reference_tail_radius(spec, X, horizon, norm)
+        if radius is None:
             assert ub is None and lb is None
         if ub is None:  # a diverged scan, a failing gate or a dyadic gap decided first
             continue
-        final = steps[-1][1]
-        radius = np.maximum.reduce([np.maximum(0.0, norm(A - final)) for _, A, *_ in steps[lo - 1 :]])
         assert _bits(ub) == _bits(np.asarray(2.0 * radius).tolist())
         assert _bits(lb) == _bits(np.asarray(radius if exact else np.zeros_like(radius)).tolist())
         read += 1
@@ -444,6 +448,12 @@ _TAIL_CASES = {
     ),
     "identity": (gallery("identity(8)"), 300),
     "left shift": (gallery("left_shift_l1(64)"), 200),
+    # The envelope of the unkept tail proves the kept radius is the radius.
+    "zero": (gallery("zero(4)"), 300),
+    "monotone diagonal": (MONOTONE_DIAGONAL, 300),
+    # The unkept tail holds the maximum: A_150 = A_300 = 0 and A_151 = X / 151.
+    "scalar -1, maximum past the kept mean": (gallery("scalar(-1.0)"), 300),
+    "rotation": (gallery("rotation(1.0)"), 300),
 }
 
 
@@ -457,6 +467,172 @@ def test_tail_radius_is_bitwise_the_same_at_every_keep_budget(case):
 @settings(max_examples=40)
 def test_tail_radius_is_bitwise_the_same_at_every_keep_budget_generated(spec, horizon):
     _assert_tail_budgets_agree(spec, horizon)
+
+
+class _Walks:
+    """Records every `CesaroStream.chunks` call of a check as (resumed,
+    steps), summing chunk lengths: an `apply_columns` count would miss the
+    steps of a stream whose power is stationary."""
+
+    def __init__(self, monkeypatch):
+        self.walks = []
+        real = CesaroStream.chunks
+
+        def chunks(stream, horizon, start=None):
+            walk = [start is not None, 0]
+            self.walks.append(walk)
+            for chunk in real(stream, horizon, start):
+                walk[1] += len(chunk.means)
+                yield chunk
+
+        monkeypatch.setattr(CesaroStream, "chunks", chunks)
+
+    def resumed(self):
+        return sum(resumed for resumed, _ in self.walks)
+
+
+#: Re-runs of the (ergodic, uniformly ergodic) tail when the pass keeps one
+#: mean: none where the envelope bounds the kept radius, one where the
+#: unkept tail holds the maximum, and one for the exact-SVD reader (dense l2
+#: at dim <= 32), which is not monotone in the bits and never takes the
+#: shortcut.
+_ENVELOPE_CASES = {
+    "zero": (0, 1),
+    "monotone diagonal": (0, 0),
+    "scalar -1, maximum past the kept mean": (1, 1),
+    "rotation": (1, 1),
+    "identity": (1, 1),
+    "dense l2 above the exact dim": (1, 0),
+}
+
+
+@pytest.mark.parametrize("name", _ENVELOPE_CASES)
+def test_the_envelope_skips_the_tail_re_run_only_when_it_bounds_the_kept_radius(monkeypatch, name):
+    spec, horizon = _TAIL_CASES[name]
+    probes = default_probes(spec)
+    checks = [
+        (lambda: check_ergodic(spec, probes, horizon, 1e-2), probes.vectors.T),
+        (lambda: check_uniformly_ergodic(spec, horizon, 1e-2), np.eye(spec.dim)),
+    ]
+    walks = _Walks(monkeypatch)
+    reruns = []
+    for check, X in checks:
+        walks.walks.clear()
+        with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", X.nbytes):
+            assert check().evidence["tail_diameter_ub"] is not None
+        reruns.append(walks.resumed())
+    assert tuple(reruns) == _ENVELOPE_CASES[name]
+
+
+def test_exact_svd_radius_tracks_no_envelope():
+    for dim in (2, _L2_EXACT_DIM):
+        spec = OperatorSpec(KIND_DIAGONAL, dim, np.full(dim, 0.5), "l2")
+        assert not _mode_norms(spec, "dense").monotone
+        X = np.eye(dim)
+        with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", X.nbytes):
+            scan = _scan(spec, X, "dense", 64, 1e3, {64}, 32)
+        assert scan.checkpoint is not None and scan.low is None and scan.high is None
+    wide = OperatorSpec(KIND_DIAGONAL, _L2_EXACT_DIM + 1, np.full(_L2_EXACT_DIM + 1, 0.5), "l2")
+    assert _mode_norms(wide, "dense").monotone
+    assert not _mode_norms(wide, "probe-lb").monotone
+
+
+#: Entries that stress rounding: signed zeros, subnormals, the smallest
+#: normal, values one ulp apart, and magnitudes whose differences overflow.
+_SPECIAL_ENTRIES = [
+    0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308, -1e-300, 1.0, -1.0,
+    1.0 + 2.0**-52, 1.0 - 2.0**-53, 0.1, 3.0, -1e150, 1e300, -1.7976931348623157e308,
+    1.7976931348623157e308,
+]
+
+_ENTRY = st.one_of(
+    st.sampled_from(_SPECIAL_ENTRIES),
+    st.floats(-4.0, 4.0),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+#: (mode, tag) of every radius reader that claims monotonicity.
+_MONOTONE_READERS = [
+    ("probe", "l1"), ("probe", "l2"), ("probe", "linf"),
+    ("dense", "l1"), ("dense", "linf"), ("dense", "l2"),
+]
+
+
+@given(
+    st.sampled_from(_MONOTONE_READERS),
+    st.integers(1, 6),
+    st.integers(1, 5),
+    st.integers(1, 4),
+    st.lists(_ENTRY, min_size=1, max_size=6),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=300)
+def test_the_envelope_bounds_every_monotone_reader(reader, dim, p, count, pool, seed):
+    # Drawing the entries from a small pool makes ties across the stack
+    # likely.  The dense l2 reader is the sqrt(l1 * linf) bound, read above
+    # the exact-SVD dim.
+    mode, tag = reader
+    if mode == "dense":
+        dim = dim + _L2_EXACT_DIM if tag == "l2" else dim
+        p = dim
+    norms = _mode_norms(OperatorSpec(KIND_DIAGONAL, dim, np.zeros(dim), tag), mode)
+    assert norms.monotone
+    rng = np.random.default_rng(seed)
+    stack = rng.choice(np.array(pool), (count, dim, p))
+    final = rng.choice(np.array(pool), (dim, p))
+    with np.errstate(over="ignore"):
+        diffs = np.subtract(stack, final)
+        envelope = np.maximum(
+            np.abs(np.minimum.reduce(stack) - final), np.abs(np.maximum.reduce(stack) - final)
+        )
+        assert np.all(np.abs(diffs) <= envelope)
+        ub = norms.radius(envelope[None])[0]
+        read = norms.radius(diffs)
+    assert not np.isnan(ub).any()
+    assert np.all(read <= ub), (read, ub)
+
+
+def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
+    # Every tail below is longer than the keep budget; the envelope of the
+    # rest proves the kept radius, so no stream is resumed.
+    rng = np.random.default_rng(14)
+    dim = 128
+    per_row = rng.permutation([3, 4] * (dim // 2))
+    rows = np.repeat(np.arange(dim), per_row)
+    cols = np.concatenate([rng.choice(dim, size=k, replace=False) for k in per_row])
+    vals = rng.uniform(0.1, 1.0, rows.size)
+    vals /= np.bincount(cols, weights=vals, minlength=dim)[cols]
+    stochastic = OperatorSpec(
+        KIND_SPARSE, dim, [[int(r), int(c), float(v)] for r, c, v in zip(rows, cols, vals)], "l1"
+    )
+    diagonal = OperatorSpec(KIND_DIAGONAL, 256, rng.uniform(0.1, 0.9, 256), "l1")
+    shift = OperatorSpec(KIND_SHIFT, 256, rng.uniform(0.5, 1.0, 255), "linf")
+    horizon, ue_horizon = 2000, 256
+    walks = _Walks(monkeypatch)
+    for spec in (stochastic, diagonal, shift):
+        probes = default_probes(spec)
+        assert (horizon // 2 + 1) * probes.vectors.nbytes > _TAIL_KEEP_BYTES
+        walks.walks.clear()
+        families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+        assert families.ergodic.evidence["tail_diameter_ub"] is not None
+        trusted = trusted_horizon(spec, ue_horizon)
+        want = [horizon, trusted] + ([ue_horizon] if trusted < ue_horizon else [])
+        assert walks.walks == [[False, n] for n in want], spec.kind
+
+
+def test_identity_tail_past_the_budget_still_re_runs(monkeypatch):
+    # The means of identity(8) wander in their last bits, so the envelope
+    # cannot prove the kept radius and the tail is re-run from the checkpoint.
+    spec, probes = _probes("identity(8)")
+    X = probes.vectors.T
+    horizon = 10_000
+    assert (horizon // 2 + 1) * X.nbytes > _TAIL_KEEP_BYTES
+    walks = _Walks(monkeypatch)
+    erg = check_families(spec, probes, horizon, 1e-2, 1e3, 256).ergodic
+    assert walks.walks[0] == [False, horizon] and walks.walks[1][0]
+    radius = reference_tail_radius(spec, X, horizon, lambda D: column_norms(D, spec.norm_tag))
+    assert _bits(erg.evidence["tail_diameter_ub"]) == _bits(2.0 * radius)
+    assert _bits(erg.evidence["tail_diameter_lb"]) == _bits(radius)
 
 
 def test_a_tail_longer_than_the_budget_keeps_no_more_than_the_budget():
