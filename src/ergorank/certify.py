@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .operators import OperatorSpec, ProbeSet, UNIT_BALL_SLACK, column_norms
+from .operators import OperatorSpec, ProbeSet, UNIT_BALL_SLACK, _check_args, column_norms
 from .tree import best_chains, chain_margins, margin_tensor, separates
 
 #: Recomputed margins must match stated ones to this absolute tolerance.
@@ -161,12 +161,12 @@ def search_nse(
     """Search for a certificate of depth up to `target_depth`.
 
     Returns the deepest certificate found (possibly shallower than the
-    target) or None when not even one separated pair was witnessed.
+    target) or None when not even one separated pair was witnessed.  The
+    index bound defaults to 2 ** target_depth, the deepest dyadic index.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if target_depth < 1:
-        raise ValueError(f"target_depth must be >= 1, got {target_depth}")
+    if index_bound is None:
+        index_bound = 2 ** target_depth
+    _check_args({"epsilon": epsilon}, {"target_depth": target_depth, "index_bound": index_bound})
     if strategy == "doubling":
         return _search_doubling(spec, probes, epsilon, target_depth, index_bound)
     if strategy == "beam":
@@ -175,11 +175,7 @@ def search_nse(
 
 
 def _search_doubling(spec, probes, epsilon, target_depth, index_bound):
-    t = target_depth
-    if index_bound is not None:
-        if index_bound < 2:
-            return None
-        t = min(t, int(math.floor(math.log2(index_bound))))
+    t = min(target_depth, int(math.floor(math.log2(index_bound))))
     J = tuple(2 ** i for i in range(t + 1))
     # Rows stop at the overflow stop, past which no index separates.
     table = chain_margins(spec, probes.vectors.T, J)  # (pairs, n_probes)
@@ -197,8 +193,7 @@ def _search_beam(spec, probes, epsilon, target_depth, index_bound):
     """The deepest separated chain J of at most target_depth + 1 indices
     <= the bound, then the largest minimum margin along it; ties go to
     the lowest probe, then the lexicographically smallest J."""
-    bound = index_bound if index_bound is not None else 2 ** target_depth
-    margins = margin_tensor(spec, probes, bound)
+    margins = margin_tensor(spec, probes, index_bound)
     best = best_chains(margins, target_depth)
     # A chain separates exactly when its minimum margin does; level 0
     # always does, and no level separates once one fails.
@@ -281,10 +276,7 @@ def rank_estimate(
     largest minimum margin separates.  They are never partial.
     """
     ks = [int(k) for k in ks]
-    if any(k < 1 for k in ks):
-        raise ValueError("k grid entries must be >= 1")
-    if depth_cap < 1:
-        raise ValueError(f"depth_cap must be >= 1, got {depth_cap}")
+    _check_args(at_least_one={"k grid entries": min(ks, default=1), "depth_cap": depth_cap})
     epsilons = [1.0 / k for k in ks]
     margins = margin_tensor(spec, probes, index_bound)
     peaks = best_chains(margins, depth_cap - 1).max(axis=(1, 2))

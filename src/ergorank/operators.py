@@ -89,7 +89,7 @@ class OperatorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise SpecValidationError(f"unknown operator kind {self.kind!r}, expected one of {KINDS}")
-        if not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
+        if isinstance(self.dim, bool) or not isinstance(self.dim, (int, np.integer)) or self.dim < 1:
             raise SpecValidationError(f"dim must be an integer >= 1, got {self.dim!r}")
         self.dim = int(self.dim)
         if self.norm_tag not in NORM_TAGS:
@@ -155,6 +155,17 @@ def _as_float_array(values, what: str) -> np.ndarray:
 def _freeze(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _check_args(positive: dict | None = None, at_least_one: dict | None = None) -> None:
+    """Raise for the first argument, named by its key, that is not > 0 (in
+    `positive`) or not >= 1 (in `at_least_one`); a NaN is neither."""
+    for name, value in (positive or {}).items():
+        if not value > 0:
+            raise ValueError(f"{name} must be positive, got {value}")
+    for name, value in (at_least_one or {}).items():
+        if not value >= 1:
+            raise ValueError(f"{name} must be >= 1, got {value}")
 
 
 def _validate_triplets(entries, dim: int):
@@ -352,7 +363,7 @@ class ProbeSet:
     label: str
 
     def __post_init__(self):
-        vecs = np.asarray(self.vectors, dtype=np.float64)
+        vecs = _as_float_array(self.vectors, "probe vectors")
         if vecs.ndim != 2:
             raise SpecValidationError("probe vectors must form a (count, dim) array")
         if vecs.shape[0] == 0:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cesaro import CesaroStream
-from .operators import OperatorSpec, ProbeSet, column_norms
+from .operators import OperatorSpec, ProbeSet, _check_args, column_norms
 
 #: Margins must clear the separation threshold by this absolute slack to
 #: count.  Exact boundary cases (margin mathematically equal to eps) pick
@@ -107,8 +107,7 @@ def margin_tensor(spec: OperatorSpec, probes: ProbeSet, index_bound: int) -> np.
     on epsilon: `separates(M, epsilon)` is the separation relation of the
     tree at any epsilon.
     """
-    if index_bound < 1:
-        raise ValueError(f"index_bound must be >= 1, got {index_bound}")
+    _check_args(at_least_one={"index_bound": index_bound})
     snaps = CesaroStream(spec, probes.vectors.T).means_at(range(1, index_bound + 1))
     stacked = np.stack(list(snaps.values()))
     reached = len(snaps)
@@ -151,12 +150,7 @@ def build_truncation(
     mask is the AND of its consecutive pair masks, so extending a node is
     one bitwise AND.
     """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if depth_cap < 1:
-        raise ValueError(f"depth_cap must be >= 1, got {depth_cap}")
-    if max_nodes < 1:
-        raise ValueError(f"max_nodes must be >= 1, got {max_nodes}")
+    _check_args({"epsilon": epsilon}, {"depth_cap": depth_cap, "max_nodes": max_nodes})
 
     separated = separates(margin_tensor(spec, probes, index_bound), epsilon)
     # successors[n]: (m, mask) for every m > n that some probe separates

@@ -1,4 +1,5 @@
 import contextlib
+import re
 import warnings
 from unittest import mock
 
@@ -26,6 +27,7 @@ from ergorank.classify import (
     _mode_norms,
     _scan,
 )
+from ergorank.certify import rank_estimate, search_nse
 from ergorank.cesaro import CesaroStream
 from ergorank.operators import (
     DENSE_CAP,
@@ -35,6 +37,8 @@ from ergorank.operators import (
     KIND_SPARSE,
     CapExceededError,
     OperatorSpec,
+    ProbeSet,
+    SpecValidationError,
     basis_probes,
     built_in_gallery,
     column_norms,
@@ -768,3 +772,64 @@ def test_probe_dim_mismatch():
     probes = basis_probes(4, "l2")
     with pytest.raises(ValueError, match="dim"):
         check_power_bounded(spec, probes, 10)
+
+
+# -- one check per argument rule -----------------------------------------
+
+
+def _refused_before_any_walk(monkeypatch, error, message, *calls):
+    """Each call raises `error` with exactly `message` before any stream pass."""
+    walks = _Walks(monkeypatch)
+    for call in calls:
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            call()
+    assert walks.walks == []
+
+
+def test_a_nan_probe_is_refused(monkeypatch):
+    # Accepted, it made the power-bounded check fail on diag(0.5, 0.5) with a
+    # witness at 1e140 that replays.
+    _refused_before_any_walk(
+        monkeypatch, SpecValidationError, "probe vectors must be finite",
+        lambda: ProbeSet([[np.nan, 0.0], [1.0, 0.0]], "l2", "nan probe"),
+    )
+
+
+def test_every_check_refuses_a_negative_bound_cap(monkeypatch):
+    spec = OperatorSpec(KIND_DIAGONAL, 2, [0.5, 0.5], "l2")
+    probes = basis_probes(2, "l2")
+    _refused_before_any_walk(
+        monkeypatch, ValueError, "bound_cap must be positive, got -1.0",
+        lambda: check_power_bounded(spec, probes, 100, bound_cap=-1.0),
+        lambda: check_cesaro_bounded(spec, probes, 100, bound_cap=-1.0),
+        lambda: check_ergodic(spec, probes, 100, 1e-2, bound_cap=-1.0),
+        lambda: check_uniformly_ergodic(spec, 100, 1e-2, probes=probes, bound_cap=-1.0),
+        lambda: check_families(spec, probes, 100, 1e-2, -1.0, 64),
+    )
+
+
+def test_families_name_a_bad_ue_horizon_before_the_probe_pass(monkeypatch):
+    spec, probes = _probes("rotation(1.0)")
+    _refused_before_any_walk(
+        monkeypatch, ValueError, "ue_horizon must be positive, got 0",
+        lambda: check_families(spec, probes, 10_000, 1e-2, 1e3, 0),
+    )
+
+
+@pytest.mark.parametrize("index_bound", [0, -3])
+def test_both_searches_and_the_rank_refuse_an_index_bound_below_one(monkeypatch, index_bound):
+    spec, probes = _probes("rotation(1.0)")
+    _refused_before_any_walk(
+        monkeypatch, ValueError, f"index_bound must be >= 1, got {index_bound}",
+        lambda: search_nse(spec, probes, 0.5, 3, index_bound, strategy="doubling"),
+        lambda: search_nse(spec, probes, 0.5, 3, index_bound, strategy="beam"),
+        lambda: rank_estimate(spec, probes, index_bound=index_bound),
+    )
+
+
+def test_a_bool_dim_is_refused(monkeypatch):
+    obj = {"kind": "diagonal", "dim": True, "norm": "l2", "entries": [1.0]}
+    _refused_before_any_walk(
+        monkeypatch, SpecValidationError, "dim must be an integer >= 1, got True",
+        lambda: OperatorSpec.from_json_dict(obj),
+    )
