@@ -23,10 +23,10 @@ first step above a cap is found with `argmax`; the pass keeps what the
 tail radius reads (see `_tail_radius`).  The scan mode (``probe``,
 ``dense`` or ``probe-lb``) is the one decision that fixes how a pass reads
 its norms: `_mode_norms` gives the per-step, gap and radius readers of each
-mode.  `check_families` reads the power-bounded, Cesaro-bounded and ergodic
-verdicts off a single shared probe pass.  No ``holds`` comes from a scan
-that the overflow guard stopped, nor from a tail with fewer than two
-indices.
+mode.  `check_families` makes one pass per block: the probe block gives the
+power-bounded, Cesaro-bounded and ergodic verdicts, the identity block the
+dense Cesaro-bounded and every uniformly ergodic one.  No ``holds`` comes
+from a scan that the overflow guard stopped, nor from a one-index tail.
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -83,11 +83,11 @@ BOUND_SLACK = 1e-9
 #: gaps) are `matrix_norm`, an exact SVD, at every dimension.
 _L2_EXACT_DIM = 32
 
-#: Bytes of tail means a pass keeps for `_tail_radius`.  At the default
-#: horizons this holds the whole probe tail of the scalars, jordan_1(2) and
-#: rotation(1.0), and the whole dense tail of every gallery operator of
-#: dim <= 12; a 4 MB budget timed the same on the gallery and raised its
-#: peak RSS by 1.9 MB.
+#: Bytes of tail means a pass keeps for `_tail_radius`, split evenly among
+#: the horizons it serves.  At the default horizons this holds the whole
+#: probe tail of the scalars, jordan_1(2) and rotation(1.0), and the whole
+#: dense tail of every gallery operator of dim <= 12; a 4 MB budget timed
+#: the same on the gallery and raised its peak RSS by 1.9 MB.
 _TAIL_KEEP_BYTES = 2 * 1024 * 1024
 
 
@@ -222,13 +222,13 @@ class _Scan:
     first step above the cap as (n, norms, A_n); `powers` holds the
     power-norm maxima for m = 0..steps and `power_hit` (m, norms).  Maxima
     are None when unread, hits when no step crossed the cap.  `snapshots`
-    maps the requested indices to A_n.  From the tail start t on, `kept`
-    lists A_t .. A_(t+k-1), as many as fit `_TAIL_KEEP_BYTES`, one stack
-    per chunk; `checkpoint` is (n, A_n, P_n) at n = t + k (None when the
-    kept means reach the horizon); `low` and `high` bound the means from
-    there on (see `_tail_radius`).  These are complete only on a scan that
-    reached the horizon.  Everything kept is a copy, since the stream
-    reuses its chunk buffers.
+    maps the dyadic scales and the horizon N to A_n.  A tail scan keeps in
+    `kept` A_t .. A_(t+k-1) from t = max(1, N//2) on, as many as fit its
+    share of `_TAIL_KEEP_BYTES`, one stack per chunk; `checkpoint` is
+    (n, A_n, P_n) at n = t + k (None when the kept means reach N); `low`
+    and `high` bound the means from there on (see `_tail_radius`).  These
+    are complete only on a scan that reached N, and all are copies, since
+    the stream reuses its chunk buffers.
     """
 
     stream: CesaroStream
@@ -254,65 +254,63 @@ def _first_above(tops: np.ndarray, cap: float) -> int | None:
     return int(np.argmax(tops > cap))
 
 
-def _scan(spec, X, mode, horizon, bound_cap, wanted=(), tail_at=None) -> _Scan:
-    """One pass of the stream of X, reading norms as `mode` says; power
-    maxima are tracked in ``probe`` mode only.  With a tail start
-    `tail_at`, the pass keeps what `_tail_radius` reads."""
+def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
+    """One pass of the stream of X to the longest of `horizons`, reading
+    norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
+    the horizons in `tails` share the keep budget of `_tail_radius`.  A
+    step's bits do not depend on the chunk that holds it."""
     step_norm, _, _, monotone = _mode_norms(spec, mode)
     stream = CesaroStream(spec, X)
-    scan = _Scan(stream, horizon, bound_cap)
-    means, powers = [], []
-    wanted = sorted(wanted)
-    if tail_at is not None:
-        resume_at = tail_at + min(horizon - tail_at + 1, _TAIL_KEEP_BYTES // X.nbytes)
-        envelope = monotone and resume_at <= horizon
-    for chunk in stream.chunks(horizon):
+    scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
+    marks = {h: (*(_dyadic_scales(h) or ()), h) for h in scans}
+    wanted = sorted({n for ns in marks.values() for n in ns})
+    means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
+    for chunk in stream.chunks(max(scans)):
         first, count = chunk.first, len(chunk.means)
         if step_norm is not None:
             norms = step_norm(chunk.means)
             tops = np.maximum.reduce(norms, axis=-1)
             means.append(tops)
-            if scan.mean_hit is None and (i := _first_above(tops, bound_cap)) is not None:
-                scan.mean_hit = (first + i, norms[i].copy(), chunk.means[i].copy())
+            if mean_hit is None and (i := _first_above(tops, bound_cap)) is not None:
+                mean_hit = (first + i, norms[i].copy(), chunk.means[i].copy())
         if mode == "probe":
             if first == 1:  # T^0 X = A_1 X
                 powers.append(tops[:1])
                 if tops[0] > bound_cap:
-                    scan.power_hit = (0, norms[0].copy())
+                    power_hit = (0, norms[0].copy())
             powers.append(chunk.power_max)
-            if scan.power_hit is None and (i := _first_above(chunk.power_max, bound_cap)) is not None:
-                scan.power_hit = (first + i, chunk.power_norms[i].copy())
+            if power_hit is None and (i := _first_above(chunk.power_max, bound_cap)) is not None:
+                power_hit = (first + i, chunk.power_norms[i].copy())
         for n in wanted[bisect_left(wanted, first) : bisect_left(wanted, first + count)]:
-            scan.snapshots[n] = chunk.means[n - first].copy()
-        if tail_at is not None:
+            snapshots[n] = chunk.means[n - first].copy()
+        for h in tails:
+            scan, tail_at = scans[h], max(1, h // 2)
+            resume_at = tail_at + min(h - tail_at + 1, _TAIL_KEEP_BYTES // X.nbytes // len(tails))
+            end = min(count, h - first + 1)  # the chunk's steps up to h
             lo, hi = max(first, tail_at), min(first + count, resume_at)
             if lo < hi:
                 scan.kept.append(chunk.means[lo - first : hi - first].copy())
-            if 0 <= (i := resume_at - first) < count:
+            if 0 <= (i := resume_at - first) < end:
                 scan.checkpoint = (resume_at, chunk.means[i].copy(), chunk.powers[i].copy())
-            if envelope and i < count:
+            if monotone and resume_at <= h and max(i, 0) < end:
                 # Each chunk reduces into one spare block: a fresh temporary
                 # the size of a wide block page-faults on every chunk.
-                rest = chunk.means[max(i, 0) :]
+                rest = chunk.means[max(i, 0) : end]
                 if scan.low is None:
                     scan.low, scan.high = rest[0].copy(), rest[0].copy()
                     spare = np.empty_like(rest[0])
                 for bound, ufunc in ((scan.low, np.minimum), (scan.high, np.maximum)):
                     part = ufunc.reduce(rest, out=spare) if len(rest) > 1 else rest[0]
                     ufunc(bound, part, out=bound)
-    scan.steps = first + count - 1
-    scan.diverged_at = stream.diverged_at
-    if means:
-        scan.means = np.concatenate(means)
-    if powers:
-        scan.powers = np.concatenate(powers)
-    return scan
-
-
-def _tail_plan(horizon: int):
-    """Tail start max(1, N//2) and the indices a scan must snapshot: the
-    dyadic scales and N."""
-    return max(1, horizon // 2), {horizon, *(_dyadic_scales(horizon) or ())}
+    for h, scan in scans.items():
+        scan.steps = min(h, first + count - 1)  # a stream stops where it diverges
+        scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
+        scan.means = np.concatenate(means)[: scan.steps] if means else None
+        scan.powers = np.concatenate(powers)[: scan.steps + 1] if powers else None
+        scan.mean_hit = mean_hit if mean_hit and mean_hit[0] <= scan.steps else None
+        scan.power_hit = power_hit if power_hit and power_hit[0] <= scan.steps else None
+        scan.snapshots = {n: snapshots[n] for n in marks[h] if n in snapshots}
+    return scans
 
 
 def _dyadic_scales(horizon: int) -> tuple[int, int, int] | None:
@@ -464,7 +462,8 @@ def check_power_bounded(
 ) -> Verdict:
     """Scan ||T^m x|| for all probes and m = 0..horizon."""
     _check_inputs(spec, probes, horizon=horizon, bound_cap=bound_cap)
-    return _pb_verdict(_scan(spec, probes.vectors.T, "probe", horizon, bound_cap), probes.label)
+    scan = _scan(spec, probes.vectors.T, "probe", [horizon], bound_cap)[horizon]
+    return _pb_verdict(scan, probes.label)
 
 
 def _auto_mode(spec: OperatorSpec, horizon: int) -> str:
@@ -490,13 +489,13 @@ def check_cesaro_bounded(
         raise ValueError(f"unknown mode {mode!r}, expected probe, dense, or auto")
     _check_inputs(spec, probes, mode == "probe", horizon=horizon, bound_cap=bound_cap)
     if mode == "probe":
-        scan = _scan(spec, probes.vectors.T, "probe", horizon, bound_cap)
+        scan = _scan(spec, probes.vectors.T, "probe", [horizon], bound_cap)[horizon]
         return _cb_probe_verdict(scan, probes.label)
     if spec.dim > DENSE_CAP:
         raise CapExceededError(
             f"dense Cesaro-bounded mode is capped at dim {DENSE_CAP} (got {spec.dim})"
         )
-    return _cb_dense_verdict(spec, _scan(spec, np.eye(spec.dim), "dense", horizon, bound_cap))
+    return _norm_verdicts(spec, probes, bound_cap, horizon, None, set())[0]
 
 
 # -- the Cauchy tail: ergodic and uniformly ergodic ----------------------
@@ -580,8 +579,7 @@ def check_ergodic(
 def _probe_families(spec, probes, horizon, tolerance, bound_cap):
     """Power-bounded, probe-mode Cesaro-bounded and ergodic verdicts, all
     read off one probe pass (and any tail re-run of `_tail_radius`)."""
-    lo, wanted = _tail_plan(horizon)
-    scan = _scan(spec, probes.vectors.T, "probe", horizon, bound_cap, wanted, lo)
+    scan = _scan(spec, probes.vectors.T, "probe", [horizon], bound_cap, [horizon])[horizon]
     cb = _cb_probe_verdict(scan, probes.label)
     erg = _tail_verdict(FAMILY_ERGODIC, scan, cb, tolerance, probes.label, "probe")
     return _pb_verdict(scan, probes.label), cb, erg
@@ -614,14 +612,21 @@ def check_uniformly_ergodic(
     _check_inputs(
         spec, probes, lower_bounds, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap
     )
+    return _norm_verdicts(spec, probes, bound_cap, None, tolerance, {horizon})[1][horizon]
+
+
+def _norm_verdicts(spec, probes, bound_cap, cb_horizon, tolerance, ue_horizons):
+    """Dense Cesaro-bounded at `cb_horizon` (None: not asked for) and uniformly
+    ergodic at each of the set `ue_horizons`, off one identity-block pass."""
+    if spec.dim > DENSE_CAP:  # no radius reader, so no tails
+        mode, X, label, tails = "probe-lb", probes.vectors.T, probes.label, ()
+    else:
+        mode, X, label, tails = "dense", np.eye(spec.dim), None, ue_horizons
+    scans = _scan(spec, X, mode, {*ue_horizons, cb_horizon} - {None}, bound_cap, tails)
+    cbs = {} if mode == "probe-lb" else {h: _cb_dense_verdict(spec, s) for h, s in scans.items()}
     family = FAMILY_UNIFORMLY_ERGODIC
-    lo, wanted = _tail_plan(horizon)
-    if lower_bounds:
-        scan = _scan(spec, probes.vectors.T, "probe-lb", horizon, bound_cap, wanted)
-        return _tail_verdict(family, scan, None, tolerance, probes.label, "probe-lb")
-    scan = _scan(spec, np.eye(spec.dim), "dense", horizon, bound_cap, wanted, lo)
-    cb = _cb_dense_verdict(spec, scan)
-    return _tail_verdict(family, scan, cb, tolerance, None, "dense")
+    ues = {h: _tail_verdict(family, scans[h], cbs.get(h), tolerance, label, mode) for h in ue_horizons}
+    return cbs.get(cb_horizon), ues
 
 
 # -- every family from one pass ------------------------------------------
@@ -647,28 +652,23 @@ def check_families(
 ) -> FamilyVerdicts:
     """Every family verdict of an analysis report.
 
-    Power-bounded, Cesaro-bounded (``auto`` mode) and ergodic come out of
-    one probe pass of the stream (and any tail re-run of `_tail_radius`).
-    Cesaro-bounded re-scans in dense mode when ``auto`` picks it.
-    Uniform ergodicity is checked at the trusted horizon, and at
-    `ue_horizon` too when that is longer.
+    One pass per block: the probe block gives power-bounded, Cesaro-bounded
+    (probe mode) and ergodic, with any tail re-run of `_tail_radius`; the
+    identity block gives Cesaro-bounded in dense mode, when ``auto`` picks
+    it, and uniform ergodicity at the trusted horizon, and at `ue_horizon`
+    too when that is longer.
     """
     _check_inputs(
         spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap,
         ue_horizon=ue_horizon,
     )
-    # The probe pass's snapshots are released before the dense scans start.
+    # The probe pass's snapshots are released before the identity pass starts.
     pb, cb, erg = _probe_families(spec, probes, horizon, tolerance, bound_cap)
-    if _auto_mode(spec, horizon) == "dense":
-        cb = check_cesaro_bounded(spec, probes, horizon, bound_cap, mode="dense")
+    cb_horizon = horizon if _auto_mode(spec, horizon) == "dense" else None
     trusted = trusted_horizon(spec, ue_horizon)
-    ue = check_uniformly_ergodic(spec, trusted, tolerance, probes=probes, bound_cap=bound_cap)
-    section = None
-    if trusted < ue_horizon:
-        section = check_uniformly_ergodic(
-            spec, ue_horizon, tolerance, probes=probes, bound_cap=bound_cap
-        )
-    return FamilyVerdicts(pb, cb, erg, ue, section)
+    dense_cb, ues = _norm_verdicts(spec, probes, bound_cap, cb_horizon, tolerance, {trusted, ue_horizon})
+    section = ues[ue_horizon] if trusted < ue_horizon else None
+    return FamilyVerdicts(pb, dense_cb or cb, erg, ues[trusted], section)
 
 
 # -- witness replay ------------------------------------------------------

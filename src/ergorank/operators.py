@@ -144,7 +144,7 @@ class OperatorSpec:
 
 def _as_float_array(values, what: str) -> np.ndarray:
     try:
-        arr = np.asarray(values, dtype=np.float64)
+        arr = np.array(values, dtype=np.float64)
     except (TypeError, ValueError) as exc:
         raise SpecValidationError(f"{what} must be real numbers: {exc}") from None
     if arr.size and not np.all(np.isfinite(arr)):

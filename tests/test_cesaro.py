@@ -383,12 +383,13 @@ def test_kept_snapshots_checkpoints_and_hits_survive_later_chunks():
         with _chunk_capacity(capacity), mock.patch.object(
             ergorank.classify, "_TAIL_KEEP_BYTES", 5 * X.nbytes
         ):
-            scan = _scan(spec, X, "probe", horizon, 3.0, wanted={3, 10, 11, 40}, tail_at=20)
+            scan = _scan(spec, X, "probe", [horizon], 3.0, [horizon])[horizon]
         with _chunk_capacity(capacity):
-            whole = _scan(spec, X, "probe", horizon, 3.0, tail_at=20)
+            whole = _scan(spec, X, "probe", [horizon], 3.0, [horizon])[horizon]
             means = CesaroStream(spec, X).means_at([1, 2, 7, 40, 2, 7])
             margins = chain_margins(spec, X, [1, 2, 9, 40])
-        assert scan.snapshots.keys() == {3, 10, 11, 40}
+        # The dyadic scales and the horizon.
+        assert scan.snapshots.keys() == {10, 20, 40}
         for n, A in scan.snapshots.items():
             assert _same_bits(A, want[n - 1][1])
         n, A, P = scan.checkpoint

@@ -26,6 +26,7 @@ from ergorank.classify import (
     _int_bound,
     _mode_norms,
     _scan,
+    _tail_radius,
 )
 from ergorank.certify import rank_estimate, search_nse
 from ergorank.cesaro import CesaroStream
@@ -380,6 +381,90 @@ def test_family_hierarchy_holds(spec, horizon, basis, tolerance):
         assert cb.status != FAILS
 
 
+def _same(a, b):
+    """Both None, or arrays of the same shape, dtype and bytes."""
+    if a is None or b is None:
+        return a is None and b is None
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def _assert_same_scan(got, want, radius_norm):
+    """Every field of two `_Scan`s agrees bit for bit, kept means as one
+    stack whatever their chunks, and so does the tail radius read off them."""
+    assert (got.horizon, got.steps, got.diverged_at) == (want.horizon, want.steps, want.diverged_at)
+    for name in ("means", "powers", "low", "high"):
+        assert _same(getattr(got, name), getattr(want, name)), name
+    for name in ("mean_hit", "power_hit", "checkpoint"):
+        g, w = getattr(got, name), getattr(want, name)
+        assert (g is None) == (w is None), name
+        if w is not None:
+            assert g[0] == w[0] and all(_same(a, b) for a, b in zip(g[1:], w[1:])), name
+    assert got.snapshots.keys() == want.snapshots.keys()
+    assert all(_same(got.snapshots[n], A) for n, A in want.snapshots.items())
+    kept = lambda scan: np.concatenate(scan.kept) if scan.kept else None
+    assert _same(kept(got), kept(want))
+    if radius_norm is not None and want.horizon in want.snapshots:
+        assert _same(_tail_radius(got, radius_norm), _tail_radius(want, radius_norm))
+
+
+@st.composite
+def _prefix_cases(draw):
+    """(spec, mode, shorter, longer horizon): a small spec; a slowly growing
+    diagonal, whose norms often cross a cap of 3 between the two horizons;
+    or a diagonal whose powers overflow one step before, at, or one step
+    after the shorter horizon."""
+    mode = draw(st.sampled_from(["probe", "dense", "probe-lb"]))
+    case = draw(st.sampled_from(["small", "growing", "overflowing"]))
+    short = draw(st.integers(1, 40))
+    if case == "small":
+        return draw(_small_specs()), mode, short, short + draw(st.integers(0, 40))
+    dim = draw(st.integers(1, 4))
+    if case == "growing":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        spec = OperatorSpec(KIND_DIAGONAL, dim, 10.0 ** rng.uniform(0.005, 0.1, dim), "l2")
+        return spec, mode, short, short + draw(st.integers(1, 80))
+    rate = draw(st.sampled_from([1.0, -1.0])) * 10.0 ** draw(st.integers(5, 70))
+    entries = np.full(dim, 0.5)
+    entries[draw(st.integers(0, dim - 1))] = rate
+    spec = OperatorSpec(KIND_DIAGONAL, dim, entries, draw(st.sampled_from(["l1", "l2", "linf"])))
+    stream = CesaroStream(spec, _block(spec, mode))
+    for _ in stream.chunks(200):
+        pass
+    assert stream.diverged_at is not None
+    short = max(1, stream.diverged_at + draw(st.sampled_from([-1, 0, 1])))
+    return spec, mode, short, short + draw(st.integers(1, 20))
+
+
+def _block(spec, mode):
+    return np.eye(spec.dim) if mode == "dense" else default_probes(spec).vectors.T
+
+
+@given(_prefix_cases(), st.sampled_from([0, 1, 3, 7, None]), st.sampled_from(["both", "short", "long"]))
+@settings(max_examples=150)
+def test_each_horizon_of_a_pass_leaves_the_scan_of_its_own_pass(case, keep, tailed):
+    # The tails of a pass (of both horizons or of one, in a mode with a
+    # radius reader) split its keep budget (0, 1, 3 or 7 means, or the
+    # default) evenly: each horizon gets the scan of a pass to it alone under
+    # its share.  Small budgets make the tails checkpoint and track envelopes.
+    spec, mode, short, long = case
+    X = _block(spec, mode)
+    radius_norm = _mode_norms(spec, mode).radius
+    tails = {"both": {short, long}, "short": {short}, "long": {long}}[tailed]
+    tails = tails if radius_norm is not None else set()
+    budget = _TAIL_KEEP_BYTES if keep is None else keep * X.nbytes
+    share = budget // X.nbytes // max(1, len(tails)) * X.nbytes
+    for capacity in (1, 2, 3, None):
+        with _chunk_capacity(capacity):
+            with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", budget):
+                both = _scan(spec, X, mode, {short, long}, 3.0, tails)
+            with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", share):
+                alone = {h: _scan(spec, X, mode, [h], 3.0, {h} & tails)[h] for h in {short, long}}
+        assert both.keys() == alone.keys()
+        for h, want in alone.items():
+            _assert_same_scan(both[h], want, radius_norm if h in tails else None)
+
+
 def _chunk_capacity(k):
     """Streams started inside hold k steps per chunk (None: the default)."""
     if k is None:
@@ -534,7 +619,7 @@ def test_exact_svd_radius_tracks_no_envelope():
         assert not _mode_norms(spec, "dense").monotone
         X = np.eye(dim)
         with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", X.nbytes):
-            scan = _scan(spec, X, "dense", 64, 1e3, {64}, 32)
+            scan = _scan(spec, X, "dense", [64], 1e3, [64])[64]
         assert scan.checkpoint is not None and scan.low is None and scan.high is None
     wide = OperatorSpec(KIND_DIAGONAL, _L2_EXACT_DIM + 1, np.full(_L2_EXACT_DIM + 1, 0.5), "l2")
     assert _mode_norms(wide, "dense").monotone
@@ -598,7 +683,8 @@ def test_the_envelope_bounds_every_monotone_reader(reader, dim, p, count, pool, 
 
 def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
     # Every tail below is longer than the keep budget; the envelope of the
-    # rest proves the kept radius, so no stream is resumed.
+    # rest proves the kept radius, so no stream is resumed.  The shift's
+    # trusted horizon, 128, is a prefix of its one identity pass to 256.
     rng = np.random.default_rng(14)
     dim = 128
     per_row = rng.permutation([3, 4] * (dim // 2))
@@ -619,9 +705,29 @@ def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
         walks.walks.clear()
         families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
         assert families.ergodic.evidence["tail_diameter_ub"] is not None
-        trusted = trusted_horizon(spec, ue_horizon)
-        want = [horizon, trusted] + ([ue_horizon] if trusted < ue_horizon else [])
-        assert walks.walks == [[False, n] for n in want], spec.kind
+        assert walks.walks == [[False, horizon], [False, ue_horizon]], spec.kind
+
+
+#: (horizon, ue_horizon) of `check_families` and the steps of its stream
+#: walks: one probe pass, then one identity pass to the longest horizon it
+#: serves, and no tail re-run.
+_FAMILY_WALKS = {
+    # Dense Cesaro-bounded and uniformly ergodic, both at 256.
+    "rotation(1.0)": ((256, 256), [256, 256]),
+    # Dense Cesaro-bounded at 1 000; uniformly ergodic at 256 is its prefix.
+    "jordan_1(2)": ((1000, 256), [1000, 1000]),
+    # The default config: uniformly ergodic at the trusted 32 and at 256.
+    "left_shift_l1(64)": ((10_000, 256), [10_000, 256]),
+}
+
+
+@pytest.mark.parametrize("name", _FAMILY_WALKS)
+def test_families_walk_the_identity_block_once(monkeypatch, name):
+    (horizon, ue_horizon), want = _FAMILY_WALKS[name]
+    spec, probes = _probes(name)
+    walks = _Walks(monkeypatch)
+    check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+    assert walks.walks == [[False, n] for n in want]
 
 
 def test_identity_tail_past_the_budget_still_re_runs(monkeypatch):
@@ -644,7 +750,7 @@ def test_a_tail_longer_than_the_budget_keeps_no_more_than_the_budget():
     X = probes.vectors.T
     horizon = 2000
     assert (horizon - 1000 + 1) * X.nbytes > _TAIL_KEEP_BYTES
-    scan = _scan(spec, X, "probe", horizon, 1e3, {horizon}, 1000)
+    scan = _scan(spec, X, "probe", [horizon], 1e3, [horizon])[horizon]
     kept = np.concatenate(scan.kept)
     assert _TAIL_KEEP_BYTES - X.nbytes < kept.nbytes <= _TAIL_KEEP_BYTES
     assert scan.checkpoint[0] == 1000 + len(kept)

@@ -104,6 +104,25 @@ def test_entries_frozen():
         spec.entries[0] = 5.0
 
 
+@pytest.mark.parametrize(
+    "make, shape",
+    [
+        (lambda a: ProbeSet(a, "l2", "caller"), (3, 3)),
+        (lambda a: OperatorSpec(KIND_DENSE, 3, a, "l2"), (3, 3)),
+        (lambda a: OperatorSpec(KIND_SHIFT, 4, a, "l2"), (3,)),
+        (lambda a: OperatorSpec(KIND_DIAGONAL, 3, a, "l2"), (3,)),
+    ],
+    ids=["probes", "dense", "shift", "diagonal"],
+)
+def test_constructors_freeze_a_copy_not_the_callers_array(make, shape):
+    values = np.full(shape, 0.5)
+    made = make(values)
+    assert values.flags.writeable
+    values[...] = 0.25  # the caller's later writes do not reach the object
+    frozen = made.vectors if isinstance(made, ProbeSet) else made.entries
+    assert not frozen.flags.writeable and np.all(frozen == 0.5)
+
+
 @given(_spec_strategy())
 def test_json_round_trip(spec):
     again = OperatorSpec.from_json_dict(spec.to_json_dict())
