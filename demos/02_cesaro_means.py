@@ -1,7 +1,7 @@
 """Cesaro means of one vector and the algebraic identities they satisfy.
 
-The running average A_n x = (1/n) sum_{k<n} T^k x is maintained by the
-one-step recurrence A_{n+1} x = (n A_n x + T^n x) / (n + 1).  Two exact
+The running average A_n x = (1/n) sum_{k<n} T^k x is S_n / n for the
+running sum S_{n+1} = S_n + T^n x, S_1 = x, that the stream carries.  Two exact
 identities make good spot checks: the telescoping relation
 (n+1) A_{n+1} x - n A_n x = T^n x, and A_n (I - T) x = (x - T^n x) / n.
 One vector is a (dim, 1) block of a `CesaroStream`.
@@ -23,7 +23,7 @@ def means_of(spec, x, horizon):
 def main():
     rng = np.random.default_rng(5)
 
-    print("== recurrence vs direct summation ==")
+    print("== stream vs direct summation ==")
     spec = gallery("random_diagonalizable(3,6)")
     x = rng.standard_normal(6)
     x /= np.linalg.norm(x)

@@ -2,7 +2,7 @@
 
 Core objects: operator specs with exact matrix-free application of a
 column block (`OperatorSpec`, `apply_columns`), Cesaro means computed by
-one overflow-guarded incremental recurrence (`CesaroStream`), one-sided
+one overflow-guarded stream of running sums (`CesaroStream`), one-sided
 family verdicts (`check_power_bounded`, `check_cesaro_bounded`,
 `check_ergodic`, `check_uniformly_ergodic`, or all at once with
 `check_families`), separation margins along an index chain
@@ -11,7 +11,7 @@ read), separation-tree truncations (`build_truncation`), and replayable
 non-convergence certificates (`search_nse`, `check_certificate`).
 """
 
-__version__ = "0.2.2"
+__version__ = "0.3.0"
 
 from .operators import (
     OperatorSpec,

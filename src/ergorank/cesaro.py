@@ -2,26 +2,37 @@
 
 For an operator T and a column block X, the Cesaro means are
 A_n X = (X + TX + ... + T^(n-1) X) / n.  `CesaroStream` is the one place
-they are computed: it steps the running-mean recurrence
+they are computed.  It carries the running sum S_n = n A_n X, with S_1 = X
+and S_(n+1) = S_n + P_n for the powers P_n = T^n X, adds the powers in
+sequence entry by entry, yields A_n X = S_n / n, and applies the overflow
+policy to every power it produces.
 
-    A_(n+1) X = (n A_n X + T^n X) / (n+1)
+The stream hands out chunks of consecutive steps, and a chunk pays the
+Python round trip, the power-norm reductions and the floating-point error
+state once for all of its steps; its size follows from the block's byte
+size.  On a small block a chunk is a few numpy calls: its sums are one
+`np.add.accumulate`, diagonal powers one `np.multiply.accumulate` (the
+bits of the per-step product), and dense powers come from a doubling grid.
+The grid cuts the steps into groups of G anchored at n = 1: the first power
+of a group is T times the last power before it, and slot i of a group, for
+2^j <= i < 2^(j+1), is T^(2^j) times slot i - 2^j, so a group costs
+log2(G) + 1 batched products (a T^(2^j) with an entry above
+`OVERFLOW_LIMIT` is not formed, and the largest one below stands in).
+G depends only on the block's shape (see `_grid`), so no step's bits
+depend on where the chunks fall.  Shift and sparse powers, and every power
+and sum of a wide block, take one call per step; both loop shapes give the
+same bits.
 
-with the power cursor P_n = T^n X, and applies the overflow policy to every
-cursor it produces.  Every block steps the same way, by `apply_columns`.
-
-The stream hands out chunks of consecutive steps.  The recurrence stays
-sequential and in place, one step at a time, but a chunk pays the Python
-round trip, the power-norm reductions and the floating-point error state
-once for all of its steps; its size follows from the block's byte size.
 A power that T maps to itself bit for bit is stationary: every later power
-is the same block, so the stream stops applying T and reducing power norms
-and only steps the means.  Nilpotent shift sections reach P_n = 0 this way,
-and the identity reaches P_n = X.  This is exact, because `apply_columns`
-is a deterministic function of its input.  A stream can resume from any
-(n, A_n, P_n) it produced, so a tail can be re-scanned without replaying
-its prefix.  Everything that needs means reads them from a stream: one
-vector is a (dim, 1) block, and the dense A_1..A_N are the stream of the
-identity block, X = I.
+is the same block, so after it the stream stops applying T and reducing
+power norms, and the sums follow the closed form S_n = S_s + (n - s) P,
+anchored at the first step s past it.  Nilpotent shift sections reach
+P_n = 0 this way, and the identity reaches P_n = X.  A walk saves the states
+it is asked for (see `chunks`), and a later walk resumes from one with the
+same bits, so a tail can be re-scanned without replaying its prefix.
+Everything that needs means reads them from a stream: one vector is a
+(dim, 1) block, and the dense A_1..A_N are the stream of the identity
+block, X = I.
 """
 
 from __future__ import annotations
@@ -31,11 +42,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .operators import OperatorSpec, _check_args, apply_columns, column_norms
+from .operators import (
+    KIND_DENSE,
+    KIND_DIAGONAL,
+    OperatorSpec,
+    _check_args,
+    apply_columns,
+    column_norms,
+)
 
 #: Column norms of a power beyond this are treated as divergence and stop
 #: the stream.  The limit leaves headroom so norms (and norms of
-#: differences) of every mean the recurrence produced stay finite in double
+#: differences) of every mean the stream produced stay finite in double
 #: precision.
 OVERFLOW_LIMIT = 1e140
 
@@ -45,10 +63,29 @@ OVERFLOW_LIMIT = 1e140
 #: and the consumers' temporaries inside a 2 MB L2 cache.
 _CHUNK_BYTES = 256 * 1024
 
+#: A block with at least this many steps per chunk is small: its chunks
+#: run as a few numpy calls along the steps.  numpy runs those calls
+#: without SIMD along the step axis, so they tie with one call per step at
+#: 64 steps per chunk and lose on wider blocks.
+_SMALL_STEPS = 64
+
 
 def _capacity(block_bytes: int) -> int:
     """Steps per chunk for a column block of `block_bytes` bytes."""
     return max(1, _CHUNK_BYTES // max(block_bytes, 1))
+
+
+def _grid(spec: OperatorSpec, shape: tuple[int, int]) -> int:
+    """Steps per doubling group of a (dim, p) block: for a small dense block,
+    the largest power of two G whose group fits `_CHUNK_BYTES`, unless the
+    log2(G) squarings of T cost more than the G products of a group (a few
+    columns of a large T); 1 (no doubling) otherwise."""
+    dim, p = shape
+    steps = _CHUNK_BYTES // max(8 * dim * p, 1)
+    if spec.kind != KIND_DENSE or steps < _SMALL_STEPS:
+        return 1
+    grid = 1 << (steps.bit_length() - 1)
+    return grid if dim * (grid.bit_length() - 1) <= grid * p else 1
 
 
 def _power_norms(powers: np.ndarray, tag: str):
@@ -65,6 +102,13 @@ def _power_norms(powers: np.ndarray, tag: str):
     norms[-1] = np.where(norms[-1] <= OVERFLOW_LIMIT, norms[-1], OVERFLOW_LIMIT)
     tops[-1] = norms[-1].max()
     return norms, tops, True
+
+
+def _same_as_before(stack: np.ndarray) -> np.ndarray:
+    """For each slot of a stack but the first, whether it equals the slot
+    before it bit for bit (signed zeros included)."""
+    bits = stack.reshape(len(stack), -1).view(np.uint64)
+    return (bits[1:] == bits[:-1]).all(axis=1)
 
 
 class Chunk(NamedTuple):
@@ -95,73 +139,154 @@ class CesaroStream:
     and `diverged_at` is set to n before the chunk is produced.  Once
     T P_n equals P_n bit for bit (signed zeros included), the stream stops
     applying T: every later step has that same P and power norms.
+    `products` counts the calls of the last walk that apply T or a power of
+    T, to one step or to a batch of them.
     """
 
     def __init__(self, spec: OperatorSpec, X: np.ndarray):
         self.spec = spec
         self.X = X
         self.diverged_at: int | None = None
+        self.checkpoints: dict = {}
+        self.products = 0
+        self._doublings = [spec.entries]  # T, T^2, T^4, ..., None past the limit
 
-    def chunks(self, horizon: int, start: tuple | None = None):
-        """Yield the `Chunk`s of n up to `horizon`, from n = 1 or from the
-        checkpoint `start` = (n, A_n X, P_n)."""
+    def _doubling(self, width: int) -> tuple[int, np.ndarray]:
+        """The largest 2^j <= width whose power T^(2^j) is usable, and it."""
+        levels = self._doublings
+        while 1 << len(levels) <= width and levels[-1] is not None:
+            with np.errstate(over="ignore", invalid="ignore"):
+                square = np.matmul(levels[-1], levels[-1])
+            self.products += 1
+            usable = np.maximum.reduce(np.abs(square), axis=None) <= OVERFLOW_LIMIT
+            levels.append(square if usable else None)
+        j = min(width.bit_length() - 1, len(levels) - 1)
+        if levels[j] is None:
+            j -= 1
+        return 1 << j, levels[j]
+
+    def chunks(self, horizon: int, start: tuple | None = None, checkpoints=()):
+        """Yield the `Chunk`s of n up to `horizon`, from n = 1 or from a
+        state that an earlier walk saved.
+
+        For each n in `checkpoints` that the walk reaches, it leaves in
+        `self.checkpoints[n]` a state to resume from at a step m <= n: the
+        start of the chunk that holds n, or of its doubling group.  A state
+        is (m, S_m, P_(m-1), None) or, once the power is stationary,
+        (m, S_s, P, s).
+        """
         _check_args(at_least_one={"horizon": horizon})
         spec, tag = self.spec, self.spec.norm_tag
-        if start is None:
-            start = (1, self.X, apply_columns(spec, self.X))
-        first, A, P = start
-        self.diverged_at = None
+        first, S, prev, s = start or (1, self.X, self.X, None)
+        anchor = None if s is None else (S, prev, s)  # (S_s, P, s) once stationary
+        self.diverged_at, self.checkpoints, self.products = None, {}, 0
+        wanted = sorted({int(n) for n in checkpoints})
+        S = np.array(S, dtype=np.float64, order="C")  # the running sum, updated in place
+        shape = S.shape
         # Blocks above `_CHUNK_BYTES` step one at a time, which measured
         # faster: two steps per chunk made the dense uniform-ergodicity
         # passes of 256-wide (512 KB) identity blocks 3-9 % slower.
-        K = min(_capacity(A.nbytes), max(1, horizon - first + 1))
-        # Every chunk fills the same buffers; C order keeps every column-norm
-        # reduction in one summation order.  A chunk's first step is formed
-        # from the last step of the chunk before: a mean may overwrite its
-        # predecessor in place, but T must not write the power it reads.  A
-        # chunk that ends after one step of K >= 2 either ends the stream or
-        # reached a stationary power, so only one-step chunks (K = 1) need
-        # two power slots, used in turn.
-        means = np.empty((K, *A.shape))
-        powers = np.empty((max(K, 2), *A.shape))
-        power_sets = [powers, powers[1:]] if K == 1 else [powers]
+        K = min(_capacity(S.nbytes), max(1, horizon - first + 1))
+        G = _grid(spec, shape)
+        small = G > 1 or _capacity(S.nbytes) >= _SMALL_STEPS
+        diagonal = spec.kind == KIND_DIAGONAL
+        # C order keeps every column-norm reduction in one summation order.
+        # On a small block, slot 0 of `buf` holds the power before a chunk
+        # (or its doubling group), then the sum before the chunk's first
+        # power, so one accumulate forms each.  A wide block writes its
+        # powers from slot 0 on, and a one-step chunk (K = 1) uses two slots
+        # in turn, since T must not write the power it reads: a shorter
+        # chunk of K >= 2 ends the stream or reaches a stationary power.
+        size = 1 + min(max(K, G), max(1, horizon - first + 1)) if small else max(K, 2)
+        buf = np.empty((size, *shape))
+        means = np.empty((K, *shape))
+        offsets = np.arange(float(K)).reshape(K, *(1,) * len(shape))
         fixed = None  # K-step broadcasts of P, its norms and maximum once stationary
-        head = True  # the first slot of the first chunk is the start itself
+        r = group = base = 0  # offset in the doubling group, its length, a wide block's slot
         while True:
-            powers = power_sets[0]
-            power_sets.reverse()
-            count = max(1, min(K, horizon - first + 1))  # a start past the horizon is one step
-            stationary = False
+            count = max(1, min(K, horizon - first + 1))
+            # A state to resume from opens each stationary chunk, each chunk
+            # of a block without doubling, and each doubling group.
+            held = wanted[bisect_left(wanted, first) : bisect_left(wanted, first + max(K, G))]
+            if held and (anchor is not None or r == 0):
+                state = (first, S.copy(), np.array(prev), None) if anchor is None else (first, *anchor)
+                self.checkpoints.update(dict.fromkeys(held, state))
             with np.errstate(over="ignore", invalid="ignore"):
-                if head:
-                    means[0], powers[0] = A, P
-                    A, P = means[0], powers[0]
-                # Slot i is step first + i, formed from (A, P) at step m; m
-                # as an exact float spares the ufuncs an integer conversion.
-                for i in range(int(head), count):
-                    m = first + i - 1.0
-                    A = np.multiply(A, m, out=means[i])
-                    A += P
-                    A /= m + 1.0
+                if anchor is not None:
+                    s_sum, P, s = anchor
                     if fixed is None:
-                        Q = apply_columns(spec, P, out=powers[i])
-                        # The first row first, so most steps skip the full compare.
-                        if Q[0].tobytes() == P[0].tobytes() and Q.tobytes() == P.tobytes():
-                            stationary, count = True, i + 1
-                            break
-                        P = Q
-                head = False
-                if fixed is None:
-                    norms, tops, over = _power_norms(powers[:count], tag)
-                    count = len(tops)
-                    if over:
-                        self.diverged_at = first + count - 1
-                    elif stationary:
-                        P = powers[count - 1].copy()
-                        fixed = [np.broadcast_to(v, (K, *v.shape)) for v in (P, norms[-1], tops[-1])]
-                    chunk = Chunk(first, means[:count], powers[:count], norms, tops)
+                        norms, tops, _ = _power_norms(P[None], tag)
+                        fixed = [np.broadcast_to(v, (K, *v.shape)) for v in (P, norms[0], tops[0])]
+                    # S_n = S_s + (n - s) P, and A_n = S_n / n.
+                    A = np.multiply(offsets[:count] + (first - s), P, out=means[:count])
+                    A += s_sum
+                    A /= offsets[:count] + first
+                    chunk = Chunk(first, A, *(v[:count] for v in fixed))
                 else:
-                    chunk = Chunk(first, means[:count], *(v[:count] for v in fixed))
+                    o = 1 + r if small else base
+                    if small and r == 0:
+                        buf[0] = prev
+                        group = max(1, min(G, horizon - first + 1)) if G > 1 else count
+                    count = min(count, group - r) if small else count
+                    region = buf[o : o + count]
+                    stationary = False
+                    if small and diagonal:
+                        region[...] = spec.entries[:, None]
+                        np.multiply.accumulate(buf[o - 1 : o + count], axis=0, out=buf[o - 1 : o + count])
+                        self.products += 1
+                    elif G > 1 and r == 0:
+                        np.matmul(spec.entries, buf[0], out=buf[1])
+                        self.products += 1
+                        filled = 1
+                        while filled < group:
+                            step, power = self._doubling(filled)
+                            width = min(step, group - filled)
+                            lo = 1 + filled - step
+                            np.matmul(power, buf[lo : lo + width], out=buf[1 + filled : 1 + filled + width])
+                            self.products += 1
+                            filled += width
+                    if small and (diagonal or G > 1):
+                        # A doubled power that equals the one before it is
+                        # stationary only if T maps it to itself.
+                        for i in np.flatnonzero(_same_as_before(buf[o - 1 : o + count])):
+                            if not diagonal:
+                                self.products += 1
+                                if apply_columns(spec, region[i]).tobytes() != region[i].tobytes():
+                                    continue
+                            stationary, count = True, int(i) + 1
+                            break
+                    elif r == 0:
+                        src = buf[o - 1] if small else prev
+                        for i in range(count):
+                            Q = apply_columns(spec, src, out=region[i])
+                            self.products += 1
+                            if not small:  # A_n = S_n / n, then S_(n+1) = S_n + P_n
+                                np.divide(S, first + i + 0.0, out=means[i])
+                                S += Q
+                            # The first row first, so most steps skip the full compare.
+                            if Q[0].tobytes() == src[0].tobytes() and Q.tobytes() == src.tobytes():
+                                stationary, count = True, i + 1
+                                break
+                            src = Q
+                    norms, tops, over = _power_norms(region[:count], tag)
+                    count = len(tops)
+                    region = region[:count]
+                    if small:
+                        buf[o - 1] = S
+                        A = np.add.accumulate(buf[o - 1 : o - 1 + count], axis=0, out=means[:count])
+                        np.add(A[-1], region[-1], out=S)
+                        A /= offsets[:count] + first
+                    else:
+                        A = means[:count]
+                        base = 1 - base if K == 1 else 0
+                    prev = region[-1]
+                    r = (r + count) % group if small else 0
+                    if over:
+                        self.diverged_at = n = first + count - 1
+                        self.checkpoints = {m: v for m, v in self.checkpoints.items() if m <= n}
+                    elif stationary:
+                        anchor = (S.copy(), prev.copy(), first + count)
+                    chunk = Chunk(first, A, region, norms, tops)
             yield chunk
             first += count
             if self.diverged_at is not None or first > horizon:

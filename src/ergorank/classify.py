@@ -224,9 +224,9 @@ class _Scan:
     are None when unread, hits when no step crossed the cap.  `snapshots`
     maps the dyadic scales and the horizon N to A_n.  A tail scan keeps in
     `kept` A_t .. A_(t+k-1) from t = max(1, N//2) on, as many as fit its
-    share of `_TAIL_KEEP_BYTES`, one stack per chunk; `checkpoint` is
-    (n, A_n, P_n) at n = t + k (None when the kept means reach N); `low`
-    and `high` bound the means from there on (see `_tail_radius`).  These
+    share of `_TAIL_KEEP_BYTES`, one stack per chunk; `checkpoint` is the
+    stream state saved for n = t + k (None when the kept means reach N);
+    `low` and `high` bound the means from there on (see `_tail_radius`).  These
     are complete only on a scan that reached N, and all are copies, since
     the stream reuses its chunk buffers.
     """
@@ -264,8 +264,10 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
     marks = {h: (*(_dyadic_scales(h) or ()), h) for h in scans}
     wanted = sorted({n for ns in marks.values() for n in ns})
+    keep = _TAIL_KEEP_BYTES // X.nbytes // max(1, len(tails))
+    resume = {h: max(1, h // 2) + min(h - max(1, h // 2) + 1, keep) for h in tails}
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
-    for chunk in stream.chunks(max(scans)):
+    for chunk in stream.chunks(max(scans), checkpoints=resume.values()):
         first, count = chunk.first, len(chunk.means)
         if step_norm is not None:
             norms = step_norm(chunk.means)
@@ -284,14 +286,12 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
         for n in wanted[bisect_left(wanted, first) : bisect_left(wanted, first + count)]:
             snapshots[n] = chunk.means[n - first].copy()
         for h in tails:
-            scan, tail_at = scans[h], max(1, h // 2)
-            resume_at = tail_at + min(h - tail_at + 1, _TAIL_KEEP_BYTES // X.nbytes // len(tails))
+            scan, resume_at = scans[h], resume[h]
             end = min(count, h - first + 1)  # the chunk's steps up to h
-            lo, hi = max(first, tail_at), min(first + count, resume_at)
+            lo, hi = max(first, max(1, h // 2)), min(first + count, resume_at)
             if lo < hi:
                 scan.kept.append(chunk.means[lo - first : hi - first].copy())
-            if 0 <= (i := resume_at - first) < end:
-                scan.checkpoint = (resume_at, chunk.means[i].copy(), chunk.powers[i].copy())
+            i = resume_at - first
             if monotone and resume_at <= h and max(i, 0) < end:
                 # Each chunk reduces into one spare block: a fresh temporary
                 # the size of a wide block page-faults on every chunk.
@@ -310,6 +310,8 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
         scan.mean_hit = mean_hit if mean_hit and mean_hit[0] <= scan.steps else None
         scan.power_hit = power_hit if power_hit and power_hit[0] <= scan.steps else None
         scan.snapshots = {n: snapshots[n] for n in marks[h] if n in snapshots}
+        if h in resume and resume[h] <= h:
+            scan.checkpoint = stream.checkpoints.get(resume[h])
     return scans
 
 
@@ -349,29 +351,34 @@ def _dyadic_gap_witness(gaps, scales, tolerance):
 def _tail_radius(scan: _Scan, norm):
     """max_n norm(A_n - A_N) over the tail [max(1, N//2), N].
 
-    The means the scan kept are reduced in place, one chunk's stack at a
-    time, into the kept radius.  The rest of the tail is bounded by its
-    envelope [low, high]: fl(a - c) is monotone in a under round-to-nearest,
-    so every unkept |A_n - A_N| lies entrywise under
-    E = max(|low - A_N|, |high - A_N|), and a monotone reader, which reduces
-    E in the order it reduces each slice, reads norm(A_n - A_N) <= norm(E).
-    When norm(E) is at most the kept radius in every column, no unkept mean
-    can raise the maximum, and the kept radius is the radius bit for bit.
-    Otherwise (a NaN fails the test too), or without an envelope, the
-    stream resumes from the scan's checkpoint for the rest, each chunk's
-    differences going into one reused buffer.  A maximum is exact and every
-    slice reduces with the bits of the per-step call, so the radius does
-    not depend on how much was kept.
+    The means the scan kept are reduced one chunk's stack at a time, their
+    differences going into one reused buffer, so the scan is left as it was.
+    The rest of the tail is bounded by its envelope [low, high]: fl(a - c)
+    is monotone in a under round-to-nearest, so every unkept |A_n - A_N|
+    lies entrywise under E = max(|low - A_N|, |high - A_N|), and a monotone
+    reader, which reduces E in the order it reduces each slice, reads
+    norm(A_n - A_N) <= norm(E).  When norm(E) is at most the kept radius in
+    every column, no unkept mean can raise the maximum, and the kept radius
+    is the radius bit for bit.  Otherwise (a NaN fails the test too), or
+    without an envelope, the stream resumes from the scan's checkpoint, a
+    state at or before the first unkept mean, with the bits of the first
+    pass, and folds the unkept means.  A maximum is exact and a reader gives
+    a step the same bits in any stack, so the radius does not depend on how
+    much was kept.
     """
     final = scan.snapshots[scan.horizon]
     radius = 0.0
+    buf = np.empty((0, *final.shape))
 
-    def fold(diffs):
-        nonlocal radius
+    def fold(means):
+        nonlocal radius, buf
+        if len(buf) < len(means):
+            buf = np.empty_like(means)
+        diffs = np.subtract(means, final, out=buf[: len(means)])
         radius = np.maximum(radius, np.maximum.reduce(norm(diffs), axis=0))
 
     for part in scan.kept:
-        fold(np.subtract(part, final, out=part))
+        fold(part)
     if scan.checkpoint is None:
         return radius
     if scan.low is not None:
@@ -379,12 +386,10 @@ def _tail_radius(scan: _Scan, norm):
         ub = norm(envelope[None])[0]
         if np.all(ub <= radius):
             return np.maximum(radius, ub)  # the kept radius, shaped as a fold leaves it
-    buf = np.empty((0, *final.shape))
+    resume_at = max(1, scan.horizon // 2) + sum(len(part) for part in scan.kept)
     for chunk in scan.stream.chunks(scan.horizon, start=scan.checkpoint):
-        count = len(chunk.means)
-        if len(buf) < count:
-            buf = np.empty_like(chunk.means)
-        fold(np.subtract(chunk.means, final, out=buf[:count]))
+        if chunk.first + len(chunk.means) > resume_at:
+            fold(chunk.means[max(0, resume_at - chunk.first) :])
     return radius
 
 

@@ -6,10 +6,12 @@ entries, independently of `apply_columns`; `add_at_apply` is the
 bit, and `broadcast_apply` multiplies by (rows, 1) weight columns, which
 the block-shaped weights of every non-dense kernel must match bit for
 bit.  `direct_mean` sums the powers T^k x one by one, independently of the
-Cesaro recurrence, and `reference_stream` is that recurrence in its plainest
-form: it applies T and reduces the power norms, through numpy's wrapper
-reductions, at every step; `reference_tail_radius` reads the Cauchy tail
-radius off it one step at a time.  `node_member` decides tree membership of one index
+Cesaro stream, and `reference_stream` is the stream's formulas in their
+plainest form: one step at a time, with T applied and the power norms
+reduced, through numpy's wrapper reductions, at every step;
+`reference_tail_radius` reads the Cauchy tail radius off it one step at a
+time.  `exact_stream` gives the means and powers in exact rational
+arithmetic, the oracle that the stream's accuracy is measured against.  `node_member` decides tree membership of one index
 chain from its `chain_margins`, independently of the dynamic programming
 behind `best_chains`, the rank heights, the beam search and
 `build_truncation`.
@@ -17,6 +19,7 @@ behind `best_chains`, the rank heights, the beam search and
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -29,7 +32,7 @@ from ergorank.operators import (
     ProbeSet,
     apply_columns,
 )
-from ergorank.cesaro import OVERFLOW_LIMIT
+from ergorank.cesaro import OVERFLOW_LIMIT, _grid
 from ergorank.tree import chain_margins, separates
 
 
@@ -89,30 +92,97 @@ def _wrapper_norms(X: np.ndarray, norm_tag: str) -> np.ndarray:
     return np.max(np.abs(X), axis=0)
 
 
-def reference_stream(spec: OperatorSpec, X: np.ndarray, horizon: int, start=None):
+def _dense_doublings(spec: OperatorSpec, X: np.ndarray):
+    """The doubling grid G of X's block and the usable powers T^(2^j) by j,
+    squared one at a time; G = 1 without doubling."""
+    grid = _grid(spec, X.shape)
+    levels = [np.array(spec.entries)]
+    while 1 << len(levels) < grid:
+        with np.errstate(over="ignore", invalid="ignore"):
+            square = levels[-1] @ levels[-1]
+        if not np.max(np.abs(square)) <= OVERFLOW_LIMIT:
+            break
+        levels.append(square)
+    return grid, levels
+
+
+def reference_stream(spec: OperatorSpec, X: np.ndarray, horizon: int):
     """Every (n, A_n X, P_n, clamped power norms) that a `CesaroStream` of X
     yields up to `horizon`, and the step whose power overflowed (or None).
 
-    T is applied and the power norms are reduced at every step, with no
-    short-circuit for powers that stopped changing.
+    The stream's formulas, one step at a time: S_1 = X, S_(n+1) = S_n + P_n
+    and A_n = S_n / n; P_n = T P_(n-1), or for a dense block on a doubling
+    grid of G slots from n = 1, T^(2^j) times the power 2^j slots back, 2^j
+    the largest usable power of two up to the slot's place in its group.
+    Once P_n equals P_(n-1) bit for bit and T maps it to itself, the sums
+    are S_m = S_s + (m - s) P from s = n + 1 on.  T is applied and the
+    power norms are reduced through numpy's wrapper reductions.
     """
-    if start is None:
-        P = apply_columns(spec, X)
-        start = (1, np.ascontiguousarray(X), np.ascontiguousarray(P))
-    n, A, P = start
+    grid, levels = _dense_doublings(spec, X)
+    S = before = np.ascontiguousarray(X, dtype=float)
+    powers, anchor = {}, None
     steps = []
-    while True:
+    for n in range(1, horizon + 1):
+        if anchor is not None:
+            s_sum, P, s = anchor
+            steps.append((n, ((n - s) * 1.0 * P + s_sum) / n, P, steps[-1][3]))
+            continue
+        slot = (n - 1) % grid
+        if slot == 0:
+            P = apply_columns(spec, before)
+        else:
+            j = min(slot.bit_length() - 1, len(levels) - 1)
+            P = levels[j] @ powers[n - (1 << j)]
+        powers[n] = P
         with np.errstate(over="ignore", invalid="ignore"):
             norms = _wrapper_norms(P, spec.norm_tag)
             ok = norms <= OVERFLOW_LIMIT
-        steps.append((n, A, P, np.where(ok, norms, OVERFLOW_LIMIT)))
+        steps.append((n, S / n, P, np.where(ok, norms, OVERFLOW_LIMIT)))
         if not ok.all():
             return steps, n
-        if n >= horizon:
-            return steps, None
-        A = (n * A + P) / (n + 1)
-        P = apply_columns(spec, P)
-        n += 1
+        if P.tobytes() == before.tobytes() and apply_columns(spec, before).tobytes() == before.tobytes():
+            anchor = (S + P, P, n + 1)
+        S, before = S + P, P
+    return steps, None
+
+
+def as_exact(arr) -> np.ndarray:
+    """An object array of the exact values of a float array: every float is
+    a dyadic rational."""
+    return np.frompyfunc(Fraction, 1, 1)(np.asarray(arr, dtype=float))
+
+
+def _exact_norms_over(P: np.ndarray, norm_tag: str) -> bool:
+    """Whether an exact power has a column norm above `OVERFLOW_LIMIT`."""
+    limit = Fraction(OVERFLOW_LIMIT)
+    if norm_tag == "l1":
+        return bool(np.any(np.abs(P).sum(axis=0) > limit))
+    if norm_tag == "l2":
+        return bool(np.any((P * P).sum(axis=0) > limit * limit))
+    return bool(np.any(np.abs(P) > limit))
+
+
+def exact_stream(spec: OperatorSpec, X: np.ndarray, horizon: int):
+    """The exact steps (n, A_n X, P_n, M_n, |T|^n |X|) up to `horizon`, in
+    `Fraction`s, and the first step whose exact power has a column norm
+    above `OVERFLOW_LIMIT` (the last step listed), or None.
+
+    M_n = |X| + |T| |X| + ... + |T|^(n-1) |X|, entrywise, and |T|^n |X|
+    scale the rounding errors of A_n and P_n: no sum or product that forms
+    them has a term larger than these.
+    """
+    T, P = as_exact(as_dense(spec)), as_exact(X)
+    absT, absP = np.abs(T), np.abs(P)
+    S, M = P.copy(), absP.copy()
+    steps = []
+    for n in range(1, horizon + 1):
+        A = S / n
+        P, absP = T @ P, absT @ absP
+        steps.append((n, A, P, M, absP))
+        if _exact_norms_over(P, spec.norm_tag):
+            return steps, n
+        S, M = S + P, M + absP
+    return steps, None
 
 
 def reference_tail_radius(spec: OperatorSpec, X: np.ndarray, horizon: int, norm):

@@ -7,6 +7,7 @@ belongs in the tests (see `tests/reference.py`), not in `__all__`.
 """
 
 import ast
+import tomllib
 from pathlib import Path
 
 import ergorank
@@ -38,3 +39,11 @@ def test_every_export_has_a_production_caller():
     used = set().union(*map(_used_names, PRODUCTION))
     unused = [name for name in ergorank.__all__ if name not in used]
     assert unused == []
+
+
+def test_the_package_and_its_pyproject_name_one_version():
+    # The analyze cache keys its reports on `__version__`, so a change that
+    # moves report bits bumps both versions together.
+    with open(ROOT / "pyproject.toml", "rb") as handle:
+        project = tomllib.load(handle)["project"]
+    assert project["version"] == ergorank.__version__

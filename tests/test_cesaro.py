@@ -1,9 +1,10 @@
 import contextlib
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ergorank.cesaro
 import ergorank.classify
@@ -24,7 +25,7 @@ from ergorank.operators import (
 )
 from ergorank.classify import _scan
 from ergorank.tree import chain_margins
-from reference import direct_mean, reference_stream
+from reference import as_dense, as_exact, direct_mean, exact_stream, reference_stream
 
 
 def _contraction(seed: int, dim: int) -> OperatorSpec:
@@ -45,12 +46,12 @@ def _chunk_capacity(k):
         yield
 
 
-def _steps(stream, horizon, start=None, capacity=None):
+def _steps(stream, horizon, start=None, capacity=None, checkpoints=()):
     """(n, A_n, P_n, power_norms, power_max) of every step, copied out of
     the chunks before the next one is requested."""
     steps = []
     with _chunk_capacity(capacity):
-        for chunk in stream.chunks(horizon, start):
+        for chunk in stream.chunks(horizon, start, checkpoints):
             count = len(chunk.means)
             assert 1 <= count <= (capacity or count)
             for name in ("means", "powers", "power_norms", "power_max"):
@@ -111,11 +112,14 @@ def test_telescoping_and_mean_identities(seed):
 
 
 def test_stream_resumes_bitwise_from_a_checkpoint():
+    # The checkpoint for step 120 is the start of its 64-step doubling group.
     spec = gallery("random_diagonalizable(7,12)")
     stream = CesaroStream(spec, default_probes(spec).vectors.T)
-    full = {n: (A, P) for n, A, P, *_ in _steps(stream, 40)}
-    resumed = _steps(stream, 40, start=(20, *full[20]))
-    assert [n for n, *_ in resumed] == list(range(20, 41))
+    full = {n: (A, P) for n, A, P, *_ in _steps(stream, 200, checkpoints=[120])}
+    start = stream.checkpoints[120]
+    assert start[0] == 65 and start[3] is None
+    resumed = _steps(stream, 200, start=start)
+    assert [n for n, *_ in resumed] == list(range(65, 201))
     for n, A, P, *_ in resumed:
         assert np.array_equal(A, full[n][0]) and np.array_equal(P, full[n][1])
     snaps = stream.means_at([3, 7])
@@ -177,7 +181,7 @@ def test_matrix_means_hand_values():
     assert got == [1.0, 0.0, pytest.approx(1 / 3), 0.0]
 
 
-# -- the stream's bits against a plain recurrence ------------------------
+# -- the stream's bits against its formulas stepped one at a time -----
 
 
 def _same_bits(a, b) -> bool:
@@ -210,10 +214,15 @@ def _assert_stream_matches_reference(spec, X, horizon, resume_at):
             assert _same_bits(A, wA) and _same_bits(P, wP) and _same_bits(norms, wnorms)
             assert _same_bits(top, wnorms.max())
         # A run resumed from a checkpoint finds any fixed point again.
-        resumed = _steps(stream, horizon, start=want[k][:3], capacity=capacity)
+        _steps(stream, horizon, capacity=capacity, checkpoints=[k + 1])
+        start = stream.checkpoints.get(k + 1)
+        assert (start is None) == (want_diverged is not None and want_diverged <= k)
+        if start is None:  # the walk stopped before step k + 1
+            continue
+        resumed = _steps(stream, horizon, start=start, capacity=capacity)
         assert stream.diverged_at == want_diverged
-        assert len(resumed) == len(want) - k
-        for g, w in zip(resumed, want[k:]):
+        assert start[0] <= k + 1 and len(resumed) == len(want) - start[0] + 1
+        for g, w in zip(resumed, want[start[0] - 1 :]):
             assert g[0] == w[0] and all(_same_bits(a, b) for a, b in zip(g[1:4], w[1:]))
     for _, A, *_ in want:
         # matrix_norm's direct reductions give the wrapper reductions' bits.
@@ -291,6 +300,11 @@ _EDGE_CASES = {
     "overflow": (_diagonal([1e200, -1e200], "linf"), np.eye(2), 10, 1),
     # Powers pass 1e154, so squaring them for l2 norms overflows.
     "l2 squares overflow": (_diagonal([1e20, 0.5], "l2"), np.eye(2), 20, 3),
+    # T^8 passes the overflow limit, but the powers of e_2 decay: doubling
+    # stops at T^4, so no inf meets a zero.
+    "dense doubling past the limit": (
+        OperatorSpec(KIND_DENSE, 2, [[1e20, 0.0], [0.0, 0.5]], "l1"), np.array([[0.0], [1.0]]), 60, 20
+    ),
 }
 
 
@@ -299,29 +313,146 @@ def test_stream_bits_match_the_plain_recurrence_on_edge_cases(case):
     _assert_stream_matches_reference(*case)
 
 
+# -- the stream's accuracy against exact means ---------------------------
+
+_DYADIC = st.sampled_from([-2.0, -1.5, -1.0, -0.75, -0.5, -0.25, -0.0, 0.0, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0])
+#: Entries whose powers pass the overflow limit within a few to 23 steps.
+_HUGE = st.sampled_from([2.0**20, -(2.0**20), 2.0**40, 1e200, -1e200])
+
+
+@st.composite
+def _exact_cases(draw):
+    """(spec, X, horizon) with dim <= 4 and horizon <= 64; half the specs
+    may hold entries whose powers overflow."""
+    kind = draw(st.sampled_from([KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE, KIND_DENSE]))
+    dim, p = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entry = st.one_of(_DYADIC, _HUGE) if draw(st.booleans()) else _DYADIC
+    if kind == KIND_SHIFT:
+        entries = draw(st.lists(entry, min_size=dim - 1, max_size=dim - 1))
+    elif kind == KIND_DIAGONAL:
+        entries = draw(st.lists(entry, min_size=dim, max_size=dim))
+    elif kind == KIND_SPARSE:
+        cell = st.tuples(st.integers(0, dim - 1), st.integers(0, dim - 1))
+        cells = draw(st.lists(cell, unique=True, max_size=dim * dim))
+        values = draw(st.lists(entry, min_size=len(cells), max_size=len(cells)))
+        entries = [(r, c, v) for (r, c), v in zip(cells, values)]
+    else:
+        entries = np.reshape(draw(st.lists(entry, min_size=dim * dim, max_size=dim * dim)), (dim, dim))
+    spec = OperatorSpec(kind, dim, entries, draw(st.sampled_from(NORM_TAGS)))
+    X = np.reshape(draw(st.lists(st.integers(-8, 8), min_size=dim * p, max_size=dim * p)), (dim, p)) / 8.0
+    return spec, X, draw(st.integers(1, 64))
+
+
+@given(_exact_cases(), st.sampled_from([1, None]))
+@example(_EDGE_CASES["dense doubling past the limit"][:3], None)
+@settings(max_examples=120)
+def test_the_stream_is_within_its_rounding_bound_of_the_exact_means(case, capacity):
+    # Entrywise, with u = 2^-53 and d = dim: |A_n - exact| <= 4 (d + 2) u M_n,
+    # M_n = |X| + |T| |X| + ... + |T|^(n-1) |X|, and |P_n - exact| <=
+    # 4 (d + 1) n u |T|^n |X| (each product of d terms rounds within
+    # about d u of its terms, a power is n such products deep, squared
+    # doubling powers included, and a mean rounds the sum of its powers
+    # within about u per term).  The stream stops at the step the exact
+    # powers overflow, one step at a time (capacity 1) or a chunk at a time.
+    spec, X, horizon = case
+    want, diverged = exact_stream(spec, X, horizon)
+    stream = CesaroStream(spec, X)
+    got = _steps(stream, horizon, capacity=capacity)
+    assert stream.diverged_at == diverged
+    assert [g[0] for g in got] == [w[0] for w in want]
+    u, d = Fraction(1, 2**53), spec.dim
+    for (n, A, P, *_), (_, exact_A, exact_P, M, reach) in zip(got, want):
+        assert np.all(np.abs(as_exact(A) - exact_A) <= 4 * (d + 2) * u * M), n
+        if n != diverged:
+            assert np.all(np.abs(as_exact(P) - exact_P) <= 4 * (d + 1) * n * u * reach), n
+
+
+def _longdouble_means(spec, X, horizon):
+    """A_1 .. A_horizon from the plain recurrence in `np.longdouble`."""
+    T = as_dense(spec).astype(np.longdouble)
+    P = X.astype(np.longdouble)
+    S, means = P.copy(), []
+    for n in range(1, horizon + 1):
+        means.append(S / n)
+        P = T @ P
+        S += P
+    return means
+
+
+#: The largest |A_n - reference| over 10 000 steps, relative to the largest
+#: |A_n|, that each operator's stream may show against a sequential
+#: `np.longdouble` recurrence.  Measured: 1e-16, 2e-15, 2e-13 and 3e-16.
+_LONGDOUBLE_BOUNDS = {
+    "rotation(1.0)": 1e-14,
+    "jordan_1(2)": 1e-14,
+    "random_diagonalizable(7,12)": 1e-12,
+    "identity(8)": 1e-14,
+}
+
+
+@pytest.mark.parametrize("name", _LONGDOUBLE_BOUNDS)
+def test_ten_thousand_steps_stay_close_to_a_longdouble_recurrence(name):
+    spec = gallery(name)
+    X = default_probes(spec).vectors.T
+    want = _longdouble_means(spec, X, 10_000)
+    err = scale = 0.0
+    for chunk in CesaroStream(spec, X).chunks(10_000):
+        ref = np.stack(want[chunk.first - 1 : chunk.first - 1 + len(chunk.means)])
+        err = max(err, float(np.max(np.abs(chunk.means - ref))))
+        scale = max(scale, float(np.max(np.abs(ref))))
+    assert err <= _LONGDOUBLE_BOUNDS[name] * scale
+
+
 def test_stationary_powers_stop_applying_the_operator(monkeypatch):
-    real = ergorank.cesaro.apply_columns
-    calls = []
+    # A deterministic work count: the calls of one 10 000-step pass that
+    # apply T or a power of T, batched or not.
+    counts = {"apply_columns": 0, "matmul": 0}
+    real_apply, real_matmul = ergorank.cesaro.apply_columns, np.matmul
 
-    def counting(spec, X, out=None):
-        calls.append(X.shape)
-        return real(spec, X, out=out)
+    def counting_apply(spec, X, out=None):
+        counts["apply_columns"] += 1
+        return real_apply(spec, X, out=out)
 
-    monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting)
+    def counting_matmul(*args, **kwargs):
+        counts["matmul"] += 1
+        return real_matmul(*args, **kwargs)
 
-    def applications(name):
+    monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting_apply)
+    monkeypatch.setattr(np, "matmul", counting_matmul)
+
+    def products(name):
         spec = gallery(name)
-        calls.clear()
-        for _ in CesaroStream(spec, default_probes(spec).vectors.T).chunks(10_000):
+        counts.update(apply_columns=0, matmul=0)
+        stream = CesaroStream(spec, default_probes(spec).vectors.T)
+        for _ in stream.chunks(10_000):
             pass
-        return len(calls)
+        # Every call but a diagonal chunk's one multiply.accumulate is seen here.
+        seen = counts["apply_columns"] + counts["matmul"]
+        assert seen == stream.products if spec.kind == KIND_DENSE else seen <= stream.products
+        return stream.products
 
     # P_64 = 0, and T P_64 = P_64 is the last application.
-    assert applications("left_shift_l1(64)") <= 65
-    assert applications("identity(8)") <= 2
-    # One application per power P_1 .. P_10000: the fixed-point rule never
-    # fires on an operator whose powers keep moving.
-    assert applications("rotation(1.0)") == 10_000
+    assert products("left_shift_l1(64)") <= 65
+    assert products("identity(8)") <= 2
+    # Powers that keep moving: a doubling group of G = 2^g steps costs
+    # g + 1 batched products (rotation and jordan: G = 512, 20 groups;
+    # random_diagonalizable: G = 64, 157 groups), plus g squarings once; a
+    # diagonal chunk (1 927 steps of scalar(-1.0)) costs one.  Stepping one
+    # power at a time cost 10 000 each.
+    assert products("rotation(1.0)") <= 250
+    assert products("jordan_1(2)") <= 250
+    assert products("random_diagonalizable(7,12)") <= 1_200
+    assert products("scalar(-1.0)") <= 10
+
+
+def test_few_columns_of_a_large_dense_operator_step_one_at_a_time():
+    # Squaring a 300 x 300 T costs 300 of its products on one column, more
+    # than a doubling group of 64 saves, so the walk applies T once per step.
+    spec = OperatorSpec(KIND_DENSE, 300, 0.5 * np.eye(300) + 0.25 * np.eye(300, k=1), "l2")
+    stream = CesaroStream(spec, np.ones((300, 1)))
+    for _ in stream.chunks(32):
+        pass
+    assert stream.products == 32
 
 
 def test_stream_leaves_the_callers_error_state_between_yields():
@@ -366,9 +497,11 @@ def test_overflow_stops_at_the_same_step_with_bounded_extra_work(spec, horizon, 
     K = min(capacity or ergorank.cesaro._capacity(X.nbytes), horizon)
     assert stream.diverged_at == want_diverged and got[-1][0] == want_diverged
     assert _same_bits(got[-1][3], want[-1][3]) and got[-1][4] == OVERFLOW_LIMIT
-    # P_1 .. P_n take n applications, and a chunk applies T at most K - 1
-    # times past the step that overflowed.
-    assert want_diverged <= len(calls) <= want_diverged + K - 1
+    # One step at a time, P_1 .. P_n take n applications, and a chunk
+    # applies T at most K - 1 times past the step that overflowed; a small
+    # diagonal block forms each chunk's powers in one call instead.
+    assert len(calls) <= stream.products <= want_diverged + K - 1
+    assert want_diverged <= len(calls) or len(calls) == 0
 
 
 def test_kept_snapshots_checkpoints_and_hits_survive_later_chunks():
@@ -392,8 +525,13 @@ def test_kept_snapshots_checkpoints_and_hits_survive_later_chunks():
         assert scan.snapshots.keys() == {10, 20, 40}
         for n, A in scan.snapshots.items():
             assert _same_bits(A, want[n - 1][1])
-        n, A, P = scan.checkpoint
-        assert n == 25 and _same_bits(A, want[24][1]) and _same_bits(P, want[24][2])
+        # Step 25 is in the doubling group that starts at step 1, and a walk
+        # resumed there repeats the pass.
+        n, S, P, anchor = scan.checkpoint
+        assert n == 1 and anchor is None and _same_bits(S, X) and _same_bits(P, X)
+        resumed = _steps(CesaroStream(spec, X), horizon, start=scan.checkpoint, capacity=capacity)
+        assert [step[0] for step in resumed] == list(range(1, horizon + 1))
+        assert all(_same_bits(g[1], w[1]) and _same_bits(g[2], w[2]) for g, w in zip(resumed, want))
         assert _same_bits(np.concatenate(scan.kept), np.stack([w[1] for w in want[19:24]]))
         assert whole.checkpoint is None
         assert _same_bits(np.concatenate(whole.kept), np.stack([w[1] for w in want[19:]]))

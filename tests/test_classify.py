@@ -567,10 +567,10 @@ class _Walks:
         self.walks = []
         real = CesaroStream.chunks
 
-        def chunks(stream, horizon, start=None):
+        def chunks(stream, horizon, start=None, checkpoints=()):
             walk = [start is not None, 0]
             self.walks.append(walk)
-            for chunk in real(stream, horizon, start):
+            for chunk in real(stream, horizon, start, checkpoints):
                 walk[1] += len(chunk.means)
                 yield chunk
 
@@ -745,6 +745,24 @@ def test_identity_tail_past_the_budget_still_re_runs(monkeypatch):
     assert _bits(erg.evidence["tail_diameter_lb"]) == _bits(radius)
 
 
+@pytest.mark.parametrize("keep", [0, 1, None])
+def test_the_tail_radius_reads_a_scan_without_changing_it(keep):
+    # A second read of one scan gives the same bits, whether the radius
+    # comes from the kept means alone (the default budget), the envelope or
+    # a re-run (no means or one kept), and the kept means stay as they were.
+    spec, probes = _probes("rotation(1.0)")
+    X = probes.vectors.T
+    norm = lambda D: column_norms(D, spec.norm_tag)
+    budget = _TAIL_KEEP_BYTES if keep is None else keep * X.nbytes
+    with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", budget):
+        scan = _scan(spec, X, "probe", [300], 1e3, [300])[300]
+    kept = [part.copy() for part in scan.kept]
+    radius = _tail_radius(scan, norm)
+    assert _bits(_tail_radius(scan, norm)) == _bits(radius)
+    assert len(scan.kept) == len(kept) and all(_same(a, b) for a, b in zip(scan.kept, kept))
+    assert _bits(radius) == _bits(reference_tail_radius(spec, X, 300, norm))
+
+
 def test_a_tail_longer_than_the_budget_keeps_no_more_than_the_budget():
     spec, probes = _probes("left_shift_l1(64)")
     X = probes.vectors.T
@@ -753,7 +771,8 @@ def test_a_tail_longer_than_the_budget_keeps_no_more_than_the_budget():
     scan = _scan(spec, X, "probe", [horizon], 1e3, [horizon])[horizon]
     kept = np.concatenate(scan.kept)
     assert _TAIL_KEEP_BYTES - X.nbytes < kept.nbytes <= _TAIL_KEEP_BYTES
-    assert scan.checkpoint[0] == 1000 + len(kept)
+    # The state at the start of the chunk that holds the first unkept mean.
+    assert 1000 < scan.checkpoint[0] <= 1000 + len(kept)
 
 
 def test_trusted_horizon_shrinks_for_shift_only():
@@ -832,18 +851,11 @@ def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):
 @pytest.mark.parametrize("name", ["rotation(1.0)", "scalar(-1.0)"])
 def test_families_walk_the_horizon_once_when_the_tail_is_kept(monkeypatch, name):
     # The probe pass keeps the whole tail [1000, 2000] of these small blocks,
-    # so the tail radius applies T no more: one application per power.
+    # so the tail radius resumes no stream: one walk per block.
     spec, probes = _probes(name)
-    real = ergorank.cesaro.apply_columns
-    widths = []
-
-    def counting(s, X, out=None):
-        widths.append(X.shape[1])
-        return real(s, X, out=out)
-
-    monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting)
+    walks = _Walks(monkeypatch)
     check_families(spec, probes, 2000, 1e-2, 1e3, 64)
-    assert 0 < widths.count(len(probes)) <= 2000 + 1
+    assert walks.walks == [[False, 2000], [False, 64]]
 
 
 # -- verdict plumbing ----------------------------------------------------
