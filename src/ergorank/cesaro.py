@@ -18,10 +18,10 @@ of a group is T times the last power before it, and slot i of a group, for
 2^j <= i < 2^(j+1), is T^(2^j) times slot i - 2^j, so a group costs
 log2(G) + 1 batched products (a T^(2^j) with an entry above
 `OVERFLOW_LIMIT` is not formed, and the largest one below stands in).
-G depends only on the block's shape (see `_grid`), so no step's bits
-depend on where the chunks fall.  Shift and sparse powers, and every power
-and sum of a wide block, take one call per step; both loop shapes give the
-same bits.
+G depends only on the operator and the block's shape (see `_grid`), so
+no step's bits depend on where the chunks fall.  Shift and sparse powers,
+and every power and sum of a wide block, take one call per step; both
+loop shapes give the same bits.
 
 A power that T maps to itself bit for bit is stationary: every later power
 is the same block, so after it the stream stops applying T and reducing
@@ -47,6 +47,7 @@ from .operators import (
     KIND_DIAGONAL,
     OperatorSpec,
     _check_args,
+    _check_block,
     apply_columns,
     column_norms,
 )
@@ -63,6 +64,13 @@ OVERFLOW_LIMIT = 1e140
 #: and the consumers' temporaries inside a 2 MB L2 cache.
 _CHUNK_BYTES = 256 * 1024
 
+#: Dense operators up to this dim get doubled powers (see `_grid`).  On a
+#: larger T, squaring costs more than the per-step calls doubling saves.
+#: Walks of one column, 2 vCPUs, doubled against one product per step:
+#: dim 96, 256 / 10 000 steps, 1.2 / 22 ms against 1.6 / 45 ms; dim 128 on
+#: par; dim 256, 32 / 2 000 steps, 4.3 / 91 ms against 0.6 / 80 ms.
+_DOUBLING_DIM = 128
+
 #: A block with at least this many steps per chunk is small: its chunks
 #: run as a few numpy calls along the steps.  numpy runs those calls
 #: without SIMD along the step axis, so they tie with one call per step at
@@ -76,16 +84,14 @@ def _capacity(block_bytes: int) -> int:
 
 
 def _grid(spec: OperatorSpec, shape: tuple[int, int]) -> int:
-    """Steps per doubling group of a (dim, p) block: for a small dense block,
-    the largest power of two G whose group fits `_CHUNK_BYTES`, unless the
-    log2(G) squarings of T cost more than the G products of a group (a few
-    columns of a large T); 1 (no doubling) otherwise."""
+    """Steps per doubling group of a (dim, p) block: for a small dense block
+    of an operator up to `_DOUBLING_DIM`, the largest power of two G whose
+    group fits `_CHUNK_BYTES`; 1 (no doubling) otherwise."""
     dim, p = shape
     steps = _CHUNK_BYTES // max(8 * dim * p, 1)
-    if spec.kind != KIND_DENSE or steps < _SMALL_STEPS:
+    if spec.kind != KIND_DENSE or dim > _DOUBLING_DIM or steps < _SMALL_STEPS:
         return 1
-    grid = 1 << (steps.bit_length() - 1)
-    return grid if dim * (grid.bit_length() - 1) <= grid * p else 1
+    return 1 << (steps.bit_length() - 1)
 
 
 def _power_norms(powers: np.ndarray, tag: str):
@@ -131,7 +137,8 @@ class Chunk(NamedTuple):
 
 
 class CesaroStream:
-    """The Cesaro means of one column block X under an operator.
+    """The Cesaro means of one (dim, p) column block X under an operator;
+    a block of any other shape raises `DimensionMismatchError`.
 
     `chunks` produces the steps n = 1, 2, ..., horizon in `Chunk`s.  It
     stops early at the first n whose power has a column norm that is
@@ -139,16 +146,14 @@ class CesaroStream:
     and `diverged_at` is set to n before the chunk is produced.  Once
     T P_n equals P_n bit for bit (signed zeros included), the stream stops
     applying T: every later step has that same P and power norms.
-    `products` counts the calls of the last walk that apply T or a power of
-    T, to one step or to a batch of them.
     """
 
     def __init__(self, spec: OperatorSpec, X: np.ndarray):
+        _check_block(spec, X)
         self.spec = spec
         self.X = X
         self.diverged_at: int | None = None
         self.checkpoints: dict = {}
-        self.products = 0
         self._doublings = [spec.entries]  # T, T^2, T^4, ..., None past the limit
 
     def _doubling(self, width: int) -> tuple[int, np.ndarray]:
@@ -157,7 +162,6 @@ class CesaroStream:
         while 1 << len(levels) <= width and levels[-1] is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 square = np.matmul(levels[-1], levels[-1])
-            self.products += 1
             usable = np.maximum.reduce(np.abs(square), axis=None) <= OVERFLOW_LIMIT
             levels.append(square if usable else None)
         j = min(width.bit_length() - 1, len(levels) - 1)
@@ -179,7 +183,7 @@ class CesaroStream:
         spec, tag = self.spec, self.spec.norm_tag
         first, S, prev, s = start or (1, self.X, self.X, None)
         anchor = None if s is None else (S, prev, s)  # (S_s, P, s) once stationary
-        self.diverged_at, self.checkpoints, self.products = None, {}, 0
+        self.diverged_at, self.checkpoints = None, {}
         wanted = sorted({int(n) for n in checkpoints})
         S = np.array(S, dtype=np.float64, order="C")  # the running sum, updated in place
         shape = S.shape
@@ -233,33 +237,27 @@ class CesaroStream:
                     if small and diagonal:
                         region[...] = spec.entries[:, None]
                         np.multiply.accumulate(buf[o - 1 : o + count], axis=0, out=buf[o - 1 : o + count])
-                        self.products += 1
                     elif G > 1 and r == 0:
                         np.matmul(spec.entries, buf[0], out=buf[1])
-                        self.products += 1
                         filled = 1
                         while filled < group:
                             step, power = self._doubling(filled)
                             width = min(step, group - filled)
                             lo = 1 + filled - step
                             np.matmul(power, buf[lo : lo + width], out=buf[1 + filled : 1 + filled + width])
-                            self.products += 1
                             filled += width
                     if small and (diagonal or G > 1):
                         # A doubled power that equals the one before it is
                         # stationary only if T maps it to itself.
                         for i in np.flatnonzero(_same_as_before(buf[o - 1 : o + count])):
-                            if not diagonal:
-                                self.products += 1
-                                if apply_columns(spec, region[i]).tobytes() != region[i].tobytes():
-                                    continue
+                            if not diagonal and apply_columns(spec, region[i]).tobytes() != region[i].tobytes():
+                                continue
                             stationary, count = True, int(i) + 1
                             break
                     elif r == 0:
                         src = buf[o - 1] if small else prev
                         for i in range(count):
                             Q = apply_columns(spec, src, out=region[i])
-                            self.products += 1
                             if not small:  # A_n = S_n / n, then S_(n+1) = S_n + P_n
                                 np.divide(S, first + i + 0.0, out=means[i])
                                 S += Q

@@ -245,6 +245,14 @@ def _weight_block(spec: OperatorSpec, width: int) -> tuple:
 # -- application ---------------------------------------------------------
 
 
+def _check_block(spec: OperatorSpec, X: np.ndarray) -> None:
+    """Refuse a column block that is not a (dim, p) array."""
+    if X.ndim != 2 or X.shape[0] != spec.dim:
+        raise DimensionMismatchError(
+            f"operator has dim {spec.dim} but column block has shape {X.shape}"
+        )
+
+
 def apply_columns(spec: OperatorSpec, X: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Apply the operator to each column of a (dim, p) array at once.
 
@@ -263,10 +271,7 @@ def apply_columns(spec: OperatorSpec, X: np.ndarray, out: np.ndarray | None = No
     and NaNs land where it puts them (the sign of a NaN, which IEEE 754
     leaves open, follows numpy's add loop).
     """
-    if X.ndim != 2 or X.shape[0] != spec.dim:
-        raise DimensionMismatchError(
-            f"operator has dim {spec.dim} but column block has shape {X.shape}"
-        )
+    _check_block(spec, X)
     if out is not None and np.may_share_memory(out, X):
         raise ValueError("apply_columns: out must not overlap the column block")
     if spec.kind == KIND_DENSE:

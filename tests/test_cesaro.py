@@ -15,6 +15,7 @@ from ergorank.operators import (
     KIND_SHIFT,
     KIND_SPARSE,
     NORM_TAGS,
+    DimensionMismatchError,
     OperatorSpec,
     apply_columns,
     basis_probes,
@@ -305,6 +306,13 @@ _EDGE_CASES = {
     "dense doubling past the limit": (
         OperatorSpec(KIND_DENSE, 2, [[1e20, 0.0], [0.0, 0.5]], "l1"), np.array([[0.0], [1.0]]), 60, 20
     ),
+    # P_1 = (1, 1) and the doubled P_3 = T^2 P_1 round to P_2 = (1 + 2^-52, 1),
+    # but T P_2 = (1 + 2^-51, 1): a doubled power equal to the one before
+    # it is not stationary until T maps it to itself.
+    "doubled power that T moves": (
+        OperatorSpec(KIND_DENSE, 2, [[1.0, 0.6 * 2.0**-52], [0.0, 1.0]], "linf"),
+        np.array([[1.0 - 2.0**-53], [1.0]]), 20, 5,
+    ),
 }
 
 
@@ -403,33 +411,46 @@ def test_ten_thousand_steps_stay_close_to_a_longdouble_recurrence(name):
     assert err <= _LONGDOUBLE_BOUNDS[name] * scale
 
 
-def test_stationary_powers_stop_applying_the_operator(monkeypatch):
-    # A deterministic work count: the calls of one 10 000-step pass that
-    # apply T or a power of T, batched or not.
-    counts = {"apply_columns": 0, "matmul": 0}
+@pytest.fixture
+def count_products(monkeypatch):
+    """A deterministic work count: `count_products(spec, X, horizon)` walks
+    a stream and returns its calls that apply T or a power of T, batched or
+    not: `apply_columns` calls, the stream's own matmuls (squarings
+    included), and one multiply.accumulate per chunk of a small diagonal
+    block that forms new powers (a chunk without calls whose powers are not
+    the read-only broadcast of a stationary one)."""
+    count, inside = [0], [False]
     real_apply, real_matmul = ergorank.cesaro.apply_columns, np.matmul
 
     def counting_apply(spec, X, out=None):
-        counts["apply_columns"] += 1
-        return real_apply(spec, X, out=out)
+        count[0] += 1
+        inside[0] = True
+        try:
+            return real_apply(spec, X, out=out)
+        finally:
+            inside[0] = False
 
     def counting_matmul(*args, **kwargs):
-        counts["matmul"] += 1
+        count[0] += not inside[0]
         return real_matmul(*args, **kwargs)
 
     monkeypatch.setattr(ergorank.cesaro, "apply_columns", counting_apply)
     monkeypatch.setattr(np, "matmul", counting_matmul)
 
+    def walk(spec, X, horizon):
+        count[0] = before = 0
+        for chunk in CesaroStream(spec, X).chunks(horizon):
+            count[0] += spec.kind == KIND_DIAGONAL and count[0] == before and chunk.powers.flags.writeable
+            before = count[0]
+        return count[0]
+
+    return walk
+
+
+def test_stationary_powers_stop_applying_the_operator(count_products):
     def products(name):
         spec = gallery(name)
-        counts.update(apply_columns=0, matmul=0)
-        stream = CesaroStream(spec, default_probes(spec).vectors.T)
-        for _ in stream.chunks(10_000):
-            pass
-        # Every call but a diagonal chunk's one multiply.accumulate is seen here.
-        seen = counts["apply_columns"] + counts["matmul"]
-        assert seen == stream.products if spec.kind == KIND_DENSE else seen <= stream.products
-        return stream.products
+        return count_products(spec, default_probes(spec).vectors.T, 10_000)
 
     # P_64 = 0, and T P_64 = P_64 is the last application.
     assert products("left_shift_l1(64)") <= 65
@@ -445,14 +466,28 @@ def test_stationary_powers_stop_applying_the_operator(monkeypatch):
     assert products("scalar(-1.0)") <= 10
 
 
-def test_few_columns_of_a_large_dense_operator_step_one_at_a_time():
-    # Squaring a 300 x 300 T costs 300 of its products on one column, more
-    # than a doubling group of 64 saves, so the walk applies T once per step.
-    spec = OperatorSpec(KIND_DENSE, 300, 0.5 * np.eye(300) + 0.25 * np.eye(300, k=1), "l2")
-    stream = CesaroStream(spec, np.ones((300, 1)))
-    for _ in stream.chunks(32):
-        pass
-    assert stream.products == 32
+def test_dense_operators_above_the_doubling_dim_step_one_at_a_time(count_products):
+    def shifted_half(dim):
+        return OperatorSpec(KIND_DENSE, dim, 0.5 * np.eye(dim) + 0.25 * np.eye(dim, k=1), "l2")
+
+    # Squaring a 300 x 300 T costs more than the calls doubling saves on
+    # one column, so the walk applies T once per step.
+    assert count_products(shifted_half(300), np.ones((300, 1)), 32) == 32
+    # One column of a 96 x 96 T is doubled in groups of 256: over 1 000
+    # steps, 4 groups of 9 products and 7 squarings.
+    assert count_products(shifted_half(96), np.ones((96, 1)), 1_000) <= 43
+
+
+@pytest.mark.parametrize("name", ["scalar(2.0)", "rotation(1.0)", "left_shift_l1(64)"])
+def test_a_block_that_is_not_dim_by_p_is_refused(name):
+    # Broadcasting must not stand in for the shape check: a diagonal power
+    # formed by multiply.accumulate would fill a (3, 2) block under a dim-1 T.
+    spec = gallery(name)
+    for X in (np.ones((spec.dim + 2, 2)), np.ones(spec.dim), np.ones((spec.dim, 2, 1))):
+        with pytest.raises(DimensionMismatchError, match=f"dim {spec.dim} "):
+            CesaroStream(spec, X).means_at([5])
+        with pytest.raises(DimensionMismatchError, match=f"dim {spec.dim} "):
+            chain_margins(spec, X, [1, 2, 4])
 
 
 def test_stream_leaves_the_callers_error_state_between_yields():
@@ -499,9 +534,8 @@ def test_overflow_stops_at_the_same_step_with_bounded_extra_work(spec, horizon, 
     assert _same_bits(got[-1][3], want[-1][3]) and got[-1][4] == OVERFLOW_LIMIT
     # One step at a time, P_1 .. P_n take n applications, and a chunk
     # applies T at most K - 1 times past the step that overflowed; a small
-    # diagonal block forms each chunk's powers in one call instead.
-    assert len(calls) <= stream.products <= want_diverged + K - 1
-    assert want_diverged <= len(calls) or len(calls) == 0
+    # diagonal block forms each chunk's powers in one multiply.accumulate.
+    assert want_diverged <= len(calls) <= want_diverged + K - 1 or calls == []
 
 
 def test_kept_snapshots_checkpoints_and_hits_survive_later_chunks():
