@@ -4,13 +4,15 @@ The running average A_n x = (1/n) sum_{k<n} T^k x is S_n / n for the
 running sum S_{n+1} = S_n + T^n x, S_1 = x, that the stream carries.  Two exact
 identities make good spot checks: the telescoping relation
 (n+1) A_{n+1} x - n A_n x = T^n x, and A_n (I - T) x = (x - T^n x) / n.
-One vector is a (dim, 1) block of a `CesaroStream`.
+One vector is a (dim, 1) block of a `CesaroStream`.  The last section
+prints how far a classification pass walks once the powers are null.
 """
 
 import numpy as np
 
 from ergorank.cesaro import CesaroStream
-from ergorank.operators import apply_columns, gallery
+from ergorank.classify import check_power_bounded
+from ergorank.operators import apply_columns, default_probes, gallery
 from ergorank.tree import chain_margins
 
 
@@ -73,6 +75,12 @@ def main():
         got = float(np.abs(decay[n - 1]).sum())
         print(f"  ||A_{n:2d} e_9||_1 = {got:.6f}   (min(n,10)/n = {min(n, 10) / n:.6f})")
     assert np.allclose(apply_columns(shift, e9[:, None])[:, 0], np.eye(64)[8])
+    # P_64 = 0, so past step 65 every mean is S_66 / n: the probe pass stops
+    # stepping there and reads the rest of the horizon off the closed form.
+    pb = check_power_bounded(shift, default_probes(shift), 10_000)
+    walked = pb.evidence["walked"]
+    print(f"  probe pass walked {walked} of {pb.horizon} steps ({pb.status}, bound {pb.bound})")
+    assert walked < pb.horizon
 
 
 if __name__ == "__main__":

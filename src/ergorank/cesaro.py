@@ -27,7 +27,10 @@ A power that T maps to itself bit for bit is stationary: every later power
 is the same block, so after it the stream stops applying T and reducing
 power norms, and the sums follow the closed form S_n = S_s + (n - s) P,
 anchored at the first step s past it.  Nilpotent shift sections reach
-P_n = 0 this way, and the identity reaches P_n = X.  A walk saves the states
+P_n = 0 this way, and the identity reaches P_n = X.  The stream exposes
+that anchor and the closed-form mean (`anchor`, `closed_form`), so a reader
+can take a mean past s without walking to it: with a null P every later
+mean is fl(S_s / n), which no longer grows in any entry.  A walk saves the states
 it is asked for (see `chunks`), and a later walk resumes from one with the
 same bits, so a tail can be re-scanned without replaying its prefix.
 Everything that needs means reads them from a stream: one vector is a
@@ -117,6 +120,22 @@ def _same_as_before(stack: np.ndarray) -> np.ndarray:
     return (bits[1:] == bits[:-1]).all(axis=1)
 
 
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    """Whether two blocks of one shape are equal bit for bit (signed zeros
+    included), compared as uint64 words without copying a contiguous one."""
+    return bool((a.reshape(-1).view(np.uint64) == b.reshape(-1).view(np.uint64)).all())
+
+
+def _closed_form(anchor: tuple, steps: np.ndarray, out=None) -> np.ndarray:
+    """A_n = (S_s + (n - s) P) / n past a stationary anchor (S_s, P, s), for
+    a (count, 1, ..., 1) array of steps n: one slot per step."""
+    s_sum, P, s = anchor
+    A = np.multiply(steps - s, P, out=out)
+    A += s_sum
+    A /= steps
+    return A
+
+
 class Chunk(NamedTuple):
     """Steps n = first, first + 1, ..., one slot per step.
 
@@ -145,7 +164,8 @@ class CesaroStream:
     non-finite or above `OVERFLOW_LIMIT`: that step ends the last chunk,
     and `diverged_at` is set to n before the chunk is produced.  Once
     T P_n equals P_n bit for bit (signed zeros included), the stream stops
-    applying T: every later step has that same P and power norms.
+    applying T: every later step has that same P and power norms, and
+    `anchor` holds (S_s, P, s) for the first step s past it (None before).
     """
 
     def __init__(self, spec: OperatorSpec, X: np.ndarray):
@@ -154,6 +174,7 @@ class CesaroStream:
         self.X = X
         self.diverged_at: int | None = None
         self.checkpoints: dict = {}
+        self.anchor: tuple | None = None
         self._doublings = [spec.entries]  # T, T^2, T^4, ..., None past the limit
 
     def _doubling(self, width: int) -> tuple[int, np.ndarray]:
@@ -183,7 +204,7 @@ class CesaroStream:
         spec, tag = self.spec, self.spec.norm_tag
         first, S, prev, s = start or (1, self.X, self.X, None)
         anchor = None if s is None else (S, prev, s)  # (S_s, P, s) once stationary
-        self.diverged_at, self.checkpoints = None, {}
+        self.diverged_at, self.checkpoints, self.anchor = None, {}, anchor
         wanted = sorted({int(n) for n in checkpoints})
         S = np.array(S, dtype=np.float64, order="C")  # the running sum, updated in place
         shape = S.shape
@@ -217,14 +238,11 @@ class CesaroStream:
                 self.checkpoints.update(dict.fromkeys(held, state))
             with np.errstate(over="ignore", invalid="ignore"):
                 if anchor is not None:
-                    s_sum, P, s = anchor
+                    P = anchor[1]
                     if fixed is None:
                         norms, tops, _ = _power_norms(P[None], tag)
                         fixed = [np.broadcast_to(v, (K, *v.shape)) for v in (P, norms[0], tops[0])]
-                    # S_n = S_s + (n - s) P, and A_n = S_n / n.
-                    A = np.multiply(offsets[:count] + (first - s), P, out=means[:count])
-                    A += s_sum
-                    A /= offsets[:count] + first
+                    A = _closed_form(anchor, offsets[:count] + first, out=means[:count])
                     chunk = Chunk(first, A, *(v[:count] for v in fixed))
                 else:
                     o = 1 + r if small else base
@@ -262,7 +280,7 @@ class CesaroStream:
                                 np.divide(S, first + i + 0.0, out=means[i])
                                 S += Q
                             # The first row first, so most steps skip the full compare.
-                            if Q[0].tobytes() == src[0].tobytes() and Q.tobytes() == src.tobytes():
+                            if Q[0].tobytes() == src[0].tobytes() and _same_bits(Q, src):
                                 stationary, count = True, i + 1
                                 break
                             src = Q
@@ -283,12 +301,18 @@ class CesaroStream:
                         self.diverged_at = n = first + count - 1
                         self.checkpoints = {m: v for m, v in self.checkpoints.items() if m <= n}
                     elif stationary:
-                        anchor = (S.copy(), prev.copy(), first + count)
+                        self.anchor = anchor = (S.copy(), prev.copy(), first + count)
                     chunk = Chunk(first, A, region, norms, tops)
             yield chunk
             first += count
             if self.diverged_at is not None or first > horizon:
                 return
+
+    def closed_form(self, indices) -> np.ndarray:
+        """A_n X for each of `indices`, all at or past the anchor's step s,
+        as one (count, dim, p) stack with the bits the walk gives them."""
+        steps = np.asarray(indices, dtype=np.float64).reshape(-1, *(1,) * self.X.ndim)
+        return _closed_form(self.anchor, steps)
 
     def means_at(self, indices) -> dict[int, np.ndarray]:
         """A_n X for each requested n that the stream reaches."""

@@ -27,6 +27,10 @@ mode.  `check_families` makes one pass per block: the probe block gives the
 power-bounded, Cesaro-bounded and ergodic verdicts, the identity block the
 dense Cesaro-bounded and every uniformly ergodic one.  No ``holds`` comes
 from a scan that the overflow guard stopped, nor from a one-index tail.
+Once the stream's stationary power is null, a pass whose readers are
+monotone in each entry's magnitude stops stepping: every later mean shrinks
+entrywise, so its maxima, snapshots and tail radius are read at the null
+phase's endpoints (see `_scan`).
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -222,13 +226,20 @@ class _Scan:
     first step above the cap as (n, norms, A_n); `powers` holds the
     power-norm maxima for m = 0..steps and `power_hit` (m, norms).  Maxima
     are None when unread, hits when no step crossed the cap.  `snapshots`
-    maps the dyadic scales and the horizon N to A_n.  A tail scan keeps in
+    maps the dyadic scales and the horizon N to A_n.  `null_from` is the
+    anchor s of a null stationary power when the pass stopped before N
+    there, after `walked` = s - 1 steps (see `_scan`):
+    from s on, `powers` holds exact zeros and `means` the maximum at s - 1,
+    which leaves the running maximum as every later mean would, and the
+    snapshots past s come from the closed form.  A tail scan keeps in
     `kept` A_t .. A_(t+k-1) from t = max(1, N//2) on, as many as fit its
-    share of `_TAIL_KEEP_BYTES`, one stack per chunk; `checkpoint` is the
-    stream state saved for n = t + k (None when the kept means reach N);
-    `low` and `high` bound the means from there on (see `_tail_radius`).  These
-    are complete only on a scan that reached N, and all are copies, since
-    the stream reuses its chunk buffers.
+    share of `_TAIL_KEEP_BYTES` and were read, one stack per chunk;
+    `checkpoint` is the stream state saved for n = t + k (None when the
+    kept means reach N, or s - 1); `low` and `high` bound the read means
+    from there on, and `null_mean` holds A_max(t, s), where the null part
+    of the tail attains its radius, as a one-slot stack (see
+    `_tail_radius`).  These are complete only on a scan that reached N, and
+    all are copies, since the stream reuses its chunk buffers.
     """
 
     stream: CesaroStream
@@ -245,6 +256,13 @@ class _Scan:
     checkpoint: tuple | None = None
     low: np.ndarray | None = None
     high: np.ndarray | None = None
+    null_from: int | None = None
+    null_mean: np.ndarray | None = None
+
+    @property
+    def walked(self) -> int:
+        """The steps the stream produced for this horizon."""
+        return self.steps if self.null_from is None else self.null_from - 1
 
 
 def _first_above(tops: np.ndarray, cap: float) -> int | None:
@@ -258,8 +276,18 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` share the keep budget of `_tail_radius`.  A
-    step's bits do not depend on the chunk that holds it."""
+    step's bits do not depend on the chunk that holds it.
+
+    Once the stationary power is null (every bit zero), the pass stops at
+    the step before its anchor s, where a mode whose readers are monotone
+    (or that reads no step norm) has nothing left to learn: every later mean
+    is fl(S_s / n), so no entry's magnitude, nor any |A_n - A_N| for
+    n <= N, rises with n.  The rest is filled in: power maxima 0, mean
+    maxima the last one read (S_s = S_(s-1), so no later mean is above it
+    and the running maximum stays), snapshots and the tail's first null mean
+    from the closed form."""
     step_norm, _, _, monotone = _mode_norms(spec, mode)
+    skip_null = monotone or step_norm is None
     stream = CesaroStream(spec, X)
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
     marks = {h: (*(_dyadic_scales(h) or ()), h) for h in scans}
@@ -267,7 +295,8 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     keep = _TAIL_KEEP_BYTES // X.nbytes // max(1, len(tails))
     resume = {h: max(1, h // 2) + min(h - max(1, h // 2) + 1, keep) for h in tails}
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
-    for chunk in stream.chunks(max(scans), checkpoints=resume.values()):
+    horizon, null_from = max(scans), None
+    for chunk in stream.chunks(horizon, checkpoints=resume.values()):
         first, count = chunk.first, len(chunk.means)
         if step_norm is not None:
             norms = step_norm(chunk.means)
@@ -302,15 +331,34 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
                 for bound, ufunc in ((scan.low, np.minimum), (scan.high, np.maximum)):
                     part = ufunc.reduce(rest, out=spare) if len(rest) > 1 else rest[0]
                     ufunc(bound, part, out=bound)
+        if skip_null and stream.anchor is not None:
+            if not stream.anchor[1].any():
+                null_from = stream.anchor[2]
+                break
+            skip_null = False  # a stationary power that is not null
+    last = first + count - 1  # the last step read; a stream stops where it diverges
+    if null_from is not None:
+        unwalked, last = horizon - last, horizon
+        if means:
+            means.append(np.full(unwalked, means[-1][-1]))
+        if powers:
+            powers.append(np.zeros(unwalked))
+        firsts = {h: max(null_from, max(1, h // 2)) for h in tails if null_from <= h}
+        unread = sorted({n for n in wanted if n >= null_from} | set(firsts.values()))
+        snapshots.update(zip(unread, stream.closed_form(unread)))
     for h, scan in scans.items():
-        scan.steps = min(h, first + count - 1)  # a stream stops where it diverges
+        scan.steps = min(h, last)
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
         scan.means = np.concatenate(means)[: scan.steps] if means else None
         scan.powers = np.concatenate(powers)[: scan.steps + 1] if powers else None
         scan.mean_hit = mean_hit if mean_hit and mean_hit[0] <= scan.steps else None
         scan.power_hit = power_hit if power_hit and power_hit[0] <= scan.steps else None
         scan.snapshots = {n: snapshots[n] for n in marks[h] if n in snapshots}
-        if h in resume and resume[h] <= h:
+        if null_from is not None and null_from <= h:
+            scan.null_from = null_from
+            if h in tails:
+                scan.null_mean = snapshots[firsts[h]][None]
+        if h in resume and resume[h] <= scan.walked:
             scan.checkpoint = stream.checkpoints.get(resume[h])
     return scans
 
@@ -353,6 +401,9 @@ def _tail_radius(scan: _Scan, norm):
 
     The means the scan kept are reduced one chunk's stack at a time, their
     differences going into one reused buffer, so the scan is left as it was.
+    A null part of the tail, from s = `null_from` on, is one exact slice:
+    each |A_n - A_N| there falls entrywise with n, so a monotone reader
+    attains its maximum at the part's first mean, `null_mean`.
     The rest of the tail is bounded by its envelope [low, high]: fl(a - c)
     is monotone in a under round-to-nearest, so every unkept |A_n - A_N|
     lies entrywise under E = max(|low - A_N|, |high - A_N|), and a monotone
@@ -362,7 +413,8 @@ def _tail_radius(scan: _Scan, norm):
     is the radius bit for bit.  Otherwise (a NaN fails the test too), or
     without an envelope, the stream resumes from the scan's checkpoint, a
     state at or before the first unkept mean, with the bits of the first
-    pass, and folds the unkept means.  A maximum is exact and a reader gives
+    pass, and folds the unkept means up to N, or to s - 1 before a null
+    part.  A maximum is exact and a reader gives
     a step the same bits in any stack, so the radius does not depend on how
     much was kept.
     """
@@ -379,6 +431,8 @@ def _tail_radius(scan: _Scan, norm):
 
     for part in scan.kept:
         fold(part)
+    if scan.null_mean is not None:
+        fold(scan.null_mean)
     if scan.checkpoint is None:
         return radius
     if scan.low is not None:
@@ -387,7 +441,7 @@ def _tail_radius(scan: _Scan, norm):
         if np.all(ub <= radius):
             return np.maximum(radius, ub)  # the kept radius, shaped as a fold leaves it
     resume_at = max(1, scan.horizon // 2) + sum(len(part) for part in scan.kept)
-    for chunk in scan.stream.chunks(scan.horizon, start=scan.checkpoint):
+    for chunk in scan.stream.chunks(scan.walked, start=scan.checkpoint):
         if chunk.first + len(chunk.means) > resume_at:
             fold(chunk.means[max(0, resume_at - chunk.first) :])
     return radius
@@ -408,7 +462,10 @@ def _bounded_verdict(family, values, first, scan, witness, label, evidence) -> V
     overflow) above the cap; inconclusive otherwise."""
     overall = float(values.max())
     diverged = scan.diverged_at is not None
-    evidence = {"max": overall, **evidence, "diverged": diverged, "steps": scan.steps}
+    evidence = {
+        "max": overall, **evidence, "diverged": diverged, "steps": scan.steps,
+        "walked": scan.walked,
+    }
     if overall <= scan.cap and not diverged:
         return Verdict(
             family, HOLDS, scan.horizon, None, _int_bound(overall), None, label, evidence

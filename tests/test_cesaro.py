@@ -289,6 +289,11 @@ _EDGE_CASES = {
     "signed-zero diagonal": (
         _diagonal([-1.0, 0.0, -0.0, 1.0, -0.5], "l1"), _block(5, 5, 3), 30, 7
     ),
+    # -1 flips the sign of a zero below the first row, which stays equal:
+    # P_1 = (0, -0, 0) equals X = 0 in value but not in bits.
+    "shift flipping a zero below the first row": (
+        OperatorSpec(KIND_SHIFT, 3, [1.0, -1.0], "l1"), np.zeros((3, 2)), 8, 3
+    ),
     "sparse nilpotent": (
         OperatorSpec(KIND_SPARSE, 4, [(0, 1, 2.0), (0, 3, -1.0), (1, 2, -0.5), (2, 3, 1.0)], "l1"),
         _block(6, 4, 2), 10, 2,
@@ -582,3 +587,28 @@ def test_kept_snapshots_checkpoints_and_hits_survive_later_chunks():
         m, norms = scan.power_hit
         assert _same_bits(norms, want[m - 1][3])
         assert want[m - 2][3].max() <= 3.0 < norms.max()
+
+
+def test_the_stationarity_compare_reads_every_bit():
+    # The uint64-word compare of a wide block's powers: a signed zero or one
+    # ulp anywhere differs, and a strided block compares by its entries.
+    X = _block(3, 256, 48)
+    assert ergorank.cesaro._same_bits(X, X.copy())
+    assert ergorank.cesaro._same_bits(np.asfortranarray(X), X)
+    for row in (255, 0):
+        Y = X.copy()
+        Y[row, 47] = -Y[row, 47] if Y[row, 47] == 0 else np.nextafter(Y[row, 47], np.inf)
+        assert not ergorank.cesaro._same_bits(Y, X)
+    assert not ergorank.cesaro._same_bits(np.zeros((2, 2)), np.full((2, 2), -0.0))
+
+
+@pytest.mark.parametrize("name", ["left_shift_l1(64)", "zero(4)", "identity(8)", "scalar(0.5)"])
+def test_the_closed_form_gives_the_walk_bits_past_the_anchor(name):
+    spec = gallery(name)
+    X = default_probes(spec).vectors.T
+    stream = CesaroStream(spec, X)
+    assert stream.anchor is None
+    steps = _steps(stream, 1500)
+    s = stream.anchor[2]
+    ns = [s, (s + 1500) // 2, 1500]
+    assert all(_same_bits(A, steps[n - 1][1]) for n, A in zip(ns, stream.closed_form(ns)))

@@ -23,6 +23,7 @@ from ergorank.classify import (
     trusted_horizon,
     _L2_EXACT_DIM,
     _TAIL_KEEP_BYTES,
+    _dyadic_scales,
     _int_bound,
     _mode_norms,
     _scan,
@@ -47,7 +48,7 @@ from ergorank.operators import (
     gallery,
     matrix_norm,
 )
-from reference import reference_tail_radius
+from reference import reference_stream, reference_tail_radius
 
 
 #: Powers overflow at the first step: T x already has norm 1e200.
@@ -395,6 +396,8 @@ def _assert_same_scan(got, want, radius_norm):
     assert (got.horizon, got.steps, got.diverged_at) == (want.horizon, want.steps, want.diverged_at)
     for name in ("means", "powers", "low", "high"):
         assert _same(getattr(got, name), getattr(want, name)), name
+    assert (got.walked, got.null_from) == (want.walked, want.null_from)
+    assert _same(got.null_mean, want.null_mean)
     for name in ("mean_hit", "power_hit", "checkpoint"):
         g, w = getattr(got, name), getattr(want, name)
         assert (g is None) == (w is None), name
@@ -536,7 +539,9 @@ _TAIL_CASES = {
         64,
     ),
     "identity": (gallery("identity(8)"), 300),
+    # P_64 = 0, so the tail is null from s = 66: before it starts, or inside it.
     "left shift": (gallery("left_shift_l1(64)"), 200),
+    "left shift, null inside the tail": (gallery("left_shift_l1(64)"), 100),
     # The envelope of the unkept tail proves the kept radius is the radius.
     "zero": (gallery("zero(4)"), 300),
     "monotone diagonal": (MONOTONE_DIAGONAL, 300),
@@ -548,8 +553,11 @@ _TAIL_CASES = {
 
 @pytest.mark.parametrize("case", _TAIL_CASES.values(), ids=_TAIL_CASES.keys())
 def test_tail_radius_is_bitwise_the_same_at_every_keep_budget(case):
+    # The huge diagonal diverges at once, and the left shift at 100 fails
+    # uniform ergodicity on a dyadic gap before its radius is read.
     spec, horizon = case
-    assert _assert_tail_budgets_agree(spec, horizon) == (0 if spec is HUGE_DIAGONAL else 2)
+    reads = 0 if spec is HUGE_DIAGONAL else 1 if case is _TAIL_CASES["left shift, null inside the tail"] else 2
+    assert _assert_tail_budgets_agree(spec, horizon) == reads
 
 
 @given(_small_specs(), st.sampled_from([1, 2, 3, 7, 40]))
@@ -685,6 +693,9 @@ def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
     # Every tail below is longer than the keep budget; the envelope of the
     # rest proves the kept radius, so no stream is resumed.  The shift's
     # trusted horizon, 128, is a prefix of its one identity pass to 256.
+    # The shift is nilpotent: its probe powers are null from P_256 on, so
+    # its probe pass stops at step 257 and reads the null tail [1000, 2000]
+    # off the closed form; its identity pass meets T^256 = 0 only past 256.
     rng = np.random.default_rng(14)
     dim = 128
     per_row = rng.permutation([3, 4] * (dim // 2))
@@ -699,13 +710,13 @@ def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
     shift = OperatorSpec(KIND_SHIFT, 256, rng.uniform(0.5, 1.0, 255), "linf")
     horizon, ue_horizon = 2000, 256
     walks = _Walks(monkeypatch)
-    for spec in (stochastic, diagonal, shift):
+    for spec, probe_walk in ((stochastic, horizon), (diagonal, horizon), (shift, 257)):
         probes = default_probes(spec)
         assert (horizon // 2 + 1) * probes.vectors.nbytes > _TAIL_KEEP_BYTES
         walks.walks.clear()
         families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
         assert families.ergodic.evidence["tail_diameter_ub"] is not None
-        assert walks.walks == [[False, horizon], [False, ue_horizon]], spec.kind
+        assert walks.walks == [[False, probe_walk], [False, ue_horizon]], spec.kind
 
 
 #: (horizon, ue_horizon) of `check_families` and the steps of its stream
@@ -717,7 +728,8 @@ _FAMILY_WALKS = {
     # Dense Cesaro-bounded at 1 000; uniformly ergodic at 256 is its prefix.
     "jordan_1(2)": ((1000, 256), [1000, 1000]),
     # The default config: uniformly ergodic at the trusted 32 and at 256.
-    "left_shift_l1(64)": ((10_000, 256), [10_000, 256]),
+    # P_64 = 0 for both blocks, and T P_64 = P_64 at step 65 ends each walk.
+    "left_shift_l1(64)": ((10_000, 256), [65, 65]),
 }
 
 
@@ -763,8 +775,14 @@ def test_the_tail_radius_reads_a_scan_without_changing_it(keep):
     assert _bits(radius) == _bits(reference_tail_radius(spec, X, 300, norm))
 
 
+#: A dim-64 contraction whose powers stay nonzero past 2 000 steps, so its
+#: tail is read, not null.
+CONTRACTING_64 = OperatorSpec(KIND_DIAGONAL, 64, np.linspace(0.5, 0.99, 64), "l1")
+
+
 def test_a_tail_longer_than_the_budget_keeps_no_more_than_the_budget():
-    spec, probes = _probes("left_shift_l1(64)")
+    spec = CONTRACTING_64
+    probes = default_probes(spec)
     X = probes.vectors.T
     horizon = 2000
     assert (horizon - 1000 + 1) * X.nbytes > _TAIL_KEEP_BYTES
@@ -773,6 +791,139 @@ def test_a_tail_longer_than_the_budget_keeps_no_more_than_the_budget():
     assert _TAIL_KEEP_BYTES - X.nbytes < kept.nbytes <= _TAIL_KEEP_BYTES
     # The state at the start of the chunk that holds the first unkept mean.
     assert 1000 < scan.checkpoint[0] <= 1000 + len(kept)
+
+
+# -- a null tail ----------------------------------------------------------
+
+#: (spec, horizon, ue_horizon) of passes whose stationary power is null:
+#: the left shift's powers from P_64 on (its null phase starts at s = 66,
+#: before the tail [5 000, 10 000] or inside [50, 100]); zero(4)'s from P_1
+#: on; and scalar(0.5)'s only near n = 1 076, although its l2 power norms
+#: read 0 from about n = 538 (squares underflow).  The identity block of
+#: zero(4) and of scalar(0.5) under l2 is read by the exact SVD and walks
+#: the whole horizon.
+_NULL_CASES = {
+    "left shift, null before the tail": (gallery("left_shift_l1(64)"), 10_000, 256),
+    "left shift, null inside the tail": (gallery("left_shift_l1(64)"), 100, 100),
+    "zero": (gallery("zero(4)"), 10_000, 256),
+    "scalar 0.5, l1": (OperatorSpec(KIND_DIAGONAL, 1, [0.5], "l1"), 2000, 2000),
+    "scalar 0.5, l2": (gallery("scalar(0.5)"), 2000, 2000),
+}
+
+
+def _reference_pass(spec, X, mode, horizon):
+    """Per-step mean-norm maxima (n = 1..N), their norms and A_n by n,
+    power-norm maxima and norms (m = 0..N), and the anchor s of a null
+    stationary power (or None), read off `reference_stream`."""
+    steps, diverged = reference_stream(spec, X, horizon)
+    assert diverged is None
+    reader = _mode_norms(spec, mode).step
+    mean_norms = [reader(A[None])[0] for _, A, _, _ in steps]
+    power_norms = [mean_norms[0]] + [norms for *_, norms in steps]
+    stationary = (n + 1 for (n, _, P, _), (_, _, Q, _) in zip(steps[1:], steps) if _same(P, Q))
+    s = next(stationary, None)
+    s = s if s is not None and not steps[s - 2][2].any() else None
+    tops = lambda rows: np.array([np.max(row) for row in rows])
+    return {
+        "means": tops(mean_norms), "mean_norms": mean_norms, "A": {n: A for n, A, *_ in steps},
+        "powers": tops(power_norms), "power_norms": power_norms, "s": s,
+    }
+
+
+def _first_hit(tops, cap):
+    return int(np.argmax(tops > cap)) if np.max(tops) > cap else None
+
+
+@pytest.mark.parametrize("name", _NULL_CASES)
+def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
+    # The pass stops at s - 1 where its readers are monotone; the running
+    # maxima, hits, steps, snapshots, bounds and tail radius are still those
+    # of every step, and a re-run of a tail that starts before s stops at
+    # s - 1 (keep budgets 0 and 1).
+    spec, horizon, ue_horizon = _NULL_CASES[name]
+    probes = default_probes(spec)
+    probes = ProbeSet(probes.vectors[[0, -2, -1]], spec.norm_tag, "oracle")
+    blocks = [("probe", probes.vectors.T, horizon), ("dense", np.eye(spec.dim), ue_horizon)]
+    skipped = 0
+    walks = _Walks(monkeypatch)
+    for mode, X, h in blocks:
+        ref = _reference_pass(spec, X, mode, h)
+        radius_norm = _mode_norms(spec, mode).radius
+        radius = reference_tail_radius(spec, X, h, radius_norm)
+        skips = _mode_norms(spec, mode).monotone and ref["s"] is not None and ref["s"] <= h
+        skipped += skips
+        cap = 0.5 * ref["means"].max()
+        for keep in (0, 1, None):
+            budget = _TAIL_KEEP_BYTES if keep is None else keep * X.nbytes
+            with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", budget):
+                scan = _scan(spec, X, mode, [h], cap, [h])[h]
+            assert (scan.steps, scan.diverged_at) == (h, None)
+            assert (scan.walked, scan.null_from) == ((ref["s"] - 1, ref["s"]) if skips else (h, None))
+            running = np.maximum.accumulate
+            assert _same(running(scan.means), running(ref["means"])), (mode, keep)
+            assert _same(scan.means[: scan.walked], ref["means"][: scan.walked])
+            n = _first_hit(ref["means"], cap)
+            assert scan.mean_hit[0] == n + 1
+            assert _same(scan.mean_hit[1], ref["mean_norms"][n]) and _same(scan.mean_hit[2], ref["A"][n + 1])
+            if mode == "probe":
+                assert _same(scan.powers, ref["powers"])
+                m = _first_hit(ref["powers"], cap)
+                assert scan.power_hit[0] == m and _same(scan.power_hit[1], ref["power_norms"][m])
+            assert scan.snapshots.keys() == {*_dyadic_scales(h), h}
+            assert all(_same(A, ref["A"][n]) for n, A in scan.snapshots.items())
+            walks.walks.clear()
+            assert _same(_tail_radius(scan, radius_norm), radius), (mode, keep)
+            end = ref["s"] - 1 if skips else h
+            assert all(scan.checkpoint[0] + steps - 1 == end for _, steps in walks.walks)
+    assert skipped == (1 if spec.norm_tag == "l2" else 2)
+    families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+    ref = _reference_pass(spec, probes.vectors.T, "probe", horizon)
+    pb, cb, erg = families[:3]
+    assert (pb.bound, pb.evidence["max"]) == (_int_bound(ref["powers"].max()), ref["powers"].max())
+    if cb.evidence["mode"] == "probe":
+        assert (cb.bound, cb.evidence["max"]) == (_int_bound(ref["means"].max()), ref["means"].max())
+    norm = lambda D: column_norms(D, spec.norm_tag)
+    radius = reference_tail_radius(spec, probes.vectors.T, horizon, norm)
+    assert _bits(erg.evidence["tail_diameter_ub"]) == _bits(2.0 * radius)
+    assert _bits(erg.evidence["tail_diameter_lb"]) == _bits(radius)
+    ue = families.section or families.uniformly_ergodic
+    if ue.evidence["tail_diameter_ub"] is not None:
+        dense = _mode_norms(spec, "dense").radius
+        radius = reference_tail_radius(spec, np.eye(spec.dim), ue_horizon, dense)
+        assert _bits(ue.evidence["tail_diameter_ub"]) == _bits(np.asarray(2.0 * radius).tolist())
+
+
+def test_the_null_skip_reads_the_bits_of_the_power_not_its_norms():
+    spec = gallery("scalar(0.5)")
+    X = default_probes(spec).vectors.T
+    steps, _ = reference_stream(spec, X, 2000)
+    zero_norm = next(n for n, _, _, norms in steps if norms.max() == 0)
+    null = next(n for n, _, P, _ in steps if not P.any())
+    assert zero_norm < 600 < 1000 < null
+    # T P_null = P_null at step null + 1 ends the walk.
+    scan = _scan(spec, X, "probe", [2000], 1e3, [2000])[2000]
+    assert (scan.walked, scan.null_from) == (null + 1, null + 2)
+
+
+def test_the_null_skip_never_runs_under_the_exact_svd_or_on_a_nonzero_power(monkeypatch):
+    # A nilpotent shift under l2: the probe pass stops after T P_8 = P_8 = 0,
+    # but the dense pass at dim <= 32 reads exact SVDs, whose bits need not
+    # fall with the entries, and walks on.  The identity and scalar(1.0)
+    # keep P = X != 0.
+    shift = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
+    assert not _mode_norms(shift, "dense").monotone
+    probe = _scan(shift, np.eye(8), "probe", [300], 1e3, [300])[300]
+    assert (probe.walked, probe.null_from) == (9, 10)
+    dense = _scan(shift, np.eye(8), "dense", [300], 1e3, [300])[300]
+    assert (dense.walked, dense.null_from, dense.null_mean) == (300, None, None)
+    walks = _Walks(monkeypatch)
+    for name in ("identity(8)", "scalar(1.0)"):
+        spec, probes = _probes(name)
+        walks.walks.clear()
+        pb = check_families(spec, probes, 10_000, 1e-2, 1e3, 256).power_bounded
+        # identity(8) also re-runs part of its probe tail (its means wander).
+        assert [w for w in walks.walks if not w[0]] == [[False, 10_000], [False, 256]], name
+        assert pb.evidence["walked"] == 10_000
 
 
 def test_trusted_horizon_shrinks_for_shift_only():
