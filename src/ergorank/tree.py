@@ -23,8 +23,8 @@ minimum margin over the chains of each length by dynamic programming,
 without listing nodes, and no epsilon enters it: the tree height at any
 epsilon is the number of lengths whose best chain separates.
 `build_truncation` lists the members, bounded by a depth cap, an index
-bound and a node budget; `partial` is set when the budget cuts the walk
-short.
+bound and a node budget; `partial` is set when a member past the budget
+exists, so a budget equal to the member count lists the whole tree.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .operators import OperatorSpec, ProbeSet, _check_args, column_norms
 #: checker's recomputation tolerance and is far above that dust.
 SEPARATION_SLACK = 1e-9
 
-#: Members `build_truncation` lists before it stops and marks the walk partial.
+#: Members `build_truncation` lists; one more member marks the walk partial.
 DEFAULT_MAX_NODES = 200_000
 
 
@@ -73,7 +73,7 @@ class TreeTruncation:
     `members` lists node keys ("s1,s2,...") in depth-first discovery
     order; `witnesses` maps each key to the witnessing probe index (None
     for singletons, whose membership is unconditional).  `partial` is True
-    when the node budget stopped the walk before completion.
+    when the node budget cut a member: the walk found one past the budget.
     """
 
     epsilon: float
@@ -143,7 +143,8 @@ def build_truncation(
     max_nodes: int = DEFAULT_MAX_NODES,
 ) -> TreeTruncation:
     """Depth-first enumeration of member nodes with indices <= index_bound
-    and length <= depth_cap, stopped after `max_nodes` members.
+    and length <= depth_cap: the first `max_nodes` of them, and `partial`
+    when there are more.
 
     The `margin_tensor` thresholded at epsilon gives, per index pair
     (n, m), the bitmask of probes separating A_n from A_m; a node's witness
@@ -172,26 +173,27 @@ def build_truncation(
 
     def walk(key, last, length, mask) -> bool:
         """Record the members extending the node `key`, depth first; False
-        once the budget is spent."""
+        at the first member past the budget."""
         for nxt, pair in successors[last]:
             child_mask = mask & pair
             if child_mask:
+                if len(members) == max_nodes:
+                    return False
                 child = key + "," + labels[nxt]
                 members.append(child)
                 witnesses.append((child_mask & -child_mask).bit_length() - 1)
-                if len(members) >= max_nodes:
-                    return False
                 if length + 1 < depth_cap and not walk(child, nxt, length + 1, child_mask):
                     return False
         return True
 
     done = True
     for start in range(1, index_bound + 1):
+        if len(members) == max_nodes:
+            done = False
+            break
         members.append(labels[start])
         witnesses.append(None)
-        if len(members) >= max_nodes or (
-            depth_cap > 1 and not walk(labels[start], start, 1, full_mask)
-        ):
+        if depth_cap > 1 and not walk(labels[start], start, 1, full_mask):
             done = False
             break
     # `walk` reaches itself through its closure, a cycle that would keep the

@@ -14,11 +14,13 @@ time.  `exact_stream` gives the means and powers in exact rational
 arithmetic, the oracle that the stream's accuracy is measured against.  `node_member` decides tree membership of one index
 chain from its `chain_margins`, independently of the dynamic programming
 behind `best_chains`, the rank heights, the beam search and
-`build_truncation`.
+`build_truncation`.  `reference_dumps` is the stdlib's indent encoder,
+whose text `canonical_dumps` must give byte for byte.
 """
 
 from __future__ import annotations
 
+import json
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -233,3 +235,9 @@ def node_member(
         return NodeMembership(False, None, None)
     witness = int(np.argmax(ok))
     return NodeMembership(True, witness, [float(v) for v in margins[:, witness]])
+
+
+def reference_dumps(obj) -> str:
+    """The canonical JSON text of `obj`, from `json`'s pure-Python indent
+    encoder."""
+    return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"

@@ -234,6 +234,19 @@ def test_tree_budget_exit_code(tmp_path, capsys):
     assert len(trunc["members"]) == 4
 
 
+@pytest.mark.parametrize("name, epsilon", [("rotation(1.0)", "0.25"), ("zero(4)", "0.5")])
+def test_tree_budget_at_the_member_count_exits_zero(tmp_path, capsys, name, epsilon):
+    spec_path = _write_spec(tmp_path, name)
+    args = ["tree", spec_path, "--epsilon", epsilon, "--depth-cap", "4", "--index-bound", "32"]
+    assert main(args) == 0
+    count = len(canonical_loads(capsys.readouterr().out)["members"])
+    assert main([*args, "--max-nodes", str(count)]) == 0
+    assert canonical_loads(capsys.readouterr().out)["partial"] is False
+    assert main([*args, "--max-nodes", str(count - 1)]) == 3
+    trunc = canonical_loads(capsys.readouterr().out)
+    assert trunc["partial"] is True and len(trunc["members"]) == count - 1
+
+
 # -- parser ----------------------------------------------------------------
 
 def test_version_flag(capsys):

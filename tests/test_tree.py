@@ -14,6 +14,7 @@ from ergorank.operators import (
     gallery,
 )
 from ergorank.tree import (
+    TreeTruncation,
     best_chains,
     build_truncation,
     tree_to_dot,
@@ -117,6 +118,23 @@ def test_budget_marks_partial():
     assert trunc.members == full.members[:5]
 
 
+@pytest.mark.parametrize("name, epsilon", [("rotation(1.0)", 0.25), ("zero(4)", 0.5)])
+def test_a_budget_equal_to_the_member_count_cuts_nothing(name, epsilon):
+    spec = gallery(name)
+    probes = default_probes(spec)
+    full = build_truncation(spec, epsilon, depth_cap=4, index_bound=32, probes=probes)
+    count = len(full.members)
+    assert not full.partial
+    exact = build_truncation(spec, epsilon, depth_cap=4, index_bound=32, probes=probes,
+                             max_nodes=count)
+    assert not exact.partial
+    assert exact.members == full.members and exact.witnesses == full.witnesses
+    short = build_truncation(spec, epsilon, depth_cap=4, index_bound=32, probes=probes,
+                             max_nodes=count - 1)
+    assert short.partial
+    assert short.members == full.members[:-1]
+
+
 def test_truncation_holds_the_only_reference_to_its_members():
     # The depth-first walk is a recursive closure over the member list; a
     # closure left in a reference cycle would keep that list (and the rest
@@ -138,6 +156,35 @@ def test_dot_rendering():
     assert 'root [label="()"]' in dot
     assert 'root -> "1";' in dot
     assert '"1" -> "1,3";' in dot
+
+
+def _truncation(members, witnesses):
+    return TreeTruncation(epsilon=0.5, depth_cap=3, index_bound=4, probe_label="hand-built",
+                          members=members, witnesses=witnesses, partial=False)
+
+
+_DOT_HEAD = 'digraph separation_tree {\n  node [shape=box, fontsize=10];\n  root [label="()"];\n'
+
+
+def test_dot_of_an_empty_truncation_is_the_root_alone():
+    assert tree_to_dot(_truncation([], {})) == _DOT_HEAD + "}\n"
+
+
+def test_dot_labels_a_node_without_a_witness_by_its_key_alone():
+    # A non-singleton whose witness is None, and a key missing from
+    # `witnesses`, both render without a probe line.
+    trunc = _truncation(["1", "1,2", "1,2,4", "3"], {"1": None, "1,2": None, "1,2,4": 7})
+    assert tree_to_dot(trunc) == _DOT_HEAD + (
+        '  "1" [label="(1)"];\n'
+        '  root -> "1";\n'
+        '  "1,2" [label="(1,2)"];\n'
+        '  "1" -> "1,2";\n'
+        '  "1,2,4" [label="(1,2,4)\\nprobe 7"];\n'
+        '  "1,2" -> "1,2,4";\n'
+        '  "3" [label="(3)"];\n'
+        '  root -> "3";\n'
+        "}\n"
+    )
 
 
 def test_longest_members():
