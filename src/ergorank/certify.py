@@ -27,6 +27,7 @@ never cut short by a node budget.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -75,21 +76,37 @@ class NSECertificate:
         }
 
     @classmethod
-    def from_json_dict(cls, data: dict) -> "NSECertificate":
+    def from_json_dict(cls, data) -> "NSECertificate":
+        """The certificate a JSON document states, read exactly: a document
+        that is not an object, or a field of another type or nesting than
+        `to_json_dict` writes (a bool is no number), raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError(f"certificate must be a JSON object, got {type(data).__name__}")
         try:
             if data.get("version") != 1:
                 raise ValueError(f"unsupported certificate version {data.get('version')!r}")
-            return cls(
-                operator=OperatorSpec.from_json_dict(data["operator"]),
-                epsilon=float(data["epsilon"]),
-                J=tuple(int(v) for v in data["J"]),
-                witnesses=[np.asarray(w, dtype=float) for w in data["witnesses"]],
-                margins=[[float(v) for v in row] for row in data["margins"]],
-                depth=int(data["depth"]),
-                probe_label=data.get("probe_label"),
+            operator = OperatorSpec.from_json_dict(data["operator"])
+            epsilon, J, witnesses, margins, depth = (
+                data[k] for k in ("epsilon", "J", "witnesses", "margins", "depth")
             )
         except KeyError as exc:
             raise ValueError(f"certificate JSON is missing field {exc}") from exc
+        integer = lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool)
+        number = lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)
+        rows = lambda v: isinstance(v, list) and all(isinstance(r, list) and all(map(number, r)) for r in v)
+        for name, value, ok, what in (
+            ("epsilon", epsilon, number(epsilon), "a number"),
+            ("J", J, isinstance(J, list) and all(map(integer, J)), "a list of integers"),
+            ("witnesses", witnesses, rows(witnesses), "a list of lists of numbers"),
+            ("margins", margins, rows(margins), "a list of lists of numbers"),
+            ("depth", depth, integer(depth), "an integer"),
+        ):
+            if not ok:
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+        witnesses = [np.asarray(w, dtype=float) for w in witnesses]
+        margins = [[float(v) for v in row] for row in margins]
+        J = tuple(int(v) for v in J)
+        return cls(operator, float(epsilon), J, witnesses, margins, int(depth), data.get("probe_label"))
 
 
 class CheckResult(NamedTuple):

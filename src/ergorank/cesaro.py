@@ -10,18 +10,19 @@ policy to every power it produces.
 The stream hands out chunks of consecutive steps, and a chunk pays the
 Python round trip, the power-norm reductions and the floating-point error
 state once for all of its steps; its size follows from the block's byte
-size.  On a small block a chunk is a few numpy calls: its sums are one
-`np.add.accumulate`, diagonal powers one `np.multiply.accumulate` (the
-bits of the per-step product), and dense powers come from a doubling grid.
+size.  A small block of a diagonal or dense T (`_SMALL_STEPS` steps per
+chunk or more, and a dense T up to `_DOUBLING_DIM`) forms a chunk in a few
+numpy calls along the step axis: its sums in one `np.add.accumulate`,
+diagonal powers in one `np.multiply.accumulate` (the bits of the per-step
+product), and dense powers on a doubling grid.
 The grid cuts the steps into groups of G anchored at n = 1: the first power
 of a group is T times the last power before it, and slot i of a group, for
 2^j <= i < 2^(j+1), is T^(2^j) times slot i - 2^j, so a group costs
 log2(G) + 1 batched products (a T^(2^j) with an entry above
 `OVERFLOW_LIMIT` is not formed, and the largest one below stands in).
 G depends only on the operator and the block's shape (see `_grid`), so
-no step's bits depend on where the chunks fall.  Shift and sparse powers,
-and every power and sum of a wide block, take one call per step; both
-loop shapes give the same bits.
+no step's bits depend on where the chunks fall.  Every other block takes
+one call per step for its power and one for its sum, with the same bits.
 
 A power that T maps to itself bit for bit is stationary: every later power
 is the same block, so after it the stream stops applying T and reducing
@@ -30,9 +31,8 @@ anchored at the first step s past it.  Nilpotent shift sections reach
 P_n = 0 this way, and the identity reaches P_n = X.  The stream exposes
 that anchor and the closed-form mean (`anchor`, `closed_form`), so a reader
 can take a mean past s without walking to it: with a null P every later
-mean is fl(S_s / n), which no longer grows in any entry.  A walk saves the states
-it is asked for (see `chunks`), and a later walk resumes from one with the
-same bits, so a tail can be re-scanned without replaying its prefix.
+mean is fl(S_s / n), which no longer grows in any entry.  A walk always
+starts at n = 1, so a reader that needs a mean again before s walks again.
 Everything that needs means reads them from a stream: one vector is a
 (dim, 1) block, and the dense A_1..A_N are the stream of the identity
 block, X = I.
@@ -74,10 +74,10 @@ _CHUNK_BYTES = 256 * 1024
 #: par; dim 256, 32 / 2 000 steps, 4.3 / 91 ms against 0.6 / 80 ms.
 _DOUBLING_DIM = 128
 
-#: A block with at least this many steps per chunk is small: its chunks
-#: run as a few numpy calls along the steps.  numpy runs those calls
-#: without SIMD along the step axis, so they tie with one call per step at
-#: 64 steps per chunk and lose on wider blocks.
+#: A diagonal or dense block with at least this many steps per chunk is
+#: small: its chunks run as a few numpy calls along the steps.  numpy runs
+#: those calls without SIMD along the step axis, so they tie with one call
+#: per step at 64 steps per chunk and lose on wider blocks.
 _SMALL_STEPS = 64
 
 
@@ -126,16 +126,6 @@ def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
     return bool((a.reshape(-1).view(np.uint64) == b.reshape(-1).view(np.uint64)).all())
 
 
-def _closed_form(anchor: tuple, steps: np.ndarray, out=None) -> np.ndarray:
-    """A_n = (S_s + (n - s) P) / n past a stationary anchor (S_s, P, s), for
-    a (count, 1, ..., 1) array of steps n: one slot per step."""
-    s_sum, P, s = anchor
-    A = np.multiply(steps - s, P, out=out)
-    A += s_sum
-    A /= steps
-    return A
-
-
 class Chunk(NamedTuple):
     """Steps n = first, first + 1, ..., one slot per step.
 
@@ -173,7 +163,6 @@ class CesaroStream:
         self.spec = spec
         self.X = X
         self.diverged_at: int | None = None
-        self.checkpoints: dict = {}
         self.anchor: tuple | None = None
         self._doublings = [spec.entries]  # T, T^2, T^4, ..., None past the limit
 
@@ -190,95 +179,78 @@ class CesaroStream:
             j -= 1
         return 1 << j, levels[j]
 
-    def chunks(self, horizon: int, start: tuple | None = None, checkpoints=()):
-        """Yield the `Chunk`s of n up to `horizon`, from n = 1 or from a
-        state that an earlier walk saved.
-
-        For each n in `checkpoints` that the walk reaches, it leaves in
-        `self.checkpoints[n]` a state to resume from at a step m <= n: the
-        start of the chunk that holds n, or of its doubling group.  A state
-        is (m, S_m, P_(m-1), None) or, once the power is stationary,
-        (m, S_s, P, s).
-        """
+    def chunks(self, horizon: int):
+        """Yield the `Chunk`s of n = 1, 2, ..., up to `horizon`.  Every walk
+        starts at n = 1 and sets `diverged_at` and `anchor` afresh."""
         _check_args(at_least_one={"horizon": horizon})
         spec, tag = self.spec, self.spec.norm_tag
-        first, S, prev, s = start or (1, self.X, self.X, None)
-        anchor = None if s is None else (S, prev, s)  # (S_s, P, s) once stationary
-        self.diverged_at, self.checkpoints, self.anchor = None, {}, anchor
-        wanted = sorted({int(n) for n in checkpoints})
-        S = np.array(S, dtype=np.float64, order="C")  # the running sum, updated in place
-        shape = S.shape
+        self.diverged_at = anchor = self.anchor = None  # (S_s, P, s) once stationary
+        S = np.array(self.X, dtype=np.float64, order="C")  # the running sum, updated in place
+        prev, first, shape = self.X, 1, S.shape
         # Blocks above `_CHUNK_BYTES` step one at a time, which measured
         # faster: two steps per chunk made the dense uniform-ergodicity
         # passes of 256-wide (512 KB) identity blocks 3-9 % slower.
-        K = min(_capacity(S.nbytes), max(1, horizon - first + 1))
+        K = min(_capacity(S.nbytes), horizon)
         G = _grid(spec, shape)
-        small = G > 1 or _capacity(S.nbytes) >= _SMALL_STEPS
         diagonal = spec.kind == KIND_DIAGONAL
+        small = G > 1 or diagonal and _capacity(S.nbytes) >= _SMALL_STEPS
         # C order keeps every column-norm reduction in one summation order.
         # On a small block, slot 0 of `buf` holds the power before a chunk
         # (or its doubling group), then the sum before the chunk's first
-        # power, so one accumulate forms each.  A wide block writes its
+        # power, so one accumulate forms each.  A stepped block writes its
         # powers from slot 0 on, and a one-step chunk (K = 1) uses two slots
         # in turn, since T must not write the power it reads: a shorter
         # chunk of K >= 2 ends the stream or reaches a stationary power.
-        size = 1 + min(max(K, G), max(1, horizon - first + 1)) if small else max(K, 2)
+        size = 1 + min(max(K, G), horizon) if small else max(K, 2)
         buf = np.empty((size, *shape))
         means = np.empty((K, *shape))
         offsets = np.arange(float(K)).reshape(K, *(1,) * len(shape))
         fixed = None  # K-step broadcasts of P, its norms and maximum once stationary
-        r = group = base = 0  # offset in the doubling group, its length, a wide block's slot
+        r = group = base = 0  # offset in the doubling group, its length, a stepped block's slot
         while True:
-            count = max(1, min(K, horizon - first + 1))
-            # A state to resume from opens each stationary chunk, each chunk
-            # of a block without doubling, and each doubling group.
-            held = wanted[bisect_left(wanted, first) : bisect_left(wanted, first + max(K, G))]
-            if held and (anchor is not None or r == 0):
-                state = (first, S.copy(), np.array(prev), None) if anchor is None else (first, *anchor)
-                self.checkpoints.update(dict.fromkeys(held, state))
+            count = min(K, horizon - first + 1)
             with np.errstate(over="ignore", invalid="ignore"):
                 if anchor is not None:
                     P = anchor[1]
                     if fixed is None:
                         norms, tops, _ = _power_norms(P[None], tag)
                         fixed = [np.broadcast_to(v, (K, *v.shape)) for v in (P, norms[0], tops[0])]
-                    A = _closed_form(anchor, offsets[:count] + first, out=means[:count])
+                    A = self.closed_form(offsets[:count] + first, out=means[:count])
                     chunk = Chunk(first, A, *(v[:count] for v in fixed))
                 else:
-                    o = 1 + r if small else base
-                    if small and r == 0:
-                        buf[0] = prev
-                        group = max(1, min(G, horizon - first + 1)) if G > 1 else count
-                    count = min(count, group - r) if small else count
-                    region = buf[o : o + count]
                     stationary = False
-                    if small and diagonal:
-                        region[...] = spec.entries[:, None]
-                        np.multiply.accumulate(buf[o - 1 : o + count], axis=0, out=buf[o - 1 : o + count])
-                    elif G > 1 and r == 0:
-                        np.matmul(spec.entries, buf[0], out=buf[1])
-                        filled = 1
-                        while filled < group:
-                            step, power = self._doubling(filled)
-                            width = min(step, group - filled)
-                            lo = 1 + filled - step
-                            np.matmul(power, buf[lo : lo + width], out=buf[1 + filled : 1 + filled + width])
-                            filled += width
-                    if small and (diagonal or G > 1):
+                    if small:
+                        o = 1 + r
+                        if r == 0:
+                            buf[0] = prev
+                            group = min(G, horizon - first + 1) if G > 1 else count
+                        count = min(count, group - r)
+                        region = buf[o : o + count]
+                        if diagonal:
+                            region[...] = spec.entries[:, None]
+                            np.multiply.accumulate(buf[o - 1 : o + count], axis=0, out=buf[o - 1 : o + count])
+                        elif r == 0:
+                            np.matmul(spec.entries, buf[0], out=buf[1])
+                            filled = 1
+                            while filled < group:
+                                step, power = self._doubling(filled)
+                                width = min(step, group - filled)
+                                lo = 1 + filled - step
+                                np.matmul(power, buf[lo : lo + width], out=buf[1 + filled : 1 + filled + width])
+                                filled += width
                         # A doubled power that equals the one before it is
                         # stationary only if T maps it to itself.
                         for i in np.flatnonzero(_same_as_before(buf[o - 1 : o + count])):
-                            if not diagonal and apply_columns(spec, region[i]).tobytes() != region[i].tobytes():
-                                continue
-                            stationary, count = True, int(i) + 1
-                            break
-                    elif r == 0:
-                        src = buf[o - 1] if small else prev
+                            Q = region[i]
+                            if diagonal or apply_columns(spec, Q).tobytes() == Q.tobytes():
+                                stationary, count = True, int(i) + 1
+                                break
+                    else:
+                        region, src = buf[base : base + count], prev
                         for i in range(count):
                             Q = apply_columns(spec, src, out=region[i])
-                            if not small:  # A_n = S_n / n, then S_(n+1) = S_n + P_n
-                                np.divide(S, first + i + 0.0, out=means[i])
-                                S += Q
+                            np.divide(S, first + i + 0.0, out=means[i])  # A_n = S_n / n
+                            S += Q  # S_(n+1) = S_n + P_n
                             # The first row first, so most steps skip the full compare.
                             if Q[0].tobytes() == src[0].tobytes() and _same_bits(Q, src):
                                 stationary, count = True, i + 1
@@ -292,14 +264,13 @@ class CesaroStream:
                         A = np.add.accumulate(buf[o - 1 : o - 1 + count], axis=0, out=means[:count])
                         np.add(A[-1], region[-1], out=S)
                         A /= offsets[:count] + first
+                        r = (r + count) % group
                     else:
                         A = means[:count]
                         base = 1 - base if K == 1 else 0
                     prev = region[-1]
-                    r = (r + count) % group if small else 0
                     if over:
-                        self.diverged_at = n = first + count - 1
-                        self.checkpoints = {m: v for m, v in self.checkpoints.items() if m <= n}
+                        self.diverged_at = first + count - 1
                     elif stationary:
                         self.anchor = anchor = (S.copy(), prev.copy(), first + count)
                     chunk = Chunk(first, A, region, norms, tops)
@@ -308,11 +279,16 @@ class CesaroStream:
             if self.diverged_at is not None or first > horizon:
                 return
 
-    def closed_form(self, indices) -> np.ndarray:
-        """A_n X for each of `indices`, all at or past the anchor's step s,
-        as one (count, dim, p) stack with the bits the walk gives them."""
+    def closed_form(self, indices, out=None) -> np.ndarray:
+        """A_n X = (S_s + (n - s) P) / n for each of `indices`, all at or past
+        the anchor's step s, as one (count, dim, p) stack (written into `out`
+        if given) with the bits the walk gives them: the walk calls it too."""
+        s_sum, P, s = self.anchor
         steps = np.asarray(indices, dtype=np.float64).reshape(-1, *(1,) * self.X.ndim)
-        return _closed_form(self.anchor, steps)
+        A = np.multiply(steps - s, P, out=out)
+        A += s_sum
+        A /= steps
+        return A
 
     def means_at(self, indices) -> dict[int, np.ndarray]:
         """A_n X for each requested n that the stream reaches."""

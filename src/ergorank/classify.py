@@ -20,7 +20,8 @@ tail is bracketed in [radius, 2 * radius].
 Every check is a reducer over one pass of `CesaroStream`, with norms
 reduced one chunk of steps at a time: per-step maxima are arrays, and the
 first step above a cap is found with `argmax`; the pass keeps what the
-tail radius reads (see `_tail_radius`).  The scan mode (``probe``,
+tail radius reads of the walked means, and the radius reads the means past
+a stationary power off the stream's closed form (see `_tail_radius`).  The scan mode (``probe``,
 ``dense`` or ``probe-lb``) is the one decision that fixes how a pass reads
 its norms: `_mode_norms` gives the per-step, gap and radius readers of each
 mode.  `check_families` makes one pass per block: the probe block gives the
@@ -47,7 +48,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesaro import CesaroStream
+from .cesaro import CesaroStream, _capacity
 from .operators import (
     DENSE_CAP,
     KIND_SHIFT,
@@ -233,13 +234,12 @@ class _Scan:
     which leaves the running maximum as every later mean would, and the
     snapshots past s come from the closed form.  A tail scan keeps in
     `kept` A_t .. A_(t+k-1) from t = max(1, N//2) on, as many as fit its
-    share of `_TAIL_KEEP_BYTES` and were read, one stack per chunk;
-    `checkpoint` is the stream state saved for n = t + k (None when the
-    kept means reach N, or s - 1); `low` and `high` bound the read means
-    from there on, and `null_mean` holds A_max(t, s), where the null part
-    of the tail attains its radius, as a one-slot stack (see
-    `_tail_radius`).  These are complete only on a scan that reached N, and
-    all are copies, since the stream reuses its chunk buffers.
+    share of `_TAIL_KEEP_BYTES`, were walked and come before the stream's
+    anchor s, one stack per chunk; `low` and `high` bound the walked means
+    from t + k to min(N, s - 1).  The tail from s on is left to the closed
+    form (see `_tail_radius`).  These are complete only on a scan that
+    reached N, and all are copies, since the stream reuses its chunk
+    buffers.
     """
 
     stream: CesaroStream
@@ -253,11 +253,9 @@ class _Scan:
     diverged_at: int | None = None
     snapshots: dict = field(default_factory=dict)
     kept: list = field(default_factory=list)
-    checkpoint: tuple | None = None
     low: np.ndarray | None = None
     high: np.ndarray | None = None
     null_from: int | None = None
-    null_mean: np.ndarray | None = None
 
     @property
     def walked(self) -> int:
@@ -284,8 +282,9 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     is fl(S_s / n), so no entry's magnitude, nor any |A_n - A_N| for
     n <= N, rises with n.  The rest is filled in: power maxima 0, mean
     maxima the last one read (S_s = S_(s-1), so no later mean is above it
-    and the running maximum stays), snapshots and the tail's first null mean
-    from the closed form."""
+    and the running maximum stays), snapshots from the closed form.  No
+    tail keeps or bounds a mean at or past the stream's anchor:
+    `_tail_radius` reads those off the closed form."""
     step_norm, _, _, monotone = _mode_norms(spec, mode)
     skip_null = monotone or step_norm is None
     stream = CesaroStream(spec, X)
@@ -293,10 +292,10 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     marks = {h: (*(_dyadic_scales(h) or ()), h) for h in scans}
     wanted = sorted({n for ns in marks.values() for n in ns})
     keep = _TAIL_KEEP_BYTES // X.nbytes // max(1, len(tails))
-    resume = {h: max(1, h // 2) + min(h - max(1, h // 2) + 1, keep) for h in tails}
+    unkept = {h: max(1, h // 2) + min(h - max(1, h // 2) + 1, keep) for h in tails}
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon, null_from = max(scans), None
-    for chunk in stream.chunks(horizon, checkpoints=resume.values()):
+    for chunk in stream.chunks(horizon):
         first, count = chunk.first, len(chunk.means)
         if step_norm is not None:
             norms = step_norm(chunk.means)
@@ -314,14 +313,15 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
                 power_hit = (first + i, chunk.power_norms[i].copy())
         for n in wanted[bisect_left(wanted, first) : bisect_left(wanted, first + count)]:
             snapshots[n] = chunk.means[n - first].copy()
-        for h in tails:
-            scan, resume_at = scans[h], resume[h]
+        past_anchor = stream.anchor is not None and first >= stream.anchor[2]
+        for h in () if past_anchor else tails:
+            scan, unkept_at = scans[h], unkept[h]
             end = min(count, h - first + 1)  # the chunk's steps up to h
-            lo, hi = max(first, max(1, h // 2)), min(first + count, resume_at)
+            lo, hi = max(first, max(1, h // 2)), min(first + count, unkept_at)
             if lo < hi:
                 scan.kept.append(chunk.means[lo - first : hi - first].copy())
-            i = resume_at - first
-            if monotone and resume_at <= h and max(i, 0) < end:
+            i = unkept_at - first
+            if monotone and unkept_at <= h and max(i, 0) < end:
                 # Each chunk reduces into one spare block: a fresh temporary
                 # the size of a wide block page-faults on every chunk.
                 rest = chunk.means[max(i, 0) : end]
@@ -343,8 +343,7 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
             means.append(np.full(unwalked, means[-1][-1]))
         if powers:
             powers.append(np.zeros(unwalked))
-        firsts = {h: max(null_from, max(1, h // 2)) for h in tails if null_from <= h}
-        unread = sorted({n for n in wanted if n >= null_from} | set(firsts.values()))
+        unread = [n for n in wanted if n >= null_from]
         snapshots.update(zip(unread, stream.closed_form(unread)))
     for h, scan in scans.items():
         scan.steps = min(h, last)
@@ -356,10 +355,6 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
         scan.snapshots = {n: snapshots[n] for n in marks[h] if n in snapshots}
         if null_from is not None and null_from <= h:
             scan.null_from = null_from
-            if h in tails:
-                scan.null_mean = snapshots[firsts[h]][None]
-        if h in resume and resume[h] <= scan.walked:
-            scan.checkpoint = stream.checkpoints.get(resume[h])
     return scans
 
 
@@ -397,28 +392,27 @@ def _dyadic_gap_witness(gaps, scales, tolerance):
 
 
 def _tail_radius(scan: _Scan, norm):
-    """max_n norm(A_n - A_N) over the tail [max(1, N//2), N].
+    """max_n norm(A_n - A_N) over the tail [t, N], t = max(1, N//2), in three
+    parts: the kept means A_t .. A_(e-1), the stationary part [max(e, s), N]
+    from the stream's anchor s on, and the walked means [e, min(N, s - 1)].
 
-    The means the scan kept are reduced one chunk's stack at a time, their
-    differences going into one reused buffer, so the scan is left as it was.
-    A null part of the tail, from s = `null_from` on, is one exact slice:
-    each |A_n - A_N| there falls entrywise with n, so a monotone reader
-    attains its maximum at the part's first mean, `null_mean`.
-    The rest of the tail is bounded by its envelope [low, high]: fl(a - c)
-    is monotone in a under round-to-nearest, so every unkept |A_n - A_N|
-    lies entrywise under E = max(|low - A_N|, |high - A_N|), and a monotone
-    reader, which reduces E in the order it reduces each slice, reads
-    norm(A_n - A_N) <= norm(E).  When norm(E) is at most the kept radius in
-    every column, no unkept mean can raise the maximum, and the kept radius
-    is the radius bit for bit.  Otherwise (a NaN fails the test too), or
-    without an envelope, the stream resumes from the scan's checkpoint, a
-    state at or before the first unkept mean, with the bits of the first
-    pass, and folds the unkept means up to N, or to s - 1 before a null
-    part.  A maximum is exact and a reader gives
-    a step the same bits in any stack, so the radius does not depend on how
-    much was kept.
+    Each part is reduced one stack at a time into one reused buffer, so the
+    scan is left as it was.  The stationary part is read off
+    `CesaroStream.closed_form`, which gives the walk's bits, in chunk-sized
+    slices; after the null skip (`null_from`) every |A_n - A_N| there falls
+    entrywise with n, so a monotone reader needs only its first mean.  The
+    walked part lies under its envelope: fl(a - c) is monotone in a under
+    round-to-nearest, so every such |A_n - A_N| lies entrywise under
+    E = max(|low - A_N|, |high - A_N|), and a monotone reader, which reduces
+    E in the order it reduces each slice, reads norm(A_n - A_N) <= norm(E).
+    When norm(E) is at most the other parts' radius in every column, that is
+    the radius bit for bit.  Otherwise (a NaN fails the test too), or
+    without an envelope, a fresh stream walks the block again from n = 1;
+    the scan's own stream keeps the anchor its other horizons read.  A
+    maximum is exact, so the radius does not depend on how much was kept.
     """
-    final = scan.snapshots[scan.horizon]
+    N, stream = scan.horizon, scan.stream
+    final = scan.snapshots[N]
     radius = 0.0
     buf = np.empty((0, *final.shape))
 
@@ -431,19 +425,23 @@ def _tail_radius(scan: _Scan, norm):
 
     for part in scan.kept:
         fold(part)
-    if scan.null_mean is not None:
-        fold(scan.null_mean)
-    if scan.checkpoint is None:
+    e = max(1, N // 2) + sum(len(part) for part in scan.kept)
+    s = N + 1 if stream.anchor is None else stream.anchor[2]
+    stationary = range(max(e, s), N + 1)[: 1 if scan.null_from is not None else None]
+    width = _capacity(final.nbytes)
+    for i in range(0, len(stationary), width):
+        fold(stream.closed_form(stationary[i : i + width]))
+    end = min(N, s - 1)
+    if e > end:
         return radius
     if scan.low is not None:
         envelope = np.maximum(np.abs(scan.low - final), np.abs(scan.high - final))
         ub = norm(envelope[None])[0]
         if np.all(ub <= radius):
             return np.maximum(radius, ub)  # the kept radius, shaped as a fold leaves it
-    resume_at = max(1, scan.horizon // 2) + sum(len(part) for part in scan.kept)
-    for chunk in scan.stream.chunks(scan.walked, start=scan.checkpoint):
-        if chunk.first + len(chunk.means) > resume_at:
-            fold(chunk.means[max(0, resume_at - chunk.first) :])
+    for chunk in CesaroStream(stream.spec, stream.X).chunks(end):
+        if chunk.first + len(chunk.means) > e:
+            fold(chunk.means[max(0, e - chunk.first) :])
     return radius
 
 
@@ -640,7 +638,7 @@ def check_ergodic(
 
 def _probe_families(spec, probes, horizon, tolerance, bound_cap):
     """Power-bounded, probe-mode Cesaro-bounded and ergodic verdicts, all
-    read off one probe pass (and any tail re-run of `_tail_radius`)."""
+    read off one probe pass (and any tail re-walk of `_tail_radius`)."""
     scan = _scan(spec, probes.vectors.T, "probe", [horizon], bound_cap, [horizon])[horizon]
     cb = _cb_probe_verdict(scan, probes.label)
     erg = _tail_verdict(FAMILY_ERGODIC, scan, cb, tolerance, probes.label, "probe")
@@ -715,7 +713,7 @@ def check_families(
     """Every family verdict of an analysis report.
 
     One pass per block: the probe block gives power-bounded, Cesaro-bounded
-    (probe mode) and ergodic, with any tail re-run of `_tail_radius`; the
+    (probe mode) and ergodic, with any tail re-walk of `_tail_radius`; the
     identity block gives Cesaro-bounded in dense mode, when ``auto`` picks
     it, and uniform ergodicity at the trusted horizon, and at `ue_horizon`
     too when that is longer.

@@ -182,8 +182,11 @@ def _validate_triplets(entries, dim: int):
     order.
     """
     try:
+        entries = list(entries)
         triplets = [(int(r), int(c), float(v)) for r, c, v in entries]
-    except (TypeError, ValueError) as exc:
+        if any(isinstance(i, (bool, np.bool_)) or i != int(i) for r, c, _ in entries for i in (r, c)):
+            raise ValueError("rows and columns must be integers")
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecValidationError(f"sparse entries must be (row, col, value) triplets: {exc}") from None
     seen = set()
     row_counts: dict[int, int] = {}
@@ -500,7 +503,7 @@ def _gallery_rotation(args):
 
 
 def _gallery_random_diagonalizable(args):
-    seed, d = int(args[0]), int(args[1])
+    seed, d = map(int, args)
     rng = np.random.default_rng(seed)
     # Eigenvalues: a seeded count of exact ones, the rest kept away from 1
     # so that Cesaro convergence has a uniform rate floor.

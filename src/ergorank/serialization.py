@@ -22,7 +22,7 @@ import functools
 import hashlib
 import json
 import os
-import tempfile
+import secrets
 
 #: Item types the C encoder writes exactly as the indent encoder does.
 _SCALARS = frozenset((str, int, float, bool, type(None)))
@@ -120,10 +120,12 @@ def sha256_hex(text: str) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write `text` to `path` via a same-directory temp file and rename."""
+    """Write `text` to `path` via a same-directory temp file and rename.
+    The file gets the mode `open` gives a new file: 0o666 less the umask."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
+    tmp = os.path.join(directory, f".tmp-{secrets.token_hex(8)}.json")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.write(text)

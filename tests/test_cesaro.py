@@ -47,12 +47,12 @@ def _chunk_capacity(k):
         yield
 
 
-def _steps(stream, horizon, start=None, capacity=None, checkpoints=()):
+def _steps(stream, horizon, capacity=None):
     """(n, A_n, P_n, power_norms, power_max) of every step, copied out of
     the chunks before the next one is requested."""
     steps = []
     with _chunk_capacity(capacity):
-        for chunk in stream.chunks(horizon, start, checkpoints):
+        for chunk in stream.chunks(horizon):
             count = len(chunk.means)
             assert 1 <= count <= (capacity or count)
             for name in ("means", "powers", "power_norms", "power_max"):
@@ -110,21 +110,6 @@ def test_telescoping_and_mean_identities(seed):
     for n in range(1, N + 1):
         power = apply_columns(spec, power)
         assert np.linalg.norm(means_y[n - 1] - (x - power[:, 0]) / n) <= 1e-9
-
-
-def test_stream_resumes_bitwise_from_a_checkpoint():
-    # The checkpoint for step 120 is the start of its 64-step doubling group.
-    spec = gallery("random_diagonalizable(7,12)")
-    stream = CesaroStream(spec, default_probes(spec).vectors.T)
-    full = {n: (A, P) for n, A, P, *_ in _steps(stream, 200, checkpoints=[120])}
-    start = stream.checkpoints[120]
-    assert start[0] == 65 and start[3] is None
-    resumed = _steps(stream, 200, start=start)
-    assert [n for n, *_ in resumed] == list(range(65, 201))
-    for n, A, P, *_ in resumed:
-        assert np.array_equal(A, full[n][0]) and np.array_equal(P, full[n][1])
-    snaps = stream.means_at([3, 7])
-    assert snaps.keys() == {3, 7} and np.array_equal(snaps[7], full[7][0])
 
 
 def test_stream_stops_at_the_first_overflowing_power():
@@ -200,12 +185,11 @@ def _block(seed: int, dim: int, columns: int) -> np.ndarray:
     return X
 
 
-def _assert_stream_matches_reference(spec, X, horizon, resume_at):
+def _assert_stream_matches_reference(spec, X, horizon):
     """Bitwise A_n, P_n, power norms, their maximum and `diverged_at`, at the
     default chunk capacity and at 1, 2 and horizon - 1, horizon, horizon + 1
-    steps per chunk, fresh and resumed from a checkpoint."""
+    steps per chunk."""
     want, want_diverged = reference_stream(spec, X, horizon)
-    k = min(resume_at, len(want)) - 1
     for capacity in sorted({1, 2, horizon - 1, horizon, horizon + 1} - {0}, reverse=True) + [None]:
         stream = CesaroStream(spec, X)
         got = _steps(stream, horizon, capacity=capacity)
@@ -214,17 +198,6 @@ def _assert_stream_matches_reference(spec, X, horizon, resume_at):
         for (_, A, P, norms, top), (_, wA, wP, wnorms) in zip(got, want):
             assert _same_bits(A, wA) and _same_bits(P, wP) and _same_bits(norms, wnorms)
             assert _same_bits(top, wnorms.max())
-        # A run resumed from a checkpoint finds any fixed point again.
-        _steps(stream, horizon, capacity=capacity, checkpoints=[k + 1])
-        start = stream.checkpoints.get(k + 1)
-        assert (start is None) == (want_diverged is not None and want_diverged <= k)
-        if start is None:  # the walk stopped before step k + 1
-            continue
-        resumed = _steps(stream, horizon, start=start, capacity=capacity)
-        assert stream.diverged_at == want_diverged
-        assert start[0] <= k + 1 and len(resumed) == len(want) - start[0] + 1
-        for g, w in zip(resumed, want[start[0] - 1 :]):
-            assert g[0] == w[0] and all(_same_bits(a, b) for a, b in zip(g[1:4], w[1:]))
     for _, A, *_ in want:
         # matrix_norm's direct reductions give the wrapper reductions' bits.
         assert _same_bits(matrix_norm(A, "l1"), float(np.max(np.sum(np.abs(A), axis=0))))
@@ -257,8 +230,7 @@ def _stream_cases(draw):
         entries = np.reshape(flat, (dim, dim))
     spec = OperatorSpec(kind, dim, entries, tag)
     X = _block(draw(st.integers(0, 2**32 - 1)), dim, draw(st.integers(1, 4)))
-    horizon = draw(st.integers(1, 60))
-    return spec, X, horizon, draw(st.integers(1, horizon))
+    return spec, X, draw(st.integers(1, 60))
 
 
 @given(_stream_cases())
@@ -271,52 +243,52 @@ def _diagonal(entries, tag):
     return OperatorSpec(KIND_DIAGONAL, len(entries), entries, tag)
 
 
-#: (spec, column block, horizon, resume index) for the cases the stream
-#: short-circuits, or must not.
+#: (spec, column block, horizon) for the cases the stream short-circuits,
+#: or must not.
 _EDGE_CASES = {
-    "nilpotent shift": (gallery("left_shift_l1(64)"), _block(1, 64, 3), 80, 40),
+    "nilpotent shift": (gallery("left_shift_l1(64)"), _block(1, 64, 3), 80),
     "signed shift": (
-        OperatorSpec(KIND_SHIFT, 5, [1.0, -2.0, 0.5, -1.0], "linf"), _block(2, 5, 4), 12, 3
+        OperatorSpec(KIND_SHIFT, 5, [1.0, -2.0, 0.5, -1.0], "linf"), _block(2, 5, 4), 12
     ),
-    "zero": (gallery("zero(4)"), _block(3, 4, 3), 10, 5),
-    "identity": (gallery("identity(8)"), np.eye(8), 10, 4),
+    "zero": (gallery("zero(4)"), _block(3, 4, 3), 10),
+    "identity": (gallery("identity(8)"), np.eye(8), 10),
     # 0.5^n x passes through the denormals and reaches signed zeros.
-    "scalar(0.5)": (gallery("scalar(0.5)"), _block(4, 1, 5), 1200, 1100),
+    "scalar(0.5)": (gallery("scalar(0.5)"), _block(4, 1, 5), 1200),
     # -1 flips the sign of a zero at every step: equal values, unequal bits.
     "sign-flipping zeros": (
-        _diagonal([-1.0, 1.0], "l2"), np.array([[0.0, -0.0], [1.0, -2.0]]), 9, 4
+        _diagonal([-1.0, 1.0], "l2"), np.array([[0.0, -0.0], [1.0, -2.0]]), 9
     ),
     "signed-zero diagonal": (
-        _diagonal([-1.0, 0.0, -0.0, 1.0, -0.5], "l1"), _block(5, 5, 3), 30, 7
+        _diagonal([-1.0, 0.0, -0.0, 1.0, -0.5], "l1"), _block(5, 5, 3), 30
     ),
     # -1 flips the sign of a zero below the first row, which stays equal:
     # P_1 = (0, -0, 0) equals X = 0 in value but not in bits.
     "shift flipping a zero below the first row": (
-        OperatorSpec(KIND_SHIFT, 3, [1.0, -1.0], "l1"), np.zeros((3, 2)), 8, 3
+        OperatorSpec(KIND_SHIFT, 3, [1.0, -1.0], "l1"), np.zeros((3, 2)), 8
     ),
     "sparse nilpotent": (
         OperatorSpec(KIND_SPARSE, 4, [(0, 1, 2.0), (0, 3, -1.0), (1, 2, -0.5), (2, 3, 1.0)], "l1"),
-        _block(6, 4, 2), 10, 2,
+        _block(6, 4, 2), 10,
     ),
     "sparse permutation": (
         OperatorSpec(KIND_SPARSE, 3, [(0, 1, 1.0), (1, 0, 1.0), (2, 2, -0.0)], "l2"),
-        _block(7, 3, 2), 10, 5,
+        _block(7, 3, 2), 10,
     ),
-    "dim 1": (_diagonal([0.0], "linf"), np.array([[-3.0, 0.0]]), 6, 2),
-    "overflow": (_diagonal([1e200, -1e200], "linf"), np.eye(2), 10, 1),
+    "dim 1": (_diagonal([0.0], "linf"), np.array([[-3.0, 0.0]]), 6),
+    "overflow": (_diagonal([1e200, -1e200], "linf"), np.eye(2), 10),
     # Powers pass 1e154, so squaring them for l2 norms overflows.
-    "l2 squares overflow": (_diagonal([1e20, 0.5], "l2"), np.eye(2), 20, 3),
+    "l2 squares overflow": (_diagonal([1e20, 0.5], "l2"), np.eye(2), 20),
     # T^8 passes the overflow limit, but the powers of e_2 decay: doubling
     # stops at T^4, so no inf meets a zero.
     "dense doubling past the limit": (
-        OperatorSpec(KIND_DENSE, 2, [[1e20, 0.0], [0.0, 0.5]], "l1"), np.array([[0.0], [1.0]]), 60, 20
+        OperatorSpec(KIND_DENSE, 2, [[1e20, 0.0], [0.0, 0.5]], "l1"), np.array([[0.0], [1.0]]), 60
     ),
     # P_1 = (1, 1) and the doubled P_3 = T^2 P_1 round to P_2 = (1 + 2^-52, 1),
     # but T P_2 = (1 + 2^-51, 1): a doubled power equal to the one before
     # it is not stationary until T maps it to itself.
     "doubled power that T moves": (
         OperatorSpec(KIND_DENSE, 2, [[1.0, 0.6 * 2.0**-52], [0.0, 1.0]], "linf"),
-        np.array([[1.0 - 2.0**-53], [1.0]]), 20, 5,
+        np.array([[1.0 - 2.0**-53], [1.0]]), 20,
     ),
 }
 
@@ -357,7 +329,7 @@ def _exact_cases(draw):
 
 
 @given(_exact_cases(), st.sampled_from([1, None]))
-@example(_EDGE_CASES["dense doubling past the limit"][:3], None)
+@example(_EDGE_CASES["dense doubling past the limit"], None)
 @settings(max_examples=120)
 def test_the_stream_is_within_its_rounding_bound_of_the_exact_means(case, capacity):
     # Entrywise, with u = 2^-53 and d = dim: |A_n - exact| <= 4 (d + 2) u M_n,
@@ -543,15 +515,15 @@ def test_overflow_stops_at_the_same_step_with_bounded_extra_work(spec, horizon, 
     assert want_diverged <= len(calls) <= want_diverged + K - 1 or calls == []
 
 
-def test_kept_snapshots_checkpoints_and_hits_survive_later_chunks():
+def test_kept_snapshots_and_hits_survive_later_chunks():
     # Consumers copy what they keep, since the stream reuses its buffers.
     spec = gallery("jordan_1(2)")
     X = default_probes(spec).vectors.T
     horizon = 40
     want, _ = reference_stream(spec, X, horizon)
     for capacity in (1, 2, 3, None):
-        # The tail [20, 40] keeps 5 means under a 5-block budget and checkpoints
-        # step 25; under the default budget it keeps all 21, with no checkpoint.
+        # The tail [20, 40] keeps 5 means under a 5-block budget; under the
+        # default budget it keeps all 21.
         with _chunk_capacity(capacity), mock.patch.object(
             ergorank.classify, "_TAIL_KEEP_BYTES", 5 * X.nbytes
         ):
@@ -564,15 +536,7 @@ def test_kept_snapshots_checkpoints_and_hits_survive_later_chunks():
         assert scan.snapshots.keys() == {10, 20, 40}
         for n, A in scan.snapshots.items():
             assert _same_bits(A, want[n - 1][1])
-        # Step 25 is in the doubling group that starts at step 1, and a walk
-        # resumed there repeats the pass.
-        n, S, P, anchor = scan.checkpoint
-        assert n == 1 and anchor is None and _same_bits(S, X) and _same_bits(P, X)
-        resumed = _steps(CesaroStream(spec, X), horizon, start=scan.checkpoint, capacity=capacity)
-        assert [step[0] for step in resumed] == list(range(1, horizon + 1))
-        assert all(_same_bits(g[1], w[1]) and _same_bits(g[2], w[2]) for g, w in zip(resumed, want))
         assert _same_bits(np.concatenate(scan.kept), np.stack([w[1] for w in want[19:24]]))
-        assert whole.checkpoint is None
         assert _same_bits(np.concatenate(whole.kept), np.stack([w[1] for w in want[19:]]))
         assert means.keys() == {1, 2, 7, 40}
         for n, A in means.items():

@@ -1,6 +1,8 @@
 import contextlib
+import importlib.util
 import re
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -397,8 +399,7 @@ def _assert_same_scan(got, want, radius_norm):
     for name in ("means", "powers", "low", "high"):
         assert _same(getattr(got, name), getattr(want, name)), name
     assert (got.walked, got.null_from) == (want.walked, want.null_from)
-    assert _same(got.null_mean, want.null_mean)
-    for name in ("mean_hit", "power_hit", "checkpoint"):
+    for name in ("mean_hit", "power_hit"):
         g, w = getattr(got, name), getattr(want, name)
         assert (g is None) == (w is None), name
         if w is not None:
@@ -449,7 +450,7 @@ def test_each_horizon_of_a_pass_leaves_the_scan_of_its_own_pass(case, keep, tail
     # The tails of a pass (of both horizons or of one, in a mode with a
     # radius reader) split its keep budget (0, 1, 3 or 7 means, or the
     # default) evenly: each horizon gets the scan of a pass to it alone under
-    # its share.  Small budgets make the tails checkpoint and track envelopes.
+    # its share.  Small budgets make the tails track envelopes.
     spec, mode, short, long = case
     X = _block(spec, mode)
     radius_norm = _mode_norms(spec, mode).radius
@@ -567,38 +568,42 @@ def test_tail_radius_is_bitwise_the_same_at_every_keep_budget_generated(spec, ho
 
 
 class _Walks:
-    """Records every `CesaroStream.chunks` call of a check as (resumed,
+    """Records every `CesaroStream.chunks` call of a check as (re-walk,
     steps), summing chunk lengths: an `apply_columns` count would miss the
-    steps of a stream whose power is stationary."""
+    steps of a stream whose power is stationary.  A re-walk is any walk of a
+    block (the same X object) after its first."""
 
     def __init__(self, monkeypatch):
         self.walks = []
+        self.blocks = []  # held, so that no block's id is reused
         real = CesaroStream.chunks
 
-        def chunks(stream, horizon, start=None, checkpoints=()):
-            walk = [start is not None, 0]
+        def chunks(stream, horizon):
+            walk = [any(X is stream.X for X in self.blocks), 0]
+            self.blocks.append(stream.X)
             self.walks.append(walk)
-            for chunk in real(stream, horizon, start, checkpoints):
+            for chunk in real(stream, horizon):
                 walk[1] += len(chunk.means)
                 yield chunk
 
         monkeypatch.setattr(CesaroStream, "chunks", chunks)
 
-    def resumed(self):
-        return sum(resumed for resumed, _ in self.walks)
+    def rewalks(self):
+        return sum(rewalk for rewalk, _ in self.walks)
 
 
-#: Re-runs of the (ergodic, uniformly ergodic) tail when the pass keeps one
+#: Re-walks of the (ergodic, uniformly ergodic) tail when the pass keeps one
 #: mean: none where the envelope bounds the kept radius, one where the
 #: unkept tail holds the maximum, and one for the exact-SVD reader (dense l2
 #: at dim <= 32), which is not monotone in the bits and never takes the
-#: shortcut.
+#: shortcut.  A tail that is stationary from its start (zero(4) from
+#: s = 2, the identity from s = 2) is read off the closed form, with no walk.
 _ENVELOPE_CASES = {
-    "zero": (0, 1),
+    "zero": (0, 0),
     "monotone diagonal": (0, 0),
     "scalar -1, maximum past the kept mean": (1, 1),
     "rotation": (1, 1),
-    "identity": (1, 1),
+    "identity": (0, 0),
     "dense l2 above the exact dim": (1, 0),
 }
 
@@ -612,13 +617,13 @@ def test_the_envelope_skips_the_tail_re_run_only_when_it_bounds_the_kept_radius(
         (lambda: check_uniformly_ergodic(spec, horizon, 1e-2), np.eye(spec.dim)),
     ]
     walks = _Walks(monkeypatch)
-    reruns = []
+    rewalks = []
     for check, X in checks:
         walks.walks.clear()
         with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", X.nbytes):
             assert check().evidence["tail_diameter_ub"] is not None
-        reruns.append(walks.resumed())
-    assert tuple(reruns) == _ENVELOPE_CASES[name]
+        rewalks.append(walks.rewalks())
+    assert tuple(rewalks) == _ENVELOPE_CASES[name]
 
 
 def test_exact_svd_radius_tracks_no_envelope():
@@ -628,7 +633,7 @@ def test_exact_svd_radius_tracks_no_envelope():
         X = np.eye(dim)
         with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", X.nbytes):
             scan = _scan(spec, X, "dense", [64], 1e3, [64])[64]
-        assert scan.checkpoint is not None and scan.low is None and scan.high is None
+        assert scan.low is None and scan.high is None
     wide = OperatorSpec(KIND_DIAGONAL, _L2_EXACT_DIM + 1, np.full(_L2_EXACT_DIM + 1, 0.5), "l2")
     assert _mode_norms(wide, "dense").monotone
     assert not _mode_norms(wide, "probe-lb").monotone
@@ -691,7 +696,7 @@ def test_the_envelope_bounds_every_monotone_reader(reader, dim, p, count, pool, 
 
 def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
     # Every tail below is longer than the keep budget; the envelope of the
-    # rest proves the kept radius, so no stream is resumed.  The shift's
+    # rest proves the kept radius, so no block is walked again.  The shift's
     # trusted horizon, 128, is a prefix of its one identity pass to 256.
     # The shift is nilpotent: its probe powers are null from P_256 on, so
     # its probe pass stops at step 257 and reads the null tail [1000, 2000]
@@ -721,7 +726,7 @@ def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
 
 #: (horizon, ue_horizon) of `check_families` and the steps of its stream
 #: walks: one probe pass, then one identity pass to the longest horizon it
-#: serves, and no tail re-run.
+#: serves, and no re-walk.
 _FAMILY_WALKS = {
     # Dense Cesaro-bounded and uniformly ergodic, both at 256.
     "rotation(1.0)": ((256, 256), [256, 256]),
@@ -742,16 +747,67 @@ def test_families_walk_the_identity_block_once(monkeypatch, name):
     assert walks.walks == [[False, n] for n in want]
 
 
-def test_identity_tail_past_the_budget_still_re_runs(monkeypatch):
-    # The means of identity(8) wander in their last bits, so the envelope
-    # cannot prove the kept radius and the tail is re-run from the checkpoint.
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
+    # identity(8) at the default config walks [10 000, 256]: its probe tail
+    # is stationary from s = 2 and read off the closed form.  No gallery
+    # operator at the default config, and no wide-operators input (seed 101,
+    # horizon 2 000), walks a block a second time.
+    walks = _Walks(monkeypatch)
+    check_families(*_probes("identity(8)"), 10_000, 1e-2, 1e3, 256)
+    assert walks.walks == [[False, 10_000], [False, 256]]
+    for name in built_in_gallery():
+        walks.walks.clear()
+        check_families(*_probes(name), 10_000, 1e-2, 1e3, 256)
+        assert len(walks.walks) == 2 and walks.rewalks() == 0, name
+    for label, spec in _bench_workloads().wide_specs(101).items():
+        walks.walks.clear()
+        check_families(spec, default_probes(spec, seed=101), 2000, 1e-2, 1e3, 256)
+        assert len(walks.walks) == 2 and walks.rewalks() == 0, label
+
+
+@pytest.mark.parametrize("mode", ["probe", "dense"])
+def test_a_re_walked_tail_leaves_the_anchor_a_longer_tail_reads(monkeypatch, mode):
+    # One pass to 6 and 64 of a nilpotent shift: P_8 = 0, so the stream is
+    # stationary from s = 10, past the short tail [3, 6] and before the long
+    # tail [32, 64].  With nothing kept, the short tail is walked again (no
+    # envelope proves a radius of 0) and that walk ends before s; the long
+    # tail is still read off the closed form of the pass, with no walk,
+    # whichever tail is read first.
+    spec = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
+    block = lambda: np.eye(8) if mode == "dense" else default_probes(spec).vectors.T
+    norm = _mode_norms(spec, mode).radius
+    with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", 0):
+        alone = {h: _tail_radius(_scan(spec, block(), mode, [h], 1e3, [h])[h], norm) for h in (6, 64)}
+        walks = _Walks(monkeypatch)
+        for order in ((6, 64), (64, 6)):
+            scans = _scan(spec, block(), mode, [6, 64], 1e3, [6, 64])
+            assert scans[64].stream.anchor[2] == 10
+            for h in order:
+                walks.walks.clear()
+                assert _same(_tail_radius(scans[h], norm), alone[h]), (order, h)
+                assert walks.walks == ([[True, 6]] if h == 6 else []), (order, h)
+
+
+def test_identity_tail_past_the_budget_is_read_without_a_walk(monkeypatch):
+    # The means of identity(8) wander in their last bits, so an envelope
+    # could not prove a kept radius; but its power is stationary from s = 2,
+    # so the whole tail is read off the closed form, and no block is walked
+    # again.
     spec, probes = _probes("identity(8)")
     X = probes.vectors.T
     horizon = 10_000
     assert (horizon // 2 + 1) * X.nbytes > _TAIL_KEEP_BYTES
     walks = _Walks(monkeypatch)
     erg = check_families(spec, probes, horizon, 1e-2, 1e3, 256).ergodic
-    assert walks.walks[0] == [False, horizon] and walks.walks[1][0]
+    assert walks.walks == [[False, horizon], [False, 256]]
     radius = reference_tail_radius(spec, X, horizon, lambda D: column_norms(D, spec.norm_tag))
     assert _bits(erg.evidence["tail_diameter_ub"]) == _bits(2.0 * radius)
     assert _bits(erg.evidence["tail_diameter_lb"]) == _bits(radius)
@@ -761,7 +817,7 @@ def test_identity_tail_past_the_budget_still_re_runs(monkeypatch):
 def test_the_tail_radius_reads_a_scan_without_changing_it(keep):
     # A second read of one scan gives the same bits, whether the radius
     # comes from the kept means alone (the default budget), the envelope or
-    # a re-run (no means or one kept), and the kept means stay as they were.
+    # a re-walk (no means or one kept), and the kept means stay as they were.
     spec, probes = _probes("rotation(1.0)")
     X = probes.vectors.T
     norm = lambda D: column_norms(D, spec.norm_tag)
@@ -789,8 +845,6 @@ def test_a_tail_longer_than_the_budget_keeps_no_more_than_the_budget():
     scan = _scan(spec, X, "probe", [horizon], 1e3, [horizon])[horizon]
     kept = np.concatenate(scan.kept)
     assert _TAIL_KEEP_BYTES - X.nbytes < kept.nbytes <= _TAIL_KEEP_BYTES
-    # The state at the start of the chunk that holds the first unkept mean.
-    assert 1000 < scan.checkpoint[0] <= 1000 + len(kept)
 
 
 # -- a null tail ----------------------------------------------------------
@@ -838,8 +892,8 @@ def _first_hit(tops, cap):
 def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
     # The pass stops at s - 1 where its readers are monotone; the running
     # maxima, hits, steps, snapshots, bounds and tail radius are still those
-    # of every step, and a re-run of a tail that starts before s stops at
-    # s - 1 (keep budgets 0 and 1).
+    # of every step, and a re-walk of a tail that starts before s stops at
+    # s - 1 (keep budgets 0 and 1), under the exact SVD too.
     spec, horizon, ue_horizon = _NULL_CASES[name]
     probes = default_probes(spec)
     probes = ProbeSet(probes.vectors[[0, -2, -1]], spec.norm_tag, "oracle")
@@ -873,8 +927,9 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
             assert all(_same(A, ref["A"][n]) for n, A in scan.snapshots.items())
             walks.walks.clear()
             assert _same(_tail_radius(scan, radius_norm), radius), (mode, keep)
-            end = ref["s"] - 1 if skips else h
-            assert all(scan.checkpoint[0] + steps - 1 == end for _, steps in walks.walks)
+            # A re-walk stops before the anchor, with the null skip or without.
+            end = ref["s"] - 1 if ref["s"] is not None and ref["s"] <= h else h
+            assert all(steps == end for _, steps in walks.walks)
     assert skipped == (1 if spec.norm_tag == "l2" else 2)
     families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
     ref = _reference_pass(spec, probes.vectors.T, "probe", horizon)
@@ -915,14 +970,13 @@ def test_the_null_skip_never_runs_under_the_exact_svd_or_on_a_nonzero_power(monk
     probe = _scan(shift, np.eye(8), "probe", [300], 1e3, [300])[300]
     assert (probe.walked, probe.null_from) == (9, 10)
     dense = _scan(shift, np.eye(8), "dense", [300], 1e3, [300])[300]
-    assert (dense.walked, dense.null_from, dense.null_mean) == (300, None, None)
+    assert (dense.walked, dense.null_from) == (300, None)
     walks = _Walks(monkeypatch)
     for name in ("identity(8)", "scalar(1.0)"):
         spec, probes = _probes(name)
         walks.walks.clear()
         pb = check_families(spec, probes, 10_000, 1e-2, 1e3, 256).power_bounded
-        # identity(8) also re-runs part of its probe tail (its means wander).
-        assert [w for w in walks.walks if not w[0]] == [[False, 10_000], [False, 256]], name
+        assert walks.walks == [[False, 10_000], [False, 256]], name
         assert pb.evidence["walked"] == 10_000
 
 
@@ -983,9 +1037,9 @@ def test_families_match_the_single_checks():
 
 
 def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):
-    # At most one shared pass plus a re-run of the whole tail [N/2, N]: the
-    # tail re-runs only past the means the pass kept.  The checks used to
-    # walk the full horizon about five times.
+    # At most one shared pass plus one re-walk of the tail, up to its last
+    # walked mean, and only when the pass kept too little of it.  The checks
+    # used to walk the full horizon about five times.
     spec, probes = _probes("left_shift_l1(64)")
     real = ergorank.cesaro.apply_columns
     widths = []
@@ -1002,7 +1056,7 @@ def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):
 @pytest.mark.parametrize("name", ["rotation(1.0)", "scalar(-1.0)"])
 def test_families_walk_the_horizon_once_when_the_tail_is_kept(monkeypatch, name):
     # The probe pass keeps the whole tail [1000, 2000] of these small blocks,
-    # so the tail radius resumes no stream: one walk per block.
+    # so the tail radius walks no block again: one walk per block.
     spec, probes = _probes(name)
     walks = _Walks(monkeypatch)
     check_families(spec, probes, 2000, 1e-2, 1e3, 64)

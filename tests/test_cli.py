@@ -1,9 +1,12 @@
 import json
 import os
+import stat
+from pathlib import Path
 
 import pytest
 
 from ergorank import cli
+from ergorank.certify import NSECertificate
 from ergorank.cli import REPORT_SCHEMA, main
 from ergorank.operators import KIND_SHIFT, OperatorSpec, built_in_gallery, gallery
 from ergorank.serialization import canonical_dumps, canonical_loads
@@ -38,6 +41,13 @@ def test_gallery_emit_round_trips(tmp_path):
 def test_gallery_unknown_name(capsys):
     assert main(["gallery", "banana(3)"]) == 2
     assert "available entries" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["random_diagonalizable(1)", "random_diagonalizable(1,2,3)"])
+def test_gallery_random_diagonalizable_takes_two_arguments(capsys, name):
+    # Too few arguments must not index past the list, nor a third be dropped.
+    assert main(["gallery", name]) == 2
+    assert "bad arguments for gallery entry 'random_diagonalizable'" in capsys.readouterr().err
 
 
 # -- analyze ---------------------------------------------------------------
@@ -93,6 +103,21 @@ def test_analyze_cache_round_trip(tmp_path, capsys):
     assert main(["analyze", spec_path, "--tol", "0.05", *ANALYZE_FAST]) == 0
     capsys.readouterr()
     assert len(os.listdir(_cache_dir())) == 2
+
+
+def test_output_files_honour_the_umask(tmp_path):
+    # The temporary file of an atomic write is created as `open` creates a
+    # file, so the umask applies, not a fixed 0o600.
+    spec_path = _write_spec(tmp_path, "scalar(0.5)")
+    out = tmp_path / "report.json"
+    umask = os.umask(0o022)
+    try:
+        assert main(["analyze", spec_path, *ANALYZE_FAST, "--out", str(out)]) == 0
+    finally:
+        os.umask(umask)
+    (entry,) = os.listdir(_cache_dir())
+    for path in (out, os.path.join(_cache_dir(), entry)):
+        assert stat.S_IMODE(os.stat(path).st_mode) == 0o644, path
 
 
 def test_analyze_cache_misses_for_other_code(tmp_path, capsys, monkeypatch):
@@ -204,6 +229,37 @@ def test_check_rejects_tampered_certificate(tmp_path, capsys):
 def test_check_unreadable_certificate(tmp_path, capsys):
     assert main(["check", str(tmp_path / "nope.json")]) == 1
     assert "rejected: unreadable certificate" in capsys.readouterr().out
+
+
+_VALID_CERTIFICATE = json.loads(
+    (Path(__file__).parent / "fixtures" / "valid_certificate.json").read_text()
+)
+
+#: Certificate documents that `check` refuses rather than crash on or read as
+#: another certificate (int() alone would read J = [1.9, 3.5] as [1, 3]).
+_UNREADABLE_CERTIFICATES = {
+    "not an object": ([], "must be a JSON object"),
+    "J not a list": (dict(_VALID_CERTIFICATE, J=5), "J must be a list of integers"),
+    "margins not a list": (dict(_VALID_CERTIFICATE, margins=0.6), "margins must be a list of lists"),
+    "witnesses one level deep": (
+        dict(_VALID_CERTIFICATE, witnesses=[1.0]), "witnesses must be a list of lists"
+    ),
+    "fractional J": (dict(_VALID_CERTIFICATE, J=[1.9, 3.5]), "J must be a list of integers"),
+    "fractional depth": (dict(_VALID_CERTIFICATE, depth=1.2), "depth must be an integer"),
+    "a bool in J": (dict(_VALID_CERTIFICATE, J=[True, 3]), "J must be a list of integers"),
+    "a bool depth": (dict(_VALID_CERTIFICATE, depth=True), "depth must be an integer"),
+}
+
+
+@pytest.mark.parametrize("name", _UNREADABLE_CERTIFICATES)
+def test_check_refuses_a_certificate_it_cannot_read_exactly(tmp_path, capsys, name):
+    data, message = _UNREADABLE_CERTIFICATES[name]
+    with pytest.raises(ValueError, match=message):
+        NSECertificate.from_json_dict(data)
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(data))
+    assert main(["check", str(path)]) == 1
+    assert capsys.readouterr().out.startswith("rejected: unreadable certificate: ")
 
 
 # -- tree ------------------------------------------------------------------

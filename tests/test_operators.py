@@ -75,6 +75,14 @@ def test_rejects_unknown_kind_and_norm():
         OperatorSpec(KIND_DENSE, 0, np.zeros((0, 0)), "l2")
 
 
+@pytest.mark.parametrize("row, col", [(0.9, 1.7), (0, 1.5), (True, 1), (0, False)])
+def test_sparse_indices_must_be_integers(row, col):
+    # int() alone would read (0.9, 1.7) as (0, 1).
+    obj = {"kind": "sparse_triplets", "dim": 2, "norm": "l1", "entries": [[row, col, 0.5]]}
+    with pytest.raises(SpecValidationError, match="rows and columns must be integers"):
+        OperatorSpec.from_json_dict(obj)
+
+
 def test_rejects_bad_shapes():
     with pytest.raises(SpecValidationError):
         OperatorSpec(KIND_DENSE, 2, np.eye(3), "l2")
