@@ -30,9 +30,10 @@ power norms, and the sums follow the closed form S_n = S_s + (n - s) P,
 anchored at the first step s past it.  Nilpotent shift sections reach
 P_n = 0 this way, and the identity reaches P_n = X.  The stream exposes
 that anchor and the closed-form mean (`anchor`, `closed_form`), so a reader
-can take a mean past s without walking to it: with a null P every later
-mean is fl(S_s / n), which no longer grows in any entry.  A walk always
-starts at n = 1, so a reader that needs a mean again before s walks again.
+can take a mean past s without walking to it: every later mean is
+P + (S_s - sP)/n, monotone in n in each entry, so a reader can bound a
+whole stationary phase by its endpoints.  A walk always starts at n = 1,
+so a reader that needs a mean again before s walks again.
 Everything that needs means reads them from a stream: one vector is a
 (dim, 1) block, and the dense A_1..A_N are the stream of the identity
 block, X = I.

@@ -20,18 +20,25 @@ tail is bracketed in [radius, 2 * radius].
 Every check is a reducer over one pass of `CesaroStream`, with norms
 reduced one chunk of steps at a time: per-step maxima are arrays, and the
 first step above a cap is found with `argmax`; the pass keeps what the
-tail radius reads of the walked means, and the radius reads the means past
-a stationary power off the stream's closed form (see `_tail_radius`).  The scan mode (``probe``,
+tail radius reads of the walked means.  The scan mode (``probe``,
 ``dense`` or ``probe-lb``) is the one decision that fixes how a pass reads
 its norms: `_mode_norms` gives the per-step, gap and radius readers of each
 mode.  `check_families` makes one pass per block: the probe block gives the
 power-bounded, Cesaro-bounded and ergodic verdicts, the identity block the
 dense Cesaro-bounded and every uniformly ergodic one.  No ``holds`` comes
 from a scan that the overflow guard stopped, nor from a one-index tail.
-Once the stream's stationary power is null, a pass whose readers are
-monotone in each entry's magnitude stops stepping: every later mean shrinks
-entrywise, so its maxima, snapshots and tail radius are read at the null
-phase's endpoints (see `_scan`).
+
+Once the stream's power is stationary (T P = P bit for bit from the anchor
+s on), every later mean is A_n = P + (S_s - sP)/n, monotone in n entry by
+entry in exact arithmetic.  A pass whose readers are monotone in each
+entry's magnitude (every mode but the exact-SVD dense l2) stops stepping at
+the anchor and decides the stationary phase from a bracket on its largest
+norm, read at its two endpoints and widened by the closed form's rounding
+(`_phase_bracket`): the mean maxima in `_scan`, and the tail radius in
+`_tail_radius`.  A decision is taken only where both ends of the bracket
+give the same serialized answer; otherwise (a near-tie, or a first cap
+crossing inside the phase) the phase is walked through the closed form, so
+a decided verdict has the bits a walk of every step gives it.
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -48,7 +55,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesaro import CesaroStream, _capacity
+from .cesaro import CesaroStream, _capacity, _power_norms
 from .operators import (
     DENSE_CAP,
     KIND_SHIFT,
@@ -227,12 +234,12 @@ class _Scan:
     first step above the cap as (n, norms, A_n); `powers` holds the
     power-norm maxima for m = 0..steps and `power_hit` (m, norms).  Maxima
     are None when unread, hits when no step crossed the cap.  `snapshots`
-    maps the dyadic scales and the horizon N to A_n.  `null_from` is the
-    anchor s of a null stationary power when the pass stopped before N
-    there, after `walked` = s - 1 steps (see `_scan`):
-    from s on, `powers` holds exact zeros and `means` the maximum at s - 1,
-    which leaves the running maximum as every later mean would, and the
-    snapshots past s come from the closed form.  A tail scan keeps in
+    maps the dyadic scales and the horizon N to A_n.  The stream produced
+    `walked` of the `steps`; past them the phase is stationary and was
+    decided from its endpoints (see `_scan`): `powers` holds the stationary
+    power's maximum, `means` the upper end of the phase's bracket, which
+    leaves the running maximum, the status and the bound as a walk would,
+    and the snapshots come from the closed form.  A tail scan keeps in
     `kept` A_t .. A_(t+k-1) from t = max(1, N//2) on, as many as fit its
     share of `_TAIL_KEEP_BYTES`, were walked and come before the stream's
     anchor s, one stack per chunk; `low` and `high` bound the walked means
@@ -250,17 +257,12 @@ class _Scan:
     mean_hit: tuple | None = None
     power_hit: tuple | None = None
     steps: int = 0
+    walked: int = 0
     diverged_at: int | None = None
     snapshots: dict = field(default_factory=dict)
     kept: list = field(default_factory=list)
     low: np.ndarray | None = None
     high: np.ndarray | None = None
-    null_from: int | None = None
-
-    @property
-    def walked(self) -> int:
-        """The steps the stream produced for this horizon."""
-        return self.steps if self.null_from is None else self.null_from - 1
 
 
 def _first_above(tops: np.ndarray, cap: float) -> int | None:
@@ -270,23 +272,51 @@ def _first_above(tops: np.ndarray, cap: float) -> int | None:
     return int(np.argmax(tops > cap))
 
 
+def _phase_bracket(norm, ends, means, P):
+    """Bounds (lower, upper) on the largest norm(D_n) over a stationary
+    phase [a, b], one per reader row, for a reader monotone in each entry's
+    magnitude; D_n is A_n or A_n - A_N (N >= b).  `ends` holds D_a and D_b,
+    `means` A_a and A_b, P is the stationary power; each may be a stack of
+    phases.
+
+    In exact arithmetic the closed form gives E_n = P + (S_s - sP)/n from
+    the anchor s on, so every entry of E_n, and of E_n - E_N (0 at N), is
+    monotone in n, and its magnitude on [a, b] is at most its magnitude at
+    an end.  The closed form rounds three times (k·P, + S_s, / n, with
+    k = n - s exact), so a computed mean is within
+    2.01u|E_n| + 1.01u|P| + 2^-1074 of E_n entry by entry (u = 2^-53).
+    Taking the exact ends back to the computed ones, and adding the
+    rounding of a difference, every computed |D_n| on [a, b] is at most
+    max(|D_a|, |D_b|) + 12u(|A_a| + |A_b|) + 5u|P| + 2^-1071 entry by
+    entry.  The allowance, 2^-44 = 512u times |A_a| + |A_b| + |P| plus
+    2^-1060, is over 40 times that term, its own rounding included, so a
+    reader monotone in each entry's magnitude reads every norm(D_n) under
+    the upper end.  The lower end is the larger norm of the ends
+    themselves, means the walk reads too.
+    """
+    first, last = ends
+    lower = np.maximum(norm(first), norm(last))
+    allowance = (np.abs(means[0]) + np.abs(means[1]) + np.abs(P)) * 2.0**-44 + 2.0**-1060
+    return lower, norm(np.maximum(np.abs(first), np.abs(last)) + allowance)
+
+
 def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` share the keep budget of `_tail_radius`.  A
     step's bits do not depend on the chunk that holds it.
 
-    Once the stationary power is null (every bit zero), the pass stops at
-    the step before its anchor s, where a mode whose readers are monotone
-    (or that reads no step norm) has nothing left to learn: every later mean
-    is fl(S_s / n), so no entry's magnitude, nor any |A_n - A_N| for
-    n <= N, rises with n.  The rest is filled in: power maxima 0, mean
-    maxima the last one read (S_s = S_(s-1), so no later mean is above it
-    and the running maximum stays), snapshots from the closed form.  No
-    tail keeps or bounds a mean at or past the stream's anchor:
-    `_tail_radius` reads those off the closed form."""
+    Once the power is stationary, a mode whose readers are monotone (or
+    that reads no step norm) stops before the anchor s and decides each
+    phase [s, h] by `_phase_bracket`: when its upper end stays under the
+    running maximum at s - 1, or both ends are under the cap and give one
+    integer bound.  Its mean maxima are then that upper end and its power
+    maxima P's, which leaves the running maxima, status and bound of a
+    walk; any other phase is walked through the closed form.  Snapshots
+    past the walk come from the closed form, and no tail keeps or bounds a
+    mean at or past s (see `_tail_radius`)."""
     step_norm, _, _, monotone = _mode_norms(spec, mode)
-    skip_null = monotone or step_norm is None
+    stop = monotone or step_norm is None
     stream = CesaroStream(spec, X)
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
     marks = {h: (*(_dyadic_scales(h) or ()), h) for h in scans}
@@ -294,7 +324,8 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     keep = _TAIL_KEEP_BYTES // X.nbytes // max(1, len(tails))
     unkept = {h: max(1, h // 2) + min(h - max(1, h // 2) + 1, keep) for h in tails}
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
-    horizon, null_from = max(scans), None
+    horizon = through = max(scans)  # the last step to walk
+    uppers = {}  # per decided phase, the upper end that stands for its mean maxima
     for chunk in stream.chunks(horizon):
         first, count = chunk.first, len(chunk.means)
         if step_norm is not None:
@@ -331,30 +362,43 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
                 for bound, ufunc in ((scan.low, np.minimum), (scan.high, np.maximum)):
                     part = ufunc.reduce(rest, out=spare) if len(rest) > 1 else rest[0]
                     ufunc(bound, part, out=bound)
-        if skip_null and stream.anchor is not None:
-            if not stream.anchor[1].any():
-                null_from = stream.anchor[2]
-                break
-            skip_null = False  # a stationary power that is not null
+        if stop and stream.anchor is not None:
+            stop, through = False, first + count - 1  # the anchor's chunk ends at s - 1
+            phase = [h for h in scans if h > through]
+            if step_norm is not None and phase:
+                top = max(float(m.max()) for m in means)  # the running maximum at s - 1
+                A = stream.closed_form([through + 1, *phase])
+                bracket = _phase_bracket(step_norm, (A[:1], A[1:]), (A[:1], A[1:]), stream.anchor[1])
+                for h, lower, upper in zip(phase, *(np.maximum.reduce(v, axis=-1) for v in bracket)):
+                    lower, upper = max(top, lower), max(top, upper)
+                    if upper == top or upper <= bound_cap and _int_bound(lower) == _int_bound(upper):
+                        uppers[h] = upper
+                    else:
+                        through = h
+        if first + count > through:
+            break
     last = first + count - 1  # the last step read; a stream stops where it diverges
-    if null_from is not None:
-        unwalked, last = horizon - last, horizon
-        if means:
-            means.append(np.full(unwalked, means[-1][-1]))
-        if powers:
-            powers.append(np.zeros(unwalked))
-        unread = [n for n in wanted if n >= null_from]
+    reached = last
+    if last < horizon and stream.diverged_at is None:  # stopped before the phases above
+        reached = horizon
+        unread = [n for n in wanted if n > last]
         snapshots.update(zip(unread, stream.closed_form(unread)))
+        if powers:  # every power past the walk is P
+            top = _power_norms(stream.anchor[1][None], spec.norm_tag)[1][0]
+            powers.append(np.full(horizon - last, top))
+    means = np.concatenate(means) if means else None
+    powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
-        scan.steps = min(h, last)
+        scan.steps, scan.walked = min(h, reached), min(h, last)
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
-        scan.means = np.concatenate(means)[: scan.steps] if means else None
-        scan.powers = np.concatenate(powers)[: scan.steps + 1] if powers else None
+        if means is not None:
+            scan.means = means[: scan.walked]
+            if scan.walked < scan.steps:
+                scan.means = np.concatenate([scan.means, np.full(h - last, uppers[h])])
+        scan.powers = None if powers is None else powers[: scan.steps + 1]
         scan.mean_hit = mean_hit if mean_hit and mean_hit[0] <= scan.steps else None
         scan.power_hit = power_hit if power_hit and power_hit[0] <= scan.steps else None
         scan.snapshots = {n: snapshots[n] for n in marks[h] if n in snapshots}
-        if null_from is not None and null_from <= h:
-            scan.null_from = null_from
     return scans
 
 
@@ -391,29 +435,33 @@ def _dyadic_gap_witness(gaps, scales, tolerance):
     return None
 
 
-def _tail_radius(scan: _Scan, norm):
-    """max_n norm(A_n - A_N) over the tail [t, N], t = max(1, N//2), in three
-    parts: the kept means A_t .. A_(e-1), the stationary part [max(e, s), N]
-    from the stream's anchor s on, and the walked means [e, min(N, s - 1)].
+def _tail_radius(scan: _Scan, norms: _Norms, tolerance: float):
+    """Bounds (lower, upper) on the radius max_n norm(A_n - A_N) over the
+    tail [t, N], t = max(1, N//2), read in three parts: the kept means
+    A_t .. A_(e-1), the stationary part [max(e, s), N] from the stream's
+    anchor s on, and the walked means [e, min(N, s - 1)].  The bounds
+    decide 2 * radius < `tolerance` as the radius itself would.
 
     Each part is reduced one stack at a time into one reused buffer, so the
-    scan is left as it was.  The stationary part is read off
-    `CesaroStream.closed_form`, which gives the walk's bits, in chunk-sized
-    slices; after the null skip (`null_from`) every |A_n - A_N| there falls
-    entrywise with n, so a monotone reader needs only its first mean.  The
-    walked part lies under its envelope: fl(a - c) is monotone in a under
+    scan is left as it was.  For a monotone reader the stationary part is
+    bracketed at its endpoints (`_phase_bracket`; every |A_n - A_N| there is
+    largest at its first mean in exact arithmetic).  When the bracket leaves
+    2 * radius < `tolerance` open, and for the exact SVD, the part is read
+    off `CesaroStream.closed_form`, which gives the walk's bits, in
+    chunk-sized slices, and both bounds are the radius.  The walked part
+    lies under its envelope: fl(a - c) is monotone in a under
     round-to-nearest, so every such |A_n - A_N| lies entrywise under
     E = max(|low - A_N|, |high - A_N|), and a monotone reader, which reduces
     E in the order it reduces each slice, reads norm(A_n - A_N) <= norm(E).
-    When norm(E) is at most the other parts' radius in every column, that is
-    the radius bit for bit.  Otherwise (a NaN fails the test too), or
-    without an envelope, a fresh stream walks the block again from n = 1;
-    the scan's own stream keeps the anchor its other horizons read.  A
-    maximum is exact, so the radius does not depend on how much was kept.
+    When norm(E) is at most the other parts' lower bound in every column,
+    the walked part moves neither bound.  Otherwise (a NaN fails the test
+    too), or without an envelope, a fresh stream walks the block again from
+    n = 1; the scan's own stream keeps the anchor its other horizons read.
+    A maximum is exact, so the bounds do not depend on how much was kept.
     """
-    N, stream = scan.horizon, scan.stream
+    N, stream, norm = scan.horizon, scan.stream, norms.radius
     final = scan.snapshots[N]
-    radius = 0.0
+    radius = lower = upper = 0.0
     buf = np.empty((0, *final.shape))
 
     def fold(means):
@@ -423,26 +471,41 @@ def _tail_radius(scan: _Scan, norm):
         diffs = np.subtract(means, final, out=buf[: len(means)])
         radius = np.maximum(radius, np.maximum.reduce(norm(diffs), axis=0))
 
+    def fold_stationary():
+        for i in range(0, len(stationary), width):
+            fold(stream.closed_form(stationary[i : i + width]))
+
     for part in scan.kept:
         fold(part)
     e = max(1, N // 2) + sum(len(part) for part in scan.kept)
     s = N + 1 if stream.anchor is None else stream.anchor[2]
-    stationary = range(max(e, s), N + 1)[: 1 if scan.null_from is not None else None]
-    width = _capacity(final.nbytes)
-    for i in range(0, len(stationary), width):
-        fold(stream.closed_form(stationary[i : i + width]))
+    stationary, width = range(max(e, s), N + 1), _capacity(final.nbytes)
+    bracketed = norms.monotone and len(stationary) > 0
+    if bracketed:
+        A = stream.closed_form(stationary[:1])
+        D = A - final
+        ends = (D, np.zeros_like(D))  # D_N = 0
+        lower, upper = (v[0] for v in _phase_bracket(norm, ends, (A, final), stream.anchor[1]))
+    else:
+        fold_stationary()
     end = min(N, s - 1)
-    if e > end:
-        return radius
-    if scan.low is not None:
-        envelope = np.maximum(np.abs(scan.low - final), np.abs(scan.high - final))
-        ub = norm(envelope[None])[0]
-        if np.all(ub <= radius):
-            return np.maximum(radius, ub)  # the kept radius, shaped as a fold leaves it
-    for chunk in CesaroStream(stream.spec, stream.X).chunks(end):
-        if chunk.first + len(chunk.means) > e:
-            fold(chunk.means[max(0, e - chunk.first) :])
-    return radius
+    if e <= end:
+        proven = False
+        if scan.low is not None:
+            envelope = np.maximum(np.abs(scan.low - final), np.abs(scan.high - final))
+            ub = norm(envelope[None])[0]
+            proven = np.all(ub <= np.maximum(radius, lower))
+        if proven:
+            radius = np.maximum(radius, ub)  # moves neither bound; shaped as a fold leaves it
+        else:
+            for chunk in CesaroStream(stream.spec, stream.X).chunks(end):
+                if chunk.first + len(chunk.means) > e:
+                    fold(chunk.means[max(0, e - chunk.first) :])
+    lower, upper = np.maximum(radius, lower), np.maximum(radius, upper)
+    if bracketed and not (2.0 * upper.max() < tolerance or 2.0 * lower.max() >= tolerance):
+        fold_stationary()
+        lower = upper = radius
+    return lower, upper
 
 
 def _tail_holds(horizon: int, diameter_ub: float, tolerance: float) -> bool:
@@ -570,7 +633,7 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     certified diameter 2 * radius is below the tolerance.  Norms come from
     `_mode_norms`; a mode without a radius reader never holds.
     """
-    _, gap_norm, radius_norm, _ = _mode_norms(scan.stream.spec, mode)
+    norms = _mode_norms(scan.stream.spec, mode)
     scales = _dyadic_scales(scan.horizon)
     evidence = {
         "mode": mode,
@@ -592,7 +655,7 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
         return verdict(FAILS, {"inherited_from": FAMILY_CESARO_BOUNDED, **(cb.witness or {})})
     if scan.diverged_at is not None:
         return verdict(INCONCLUSIVE)
-    gaps = _gaps(scan.snapshots, scales, gap_norm)
+    gaps = _gaps(scan.snapshots, scales, norms.gap)
     if gaps is not None:
         # One row (g1, g2, g3) per probe, or a single row at norm level.
         gaps = evidence["dyadic_gaps"] = np.atleast_2d(gaps.T).tolist()
@@ -602,12 +665,12 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
             witness["mode"] = mode
             del witness["probe"]
         return verdict(FAILS, witness)
-    if radius_norm is None:
+    if norms.radius is None:
         return verdict(INCONCLUSIVE)
-    radius = _tail_radius(scan, radius_norm)
-    diam_ub = 2.0 * radius
+    lower, upper = _tail_radius(scan, norms, tolerance)
+    diam_ub = 2.0 * upper
     # A_N lies in the tail, so an exact radius is also a diameter lower bound.
-    diam_lb = radius if radius_norm is gap_norm else np.zeros_like(radius)
+    diam_lb = lower if norms.radius is norms.gap else np.zeros_like(lower)
     evidence["tail_diameter_ub"] = np.asarray(diam_ub).tolist()
     evidence["tail_diameter_lb"] = np.asarray(diam_lb).tolist()
     if cb.status == HOLDS and _tail_holds(scan.horizon, diam_ub.max(), tolerance):

@@ -13,7 +13,7 @@ Reports are canonical JSON (sorted insertion order, repr floats, trailing
 newline) so identical inputs produce byte-identical output apart from the
 timings block.  ``analyze`` results are cached under ``~/.cache/ergorank``
 (override with ``ERGORANK_CACHE_DIR``) keyed by the spec hash and a hash of
-the config, package version and report schema.
+the config, package version, report schema and the package's source files.
 
 Exit codes: 0 success; 1 certificate not found / rejected; 2 invalid
 input; 3 the node budget truncated a ``tree`` enumeration.  Only ``tree``
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import math
 import os
 import sys
@@ -98,6 +99,20 @@ def _cache_dir() -> str:
     if override:
         return override
     return os.path.join(os.path.expanduser("~"), ".cache", "ergorank")
+
+
+@functools.cache
+def _source_digest() -> str:
+    """sha256 of the package's Python source files (each name, length and
+    bytes, in name order), read once per process."""
+    root = os.path.dirname(os.path.abspath(__file__))
+    digest = hashlib.sha256()
+    for name in sorted(os.listdir(root)):
+        if name.endswith(".py"):
+            with open(os.path.join(root, name), "rb") as handle:
+                data = handle.read()
+            digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
 
 
 def build_report(spec: OperatorSpec, config: dict, spec_sha256: str) -> dict:
@@ -195,9 +210,9 @@ def cmd_analyze(args) -> int:
     }
 
     spec_sha256 = sha256_hex(canonical_dumps(spec.to_json_dict()))
-    # Reports from other code (version or report schema) never match.
+    # Reports from other code (version, report schema or sources) never match.
     key_text = canonical_dumps(
-        {"version": __version__, "schema": REPORT_SCHEMA, "config": config}
+        {"version": __version__, "schema": REPORT_SCHEMA, "code": _source_digest(), "config": config}
     )
     cache_file = os.path.join(
         _cache_dir(), f"{spec_sha256[:16]}-{sha256_hex(key_text)[:16]}.json"

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from ergorank.classify import FAILS
+from ergorank.classify import FAILS, HOLDS
 from ergorank.cli import main
 from ergorank.operators import OperatorSpec, gallery
 from ergorank.serialization import canonical_dumps, canonical_loads
@@ -55,3 +55,33 @@ def test_the_benchmark_checks_pass_on_analyze_reports(tmp_path, name):
     rank = report["rank_estimate"]
     assert len(rank["partial"]) == len(rank["heights"])
     assert checks._rank_heights(spec, probes, rank, max_nodes=config["max_nodes"]) == (True, "")
+
+
+#: The probe pass of each stops at the step before its anchor at the
+#: default config (horizon 10 000) and decides the rest from the phase's
+#: endpoints.
+_WALKED_AT_THE_DEFAULT_CONFIG = {"identity(8)": 1, "scalar(1.0)": 1, "left_shift_l1(64)": 65}
+
+
+@pytest.mark.parametrize("name", _WALKED_AT_THE_DEFAULT_CONFIG)
+def test_holds_decided_at_the_anchor_pass_the_full_scan_check(tmp_path, name):
+    # Such a holds still reports the whole horizon as its steps and no
+    # divergence; `walked` counts the steps the stream produced.
+    spec_path, out = tmp_path / "spec.json", tmp_path / "report.json"
+    spec_path.write_text(canonical_dumps(gallery(name).to_json_dict()))
+    assert main(["analyze", str(spec_path), "--no-cache", "--out", str(out)]) == 0
+    report = canonical_loads(out.read_text())
+    config = report["config"]
+    assert config["horizon"] == 10_000
+    spec = OperatorSpec.from_json_dict(report["operator"])
+    verdicts = checks._recompute_verdicts(spec, checks._probes(spec, config), config)
+    assert [canonical_loads(canonical_dumps(v.to_json_dict())) for v in verdicts] == list(
+        report["verdicts"].values()
+    )
+    assert checks._holds_from_full_scan(verdicts) == (True, "")
+    pb, cb = verdicts[:2]
+    assert pb.status == cb.status == HOLDS
+    for v in verdicts:
+        if v.status == HOLDS:
+            assert (v.evidence["steps"], v.evidence["diverged"]) == (v.horizon, False), v.family
+    assert pb.evidence["walked"] == cb.evidence["walked"] == _WALKED_AT_THE_DEFAULT_CONFIG[name]

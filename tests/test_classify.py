@@ -392,13 +392,15 @@ def _same(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
-def _assert_same_scan(got, want, radius_norm):
+def _assert_same_scan(got, want, norms):
     """Every field of two `_Scan`s agrees bit for bit, kept means as one
-    stack whatever their chunks, and so does the tail radius read off them."""
-    assert (got.horizon, got.steps, got.diverged_at) == (want.horizon, want.steps, want.diverged_at)
+    stack whatever their chunks, and so do the tail radius bounds read off
+    them (`norms` None: no tail)."""
+    assert (got.horizon, got.steps, got.walked, got.diverged_at) == (
+        want.horizon, want.steps, want.walked, want.diverged_at
+    )
     for name in ("means", "powers", "low", "high"):
         assert _same(getattr(got, name), getattr(want, name)), name
-    assert (got.walked, got.null_from) == (want.walked, want.null_from)
     for name in ("mean_hit", "power_hit"):
         g, w = getattr(got, name), getattr(want, name)
         assert (g is None) == (w is None), name
@@ -408,8 +410,9 @@ def _assert_same_scan(got, want, radius_norm):
     assert all(_same(got.snapshots[n], A) for n, A in want.snapshots.items())
     kept = lambda scan: np.concatenate(scan.kept) if scan.kept else None
     assert _same(kept(got), kept(want))
-    if radius_norm is not None and want.horizon in want.snapshots:
-        assert _same(_tail_radius(got, radius_norm), _tail_radius(want, radius_norm))
+    if norms is not None and want.horizon in want.snapshots:
+        for a, b in zip(_tail_radius(got, norms, 1e-2), _tail_radius(want, norms, 1e-2)):
+            assert _same(a, b)
 
 
 @st.composite
@@ -453,9 +456,9 @@ def test_each_horizon_of_a_pass_leaves_the_scan_of_its_own_pass(case, keep, tail
     # its share.  Small budgets make the tails track envelopes.
     spec, mode, short, long = case
     X = _block(spec, mode)
-    radius_norm = _mode_norms(spec, mode).radius
+    norms = _mode_norms(spec, mode)
     tails = {"both": {short, long}, "short": {short}, "long": {long}}[tailed]
-    tails = tails if radius_norm is not None else set()
+    tails = tails if norms.radius is not None else set()
     budget = _TAIL_KEEP_BYTES if keep is None else keep * X.nbytes
     share = budget // X.nbytes // max(1, len(tails)) * X.nbytes
     for capacity in (1, 2, 3, None):
@@ -466,7 +469,7 @@ def test_each_horizon_of_a_pass_leaves_the_scan_of_its_own_pass(case, keep, tail
                 alone = {h: _scan(spec, X, mode, [h], 3.0, {h} & tails)[h] for h in {short, long}}
         assert both.keys() == alone.keys()
         for h, want in alone.items():
-            _assert_same_scan(both[h], want, radius_norm if h in tails else None)
+            _assert_same_scan(both[h], want, norms if h in tails else None)
 
 
 def _chunk_capacity(k):
@@ -476,12 +479,26 @@ def _chunk_capacity(k):
     return mock.patch.object(ergorank.cesaro, "_capacity", lambda block_bytes: k)
 
 
+def _no_bracket(norm, ends, means, P):
+    """A stationary-phase bracket that decides nothing (its lower end
+    unknown, its upper end infinite): every phase is walked."""
+    shape = np.broadcast_shapes(norm(ends[0]).shape, norm(ends[1]).shape)
+    return np.full(shape, np.nan), np.full(shape, np.inf)
+
+
+def _walking():
+    """Checks inside walk every stationary phase through the closed form."""
+    return mock.patch.object(ergorank.classify, "_phase_bracket", _no_bracket)
+
+
 def _assert_tail_budgets_agree(spec, horizon, tolerance=1e-2):
     """Ergodic and uniformly ergodic verdicts with their evidence are bitwise
     equal whether the pass keeps none of the tail, one mean, part of it or
-    all of it, at chunk capacities 1, 2 and the default; and the tail bracket
-    is [r, 2r] (or [0, 2r]) for the radius r of the reference means, read
-    one step at a time.  Returns how many of the two verdicts read a radius."""
+    all of it, at chunk capacities 1, 2 and the default.  Walked through
+    every stationary phase, the tail bracket is [r, 2r] (or [0, 2r]) for the
+    radius r of the reference means, read one step at a time; read at the
+    phases' endpoints it holds that bracket, with the same verdict.  Returns
+    how many of the two verdicts read a radius."""
     probes = default_probes(spec)
     tag = spec.norm_tag
     lo = max(1, horizon // 2)
@@ -509,7 +526,10 @@ def _assert_tail_budgets_agree(spec, horizon, tolerance=1e-2):
                        _bits(v.evidence["tail_diameter_lb"]))
                 assert want is None or got == want, (capacity, blocks)
                 want = got
-        ub, lb = v.evidence["tail_diameter_ub"], v.evidence["tail_diameter_lb"]
+        with _walking():
+            walked = check()
+        assert walked.to_json_dict() == v.to_json_dict()
+        ub, lb = walked.evidence["tail_diameter_ub"], walked.evidence["tail_diameter_lb"]
         radius = reference_tail_radius(spec, X, horizon, norm)
         if radius is None:
             assert ub is None and lb is None
@@ -517,6 +537,8 @@ def _assert_tail_budgets_agree(spec, horizon, tolerance=1e-2):
             continue
         assert _bits(ub) == _bits(np.asarray(2.0 * radius).tolist())
         assert _bits(lb) == _bits(np.asarray(radius if exact else np.zeros_like(radius)).tolist())
+        assert np.all(np.asarray(v.evidence["tail_diameter_lb"]) <= lb)
+        assert np.all(np.asarray(v.evidence["tail_diameter_ub"]) >= ub)
         read += 1
     return read
 
@@ -756,13 +778,13 @@ def _bench_workloads():
 
 
 def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
-    # identity(8) at the default config walks [10 000, 256]: its probe tail
-    # is stationary from s = 2 and read off the closed form.  No gallery
-    # operator at the default config, and no wide-operators input (seed 101,
-    # horizon 2 000), walks a block a second time.
+    # identity(8) at the default config walks [1, 256]: its probe power is
+    # stationary from s = 2, and its tail is bracketed at the anchor.  No
+    # gallery operator at the default config, and no wide-operators input
+    # (seed 101, horizon 2 000), walks a block a second time.
     walks = _Walks(monkeypatch)
     check_families(*_probes("identity(8)"), 10_000, 1e-2, 1e3, 256)
-    assert walks.walks == [[False, 10_000], [False, 256]]
+    assert walks.walks == [[False, 1], [False, 256]]
     for name in built_in_gallery():
         walks.walks.clear()
         check_families(*_probes(name), 10_000, 1e-2, 1e3, 256)
@@ -779,38 +801,48 @@ def test_a_re_walked_tail_leaves_the_anchor_a_longer_tail_reads(monkeypatch, mod
     # stationary from s = 10, past the short tail [3, 6] and before the long
     # tail [32, 64].  With nothing kept, the short tail is walked again (no
     # envelope proves a radius of 0) and that walk ends before s; the long
-    # tail is still read off the closed form of the pass, with no walk,
-    # whichever tail is read first.
+    # tail is still read off the anchor of the pass (bracketed in probe mode,
+    # off the closed form under the exact SVD), with no walk, whichever tail
+    # is read first.
     spec = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
     block = lambda: np.eye(8) if mode == "dense" else default_probes(spec).vectors.T
-    norm = _mode_norms(spec, mode).radius
+    norms = _mode_norms(spec, mode)
+    radius = lambda scan: _tail_radius(scan, norms, 1e-2)
     with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", 0):
-        alone = {h: _tail_radius(_scan(spec, block(), mode, [h], 1e3, [h])[h], norm) for h in (6, 64)}
+        alone = {h: radius(_scan(spec, block(), mode, [h], 1e3, [h])[h]) for h in (6, 64)}
         walks = _Walks(monkeypatch)
         for order in ((6, 64), (64, 6)):
             scans = _scan(spec, block(), mode, [6, 64], 1e3, [6, 64])
             assert scans[64].stream.anchor[2] == 10
             for h in order:
                 walks.walks.clear()
-                assert _same(_tail_radius(scans[h], norm), alone[h]), (order, h)
+                assert all(_same(a, b) for a, b in zip(radius(scans[h]), alone[h])), (order, h)
                 assert walks.walks == ([[True, 6]] if h == 6 else []), (order, h)
 
 
 def test_identity_tail_past_the_budget_is_read_without_a_walk(monkeypatch):
     # The means of identity(8) wander in their last bits, so an envelope
     # could not prove a kept radius; but its power is stationary from s = 2,
-    # so the whole tail is read off the closed form, and no block is walked
-    # again.
+    # so the probe pass stops at step 1 and the whole tail is bracketed at
+    # its endpoints, with no walk.  Walked through every stationary phase,
+    # the tail is read off the closed form, and no block is walked again.
     spec, probes = _probes("identity(8)")
     X = probes.vectors.T
     horizon = 10_000
     assert (horizon // 2 + 1) * X.nbytes > _TAIL_KEEP_BYTES
+    radius = reference_tail_radius(spec, X, horizon, lambda D: column_norms(D, spec.norm_tag))
     walks = _Walks(monkeypatch)
     erg = check_families(spec, probes, horizon, 1e-2, 1e3, 256).ergodic
+    assert walks.walks == [[False, 1], [False, 256]]
+    assert np.all(np.asarray(erg.evidence["tail_diameter_lb"]) <= radius)
+    assert np.all(np.asarray(erg.evidence["tail_diameter_ub"]) >= 2.0 * radius)
+    walks.walks.clear()
+    with _walking():
+        walked = check_families(spec, probes, horizon, 1e-2, 1e3, 256).ergodic
     assert walks.walks == [[False, horizon], [False, 256]]
-    radius = reference_tail_radius(spec, X, horizon, lambda D: column_norms(D, spec.norm_tag))
-    assert _bits(erg.evidence["tail_diameter_ub"]) == _bits(2.0 * radius)
-    assert _bits(erg.evidence["tail_diameter_lb"]) == _bits(radius)
+    assert walked.to_json_dict() == erg.to_json_dict()
+    assert _bits(walked.evidence["tail_diameter_ub"]) == _bits(2.0 * radius)
+    assert _bits(walked.evidence["tail_diameter_lb"]) == _bits(radius)
 
 
 @pytest.mark.parametrize("keep", [0, 1, None])
@@ -818,17 +850,19 @@ def test_the_tail_radius_reads_a_scan_without_changing_it(keep):
     # A second read of one scan gives the same bits, whether the radius
     # comes from the kept means alone (the default budget), the envelope or
     # a re-walk (no means or one kept), and the kept means stay as they were.
+    # rotation(1.0) has no stationary power, so both bounds are the radius.
     spec, probes = _probes("rotation(1.0)")
     X = probes.vectors.T
-    norm = lambda D: column_norms(D, spec.norm_tag)
+    norms = _mode_norms(spec, "probe")
     budget = _TAIL_KEEP_BYTES if keep is None else keep * X.nbytes
     with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", budget):
         scan = _scan(spec, X, "probe", [300], 1e3, [300])[300]
     kept = [part.copy() for part in scan.kept]
-    radius = _tail_radius(scan, norm)
-    assert _bits(_tail_radius(scan, norm)) == _bits(radius)
+    lower, upper = _tail_radius(scan, norms, 1e-2)
+    assert [_bits(v) for v in _tail_radius(scan, norms, 1e-2)] == [_bits(lower), _bits(upper)]
     assert len(scan.kept) == len(kept) and all(_same(a, b) for a, b in zip(scan.kept, kept))
-    assert _bits(radius) == _bits(reference_tail_radius(spec, X, 300, norm))
+    radius = reference_tail_radius(spec, X, 300, norms.radius)
+    assert _bits(lower) == _bits(upper) == _bits(radius)
 
 
 #: A dim-64 contraction whose powers stay nonzero past 2 000 steps, so its
@@ -891,9 +925,11 @@ def _first_hit(tops, cap):
 @pytest.mark.parametrize("name", _NULL_CASES)
 def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
     # The pass stops at s - 1 where its readers are monotone; the running
-    # maxima, hits, steps, snapshots, bounds and tail radius are still those
-    # of every step, and a re-walk of a tail that starts before s stops at
-    # s - 1 (keep budgets 0 and 1), under the exact SVD too.
+    # maxima, hits, steps, snapshots and bounds are still those of every
+    # step, and so is the tail radius, the lower end of its bracket (a null
+    # |A_n - A_N| falls entrywise with n); a re-walk of a tail that starts
+    # before s stops at s - 1 (keep budgets 0 and 1), under the exact SVD
+    # too.
     spec, horizon, ue_horizon = _NULL_CASES[name]
     probes = default_probes(spec)
     probes = ProbeSet(probes.vectors[[0, -2, -1]], spec.norm_tag, "oracle")
@@ -902,8 +938,8 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
     walks = _Walks(monkeypatch)
     for mode, X, h in blocks:
         ref = _reference_pass(spec, X, mode, h)
-        radius_norm = _mode_norms(spec, mode).radius
-        radius = reference_tail_radius(spec, X, h, radius_norm)
+        norms = _mode_norms(spec, mode)
+        radius = reference_tail_radius(spec, X, h, norms.radius)
         skips = _mode_norms(spec, mode).monotone and ref["s"] is not None and ref["s"] <= h
         skipped += skips
         cap = 0.5 * ref["means"].max()
@@ -912,7 +948,7 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
             with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", budget):
                 scan = _scan(spec, X, mode, [h], cap, [h])[h]
             assert (scan.steps, scan.diverged_at) == (h, None)
-            assert (scan.walked, scan.null_from) == ((ref["s"] - 1, ref["s"]) if skips else (h, None))
+            assert scan.walked == (ref["s"] - 1 if skips else h)
             running = np.maximum.accumulate
             assert _same(running(scan.means), running(ref["means"])), (mode, keep)
             assert _same(scan.means[: scan.walked], ref["means"][: scan.walked])
@@ -926,7 +962,8 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
             assert scan.snapshots.keys() == {*_dyadic_scales(h), h}
             assert all(_same(A, ref["A"][n]) for n, A in scan.snapshots.items())
             walks.walks.clear()
-            assert _same(_tail_radius(scan, radius_norm), radius), (mode, keep)
+            lower, upper = _tail_radius(scan, norms, 1e-2)
+            assert _same(lower, radius) and np.all(upper >= radius), (mode, keep)
             # A re-walk stops before the anchor, with the null skip or without.
             end = ref["s"] - 1 if ref["s"] is not None and ref["s"] <= h else h
             assert all(steps == end for _, steps in walks.walks)
@@ -939,13 +976,18 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
         assert (cb.bound, cb.evidence["max"]) == (_int_bound(ref["means"].max()), ref["means"].max())
     norm = lambda D: column_norms(D, spec.norm_tag)
     radius = reference_tail_radius(spec, probes.vectors.T, horizon, norm)
-    assert _bits(erg.evidence["tail_diameter_ub"]) == _bits(2.0 * radius)
+    assert np.all(np.asarray(erg.evidence["tail_diameter_ub"]) >= 2.0 * radius)
     assert _bits(erg.evidence["tail_diameter_lb"]) == _bits(radius)
-    ue = families.section or families.uniformly_ergodic
+    with _walking():
+        walked = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+    assert [v and v.to_json_dict() for v in walked] == [v and v.to_json_dict() for v in families]
+    assert _bits(walked.ergodic.evidence["tail_diameter_ub"]) == _bits(2.0 * radius)
+    ue, walked_ue = (f.section or f.uniformly_ergodic for f in (families, walked))
     if ue.evidence["tail_diameter_ub"] is not None:
         dense = _mode_norms(spec, "dense").radius
-        radius = reference_tail_radius(spec, np.eye(spec.dim), ue_horizon, dense)
-        assert _bits(ue.evidence["tail_diameter_ub"]) == _bits(np.asarray(2.0 * radius).tolist())
+        radius = np.asarray(2.0 * reference_tail_radius(spec, np.eye(spec.dim), ue_horizon, dense))
+        assert np.all(np.asarray(ue.evidence["tail_diameter_ub"]) >= radius)
+        assert _bits(walked_ue.evidence["tail_diameter_ub"]) == _bits(radius.tolist())
 
 
 def test_the_null_skip_reads_the_bits_of_the_power_not_its_norms():
@@ -957,27 +999,126 @@ def test_the_null_skip_reads_the_bits_of_the_power_not_its_norms():
     assert zero_norm < 600 < 1000 < null
     # T P_null = P_null at step null + 1 ends the walk.
     scan = _scan(spec, X, "probe", [2000], 1e3, [2000])[2000]
-    assert (scan.walked, scan.null_from) == (null + 1, null + 2)
+    assert (scan.walked, scan.stream.anchor[2]) == (null + 1, null + 2)
 
 
-def test_the_null_skip_never_runs_under_the_exact_svd_or_on_a_nonzero_power(monkeypatch):
+def test_a_pass_stops_at_its_anchor_unless_the_exact_svd_reads_it(monkeypatch):
     # A nilpotent shift under l2: the probe pass stops after T P_8 = P_8 = 0,
     # but the dense pass at dim <= 32 reads exact SVDs, whose bits need not
-    # fall with the entries, and walks on.  The identity and scalar(1.0)
-    # keep P = X != 0.
+    # follow the entries, and walks on.  A stationary power that is not
+    # null stops a pass too: identity(8) and scalar(1.0) keep P = X from
+    # s = 2, so their probe passes walk one step of 10 000 and decide every
+    # verdict from the phase's endpoints; their identity blocks are read by
+    # the exact SVD.  sparse-256-linf of wide-operators (seed 101) reaches
+    # its anchor at s = 908 of 2 000, and its probe pass stops there.
     shift = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
     assert not _mode_norms(shift, "dense").monotone
     probe = _scan(shift, np.eye(8), "probe", [300], 1e3, [300])[300]
-    assert (probe.walked, probe.null_from) == (9, 10)
+    assert (probe.steps, probe.walked, probe.stream.anchor[2]) == (300, 9, 10)
     dense = _scan(shift, np.eye(8), "dense", [300], 1e3, [300])[300]
-    assert (dense.walked, dense.null_from) == (300, None)
+    assert (dense.steps, dense.walked, dense.stream.anchor[2]) == (300, 300, 10)
     walks = _Walks(monkeypatch)
-    for name in ("identity(8)", "scalar(1.0)"):
-        spec, probes = _probes(name)
+    sparse = _bench_workloads().wide_specs(101)["sparse-256-linf"]
+    cases = [(*_probes("identity(8)"), 10_000), (*_probes("scalar(1.0)"), 10_000),
+             (sparse, default_probes(sparse, seed=101), 2000)]
+    for spec, probes, horizon in cases:
         walks.walks.clear()
-        pb = check_families(spec, probes, 10_000, 1e-2, 1e3, 256).power_bounded
-        assert walks.walks == [[False, 10_000], [False, 256]], name
-        assert pb.evidence["walked"] == 10_000
+        families = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
+        s = _scan(spec, probes.vectors.T, "probe", [horizon], 1e3)[horizon].stream.anchor[2]
+        assert walks.walks[:2] == [[False, s - 1], [False, 256]], spec
+        assert s == (908 if spec is sparse else 2)
+        for v in families[:3]:
+            assert (v.evidence["steps"], v.evidence["diverged"]) == (horizon, False)
+        assert families.power_bounded.evidence["walked"] == s - 1
+        with _walking():
+            walked = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
+        assert [v and v.to_json_dict() for v in walked] == [v and v.to_json_dict() for v in families]
+
+
+def test_a_cap_inside_the_bracket_walks_the_phase(monkeypatch):
+    # identity(8)'s probe means read 1.0000000000000002 at most when walked,
+    # and the bracket of the phase [2, 10 000] reaches higher.  A cap at that
+    # maximum, or one ulp below it, lies inside the bracket, so the pass walks
+    # the phase through the closed form and gives what a walk of every step
+    # gives: Cesaro-bounded and ergodic hold (bound 1) under the first cap
+    # and are inconclusive under the second, where the maximum crosses it
+    # inside the phase.
+    spec, probes = _probes("identity(8)")
+    run = lambda cap: check_families(spec, probes, 10_000, 1e-2, cap, 256)
+    with _walking():
+        top = run(1e3).cesaro_bounded.evidence["max"]
+    assert top == 1.0000000000000002 < run(1e3).cesaro_bounded.evidence["max"]
+    walks = _Walks(monkeypatch)
+    for cap, status, bound in ((top, HOLDS, 1), (np.nextafter(top, 0.0), INCONCLUSIVE, None)):
+        walks.walks.clear()
+        got = run(cap)
+        assert walks.walks == [[False, 10_000], [False, 256]]
+        assert (got.cesaro_bounded.status, got.cesaro_bounded.bound, got.ergodic.status) == (status, bound, status)
+        assert got.power_bounded.status == HOLDS
+        with _walking():
+            want = run(cap)
+        assert [v.to_json_dict() for v in got[:4]] == [v.to_json_dict() for v in want[:4]]
+
+
+@st.composite
+def _stationary_specs(draw):
+    """Specs whose powers turn stationary bit for bit within 10 000 steps:
+    diagonals over {1, 0, 0.5, -0.5, 0.9} (0.9^n underflows near n = 7 100),
+    shifts with a zero weight, dense identity blocks beside such a diagonal,
+    and sparse specs whose last state absorbs mass that the others drain
+    into it."""
+    tag = draw(st.sampled_from(["l1", "l2", "linf"]))
+    dim = draw(st.integers(1, 5))
+    entries = draw(st.lists(st.sampled_from([1.0, 0.0, 0.5, -0.5, 0.9]), min_size=dim, max_size=dim))
+    kind = draw(st.sampled_from(["diagonal", "shift", "identity block", "absorbing"]))
+    if kind == "diagonal":
+        return OperatorSpec(KIND_DIAGONAL, dim, entries, tag)
+    if kind == "shift":
+        weights = draw(st.lists(st.sampled_from([0.5, 1.0, 2.0]), min_size=dim - 1, max_size=dim - 1))
+        if weights:
+            weights[draw(st.integers(0, dim - 2))] = 0.0
+        return OperatorSpec(KIND_SHIFT, dim, weights, tag)
+    if kind == "identity block":
+        ones = draw(st.integers(1, dim))
+        return OperatorSpec(KIND_DENSE, dim, np.diag([1.0] * ones + entries[ones:]), tag)
+    last = dim - 1
+    triplets = [[last, last, 1.0]]
+    for i, e in enumerate(entries[:last]):
+        triplets.append([i, i, e])
+        if e != 1.0:  # a drain beside a unit entry would grow linearly
+            triplets.append([last, i, draw(st.sampled_from([0.25, 0.5]))])
+    return OperatorSpec(KIND_SPARSE, dim, triplets, tag)
+
+
+def _serialized(families):
+    return [v and v.to_json_dict() for v in families]
+
+
+@given(_stationary_specs(), st.sampled_from([8, 9, 64, 700, 1100, 2048, 10_000]), st.booleans(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_endpoint_decisions_equal_a_walk_of_every_step(spec, horizon, basis, data):
+    # Caps and tolerances are drawn at the ends of the brackets (the upper
+    # ends a decision reports, the walked values, one ulp to either side),
+    # so the phases are walked as often as decided.  Every serialized
+    # verdict equals that of a pass that walks every stationary phase.
+    probes = basis_probes(spec.dim, spec.norm_tag) if basis else default_probes(spec)
+    run = lambda cap, tol: check_families(spec, probes, horizon, tol, cap, min(256, horizon))
+    read = run(1e3, 1e-2)
+    with _walking():
+        walked = run(1e3, 1e-2)
+    caps, tols = {1e3}, {1e-2}
+    for families in (read, walked):
+        caps.add(families.cesaro_bounded.evidence["max"])
+        for v in (families.ergodic, families.uniformly_ergodic):
+            if v.evidence["tail_diameter_ub"] is not None:
+                tols.update((np.max(v.evidence["tail_diameter_ub"]), 2.0 * np.max(v.evidence["tail_diameter_lb"])))
+    near = lambda values: sorted(float(np.nextafter(x, d)) for x in values for d in (-np.inf, x, np.inf))
+    cap = data.draw(st.sampled_from(near(caps)))
+    tol = data.draw(st.sampled_from([x for x in near(tols) if 0.0 < x < np.inf]))
+    got = run(cap, tol)
+    with _walking():
+        want = run(cap, tol)
+    assert _serialized(got) == _serialized(want)
 
 
 def test_trusted_horizon_shrinks_for_shift_only():

@@ -132,6 +132,24 @@ def test_analyze_cache_misses_for_other_code(tmp_path, capsys, monkeypatch):
     assert len(os.listdir(_cache_dir())) == 3
 
 
+def test_analyze_cache_is_keyed_on_the_package_sources(tmp_path, capsys, monkeypatch):
+    # Sources that differ under one version and schema (a patched digest)
+    # miss the cache, then hit the entry they wrote.
+    digest = cli._source_digest()
+    assert len(digest) == 64 and cli._source_digest() == digest
+    spec_path = _write_spec(tmp_path, "scalar(0.5)")
+    assert main(["analyze", spec_path, *ANALYZE_FAST]) == 0
+    first = canonical_loads(capsys.readouterr().out)
+    monkeypatch.setattr(cli, "_source_digest", lambda: "0" * 64)
+    for cached in (False, True):
+        assert main(["analyze", spec_path, *ANALYZE_FAST]) == 0
+        report = canonical_loads(capsys.readouterr().out)
+        assert (report.pop("timings") == {"cached": True}) is cached
+    first.pop("timings")
+    assert canonical_dumps(report) == canonical_dumps(first)
+    assert len(os.listdir(_cache_dir())) == 2
+
+
 def test_analyze_shift_reports_section_verdict(tmp_path, capsys):
     spec_path = _write_spec(tmp_path, "left_shift_l1(64)")
     assert main(["analyze", spec_path, "--no-cache", *ANALYZE_FAST]) == 0
