@@ -19,8 +19,7 @@ tail is bracketed in [radius, 2 * radius].
 
 Every check is a reducer over one pass of `CesaroStream`, with norms
 reduced one chunk of steps at a time: per-step maxima are arrays, and the
-first step above a cap is found with `argmax`; the pass keeps what the
-tail radius reads of the walked means.  The scan mode (``probe``,
+first step above a cap is found with `argmax`.  The scan mode (``probe``,
 ``dense`` or ``probe-lb``) is the one decision that fixes how a pass reads
 its norms: `_mode_norms` gives the per-step, gap and radius readers of each
 mode.  `check_families` makes one pass per block: the probe block gives the
@@ -28,17 +27,20 @@ power-bounded, Cesaro-bounded and ergodic verdicts, the identity block the
 dense Cesaro-bounded and every uniformly ergodic one.  No ``holds`` comes
 from a scan that the overflow guard stopped, nor from a one-index tail.
 
-Once the stream's power is stationary (T P = P bit for bit from the anchor
-s on), every later mean is A_n = P + (S_s - sP)/n, monotone in n entry by
-entry in exact arithmetic.  A pass whose readers are monotone in each
-entry's magnitude (every mode but the exact-SVD dense l2) stops stepping at
-the anchor and decides the stationary phase from a bracket on its largest
-norm, read at its two endpoints and widened by the closed form's rounding
-(`_phase_bracket`): the mean maxima in `_scan`, and the tail radius in
-`_tail_radius`.  A decision is taken only where both ends of the bracket
-give the same serialized answer; otherwise (a near-tie, or a first cap
-crossing inside the phase) the phase is walked through the closed form, so
-a decided verdict has the bits a walk of every step gives it.
+One rule decides what a pass does not walk: bracket the quantity, and walk
+only when the bracket straddles the decision.  Once the stream's power is
+stationary (T P = P bit for bit from the anchor s on), every later mean is
+A_n = P + (S_s - sP)/n, monotone in n entry by entry in exact arithmetic,
+so every pass stops stepping at the anchor and brackets the stationary
+phase's largest norm between its two endpoints (`_phase_bracket`).  The
+tail radius is bracketed between norm(A_t - A_N) at the tail's start and
+the norm of an entrywise envelope of the walked tail means, joined with the
+stationary part's bracket (`_tail_radius`).  Every upper end is the norm of
+an envelope, widened by the reader's slack (see `_mode_norms`).  A bracket
+decides only where both of its ends give the same serialized answer;
+otherwise the phase is walked through the closed form, or the radius is
+folded from a fresh walk, so a decided verdict has the bits a walk of every
+step gives it.
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -94,13 +96,6 @@ BOUND_SLACK = 1e-9
 #: diameter.  Lower bounds read at a few steps (a dense witness, the dyadic
 #: gaps) are `matrix_norm`, an exact SVD, at every dimension.
 _L2_EXACT_DIM = 32
-
-#: Bytes of tail means a pass keeps for `_tail_radius`, split evenly among
-#: the horizons it serves.  At the default horizons this holds the whole
-#: probe tail of the scalars, jordan_1(2) and rotation(1.0), and the whole
-#: dense tail of every gallery operator of dim <= 12; a 4 MB budget timed
-#: the same on the gallery and raised its peak RSS by 1.9 MB.
-_TAIL_KEEP_BYTES = 2 * 1024 * 1024
 
 
 @dataclass(eq=False)
@@ -183,13 +178,13 @@ def _check_inputs(spec: OperatorSpec, probes, probes_read=True, **positive) -> N
 
 class _Norms(NamedTuple):
     """The norm readers of a scan mode; None for what the mode does not
-    read.  `monotone` says that the radius reader cannot fall when the
-    magnitude of any entry rises."""
+    read.  `slack` is the relative widening of every upper end that the
+    step or radius reader reads off an entrywise envelope."""
 
     step: Callable | None
     gap: Callable
     radius: Callable | None
-    monotone: bool
+    slack: float
 
 
 def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
@@ -203,24 +198,31 @@ def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
     is the gap reader.  The step and radius readers take a chunk's
     (count, dim, p) stack of means and give one row of norms per step (one
     norm per row in ``dense`` mode); the gap reader reads the stack of the
-    three dyadic differences alike (one norm each in ``probe-lb`` mode).  Every
-    radius reader but the exact SVD is a fixed order of abs, squares, sums,
-    maxima and square roots of the entries, so it is monotone in each
-    entry's magnitude.
+    three dyadic differences alike (one norm each in ``probe-lb`` mode).
+
+    A bracket's upper end is the norm of an envelope E >= |D| entry by
+    entry.  Every step and radius reader but the exact SVD is a fixed order
+    of abs, squares, sums, maxima and square roots of the entries, so it
+    reads norm(D) <= norm(E) as computed, and its slack is 0.  For the
+    exact SVD, ||D||_2 <= || |D| ||_2 <= ||E||_2 in exact arithmetic; its
+    slack, 2^-40, assumes that LAPACK's largest singular value is within
+    2^-42 of the true one, relatively, at dim <= `_L2_EXACT_DIM` (about
+    2 000 ulps), so that norm(D) <= norm(E) * (1 + 2^-40) as computed.
     """
     tag = spec.norm_tag
     if mode == "probe":
         cols = lambda X: column_norms(X, tag)
-        return _Norms(cols, cols, cols, True)
+        return _Norms(cols, cols, cols, 0.0)
     if mode == "probe-lb":
         widest = lambda X: np.maximum.reduce(column_norms(X, tag), axis=-1)
-        return _Norms(None, widest, None, False)
+        return _Norms(None, widest, None, 0.0)
     exact = lambda X: matrix_norm(X, tag)
-    radius = exact
+    radius, slack = exact, 0.0
     if tag == "l2" and spec.dim > _L2_EXACT_DIM:
         radius = lambda X: np.sqrt(matrix_norm(X, "l1") * matrix_norm(X, "linf"))
-    monotone = radius is not exact or tag != "l2"
-    return _Norms(lambda X: radius(X)[:, None], exact, radius, monotone)
+    elif tag == "l2":
+        slack = 2.0**-40
+    return _Norms(lambda X: radius(X)[:, None], exact, radius, slack)
 
 
 # -- one pass over the means ---------------------------------------------
@@ -234,17 +236,15 @@ class _Scan:
     first step above the cap as (n, norms, A_n); `powers` holds the
     power-norm maxima for m = 0..steps and `power_hit` (m, norms).  Maxima
     are None when unread, hits when no step crossed the cap.  `snapshots`
-    maps the dyadic scales and the horizon N to A_n.  The stream produced
-    `walked` of the `steps`; past them the phase is stationary and was
-    decided from its endpoints (see `_scan`): `powers` holds the stationary
-    power's maximum, `means` the upper end of the phase's bracket, which
-    leaves the running maximum, the status and the bound as a walk would,
-    and the snapshots come from the closed form.  A tail scan keeps in
-    `kept` A_t .. A_(t+k-1) from t = max(1, N//2) on, as many as fit its
-    share of `_TAIL_KEEP_BYTES`, were walked and come before the stream's
-    anchor s, one stack per chunk; `low` and `high` bound the walked means
-    from t + k to min(N, s - 1).  The tail from s on is left to the closed
-    form (see `_tail_radius`).  These are complete only on a scan that
+    maps the dyadic scales and the horizon N to A_n, and on a tail scan the
+    tail's start t = max(1, N//2) too.  The stream produced `walked` of the
+    `steps`; past them the phase is stationary and was decided from its
+    bracket (see `_scan`): `powers` holds the stationary power's maximum,
+    `means` the upper end of the phase's bracket, which leaves the running
+    maximum, the status and the bound as a walk would, and the snapshots
+    come from the closed form.  On a tail scan, `low` and `high` bound the
+    walked means from t to min(N, s - 1) entry by entry, s the stream's
+    anchor (see `_tail_radius`).  These are complete only on a scan that
     reached N, and all are copies, since the stream reuses its chunk
     buffers.
     """
@@ -260,7 +260,6 @@ class _Scan:
     walked: int = 0
     diverged_at: int | None = None
     snapshots: dict = field(default_factory=dict)
-    kept: list = field(default_factory=list)
     low: np.ndarray | None = None
     high: np.ndarray | None = None
 
@@ -272,11 +271,11 @@ def _first_above(tops: np.ndarray, cap: float) -> int | None:
     return int(np.argmax(tops > cap))
 
 
-def _phase_bracket(norm, ends, means, P):
+def _phase_bracket(norm, ends, means, P, slack):
     """Bounds (lower, upper) on the largest norm(D_n) over a stationary
-    phase [a, b], one per reader row, for a reader monotone in each entry's
-    magnitude; D_n is A_n or A_n - A_N (N >= b).  `ends` holds D_a and D_b,
-    `means` A_a and A_b, P is the stationary power; each may be a stack of
+    phase [a, b], one per reader row; D_n is A_n or A_n - A_N (N >= b).
+    `ends` holds D_a and D_b, `means` A_a and A_b, P is the stationary
+    power, `slack` the reader's (see `_mode_norms`); each may be a stack of
     phases.
 
     In exact arithmetic the closed form gives E_n = P + (S_s - sP)/n from
@@ -289,40 +288,37 @@ def _phase_bracket(norm, ends, means, P):
     rounding of a difference, every computed |D_n| on [a, b] is at most
     max(|D_a|, |D_b|) + 12u(|A_a| + |A_b|) + 5u|P| + 2^-1071 entry by
     entry.  The allowance, 2^-44 = 512u times |A_a| + |A_b| + |P| plus
-    2^-1060, is over 40 times that term, its own rounding included, so a
-    reader monotone in each entry's magnitude reads every norm(D_n) under
-    the upper end.  The lower end is the larger norm of the ends
+    2^-1060, is over 40 times that term, its own rounding included, so the
+    sum is an envelope of every |D_n|, and its norm, widened by the slack,
+    is the upper end.  The lower end is the larger norm of the ends
     themselves, means the walk reads too.
     """
     first, last = ends
     lower = np.maximum(norm(first), norm(last))
     allowance = (np.abs(means[0]) + np.abs(means[1]) + np.abs(P)) * 2.0**-44 + 2.0**-1060
-    return lower, norm(np.maximum(np.abs(first), np.abs(last)) + allowance)
+    return lower, norm(np.maximum(np.abs(first), np.abs(last)) + allowance) * (1.0 + slack)
 
 
 def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
-    the horizons in `tails` share the keep budget of `_tail_radius`.  A
-    step's bits do not depend on the chunk that holds it.
+    the horizons in `tails` also bound their walked tail means for
+    `_tail_radius`.  A step's bits do not depend on the chunk that holds it.
 
-    Once the power is stationary, a mode whose readers are monotone (or
-    that reads no step norm) stops before the anchor s and decides each
-    phase [s, h] by `_phase_bracket`: when its upper end stays under the
-    running maximum at s - 1, or both ends are under the cap and give one
-    integer bound.  Its mean maxima are then that upper end and its power
-    maxima P's, which leaves the running maxima, status and bound of a
-    walk; any other phase is walked through the closed form.  Snapshots
-    past the walk come from the closed form, and no tail keeps or bounds a
-    mean at or past s (see `_tail_radius`)."""
-    step_norm, _, _, monotone = _mode_norms(spec, mode)
-    stop = monotone or step_norm is None
+    Once the power is stationary, the pass stops before the anchor s and
+    decides each phase [s, h] by `_phase_bracket`: when its upper end stays
+    under the running maximum at s - 1, or both ends are under the cap and
+    give one integer bound.  Its mean maxima are then that upper end and
+    its power maxima P's, which leaves the running maxima, status and bound
+    of a walk; any other phase is walked through the closed form.
+    Snapshots past the walk come from the closed form."""
+    step_norm, _, _, slack = _mode_norms(spec, mode)
     stream = CesaroStream(spec, X)
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
     marks = {h: (*(_dyadic_scales(h) or ()), h) for h in scans}
+    for h in tails:
+        marks[h] += (max(1, h // 2),)
     wanted = sorted({n for ns in marks.values() for n in ns})
-    keep = _TAIL_KEEP_BYTES // X.nbytes // max(1, len(tails))
-    unkept = {h: max(1, h // 2) + min(h - max(1, h // 2) + 1, keep) for h in tails}
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = through = max(scans)  # the last step to walk
     uppers = {}  # per decided phase, the upper end that stands for its mean maxima
@@ -344,31 +340,27 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
                 power_hit = (first + i, chunk.power_norms[i].copy())
         for n in wanted[bisect_left(wanted, first) : bisect_left(wanted, first + count)]:
             snapshots[n] = chunk.means[n - first].copy()
-        past_anchor = stream.anchor is not None and first >= stream.anchor[2]
-        for h in () if past_anchor else tails:
-            scan, unkept_at = scans[h], unkept[h]
-            end = min(count, h - first + 1)  # the chunk's steps up to h
-            lo, hi = max(first, max(1, h // 2)), min(first + count, unkept_at)
+        s = horizon + 1 if stream.anchor is None else stream.anchor[2]
+        for h in tails if first < s else ():
+            scan = scans[h]
+            lo, hi = max(first, max(1, h // 2)), min(first + count, h + 1)
             if lo < hi:
-                scan.kept.append(chunk.means[lo - first : hi - first].copy())
-            i = unkept_at - first
-            if monotone and unkept_at <= h and max(i, 0) < end:
                 # Each chunk reduces into one spare block: a fresh temporary
                 # the size of a wide block page-faults on every chunk.
-                rest = chunk.means[max(i, 0) : end]
+                rest = chunk.means[lo - first : hi - first]
                 if scan.low is None:
                     scan.low, scan.high = rest[0].copy(), rest[0].copy()
                     spare = np.empty_like(rest[0])
                 for bound, ufunc in ((scan.low, np.minimum), (scan.high, np.maximum)):
                     part = ufunc.reduce(rest, out=spare) if len(rest) > 1 else rest[0]
                     ufunc(bound, part, out=bound)
-        if stop and stream.anchor is not None:
-            stop, through = False, first + count - 1  # the anchor's chunk ends at s - 1
+        if stream.anchor is not None and first + count == s:  # the anchor's chunk ends at s - 1
+            through = s - 1
             phase = [h for h in scans if h > through]
             if step_norm is not None and phase:
                 top = max(float(m.max()) for m in means)  # the running maximum at s - 1
-                A = stream.closed_form([through + 1, *phase])
-                bracket = _phase_bracket(step_norm, (A[:1], A[1:]), (A[:1], A[1:]), stream.anchor[1])
+                A = stream.closed_form([s, *phase])
+                bracket = _phase_bracket(step_norm, (A[:1], A[1:]), (A[:1], A[1:]), stream.anchor[1], slack)
                 for h, lower, upper in zip(phase, *(np.maximum.reduce(v, axis=-1) for v in bracket)):
                     lower, upper = max(top, lower), max(top, upper)
                     if upper == top or upper <= bound_cap and _int_bound(lower) == _int_bound(upper):
@@ -437,32 +429,39 @@ def _dyadic_gap_witness(gaps, scales, tolerance):
 
 def _tail_radius(scan: _Scan, norms: _Norms, tolerance: float):
     """Bounds (lower, upper) on the radius max_n norm(A_n - A_N) over the
-    tail [t, N], t = max(1, N//2), read in three parts: the kept means
-    A_t .. A_(e-1), the stationary part [max(e, s), N] from the stream's
-    anchor s on, and the walked means [e, min(N, s - 1)].  The bounds
-    decide 2 * radius < `tolerance` as the radius itself would.
+    tail [t, N], t = max(1, N//2), that decide 2 * radius < `tolerance` as
+    the radius itself would.
 
-    Each part is reduced one stack at a time into one reused buffer, so the
-    scan is left as it was.  For a monotone reader the stationary part is
-    bracketed at its endpoints (`_phase_bracket`; every |A_n - A_N| there is
-    largest at its first mean in exact arithmetic).  When the bracket leaves
-    2 * radius < `tolerance` open, and for the exact SVD, the part is read
-    off `CesaroStream.closed_form`, which gives the walk's bits, in
-    chunk-sized slices, and both bounds are the radius.  The walked part
-    lies under its envelope: fl(a - c) is monotone in a under
-    round-to-nearest, so every such |A_n - A_N| lies entrywise under
-    E = max(|low - A_N|, |high - A_N|), and a monotone reader, which reduces
-    E in the order it reduces each slice, reads norm(A_n - A_N) <= norm(E).
-    When norm(E) is at most the other parts' lower bound in every column,
-    the walked part moves neither bound.  Otherwise (a NaN fails the test
-    too), or without an envelope, a fresh stream walks the block again from
-    n = 1; the scan's own stream keeps the anchor its other horizons read.
-    A maximum is exact, so the bounds do not depend on how much was kept.
+    The bracket is read off the scan.  Its lower end is norm(A_t - A_N), a
+    norm the radius reads.  The walked means [t, min(N, s - 1)], s the
+    stream's anchor, lie under E = max(|low - A_N|, |high - A_N|) entry by
+    entry, since fl(a - c) is monotone in a under round-to-nearest, and
+    norm(E), widened by the reader's slack, is the upper end.  Both join the
+    bracket of the stationary part [max(t, s), N] (`_phase_bracket`; in
+    exact arithmetic every |A_n - A_N| there is largest at its first mean,
+    and 0 at N).  When the bracket straddles the decision (a NaN does too),
+    the radius is folded exactly and is both bounds: a fresh stream walks
+    the block again from n = 1 (the scan's own stream keeps the anchor its
+    other horizons read), and the stationary part is read off
+    `CesaroStream.closed_form` in chunk-sized slices.  Each stack is
+    reduced into one reused buffer, so the scan is left as it was.
     """
     N, stream, norm = scan.horizon, scan.stream, norms.radius
-    final = scan.snapshots[N]
-    radius = lower = upper = 0.0
-    buf = np.empty((0, *final.shape))
+    t, final = max(1, N // 2), scan.snapshots[N]
+    s = N + 1 if stream.anchor is None else stream.anchor[2]
+    stationary = range(max(t, s), N + 1)
+    lower = upper = norm((scan.snapshots[t] - final)[None])[0]
+    if t < s:
+        envelope = np.maximum(np.abs(scan.low - final), np.abs(scan.high - final))
+        upper = np.maximum(upper, norm(envelope[None])[0] * (1.0 + norms.slack))
+    if stationary:
+        A = stream.closed_form(stationary[:1])
+        D = A - final
+        ends = _phase_bracket(norm, (D, np.zeros_like(D)), (A, final), stream.anchor[1], norms.slack)
+        lower, upper = np.maximum(lower, ends[0][0]), np.maximum(upper, ends[1][0])
+    if 2.0 * upper.max() < tolerance or 2.0 * lower.max() >= tolerance:
+        return lower, upper
+    radius, buf = 0.0, np.empty((0, *final.shape))
 
     def fold(means):
         nonlocal radius, buf
@@ -471,41 +470,14 @@ def _tail_radius(scan: _Scan, norms: _Norms, tolerance: float):
         diffs = np.subtract(means, final, out=buf[: len(means)])
         radius = np.maximum(radius, np.maximum.reduce(norm(diffs), axis=0))
 
-    def fold_stationary():
-        for i in range(0, len(stationary), width):
-            fold(stream.closed_form(stationary[i : i + width]))
-
-    for part in scan.kept:
-        fold(part)
-    e = max(1, N // 2) + sum(len(part) for part in scan.kept)
-    s = N + 1 if stream.anchor is None else stream.anchor[2]
-    stationary, width = range(max(e, s), N + 1), _capacity(final.nbytes)
-    bracketed = norms.monotone and len(stationary) > 0
-    if bracketed:
-        A = stream.closed_form(stationary[:1])
-        D = A - final
-        ends = (D, np.zeros_like(D))  # D_N = 0
-        lower, upper = (v[0] for v in _phase_bracket(norm, ends, (A, final), stream.anchor[1]))
-    else:
-        fold_stationary()
-    end = min(N, s - 1)
-    if e <= end:
-        proven = False
-        if scan.low is not None:
-            envelope = np.maximum(np.abs(scan.low - final), np.abs(scan.high - final))
-            ub = norm(envelope[None])[0]
-            proven = np.all(ub <= np.maximum(radius, lower))
-        if proven:
-            radius = np.maximum(radius, ub)  # moves neither bound; shaped as a fold leaves it
-        else:
-            for chunk in CesaroStream(stream.spec, stream.X).chunks(end):
-                if chunk.first + len(chunk.means) > e:
-                    fold(chunk.means[max(0, e - chunk.first) :])
-    lower, upper = np.maximum(radius, lower), np.maximum(radius, upper)
-    if bracketed and not (2.0 * upper.max() < tolerance or 2.0 * lower.max() >= tolerance):
-        fold_stationary()
-        lower = upper = radius
-    return lower, upper
+    if t < s:
+        for chunk in CesaroStream(stream.spec, stream.X).chunks(min(N, s - 1)):
+            if chunk.first + len(chunk.means) > t:
+                fold(chunk.means[max(0, t - chunk.first) :])
+    width = _capacity(final.nbytes)
+    for i in range(0, len(stationary), width):
+        fold(stream.closed_form(stationary[i : i + width]))
+    return radius, radius
 
 
 def _tail_holds(horizon: int, diameter_ub: float, tolerance: float) -> bool:

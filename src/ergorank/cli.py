@@ -222,15 +222,21 @@ def cmd_analyze(args) -> int:
         try:
             with open(cache_file, encoding="utf-8") as handle:
                 report = canonical_loads(handle.read())
-            report["timings"] = {"cached": True}
         except (OSError, ValueError):
-            report = None
-    if report is None:
+            pass
+    # Serve only an entry that is this report; recompute and overwrite any other.
+    wanted = {"schema": REPORT_SCHEMA, "operator_sha256": spec_sha256, "config": config}
+    if isinstance(report, dict) and all(report.get(k) == v for k, v in wanted.items()):
+        report["timings"] = {"cached": True}
+    else:
         report = build_report(spec, config, spec_sha256)
         if not args.no_cache:
             stored = {k: v for k, v in report.items() if k != "timings"}
-            os.makedirs(_cache_dir(), exist_ok=True)
-            atomic_write_text(cache_file, canonical_dumps(stored))
+            try:
+                os.makedirs(_cache_dir(), exist_ok=True)
+                atomic_write_text(cache_file, canonical_dumps(stored))
+            except OSError as exc:  # the report is still emitted
+                print(f"warning: analyze cache not written: {exc}", file=sys.stderr)
     _emit(canonical_dumps(report), args.out)
     return EXIT_OK
 

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import ergorank.cesaro
-import ergorank.classify
 from ergorank.cesaro import OVERFLOW_LIMIT, CesaroStream
 from ergorank.operators import (
     KIND_DENSE,
@@ -522,22 +521,17 @@ def test_kept_snapshots_and_hits_survive_later_chunks():
     horizon = 40
     want, _ = reference_stream(spec, X, horizon)
     for capacity in (1, 2, 3, None):
-        # The tail [20, 40] keeps 5 means under a 5-block budget; under the
-        # default budget it keeps all 21.
-        with _chunk_capacity(capacity), mock.patch.object(
-            ergorank.classify, "_TAIL_KEEP_BYTES", 5 * X.nbytes
-        ):
-            scan = _scan(spec, X, "probe", [horizon], 3.0, [horizon])[horizon]
         with _chunk_capacity(capacity):
-            whole = _scan(spec, X, "probe", [horizon], 3.0, [horizon])[horizon]
+            scan = _scan(spec, X, "probe", [horizon], 3.0, [horizon])[horizon]
             means = CesaroStream(spec, X).means_at([1, 2, 7, 40, 2, 7])
             margins = chain_margins(spec, X, [1, 2, 9, 40])
-        # The dyadic scales and the horizon.
+        # The dyadic scales, the horizon and the tail's start.
         assert scan.snapshots.keys() == {10, 20, 40}
         for n, A in scan.snapshots.items():
             assert _same_bits(A, want[n - 1][1])
-        assert _same_bits(np.concatenate(scan.kept), np.stack([w[1] for w in want[19:24]]))
-        assert _same_bits(np.concatenate(whole.kept), np.stack([w[1] for w in want[19:]]))
+        # The envelope of the tail [20, 40].
+        tail = np.stack([w[1] for w in want[19:]])
+        assert _same_bits(scan.low, tail.min(axis=0)) and _same_bits(scan.high, tail.max(axis=0))
         assert means.keys() == {1, 2, 7, 40}
         for n, A in means.items():
             assert _same_bits(A, want[n - 1][1])

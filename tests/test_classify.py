@@ -1,6 +1,7 @@
 import contextlib
 import importlib.util
 import re
+import tracemalloc
 import warnings
 from pathlib import Path
 from unittest import mock
@@ -24,7 +25,6 @@ from ergorank.classify import (
     replay_witness,
     trusted_horizon,
     _L2_EXACT_DIM,
-    _TAIL_KEEP_BYTES,
     _dyadic_scales,
     _int_bound,
     _mode_norms,
@@ -248,10 +248,15 @@ def test_ergodic_requires_positive_tolerance():
 # -- uniformly ergodic ---------------------------------------------------
 
 def test_ue_identity_holds_exactly():
+    # The tail is stationary from s = 2, so its bracket carries the closed
+    # form's allowance; folded exactly, the diameter is 0.
     spec = gallery("identity(8)")
     v = check_uniformly_ergodic(spec, 128, 1e-6)
     assert v.status == HOLDS
-    assert v.evidence["tail_diameter_ub"] == 0.0
+    with _walking():
+        walked = check_uniformly_ergodic(spec, 128, 1e-6)
+    assert walked.to_json_dict() == v.to_json_dict()
+    assert walked.evidence["tail_diameter_ub"] == 0.0
 
 
 def test_ue_scalar_half_matched_horizons():
@@ -393,9 +398,8 @@ def _same(a, b):
 
 
 def _assert_same_scan(got, want, norms):
-    """Every field of two `_Scan`s agrees bit for bit, kept means as one
-    stack whatever their chunks, and so do the tail radius bounds read off
-    them (`norms` None: no tail)."""
+    """Every field of two `_Scan`s agrees bit for bit, and so do the tail
+    radius bounds read off them (`norms` None: no tail)."""
     assert (got.horizon, got.steps, got.walked, got.diverged_at) == (
         want.horizon, want.steps, want.walked, want.diverged_at
     )
@@ -408,8 +412,6 @@ def _assert_same_scan(got, want, norms):
             assert g[0] == w[0] and all(_same(a, b) for a, b in zip(g[1:], w[1:])), name
     assert got.snapshots.keys() == want.snapshots.keys()
     assert all(_same(got.snapshots[n], A) for n, A in want.snapshots.items())
-    kept = lambda scan: np.concatenate(scan.kept) if scan.kept else None
-    assert _same(kept(got), kept(want))
     if norms is not None and want.horizon in want.snapshots:
         for a, b in zip(_tail_radius(got, norms, 1e-2), _tail_radius(want, norms, 1e-2)):
             assert _same(a, b)
@@ -447,26 +449,21 @@ def _block(spec, mode):
     return np.eye(spec.dim) if mode == "dense" else default_probes(spec).vectors.T
 
 
-@given(_prefix_cases(), st.sampled_from([0, 1, 3, 7, None]), st.sampled_from(["both", "short", "long"]))
+@given(_prefix_cases(), st.sampled_from(["both", "short", "long"]))
 @settings(max_examples=150)
-def test_each_horizon_of_a_pass_leaves_the_scan_of_its_own_pass(case, keep, tailed):
-    # The tails of a pass (of both horizons or of one, in a mode with a
-    # radius reader) split its keep budget (0, 1, 3 or 7 means, or the
-    # default) evenly: each horizon gets the scan of a pass to it alone under
-    # its share.  Small budgets make the tails track envelopes.
+def test_each_horizon_of_a_pass_leaves_the_scan_of_its_own_pass(case, tailed):
+    # Whether a pass serves the tails of both horizons or of one (in a mode
+    # with a radius reader), each horizon gets the scan, tail envelope
+    # included, of a pass to it alone.
     spec, mode, short, long = case
     X = _block(spec, mode)
     norms = _mode_norms(spec, mode)
     tails = {"both": {short, long}, "short": {short}, "long": {long}}[tailed]
     tails = tails if norms.radius is not None else set()
-    budget = _TAIL_KEEP_BYTES if keep is None else keep * X.nbytes
-    share = budget // X.nbytes // max(1, len(tails)) * X.nbytes
     for capacity in (1, 2, 3, None):
         with _chunk_capacity(capacity):
-            with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", budget):
-                both = _scan(spec, X, mode, {short, long}, 3.0, tails)
-            with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", share):
-                alone = {h: _scan(spec, X, mode, [h], 3.0, {h} & tails)[h] for h in {short, long}}
+            both = _scan(spec, X, mode, {short, long}, 3.0, tails)
+            alone = {h: _scan(spec, X, mode, [h], 3.0, {h} & tails)[h] for h in {short, long}}
         assert both.keys() == alone.keys()
         for h, want in alone.items():
             _assert_same_scan(both[h], want, norms if h in tails else None)
@@ -479,30 +476,33 @@ def _chunk_capacity(k):
     return mock.patch.object(ergorank.cesaro, "_capacity", lambda block_bytes: k)
 
 
-def _no_bracket(norm, ends, means, P):
+def _no_bracket(norm, ends, means, P, slack):
     """A stationary-phase bracket that decides nothing (its lower end
     unknown, its upper end infinite): every phase is walked."""
     shape = np.broadcast_shapes(norm(ends[0]).shape, norm(ends[1]).shape)
     return np.full(shape, np.nan), np.full(shape, np.inf)
 
 
+def _folded(scan, norms, tolerance):
+    """The tail radius folded exactly: a NaN tolerance decides nothing."""
+    return _tail_radius(scan, norms, np.nan)
+
+
 def _walking():
-    """Checks inside walk every stationary phase through the closed form."""
-    return mock.patch.object(ergorank.classify, "_phase_bracket", _no_bracket)
+    """Checks inside walk every stationary phase through the closed form
+    and fold every tail radius exactly: a forced walk."""
+    return mock.patch.multiple(ergorank.classify, _phase_bracket=_no_bracket, _tail_radius=_folded)
 
 
-def _assert_tail_budgets_agree(spec, horizon, tolerance=1e-2):
+def _assert_tail_capacities_agree(spec, horizon, tolerance=1e-2):
     """Ergodic and uniformly ergodic verdicts with their evidence are bitwise
-    equal whether the pass keeps none of the tail, one mean, part of it or
-    all of it, at chunk capacities 1, 2 and the default.  Walked through
-    every stationary phase, the tail bracket is [r, 2r] (or [0, 2r]) for the
-    radius r of the reference means, read one step at a time; read at the
-    phases' endpoints it holds that bracket, with the same verdict.  Returns
-    how many of the two verdicts read a radius."""
+    equal at chunk capacities 1, 2 and the default, and serialize as a
+    forced walk's.  Forced, the tail bracket is [r, 2r] (or [0, 2r]) for
+    the radius r of the reference means, read one step at a time; decided,
+    it holds that bracket.  Returns how many of the two verdicts read a
+    radius."""
     probes = default_probes(spec)
     tag = spec.norm_tag
-    lo = max(1, horizon // 2)
-    tail = horizon - lo + 1
     # The dense l2 radius above the exact dim is an upper bound, and no lower bound.
     exact = tag != "l2" or spec.dim <= _L2_EXACT_DIM
     dense = lambda D: matrix_norm(D, tag)
@@ -517,15 +517,12 @@ def _assert_tail_budgets_agree(spec, horizon, tolerance=1e-2):
     for check, X, norm, exact in checks:
         want = None
         for capacity in (1, 2, None):
-            for blocks in (0, 1, max(1, tail // 2), tail):
-                with _chunk_capacity(capacity), mock.patch.object(
-                    ergorank.classify, "_TAIL_KEEP_BYTES", blocks * X.nbytes
-                ):
-                    v = check()
-                got = (v.to_json_dict(), v.evidence, _bits(v.evidence["tail_diameter_ub"]),
-                       _bits(v.evidence["tail_diameter_lb"]))
-                assert want is None or got == want, (capacity, blocks)
-                want = got
+            with _chunk_capacity(capacity):
+                v = check()
+            got = (v.to_json_dict(), v.evidence, _bits(v.evidence["tail_diameter_ub"]),
+                   _bits(v.evidence["tail_diameter_lb"]))
+            assert want is None or got == want, capacity
+            want = got
         with _walking():
             walked = check()
         assert walked.to_json_dict() == v.to_json_dict()
@@ -565,28 +562,93 @@ _TAIL_CASES = {
     # P_64 = 0, so the tail is null from s = 66: before it starts, or inside it.
     "left shift": (gallery("left_shift_l1(64)"), 200),
     "left shift, null inside the tail": (gallery("left_shift_l1(64)"), 100),
-    # The envelope of the unkept tail proves the kept radius is the radius.
     "zero": (gallery("zero(4)"), 300),
+    # Every entry of A_n - A_N falls with n, so the envelope is |A_t - A_N|.
     "monotone diagonal": (MONOTONE_DIAGONAL, 300),
-    # The unkept tail holds the maximum: A_150 = A_300 = 0 and A_151 = X / 151.
-    "scalar -1, maximum past the kept mean": (gallery("scalar(-1.0)"), 300),
+    # The maximum lies past the first mean: A_150 = A_300 = 0 and A_151 = X / 151.
+    "scalar -1, maximum past A_t": (gallery("scalar(-1.0)"), 300),
     "rotation": (gallery("rotation(1.0)"), 300),
 }
 
 
 @pytest.mark.parametrize("case", _TAIL_CASES.values(), ids=_TAIL_CASES.keys())
-def test_tail_radius_is_bitwise_the_same_at_every_keep_budget(case):
+def test_tail_bits_agree_at_every_chunk_capacity(case):
     # The huge diagonal diverges at once, and the left shift at 100 fails
     # uniform ergodicity on a dyadic gap before its radius is read.
     spec, horizon = case
     reads = 0 if spec is HUGE_DIAGONAL else 1 if case is _TAIL_CASES["left shift, null inside the tail"] else 2
-    assert _assert_tail_budgets_agree(spec, horizon) == reads
+    assert _assert_tail_capacities_agree(spec, horizon) == reads
 
 
 @given(_small_specs(), st.sampled_from([1, 2, 3, 7, 40]))
 @settings(max_examples=40)
-def test_tail_radius_is_bitwise_the_same_at_every_keep_budget_generated(spec, horizon):
-    _assert_tail_budgets_agree(spec, horizon)
+def test_tail_bits_agree_at_every_chunk_capacity_generated(spec, horizon):
+    _assert_tail_capacities_agree(spec, horizon)
+
+
+@st.composite
+def _moving_tails(draw):
+    """(spec, horizon) whose tail does not turn stationary within the
+    horizon: rotation blocks, diag(lambda) with |lambda| < 1 (0.99
+    included), Jordan blocks at |lambda| < 1, and dense l2 at dim <= 4 (the
+    exact SVD) or 33-36 (the sqrt(l1 * linf) reader)."""
+    tag = draw(st.sampled_from(["l1", "l2", "linf"]))
+    kind = draw(st.sampled_from(["rotation", "diagonal", "jordan", "dense l2"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    horizon = draw(st.sampled_from([8, 33, 100, 300, 1000]))
+    if kind == "rotation":
+        theta = rng.uniform(0.01, np.pi)
+        c, s = np.cos(theta), np.sin(theta)
+        return OperatorSpec(KIND_DENSE, 2, np.array([[c, -s], [s, c]]), tag), horizon
+    if kind == "diagonal":
+        entries = rng.choice([-1.0, 1.0], 4) * rng.uniform(0.5, 0.99, 4)
+        entries[0] = draw(st.sampled_from([0.99, -0.99, 0.9, -0.5]))
+        dim = draw(st.integers(1, 4))
+        return OperatorSpec(KIND_DIAGONAL, dim, entries[:dim], tag), horizon
+    if kind == "jordan":
+        dim = draw(st.integers(2, 3))
+        lam = rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 0.95)
+        return OperatorSpec(KIND_DENSE, dim, lam * np.eye(dim) + np.eye(dim, k=1), tag), horizon
+    dim = draw(st.sampled_from([1, 2, 3, 4, 33, 34, 35, 36]))
+    mat = rng.standard_normal((dim, dim))
+    mat *= rng.uniform(0.7, 0.99) / np.max(np.abs(np.linalg.eigvals(mat)))
+    return OperatorSpec(KIND_DENSE, dim, mat, "l2"), horizon
+
+
+@given(_moving_tails(), st.booleans(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_tail_brackets_decide_as_a_forced_walk(case, basis, data):
+    # Every tail bracket holds the radius folded exactly.  Tolerances are
+    # drawn at both ends of the brackets (2 * lower and 2 * upper, one ulp
+    # to either side) and at the folded diameters, so the tails are folded
+    # as often as decided.  Every serialized verdict equals that of a forced
+    # walk.
+    spec, horizon = case
+    probes = basis_probes(spec.dim, spec.norm_tag) if basis else default_probes(spec)
+    ue_horizon = min(256, horizon)
+    brackets = []
+
+    def bracketing(scan, norms, tolerance):
+        lower, upper = _tail_radius(scan, norms, 0.0)  # 2 * lower >= 0 decides
+        radius = _tail_radius(scan, norms, np.nan)[0]
+        assert np.all(lower <= radius) and np.all(radius <= upper)
+        brackets.append((lower, upper))
+        return _tail_radius(scan, norms, tolerance)
+
+    with mock.patch.object(ergorank.classify, "_tail_radius", bracketing):
+        check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+    with _walking():
+        walked = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+    tols = {2.0 * float(np.max(v)) for bracket in brackets for v in bracket}
+    for v in (walked.ergodic, walked.uniformly_ergodic):
+        if v.evidence["tail_diameter_ub"] is not None:
+            tols.add(float(np.max(v.evidence["tail_diameter_ub"])))
+    near = sorted(float(np.nextafter(x, d)) for x in tols for d in (-np.inf, x, np.inf))
+    tol = data.draw(st.sampled_from([x for x in near if 0.0 < x < np.inf] or [1e-2]))
+    got = check_families(spec, probes, horizon, tol, 1e3, ue_horizon)
+    with _walking():
+        want = check_families(spec, probes, horizon, tol, 1e3, ue_horizon)
+    assert _serialized(got) == _serialized(want)
 
 
 class _Walks:
@@ -614,51 +676,66 @@ class _Walks:
         return sum(rewalk for rewalk, _ in self.walks)
 
 
-#: Re-walks of the (ergodic, uniformly ergodic) tail when the pass keeps one
-#: mean: none where the envelope bounds the kept radius, one where the
-#: unkept tail holds the maximum, and one for the exact-SVD reader (dense l2
-#: at dim <= 32), which is not monotone in the bits and never takes the
-#: shortcut.  A tail that is stationary from its start (zero(4) from
-#: s = 2, the identity from s = 2) is read off the closed form, with no walk.
-_ENVELOPE_CASES = {
+#: Re-walks of the (ergodic, uniformly ergodic) tail at tolerance 1e-2: one
+#: where the bracket straddles the tolerance, none where it decides.  The
+#: tails of scalar(-1.0) start at A_150 = 0 = A_300, so their lower end is
+#: 0 and their upper end 1/151; rotation(1.0)'s envelope mixes the means of
+#: different steps.  A tail that is stationary from its start (zero(4) and
+#: the identity from s = 2) is never walked again: its fold reads the
+#: closed form.
+_REWALK_CASES = {
     "zero": (0, 0),
     "monotone diagonal": (0, 0),
-    "scalar -1, maximum past the kept mean": (1, 1),
+    "scalar -1, maximum past A_t": (1, 1),
     "rotation": (1, 1),
     "identity": (0, 0),
-    "dense l2 above the exact dim": (1, 0),
+    "dense l2 above the exact dim": (0, 0),
 }
 
 
-@pytest.mark.parametrize("name", _ENVELOPE_CASES)
-def test_the_envelope_skips_the_tail_re_run_only_when_it_bounds_the_kept_radius(monkeypatch, name):
+@pytest.mark.parametrize("name", _REWALK_CASES)
+def test_only_a_straddling_tail_is_walked_again(monkeypatch, name):
     spec, horizon = _TAIL_CASES[name]
     probes = default_probes(spec)
     checks = [
-        (lambda: check_ergodic(spec, probes, horizon, 1e-2), probes.vectors.T),
-        (lambda: check_uniformly_ergodic(spec, horizon, 1e-2), np.eye(spec.dim)),
+        (lambda: check_ergodic(spec, probes, horizon, 1e-2), "probe"),
+        (lambda: check_uniformly_ergodic(spec, horizon, 1e-2), "dense"),
     ]
     walks = _Walks(monkeypatch)
     rewalks = []
-    for check, X in checks:
+    for check, mode in checks:
         walks.walks.clear()
-        with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", X.nbytes):
+        brackets = []
+
+        def bracketing(scan, norms, tolerance):
+            brackets.append(_tail_radius(scan, norms, 0.0))
+            return _tail_radius(scan, norms, tolerance)
+
+        with mock.patch.object(ergorank.classify, "_tail_radius", bracketing):
             assert check().evidence["tail_diameter_ub"] is not None
+        (lower, upper), = brackets
+        straddles = 2.0 * np.max(lower) < 1e-2 <= 2.0 * np.max(upper)
         rewalks.append(walks.rewalks())
-    assert tuple(rewalks) == _ENVELOPE_CASES[name]
+        assert walks.rewalks() <= straddles, mode
+    assert tuple(rewalks) == _REWALK_CASES[name]
 
 
-def test_exact_svd_radius_tracks_no_envelope():
+def test_only_the_exact_svd_widens_its_upper_ends():
+    # Dense l2 up to the exact dim reads exact SVDs, whose upper ends carry
+    # a slack; every other reader is monotone in the entries and carries
+    # none.  The exact-SVD tail tracks its envelope like any other.
     for dim in (2, _L2_EXACT_DIM):
         spec = OperatorSpec(KIND_DIAGONAL, dim, np.full(dim, 0.5), "l2")
-        assert not _mode_norms(spec, "dense").monotone
-        X = np.eye(dim)
-        with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", X.nbytes):
-            scan = _scan(spec, X, "dense", [64], 1e3, [64])[64]
-        assert scan.low is None and scan.high is None
+        assert _mode_norms(spec, "dense").slack == 2.0**-40
+        assert _mode_norms(spec, "probe").slack == 0.0
+        scan = _scan(spec, np.eye(dim), "dense", [64], 1e3, [64])[64]
+        tail = CesaroStream(spec, np.eye(dim)).means_at(range(32, 65)).values()
+        assert _same(scan.low, np.minimum.reduce(list(tail)))
     wide = OperatorSpec(KIND_DIAGONAL, _L2_EXACT_DIM + 1, np.full(_L2_EXACT_DIM + 1, 0.5), "l2")
-    assert _mode_norms(wide, "dense").monotone
-    assert not _mode_norms(wide, "probe-lb").monotone
+    assert _mode_norms(wide, "dense").slack == 0.0
+    assert _mode_norms(wide, "probe-lb").slack == 0.0
+    for tag in ("l1", "linf"):
+        assert _mode_norms(OperatorSpec(KIND_DIAGONAL, 2, [0.5, 0.5], tag), "dense").slack == 0.0
 
 
 #: Entries that stress rounding: signed zeros, subnormals, the smallest
@@ -675,7 +752,7 @@ _ENTRY = st.one_of(
     st.floats(allow_nan=False, allow_infinity=False),
 )
 
-#: (mode, tag) of every radius reader that claims monotonicity.
+#: (mode, tag) of every radius reader without a slack.
 _MONOTONE_READERS = [
     ("probe", "l1"), ("probe", "l2"), ("probe", "linf"),
     ("dense", "l1"), ("dense", "linf"), ("dense", "l2"),
@@ -700,7 +777,7 @@ def test_the_envelope_bounds_every_monotone_reader(reader, dim, p, count, pool, 
         dim = dim + _L2_EXACT_DIM if tag == "l2" else dim
         p = dim
     norms = _mode_norms(OperatorSpec(KIND_DIAGONAL, dim, np.zeros(dim), tag), mode)
-    assert norms.monotone
+    assert norms.slack == 0.0
     rng = np.random.default_rng(seed)
     stack = rng.choice(np.array(pool), (count, dim, p))
     final = rng.choice(np.array(pool), (dim, p))
@@ -716,13 +793,39 @@ def test_the_envelope_bounds_every_monotone_reader(reader, dim, p, count, pool, 
     assert np.all(read <= ub), (read, ub)
 
 
+@given(
+    st.integers(1, _L2_EXACT_DIM),
+    st.integers(1, 4),
+    st.sampled_from([1e-150, 1e-8, 1.0, 1e100]),
+    st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200)
+def test_the_envelope_bounds_the_exact_svd_within_its_slack(dim, count, scale, share, seed):
+    # Differences whose magnitudes sit one ulp under the envelope in a share
+    # of their entries, with random row signs: their true norms come within
+    # rounding of the envelope's, and the SVD of each is under that of the
+    # envelope, widened by the reader's slack.  Without the slack, some read
+    # above it (about one in ten at a share of 0.5, by up to 8 ulps).
+    norms = _mode_norms(OperatorSpec(KIND_DIAGONAL, dim, np.zeros(dim), "l2"), "dense")
+    rng = np.random.default_rng(seed)
+    envelope = scale * rng.uniform(0.0, 1.0, (dim, dim))
+    diffs = envelope * rng.uniform(size=(count, dim, dim))
+    near = rng.uniform(size=diffs.shape) < share
+    diffs[near] = np.nextafter(np.broadcast_to(envelope, diffs.shape)[near], 0.0)
+    diffs *= rng.choice([-1.0, 1.0], (count, dim, 1))
+    assert np.all(np.abs(diffs) <= envelope)
+    ub = norms.radius(envelope[None])[0] * (1.0 + norms.slack)
+    assert np.all(norms.radius(diffs) <= ub)
+
+
 def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
-    # Every tail below is longer than the keep budget; the envelope of the
-    # rest proves the kept radius, so no block is walked again.  The shift's
-    # trusted horizon, 128, is a prefix of its one identity pass to 256.
-    # The shift is nilpotent: its probe powers are null from P_256 on, so
-    # its probe pass stops at step 257 and reads the null tail [1000, 2000]
-    # off the closed form; its identity pass meets T^256 = 0 only past 256.
+    # Every tail below is bracketed off its envelope, so no block is walked
+    # again.  The shift's trusted horizon, 128, is a prefix of its one
+    # identity pass to 256.  The shift is nilpotent: its probe powers are
+    # null from P_256 on, so its probe pass stops at step 257 and reads the
+    # null tail [1000, 2000] off the closed form; its identity pass meets
+    # T^256 = 0 only past 256.
     rng = np.random.default_rng(14)
     dim = 128
     per_row = rng.permutation([3, 4] * (dim // 2))
@@ -739,7 +842,6 @@ def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
     walks = _Walks(monkeypatch)
     for spec, probe_walk in ((stochastic, horizon), (diagonal, horizon), (shift, 257)):
         probes = default_probes(spec)
-        assert (horizon // 2 + 1) * probes.vectors.nbytes > _TAIL_KEEP_BYTES
         walks.walks.clear()
         families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
         assert families.ergodic.evidence["tail_diameter_ub"] is not None
@@ -777,63 +879,70 @@ def _bench_workloads():
     return module
 
 
+
+
 def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
-    # identity(8) at the default config walks [1, 256]: its probe power is
-    # stationary from s = 2, and its tail is bracketed at the anchor.  No
-    # gallery operator at the default config, and no wide-operators input
-    # (seed 101, horizon 2 000), walks a block a second time.
+    # At the default config identity(8) and scalar(1.0) walk [1, 1] and
+    # zero(4) [2, 2]: every pass stops at its anchor (s = 2, or 3), the
+    # exact-SVD identity passes included.  The one re-walk is scalar(-1.0)'s
+    # dense tail [128, 256]: A_128 = A_256 = 0 and A_129 = I / 129, so its
+    # bracket [0, 1/129] straddles the tolerance 1e-2, and its radius is
+    # folded from a walk of 256 steps.  No wide-operators input (seeds 1
+    # and 101, horizon 2 000) walks a block a second time.
     walks = _Walks(monkeypatch)
-    check_families(*_probes("identity(8)"), 10_000, 1e-2, 1e3, 256)
-    assert walks.walks == [[False, 1], [False, 256]]
+    stationary = {"identity(8)": [1, 1], "scalar(1.0)": [1, 1], "zero(4)": [2, 2]}
     for name in built_in_gallery():
         walks.walks.clear()
         check_families(*_probes(name), 10_000, 1e-2, 1e3, 256)
-        assert len(walks.walks) == 2 and walks.rewalks() == 0, name
-    for label, spec in _bench_workloads().wide_specs(101).items():
-        walks.walks.clear()
-        check_families(spec, default_probes(spec, seed=101), 2000, 1e-2, 1e3, 256)
-        assert len(walks.walks) == 2 and walks.rewalks() == 0, label
+        if name in stationary:
+            assert walks.walks == [[False, n] for n in stationary[name]], name
+        assert walks.walks[2:] == ([[True, 256]] if name == "scalar(-1.0)" else []), name
+    spec = gallery("scalar(-1.0)")
+    scan = _scan(spec, np.eye(1), "dense", [256], 1e3, [256])[256]
+    lower, upper = _tail_radius(scan, _mode_norms(spec, "dense"), 0.0)
+    assert lower == 0.0 and upper == pytest.approx(1 / 129, rel=1e-12)
+    for seed in (1, 101):
+        for label, spec in _bench_workloads().wide_specs(seed).items():
+            walks.walks.clear()
+            check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
+            assert len(walks.walks) == 2 and walks.rewalks() == 0, (seed, label)
 
 
 @pytest.mark.parametrize("mode", ["probe", "dense"])
 def test_a_re_walked_tail_leaves_the_anchor_a_longer_tail_reads(monkeypatch, mode):
     # One pass to 6 and 64 of a nilpotent shift: P_8 = 0, so the stream is
     # stationary from s = 10, past the short tail [3, 6] and before the long
-    # tail [32, 64].  With nothing kept, the short tail is walked again (no
-    # envelope proves a radius of 0) and that walk ends before s; the long
-    # tail is still read off the anchor of the pass (bracketed in probe mode,
-    # off the closed form under the exact SVD), with no walk, whichever tail
+    # tail [32, 64].  Folded exactly (a NaN tolerance decides nothing), the
+    # short tail is walked again and that walk ends before s; the long tail
+    # is still read off the anchor of the pass, with no walk, whichever tail
     # is read first.
     spec = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
     block = lambda: np.eye(8) if mode == "dense" else default_probes(spec).vectors.T
     norms = _mode_norms(spec, mode)
-    radius = lambda scan: _tail_radius(scan, norms, 1e-2)
-    with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", 0):
-        alone = {h: radius(_scan(spec, block(), mode, [h], 1e3, [h])[h]) for h in (6, 64)}
-        walks = _Walks(monkeypatch)
-        for order in ((6, 64), (64, 6)):
-            scans = _scan(spec, block(), mode, [6, 64], 1e3, [6, 64])
-            assert scans[64].stream.anchor[2] == 10
-            for h in order:
-                walks.walks.clear()
-                assert all(_same(a, b) for a, b in zip(radius(scans[h]), alone[h])), (order, h)
-                assert walks.walks == ([[True, 6]] if h == 6 else []), (order, h)
+    radius = lambda scan: _tail_radius(scan, norms, np.nan)
+    alone = {h: radius(_scan(spec, block(), mode, [h], 1e3, [h])[h]) for h in (6, 64)}
+    walks = _Walks(monkeypatch)
+    for order in ((6, 64), (64, 6)):
+        scans = _scan(spec, block(), mode, [6, 64], 1e3, [6, 64])
+        assert scans[64].stream.anchor[2] == 10
+        for h in order:
+            walks.walks.clear()
+            assert all(_same(a, b) for a, b in zip(radius(scans[h]), alone[h])), (order, h)
+            assert walks.walks == ([[True, 6]] if h == 6 else []), (order, h)
 
 
-def test_identity_tail_past_the_budget_is_read_without_a_walk(monkeypatch):
-    # The means of identity(8) wander in their last bits, so an envelope
-    # could not prove a kept radius; but its power is stationary from s = 2,
-    # so the probe pass stops at step 1 and the whole tail is bracketed at
-    # its endpoints, with no walk.  Walked through every stationary phase,
-    # the tail is read off the closed form, and no block is walked again.
+def test_the_identity_tail_is_bracketed_without_a_walk(monkeypatch):
+    # The power of identity(8) is stationary from s = 2, so the probe pass
+    # stops at step 1 and the whole tail is bracketed at its endpoints, with
+    # no walk.  Forced, the pass walks the phase through the closed form
+    # and folds the tail off it, and no block is walked again.
     spec, probes = _probes("identity(8)")
     X = probes.vectors.T
     horizon = 10_000
-    assert (horizon // 2 + 1) * X.nbytes > _TAIL_KEEP_BYTES
     radius = reference_tail_radius(spec, X, horizon, lambda D: column_norms(D, spec.norm_tag))
     walks = _Walks(monkeypatch)
     erg = check_families(spec, probes, horizon, 1e-2, 1e3, 256).ergodic
-    assert walks.walks == [[False, 1], [False, 256]]
+    assert walks.walks == [[False, 1], [False, 1]]
     assert np.all(np.asarray(erg.evidence["tail_diameter_lb"]) <= radius)
     assert np.all(np.asarray(erg.evidence["tail_diameter_ub"]) >= 2.0 * radius)
     walks.walks.clear()
@@ -845,40 +954,43 @@ def test_identity_tail_past_the_budget_is_read_without_a_walk(monkeypatch):
     assert _bits(walked.evidence["tail_diameter_lb"]) == _bits(radius)
 
 
-@pytest.mark.parametrize("keep", [0, 1, None])
-def test_the_tail_radius_reads_a_scan_without_changing_it(keep):
-    # A second read of one scan gives the same bits, whether the radius
-    # comes from the kept means alone (the default budget), the envelope or
-    # a re-walk (no means or one kept), and the kept means stay as they were.
-    # rotation(1.0) has no stationary power, so both bounds are the radius.
+@pytest.mark.parametrize("tolerance", [1.0, np.nan], ids=["bracket", "fold"])
+def test_the_tail_radius_reads_a_scan_without_changing_it(tolerance):
+    # A second read of one scan gives the same bits, whether its bracket
+    # decides (tolerance 1) or its radius is folded from a re-walk (a NaN
+    # tolerance), and the envelope and snapshots stay as they were.
+    # rotation(1.0) has no stationary power: folded, both bounds are the
+    # radius of the reference means; decided, they hold it.
     spec, probes = _probes("rotation(1.0)")
     X = probes.vectors.T
     norms = _mode_norms(spec, "probe")
-    budget = _TAIL_KEEP_BYTES if keep is None else keep * X.nbytes
-    with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", budget):
-        scan = _scan(spec, X, "probe", [300], 1e3, [300])[300]
-    kept = [part.copy() for part in scan.kept]
-    lower, upper = _tail_radius(scan, norms, 1e-2)
-    assert [_bits(v) for v in _tail_radius(scan, norms, 1e-2)] == [_bits(lower), _bits(upper)]
-    assert len(scan.kept) == len(kept) and all(_same(a, b) for a, b in zip(scan.kept, kept))
+    scan = _scan(spec, X, "probe", [300], 1e3, [300])[300]
+    held = lambda: [scan.low, scan.high, *scan.snapshots.values()]
+    before = [v.copy() for v in held()]
+    lower, upper = _tail_radius(scan, norms, tolerance)
+    assert [_bits(v) for v in _tail_radius(scan, norms, tolerance)] == [_bits(lower), _bits(upper)]
+    assert all(_same(a, b) for a, b in zip(held(), before))
     radius = reference_tail_radius(spec, X, 300, norms.radius)
-    assert _bits(lower) == _bits(upper) == _bits(radius)
+    if np.isnan(tolerance):
+        assert _bits(lower) == _bits(upper) == _bits(radius)
+    else:
+        assert np.all(lower <= radius) and np.all(radius <= upper) and 2.0 * upper.max() < tolerance
 
 
-#: A dim-64 contraction whose powers stay nonzero past 2 000 steps, so its
-#: tail is read, not null.
-CONTRACTING_64 = OperatorSpec(KIND_DIAGONAL, 64, np.linspace(0.5, 0.99, 64), "l1")
-
-
-def test_a_tail_longer_than_the_budget_keeps_no_more_than_the_budget():
-    spec = CONTRACTING_64
-    probes = default_probes(spec)
-    X = probes.vectors.T
-    horizon = 2000
-    assert (horizon - 1000 + 1) * X.nbytes > _TAIL_KEEP_BYTES
-    scan = _scan(spec, X, "probe", [horizon], 1e3, [horizon])[horizon]
-    kept = np.concatenate(scan.kept)
-    assert _TAIL_KEEP_BYTES - X.nbytes < kept.nbytes <= _TAIL_KEEP_BYTES
+def test_a_wide_tail_holds_its_envelope_and_no_prefix_of_means():
+    # A tail scan holds two envelope blocks and a few snapshots, not a
+    # prefix of its means.  Under tracemalloc, check_families on
+    # sparse-128-l1 (seed 101, horizon 2 000) peaks at 2.8 MB; a 2 MB kept
+    # prefix of its probe tail took it to 4.8 MB.
+    spec = _bench_workloads().wide_specs(101)["sparse-128-l1"]
+    probes = default_probes(spec, seed=101)
+    tracemalloc.start()
+    try:
+        check_families(spec, probes, 2000, 1e-2, 1e3, 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3.8 * 2**20
 
 
 # -- a null tail ----------------------------------------------------------
@@ -888,8 +1000,8 @@ def test_a_tail_longer_than_the_budget_keeps_no_more_than_the_budget():
 #: before the tail [5 000, 10 000] or inside [50, 100]); zero(4)'s from P_1
 #: on; and scalar(0.5)'s only near n = 1 076, although its l2 power norms
 #: read 0 from about n = 538 (squares underflow).  The identity block of
-#: zero(4) and of scalar(0.5) under l2 is read by the exact SVD and walks
-#: the whole horizon.
+#: zero(4) and of scalar(0.5) under l2 is read by the exact SVD, and its
+#: pass stops at the anchor too.
 _NULL_CASES = {
     "left shift, null before the tail": (gallery("left_shift_l1(64)"), 10_000, 256),
     "left shift, null inside the tail": (gallery("left_shift_l1(64)"), 100, 100),
@@ -924,12 +1036,11 @@ def _first_hit(tops, cap):
 
 @pytest.mark.parametrize("name", _NULL_CASES)
 def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
-    # The pass stops at s - 1 where its readers are monotone; the running
-    # maxima, hits, steps, snapshots and bounds are still those of every
-    # step, and so is the tail radius, the lower end of its bracket (a null
-    # |A_n - A_N| falls entrywise with n); a re-walk of a tail that starts
-    # before s stops at s - 1 (keep budgets 0 and 1), under the exact SVD
-    # too.
+    # The pass stops at s - 1 in every mode; the running maxima, hits,
+    # steps, snapshots and bounds are still those of every step.  The tail
+    # bracket holds the radius, and folded exactly (a NaN tolerance) it is
+    # the radius; the fold's re-walk of a tail that starts before s stops
+    # at s - 1, under the exact SVD too.
     spec, horizon, ue_horizon = _NULL_CASES[name]
     probes = default_probes(spec)
     probes = ProbeSet(probes.vectors[[0, -2, -1]], spec.norm_tag, "oracle")
@@ -940,17 +1051,15 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
         ref = _reference_pass(spec, X, mode, h)
         norms = _mode_norms(spec, mode)
         radius = reference_tail_radius(spec, X, h, norms.radius)
-        skips = _mode_norms(spec, mode).monotone and ref["s"] is not None and ref["s"] <= h
+        skips = ref["s"] is not None and ref["s"] <= h
         skipped += skips
         cap = 0.5 * ref["means"].max()
-        for keep in (0, 1, None):
-            budget = _TAIL_KEEP_BYTES if keep is None else keep * X.nbytes
-            with mock.patch.object(ergorank.classify, "_TAIL_KEEP_BYTES", budget):
-                scan = _scan(spec, X, mode, [h], cap, [h])[h]
+        for tolerance in (1e-2, np.nan):
+            scan = _scan(spec, X, mode, [h], cap, [h])[h]
             assert (scan.steps, scan.diverged_at) == (h, None)
             assert scan.walked == (ref["s"] - 1 if skips else h)
             running = np.maximum.accumulate
-            assert _same(running(scan.means), running(ref["means"])), (mode, keep)
+            assert _same(running(scan.means), running(ref["means"])), mode
             assert _same(scan.means[: scan.walked], ref["means"][: scan.walked])
             n = _first_hit(ref["means"], cap)
             assert scan.mean_hit[0] == n + 1
@@ -959,15 +1068,17 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
                 assert _same(scan.powers, ref["powers"])
                 m = _first_hit(ref["powers"], cap)
                 assert scan.power_hit[0] == m and _same(scan.power_hit[1], ref["power_norms"][m])
-            assert scan.snapshots.keys() == {*_dyadic_scales(h), h}
+            assert scan.snapshots.keys() == {*_dyadic_scales(h), h, h // 2}
             assert all(_same(A, ref["A"][n]) for n, A in scan.snapshots.items())
             walks.walks.clear()
-            lower, upper = _tail_radius(scan, norms, 1e-2)
-            assert _same(lower, radius) and np.all(upper >= radius), (mode, keep)
-            # A re-walk stops before the anchor, with the null skip or without.
-            end = ref["s"] - 1 if ref["s"] is not None and ref["s"] <= h else h
+            lower, upper = _tail_radius(scan, norms, tolerance)
+            assert np.all(lower <= radius) and np.all(upper >= radius), (mode, tolerance)
+            if np.isnan(tolerance):
+                assert _same(lower, radius) and _same(upper, radius), mode
+            # A re-walk stops before the anchor.
+            end = ref["s"] - 1 if skips else h
             assert all(steps == end for _, steps in walks.walks)
-    assert skipped == (1 if spec.norm_tag == "l2" else 2)
+    assert skipped == 2
     families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
     ref = _reference_pass(spec, probes.vectors.T, "probe", horizon)
     pb, cb, erg = families[:3]
@@ -1002,21 +1113,20 @@ def test_the_null_skip_reads_the_bits_of_the_power_not_its_norms():
     assert (scan.walked, scan.stream.anchor[2]) == (null + 1, null + 2)
 
 
-def test_a_pass_stops_at_its_anchor_unless_the_exact_svd_reads_it(monkeypatch):
+def test_a_pass_stops_at_its_anchor_in_every_mode(monkeypatch):
     # A nilpotent shift under l2: the probe pass stops after T P_8 = P_8 = 0,
-    # but the dense pass at dim <= 32 reads exact SVDs, whose bits need not
-    # follow the entries, and walks on.  A stationary power that is not
-    # null stops a pass too: identity(8) and scalar(1.0) keep P = X from
-    # s = 2, so their probe passes walk one step of 10 000 and decide every
-    # verdict from the phase's endpoints; their identity blocks are read by
-    # the exact SVD.  sparse-256-linf of wide-operators (seed 101) reaches
-    # its anchor at s = 908 of 2 000, and its probe pass stops there.
+    # and so does the dense pass at dim <= 32, whose exact SVDs bracket the
+    # phase within their slack.  A stationary power that is not null stops
+    # a pass too: identity(8) and scalar(1.0) keep P = X from s = 2, so
+    # their probe and identity passes walk one step and decide every verdict
+    # from the phase's endpoints.  sparse-256-linf of wide-operators (seed
+    # 101) reaches its anchor at s = 908 of 2 000, and its probe pass stops
+    # there.
     shift = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
-    assert not _mode_norms(shift, "dense").monotone
-    probe = _scan(shift, np.eye(8), "probe", [300], 1e3, [300])[300]
-    assert (probe.steps, probe.walked, probe.stream.anchor[2]) == (300, 9, 10)
-    dense = _scan(shift, np.eye(8), "dense", [300], 1e3, [300])[300]
-    assert (dense.steps, dense.walked, dense.stream.anchor[2]) == (300, 300, 10)
+    assert _mode_norms(shift, "dense").slack > 0.0
+    for mode in ("probe", "dense"):
+        scan = _scan(shift, np.eye(8), mode, [300], 1e3, [300])[300]
+        assert (scan.steps, scan.walked, scan.stream.anchor[2]) == (300, 9, 10), mode
     walks = _Walks(monkeypatch)
     sparse = _bench_workloads().wide_specs(101)["sparse-256-linf"]
     cases = [(*_probes("identity(8)"), 10_000), (*_probes("scalar(1.0)"), 10_000),
@@ -1025,7 +1135,7 @@ def test_a_pass_stops_at_its_anchor_unless_the_exact_svd_reads_it(monkeypatch):
         walks.walks.clear()
         families = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
         s = _scan(spec, probes.vectors.T, "probe", [horizon], 1e3)[horizon].stream.anchor[2]
-        assert walks.walks[:2] == [[False, s - 1], [False, 256]], spec
+        assert walks.walks[:2] == [[False, s - 1], [False, 1 if s == 2 else 256]], spec
         assert s == (908 if spec is sparse else 2)
         for v in families[:3]:
             assert (v.evidence["steps"], v.evidence["diverged"]) == (horizon, False)
@@ -1179,8 +1289,8 @@ def test_families_match_the_single_checks():
 
 def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):
     # At most one shared pass plus one re-walk of the tail, up to its last
-    # walked mean, and only when the pass kept too little of it.  The checks
-    # used to walk the full horizon about five times.
+    # walked mean, and only when its bracket straddles the tolerance.  The
+    # checks used to walk the full horizon about five times.
     spec, probes = _probes("left_shift_l1(64)")
     real = ergorank.cesaro.apply_columns
     widths = []
@@ -1195,13 +1305,16 @@ def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["rotation(1.0)", "scalar(-1.0)"])
-def test_families_walk_the_horizon_once_when_the_tail_is_kept(monkeypatch, name):
-    # The probe pass keeps the whole tail [1000, 2000] of these small blocks,
-    # so the tail radius walks no block again: one walk per block.
+def test_families_walk_each_block_once_unless_a_tail_straddles(monkeypatch, name):
+    # The brackets of the probe tails [1000, 2000] decide, so one walk per
+    # block serves them.  The dense tail [32, 64] of scalar(-1.0) starts at
+    # A_32 = 0 = A_64, and its bracket [0, 1/33] straddles the tolerance, so
+    # that block alone is walked again.
     spec, probes = _probes(name)
     walks = _Walks(monkeypatch)
     check_families(spec, probes, 2000, 1e-2, 1e3, 64)
-    assert walks.walks == [[False, 2000], [False, 64]]
+    again = [[True, 64]] if name == "scalar(-1.0)" else []
+    assert walks.walks == [[False, 2000], [False, 64], *again]
 
 
 # -- verdict plumbing ----------------------------------------------------

@@ -150,6 +150,57 @@ def test_analyze_cache_is_keyed_on_the_package_sources(tmp_path, capsys, monkeyp
     assert len(os.listdir(_cache_dir())) == 2
 
 
+def _without_timings(text):
+    report = canonical_loads(text)
+    return report.pop("timings"), canonical_dumps(report)
+
+
+def test_an_unwritable_cache_does_not_lose_the_report(tmp_path, capsys, monkeypatch):
+    # A regular file where the cache directory should be: the report is
+    # still emitted, with one warning line, and the exit code is 0.
+    spec_path = _write_spec(tmp_path, "zero(4)")
+    assert main(["analyze", spec_path, "--no-cache", *ANALYZE_FAST]) == 0
+    _, want = _without_timings(capsys.readouterr().out)
+    blocker = tmp_path / "not-a-dir"
+    blocker.write_text("")
+    monkeypatch.setenv("ERGORANK_CACHE_DIR", str(blocker))
+    assert main(["analyze", spec_path, *ANALYZE_FAST]) == 0
+    captured = capsys.readouterr()
+    assert _without_timings(captured.out)[1] == want
+    assert captured.err.startswith("warning: analyze cache not written:")
+    assert captured.err.count("\n") == 1
+
+
+_FOREIGN_ENTRIES = {
+    "list": [],
+    "object": {"a": 1},
+    "other config": "tolerance",
+}
+
+
+@pytest.mark.parametrize("entry", _FOREIGN_ENTRIES.values(), ids=_FOREIGN_ENTRIES.keys())
+def test_the_cache_serves_only_an_entry_that_is_this_report(tmp_path, capsys, entry):
+    # An entry that is not a report of this schema, operator and config is
+    # recomputed and overwritten, and the output equals a --no-cache run
+    # apart from timings.
+    spec_path = _write_spec(tmp_path, "zero(4)")
+    assert main(["analyze", spec_path, "--no-cache", *ANALYZE_FAST]) == 0
+    _, want = _without_timings(capsys.readouterr().out)
+    assert main(["analyze", spec_path, *ANALYZE_FAST]) == 0
+    capsys.readouterr()
+    (name,) = os.listdir(_cache_dir())
+    path = os.path.join(_cache_dir(), name)
+    if entry == "tolerance":
+        entry = canonical_loads(Path(path).read_text())
+        entry["config"]["tolerance"] *= 2
+    Path(path).write_text(canonical_dumps(entry))
+    for cached in (False, True):
+        assert main(["analyze", spec_path, *ANALYZE_FAST]) == 0
+        timings, got = _without_timings(capsys.readouterr().out)
+        assert (timings == {"cached": True}) is cached
+        assert got == want
+
+
 def test_analyze_shift_reports_section_verdict(tmp_path, capsys):
     spec_path = _write_spec(tmp_path, "left_shift_l1(64)")
     assert main(["analyze", spec_path, "--no-cache", *ANALYZE_FAST]) == 0
