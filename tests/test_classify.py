@@ -954,23 +954,40 @@ def test_the_identity_tail_is_bracketed_without_a_walk(monkeypatch):
     assert _bits(walked.evidence["tail_diameter_lb"]) == _bits(radius)
 
 
-@pytest.mark.parametrize("tolerance", [1.0, np.nan], ids=["bracket", "fold"])
-def test_the_tail_radius_reads_a_scan_without_changing_it(tolerance):
+@pytest.mark.parametrize(
+    "tolerance, read",
+    [(1.0, None), (np.nan, None), (np.nan, 0), (np.nan, 1)],
+    ids=["bracket", "fold", "0", "1"],
+)
+def test_the_tail_radius_reads_a_scan_without_changing_it(tolerance, read):
     # A second read of one scan gives the same bits, whether its bracket
     # decides (tolerance 1) or its radius is folded from a re-walk (a NaN
-    # tolerance), and the envelope and snapshots stay as they were.
-    # rotation(1.0) has no stationary power: folded, both bounds are the
-    # radius of the reference means; decided, they hold it.
-    spec, probes = _probes("rotation(1.0)")
+    # tolerance), and the envelope, snapshots and stream anchor stay as
+    # they were.  rotation(1.0) has no stationary power: folded, both
+    # bounds are the radius of the reference means; decided, they hold it.
+    # With `read` set, one pass of left_shift_l1(64) (null from s = 66)
+    # serves tails to 100 (t < s: a re-walk and the closed form) and 200
+    # (t >= s: the closed form alone); folding the radius of
+    # horizons[read] leaves the other horizon's radius as it was.
+    name, horizons = ("rotation(1.0)", [300]) if read is None else ("left_shift_l1(64)", [100, 200])
+    spec, probes = _probes(name)
     X = probes.vectors.T
     norms = _mode_norms(spec, "probe")
-    scan = _scan(spec, X, "probe", [300], 1e3, [300])[300]
-    held = lambda: [scan.low, scan.high, *scan.snapshots.values()]
-    before = [v.copy() for v in held()]
+    scans = _scan(spec, X, "probe", horizons, 1e3, horizons)
+    scan = scans[horizons[read or 0]]
+    if read is not None:
+        assert scan.stream.anchor is not None and scan.stream.anchor[2] == 66
+    held = lambda: [
+        v for s in scans.values() for v in (s.low, s.high, *s.snapshots.values(), *(s.stream.anchor or ()))
+    ]
+    before = [None if v is None else np.copy(v) for v in held()]
+    others = {h: [_bits(v) for v in _tail_radius(s, norms, tolerance)] for h, s in scans.items() if s is not scan}
     lower, upper = _tail_radius(scan, norms, tolerance)
     assert [_bits(v) for v in _tail_radius(scan, norms, tolerance)] == [_bits(lower), _bits(upper)]
     assert all(_same(a, b) for a, b in zip(held(), before))
-    radius = reference_tail_radius(spec, X, 300, norms.radius)
+    for h, bits in others.items():
+        assert [_bits(v) for v in _tail_radius(scans[h], norms, tolerance)] == bits, h
+    radius = reference_tail_radius(spec, X, scan.horizon, norms.radius)
     if np.isnan(tolerance):
         assert _bits(lower) == _bits(upper) == _bits(radius)
     else:
