@@ -17,15 +17,16 @@ dyadic scales (N/4, N/2, N) as divergence evidence.  The radius is also a
 lower bound on the diameter wherever it is read in an exact norm, so every
 tail is bracketed in [radius, 2 * radius].
 
-Every check is a reducer over one pass of `CesaroStream`, with norms
-reduced one chunk of steps at a time: per-step maxima are arrays, and the
-first step above a cap is found with `argmax`.  The scan mode (``probe``,
-``dense`` or ``probe-lb``) is the one decision that fixes how a pass reads
-its norms: `_mode_norms` gives the per-step, gap and radius readers of each
-mode.  `check_families` makes one pass per block: the probe block gives the
-power-bounded, Cesaro-bounded and ergodic verdicts, the identity block the
-dense Cesaro-bounded and every uniformly ergodic one.  No ``holds`` comes
-from a scan that the overflow guard stopped, nor from a one-index tail.
+Every check projects one reducer, `_block_verdicts`, over one pass of
+`CesaroStream` on a block, with norms reduced one chunk of steps at a time:
+per-step maxima are arrays, and the first step above a cap is found with
+`argmax`.  The scan mode (``probe`` or ``dense``) fixes how a pass reads its
+norms: `_mode_norms` gives the per-step, gap and radius readers of each.
+`check_families` makes one pass per block: the probe block gives the
+power-bounded, Cesaro-bounded and ergodic verdicts (and uniformly ergodic
+ones above `DENSE_CAP`, from probe lower bounds), the identity block the
+dense Cesaro-bounded and the other uniformly ergodic ones.  No ``holds``
+comes from a scan that the overflow guard stopped, nor from a one-index tail.
 
 One rule decides what a pass does not walk: bracket the quantity, and walk
 only when the bracket straddles the decision.  Once the stream's power is
@@ -177,28 +178,27 @@ def _check_inputs(spec: OperatorSpec, probes, probes_read=True, **positive) -> N
 
 
 class _Norms(NamedTuple):
-    """The norm readers of a scan mode; None for what the mode does not
-    read.  `slack` is the relative widening of every upper end that the
-    step or radius reader reads off an entrywise envelope."""
+    """The norm readers of a scan mode.  `slack` is the relative widening
+    of every upper end that the step or radius reader reads off an
+    entrywise envelope."""
 
-    step: Callable | None
+    step: Callable
     gap: Callable
-    radius: Callable | None
+    radius: Callable
     slack: float
 
 
 def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
-    """The step, gap and radius norm readers of a scan mode.
+    """The step, gap and radius norm readers of a scan mode, ``probe`` or
+    ``dense``; any other mode raises `ValueError`.
 
     ``probe`` reads every norm per probe column.  ``dense`` reads the
     matrices A_n: per-step and radius norms are upper bounds (exact but for
-    l2 above `_L2_EXACT_DIM`), the dyadic gaps exact lower bounds.
-    ``probe-lb`` reads only gaps, as the largest probe column, itself a
-    lower bound on the operator norm.  The radius is exact exactly when it
-    is the gap reader.  The step and radius readers take a chunk's
-    (count, dim, p) stack of means and give one row of norms per step (one
-    norm per row in ``dense`` mode); the gap reader reads the stack of the
-    three dyadic differences alike (one norm each in ``probe-lb`` mode).
+    l2 above `_L2_EXACT_DIM`), the dyadic gaps exact lower bounds.  The
+    radius is exact exactly when it is the gap reader.  The step and radius
+    readers take a chunk's (count, dim, p) stack of means and give one row
+    of norms per step (one norm per row in ``dense`` mode); the gap reader
+    reads the stack of the three dyadic differences alike.
 
     A bracket's upper end is the norm of an envelope E >= |D| entry by
     entry.  Every step and radius reader but the exact SVD is a fixed order
@@ -213,9 +213,8 @@ def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
     if mode == "probe":
         cols = lambda X: column_norms(X, tag)
         return _Norms(cols, cols, cols, 0.0)
-    if mode == "probe-lb":
-        widest = lambda X: np.maximum.reduce(column_norms(X, tag), axis=-1)
-        return _Norms(None, widest, None, 0.0)
+    if mode != "dense":
+        raise ValueError(f"unknown scan mode {mode!r}, expected probe or dense")
     exact = lambda X: matrix_norm(X, tag)
     radius, slack = exact, 0.0
     if tag == "l2" and spec.dim > _L2_EXACT_DIM:
@@ -234,19 +233,19 @@ class _Scan:
 
     `means` holds the mean-norm maxima for n = 1..steps and `mean_hit` the
     first step above the cap as (n, norms, A_n); `powers` holds the
-    power-norm maxima for m = 0..steps and `power_hit` (m, norms).  Maxima
-    are None when unread, hits when no step crossed the cap.  `snapshots`
-    maps the dyadic scales and the horizon N to A_n, and on a tail scan the
-    tail's start t = max(1, N//2) too.  The stream produced `walked` of the
-    `steps`; past them the phase is stationary and was decided from its
-    bracket (see `_scan`): `powers` holds the stationary power's maximum,
-    `means` the upper end of the phase's bracket, which leaves the running
-    maximum, the status and the bound as a walk would, and the snapshots
-    come from the closed form.  On a tail scan, `low` and `high` bound the
-    walked means from t to min(N, s - 1) entry by entry, s the stream's
-    anchor (see `_tail_radius`).  These are complete only on a scan that
-    reached N, and all are copies, since the stream reuses its chunk
-    buffers.
+    power-norm maxima for m = 0..steps (None in ``dense`` mode) and
+    `power_hit` (m, norms); a hit is None when no step crossed the cap.
+    `snapshots` maps the dyadic scales and the horizon N to A_n, and on a
+    tail scan the tail's start t = max(1, N//2) too.  The stream produced
+    `walked` of the `steps`; past them the phase is stationary and was
+    decided from its bracket (see `_scan`): `powers` holds the stationary
+    power's maximum, `means` the upper end of the phase's bracket, which
+    leaves the running maximum, the status and the bound as a walk would,
+    and the snapshots come from the closed form.  On a tail scan, `low` and
+    `high` bound the walked means from t to min(N, s - 1) entry by entry, s
+    the stream's anchor (see `_tail_radius`).  These are complete only on a
+    scan that reached N, and all are copies, since the stream reuses its
+    chunk buffers.
     """
 
     stream: CesaroStream
@@ -324,12 +323,11 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     uppers = {}  # per decided phase, the upper end that stands for its mean maxima
     for chunk in stream.chunks(horizon):
         first, count = chunk.first, len(chunk.means)
-        if step_norm is not None:
-            norms = step_norm(chunk.means)
-            tops = np.maximum.reduce(norms, axis=-1)
-            means.append(tops)
-            if mean_hit is None and (i := _first_above(tops, bound_cap)) is not None:
-                mean_hit = (first + i, norms[i].copy(), chunk.means[i].copy())
+        norms = step_norm(chunk.means)
+        tops = np.maximum.reduce(norms, axis=-1)
+        means.append(tops)
+        if mean_hit is None and (i := _first_above(tops, bound_cap)) is not None:
+            mean_hit = (first + i, norms[i].copy(), chunk.means[i].copy())
         if mode == "probe":
             if first == 1:  # T^0 X = A_1 X
                 powers.append(tops[:1])
@@ -357,7 +355,7 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
         if stream.anchor is not None and first + count == s:  # the anchor's chunk ends at s - 1
             through = s - 1
             phase = [h for h in scans if h > through]
-            if step_norm is not None and phase:
+            if phase:
                 top = max(float(m.max()) for m in means)  # the running maximum at s - 1
                 A = stream.closed_form([s, *phase])
                 bracket = _phase_bracket(step_norm, (A[:1], A[1:]), (A[:1], A[1:]), stream.anchor[1], slack)
@@ -378,15 +376,14 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
         if powers:  # every power past the walk is P
             top = _power_norms(stream.anchor[1][None], spec.norm_tag)[1][0]
             powers.append(np.full(horizon - last, top))
-    means = np.concatenate(means) if means else None
+    means = np.concatenate(means)
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
         scan.steps, scan.walked = min(h, reached), min(h, last)
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
-        if means is not None:
-            scan.means = means[: scan.walked]
-            if scan.walked < scan.steps:
-                scan.means = np.concatenate([scan.means, np.full(h - last, uppers[h])])
+        scan.means = means[: scan.walked]
+        if scan.walked < scan.steps:
+            scan.means = np.concatenate([scan.means, np.full(h - last, uppers[h])])
         scan.powers = None if powers is None else powers[: scan.steps + 1]
         scan.mean_hit = mean_hit if mean_hit and mean_hit[0] <= scan.steps else None
         scan.power_hit = power_hit if power_hit and power_hit[0] <= scan.steps else None
@@ -489,64 +486,35 @@ def _tail_holds(horizon: int, diameter_ub: float, tolerance: float) -> bool:
 # -- bounded families ----------------------------------------------------
 
 
-def _bounded_verdict(family, values, first, scan, witness, label, evidence) -> Verdict:
-    """holds with the integer bound when every step stayed under the cap
-    and the scan reached the horizon; fails on sustained growth (or
-    overflow) above the cap; inconclusive otherwise."""
-    overall = float(values.max())
-    diverged = scan.diverged_at is not None
+def _bounded_verdict(family, scan, mode, label) -> Verdict:
+    """Power-bounded or Cesaro-bounded off one scan in `mode`: holds with
+    the integer bound when every step stayed under the cap and the scan
+    reached the horizon; fails on sustained growth (or overflow) above the
+    cap, witnessed by the first probe above it at the first step that
+    crossed it; inconclusive otherwise.  A ``dense`` scan reads upper
+    bounds, so its ``fails`` also needs the exact norm of that first mean
+    above the cap."""
+    if family == FAMILY_POWER_BOUNDED:
+        values, first, hit, key, shown = scan.powers, 0, scan.power_hit, "power", {}
+    else:
+        values, first, hit, key, shown = scan.means, 1, scan.mean_hit, "n", {"mode": mode}
+    cap, overall, diverged = scan.cap, float(values.max()), scan.diverged_at is not None
     evidence = {
-        "max": overall, **evidence, "diverged": diverged, "steps": scan.steps,
-        "walked": scan.walked,
+        "max": overall, **shown, "diverged": diverged, "steps": scan.steps, "walked": scan.walked,
     }
-    if overall <= scan.cap and not diverged:
-        return Verdict(
-            family, HOLDS, scan.horizon, None, _int_bound(overall), None, label, evidence
-        )
-    if _growth_fails(values, first, scan.cap, diverged):
-        return Verdict(family, FAILS, scan.horizon, None, None, witness, label, evidence)
-    return Verdict(family, INCONCLUSIVE, scan.horizon, None, None, None, label, evidence)
-
-
-def _probe_witness(hit: tuple | None, cap: float, step_key: str) -> dict | None:
-    """The first probe above the cap at the first step that crossed it."""
-    if hit is None:
-        return None
-    step, norms = hit[:2]
-    probe = int(np.argmax(norms > cap))
-    return {"probe": probe, step_key: step, "value": float(norms[probe]), "cap": cap}
-
-
-def _pb_verdict(scan: _Scan, label: str) -> Verdict:
-    witness = _probe_witness(scan.power_hit, scan.cap, "power")
-    return _bounded_verdict(FAMILY_POWER_BOUNDED, scan.powers, 0, scan, witness, label, {})
-
-
-def _cb_probe_verdict(scan: _Scan, label: str) -> Verdict:
-    witness = _probe_witness(scan.mean_hit, scan.cap, "n")
-    if witness is not None:
-        witness = {"mode": "probe", **witness}
-    return _bounded_verdict(
-        FAMILY_CESARO_BOUNDED, scan.means, 1, scan, witness, label, {"mode": "probe"}
-    )
-
-
-def _cb_dense_verdict(spec: OperatorSpec, scan: _Scan) -> Verdict:
-    """Cesaro-bounded from a dense scan.  Its mean norms are upper bounds,
-    so ``fails`` needs the first mean above the cap confirmed by a norm
-    lower bound, and is inconclusive when the lower bound does not clear
-    the cap."""
-    verdict = _bounded_verdict(
-        FAMILY_CESARO_BOUNDED, scan.means, 1, scan, None, None, {"mode": "dense"}
-    )
-    if verdict.status == FAILS:
-        n, _, A = scan.mean_hit
-        lb = matrix_norm(A, spec.norm_tag)
-        if lb > scan.cap:
-            verdict.witness = {"mode": "dense", "n": n, "value": lb, "cap": scan.cap}
-        else:
-            verdict.status = INCONCLUSIVE
-    return verdict
+    status, bound, witness = INCONCLUSIVE, None, None
+    if overall <= cap and not diverged:
+        status, bound = HOLDS, _int_bound(overall)
+    elif _growth_fails(values, first, cap, diverged):
+        if mode == "probe":
+            status = FAILS
+            if hit is not None:
+                step, norms = hit[:2]
+                probe = int(np.argmax(norms > cap))
+                witness = {**shown, "probe": probe, key: step, "value": float(norms[probe]), "cap": cap}
+        elif (value := matrix_norm(hit[2], scan.stream.spec.norm_tag)) > cap:
+            status, witness = FAILS, {**shown, key: hit[0], "value": value, "cap": cap}
+    return Verdict(family, status, scan.horizon, None, bound, witness, label, evidence)
 
 
 def check_power_bounded(
@@ -557,8 +525,7 @@ def check_power_bounded(
 ) -> Verdict:
     """Scan ||T^m x|| for all probes and m = 0..horizon."""
     _check_inputs(spec, probes, horizon=horizon, bound_cap=bound_cap)
-    scan = _scan(spec, probes.vectors.T, "probe", [horizon], bound_cap)[horizon]
-    return _pb_verdict(scan, probes.label)
+    return _block_verdicts(spec, probes, "probe", [horizon], bound_cap)[FAMILY_POWER_BOUNDED][horizon]
 
 
 def _auto_mode(spec: OperatorSpec, horizon: int) -> str:
@@ -583,14 +550,11 @@ def check_cesaro_bounded(
     if mode not in ("probe", "dense"):
         raise ValueError(f"unknown mode {mode!r}, expected probe, dense, or auto")
     _check_inputs(spec, probes, mode == "probe", horizon=horizon, bound_cap=bound_cap)
-    if mode == "probe":
-        scan = _scan(spec, probes.vectors.T, "probe", [horizon], bound_cap)[horizon]
-        return _cb_probe_verdict(scan, probes.label)
-    if spec.dim > DENSE_CAP:
+    if mode == "dense" and spec.dim > DENSE_CAP:
         raise CapExceededError(
             f"dense Cesaro-bounded mode is capped at dim {DENSE_CAP} (got {spec.dim})"
         )
-    return _norm_verdicts(spec, probes, bound_cap, horizon, None, set())[0]
+    return _block_verdicts(spec, probes, mode, [horizon], bound_cap)[FAMILY_CESARO_BOUNDED][horizon]
 
 
 # -- the Cauchy tail: ergodic and uniformly ergodic ----------------------
@@ -603,9 +567,14 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     diverged scan; fails on a persistent dyadic gap (per probe in ``probe``
     mode, one value at norm level); holds only when `cb` holds and the
     certified diameter 2 * radius is below the tolerance.  Norms come from
-    `_mode_norms`; a mode without a radius reader never holds.
+    `_mode_norms`.  Uniform ergodicity off a ``probe`` scan (above
+    `DENSE_CAP`) is read in ``probe-lb`` mode: each gap is its widest probe
+    column, a lower bound on the norm; with no upper bound on a mean it
+    never holds, so it takes no gate and reads no radius.
     """
     norms = _mode_norms(scan.stream.spec, mode)
+    if family == FAMILY_UNIFORMLY_ERGODIC and mode == "probe":
+        mode, cb = "probe-lb", None
     scales = _dyadic_scales(scan.horizon)
     evidence = {
         "mode": mode,
@@ -629,6 +598,8 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
         return verdict(INCONCLUSIVE)
     gaps = _gaps(scan.snapshots, scales, norms.gap)
     if gaps is not None:
+        if mode == "probe-lb":
+            gaps = np.maximum.reduce(gaps, axis=-1)
         # One row (g1, g2, g3) per probe, or a single row at norm level.
         gaps = evidence["dyadic_gaps"] = np.atleast_2d(gaps.T).tolist()
     witness = _dyadic_gap_witness(gaps, scales, tolerance)
@@ -637,7 +608,7 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
             witness["mode"] = mode
             del witness["probe"]
         return verdict(FAILS, witness)
-    if norms.radius is None:
+    if mode == "probe-lb":
         return verdict(INCONCLUSIVE)
     lower, upper = _tail_radius(scan, norms, tolerance)
     diam_ub = 2.0 * upper
@@ -668,16 +639,8 @@ def check_ergodic(
     tolerance.
     """
     _check_inputs(spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap)
-    return _probe_families(spec, probes, horizon, tolerance, bound_cap)[2]
-
-
-def _probe_families(spec, probes, horizon, tolerance, bound_cap):
-    """Power-bounded, probe-mode Cesaro-bounded and ergodic verdicts, all
-    read off one probe pass (and any tail re-walk of `_tail_radius`)."""
-    scan = _scan(spec, probes.vectors.T, "probe", [horizon], bound_cap, [horizon])[horizon]
-    cb = _cb_probe_verdict(scan, probes.label)
-    erg = _tail_verdict(FAMILY_ERGODIC, scan, cb, tolerance, probes.label, "probe")
-    return _pb_verdict(scan, probes.label), cb, erg
+    verdicts = _block_verdicts(spec, probes, "probe", (), bound_cap, tolerance, ergodic=[horizon])
+    return verdicts[FAMILY_ERGODIC][horizon]
 
 
 # -- uniformly ergodic ---------------------------------------------------
@@ -695,36 +658,45 @@ def check_uniformly_ergodic(
     For dim <= `DENSE_CAP` the stream of the identity block gives the
     matrices A_n themselves: gaps read norm lower bounds, the tail radius
     upper bounds, and the dense Cesaro-bounded verdict gates ``holds``.
-    Above the cap only probe lower bounds on ||A_n - A_m|| are available,
-    so ``holds`` is unreachable there.
+    Above the cap it is read off the probe block in ``probe-lb`` mode: each
+    gap is the widest probe column, a lower bound on ||A_n - A_m||, and
+    with no upper bound ``holds`` is unreachable there.
     """
-    lower_bounds = spec.dim > DENSE_CAP
-    if lower_bounds and probes is None:
+    mode = "probe" if spec.dim > DENSE_CAP else "dense"
+    if mode == "probe" and probes is None:
         raise ValueError(
             f"dim {spec.dim} exceeds the dense cap {DENSE_CAP}; probes are "
             "required for the lower-bound mode"
         )
     _check_inputs(
-        spec, probes, lower_bounds, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap
+        spec, probes, mode == "probe", horizon=horizon, tolerance=tolerance, bound_cap=bound_cap
     )
-    return _norm_verdicts(spec, probes, bound_cap, None, tolerance, {horizon})[1][horizon]
-
-
-def _norm_verdicts(spec, probes, bound_cap, cb_horizon, tolerance, ue_horizons):
-    """Dense Cesaro-bounded at `cb_horizon` (None: not asked for) and uniformly
-    ergodic at each of the set `ue_horizons`, off one identity-block pass."""
-    if spec.dim > DENSE_CAP:  # no radius reader, so no tails
-        mode, X, label, tails = "probe-lb", probes.vectors.T, probes.label, ()
-    else:
-        mode, X, label, tails = "dense", np.eye(spec.dim), None, ue_horizons
-    scans = _scan(spec, X, mode, {*ue_horizons, cb_horizon} - {None}, bound_cap, tails)
-    cbs = {} if mode == "probe-lb" else {h: _cb_dense_verdict(spec, s) for h, s in scans.items()}
-    family = FAMILY_UNIFORMLY_ERGODIC
-    ues = {h: _tail_verdict(family, scans[h], cbs.get(h), tolerance, label, mode) for h in ue_horizons}
-    return cbs.get(cb_horizon), ues
+    verdicts = _block_verdicts(spec, probes, mode, (), bound_cap, tolerance, uniform=[horizon])
+    return verdicts[FAMILY_UNIFORMLY_ERGODIC][horizon]
 
 
 # -- every family from one pass ------------------------------------------
+
+
+def _block_verdicts(spec, probes, mode, horizons, bound_cap, tolerance=None, ergodic=(), uniform=()):
+    """Every verdict of one `_scan` of a block, as {family: {horizon: Verdict}}.
+
+    The pass walks the probe block (``probe``) or the identity block
+    (``dense``) to the longest of `horizons`, `ergodic` and `uniform`, and
+    gives the block's bounded verdicts at each (power-bounded off probes
+    only).  Ergodicity at each of `ergodic` and uniform ergodicity at each
+    of `uniform` are gated by the Cesaro-bounded verdict at their own
+    horizon, but for uniform ergodicity off probes (see `_tail_verdict`).
+    """
+    probe = mode == "probe"
+    X, label = (probes.vectors.T, probes.label) if probe else (np.eye(spec.dim), None)
+    scans = _scan(spec, X, mode, {*horizons, *ergodic, *uniform}, bound_cap, ergodic if probe else uniform)
+    bounded = (FAMILY_POWER_BOUNDED, FAMILY_CESARO_BOUNDED) if probe else (FAMILY_CESARO_BOUNDED,)
+    verdicts = {f: {h: _bounded_verdict(f, s, mode, label) for h, s in scans.items()} for f in bounded}
+    cbs = verdicts[FAMILY_CESARO_BOUNDED]
+    for family, tails in ((FAMILY_ERGODIC, ergodic), (FAMILY_UNIFORMLY_ERGODIC, uniform)):
+        verdicts[family] = {h: _tail_verdict(family, scans[h], cbs[h], tolerance, label, mode) for h in tails}
+    return verdicts
 
 
 class FamilyVerdicts(NamedTuple):
@@ -751,19 +723,28 @@ def check_families(
     (probe mode) and ergodic, with any tail re-walk of `_tail_radius`; the
     identity block gives Cesaro-bounded in dense mode, when ``auto`` picks
     it, and uniform ergodicity at the trusted horizon, and at `ue_horizon`
-    too when that is longer.
+    too when that is longer (off the probe block above `DENSE_CAP`).
     """
     _check_inputs(
         spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap,
         ue_horizon=ue_horizon,
     )
-    # The probe pass's snapshots are released before the identity pass starts.
-    pb, cb, erg = _probe_families(spec, probes, horizon, tolerance, bound_cap)
-    cb_horizon = horizon if _auto_mode(spec, horizon) == "dense" else None
     trusted = trusted_horizon(spec, ue_horizon)
-    dense_cb, ues = _norm_verdicts(spec, probes, bound_cap, cb_horizon, tolerance, {trusted, ue_horizon})
-    section = ues[ue_horizon] if trusted < ue_horizon else None
-    return FamilyVerdicts(pb, dense_cb or cb, erg, ues[trusted], section)
+    ues, wide = {trusted, ue_horizon}, spec.dim > DENSE_CAP
+    dense = _auto_mode(spec, horizon) == "dense"
+    # The probe pass's snapshots are released before the identity pass starts.
+    probe = _block_verdicts(spec, probes, "probe", (), bound_cap, tolerance, [horizon], ues if wide else ())
+    norm = probe if wide else _block_verdicts(
+        spec, probes, "dense", [horizon] if dense else (), bound_cap, tolerance, (), ues
+    )
+    ue = norm[FAMILY_UNIFORMLY_ERGODIC]
+    return FamilyVerdicts(
+        probe[FAMILY_POWER_BOUNDED][horizon],
+        (norm if dense else probe)[FAMILY_CESARO_BOUNDED][horizon],
+        probe[FAMILY_ERGODIC][horizon],
+        ue[trusted],
+        ue[ue_horizon] if trusted < ue_horizon else None,
+    )
 
 
 # -- witness replay ------------------------------------------------------
@@ -794,6 +775,9 @@ def replay_witness(
     family = verdict.family
     if "inherited_from" in w:
         family = w.pop("inherited_from")
+    mode = w.get("mode", "probe")
+    if mode not in ("probe", "dense", "probe-lb"):
+        raise ValueError(f"unrecognized witness shape for family {family}: {w}")
     if "probe" in w and probes is None:
         raise ValueError("this witness references a probe; pass the probe set")
     tag = spec.norm_tag
@@ -809,7 +793,7 @@ def replay_witness(
         return value, value > w["cap"]
 
     if family == FAMILY_CESARO_BOUNDED:
-        if w["mode"] == "probe":
+        if mode == "probe":
             mean = _mean_at(spec, w["n"], probes[w["probe"]][:, None])
             value = float(column_norms(mean, tag)[0])
         else:
@@ -818,17 +802,17 @@ def replay_witness(
 
     if "scales" in w:
         scales = w["scales"]
-        mode = w.get("mode", "probe")
         if mode == "dense":
             X = np.eye(spec.dim)
         elif probes is None:
             raise ValueError("this witness references probes; pass the probe set")
         else:
             X = probes.vectors.T if mode == "probe-lb" else probes[w["probe"]][:, None]
-        g = _gaps(CesaroStream(spec, X).means_at(scales), scales, _mode_norms(spec, mode).gap)
+        norm = _mode_norms(spec, "dense" if mode == "dense" else "probe").gap
+        g = _gaps(CesaroStream(spec, X).means_at(scales), scales, norm)
         if g is None:
             raise ValueError("the means stop before the witness scales: the powers overflow")
-        g = [float(np.max(v)) for v in g]
+        g = [float(np.max(v)) for v in g]  # the widest probe column in ``probe-lb`` mode
         violates = min(g) > w["threshold"] and g[1] >= DECAY_RATIO * g[0]
         return float(min(g)), violates
 

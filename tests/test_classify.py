@@ -351,9 +351,9 @@ _SCALES = st.one_of(
 
 
 @st.composite
-def _small_specs(draw):
+def _small_specs(draw, max_dim=6):
     kind = draw(st.sampled_from(["dense", "diagonal", "shift", "rotation"]))
-    dim = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, max_dim))
     tag = draw(st.sampled_from(["l1", "l2", "linf"]))
     scale = draw(_SCALES)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
@@ -423,7 +423,7 @@ def _prefix_cases(draw):
     diagonal, whose norms often cross a cap of 3 between the two horizons;
     or a diagonal whose powers overflow one step before, at, or one step
     after the shorter horizon."""
-    mode = draw(st.sampled_from(["probe", "dense", "probe-lb"]))
+    mode = draw(st.sampled_from(["probe", "dense"]))
     case = draw(st.sampled_from(["small", "growing", "overflowing"]))
     short = draw(st.integers(1, 40))
     if case == "small":
@@ -452,14 +452,12 @@ def _block(spec, mode):
 @given(_prefix_cases(), st.sampled_from(["both", "short", "long"]))
 @settings(max_examples=150)
 def test_each_horizon_of_a_pass_leaves_the_scan_of_its_own_pass(case, tailed):
-    # Whether a pass serves the tails of both horizons or of one (in a mode
-    # with a radius reader), each horizon gets the scan, tail envelope
-    # included, of a pass to it alone.
+    # Whether a pass serves the tails of both horizons or of one, each
+    # horizon gets the scan, tail envelope included, of a pass to it alone.
     spec, mode, short, long = case
     X = _block(spec, mode)
     norms = _mode_norms(spec, mode)
     tails = {"both": {short, long}, "short": {short}, "long": {long}}[tailed]
-    tails = tails if norms.radius is not None else set()
     for capacity in (1, 2, 3, None):
         with _chunk_capacity(capacity):
             both = _scan(spec, X, mode, {short, long}, 3.0, tails)
@@ -733,9 +731,32 @@ def test_only_the_exact_svd_widens_its_upper_ends():
         assert _same(scan.low, np.minimum.reduce(list(tail)))
     wide = OperatorSpec(KIND_DIAGONAL, _L2_EXACT_DIM + 1, np.full(_L2_EXACT_DIM + 1, 0.5), "l2")
     assert _mode_norms(wide, "dense").slack == 0.0
-    assert _mode_norms(wide, "probe-lb").slack == 0.0
     for tag in ("l1", "linf"):
         assert _mode_norms(OperatorSpec(KIND_DIAGONAL, 2, [0.5, 0.5], tag), "dense").slack == 0.0
+
+
+def test_unknown_modes_are_refused():
+    # A pass reads its norms in probe or dense mode, and a witness names a
+    # mode that a verdict writes (probe-lb too); any other mode is refused,
+    # not read with dense norms.  left_shift_l1(600) fails ergodicity at 512
+    # on probe 39's dyadic gaps, jordan_1(2) uniform ergodicity on dense
+    # ones, and scalar(2.0) is not Cesaro bounded (a dense witness).
+    shift, jordan, scalar = (gallery(n) for n in ("left_shift_l1(600)", "jordan_1(2)", "scalar(2.0)"))
+    for mode in ("probe-lb", "bogus"):
+        with pytest.raises(ValueError, match="unknown scan mode"):
+            _mode_norms(shift, mode)
+    cases = [
+        (shift, lambda probes: check_ergodic(shift, probes, 512, 1e-2)),
+        (jordan, lambda probes: check_uniformly_ergodic(jordan, 256, 1e-2)),
+        (scalar, lambda probes: check_cesaro_bounded(scalar, probes, 256)),
+    ]
+    for spec, check in cases:
+        probes = default_probes(spec)
+        v = check(probes)
+        assert v.status == FAILS and replay_witness(spec, v, probes)[1], spec
+        v.witness = {**v.witness, "mode": "bogus"}
+        with pytest.raises(ValueError, match="unrecognized witness shape"):
+            replay_witness(spec, v, probes)
 
 
 #: Entries that stress rounding: signed zeros, subnormals, the smallest
@@ -906,6 +927,23 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
             walks.walks.clear()
             check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
             assert len(walks.walks) == 2 and walks.rewalks() == 0, (seed, label)
+
+
+#: Steps of the one probe pass of `check_families` above `DENSE_CAP` at
+#: horizon 2 000 and UE horizon 256: uniform ergodicity is read off that
+#: pass, and no other walk runs.  left_shift_l1(600) is null from P_600 on
+#: and stops after T P_600 = P_600; identity(600) is stationary from s = 2;
+#: jordan_1(600)'s powers overflow at step 468.
+_WIDE_FAMILY_WALKS = {"left_shift_l1(600)": 601, "identity(600)": 1, "jordan_1(600)": 468}
+
+
+def test_families_walk_the_probe_block_once_above_the_dense_cap(monkeypatch):
+    walks = _Walks(monkeypatch)
+    for name, steps in _WIDE_FAMILY_WALKS.items():
+        walks.walks.clear()
+        ue = check_families(*_probes(name), 2000, 1e-2, 1e3, 256).uniformly_ergodic
+        assert walks.walks == [[False, steps]], name
+        assert (ue.horizon, ue.evidence["mode"]) == (256, "probe-lb"), name
 
 
 @pytest.mark.parametrize("mode", ["probe", "dense"])
@@ -1290,18 +1328,51 @@ def test_overflowing_operators_check_without_runtime_warnings():
 
 # -- all families from one pass ------------------------------------------
 
+def _assert_projections(spec, probes, horizon, tolerance, ue_horizon):
+    """Every `check_families` verdict is its public check's: the same
+    serialized form, and the same steps, walked steps and divergence."""
+    families = check_families(spec, probes, horizon, tolerance, 1e3, ue_horizon)
+    trusted = trusted_horizon(spec, ue_horizon)
+    singles = [
+        check_power_bounded(spec, probes, horizon),
+        check_cesaro_bounded(spec, probes, horizon),
+        check_ergodic(spec, probes, horizon, tolerance),
+        check_uniformly_ergodic(spec, trusted, tolerance, probes=probes),
+        check_uniformly_ergodic(spec, ue_horizon, tolerance, probes=probes) if trusted < ue_horizon else None,
+    ]
+    keys = ("steps", "walked", "diverged_at")
+    for got, want in zip(families, singles, strict=True):
+        assert (got is None) == (want is None)
+        if want is not None:
+            assert got.to_json_dict() == want.to_json_dict()
+            assert [got.evidence.get(k) for k in keys] == [want.evidence.get(k) for k in keys]
+
+
 def test_families_match_the_single_checks():
     for name in ["jordan_1(2)", "left_shift_l1(64)", "scalar(2.0)", "rotation(1.0)"]:
-        spec, probes = _probes(name)
-        families = check_families(spec, probes, 1500, 1e-2, 1e3, 64)
-        singles = [
-            check_power_bounded(spec, probes, 1500),
-            check_cesaro_bounded(spec, probes, 1500),
-            check_ergodic(spec, probes, 1500, 1e-2),
-            check_uniformly_ergodic(spec, trusted_horizon(spec, 64), 1e-2, probes=probes),
-        ]
-        for got, want in zip(families, singles):
-            assert got.to_json_dict() == want.to_json_dict(), name
+        _assert_projections(*_probes(name), 1500, 1e-2, 64)
+
+
+#: Above `DENSE_CAP`: a diagonal that keeps part of its mass, and a
+#: nilpotent shift, whose trusted horizon is 256.
+_WIDE_SPECS = [
+    OperatorSpec(KIND_DIAGONAL, DENSE_CAP + 1, np.linspace(-1.0, 1.0, DENSE_CAP + 1), "l2"),
+    OperatorSpec(KIND_SHIFT, DENSE_CAP + 1, np.ones(DENSE_CAP), "l1"),
+]
+
+
+@given(
+    st.one_of(_small_specs(max_dim=5), st.sampled_from(_WIDE_SPECS)),
+    st.sampled_from([1, 2, 7, 64, 300]),
+    st.sampled_from([1, 8, 64, 300, 512]),
+    st.booleans(),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_family_verdict_is_its_public_check(spec, horizon, ue_horizon, basis):
+    # UE horizons above, at and below the horizon; above `DENSE_CAP` the
+    # uniformly ergodic verdicts share the probe pass.
+    probes = basis_probes(spec.dim, spec.norm_tag) if basis else default_probes(spec)
+    _assert_projections(spec, probes, horizon, 1e-2, ue_horizon)
 
 
 def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):

@@ -1,7 +1,7 @@
 """Golden digests of `ergorank analyze` reports on the built-in gallery,
-and on three operators above `DENSE_CAP`, where uniform ergodicity runs
-in probe lower-bound mode (a shift, the identity, and a Jordan block
-whose powers grow).
+and on three operators above `DENSE_CAP`, where uniform ergodicity is read
+off the probe pass from probe lower bounds, ``probe-lb`` in its evidence
+(a shift, the identity, and a Jordan block whose powers grow).
 
 Each digest is the sha256 of a canonical report with its `timings` block
 removed, at horizon 512 (Cesaro-bounded in dense mode under ``auto`` for
