@@ -58,7 +58,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesaro import CesaroStream, _capacity, _power_norms
+from .cesaro import CesaroStream, _capacity
 from .operators import (
     DENSE_CAP,
     KIND_SHIFT,
@@ -374,8 +374,7 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
         unread = [n for n in wanted if n > last]
         snapshots.update(zip(unread, stream.closed_form(unread)))
         if powers:  # every power past the walk is P
-            top = _power_norms(stream.anchor[1][None], spec.norm_tag)[1][0]
-            powers.append(np.full(horizon - last, top))
+            powers.append(np.full(horizon - last, powers[-1][-1]))
     means = np.concatenate(means)
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
@@ -407,12 +406,11 @@ def _gaps(snapshots, scales, norm):
     return norm(np.stack([a - b, b - c, a - c]))
 
 
-def _dyadic_gap_witness(gaps, scales, tolerance):
-    """First probe whose three dyadic gaps all exceed GAP_FACTOR * tol and
+def _dyadic_gap_witness(gaps, scales, threshold):
+    """First probe whose three dyadic gaps all exceed the threshold and
     whose second gap has not decayed below DECAY_RATIO of the first."""
     if gaps is None or scales is None:
         return None
-    threshold = GAP_FACTOR * tolerance
     for probe_idx, (g1, g2, g3) in enumerate(gaps):
         if min(g1, g2, g3) > threshold and g2 >= DECAY_RATIO * g1:
             return {
@@ -602,7 +600,7 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
             gaps = np.maximum.reduce(gaps, axis=-1)
         # One row (g1, g2, g3) per probe, or a single row at norm level.
         gaps = evidence["dyadic_gaps"] = np.atleast_2d(gaps.T).tolist()
-    witness = _dyadic_gap_witness(gaps, scales, tolerance)
+    witness = _dyadic_gap_witness(gaps, scales, GAP_FACTOR * tolerance)
     if witness is not None:
         if mode != "probe":
             witness["mode"] = mode
@@ -750,70 +748,54 @@ def check_families(
 # -- witness replay ------------------------------------------------------
 
 
-def _mean_at(spec: OperatorSpec, n: int, X: np.ndarray) -> np.ndarray:
-    """A_n X (the dense A_n when X is the identity)."""
-    means = CesaroStream(spec, X).means_at([n])
-    if n not in means:
-        raise ValueError(f"the means stop before index {n}: the powers overflow")
-    return means[n]
-
-
 def replay_witness(
     spec: OperatorSpec,
     verdict: Verdict,
     probes: ProbeSet | None = None,
 ) -> tuple[float, bool]:
-    """Recompute a ``fails`` witness from scratch.
+    """Re-run the pass that wrote a ``fails`` witness and read it again.
 
-    Returns the reproduced measurement and whether it still violates the
-    verdict's threshold.  The reproduced value matches the recorded one to
-    1e-9 (relative) whenever the witness is genuine.
+    Returns the reproduced measurement (the value, or the smallest of the
+    dyadic gaps) and whether it still violates the verdict's cap or gap
+    threshold.  The replay walks the block the pass walked, the identity for
+    a ``dense`` witness and the whole probe block for any other, and reads
+    it with the pass's norm reader, so given the verdict's own probe set a
+    genuine witness reproduces its recorded value bit for bit.  A witness
+    that reads probes refuses a set with another label, and a probe index
+    outside the set, with `ValueError`.
     """
-    if verdict.status != FAILS or verdict.witness is None:
+    w = verdict.witness
+    if verdict.status != FAILS or w is None:
         raise ValueError("replay requires a fails verdict with a witness")
-    w = dict(verdict.witness)
-    family = verdict.family
-    if "inherited_from" in w:
-        family = w.pop("inherited_from")
-    mode = w.get("mode", "probe")
-    if mode not in ("probe", "dense", "probe-lb"):
-        raise ValueError(f"unrecognized witness shape for family {family}: {w}")
-    if "probe" in w and probes is None:
-        raise ValueError("this witness references a probe; pass the probe set")
-    tag = spec.norm_tag
+    mode, step = w.get("mode", "probe"), w.get("power", w.get("n"))
+    if mode not in ("probe", "dense", "probe-lb") or step is None and "scales" not in w:
+        raise ValueError(f"unrecognized witness shape for family {verdict.family}: {w}")
+    dense = mode == "dense"
+    if not dense:
+        if probes is None or probes.label != verdict.probe_label:
+            raise ValueError(f"this witness reads the probe set {verdict.probe_label!r}; pass that set")
+        if not 0 <= w.get("probe", 0) < len(probes):
+            raise ValueError(f"witness probe {w['probe']} is outside the set of {len(probes)} probes")
+    norm = _mode_norms(spec, "dense" if dense else "probe").gap
 
-    if family == FAMILY_POWER_BOUNDED:
-        x = probes[w["probe"]][:, None]
-        value = column_norms(x, tag)[0]
-        if w["power"] > 0:
-            for chunk in CesaroStream(spec, x).chunks(w["power"]):
-                pass
-            value = chunk.power_norms[-1][0]
-        value = float(value)
-        return value, value > w["cap"]
+    def read(norms):
+        """The witness's probe column, or the widest one (the dense norm)."""
+        norms = np.asarray(norms)[..., None] if dense else norms
+        return norms[..., w["probe"]] if "probe" in w else np.maximum.reduce(norms, axis=-1)
 
-    if family == FAMILY_CESARO_BOUNDED:
-        if mode == "probe":
-            mean = _mean_at(spec, w["n"], probes[w["probe"]][:, None])
-            value = float(column_norms(mean, tag)[0])
-        else:
-            value = matrix_norm(_mean_at(spec, w["n"], np.eye(spec.dim)), tag)
-        return value, value > w["cap"]
-
+    stream = CesaroStream(spec, np.eye(spec.dim) if dense else probes.vectors.T)
     if "scales" in w:
-        scales = w["scales"]
-        if mode == "dense":
-            X = np.eye(spec.dim)
-        elif probes is None:
-            raise ValueError("this witness references probes; pass the probe set")
-        else:
-            X = probes.vectors.T if mode == "probe-lb" else probes[w["probe"]][:, None]
-        norm = _mode_norms(spec, "dense" if mode == "dense" else "probe").gap
-        g = _gaps(CesaroStream(spec, X).means_at(scales), scales, norm)
-        if g is None:
-            raise ValueError("the means stop before the witness scales: the powers overflow")
-        g = [float(np.max(v)) for v in g]  # the widest probe column in ``probe-lb`` mode
-        violates = min(g) > w["threshold"] and g[1] >= DECAY_RATIO * g[0]
-        return float(min(g)), violates
-
-    raise ValueError(f"unrecognized witness shape for family {family}: {w}")
+        means = stream.means_at(w["scales"])
+        reached = len(means) == len(w["scales"])
+    else:
+        for chunk in stream.chunks(max(1, step)):
+            pass
+        reached = chunk.first + len(chunk.means) > step
+    if not reached:
+        raise ValueError("the means stop before the witness step: the powers overflow")
+    if "scales" in w:
+        gaps = read(_gaps(means, w["scales"], norm))
+        return float(gaps.min()), _dyadic_gap_witness([gaps], w["scales"], w["threshold"]) is not None
+    # Power 0 is X = A_1, which the pass reads off the means.
+    value = float(read(chunk.power_norms[-1] if w.get("power") else norm(chunk.means[-1])))
+    return value, value > w["cap"]

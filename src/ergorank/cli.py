@@ -53,7 +53,6 @@ from .operators import (
 from .serialization import (
     atomic_write_text,
     canonical_dumps,
-    canonical_loads,
     load_json_file,
     sha256_hex,
 )
@@ -218,10 +217,9 @@ def cmd_analyze(args) -> int:
         _cache_dir(), f"{spec_sha256[:16]}-{sha256_hex(key_text)[:16]}.json"
     )
     report = None
-    if not args.no_cache and os.path.exists(cache_file):
+    if not args.no_cache:
         try:
-            with open(cache_file, encoding="utf-8") as handle:
-                report = canonical_loads(handle.read())
+            report = load_json_file(cache_file)
         except (OSError, ValueError):
             pass
     # Serve only an entry that is this report; recompute and overwrite any other.

@@ -84,7 +84,7 @@ def test_pb_fails_doubling_scalar():
     assert v.witness["power"] == 10
     assert v.witness["value"] == pytest.approx(1024.0)
     val, still = replay_witness(spec, v, probes)
-    assert still and val == pytest.approx(v.witness["value"], rel=1e-9)
+    assert still and val == v.witness["value"]
 
 
 def test_pb_fails_through_overflow():
@@ -122,7 +122,7 @@ def test_cb_modes_agree_on_jordan():
     assert dense.status == FAILS and probe.status == FAILS
     for v in (dense, probe):
         val, still = replay_witness(spec, v, probes)
-        assert still and val == pytest.approx(v.witness["value"], rel=1e-9)
+        assert still and val == v.witness["value"]
 
 
 def test_cb_dense_l2_witness_above_the_exact_dim():
@@ -227,7 +227,7 @@ def test_ergodic_dyadic_fails_without_cb_gate():
     assert v.status == FAILS
     assert "scales" in v.witness and v.witness["scales"] == [500, 1000, 2000]
     val, still = replay_witness(spec, v, probes)
-    assert still and val == pytest.approx(min(v.witness["gaps"]), rel=1e-9)
+    assert still and val == min(v.witness["gaps"])
 
 
 def test_ergodic_no_false_fails_on_slow_convergence():
@@ -1430,6 +1430,67 @@ def test_replay_requires_fails():
     v = check_power_bounded(spec, probes, 50)
     with pytest.raises(ValueError):
         replay_witness(spec, v, probes)
+
+
+def test_a_near_tie_witness_replays_bit_for_bit():
+    # Probe 39's smallest dyadic gap is one ulp above the threshold 4 * tol,
+    # so only a replay in the pass's own arithmetic still sees it violate.
+    spec = gallery("left_shift_l1(600)")
+    probes = default_probes(spec)
+    v = check_ergodic(spec, probes, 512, 0.010998776113297208)
+    assert v.status == FAILS and v.witness["probe"] == 39
+    assert replay_witness(spec, v, probes) == (min(v.witness["gaps"]), True)
+
+
+def test_replay_refuses_another_probe_set():
+    spec = gallery("left_shift_l1(600)")
+    probes = default_probes(spec)
+    v = check_ergodic(spec, probes, 512, 1e-2)
+    assert v.status == FAILS and "probe" in v.witness
+    for other in (None, default_probes(spec, seed=7)):
+        with pytest.raises(ValueError, match="probe set"):
+            replay_witness(spec, v, other)
+    for probe in (len(probes), -1):
+        v.witness = {**v.witness, "probe": probe}
+        with pytest.raises(ValueError, match="outside the set"):
+            replay_witness(spec, v, probes)
+
+
+def _failing_verdicts(spec, probes, horizon, tolerance, cap, ue_horizon):
+    """The ``fails`` verdicts of `check_families` and of the Cesaro-bounded
+    check in each mode that the spec admits."""
+    verdicts = [*check_families(spec, probes, horizon, tolerance, cap, ue_horizon)]
+    verdicts.append(check_cesaro_bounded(spec, probes, horizon, cap, mode="probe"))
+    if spec.dim <= DENSE_CAP:
+        verdicts.append(check_cesaro_bounded(spec, probes, horizon, cap, mode="dense"))
+    return [v for v in verdicts if v is not None and v.status == FAILS]
+
+
+@given(
+    st.one_of(_small_specs(), st.sampled_from(_WIDE_SPECS)),
+    st.sampled_from([1, 2, 7, 64, 300]),
+    st.sampled_from([8, 64, 300]),
+    st.booleans(),
+    st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_every_fails_verdict_replays_bit_for_bit(spec, horizon, ue_horizon, basis, data):
+    # At the default tolerance and cap, then with the cap or the gap
+    # threshold one ulp under a recorded value, where a replay read in
+    # other arithmetic than its pass's would land on the wrong side.
+    probes = basis_probes(spec.dim, spec.norm_tag) if basis else default_probes(spec)
+    fails = _failing_verdicts(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+    if fails:
+        w = data.draw(st.sampled_from(fails)).witness
+        tolerance, cap = 1e-2, 1e3
+        if "value" in w:
+            cap = np.nextafter(w["value"], 0.0)
+        else:
+            tolerance = np.nextafter(min(w["gaps"]), 0.0) / ergorank.classify.GAP_FACTOR
+        fails += _failing_verdicts(spec, probes, horizon, tolerance, cap, ue_horizon)
+    for v in fails:
+        recorded = v.witness["value"] if "value" in v.witness else min(v.witness["gaps"])
+        assert replay_witness(spec, v, probes) == (recorded, True), (spec, v.family, v.witness)
 
 
 def test_probe_dim_mismatch():
