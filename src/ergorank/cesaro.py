@@ -33,7 +33,9 @@ that anchor and the closed-form mean (`anchor`, `closed_form`), so a reader
 can take a mean past s without walking to it: every later mean is
 P + (S_s - sP)/n, monotone in n in each entry, so a reader can bound a
 whole stationary phase by its endpoints.  A walk always starts at n = 1,
-so a reader that needs a mean again before s walks again.
+so a reader that needs a mean again before s walks again.  A reader that
+has bounded every norm before the walk starts (see `classify._scan`) walks
+without power norms, and the stream forms only the means it reads.
 Everything that needs means reads them from a stream: one vector is a
 (dim, 1) block, and the dense A_1..A_N are the stream of the identity
 block, X = I.
@@ -136,7 +138,9 @@ class Chunk(NamedTuple):
     `power_max[i]` their maximum.  The means and powers live in buffers the
     stream reuses (once the power is stationary, `powers` and the norms are
     read-only broadcasts of one step), so they are valid only until the
-    next chunk is requested: a consumer copies whatever it keeps.
+    next chunk is requested: a consumer copies whatever it keeps.  A walk
+    for a reader that reads few means (see `CesaroStream._chunks`) leaves
+    `power_norms` and `power_max` None, and `means` None where it reads none.
     """
 
     first: int
@@ -183,6 +187,15 @@ class CesaroStream:
     def chunks(self, horizon: int):
         """Yield the `Chunk`s of n = 1, 2, ..., up to `horizon`.  Every walk
         starts at n = 1 and sets `diverged_at` and `anchor` afresh."""
+        return self._chunks(horizon, None)
+
+    def _chunks(self, horizon: int, reads):
+        """`chunks`, or, given `reads`, the walk of a reader that has proven
+        that no power overflows and reads means only where
+        `reads(lo, hi)` says it reads one of the steps [lo, hi): its chunks
+        reduce no power norms (`power_norms` and `power_max` are None) and
+        form their means only there (`means` is None elsewhere).  The running
+        sum, the powers and the anchor are those of `chunks`."""
         _check_args(at_least_one={"horizon": horizon})
         spec, tag = self.spec, self.spec.norm_tag
         self.diverged_at = anchor = self.anchor = None  # (S_s, P, s) once stationary
@@ -210,14 +223,17 @@ class CesaroStream:
         r = group = base = 0  # offset in the doubling group, its length, a stepped block's slot
         while True:
             count = min(K, horizon - first + 1)
+            # A chunk may end sooner, so this reads a superset of its steps.
+            formed = reads is None or reads(first, first + count)
             with np.errstate(over="ignore", invalid="ignore"):
                 if anchor is not None:
                     P = anchor[1]
                     if fixed is None:
-                        norms, tops, _ = _power_norms(P[None], tag)
-                        fixed = [np.broadcast_to(v, (K, *v.shape)) for v in (P, norms[0], tops[0])]
-                    A = self.closed_form(offsets[:count] + first, out=means[:count])
-                    chunk = Chunk(first, A, *(v[:count] for v in fixed))
+                        norms, tops = _power_norms(P[None], tag)[:2] if reads is None else ([None], [None])
+                        ends = (P, norms[0], tops[0])
+                        fixed = [v if v is None else np.broadcast_to(v, (K, *v.shape)) for v in ends]
+                    A = self.closed_form(offsets[:count] + first, out=means[:count]) if formed else None
+                    chunk = Chunk(first, A, *(v if v is None else v[:count] for v in fixed))
                 else:
                     stationary = False
                     if small:
@@ -250,25 +266,30 @@ class CesaroStream:
                         region, src = buf[base : base + count], prev
                         for i in range(count):
                             Q = apply_columns(spec, src, out=region[i])
-                            np.divide(S, first + i + 0.0, out=means[i])  # A_n = S_n / n
+                            if formed:
+                                np.divide(S, first + i + 0.0, out=means[i])  # A_n = S_n / n
                             S += Q  # S_(n+1) = S_n + P_n
                             # The first row first, so most steps skip the full compare.
                             if Q[0].tobytes() == src[0].tobytes() and _same_bits(Q, src):
                                 stationary, count = True, i + 1
                                 break
                             src = Q
-                    norms, tops, over = _power_norms(region[:count], tag)
-                    count = len(tops)
+                    norms, tops, over = None, None, False
+                    if reads is None:
+                        norms, tops, over = _power_norms(region[:count], tag)
+                        count = len(tops)
                     region = region[:count]
                     if small:
                         buf[o - 1] = S
                         A = np.add.accumulate(buf[o - 1 : o - 1 + count], axis=0, out=means[:count])
                         np.add(A[-1], region[-1], out=S)
-                        A /= offsets[:count] + first
+                        if formed:
+                            A /= offsets[:count] + first
                         r = (r + count) % group
                     else:
                         A = means[:count]
                         base = 1 - base if K == 1 else 0
+                    A = A if formed else None
                     prev = region[-1]
                     if over:
                         self.diverged_at = first + count - 1

@@ -29,11 +29,18 @@ dense Cesaro-bounded and the other uniformly ergodic ones.  No ``holds``
 comes from a scan that the overflow guard stopped, nor from a one-index tail.
 
 One rule decides what a pass does not walk: bracket the quantity, and walk
-only when the bracket straddles the decision.  Once the stream's power is
-stationary (T P = P bit for bit from the anchor s on), every later mean is
-A_n = P + (S_s - sP)/n, monotone in n entry by entry in exact arithmetic,
-so every pass stops stepping at the anchor and brackets the stationary
-phase's largest norm between its two endpoints (`_phase_bracket`).  The
+only when the bracket straddles the decision.  Before a pass walks, every
+norm it could read lies between its value at n = 1 and that value times
+((1 + gamma_k)^2 rho)^N, rho the norm of |T|, widened for rounding
+(`_bounded_bracket`).  When that upper end is under the cap and under
+`OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
+verdict of the pass holds with that bound, so the pass reads no per-step
+norms, forms only the means its snapshots and tails read, and stops at
+its anchor.  Once the stream's power is stationary (T P = P bit for bit
+from the anchor s on), every later mean is A_n = P + (S_s - sP)/n,
+monotone in n entry by entry in exact arithmetic, so every pass stops
+stepping at the anchor and brackets the stationary phase's largest norm
+between its two endpoints (`_phase_bracket`).  The
 tail radius is bracketed between norm(A_t - A_N) at the tail's start and
 the norm of an entrywise envelope of the walked tail means, joined with the
 stationary part's bracket (`_tail_radius`).  Every upper end is the norm of
@@ -58,10 +65,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesaro import CesaroStream, _capacity
+from .cesaro import OVERFLOW_LIMIT, CesaroStream, _capacity
 from .operators import (
     DENSE_CAP,
+    KIND_DENSE,
     KIND_SHIFT,
+    KIND_SPARSE,
     CapExceededError,
     OperatorSpec,
     ProbeSet,
@@ -245,12 +254,15 @@ class _Scan:
     `high` bound the walked means from t to min(N, s - 1) entry by entry, s
     the stream's anchor (see `_tail_radius`).  These are complete only on a
     scan that reached N, and all are copies, since the stream reuses its
-    chunk buffers.
+    chunk buffers.  A pass decided before it walks (see `_bounded_bracket`)
+    holds that `bracket`, (lower, upper), in place of the maxima and hits,
+    which are None.
     """
 
     stream: CesaroStream
     horizon: int
     cap: float
+    bracket: tuple | None = None
     means: np.ndarray | None = None
     powers: np.ndarray | None = None
     mean_hit: tuple | None = None
@@ -298,19 +310,104 @@ def _phase_bracket(norm, ends, means, P, slack):
     return lower, norm(np.maximum(np.abs(first), np.abs(last)) + allowance) * (1.0 + slack)
 
 
+#: Past this exponent the growth of a bracket's upper end is not formed.
+_LOG_LIMIT = math.log(OVERFLOW_LIMIT)
+
+
+def _abs_norms(spec: OperatorSpec) -> tuple[float, float, int]:
+    """The l1 and linf norms of |T| (its largest column and row abs-sums) as
+    computed, and k, the most terms in one of those sums or in one entry of
+    T x: 1 for a diagonal or a shift, the longest row or column of a sparse
+    spec, dim for a dense one."""
+    T = spec.entries
+    if spec.kind == KIND_DENSE:
+        A = np.abs(T)
+        return float(np.add.reduce(A, axis=0).max()), float(np.add.reduce(A, axis=1).max()), spec.dim
+    if spec.kind == KIND_SPARSE:
+        rows, cols, vals = T
+        sums = [np.bincount(i, weights=np.abs(vals), minlength=spec.dim).max() for i in (cols, rows)]
+        terms = max(int(np.bincount(i, minlength=1).max()) for i in (cols, rows))
+        return float(sums[0]), float(sums[1]), max(1, terms)
+    top = float(np.abs(T).max(initial=0.0))
+    return top, top, 1
+
+
+def _bounded_bracket(spec, X, mode, horizon):
+    """Bounds (lower, upper) on every power norm and mean norm that a pass of
+    X to `horizon` in `mode` reads, and on every power column norm that the
+    stream's overflow guard reads.
+
+    The lower end is the reader's value at n = 1, which the walk reads too:
+    A_1 = X bit for bit, and P_0 = X.  For the upper end, let u = 2^-53 and
+    gamma_j = ju/(1 - ju).  Each reader reads a norm that is monotone in
+    the entries' magnitudes and under which |T|^m has norm at most rho^m:
+    rho is the l1 norm of |T| for l1, its linf norm for linf, the square
+    root of their product (>= || |T| ||_2) for l2, and their larger one for
+    the sqrt(l1 * linf) reader of dense l2 above `_L2_EXACT_DIM`; every
+    power column norm is bounded the same way.  A kernel step sums k
+    products per entry in some order, so |fl(T Y)| <= (1 + gamma_k)|T||Y|
+    entry by entry, up to 2^-1075 per subnormal product; a doubled dense
+    power T^(2^j) carries (1 + gamma_k)^(2^j - 1) from its squarings and
+    its product one more, so every computed power P_m has
+    |P_m| <= ((1 + gamma_k)|T|)^m |X|, one factor per unit of exponent.  The
+    computed abs-sums are within gamma_(k+2) of the true ones (and of rho,
+    with the product and the square root), and g = (1 + gamma)^2 rho,
+    gamma = (k + 2) 2^-52 >= gamma_(k+2) + 2u, pays for both factors and for
+    the two roundings that form g, so every power norm is at most
+    max(1, g)^N ||X||.  A mean is the running sum over n powers divided by
+    n, or the closed form's three roundings of a sum over s < n, so
+    |A_n| <= (1 + gamma_(N+3)) (P_0 + ... + P_(n-1))/n entry by entry, and
+    its norm is at most (1 + gamma_(N+3)) max(1, g)^N ||X||.  Every reader
+    is within eps = gamma_(dim+2) of the exact norm, widened by its slack
+    (see `_mode_norms`), so ||X|| <= (1 + eps) lower, up to the absolute
+    rounding of underflowing squares; that and the subnormal products stay
+    under (N + 1)(dim k + 1) 2^-536 times the growth.  The upper end is the
+    sum of that term and (1 + eps) lower, times max(1, g)^N, formed in log
+    space and only up to `OVERFLOW_LIMIT`, times (1 + eps)
+    (1 + (N + 4) 2^-52)(1 + 2^-40): the last factor covers the rounding of
+    the logarithm, the exponential and the products that form the bound
+    (under 1 000u below that limit).  Past N = 2^40, or that limit, the
+    upper end is infinite.
+    """
+    norms = _mode_norms(spec, mode)
+    lower = float(np.maximum.reduce(norms.step(X[None])[0]))
+    l1, linf, k = _abs_norms(spec)
+    tag = spec.norm_tag
+    if tag != "l2":
+        rho = l1 if tag == "l1" else linf
+    elif mode == "dense" and spec.dim > _L2_EXACT_DIM:
+        rho = max(l1, linf)
+    else:
+        rho = math.sqrt(l1 * linf)
+    g = (1.0 + (k + 2) * 2.0**-52) ** 2 * rho
+    exponent = horizon * math.log(g) if g > 1.0 else 0.0
+    if horizon > 2**40 or not exponent <= _LOG_LIMIT:
+        return lower, math.inf
+    eps = (spec.dim + 3) * 2.0**-52 + norms.slack
+    base = lower * (1.0 + eps) + (horizon + 1.0) * (spec.dim * k + 1.0) * 2.0**-536
+    widen = (1.0 + eps) * (1.0 + (horizon + 4) * 2.0**-52) * (1.0 + 2.0**-40)
+    return lower, base * math.exp(exponent) * widen
+
+
 def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` also bound their walked tail means for
     `_tail_radius`.  A step's bits do not depend on the chunk that holds it.
 
-    Once the power is stationary, the pass stops before the anchor s and
-    decides each phase [s, h] by `_phase_bracket`: when its upper end stays
-    under the running maximum at s - 1, or both ends are under the cap and
-    give one integer bound.  Its mean maxima are then that upper end and
-    its power maxima P's, which leaves the running maxima, status and bound
-    of a walk; any other phase is walked through the closed form.
-    Snapshots past the walk come from the closed form."""
+    Before it walks, the pass brackets every norm it could read
+    (`_bounded_bracket`).  When the upper end is under the cap and under
+    `OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
+    verdict of the pass is decided: the pass reduces no norms, forms means
+    only for the snapshots and the tails, and stops at its anchor, and each
+    scan holds the bracket.  Otherwise, once the power is stationary, the
+    pass stops before the anchor s and decides each phase [s, h] by
+    `_phase_bracket`: when its upper end stays under the running maximum at
+    s - 1, or both ends are under the cap and give one integer bound.  Its
+    mean maxima are then that upper end and its power maxima P's, which
+    leaves the running maxima, status and bound of a walk; any other phase
+    is walked through the closed form.  Snapshots past the walk come from
+    the closed form."""
     step_norm, _, _, slack = _mode_norms(spec, mode)
     stream = CesaroStream(spec, X)
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
@@ -321,21 +418,27 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = through = max(scans)  # the last step to walk
     uppers = {}  # per decided phase, the upper end that stands for its mean maxima
-    for chunk in stream.chunks(horizon):
-        first, count = chunk.first, len(chunk.means)
-        norms = step_norm(chunk.means)
-        tops = np.maximum.reduce(norms, axis=-1)
-        means.append(tops)
-        if mean_hit is None and (i := _first_above(tops, bound_cap)) is not None:
-            mean_hit = (first + i, norms[i].copy(), chunk.means[i].copy())
-        if mode == "probe":
-            if first == 1:  # T^0 X = A_1 X
-                powers.append(tops[:1])
-                if tops[0] > bound_cap:
-                    power_hit = (0, norms[0].copy())
-            powers.append(chunk.power_max)
-            if power_hit is None and (i := _first_above(chunk.power_max, bound_cap)) is not None:
-                power_hit = (first + i, chunk.power_norms[i].copy())
+    lower, upper = bounds = _bounded_bracket(spec, X, mode, horizon)
+    reads = None  # once decided: whether the steps [lo, hi) hold a mean the pass reads
+    if upper <= min(bound_cap, OVERFLOW_LIMIT) and _int_bound(lower) == _int_bound(upper):
+        spans = [(n, n + 1) for n in wanted] + [(max(1, h // 2), h + 1) for h in tails]
+        reads = lambda lo, hi: any(a < hi and lo < b for a, b in spans)
+    for chunk in stream._chunks(horizon, reads):
+        first, count = chunk.first, len(chunk.powers)
+        if reads is None:  # a decided pass reads no norms
+            norms = step_norm(chunk.means)
+            tops = np.maximum.reduce(norms, axis=-1)
+            means.append(tops)
+            if mean_hit is None and (i := _first_above(tops, bound_cap)) is not None:
+                mean_hit = (first + i, norms[i].copy(), chunk.means[i].copy())
+            if mode == "probe":
+                if first == 1:  # T^0 X = A_1 X
+                    powers.append(tops[:1])
+                    if tops[0] > bound_cap:
+                        power_hit = (0, norms[0].copy())
+                powers.append(chunk.power_max)
+                if power_hit is None and (i := _first_above(chunk.power_max, bound_cap)) is not None:
+                    power_hit = (first + i, chunk.power_norms[i].copy())
         for n in wanted[bisect_left(wanted, first) : bisect_left(wanted, first + count)]:
             snapshots[n] = chunk.means[n - first].copy()
         s = horizon + 1 if stream.anchor is None else stream.anchor[2]
@@ -354,7 +457,7 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
                     ufunc(bound, part, out=bound)
         if stream.anchor is not None and first + count == s:  # the anchor's chunk ends at s - 1
             through = s - 1
-            phase = [h for h in scans if h > through]
+            phase = [h for h in scans if h > through and reads is None]
             if phase:
                 top = max(float(m.max()) for m in means)  # the running maximum at s - 1
                 A = stream.closed_form([s, *phase])
@@ -375,18 +478,21 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
         snapshots.update(zip(unread, stream.closed_form(unread)))
         if powers:  # every power past the walk is P
             powers.append(np.full(horizon - last, powers[-1][-1]))
-    means = np.concatenate(means)
+    means = np.concatenate(means) if means else None
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
         scan.steps, scan.walked = min(h, reached), min(h, last)
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
+        scan.snapshots = {n: snapshots[n] for n in marks[h] if n in snapshots}
+        if reads is not None:
+            scan.bracket = bounds
+            continue
         scan.means = means[: scan.walked]
         if scan.walked < scan.steps:
             scan.means = np.concatenate([scan.means, np.full(h - last, uppers[h])])
         scan.powers = None if powers is None else powers[: scan.steps + 1]
         scan.mean_hit = mean_hit if mean_hit and mean_hit[0] <= scan.steps else None
         scan.power_hit = power_hit if power_hit and power_hit[0] <= scan.steps else None
-        scan.snapshots = {n: snapshots[n] for n in marks[h] if n in snapshots}
     return scans
 
 
@@ -491,14 +597,18 @@ def _bounded_verdict(family, scan, mode, label) -> Verdict:
     cap, witnessed by the first probe above it at the first step that
     crossed it; inconclusive otherwise.  A ``dense`` scan reads upper
     bounds, so its ``fails`` also needs the exact norm of that first mean
-    above the cap."""
+    above the cap.  A scan decided by its bracket holds with the bound of
+    the bracket's ends, and its evidence holds the bracket, its upper end as
+    the maximum."""
     if family == FAMILY_POWER_BOUNDED:
         values, first, hit, key, shown = scan.powers, 0, scan.power_hit, "power", {}
     else:
         values, first, hit, key, shown = scan.means, 1, scan.mean_hit, "n", {"mode": mode}
-    cap, overall, diverged = scan.cap, float(values.max()), scan.diverged_at is not None
+    cap, diverged = scan.cap, scan.diverged_at is not None
+    overall = float(values.max()) if scan.bracket is None else scan.bracket[1]
     evidence = {
         "max": overall, **shown, "diverged": diverged, "steps": scan.steps, "walked": scan.walked,
+        "bracket": scan.bracket,
     }
     status, bound, witness = INCONCLUSIVE, None, None
     if overall <= cap and not diverged:

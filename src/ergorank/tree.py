@@ -219,14 +219,13 @@ def truncated_height(trunc: TreeTruncation) -> int:
 
 def tree_to_dot(trunc: TreeTruncation) -> str:
     """Graphviz rendering; edges follow the prefix order."""
-    lines = ["digraph separation_tree {", '  node [shape=box, fontsize=10];']
-    lines.append('  root [label="()"];')
+    get, body = trunc.witnesses.get, []
+    append = body.append
     for key in trunc.members:
-        wit = trunc.witnesses.get(key)
+        wit = get(key)
         suffix = "" if wit is None else f"\\nprobe {wit}"
-        lines.append(f'  "{key}" [label="({key}){suffix}"];')
         parent = key.rpartition(",")[0]
         parent_id = f'"{parent}"' if parent else "root"
-        lines.append(f'  {parent_id} -> "{key}";')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+        append(f'  "{key}" [label="({key}){suffix}"];\n  {parent_id} -> "{key}";\n')
+    head = 'digraph separation_tree {\n  node [shape=box, fontsize=10];\n  root [label="()"];\n'
+    return head + "".join(body) + "}\n"

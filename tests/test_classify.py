@@ -1,3 +1,4 @@
+import collections
 import contextlib
 import importlib.util
 import re
@@ -486,10 +487,19 @@ def _folded(scan, norms, tolerance):
     return _tail_radius(scan, norms, np.nan)
 
 
+def _no_bounds(spec, X, mode, horizon):
+    """A bracket on the bounded verdicts that decides nothing: every pass
+    reads the norms of every step."""
+    return np.nan, np.inf
+
+
 def _walking():
-    """Checks inside walk every stationary phase through the closed form
-    and fold every tail radius exactly: a forced walk."""
-    return mock.patch.multiple(ergorank.classify, _phase_bracket=_no_bracket, _tail_radius=_folded)
+    """Checks inside read every step's norms, walk every stationary phase
+    through the closed form and fold every tail radius exactly: a forced
+    walk."""
+    return mock.patch.multiple(
+        ergorank.classify, _bounded_bracket=_no_bounds, _phase_bracket=_no_bracket, _tail_radius=_folded
+    )
 
 
 def _assert_tail_capacities_agree(spec, horizon, tolerance=1e-2):
@@ -650,25 +660,26 @@ def test_tail_brackets_decide_as_a_forced_walk(case, basis, data):
 
 
 class _Walks:
-    """Records every `CesaroStream.chunks` call of a check as (re-walk,
-    steps), summing chunk lengths: an `apply_columns` count would miss the
-    steps of a stream whose power is stationary.  A re-walk is any walk of a
-    block (the same X object) after its first."""
+    """Records every walk of a `CesaroStream` in a check (`chunks`, or a
+    decided pass's walk that forms few means) as (re-walk, steps), summing
+    chunk lengths: an `apply_columns` count would miss the steps of a stream
+    whose power is stationary.  A re-walk is any walk of a block (the same X
+    object) after its first."""
 
     def __init__(self, monkeypatch):
         self.walks = []
         self.blocks = []  # held, so that no block's id is reused
-        real = CesaroStream.chunks
+        real = CesaroStream._chunks
 
-        def chunks(stream, horizon):
+        def chunks(stream, horizon, reads):
             walk = [any(X is stream.X for X in self.blocks), 0]
             self.blocks.append(stream.X)
             self.walks.append(walk)
-            for chunk in real(stream, horizon):
-                walk[1] += len(chunk.means)
+            for chunk in real(stream, horizon, reads):
+                walk[1] += len(chunk.powers)
                 yield chunk
 
-        monkeypatch.setattr(CesaroStream, "chunks", chunks)
+        monkeypatch.setattr(CesaroStream, "_chunks", chunks)
 
     def rewalks(self):
         return sum(rewalk for rewalk, _ in self.walks)
@@ -1092,10 +1103,11 @@ def _first_hit(tops, cap):
 @pytest.mark.parametrize("name", _NULL_CASES)
 def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
     # The pass stops at s - 1 in every mode; the running maxima, hits,
-    # steps, snapshots and bounds are still those of every step.  The tail
-    # bracket holds the radius, and folded exactly (a NaN tolerance) it is
-    # the radius; the fold's re-walk of a tail that starts before s stops
-    # at s - 1, under the exact SVD too.
+    # steps, snapshots and bounds are still those of every step (the cap of
+    # each `_scan` below is under the maxima, so no bracket decides it
+    # before the walk).  The tail bracket holds the radius, and folded
+    # exactly (a NaN tolerance) it is the radius; the fold's re-walk of a
+    # tail that starts before s stops at s - 1, under the exact SVD too.
     spec, horizon, ue_horizon = _NULL_CASES[name]
     probes = default_probes(spec)
     probes = ProbeSet(probes.vectors[[0, -2, -1]], spec.norm_tag, "oracle")
@@ -1135,17 +1147,25 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
             assert all(steps == end for _, steps in walks.walks)
     assert skipped == 2
     families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+    with _walking():
+        walked = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
     ref = _reference_pass(spec, probes.vectors.T, "probe", horizon)
-    pb, cb, erg = families[:3]
-    assert (pb.bound, pb.evidence["max"]) == (_int_bound(ref["powers"].max()), ref["powers"].max())
-    if cb.evidence["mode"] == "probe":
-        assert (cb.bound, cb.evidence["max"]) == (_int_bound(ref["means"].max()), ref["means"].max())
+    # Forced, each bounded verdict reads the reference maximum.  The norm of
+    # |T| is at most 1, so the probe pass is decided before it walks: its
+    # bracket holds that maximum and gives its bound.
+    for got, want, values in zip(families[:2], walked[:2], (ref["powers"], ref["means"])):
+        if want.evidence.get("mode", "probe") != "probe":
+            continue
+        top = values.max()
+        assert (want.bound, want.evidence["max"], want.evidence["bracket"]) == (_int_bound(top), top, None)
+        lower, upper = got.evidence["bracket"]
+        assert lower <= top <= upper == got.evidence["max"]
+        assert got.bound == _int_bound(lower) == _int_bound(top)
+    erg = families.ergodic
     norm = lambda D: column_norms(D, spec.norm_tag)
     radius = reference_tail_radius(spec, probes.vectors.T, horizon, norm)
     assert np.all(np.asarray(erg.evidence["tail_diameter_ub"]) >= 2.0 * radius)
     assert _bits(erg.evidence["tail_diameter_lb"]) == _bits(radius)
-    with _walking():
-        walked = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
     assert [v and v.to_json_dict() for v in walked] == [v and v.to_json_dict() for v in families]
     assert _bits(walked.ergodic.evidence["tail_diameter_ub"]) == _bits(2.0 * radius)
     ue, walked_ue = (f.section or f.uniformly_ergodic for f in (families, walked))
@@ -1173,10 +1193,11 @@ def test_a_pass_stops_at_its_anchor_in_every_mode(monkeypatch):
     # and so does the dense pass at dim <= 32, whose exact SVDs bracket the
     # phase within their slack.  A stationary power that is not null stops
     # a pass too: identity(8) and scalar(1.0) keep P = X from s = 2, so
-    # their probe and identity passes walk one step and decide every verdict
-    # from the phase's endpoints.  sparse-256-linf of wide-operators (seed
-    # 101) reaches its anchor at s = 908 of 2 000, and its probe pass stops
-    # there.
+    # their probe and identity passes walk one step and decide every tail
+    # from the phase's endpoints (their bounded verdicts are decided before
+    # the walk, as the norm of |T| is 1).  sparse-256-linf of wide-operators
+    # (seed 101) reaches its anchor at s = 908 of 2 000, and its probe pass
+    # stops there.
     shift = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
     assert _mode_norms(shift, "dense").slack > 0.0
     for mode in ("probe", "dense"):
@@ -1285,6 +1306,133 @@ def test_endpoint_decisions_equal_a_walk_of_every_step(spec, horizon, basis, dat
         want = run(cap, tol)
     assert _serialized(got) == _serialized(want)
 
+
+# -- bounded verdicts decided before a pass walks -------------------------
+
+#: Magnitudes at 1 and a few ulps to either side of it.
+_NEAR_ONE = [1.0, *(float(1.0 + k * 2.0**-52) for k in (1, 3)), *(float(1.0 - k * 2.0**-53) for k in (1, 3))]
+
+
+@st.composite
+def _bounded_specs(draw):
+    """Specs of every kind at dim <= 6 whose norm of |T| falls on either
+    side of 1: diagonal and shift weights in [0, 1] or a few ulps from 1,
+    with random signs; signed sparse entries whose magnitudes are
+    stochastic (columns summing to 1 under l1, rows otherwise), and dense
+    matrices scaled alike, times 1/2, 3/2 or a magnitude near 1."""
+    tag = draw(st.sampled_from(["l1", "l2", "linf"]))
+    dim = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from([KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE, KIND_DENSE]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    near = st.sampled_from(_NEAR_ONE)
+    if kind in (KIND_DIAGONAL, KIND_SHIFT):
+        size = dim if kind == KIND_DIAGONAL else dim - 1
+        weights = draw(st.lists(st.one_of(st.floats(0.0, 1.0), near), min_size=size, max_size=size))
+        return OperatorSpec(kind, dim, rng.choice([-1.0, 1.0], size) * weights, tag)
+    scale = draw(st.one_of(near, st.sampled_from([0.5, 1.5])))
+    if kind == KIND_DENSE:
+        mat = rng.uniform(-1.0, 1.0, (dim, dim))
+        mat *= scale / np.max(np.abs(mat).sum(axis=0 if tag == "l1" else 1))
+        return OperatorSpec(KIND_DENSE, dim, mat, tag)
+    rows, cols = np.nonzero(rng.uniform(size=(dim, dim)) < 0.6)
+    vals = rng.uniform(0.1, 1.0, rows.size) * rng.choice([-1.0, 1.0], rows.size)
+    group = cols if tag == "l1" else rows
+    vals *= scale / np.bincount(group, weights=np.abs(vals), minlength=dim)[group]
+    return OperatorSpec(KIND_SPARSE, dim, [[int(r), int(c), float(v)] for r, c, v in zip(rows, cols, vals)], tag)
+
+
+@given(
+    _bounded_specs(),
+    st.integers(1, 3000),
+    st.booleans(),
+    st.sampled_from(["lower", "below", "above", "default"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_a_decided_pass_agrees_with_a_forced_walk(spec, horizon, tiny, cap_at):
+    # Tiny probes (every norm below 1e-9) put the lower end in bucket 0.
+    # Caps at each block's lower end, and one ulp to either side of it,
+    # leave the bracket undecided; the default cap lets it decide.  Every
+    # verdict, and its steps and divergence, equal a forced walk's, and a
+    # decided bracket holds the walked maximum of both bounded families.
+    probes = default_probes(spec)
+    if tiny:
+        probes = ProbeSet(probes.vectors * 1e-10, spec.norm_tag, "tiny")
+    ue = min(256, horizon)
+    for mode, X, ergodic, uniform in (
+        ("probe", probes.vectors.T, [horizon], ()),
+        ("dense", np.eye(spec.dim), (), [horizon, ue]),
+    ):
+        lower = float(np.max(_mode_norms(spec, mode).step(X[None])))
+        cap = {"lower": lower, "below": np.nextafter(lower, 0.0), "above": np.nextafter(lower, np.inf),
+               "default": 1e3}[cap_at]
+        run = lambda: ergorank.classify._block_verdicts(spec, probes, mode, [horizon], cap, 1e-2, ergodic, uniform)
+        got = run()
+        with _walking():
+            want = run()
+        for family, by_horizon in want.items():
+            for h, w in by_horizon.items():
+                g = got[family][h]
+                assert g.to_json_dict() == w.to_json_dict(), (mode, family, h)
+                assert (g.evidence["steps"], g.evidence["diverged"]) == (w.evidence["steps"], w.evidence["diverged"])
+                if g.evidence.get("bracket") is not None:
+                    low, high = g.evidence["bracket"]
+                    assert low == lower and low <= w.evidence["max"] <= high, (mode, family, h)
+
+
+def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
+    # On the wide-operators inputs (seeds 1 and 101) whose norm of |T| is at
+    # most 1 + 3e-14, both passes of check_families are decided before they
+    # walk: at horizon 500 as at 2 000, each pass reads one norm, its lower
+    # end, and no norm per step.  (The tails read a few norms more, and
+    # their count moves with the horizon only where a tail starts before
+    # or after the stream's anchor: the shift's at 500 starts before its
+    # anchor at 258.)  The dense spec (norm of |T| 4.4-4.6 in l2) and the
+    # overflowing diagonal (1.25) walk and read norms at every step, as
+    # before: their probe passes reduce once per chunk of steps, so more at
+    # 2 000 than at 500, and their identity passes to the UE horizon 256 at
+    # least once per step.
+    reads, passes = collections.Counter(), []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            reads[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (ergorank.classify, ergorank.cesaro):
+        counting(module, "column_norms")
+    counting(ergorank.classify, "matrix_norm")
+    real_scan = ergorank.classify._scan
+
+    def scan(*args, **kwargs):
+        before = sum(reads.values())
+        scans = real_scan(*args, **kwargs)
+        passes.append(sum(reads.values()) - before)
+        return scans
+
+    monkeypatch.setattr(ergorank.classify, "_scan", scan)
+    decided = {"sparse-128-l1", "sparse-256-linf", "diagonal-256-l1", "shift-256-linf"}
+    for seed in (1, 101):
+        for label, spec in _bench_workloads().wide_specs(seed).items():
+            probes = default_probes(spec, seed=seed)
+            per_horizon = []
+            for horizon in (500, 2000):
+                passes.clear()
+                families = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
+                per_horizon.append(list(passes))
+                brackets = [v.evidence["bracket"] for v in families[:2]]
+                if label in decided:
+                    assert all(b is not None and b[1] < 1 + 1e-10 for b in brackets), (seed, label)
+                else:
+                    assert brackets == [None, None], (seed, label)
+            if label in decided:
+                assert per_horizon == [[1, 1], [1, 1]], (seed, label)
+            else:
+                (probe, identity), (longer, same) = per_horizon
+                assert probe < longer and identity == same >= 256, (seed, label, per_horizon)
 
 def test_trusted_horizon_shrinks_for_shift_only():
     shift = gallery("left_shift_l1(64)")
