@@ -6,9 +6,11 @@ one-sided: a ``fails`` verdict always carries a concrete, replayable
 witness, while missing evidence degrades to ``inconclusive``, never to a
 wrong ``fails``.
 
-Boundedness checks (power-bounded, Cesaro-bounded) look for a uniform bound
-k <= bound_cap over the scanned range and treat sustained growth of the
-running maximum as divergence evidence.  Ergodicity and uniform ergodicity
+Boundedness checks (power-bounded, Cesaro-bounded) read each family with
+constant <= bound_cap on the window: they hold with an integer bound
+k <= bound_cap when no scanned norm is above the cap, and fail at the first
+one that is (an overflowing power is one), so a ``fails`` is a fact about
+the window and the cap, not about sup ||T^n||.  Ergodicity and uniform ergodicity
 are one Cauchy test of the means, read per probe (strong topology) or in
 operator norm, and one reducer, `_tail_verdict`, decides both: it certifies
 a small tail diameter over [N/2, N] via the radius bound
@@ -27,6 +29,11 @@ power-bounded, Cesaro-bounded and ergodic verdicts (and uniformly ergodic
 ones above `DENSE_CAP`, from probe lower bounds), the identity block the
 dense Cesaro-bounded and the other uniformly ergodic ones.  No ``holds``
 comes from a scan that the overflow guard stopped, nor from a one-index tail.
+A pass stops at the step where its bounded witnesses are settled: the first
+power and the first mean above the cap off probes, the first mean with an
+exact norm above it off the identity.  Every later horizon then fails, and
+ergodicity and uniform ergodicity inherit that, so they read nothing past
+it; uniform ergodicity off probes inherits nothing and walks to its horizon.
 
 One rule decides what a pass does not walk: bracket the quantity, and walk
 only when the bracket straddles the decision.  Before a pass walks, every
@@ -88,11 +95,9 @@ FAMILY_CESARO_BOUNDED = "cesaro_bounded"
 FAMILY_ERGODIC = "ergodic"
 FAMILY_UNIFORMLY_ERGODIC = "uniformly_ergodic"
 
-# Divergence heuristics.  Growth of the running max by GROWTH_FACTOR from
-# the quarter-horizon checkpoint (strictly increasing past it) flags an
-# unbounded family; a gap above GAP_FACTOR * tolerance at all three dyadic
-# scales that does not decay by more than DECAY_RATIO flags non-convergence.
-GROWTH_FACTOR = 1.5
+# Divergence heuristic: a gap above GAP_FACTOR * tolerance at all three
+# dyadic scales that does not decay by more than DECAY_RATIO flags
+# non-convergence.
 GAP_FACTOR = 4.0
 DECAY_RATIO = 0.75
 
@@ -149,30 +154,6 @@ def trusted_horizon(spec: OperatorSpec, horizon: int) -> int:
 
 def _int_bound(max_value: float) -> int:
     return max(0, math.ceil(max_value - BOUND_SLACK))
-
-
-def _growth_fails(values: np.ndarray, first: int, cap: float, diverged: bool) -> bool:
-    """Divergence heuristic on a per-step maxima series.
-
-    `values[i]` is the step (first + i) maximum.  Requires the overall
-    max to exceed `cap` and, unless the scan overflowed outright, the
-    running max to grow by GROWTH_FACTOR from the quarter-horizon mark
-    while strictly increasing past it.
-    """
-    if values.size == 0:
-        return False
-    running = np.maximum.accumulate(values)
-    if running[-1] <= cap:
-        return False
-    if diverged:
-        return True
-    last = first + values.size - 1
-    quarter = max(first, last // 4)
-    q_pos = quarter - first
-    if running[-1] < GROWTH_FACTOR * running[q_pos]:
-        return False
-    window = running[q_pos:]
-    return bool(np.all(np.diff(window) > 0))
 
 
 def _check_inputs(spec: OperatorSpec, probes, probes_read=True, **positive) -> None:
@@ -241,7 +222,8 @@ class _Scan:
     """What one stream pass keeps; norms are reduced a chunk at a time.
 
     `means` holds the mean-norm maxima for n = 1..steps and `mean_hit` the
-    first step above the cap as (n, norms, A_n); `powers` holds the
+    first step above the cap as (n, norms, exact), exact the `matrix_norm`
+    of A_n in ``dense`` mode (None in ``probe`` mode); `powers` holds the
     power-norm maxima for m = 0..steps (None in ``dense`` mode) and
     `power_hit` (m, norms); a hit is None when no step crossed the cap.
     `snapshots` maps the dyadic scales and the horizon N to A_n, and on a
@@ -256,7 +238,9 @@ class _Scan:
     scan that reached N, and all are copies, since the stream reuses its
     chunk buffers.  A pass decided before it walks (see `_bounded_bracket`)
     holds that `bracket`, (lower, upper), in place of the maxima and hits,
-    which are None.
+    which are None.  A scan whose bounded witnesses were settled at step w
+    (see `_scan`) ends at w: `steps` and `walked` are w, and its maxima,
+    snapshots and envelope stop there.
     """
 
     stream: CesaroStream
@@ -389,7 +373,7 @@ def _bounded_bracket(spec, X, mode, horizon):
     return lower, base * math.exp(exponent) * widen
 
 
-def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
+def _scan(spec, X, mode, horizons, bound_cap, tails=(), gapped=()) -> dict[int, _Scan]:
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` also bound their walked tail means for
@@ -407,7 +391,15 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     mean maxima are then that upper end and its power maxima P's, which
     leaves the running maxima, status and bound of a walk; any other phase
     is walked through the closed form.  Snapshots past the walk come from
-    the closed form."""
+    the closed form.
+
+    A pass also stops at the step w by which its bounded witnesses are
+    settled: the first power and the first mean above the cap in ``probe``
+    mode, the first mean above it, with an exact norm above it too, in
+    ``dense`` mode.  Every verdict of a horizon h >= w is then ``fails`` or
+    inherits it, so its scan ends at w.  The horizons in `gapped` (uniform
+    ergodicity off probes, which reads its dyadic gaps whatever the bounded
+    verdicts) are walked to their end."""
     step_norm, _, _, slack = _mode_norms(spec, mode)
     stream = CesaroStream(spec, X)
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
@@ -416,7 +408,8 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
         marks[h] += (max(1, h // 2),)
     wanted = sorted({n for ns in marks.values() for n in ns})
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
-    horizon = through = max(scans)  # the last step to walk
+    horizon = through = stop = max(scans)  # the last step to walk, for the phases and for the witnesses
+    settled, ends = None, {}  # the step w, and the horizons whose scans end at it
     uppers = {}  # per decided phase, the upper end that stands for its mean maxima
     lower, upper = bounds = _bounded_bracket(spec, X, mode, horizon)
     reads = None  # once decided: whether the steps [lo, hi) hold a mean the pass reads
@@ -430,7 +423,8 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
             tops = np.maximum.reduce(norms, axis=-1)
             means.append(tops)
             if mean_hit is None and (i := _first_above(tops, bound_cap)) is not None:
-                mean_hit = (first + i, norms[i].copy(), chunk.means[i].copy())
+                exact = matrix_norm(chunk.means[i], spec.norm_tag) if mode == "dense" else None
+                mean_hit = (first + i, norms[i].copy(), exact)
             if mode == "probe":
                 if first == 1:  # T^0 X = A_1 X
                     powers.append(tops[:1])
@@ -439,12 +433,16 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
                 powers.append(chunk.power_max)
                 if power_hit is None and (i := _first_above(chunk.power_max, bound_cap)) is not None:
                     power_hit = (first + i, chunk.power_norms[i].copy())
+            if settled is None and mean_hit and (power_hit if mode == "probe" else mean_hit[2] > bound_cap):
+                settled = max(mean_hit[0], power_hit[0] if power_hit else 0)
+                ends = {h: settled for h in scans if h >= settled and h not in gapped}
+                stop = max([settled, *gapped])
         for n in wanted[bisect_left(wanted, first) : bisect_left(wanted, first + count)]:
             snapshots[n] = chunk.means[n - first].copy()
         s = horizon + 1 if stream.anchor is None else stream.anchor[2]
         for h in tails if first < s else ():
             scan = scans[h]
-            lo, hi = max(first, max(1, h // 2)), min(first + count, h + 1)
+            lo, hi = max(first, max(1, h // 2)), min(first + count, ends.get(h, h) + 1)
             if lo < hi:
                 # Each chunk reduces into one spare block: a fresh temporary
                 # the size of a wide block page-faults on every chunk.
@@ -468,11 +466,11 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
                         uppers[h] = upper
                     else:
                         through = h
-        if first + count > through:
+        if first + count > min(through, stop):
             break
     last = first + count - 1  # the last step read; a stream stops where it diverges
     reached = last
-    if last < horizon and stream.diverged_at is None:  # stopped before the phases above
+    if last < horizon and stream.anchor is not None:  # every step past the walk is stationary
         reached = horizon
         unread = [n for n in wanted if n > last]
         snapshots.update(zip(unread, stream.closed_form(unread)))
@@ -481,15 +479,16 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     means = np.concatenate(means) if means else None
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
-        scan.steps, scan.walked = min(h, reached), min(h, last)
+        end = ends.get(h, h)
+        scan.steps, scan.walked = min(end, reached), min(end, last)
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
-        scan.snapshots = {n: snapshots[n] for n in marks[h] if n in snapshots}
+        scan.snapshots = {n: snapshots[n] for n in marks[h] if n in snapshots and n <= scan.steps}
         if reads is not None:
             scan.bracket = bounds
             continue
         scan.means = means[: scan.walked]
         if scan.walked < scan.steps:
-            scan.means = np.concatenate([scan.means, np.full(h - last, uppers[h])])
+            scan.means = np.concatenate([scan.means, np.full(scan.steps - scan.walked, uppers[h])])
         scan.powers = None if powers is None else powers[: scan.steps + 1]
         scan.mean_hit = mean_hit if mean_hit and mean_hit[0] <= scan.steps else None
         scan.power_hit = power_hit if power_hit and power_hit[0] <= scan.steps else None
@@ -591,19 +590,20 @@ def _tail_holds(horizon: int, diameter_ub: float, tolerance: float) -> bool:
 
 
 def _bounded_verdict(family, scan, mode, label) -> Verdict:
-    """Power-bounded or Cesaro-bounded off one scan in `mode`: holds with
-    the integer bound when every step stayed under the cap and the scan
-    reached the horizon; fails on sustained growth (or overflow) above the
-    cap, witnessed by the first probe above it at the first step that
-    crossed it; inconclusive otherwise.  A ``dense`` scan reads upper
-    bounds, so its ``fails`` also needs the exact norm of that first mean
-    above the cap.  A scan decided by its bracket holds with the bound of
-    the bracket's ends, and its evidence holds the bracket, its upper end as
-    the maximum."""
+    """Power-bounded or Cesaro-bounded off one scan in `mode`, with constant
+    <= the cap on the window: holds with the integer bound when every step
+    stayed under the cap and the scan reached the horizon; fails at the
+    first step above the cap (an overflowing power reads as one), witnessed
+    by the first probe above it there; inconclusive otherwise.  A ``dense``
+    scan reads upper bounds, so its ``fails`` also needs the exact norm of
+    that first mean, which the scan keeps in its hit, to be above the cap.
+    A scan decided by its bracket holds with the bound of the bracket's
+    ends, and its evidence holds the bracket, its upper end as the
+    maximum."""
     if family == FAMILY_POWER_BOUNDED:
-        values, first, hit, key, shown = scan.powers, 0, scan.power_hit, "power", {}
+        values, hit, key, shown = scan.powers, scan.power_hit, "power", {}
     else:
-        values, first, hit, key, shown = scan.means, 1, scan.mean_hit, "n", {"mode": mode}
+        values, hit, key, shown = scan.means, scan.mean_hit, "n", {"mode": mode}
     cap, diverged = scan.cap, scan.diverged_at is not None
     overall = float(values.max()) if scan.bracket is None else scan.bracket[1]
     evidence = {
@@ -613,15 +613,12 @@ def _bounded_verdict(family, scan, mode, label) -> Verdict:
     status, bound, witness = INCONCLUSIVE, None, None
     if overall <= cap and not diverged:
         status, bound = HOLDS, _int_bound(overall)
-    elif _growth_fails(values, first, cap, diverged):
-        if mode == "probe":
-            status = FAILS
-            if hit is not None:
-                step, norms = hit[:2]
-                probe = int(np.argmax(norms > cap))
-                witness = {**shown, "probe": probe, key: step, "value": float(norms[probe]), "cap": cap}
-        elif (value := matrix_norm(hit[2], scan.stream.spec.norm_tag)) > cap:
-            status, witness = FAILS, {**shown, key: hit[0], "value": value, "cap": cap}
+    elif hit is not None and mode == "probe":
+        step, norms = hit[:2]
+        probe = int(np.argmax(norms > cap))
+        status, witness = FAILS, {**shown, "probe": probe, key: step, "value": float(norms[probe]), "cap": cap}
+    elif hit is not None and hit[2] > cap:
+        status, witness = FAILS, {**shown, key: hit[0], "value": hit[2], "cap": cap}
     return Verdict(family, status, scan.horizon, None, bound, witness, label, evidence)
 
 
@@ -798,7 +795,8 @@ def _block_verdicts(spec, probes, mode, horizons, bound_cap, tolerance=None, erg
     """
     probe = mode == "probe"
     X, label = (probes.vectors.T, probes.label) if probe else (np.eye(spec.dim), None)
-    scans = _scan(spec, X, mode, {*horizons, *ergodic, *uniform}, bound_cap, ergodic if probe else uniform)
+    tails, gapped = (ergodic, uniform) if probe else (uniform, ())
+    scans = _scan(spec, X, mode, {*horizons, *ergodic, *uniform}, bound_cap, tails, gapped)
     bounded = (FAMILY_POWER_BOUNDED, FAMILY_CESARO_BOUNDED) if probe else (FAMILY_CESARO_BOUNDED,)
     verdicts = {f: {h: _bounded_verdict(f, s, mode, label) for h, s in scans.items()} for f in bounded}
     cbs = verdicts[FAMILY_CESARO_BOUNDED]

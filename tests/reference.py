@@ -15,12 +15,15 @@ arithmetic, the oracle that the stream's accuracy is measured against.  `node_me
 chain from its `chain_margins`, independently of the dynamic programming
 behind `best_chains`, the rank heights, the beam search and
 `build_truncation`.  `reference_dumps` is the stdlib's indent encoder,
-whose text `canonical_dumps` must give byte for byte.
+whose text `canonical_dumps` must give byte for byte.  `jordan_spec` builds
+a dense spec of known Jordan structure, whose family membership and window
+norms are known exactly (`JordanSpec`).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -196,6 +199,106 @@ def reference_tail_radius(spec: OperatorSpec, X: np.ndarray, horizon: int, norm)
     final = steps[-1][1]
     tail = steps[max(1, horizon // 2) - 1 :]
     return np.maximum.reduce([np.maximum(0.0, norm(A - final)) for _, A, *_ in tail])
+
+
+#: Eigenvalues of the Jordan specs: exact in binary, on the unit circle or
+#: at most 1/2 inside it.
+JORDAN_EIGENVALUES = (1.0, -1.0, 0.0, 0.5, -0.5, 0.25, -0.25)
+
+
+def _row_sum(lam: Fraction, size: int, m: int) -> Fraction:
+    """The first (largest) row abs-sum of J_size(lam)^m, whose entry at
+    offset j is C(m, j) lam^(m - j)."""
+    return sum(math.comb(m, j) * abs(lam) ** (m - j) for j in range(min(size, m + 1)))
+
+
+def _first_mean_row(lam: Fraction, size: int, n: int) -> Fraction:
+    """The largest magnitude in the first row of A_n of J_size(lam) on the
+    unit circle: (1/n) sum_(m<n) C(m, j) lam^(m - j) at offset j."""
+    if lam == 1:
+        return max(Fraction(math.comb(n, j + 1), n) for j in range(size))
+    return max(abs(Fraction(sum(math.comb(m, j) * (-1) ** (m - j) for m in range(j, n)), n)) for j in range(size))
+
+
+class JordanSpec(NamedTuple):
+    """A dense spec T = U J U^-1 of known Jordan structure: J holds the
+    Jordan blocks `blocks`, (eigenvalue, size) each, and U is an integer
+    matrix of determinant 1, so U^-1 (`U_inv`) is an integer matrix too and
+    every entry of T is exact."""
+
+    spec: OperatorSpec
+    blocks: tuple
+    U: np.ndarray
+    U_inv: np.ndarray
+
+    @property
+    def power_bounded(self) -> bool:
+        """sup ||T^n|| < inf: every block on the unit circle has size 1."""
+        return all(size == 1 for lam, size in self.blocks if abs(lam) == 1)
+
+    @property
+    def cesaro_bounded(self) -> bool:
+        """sup ||A_n|| < inf: a block at 1 has size 1 and a block at -1
+        size at most 2 (its means' corner entry stays under 1/2)."""
+        return all(size <= (1 if lam == 1 else 2) for lam, size in self.blocks if abs(lam) == 1)
+
+    def window_bounds(self, horizon: int) -> tuple[float, float, float]:
+        """(upper, power_lower, mean_lower) on the window of N = `horizon`
+        steps, in the spec's norm: every ||T^m|| (m <= N) and ||A_n||
+        (n <= N), and so every norm of a basis probe's power or mean, is at
+        most `upper`; some basis probe has ||T^m e_j|| >= `power_lower` for
+        some m <= N, and ||A_n e_j|| >= `mean_lower` for some n <= N (so the
+        operator norms are that large too).
+
+        From above, ||T^m|| <= ||U|| ||J^m|| ||U^-1||, each l2 factor at
+        most sqrt(l1 * linf) of itself, and a mean is at most its largest
+        power.  Every row and column abs-sum of J_k(lam)^m is at most
+        r(m) = sum_(j<k) C(m, j) |lam|^(m-j).  r is nondecreasing for
+        |lam| = 1; for |lam| <= 1/2 each term is nonincreasing from
+        m = 2j - 1 < 2k on; so r peaks on the window at m = N or at some
+        m <= 2k.  From below, J^m = U^-1 T^m U gives ||J^m||_max <=
+        ||U^-1||_inf ||T^m||_max ||U||_1, and ||T^m||_max is at most the
+        largest norm of a column T^m e_j in every norm; so for A_n.  J^0 =
+        A_1 = I has 1, a unimodular block's J^N has C(N, j) at offset j,
+        and its A_N the first row of `_first_mean_row`.
+        """
+        def op(M):  # the l1, linf and l2 bound of an integer matrix's norm
+            l1, linf = np.abs(M).sum(axis=0).max(), np.abs(M).sum(axis=1).max()
+            return {"l1": l1, "linf": linf, "l2": math.sqrt(l1 * linf)}[self.spec.norm_tag]
+
+        N = horizon
+        exact = [(Fraction(lam), size) for lam, size in self.blocks]
+        reach = max(_row_sum(lam, size, m) for lam, size in exact for m in {*range(min(N, 2 * size) + 1), N})
+        low = float(np.abs(self.U_inv).sum(axis=1).max() * np.abs(self.U).sum(axis=0).max())
+        unit = [(lam, size) for lam, size in exact if abs(lam) == 1]
+        powers = max([1, *(math.comb(N, j) for _, size in unit for j in range(min(size, N + 1)))])
+        means = max([Fraction(1), *(_first_mean_row(lam, size, N) for lam, size in unit)])
+        return op(self.U) * float(reach) * op(self.U_inv), powers / low, float(means) / low
+
+
+def jordan_spec(blocks, U, norm_tag: str) -> JordanSpec:
+    """The `JordanSpec` of Jordan blocks `blocks`, (eigenvalue, size) each,
+    conjugated by the integer matrix U of determinant 1."""
+    U = np.asarray(U, dtype=np.int64)
+    dim = len(U)
+    U_inv = np.rint(np.linalg.inv(U)).astype(np.int64)
+    if not (U @ U_inv == np.eye(dim, dtype=np.int64)).all():
+        raise ValueError("U must be an integer matrix of determinant +-1")
+    J = as_exact(np.zeros((dim, dim)))
+    at = 0
+    for lam, size in blocks:
+        for i in range(at, at + size):
+            J[i, i] = Fraction(lam)
+            if i + 1 < at + size:
+                J[i, i + 1] = Fraction(1)
+        at += size
+    if at != dim:
+        raise ValueError(f"blocks of total size {at} for a dim-{dim} U")
+    T = as_exact(U) @ J @ as_exact(U_inv)
+    entries = T.astype(float)
+    if not (as_exact(entries) == T).all():
+        raise ValueError("an entry of U J U^-1 is not exact in binary64")
+    return JordanSpec(OperatorSpec(KIND_DENSE, dim, entries, norm_tag), tuple(blocks), U, U_inv)
 
 
 class NodeMembership(NamedTuple):
