@@ -3,8 +3,12 @@
 Each check returns holds / fails / inconclusive at a finite horizon.  The
 discipline is one-sided: fails always carries a witness that can be
 replayed from scratch, while thin evidence degrades to inconclusive.
+Ergodicity and uniform ergodicity fail only by inheriting a Cesaro-bounded
+failure; the left shift's non-uniform ergodicity shows in its separation
+certificate instead.
 """
 
+from ergorank.certify import search_nse
 from ergorank.classify import (
     FAILS,
     check_cesaro_bounded,
@@ -55,9 +59,13 @@ def main():
     probes = default_probes(shift)
     trusted = check_uniformly_ergodic(shift, trusted_horizon(shift, UE_HORIZON), TOL, probes=probes)
     section = check_uniformly_ergodic(shift, UE_HORIZON, TOL, probes=probes)
-    print(f"  verdict inside the trusted window: {trusted.status}")
+    print(f"  verdict inside the trusted window: {trusted.status} "
+          f"(tail diameter at least {trusted.evidence['tail_diameter_lb']}, means bounded)")
     print(f"  finite-section verdict past it:    {section.status} "
           "(the nilpotent section converges, the infinite shift does not)")
+    cert = search_nse(shift, probes, epsilon=0.5, target_depth=5, index_bound=32)
+    print(f"  doubling certificate at epsilon 0.5: depth {cert.depth}, J = {list(cert.J)}")
+    print("  (the means at J stay separated: the evidence that the shift is not uniformly ergodic)")
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ read), separation-tree truncations (`build_truncation`), and replayable
 non-convergence certificates (`search_nse`, `check_certificate`).
 """
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"
 
 from .operators import (
     OperatorSpec,

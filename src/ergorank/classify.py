@@ -14,26 +14,27 @@ the window and the cap, not about sup ||T^n||.  Ergodicity and uniform ergodicit
 are one Cauchy test of the means, read per probe (strong topology) or in
 operator norm, and one reducer, `_tail_verdict`, decides both: it certifies
 a small tail diameter over [N/2, N] via the radius bound
-diam <= 2 * max_n ||A_n - A_N||, and treats a non-decaying gap at the three
-dyadic scales (N/4, N/2, N) as divergence evidence.  The radius is also a
-lower bound on the diameter wherever it is read in an exact norm, so every
-tail is bracketed in [radius, 2 * radius].
+diam <= 2 * max_n ||A_n - A_N||.  The radius is also a lower bound on the
+diameter wherever it is read in an exact norm, so every tail is bracketed
+in [radius, 2 * radius].  Neither family fails on its own evidence: each
+fails only by inheriting the Cesaro-bounded ``fails`` at its own horizon,
+and a tail that is not certified small is ``inconclusive``.
 
 Every check projects one reducer, `_block_verdicts`, over one pass of
 `CesaroStream` on a block, with norms reduced one chunk of steps at a time:
 per-step maxima are arrays, and the first step above a cap is found with
 `argmax`.  The scan mode (``probe`` or ``dense``) fixes how a pass reads its
-norms: `_mode_norms` gives the per-step, gap and radius readers of each.
+norms: `_mode_norms` gives the per-step and radius readers of each.
 `check_families` makes one pass per block: the probe block gives the
 power-bounded, Cesaro-bounded and ergodic verdicts (and uniformly ergodic
-ones above `DENSE_CAP`, from probe lower bounds), the identity block the
+ones above `DENSE_CAP`, which can only inherit), the identity block the
 dense Cesaro-bounded and the other uniformly ergodic ones.  No ``holds``
 comes from a scan that the overflow guard stopped, nor from a one-index tail.
 A pass stops at the step where its bounded witnesses are settled: the first
 power and the first mean above the cap off probes, the first mean with an
 exact norm above it off the identity.  Every later horizon then fails, and
 ergodicity and uniform ergodicity inherit that, so they read nothing past
-it; uniform ergodicity off probes inherits nothing and walks to its horizon.
+it.
 
 One rule decides what a pass does not walk: bracket the quantity, and walk
 only when the bracket straddles the decision.  Before a pass walks, every
@@ -42,20 +43,19 @@ norm it could read lies between its value at n = 1 and that value times
 (`_bounded_bracket`).  When that upper end is under the cap and under
 `OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
 verdict of the pass holds with that bound, so the pass reads no per-step
-norms, forms only the means its snapshots and tails read, and stops at
-its anchor.  Once the stream's power is stationary (T P = P bit for bit
-from the anchor s on), every later mean is A_n = P + (S_s - sP)/n,
-monotone in n entry by entry in exact arithmetic, so every pass stops
-stepping at the anchor and brackets the stationary phase's largest norm
-between its two endpoints (`_phase_bracket`).  The
-tail radius is bracketed between norm(A_t - A_N) at the tail's start and
-the norm of an entrywise envelope of the walked tail means, joined with the
-stationary part's bracket (`_tail_radius`).  Every upper end is the norm of
-an envelope, widened by the reader's slack (see `_mode_norms`).  A bracket
-decides only where both of its ends give the same serialized answer;
-otherwise the phase is walked through the closed form, or the radius is
-folded from a fresh walk, so a decided verdict has the bits a walk of every
-step gives it.
+norms, forms only the means its tails read, and stops at its anchor.
+Once the stream's power is stationary (T P = P bit for bit from the anchor
+s on), every later mean is A_n = P + (S_s - sP)/n, monotone in n entry by
+entry in exact arithmetic, so every pass stops stepping at the anchor and
+brackets the stationary phase's largest norm between its two endpoints
+(`_phase_bracket`).  The tail radius is bracketed between norm(A_t - A_N)
+at the tail's start and the norm of an entrywise envelope of the walked
+tail means, joined with the stationary part's bracket (`_tail_radius`).
+Every upper end is the norm of an envelope, widened by the reader's slack
+(see `_mode_norms`).  A bracket decides only where both of its ends give
+the same serialized answer; otherwise the phase is walked through the
+closed form, or the radius is folded from a fresh walk, so a decided
+verdict has the bits a walk of every step gives it.
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -95,12 +95,6 @@ FAMILY_CESARO_BOUNDED = "cesaro_bounded"
 FAMILY_ERGODIC = "ergodic"
 FAMILY_UNIFORMLY_ERGODIC = "uniformly_ergodic"
 
-# Divergence heuristic: a gap above GAP_FACTOR * tolerance at all three
-# dyadic scales that does not decay by more than DECAY_RATIO flags
-# non-convergence.
-GAP_FACTOR = 4.0
-DECAY_RATIO = 0.75
-
 #: Integer bounds are reported with this slack so float dust cannot bump
 #: a true bound of k up to k + 1.
 BOUND_SLACK = 1e-9
@@ -108,8 +102,8 @@ BOUND_SLACK = 1e-9
 #: Dense l2 norms read at every scanned step and on the tail radius are
 #: exact SVDs up to this dimension; above it they are the upper bound
 #: sqrt(l1 * linf), and the radius is then no lower bound on the tail
-#: diameter.  Lower bounds read at a few steps (a dense witness, the dyadic
-#: gaps) are `matrix_norm`, an exact SVD, at every dimension.
+#: diameter.  A dense witness is read by `matrix_norm`, an exact SVD, at
+#: every dimension.
 _L2_EXACT_DIM = 32
 
 
@@ -170,25 +164,24 @@ def _check_inputs(spec: OperatorSpec, probes, probes_read=True, **positive) -> N
 class _Norms(NamedTuple):
     """The norm readers of a scan mode.  `slack` is the relative widening
     of every upper end that the step or radius reader reads off an
-    entrywise envelope."""
+    entrywise envelope; `exact` says whether the radius reader reads exact
+    norms, so that a radius is also a lower bound on the tail diameter."""
 
     step: Callable
-    gap: Callable
     radius: Callable
     slack: float
+    exact: bool
 
 
 def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
-    """The step, gap and radius norm readers of a scan mode, ``probe`` or
+    """The step and radius norm readers of a scan mode, ``probe`` or
     ``dense``; any other mode raises `ValueError`.
 
     ``probe`` reads every norm per probe column.  ``dense`` reads the
     matrices A_n: per-step and radius norms are upper bounds (exact but for
-    l2 above `_L2_EXACT_DIM`), the dyadic gaps exact lower bounds.  The
-    radius is exact exactly when it is the gap reader.  The step and radius
-    readers take a chunk's (count, dim, p) stack of means and give one row
-    of norms per step (one norm per row in ``dense`` mode); the gap reader
-    reads the stack of the three dyadic differences alike.
+    l2 above `_L2_EXACT_DIM`).  Both readers take a chunk's (count, dim, p)
+    stack of means and give one row of norms per step (one norm per row in
+    ``dense`` mode).
 
     A bracket's upper end is the norm of an envelope E >= |D| entry by
     entry.  Every step and radius reader but the exact SVD is a fixed order
@@ -202,16 +195,15 @@ def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
     tag = spec.norm_tag
     if mode == "probe":
         cols = lambda X: column_norms(X, tag)
-        return _Norms(cols, cols, cols, 0.0)
+        return _Norms(cols, cols, 0.0, True)
     if mode != "dense":
         raise ValueError(f"unknown scan mode {mode!r}, expected probe or dense")
-    exact = lambda X: matrix_norm(X, tag)
-    radius, slack = exact, 0.0
+    radius, slack, exact = (lambda X: matrix_norm(X, tag)), 0.0, True
     if tag == "l2" and spec.dim > _L2_EXACT_DIM:
-        radius = lambda X: np.sqrt(matrix_norm(X, "l1") * matrix_norm(X, "linf"))
+        radius, exact = (lambda X: np.sqrt(matrix_norm(X, "l1") * matrix_norm(X, "linf"))), False
     elif tag == "l2":
         slack = 2.0**-40
-    return _Norms(lambda X: radius(X)[:, None], exact, radius, slack)
+    return _Norms(lambda X: radius(X)[:, None], radius, slack, exact)
 
 
 # -- one pass over the means ---------------------------------------------
@@ -226,8 +218,8 @@ class _Scan:
     of A_n in ``dense`` mode (None in ``probe`` mode); `powers` holds the
     power-norm maxima for m = 0..steps (None in ``dense`` mode) and
     `power_hit` (m, norms); a hit is None when no step crossed the cap.
-    `snapshots` maps the dyadic scales and the horizon N to A_n, and on a
-    tail scan the tail's start t = max(1, N//2) too.  The stream produced
+    On a tail scan, `snapshots` maps the tail's start t = max(1, N//2) and
+    the horizon N to A_n; it is empty on any other.  The stream produced
     `walked` of the `steps`; past them the phase is stationary and was
     decided from its bracket (see `_scan`): `powers` holds the stationary
     power's maximum, `means` the upper end of the phase's bracket, which
@@ -373,7 +365,7 @@ def _bounded_bracket(spec, X, mode, horizon):
     return lower, base * math.exp(exponent) * widen
 
 
-def _scan(spec, X, mode, horizons, bound_cap, tails=(), gapped=()) -> dict[int, _Scan]:
+def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` also bound their walked tail means for
@@ -383,8 +375,8 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), gapped=()) -> dict[int, 
     (`_bounded_bracket`).  When the upper end is under the cap and under
     `OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
     verdict of the pass is decided: the pass reduces no norms, forms means
-    only for the snapshots and the tails, and stops at its anchor, and each
-    scan holds the bracket.  Otherwise, once the power is stationary, the
+    only for the tails, and stops at its anchor, and each scan holds the
+    bracket.  Otherwise, once the power is stationary, the
     pass stops before the anchor s and decides each phase [s, h] by
     `_phase_bracket`: when its upper end stays under the running maximum at
     s - 1, or both ends are under the cap and give one integer bound.  Its
@@ -397,25 +389,20 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), gapped=()) -> dict[int, 
     settled: the first power and the first mean above the cap in ``probe``
     mode, the first mean above it, with an exact norm above it too, in
     ``dense`` mode.  Every verdict of a horizon h >= w is then ``fails`` or
-    inherits it, so its scan ends at w.  The horizons in `gapped` (uniform
-    ergodicity off probes, which reads its dyadic gaps whatever the bounded
-    verdicts) are walked to their end."""
-    step_norm, _, _, slack = _mode_norms(spec, mode)
+    inherits it, so its scan ends at w."""
+    step_norm, _, slack, _ = _mode_norms(spec, mode)
     stream = CesaroStream(spec, X)
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
-    marks = {h: (*(_dyadic_scales(h) or ()), h) for h in scans}
-    for h in tails:
-        marks[h] += (max(1, h // 2),)
+    marks = {h: (max(1, h // 2), h) for h in tails}  # the snapshots of a tail: its start and its end
     wanted = sorted({n for ns in marks.values() for n in ns})
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = through = stop = max(scans)  # the last step to walk, for the phases and for the witnesses
-    settled, ends = None, {}  # the step w, and the horizons whose scans end at it
+    ends = {}  # the horizons whose scans end at the step w where the witnesses are settled
     uppers = {}  # per decided phase, the upper end that stands for its mean maxima
     lower, upper = bounds = _bounded_bracket(spec, X, mode, horizon)
     reads = None  # once decided: whether the steps [lo, hi) hold a mean the pass reads
     if upper <= min(bound_cap, OVERFLOW_LIMIT) and _int_bound(lower) == _int_bound(upper):
-        spans = [(n, n + 1) for n in wanted] + [(max(1, h // 2), h + 1) for h in tails]
-        reads = lambda lo, hi: any(a < hi and lo < b for a, b in spans)
+        reads = lambda lo, hi: any(t < hi and lo <= h for t, h in marks.values())
     for chunk in stream._chunks(horizon, reads):
         first, count = chunk.first, len(chunk.powers)
         if reads is None:  # a decided pass reads no norms
@@ -433,10 +420,9 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), gapped=()) -> dict[int, 
                 powers.append(chunk.power_max)
                 if power_hit is None and (i := _first_above(chunk.power_max, bound_cap)) is not None:
                     power_hit = (first + i, chunk.power_norms[i].copy())
-            if settled is None and mean_hit and (power_hit if mode == "probe" else mean_hit[2] > bound_cap):
-                settled = max(mean_hit[0], power_hit[0] if power_hit else 0)
-                ends = {h: settled for h in scans if h >= settled and h not in gapped}
-                stop = max([settled, *gapped])
+            if mean_hit and (power_hit if mode == "probe" else mean_hit[2] > bound_cap):
+                stop = max(mean_hit[0], power_hit[0] if power_hit else 0)
+                ends = {h: stop for h in scans if h >= stop}
         for n in wanted[bisect_left(wanted, first) : bisect_left(wanted, first + count)]:
             snapshots[n] = chunk.means[n - first].copy()
         s = horizon + 1 if stream.anchor is None else stream.anchor[2]
@@ -482,7 +468,7 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), gapped=()) -> dict[int, 
         end = ends.get(h, h)
         scan.steps, scan.walked = min(end, reached), min(end, last)
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
-        scan.snapshots = {n: snapshots[n] for n in marks[h] if n in snapshots and n <= scan.steps}
+        scan.snapshots = {n: snapshots[n] for n in marks.get(h, ()) if n in snapshots and n <= scan.steps}
         if reads is not None:
             scan.bracket = bounds
             continue
@@ -493,38 +479,6 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), gapped=()) -> dict[int, 
         scan.mean_hit = mean_hit if mean_hit and mean_hit[0] <= scan.steps else None
         scan.power_hit = power_hit if power_hit and power_hit[0] <= scan.steps else None
     return scans
-
-
-def _dyadic_scales(horizon: int) -> tuple[int, int, int] | None:
-    base = horizon // 4
-    if base < 1:
-        return None
-    return (base, 2 * base, 4 * base)
-
-
-def _gaps(snapshots, scales, norm):
-    """norm(A_a - A_b), norm(A_b - A_c), norm(A_a - A_c) at the dyadic
-    scales (a, b, c) in one reader call, or None if a scale was not reached."""
-    if scales is None or any(s not in snapshots for s in scales):
-        return None
-    a, b, c = (snapshots[s] for s in scales)
-    return norm(np.stack([a - b, b - c, a - c]))
-
-
-def _dyadic_gap_witness(gaps, scales, threshold):
-    """First probe whose three dyadic gaps all exceed the threshold and
-    whose second gap has not decayed below DECAY_RATIO of the first."""
-    if gaps is None or scales is None:
-        return None
-    for probe_idx, (g1, g2, g3) in enumerate(gaps):
-        if min(g1, g2, g3) > threshold and g2 >= DECAY_RATIO * g1:
-            return {
-                "probe": probe_idx,
-                "scales": list(scales),
-                "gaps": [g1, g2, g3],
-                "threshold": threshold,
-            }
-    return None
 
 
 def _tail_radius(scan: _Scan, norms: _Norms, tolerance: float):
@@ -668,28 +622,21 @@ def check_cesaro_bounded(
 def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     """The Cauchy test of the means over the tail [max(1, N//2), N].
 
-    Inherits a failing Cesaro-bounded verdict `cb`; is inconclusive on a
-    diverged scan; fails on a persistent dyadic gap (per probe in ``probe``
-    mode, one value at norm level); holds only when `cb` holds and the
-    certified diameter 2 * radius is below the tolerance.  Norms come from
+    Fails only by inheriting a failing Cesaro-bounded verdict `cb` at the
+    same horizon, read off the same pass; is inconclusive on a diverged
+    scan; holds only when `cb` holds and the certified diameter 2 * radius
+    is below the tolerance, and is inconclusive otherwise.  Norms come from
     `_mode_norms`.  Uniform ergodicity off a ``probe`` scan (above
-    `DENSE_CAP`) is read in ``probe-lb`` mode: each gap is its widest probe
-    column, a lower bound on the norm; with no upper bound on a mean it
-    never holds, so it takes no gate and reads no radius.
+    `DENSE_CAP`) has no upper bound on ||A_n - A_N||, so it reads no radius
+    and never holds.
     """
-    norms = _mode_norms(scan.stream.spec, mode)
-    if family == FAMILY_UNIFORMLY_ERGODIC and mode == "probe":
-        mode, cb = "probe-lb", None
-    scales = _dyadic_scales(scan.horizon)
     evidence = {
         "mode": mode,
-        "cb_status": None if cb is None else cb.status,
-        "cb_bound": None if cb is None else cb.bound,
+        "cb_status": cb.status,
+        "cb_bound": cb.bound,
         "diverged": scan.diverged_at is not None,
         "diverged_at": scan.diverged_at,
         "steps": scan.steps,
-        "dyadic_scales": scales,
-        "dyadic_gaps": None,
         "tail_diameter_ub": None,
         "tail_diameter_lb": None,
     }
@@ -697,28 +644,15 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     def verdict(status, witness=None):
         return Verdict(family, status, scan.horizon, tolerance, None, witness, label, evidence)
 
-    if cb is not None and cb.status == FAILS:
-        return verdict(FAILS, {"inherited_from": FAMILY_CESARO_BOUNDED, **(cb.witness or {})})
-    if scan.diverged_at is not None:
+    if cb.status == FAILS:
+        return verdict(FAILS, {"inherited_from": FAMILY_CESARO_BOUNDED, **cb.witness})
+    if scan.diverged_at is not None or family == FAMILY_UNIFORMLY_ERGODIC and mode == "probe":
         return verdict(INCONCLUSIVE)
-    gaps = _gaps(scan.snapshots, scales, norms.gap)
-    if gaps is not None:
-        if mode == "probe-lb":
-            gaps = np.maximum.reduce(gaps, axis=-1)
-        # One row (g1, g2, g3) per probe, or a single row at norm level.
-        gaps = evidence["dyadic_gaps"] = np.atleast_2d(gaps.T).tolist()
-    witness = _dyadic_gap_witness(gaps, scales, GAP_FACTOR * tolerance)
-    if witness is not None:
-        if mode != "probe":
-            witness["mode"] = mode
-            del witness["probe"]
-        return verdict(FAILS, witness)
-    if mode == "probe-lb":
-        return verdict(INCONCLUSIVE)
+    norms = _mode_norms(scan.stream.spec, mode)
     lower, upper = _tail_radius(scan, norms, tolerance)
     diam_ub = 2.0 * upper
     # A_N lies in the tail, so an exact radius is also a diameter lower bound.
-    diam_lb = lower if norms.radius is norms.gap else np.zeros_like(lower)
+    diam_lb = lower if norms.exact else np.zeros_like(lower)
     evidence["tail_diameter_ub"] = np.asarray(diam_ub).tolist()
     evidence["tail_diameter_lb"] = np.asarray(diam_lb).tolist()
     if cb.status == HOLDS and _tail_holds(scan.horizon, diam_ub.max(), tolerance):
@@ -761,17 +695,18 @@ def check_uniformly_ergodic(
     """Norm-level Cauchy check of the means over the tail [N/2, N].
 
     For dim <= `DENSE_CAP` the stream of the identity block gives the
-    matrices A_n themselves: gaps read norm lower bounds, the tail radius
-    upper bounds, and the dense Cesaro-bounded verdict gates ``holds``.
-    Above the cap it is read off the probe block in ``probe-lb`` mode: each
-    gap is the widest probe column, a lower bound on ||A_n - A_m||, and
-    with no upper bound ``holds`` is unreachable there.
+    matrices A_n themselves: the tail radius reads upper bounds, and the
+    dense Cesaro-bounded verdict gates both ``holds`` and ``fails``.  Above
+    the cap it is read off the probe block: it inherits the probe-mode
+    Cesaro-bounded ``fails`` (a probe mean above the cap has ||A_n|| above
+    it too) and is otherwise ``inconclusive``, since probes give no upper
+    bound on ||A_n - A_N||.
     """
     mode = "probe" if spec.dim > DENSE_CAP else "dense"
     if mode == "probe" and probes is None:
         raise ValueError(
             f"dim {spec.dim} exceeds the dense cap {DENSE_CAP}; probes are "
-            "required for the lower-bound mode"
+            "required above it"
         )
     _check_inputs(
         spec, probes, mode == "probe", horizon=horizon, tolerance=tolerance, bound_cap=bound_cap
@@ -791,12 +726,13 @@ def _block_verdicts(spec, probes, mode, horizons, bound_cap, tolerance=None, erg
     gives the block's bounded verdicts at each (power-bounded off probes
     only).  Ergodicity at each of `ergodic` and uniform ergodicity at each
     of `uniform` are gated by the Cesaro-bounded verdict at their own
-    horizon, but for uniform ergodicity off probes (see `_tail_verdict`).
+    horizon (see `_tail_verdict`); uniform ergodicity off probes reads no
+    tail.
     """
     probe = mode == "probe"
     X, label = (probes.vectors.T, probes.label) if probe else (np.eye(spec.dim), None)
-    tails, gapped = (ergodic, uniform) if probe else (uniform, ())
-    scans = _scan(spec, X, mode, {*horizons, *ergodic, *uniform}, bound_cap, tails, gapped)
+    tails = ergodic if probe else uniform
+    scans = _scan(spec, X, mode, {*horizons, *ergodic, *uniform}, bound_cap, tails)
     bounded = (FAMILY_POWER_BOUNDED, FAMILY_CESARO_BOUNDED) if probe else (FAMILY_CESARO_BOUNDED,)
     verdicts = {f: {h: _bounded_verdict(f, s, mode, label) for h, s in scans.items()} for f in bounded}
     cbs = verdicts[FAMILY_CESARO_BOUNDED]
@@ -863,11 +799,11 @@ def replay_witness(
 ) -> tuple[float, bool]:
     """Re-run the pass that wrote a ``fails`` witness and read it again.
 
-    Returns the reproduced measurement (the value, or the smallest of the
-    dyadic gaps) and whether it still violates the verdict's cap or gap
-    threshold.  The replay walks the block the pass walked, the identity for
-    a ``dense`` witness and the whole probe block for any other, and reads
-    it with the pass's norm reader, so given the verdict's own probe set a
+    Returns the reproduced value and whether it is still above the
+    verdict's cap.  The replay walks the block the pass walked, the identity
+    for a ``dense`` witness and the whole probe block for any other, and
+    reads it as the pass did (`matrix_norm` for a dense mean, the probe
+    column's norm otherwise), so given the verdict's own probe set a
     genuine witness reproduces its recorded value bit for bit.  A witness
     that reads probes refuses a set with another label, and a probe index
     outside the set, with `ValueError`.
@@ -876,34 +812,24 @@ def replay_witness(
     if verdict.status != FAILS or w is None:
         raise ValueError("replay requires a fails verdict with a witness")
     mode, step = w.get("mode", "probe"), w.get("power", w.get("n"))
-    if mode not in ("probe", "dense", "probe-lb") or step is None and "scales" not in w:
-        raise ValueError(f"unrecognized witness shape for family {verdict.family}: {w}")
     dense = mode == "dense"
+    # A dense witness names no probe, and any other names one.
+    if mode not in ("probe", "dense") or step is None or dense == ("probe" in w):
+        raise ValueError(f"unrecognized witness shape for family {verdict.family}: {w}")
     if not dense:
         if probes is None or probes.label != verdict.probe_label:
             raise ValueError(f"this witness reads the probe set {verdict.probe_label!r}; pass that set")
-        if not 0 <= w.get("probe", 0) < len(probes):
+        if not 0 <= w["probe"] < len(probes):
             raise ValueError(f"witness probe {w['probe']} is outside the set of {len(probes)} probes")
-    norm = _mode_norms(spec, "dense" if dense else "probe").gap
-
-    def read(norms):
-        """The witness's probe column, or the widest one (the dense norm)."""
-        norms = np.asarray(norms)[..., None] if dense else norms
-        return norms[..., w["probe"]] if "probe" in w else np.maximum.reduce(norms, axis=-1)
-
     stream = CesaroStream(spec, np.eye(spec.dim) if dense else probes.vectors.T)
-    if "scales" in w:
-        means = stream.means_at(w["scales"])
-        reached = len(means) == len(w["scales"])
-    else:
-        for chunk in stream.chunks(max(1, step)):
-            pass
-        reached = chunk.first + len(chunk.means) > step
-    if not reached:
+    for chunk in stream.chunks(max(1, step)):
+        pass
+    if chunk.first + len(chunk.means) <= step:
         raise ValueError("the means stop before the witness step: the powers overflow")
-    if "scales" in w:
-        gaps = read(_gaps(means, w["scales"], norm))
-        return float(gaps.min()), _dyadic_gap_witness([gaps], w["scales"], w["threshold"]) is not None
-    # Power 0 is X = A_1, which the pass reads off the means.
-    value = float(read(chunk.power_norms[-1] if w.get("power") else norm(chunk.means[-1])))
+    if dense:
+        value = float(matrix_norm(chunk.means[-1], spec.norm_tag))
+    else:
+        # Power 0 is X = A_1, which the pass reads off the means.
+        norms = chunk.power_norms[-1] if w.get("power") else column_norms(chunk.means[-1], spec.norm_tag)
+        value = float(norms[w["probe"]])
     return value, value > w["cap"]

@@ -50,7 +50,10 @@ def test_the_benchmark_checks_pass_on_analyze_reports(tmp_path, name):
     assert all("diverged_at" in v.evidence for v in verdicts[2:])
     assert checks._holds_from_full_scan(verdicts) == (True, "")
 
-    assert any(v["status"] == FAILS for v in report["verdicts"].values())
+    # left_shift_l1(64) fails no family at horizon 1 000 (its non-UE signal
+    # is its doubling certificate), so only jordan_1(2) has witnesses to replay.
+    if name == "jordan_1(2)":
+        assert any(v["status"] == FAILS for v in report["verdicts"].values())
     assert checks._replay_fails(spec, probes, report) == (True, "")
     rank = report["rank_estimate"]
     assert len(rank["partial"]) == len(rank["heights"])

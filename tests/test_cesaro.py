@@ -522,13 +522,15 @@ def test_kept_snapshots_and_hits_survive_later_chunks():
     want, _ = reference_stream(spec, X, horizon)
     for capacity in (1, 2, 3, None):
         with _chunk_capacity(capacity):
-            # Both witnesses are settled by step 7; a gapped horizon is walked
-            # to its end all the same, so the pass reads every later chunk.
-            scan = _scan(spec, X, "probe", [horizon], 3.0, [horizon], [horizon])[horizon]
+            # Under cap 1e3 no step crosses, so the pass reads every chunk to
+            # the horizon; under cap 3 the power witness P_3 is kept through
+            # the chunks up to the mean witness A_7, where the pass stops.
+            scan = _scan(spec, X, "probe", [horizon], 1e3, [horizon])[horizon]
+            hit = _scan(spec, X, "probe", [horizon], 3.0, [horizon])[horizon]
             means = CesaroStream(spec, X).means_at([1, 2, 7, 40, 2, 7])
             margins = chain_margins(spec, X, [1, 2, 9, 40])
-        # The dyadic scales, the horizon and the tail's start.
-        assert scan.snapshots.keys() == {10, 20, 40}
+        # The tail's start and the horizon.
+        assert scan.snapshots.keys() == {20, 40}
         for n, A in scan.snapshots.items():
             assert _same_bits(A, want[n - 1][1])
         # The envelope of the tail [20, 40].
@@ -542,10 +544,11 @@ def test_kept_snapshots_and_hits_survive_later_chunks():
         assert _same_bits(margins, np.array(expected))
         # The first mean and the first power above the cap, with their norms
         # (a probe scan keeps no exact norm of the mean).
-        n, norms, exact = scan.mean_hit
+        n, norms, exact = hit.mean_hit
         assert exact is None and _same_bits(norms, column_norms(want[n - 1][1], spec.norm_tag))
         assert column_norms(want[n - 2][1], spec.norm_tag).max() <= 3.0 < norms.max()
-        m, norms = scan.power_hit
+        m, norms = hit.power_hit
+        assert (m, n, hit.steps) == (3, 7, 7)
         assert _same_bits(norms, want[m - 1][3])
         assert want[m - 2][3].max() <= 3.0 < norms.max()
 

@@ -9,7 +9,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import ergorank.cesaro
 import ergorank.classify
@@ -26,7 +26,6 @@ from ergorank.classify import (
     replay_witness,
     trusted_horizon,
     _L2_EXACT_DIM,
-    _dyadic_scales,
     _int_bound,
     _mode_norms,
     _scan,
@@ -56,6 +55,10 @@ from reference import JORDAN_EIGENVALUES, jordan_spec, reference_stream, referen
 
 #: Powers overflow at the first step: T x already has norm 1e200.
 HUGE_DIAGONAL = OperatorSpec(KIND_DIAGONAL, 2, [1e200, -1e200], "linf")
+
+#: Uniformly ergodic at tolerance 0.1 and UE horizon 64, yet its means at
+#: n = 1, 2 and 4 are more than 0.4 apart: a slow window, not a failure.
+SLOW_DENSE = OperatorSpec(KIND_DENSE, 2, np.array([[0.01182162, 0.4504637], [-0.35584039, 0.44864945]]), "l1")
 
 #: Every entry of A_n = diag((1 - d^n) / (n (1 - d))) falls with n, so the
 #: first tail mean is the farthest from A_N.
@@ -259,15 +262,18 @@ def test_ergodic_inherits_cb_failure():
     assert still
 
 
-def test_ergodic_dyadic_fails_without_cb_gate():
-    # With a huge cap the boundedness gate stays quiet and the non-decaying
-    # dyadic gap must catch the linear drift on its own.
+def test_ergodic_without_a_failing_cb_gate_does_not_fail():
+    # With a huge cap the boundedness gate holds, and ergodicity fails only
+    # by inheriting it: the linear drift of jordan_1(2)'s means leaves a
+    # wide tail, which is inconclusive.  Under a cap the means cross, the
+    # Cesaro-bounded witness is inherited and replays.
     spec, probes = _probes("jordan_1(2)")
     v = check_ergodic(spec, probes, 2000, 1e-2, bound_cap=1e9)
-    assert v.status == FAILS
-    assert "scales" in v.witness and v.witness["scales"] == [500, 1000, 2000]
-    val, still = replay_witness(spec, v, probes)
-    assert still and val == min(v.witness["gaps"])
+    assert (v.status, v.evidence["cb_status"]) == (INCONCLUSIVE, HOLDS)
+    assert max(v.evidence["tail_diameter_lb"]) > 1e-2
+    v = check_ergodic(spec, probes, 2000, 1e-2, bound_cap=100.0)
+    assert v.status == FAILS and v.witness["inherited_from"] == "cesaro_bounded"
+    assert replay_witness(spec, v, probes) == (v.witness["value"], True)
 
 
 def test_ergodic_no_false_fails_on_slow_convergence():
@@ -306,13 +312,18 @@ def test_ue_scalar_half_matched_horizons():
     assert check_uniformly_ergodic(spec, 20_000, 1e-3).status == HOLDS
 
 
-def test_ue_jordan_fails_by_dyadic_gap():
+def test_ue_jordan_fails_only_through_its_gate():
+    # ||A_256|| of jordan_1(2) stays under the cap, so its wide tail is
+    # inconclusive; under a lower cap the dense Cesaro-bounded witness is
+    # inherited and replays.
     spec = gallery("jordan_1(2)")
     v = check_uniformly_ergodic(spec, 256, 1e-2)
-    assert v.status == FAILS
+    assert (v.status, v.evidence["cb_status"]) == (INCONCLUSIVE, HOLDS)
+    assert v.evidence["tail_diameter_lb"] > 1e-2
+    v = check_uniformly_ergodic(spec, 256, 1e-2, bound_cap=64.0)
+    assert v.status == FAILS and v.witness["inherited_from"] == "cesaro_bounded"
     assert v.witness["mode"] == "dense"
-    val, still = replay_witness(spec, v)
-    assert still
+    assert replay_witness(spec, v) == (v.witness["value"], True)
 
 
 def test_ue_scalar_two_fails_by_gate():
@@ -324,18 +335,26 @@ def test_ue_scalar_two_fails_by_gate():
     assert still
 
 
-def test_ue_probe_lower_bound_mode():
-    # Above the dense cap only probe diffs are available: holds must be
-    # unreachable, and persistent separation still fails.  Late basis
-    # vectors keep consecutive means a constant distance apart.
+def test_ue_above_the_dense_cap_only_inherits():
+    # Above the dense cap only probe means are available, which bound no
+    # ||A_n - A_N|| from above: holds is unreachable, and the only fails is
+    # the probe-mode Cesaro-bounded one at the same horizon, since a probe
+    # mean above the cap puts ||A_n|| above it.  Late basis vectors keep the
+    # shift's consecutive means a constant distance apart, yet its means
+    # stay bounded, so it is inconclusive.  jordan_1(600)'s probe 7 has
+    # ||A_16 x|| = 1 223.7, above the cap.
     spec = gallery("left_shift_l1(600)")
     probes = basis_probes(600, "l1", count=256)
     v = check_uniformly_ergodic(spec, 128, 1e-2, probes=probes)
-    assert v.status == FAILS
-    assert v.witness["mode"] == "probe-lb"
-    assert v.witness["gaps"][0] == pytest.approx(1.0)
-    val, still = replay_witness(spec, v, probes)
-    assert still
+    assert (v.status, v.evidence["mode"], v.evidence["cb_status"]) == (INCONCLUSIVE, "probe", HOLDS)
+    assert v.evidence["tail_diameter_ub"] is None
+    spec, probes = _probes("jordan_1(600)")
+    for horizon in (64, 256):
+        v = check_uniformly_ergodic(spec, horizon, 1e-2, probes=probes)
+        assert v.status == FAILS and v.witness["inherited_from"] == "cesaro_bounded"
+        assert (v.witness["mode"], v.witness["probe"], v.witness["n"]) == ("probe", 7, 16)
+        assert v.witness["value"] == pytest.approx(1223.7, abs=0.05)
+        assert replay_witness(spec, v, probes) == (v.witness["value"], True)
     with pytest.raises(ValueError, match="probes"):
         check_uniformly_ergodic(gallery("identity(513)"), 64, 1e-2)
 
@@ -415,12 +434,17 @@ def _small_specs(draw, max_dim=6):
     st.sampled_from([1e-2, 0.1, 0.5]),
 )
 @settings(max_examples=200)
+@example(SLOW_DENSE, 7, False, 0.1)
 def test_family_hierarchy_holds(spec, horizon, basis, tolerance):
     # UE => ergodic => Cesaro-bounded, and power-bounded => Cesaro-bounded:
     # no verdict may contradict a stronger family that holds.  Loose
     # tolerances let UE hold on more than the identity at UE horizon 64.
+    # Ergodicity and UE fail only by inheriting a Cesaro-bounded fails.
     probes = basis_probes(spec.dim, spec.norm_tag) if basis else default_probes(spec)
     pb, cb, erg, ue, _ = check_families(spec, probes, horizon, tolerance, 1e3, 64)
+    for v in (erg, ue):
+        if v.status == FAILS:
+            assert v.witness["inherited_from"] == "cesaro_bounded", v.witness
     if ue.status == HOLDS:
         assert erg.status != FAILS
     if erg.status == HOLDS:
@@ -488,6 +512,67 @@ def test_bounded_verdicts_agree_with_the_jordan_oracle(js, horizon, side, shift)
             assert v.status == HOLDS, (js, v.family, v.status)
 
 
+def test_tail_verdicts_agree_with_the_jordan_oracle(capsys):
+    # In finite dimension power-bounded = ergodic = uniformly ergodic, and
+    # a window shows no divergence of the means that it does not show of
+    # their norms.  So under a cap 10-80x above every norm of a member's
+    # window neither tail family fails, and where the means provably reach
+    # 10-80x the cap (at the horizon for ergodicity, at the UE horizon for
+    # uniform ergodicity) each fails with the Cesaro-bounded witness, which
+    # replays.  Any other fails is inherited too.  How many verdicts of
+    # each family end in each status is printed, not gated.
+    tally = collections.Counter()
+
+    @given(_jordan_specs(), st.sampled_from([1, 2, 7, 64, 300, 2000]), st.sampled_from(["above", "means"]),
+           st.integers(0, 3))
+    @settings(max_examples=120, deadline=None)
+    def check(js, horizon, side, shift):
+        spec = js.spec
+        probes = basis_probes(spec.dim, spec.norm_tag)
+        upper, _, mean_low = js.window_bounds(horizon)
+        ue_horizon = min(64, horizon)
+        cap = 10.0 * upper * 2.0**shift if side == "above" else mean_low / 10.0 * 2.0**-shift
+        families = check_families(spec, probes, horizon, 1e-2, cap, ue_horizon)
+        tails = (families.ergodic, families.uniformly_ergodic)
+        tally.update((v.family, v.status) for v in tails)
+        for v in tails:
+            if js.power_bounded and cap >= 10.0 * upper:
+                assert v.status != FAILS, (js, v.family, v.witness)
+            if v.status == FAILS:
+                assert v.witness["inherited_from"] == "cesaro_bounded", (js, v.family, v.witness)
+        for v, reach in ((families.ergodic, mean_low), (families.uniformly_ergodic, js.window_bounds(ue_horizon)[2])):
+            if 10.0 * cap <= reach:
+                assert v.status == FAILS and v.witness["inherited_from"] == "cesaro_bounded", (js, v.family, v.status)
+                assert replay_witness(spec, v, probes) == (v.witness["value"], True)
+
+    check()
+    with capsys.disabled():
+        for family in ("ergodic", "uniformly_ergodic"):
+            counts = {status: tally[family, status] for status in (HOLDS, FAILS, INCONCLUSIVE)}
+            print(f"\nJordan tail oracle, {family}: {counts}")
+
+
+#: Operators whose means converge, or stay bounded, but move slowly on the
+#: window, as (spec, horizon, tolerance).
+_SLOW_MEANS = {
+    "diag(0.99), l1": (OperatorSpec(KIND_DIAGONAL, 1, [0.99], "l1"), 64, 1e-2),
+    "Jordan block at 0.999, l2": (OperatorSpec(KIND_DENSE, 2, np.array([[0.999, 1.0], [0.0, 0.999]]), "l2"), 2000, 1e-2),
+    "left_shift_l1(600)": (gallery("left_shift_l1(600)"), 512, 1e-2),
+    "dense 2x2, l1": (SLOW_DENSE, 7, 0.1),
+}
+
+
+@pytest.mark.parametrize("name", _SLOW_MEANS)
+def test_slowly_moving_means_fail_no_tail_family(name):
+    # Each is power bounded under the cap, so its window shows no failure:
+    # ergodicity and uniform ergodicity hold or are inconclusive.
+    spec, horizon, tolerance = _SLOW_MEANS[name]
+    families = check_families(spec, default_probes(spec), horizon, tolerance, 1e3, 64)
+    assert families.power_bounded.status == families.cesaro_bounded.status == HOLDS
+    for v in (families.ergodic, families.uniformly_ergodic):
+        assert v.status in (HOLDS, INCONCLUSIVE), (v.family, v.witness)
+
+
 def _same(a, b):
     """Both None, or arrays of the same shape, dtype and bytes."""
     if a is None or b is None:
@@ -548,22 +633,20 @@ def _block(spec, mode):
     return np.eye(spec.dim) if mode == "dense" else default_probes(spec).vectors.T
 
 
-@given(_prefix_cases(), st.sampled_from(["both", "short", "long"]), st.sampled_from(["none", "short", "long"]))
+@given(_prefix_cases(), st.sampled_from(["both", "short", "long"]))
 @settings(max_examples=150)
-def test_each_horizon_of_a_pass_leaves_the_scan_of_its_own_pass(case, tailed, gapped):
-    # Whether a pass serves the tails of both horizons or of one, and walks
-    # one of them to its end whatever its witnesses (gapped) or none, each
+def test_each_horizon_of_a_pass_leaves_the_scan_of_its_own_pass(case, tailed):
+    # Whether a pass serves the tails of both horizons or of one, each
     # horizon gets the scan, tail envelope included, of a pass to it alone:
     # a horizon whose witnesses are settled ends where they are.
     spec, mode, short, long = case
     X = _block(spec, mode)
     norms = _mode_norms(spec, mode)
     tails = {"both": {short, long}, "short": {short}, "long": {long}}[tailed]
-    gapped = {"none": set(), "short": {short}, "long": {long}}[gapped]
     for capacity in (1, 2, 3, None):
         with _chunk_capacity(capacity):
-            both = _scan(spec, X, mode, {short, long}, 3.0, tails, gapped)
-            alone = {h: _scan(spec, X, mode, [h], 3.0, {h} & tails, {h} & gapped)[h] for h in {short, long}}
+            both = _scan(spec, X, mode, {short, long}, 3.0, tails)
+            alone = {h: _scan(spec, X, mode, [h], 3.0, {h} & tails)[h] for h in {short, long}}
         assert both.keys() == alone.keys()
         for h, want in alone.items():
             _assert_same_scan(both[h], want, norms if h in tails else None)
@@ -639,7 +722,7 @@ def _assert_tail_capacities_agree(spec, horizon, tolerance=1e-2):
         radius = reference_tail_radius(spec, X, horizon, norm)
         if radius is None:
             assert ub is None and lb is None
-        if ub is None:  # a diverged scan, a failing gate or a dyadic gap decided first
+        if ub is None:  # a diverged scan or a failing gate decided first
             continue
         assert _bits(ub) == _bits(np.asarray(2.0 * radius).tolist())
         assert _bits(lb) == _bits(np.asarray(radius if exact else np.zeros_like(radius)).tolist())
@@ -682,10 +765,9 @@ _TAIL_CASES = {
 
 @pytest.mark.parametrize("case", _TAIL_CASES.values(), ids=_TAIL_CASES.keys())
 def test_tail_bits_agree_at_every_chunk_capacity(case):
-    # The huge diagonal diverges at once, and the left shift at 100 fails
-    # uniform ergodicity on a dyadic gap before its radius is read.
+    # The huge diagonal diverges at once; every other case reads both radii.
     spec, horizon = case
-    reads = 0 if spec is HUGE_DIAGONAL else 1 if case is _TAIL_CASES["left shift, null inside the tail"] else 2
+    reads = 0 if spec is HUGE_DIAGONAL else 2
     assert _assert_tail_capacities_agree(spec, horizon) == reads
 
 
@@ -848,27 +930,29 @@ def test_only_the_exact_svd_widens_its_upper_ends():
 
 
 def test_unknown_modes_are_refused():
-    # A pass reads its norms in probe or dense mode, and a witness names a
-    # mode that a verdict writes (probe-lb too); any other mode is refused,
-    # not read with dense norms.  left_shift_l1(600) fails ergodicity at 512
-    # on probe 39's dyadic gaps, jordan_1(2) uniform ergodicity on dense
-    # ones, and scalar(2.0) is not Cesaro bounded (a dense witness).
-    shift, jordan, scalar = (gallery(n) for n in ("left_shift_l1(600)", "jordan_1(2)", "scalar(2.0)"))
+    # A pass reads its norms in probe or dense mode, and a witness names one
+    # of them; any other mode (probe-lb too) is refused, not read with dense
+    # norms.  jordan_1(600) fails ergodicity at 512 by inheriting a probe
+    # witness, jordan_1(2) uniform ergodicity under cap 64 a dense one, and
+    # scalar(2.0) is not Cesaro bounded (a dense witness).
+    wide, jordan, scalar = (gallery(n) for n in ("jordan_1(600)", "jordan_1(2)", "scalar(2.0)"))
     for mode in ("probe-lb", "bogus"):
         with pytest.raises(ValueError, match="unknown scan mode"):
-            _mode_norms(shift, mode)
+            _mode_norms(wide, mode)
     cases = [
-        (shift, lambda probes: check_ergodic(shift, probes, 512, 1e-2)),
-        (jordan, lambda probes: check_uniformly_ergodic(jordan, 256, 1e-2)),
+        (wide, lambda probes: check_ergodic(wide, probes, 512, 1e-2)),
+        (jordan, lambda probes: check_uniformly_ergodic(jordan, 256, 1e-2, bound_cap=64.0)),
         (scalar, lambda probes: check_cesaro_bounded(scalar, probes, 256)),
     ]
     for spec, check in cases:
         probes = default_probes(spec)
         v = check(probes)
         assert v.status == FAILS and replay_witness(spec, v, probes)[1], spec
-        v.witness = {**v.witness, "mode": "bogus"}
-        with pytest.raises(ValueError, match="unrecognized witness shape"):
-            replay_witness(spec, v, probes)
+        witness = v.witness
+        for mode in ("probe-lb", "bogus"):
+            v.witness = {**witness, "mode": mode}
+            with pytest.raises(ValueError, match="unrecognized witness shape"):
+                replay_witness(spec, v, probes)
 
 
 #: Entries that stress rounding: signed zeros, subnormals, the smallest
@@ -1045,10 +1129,10 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
 #: horizon 2 000 and UE horizon 256: uniform ergodicity is read off that
 #: pass, and no other walk runs.  left_shift_l1(600) is null from P_600 on
 #: and stops after T P_600 = P_600; identity(600) is stationary from s = 2.
-#: jordan_1(600)'s bounded witnesses are settled long before its powers
-#: overflow at step 468, but uniform ergodicity off probes reads the dyadic
-#: gaps at its UE horizon whatever they say, so the pass walks to 256.
-_WIDE_FAMILY_WALKS = {"left_shift_l1(600)": 601, "identity(600)": 1, "jordan_1(600)": 256}
+#: jordan_1(600)'s bounded witnesses are settled at A_16, long before its
+#: powers overflow at step 468, and every verdict of the pass (uniform
+#: ergodicity off probes too) fails or inherits there, so the pass stops.
+_WIDE_FAMILY_WALKS = {"left_shift_l1(600)": 601, "identity(600)": 1, "jordan_1(600)": 16}
 
 
 def test_families_walk_the_probe_block_once_above_the_dense_cap(monkeypatch):
@@ -1057,18 +1141,25 @@ def test_families_walk_the_probe_block_once_above_the_dense_cap(monkeypatch):
         walks.walks.clear()
         ue = check_families(*_probes(name), 2000, 1e-2, 1e3, 256).uniformly_ergodic
         assert walks.walks == [[False, steps]], name
-        assert (ue.horizon, ue.evidence["mode"]) == (256, "probe-lb"), name
+        assert (ue.horizon, ue.evidence["mode"]) == (256, "probe"), name
 
 
-def _unstopped():
-    """Passes inside walk every horizon to its end whatever its witnesses
-    (every horizon is gapped)."""
-    real = ergorank.classify._scan
-
-    def scan(spec, X, mode, horizons, bound_cap, tails=(), gapped=()):
-        return real(spec, X, mode, horizons, bound_cap, tails, horizons)
-
-    return mock.patch.object(ergorank.classify, "_scan", scan)
+def _first_crossings(spec, X, horizon, cap):
+    """The first power and the first mean above the cap, as (step, norms),
+    of a walk of the probe block X to `horizon` that does not stop at
+    them, and the last step that walk reads."""
+    hits = {}
+    for chunk in CesaroStream(spec, X).chunks(horizon):
+        means = column_norms(chunk.means, spec.norm_tag)
+        rows = [("power", chunk.first, chunk.power_norms), ("n", chunk.first, means)]
+        if chunk.first == 1:  # T^0 X = A_1 X
+            rows.insert(0, ("power", 0, means[:1]))
+        for key, start, norms in rows:
+            above = np.flatnonzero(norms.max(axis=1) > cap)
+            if key not in hits and len(above):
+                hits[key] = (start + int(above[0]), norms[above[0]])
+        last = chunk.first + len(chunk.means) - 1
+    return hits, last
 
 
 def _chunk_end(spec, X, step, horizon):
@@ -1088,8 +1179,9 @@ def test_a_pass_stops_where_its_witnesses_are_settled(monkeypatch):
     # settles at 14 (P_10 = 1 024 and A_14 = 16 383/14, in both passes) and
     # jordan_1(2) at 2 001 (P_1000 and A_2001 on probe 1; its dense means
     # stay under the cap to 256): their scans end there, and each narrow
-    # block stops at the end of the chunk that holds that step.  Walked to
-    # every horizon instead, each pass gives the same verdicts.
+    # block stops at the end of the chunk that holds that step.  A walk of
+    # the probe block that does not stop there finds the same first power
+    # and first mean above the cap.
     overflow = _bench_workloads().wide_specs(101)["overflow-diagonal-256-l2"]
     scalar, jordan = gallery("scalar(2.0)"), gallery("jordan_1(2)")
     cases = [
@@ -1110,10 +1202,12 @@ def test_a_pass_stops_where_its_witnesses_are_settled(monkeypatch):
             assert v.status == FAILS and v.evidence["steps"] == probe_end, (spec, v.family)
         assert families.power_bounded.evidence["walked"] == probe_end
         assert families.uniformly_ergodic.evidence["steps"] == identity_end
-        with _unstopped():
-            walked = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
-        assert _serialized(walked) == _serialized(families)
-        assert walked.power_bounded.evidence["steps"] > probe_end
+        hits, last = _first_crossings(spec, probes.vectors.T, horizon, 1e3)
+        for v, key in ((families.power_bounded, "power"), (families.cesaro_bounded, "n")):
+            step, norms = hits[key]
+            probe = int(np.argmax(norms > 1e3))
+            assert (v.witness[key], v.witness["probe"], v.witness["value"]) == (step, probe, norms[probe])
+        assert max(hits["power"][0], hits["n"][0]) == probe_end < last
 
 
 @pytest.mark.parametrize("mode", ["probe", "dense"])
@@ -1261,13 +1355,15 @@ def _first_hit(tops, cap):
 
 @pytest.mark.parametrize("name", _NULL_CASES)
 def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
-    # The pass stops at s - 1 in every mode; the running maxima, hits,
-    # steps, snapshots and bounds are still those of every step (the cap of
-    # each `_scan` below is under the maxima, so no bracket decides it
-    # before the walk, and its horizon is gapped, so the pass walks on past
-    # its witnesses).  The tail bracket holds the radius, and folded
-    # exactly (a NaN tolerance) it is the radius; the fold's re-walk of a
-    # tail that starts before s stops at s - 1, under the exact SVD too.
+    # The pass stops at s - 1 in every mode; the running maxima, steps,
+    # snapshots and bounds are still those of every step (the cap of each
+    # full `_scan` below is the largest mean norm, which no bracket decides
+    # before the walk, and which no mean crosses, so the pass walks on).
+    # Under half that cap the hits are those of the reference, and the pass
+    # stops where they are settled.  The tail bracket holds the radius, and
+    # folded exactly (a NaN tolerance) it is the radius; the fold's re-walk
+    # of a tail that starts before s stops at s - 1, under the exact SVD
+    # too.
     spec, horizon, ue_horizon = _NULL_CASES[name]
     probes = default_probes(spec)
     probes = ProbeSet(probes.vectors[[0, -2, -1]], spec.norm_tag, "oracle")
@@ -1281,23 +1377,28 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
         skips = ref["s"] is not None and ref["s"] <= h
         skipped += skips
         cap = 0.5 * ref["means"].max()
+        hit = _scan(spec, X, mode, [h], cap, [h])[h]
+        n = _first_hit(ref["means"], cap)
+        assert hit.mean_hit[0] == n + 1
+        assert _same(hit.mean_hit[1], ref["mean_norms"][n])
+        exact = matrix_norm(ref["A"][n + 1], spec.norm_tag) if mode == "dense" else None
+        assert hit.mean_hit[2] == exact
+        settled = n + 1
+        if mode == "probe":
+            m = _first_hit(ref["powers"], cap)
+            assert hit.power_hit[0] == m and _same(hit.power_hit[1], ref["power_norms"][m])
+            settled = max(settled, m)
+        assert (hit.steps, hit.walked) == (settled, settled)
         for tolerance in (1e-2, np.nan):
-            scan = _scan(spec, X, mode, [h], cap, [h], [h])[h]
-            assert (scan.steps, scan.diverged_at) == (h, None)
+            scan = _scan(spec, X, mode, [h], ref["means"].max(), [h])[h]
+            assert (scan.steps, scan.diverged_at, scan.mean_hit) == (h, None, None)
             assert scan.walked == (ref["s"] - 1 if skips else h)
             running = np.maximum.accumulate
             assert _same(running(scan.means), running(ref["means"])), mode
             assert _same(scan.means[: scan.walked], ref["means"][: scan.walked])
-            n = _first_hit(ref["means"], cap)
-            assert scan.mean_hit[0] == n + 1
-            assert _same(scan.mean_hit[1], ref["mean_norms"][n])
-            exact = matrix_norm(ref["A"][n + 1], spec.norm_tag) if mode == "dense" else None
-            assert scan.mean_hit[2] == exact
             if mode == "probe":
                 assert _same(scan.powers, ref["powers"])
-                m = _first_hit(ref["powers"], cap)
-                assert scan.power_hit[0] == m and _same(scan.power_hit[1], ref["power_norms"][m])
-            assert scan.snapshots.keys() == {*_dyadic_scales(h), h, h // 2}
+            assert scan.snapshots.keys() == {h, h // 2}
             assert all(_same(A, ref["A"][n]) for n, A in scan.snapshots.items())
             walks.walks.clear()
             lower, upper = _tail_radius(scan, norms, tolerance)
@@ -1616,13 +1717,18 @@ def test_trusted_horizon_shrinks_for_shift_only():
 
 
 def test_ue_shift_section_two_regimes():
+    # Inside the trusted window the shift's tail [16, 32] is as wide as it
+    # can be (||A_16 - A_32||_1 = 1), but its means are bounded, so that is
+    # no fails; the doubling certificate separates the means to depth 5
+    # instead.  The 64-dim section is nilpotent beyond its size, so at
+    # horizon 256 its tail is narrower, but still too wide.
     spec = gallery("left_shift_l1(64)")
     trusted = check_uniformly_ergodic(spec, trusted_horizon(spec, 256), 1e-2)
-    assert trusted.status == FAILS
+    assert (trusted.status, trusted.evidence["tail_diameter_lb"]) == (INCONCLUSIVE, 1.0)
+    assert search_nse(spec, default_probes(spec), 0.5, 5, 32).depth == 5
     section = check_uniformly_ergodic(spec, 256, 1e-2)
-    # The 64-dim section is nilpotent beyond its size, so at horizon 256 the
-    # persistent-gap evidence is gone, but the tail is still too wide.
     assert section.status == INCONCLUSIVE
+    assert 1e-2 < section.evidence["tail_diameter_lb"] < 1.0
 
 
 def test_no_holds_from_a_vacuous_tail():
@@ -1755,17 +1861,24 @@ def test_replay_requires_fails():
 
 
 def test_a_near_tie_witness_replays_bit_for_bit():
-    # Probe 39's smallest dyadic gap is one ulp above the threshold 4 * tol,
-    # so only a replay in the pass's own arithmetic still sees it violate.
-    spec = gallery("left_shift_l1(600)")
-    probes = default_probes(spec)
-    v = check_ergodic(spec, probes, 512, 0.010998776113297208)
-    assert v.status == FAILS and v.witness["probe"] == 39
-    assert replay_witness(spec, v, probes) == (min(v.witness["gaps"]), True)
+    # With the cap one ulp under jordan_1(600)'s first power norm above
+    # 1e3, that power is still the first above the cap, by one ulp, so only
+    # a replay in the pass's own arithmetic still sees it violate; and so
+    # for the means.  Ergodicity inherits the mean's near tie.
+    spec, probes = _probes("jordan_1(600)")
+    for family in ("power_bounded", "cesaro_bounded"):
+        w = getattr(check_families(spec, probes, 512, 1e-2, 1e3, 64), family).witness
+        cap = np.nextafter(w["value"], 0.0)
+        families = check_families(spec, probes, 512, 1e-2, cap, 64)
+        v = getattr(families, family)
+        assert v.status == FAILS and v.witness == {**w, "cap": cap}
+        assert replay_witness(spec, v, probes) == (w["value"], True)
+    assert families.ergodic.witness == {"inherited_from": "cesaro_bounded", **v.witness}
+    assert replay_witness(spec, families.ergodic, probes) == (w["value"], True)
 
 
 def test_replay_refuses_another_probe_set():
-    spec = gallery("left_shift_l1(600)")
+    spec = gallery("jordan_1(600)")
     probes = default_probes(spec)
     v = check_ergodic(spec, probes, 512, 1e-2)
     assert v.status == FAILS and "probe" in v.witness
@@ -1797,22 +1910,19 @@ def _failing_verdicts(spec, probes, horizon, tolerance, cap, ue_horizon):
 )
 @settings(max_examples=40, deadline=None)
 def test_every_fails_verdict_replays_bit_for_bit(spec, horizon, ue_horizon, basis, data):
-    # At the default tolerance and cap, then with the cap or the gap
-    # threshold one ulp under a recorded value, where a replay read in
-    # other arithmetic than its pass's would land on the wrong side.
+    # At the default cap, then with the cap one ulp under a recorded value,
+    # where a replay read in other arithmetic than its pass's would land on
+    # the wrong side.  Every witness is a value above the cap, and every
+    # ergodic or uniformly ergodic one is inherited.
     probes = basis_probes(spec.dim, spec.norm_tag) if basis else default_probes(spec)
     fails = _failing_verdicts(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
     if fails:
-        w = data.draw(st.sampled_from(fails)).witness
-        tolerance, cap = 1e-2, 1e3
-        if "value" in w:
-            cap = np.nextafter(w["value"], 0.0)
-        else:
-            tolerance = np.nextafter(min(w["gaps"]), 0.0) / ergorank.classify.GAP_FACTOR
-        fails += _failing_verdicts(spec, probes, horizon, tolerance, cap, ue_horizon)
+        cap = np.nextafter(data.draw(st.sampled_from(fails)).witness["value"], 0.0)
+        fails += _failing_verdicts(spec, probes, horizon, 1e-2, cap, ue_horizon)
     for v in fails:
-        recorded = v.witness["value"] if "value" in v.witness else min(v.witness["gaps"])
-        assert replay_witness(spec, v, probes) == (recorded, True), (spec, v.family, v.witness)
+        if v.family in ("ergodic", "uniformly_ergodic"):
+            assert v.witness["inherited_from"] == "cesaro_bounded", (spec, v.family, v.witness)
+        assert replay_witness(spec, v, probes) == (v.witness["value"], True), (spec, v.family, v.witness)
 
 
 def test_probe_dim_mismatch():

@@ -1,7 +1,7 @@
 """Golden digests of `ergorank analyze` reports on the built-in gallery,
 and on three operators above `DENSE_CAP`, where uniform ergodicity is read
-off the probe pass from probe lower bounds, ``probe-lb`` in its evidence
-(a shift, the identity, and a Jordan block whose powers grow).
+off the probe pass and can only inherit its Cesaro-bounded ``fails`` (a
+shift, the identity, and a Jordan block whose powers grow).
 
 Each digest is the sha256 of a canonical report with its `timings` block
 removed, at horizon 512 (Cesaro-bounded in dense mode under ``auto`` for
@@ -10,10 +10,15 @@ every byte of these reports alone; an intended output change regenerates
 the fixture and says why in CHANGES.md:
 
     PYTHONPATH=src python tests/test_golden.py > tests/fixtures/analyze_golden.json
+
+Re-recording prints to stderr each horizon and name whose digest differs
+from the fixture committed at git HEAD (the redirect empties the working
+copy before the script starts).
 """
 
 import json
 import os
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -46,6 +51,18 @@ def report_digest(name: str, horizon: int, workdir: str) -> str:
     return sha256_hex(canonical_dumps(report))
 
 
+def committed_digests() -> dict:
+    """The fixture at git HEAD, or {} where git cannot show it."""
+    try:
+        shown = subprocess.run(
+            ["git", "show", f"HEAD:./{FIXTURE.name}"], cwd=FIXTURE.parent,
+            capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return {}
+    return json.loads(shown.stdout)
+
+
 @pytest.mark.parametrize("horizon", HORIZONS)
 def test_analyze_reports_match_golden_digests(horizon, tmp_path):
     golden = json.loads(FIXTURE.read_text())[str(horizon)]
@@ -55,9 +72,14 @@ def test_analyze_reports_match_golden_digests(horizon, tmp_path):
 
 
 if __name__ == "__main__":
+    golden = committed_digests()
     with tempfile.TemporaryDirectory() as workdir:
         digests = {
             str(h): {name: report_digest(name, h, workdir) for name in NAMES}
             for h in HORIZONS
         }
+    for h, names in digests.items():
+        for name, digest in names.items():
+            if golden.get(h, {}).get(name) != digest:
+                sys.stderr.write(f"moved: horizon {h} {name}\n")
     sys.stdout.write(json.dumps(digests, indent=2, sort_keys=True) + "\n")
