@@ -31,8 +31,9 @@ anchored at the first step s past it.  Nilpotent shift sections reach
 P_n = 0 this way, and the identity reaches P_n = X.  The stream exposes
 that anchor and the closed-form mean (`anchor`, `closed_form`), so a reader
 can take a mean past s without walking to it: every later mean is
-P + (S_s - sP)/n, monotone in n in each entry, so a reader can bound a
-whole stationary phase by its endpoints.  A walk always starts at n = 1,
+P + (S_s - sP)/n, monotone in n in each entry, so a tail's distances to
+its last mean are bounded past s by their value at s or at the tail's
+start (see `classify._tail_radius`).  A walk always starts at n = 1,
 so a reader that needs a mean again before s walks again.  A reader that
 has bounded every norm before the walk starts (see `classify._scan`) walks
 without power norms, and the stream forms only the means it reads.

@@ -43,19 +43,18 @@ norm it could read lies between its value at n = 1 and that value times
 (`_bounded_bracket`).  When that upper end is under the cap and under
 `OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
 verdict of the pass holds with that bound, so the pass reads no per-step
-norms, forms only the means its tails read, and stops at its anchor.
-Once the stream's power is stationary (T P = P bit for bit from the anchor
-s on), every later mean is A_n = P + (S_s - sP)/n, monotone in n entry by
-entry in exact arithmetic, so every pass stops stepping at the anchor and
-brackets the stationary phase's largest norm between its two endpoints
-(`_phase_bracket`).  The tail radius is bracketed between norm(A_t - A_N)
-at the tail's start and the norm of an entrywise envelope of the walked
-tail means, joined with the stationary part's bracket (`_tail_radius`).
-Every upper end is the norm of an envelope, widened by the reader's slack
-(see `_mode_norms`).  A bracket decides only where both of its ends give
-the same serialized answer; otherwise the phase is walked through the
-closed form, or the radius is folded from a fresh walk, so a decided
-verdict has the bits a walk of every step gives it.
+norms, forms only the means its tails read, and stops at the anchor s of
+the stream (T P = P bit for bit from s on); every later mean has the
+closed form A_n = P + (S_s - sP)/n.  The tail radius is bracketed between
+norm(A_t - A_N) at the tail's start and the norm of an entrywise envelope
+of the walked tail means, joined with the bracket of its stationary part
+from the endpoints of that part (`_phase_bracket`: in exact arithmetic
+every entry of A_n - A_N is monotone there); see `_tail_radius`.  Every
+upper end is the norm of an envelope, widened by the reader's slack (see
+`_mode_norms`).  A bracket decides only where both of its ends give the
+same serialized answer; otherwise the pass walks every step, or the
+radius is folded from a fresh walk, so a decided verdict has the bits a
+walk of every step gives it.
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -219,20 +218,17 @@ class _Scan:
     power-norm maxima for m = 0..steps (None in ``dense`` mode) and
     `power_hit` (m, norms); a hit is None when no step crossed the cap.
     On a tail scan, `snapshots` maps the tail's start t = max(1, N//2) and
-    the horizon N to A_n; it is empty on any other.  The stream produced
-    `walked` of the `steps`; past them the phase is stationary and was
-    decided from its bracket (see `_scan`): `powers` holds the stationary
-    power's maximum, `means` the upper end of the phase's bracket, which
-    leaves the running maximum, the status and the bound as a walk would,
-    and the snapshots come from the closed form.  On a tail scan, `low` and
-    `high` bound the walked means from t to min(N, s - 1) entry by entry, s
-    the stream's anchor (see `_tail_radius`).  These are complete only on a
-    scan that reached N, and all are copies, since the stream reuses its
-    chunk buffers.  A pass decided before it walks (see `_bounded_bracket`)
-    holds that `bracket`, (lower, upper), in place of the maxima and hits,
-    which are None.  A scan whose bounded witnesses were settled at step w
-    (see `_scan`) ends at w: `steps` and `walked` are w, and its maxima,
-    snapshots and envelope stop there.
+    the horizon N to A_n; it is empty on any other.  On a tail scan, `low`
+    and `high` bound the walked means from t to min(N, s - 1) entry by
+    entry, s the stream's anchor (see `_tail_radius`).  These are complete
+    only on a scan that reached N, and all are copies, since the stream
+    reuses its chunk buffers.  A pass decided before it walks (see
+    `_bounded_bracket`) holds that `bracket`, (lower, upper), in place of
+    the maxima and hits, which are None; the stream produced `walked` of
+    its `steps`, and the snapshots past them come from the closed form.
+    Any other pass walks every one of its `steps`.  A scan whose bounded
+    witnesses were settled at step w (see `_scan`) ends at w: `steps` and
+    `walked` are w, and its maxima, snapshots and envelope stop there.
     """
 
     stream: CesaroStream
@@ -258,32 +254,28 @@ def _first_above(tops: np.ndarray, cap: float) -> int | None:
     return int(np.argmax(tops > cap))
 
 
-def _phase_bracket(norm, ends, means, P, slack):
-    """Bounds (lower, upper) on the largest norm(D_n) over a stationary
-    phase [a, b], one per reader row; D_n is A_n or A_n - A_N (N >= b).
-    `ends` holds D_a and D_b, `means` A_a and A_b, P is the stationary
-    power, `slack` the reader's (see `_mode_norms`); each may be a stack of
-    phases.
+def _phase_bracket(norm, A, final, P, slack):
+    """Bounds (lower, upper) on the largest norm(A_n - A_N) over a stationary
+    phase [a, N], one per reader row.  `A` is A_a, `final` A_N, P the
+    stationary power, `slack` the reader's (see `_mode_norms`).
 
     In exact arithmetic the closed form gives E_n = P + (S_s - sP)/n from
-    the anchor s on, so every entry of E_n, and of E_n - E_N (0 at N), is
-    monotone in n, and its magnitude on [a, b] is at most its magnitude at
-    an end.  The closed form rounds three times (k·P, + S_s, / n, with
-    k = n - s exact), so a computed mean is within
-    2.01u|E_n| + 1.01u|P| + 2^-1074 of E_n entry by entry (u = 2^-53).
-    Taking the exact ends back to the computed ones, and adding the
-    rounding of a difference, every computed |D_n| on [a, b] is at most
-    max(|D_a|, |D_b|) + 12u(|A_a| + |A_b|) + 5u|P| + 2^-1071 entry by
-    entry.  The allowance, 2^-44 = 512u times |A_a| + |A_b| + |P| plus
-    2^-1060, is over 40 times that term, its own rounding included, so the
-    sum is an envelope of every |D_n|, and its norm, widened by the slack,
-    is the upper end.  The lower end is the larger norm of the ends
-    themselves, means the walk reads too.
+    the anchor s on, so every entry of E_n - E_N is monotone in n and 0 at
+    N, and its magnitude on [a, N] is at most its magnitude at a.  The
+    closed form rounds three times (k·P, + S_s, / n, with k = n - s exact),
+    so a computed mean is within 2.01u|E_n| + 1.01u|P| + 2^-1074 of E_n
+    entry by entry (u = 2^-53).  Taking the exact end back to the computed
+    D = A_a - A_N, and adding the rounding of a difference, every computed
+    |A_n - A_N| on [a, N] is at most |D| + 12u(|A_a| + |A_N|) + 5u|P| +
+    2^-1071 entry by entry.  The allowance, 2^-44 = 512u times
+    |A_a| + |A_N| + |P| plus 2^-1060, is over 40 times that term, its own
+    rounding included, so the sum is an envelope of every |A_n - A_N|, and
+    its norm, widened by the slack, is the upper end.  The lower end is
+    norm(D), a norm the walk reads too.
     """
-    first, last = ends
-    lower = np.maximum(norm(first), norm(last))
-    allowance = (np.abs(means[0]) + np.abs(means[1]) + np.abs(P)) * 2.0**-44 + 2.0**-1060
-    return lower, norm(np.maximum(np.abs(first), np.abs(last)) + allowance) * (1.0 + slack)
+    D = A - final
+    allowance = (np.abs(A) + np.abs(final) + np.abs(P)) * 2.0**-44 + 2.0**-1060
+    return norm(D[None])[0], norm((np.abs(D) + allowance)[None])[0] * (1.0 + slack)
 
 
 #: Past this exponent the growth of a bracket's upper end is not formed.
@@ -298,7 +290,7 @@ def _abs_norms(spec: OperatorSpec) -> tuple[float, float, int]:
     T = spec.entries
     if spec.kind == KIND_DENSE:
         A = np.abs(T)
-        return float(np.add.reduce(A, axis=0).max()), float(np.add.reduce(A, axis=1).max()), spec.dim
+        return matrix_norm(A, "l1"), matrix_norm(A, "linf"), spec.dim
     if spec.kind == KIND_SPARSE:
         rows, cols, vals = T
         sums = [np.bincount(i, weights=np.abs(vals), minlength=spec.dim).max() for i in (cols, rows)]
@@ -376,29 +368,22 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     `OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
     verdict of the pass is decided: the pass reduces no norms, forms means
     only for the tails, and stops at its anchor, and each scan holds the
-    bracket.  Otherwise, once the power is stationary, the
-    pass stops before the anchor s and decides each phase [s, h] by
-    `_phase_bracket`: when its upper end stays under the running maximum at
-    s - 1, or both ends are under the cap and give one integer bound.  Its
-    mean maxima are then that upper end and its power maxima P's, which
-    leaves the running maxima, status and bound of a walk; any other phase
-    is walked through the closed form.  Snapshots past the walk come from
-    the closed form.
+    bracket; its snapshots past the walk come from the closed form.  Any
+    other pass walks a stationary phase through the closed form.
 
-    A pass also stops at the step w by which its bounded witnesses are
+    An undecided pass stops at the step w by which its bounded witnesses are
     settled: the first power and the first mean above the cap in ``probe``
     mode, the first mean above it, with an exact norm above it too, in
     ``dense`` mode.  Every verdict of a horizon h >= w is then ``fails`` or
     inherits it, so its scan ends at w."""
-    step_norm, _, slack, _ = _mode_norms(spec, mode)
+    step_norm = _mode_norms(spec, mode).step
     stream = CesaroStream(spec, X)
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
     marks = {h: (max(1, h // 2), h) for h in tails}  # the snapshots of a tail: its start and its end
     wanted = sorted({n for ns in marks.values() for n in ns})
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
-    horizon = through = stop = max(scans)  # the last step to walk, for the phases and for the witnesses
+    horizon = stop = max(scans)  # the last step to walk: the horizon, or where the witnesses are settled
     ends = {}  # the horizons whose scans end at the step w where the witnesses are settled
-    uppers = {}  # per decided phase, the upper end that stands for its mean maxima
     lower, upper = bounds = _bounded_bracket(spec, X, mode, horizon)
     reads = None  # once decided: whether the steps [lo, hi) hold a mean the pass reads
     if upper <= min(bound_cap, OVERFLOW_LIMIT) and _int_bound(lower) == _int_bound(upper):
@@ -439,42 +424,23 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
                 for bound, ufunc in ((scan.low, np.minimum), (scan.high, np.maximum)):
                     part = ufunc.reduce(rest, out=spare) if len(rest) > 1 else rest[0]
                     ufunc(bound, part, out=bound)
-        if stream.anchor is not None and first + count == s:  # the anchor's chunk ends at s - 1
-            through = s - 1
-            phase = [h for h in scans if h > through and reads is None]
-            if phase:
-                top = max(float(m.max()) for m in means)  # the running maximum at s - 1
-                A = stream.closed_form([s, *phase])
-                bracket = _phase_bracket(step_norm, (A[:1], A[1:]), (A[:1], A[1:]), stream.anchor[1], slack)
-                for h, lower, upper in zip(phase, *(np.maximum.reduce(v, axis=-1) for v in bracket)):
-                    lower, upper = max(top, lower), max(top, upper)
-                    if upper == top or upper <= bound_cap and _int_bound(lower) == _int_bound(upper):
-                        uppers[h] = upper
-                    else:
-                        through = h
-        if first + count > min(through, stop):
-            break
+        if first + count > stop or reads is not None and stream.anchor is not None:
+            break  # a decided pass stops after the chunk that reaches its anchor
     last = first + count - 1  # the last step read; a stream stops where it diverges
-    reached = last
-    if last < horizon and stream.anchor is not None:  # every step past the walk is stationary
-        reached = horizon
+    if last < horizon and reads is not None:  # every step past the anchor is stationary
         unread = [n for n in wanted if n > last]
         snapshots.update(zip(unread, stream.closed_form(unread)))
-        if powers:  # every power past the walk is P
-            powers.append(np.full(horizon - last, powers[-1][-1]))
     means = np.concatenate(means) if means else None
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
-        end = ends.get(h, h)
-        scan.steps, scan.walked = min(end, reached), min(end, last)
+        scan.walked = min(ends.get(h, h), last)
+        scan.steps = h if reads is not None else scan.walked
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
         scan.snapshots = {n: snapshots[n] for n in marks.get(h, ()) if n in snapshots and n <= scan.steps}
         if reads is not None:
             scan.bracket = bounds
             continue
         scan.means = means[: scan.walked]
-        if scan.walked < scan.steps:
-            scan.means = np.concatenate([scan.means, np.full(scan.steps - scan.walked, uppers[h])])
         scan.powers = None if powers is None else powers[: scan.steps + 1]
         scan.mean_hit = mean_hit if mean_hit and mean_hit[0] <= scan.steps else None
         scan.power_hit = power_hit if power_hit and power_hit[0] <= scan.steps else None
@@ -509,10 +475,9 @@ def _tail_radius(scan: _Scan, norms: _Norms, tolerance: float):
         envelope = np.maximum(np.abs(scan.low - final), np.abs(scan.high - final))
         upper = np.maximum(upper, norm(envelope[None])[0] * (1.0 + norms.slack))
     if stationary:
-        A = stream.closed_form(stationary[:1])
-        D = A - final
-        ends = _phase_bracket(norm, (D, np.zeros_like(D)), (A, final), stream.anchor[1], norms.slack)
-        lower, upper = np.maximum(lower, ends[0][0]), np.maximum(upper, ends[1][0])
+        A = stream.closed_form(stationary[:1])[0]
+        ends = _phase_bracket(norm, A, final, stream.anchor[1], norms.slack)
+        lower, upper = np.maximum(lower, ends[0]), np.maximum(upper, ends[1])
     if 2.0 * upper.max() < tolerance or 2.0 * lower.max() >= tolerance:
         return lower, upper
     radius, buf = 0.0, np.empty((0, *final.shape))

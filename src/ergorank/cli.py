@@ -40,7 +40,7 @@ from .certify import (
     rank_estimate,
     search_nse,
 )
-from .classify import check_families, trusted_horizon
+from .classify import check_families
 from .operators import (
     DEFAULT_SEED,
     OperatorSpec,
@@ -124,7 +124,6 @@ def build_report(spec: OperatorSpec, config: dict, spec_sha256: str) -> dict:
 
     t0 = time.perf_counter()
     ue_requested = config["ue_horizon"]
-    ue_trusted = trusted_horizon(spec, ue_requested)
     families = check_families(spec, probes, horizon, tolerance, bound_cap, ue_requested)
     t1 = time.perf_counter()
 
@@ -149,8 +148,8 @@ def build_report(spec: OperatorSpec, config: dict, spec_sha256: str) -> dict:
 
     norm_trusted = {
         "requested_horizon": ue_requested,
-        "trusted_horizon": ue_trusted,
-        "section_only_beyond": ue_trusted < ue_requested,
+        "trusted_horizon": families.uniformly_ergodic.horizon,
+        "section_only_beyond": families.section is not None,
         "section_verdict": (
             families.section.to_json_dict() if families.section is not None else None
         ),

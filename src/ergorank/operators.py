@@ -404,26 +404,19 @@ def basis_probes(dim: int, norm_tag: str, count: int | None = None) -> ProbeSet:
     return ProbeSet(vecs, norm_tag, f"canonical-basis-0..{count - 1}")
 
 
-def default_probes(
-    spec: OperatorSpec,
-    seed: int = DEFAULT_SEED,
-    random_count: int = 16,
-) -> ProbeSet:
+def default_probes(spec: OperatorSpec, seed: int = DEFAULT_SEED) -> ProbeSet:
     """Deterministic default probe set for an operator.
 
-    The first min(dim, 32) canonical basis vectors, followed by
-    `random_count` seeded random vectors normalized to unit ambient norm.
+    The first min(dim, 32) canonical basis vectors, followed by 16 seeded
+    random vectors normalized to unit ambient norm.
     """
     dim, norm_tag = spec.dim, spec.norm_tag
     k = min(dim, 32)
-    parts = [np.eye(dim)[:k]]
-    if random_count:
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((random_count, dim))
-        raw /= column_norms(raw.T, norm_tag)[:, None]
-        parts.append(raw)
-    label = f"canonical-basis-0..{k - 1}+random-{random_count}(seed={seed:#x})"
-    return ProbeSet(np.vstack(parts), norm_tag, label)
+    rng = np.random.default_rng(seed)
+    raw = rng.standard_normal((16, dim))
+    raw /= column_norms(raw.T, norm_tag)[:, None]
+    label = f"canonical-basis-0..{k - 1}+random-16(seed={seed:#x})"
+    return ProbeSet(np.vstack([np.eye(dim)[:k], raw]), norm_tag, label)
 
 
 # -- gallery -------------------------------------------------------------

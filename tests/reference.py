@@ -36,9 +36,19 @@ from ergorank.operators import (
     OperatorSpec,
     ProbeSet,
     apply_columns,
+    default_probes,
 )
 from ergorank.cesaro import OVERFLOW_LIMIT, _grid
 from ergorank.tree import chain_margins, separates
+
+
+def few_default_probes(spec: OperatorSpec, count: int) -> ProbeSet:
+    """The default probe set cut to its basis vectors and its first `count`
+    random ones, which are bit for bit the vectors of a seeded draw of
+    `count` alone: a smaller set for tests that run many examples."""
+    probes = default_probes(spec)
+    vectors = probes.vectors[: min(spec.dim, 32) + count]
+    return ProbeSet(vectors, spec.norm_tag, f"{probes.label}[:{len(vectors)}]")
 
 
 def as_dense(spec: OperatorSpec) -> np.ndarray:

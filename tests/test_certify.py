@@ -29,7 +29,7 @@ from ergorank.tree import (
     chain_margins,
     truncated_height,
 )
-from reference import node_member
+from reference import few_default_probes, node_member
 
 #: Powers overflow at the first step: T x already has norm 1e200.
 HUGE_DIAGONAL = OperatorSpec(KIND_DIAGONAL, 2, [1e200, -1e200], "linf")
@@ -309,7 +309,7 @@ def _small_specs(draw):
 @given(_small_specs(), st.integers(1, 12), st.integers(1, 3), st.integers(1, 8))
 @settings(max_examples=80)
 def test_dp_heights_and_beam_match_enumeration(spec, bound, target_depth, k):
-    probes = default_probes(spec, random_count=3)
+    probes = few_default_probes(spec, 3)
     cap = target_depth + 1
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -659,13 +659,6 @@ def _chunk_capacity(k):
     return mock.patch.object(ergorank.cesaro, "_capacity", lambda block_bytes: k)
 
 
-def _no_bracket(norm, ends, means, P, slack):
-    """A stationary-phase bracket that decides nothing (its lower end
-    unknown, its upper end infinite): every phase is walked."""
-    shape = np.broadcast_shapes(norm(ends[0]).shape, norm(ends[1]).shape)
-    return np.full(shape, np.nan), np.full(shape, np.inf)
-
-
 def _folded(scan, norms, tolerance):
     """The tail radius folded exactly: a NaN tolerance decides nothing."""
     return _tail_radius(scan, norms, np.nan)
@@ -681,9 +674,7 @@ def _walking():
     """Checks inside read every step's norms, walk every stationary phase
     through the closed form and fold every tail radius exactly: a forced
     walk."""
-    return mock.patch.multiple(
-        ergorank.classify, _bounded_bracket=_no_bounds, _phase_bracket=_no_bracket, _tail_radius=_folded
-    )
+    return mock.patch.multiple(ergorank.classify, _bounded_bracket=_no_bounds, _tail_radius=_folded)
 
 
 def _assert_tail_capacities_agree(spec, horizon, tolerance=1e-2):
@@ -1355,10 +1346,10 @@ def _first_hit(tops, cap):
 
 @pytest.mark.parametrize("name", _NULL_CASES)
 def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
-    # The pass stops at s - 1 in every mode; the running maxima, steps,
-    # snapshots and bounds are still those of every step (the cap of each
-    # full `_scan` below is the largest mean norm, which no bracket decides
-    # before the walk, and which no mean crosses, so the pass walks on).
+    # The cap of each full `_scan` below is the largest mean norm, which no
+    # bracket decides before the walk, and which no mean crosses, so the
+    # pass walks every step in every mode, through the closed form past s:
+    # its maxima, steps, snapshots and bounds are those of every step.
     # Under half that cap the hits are those of the reference, and the pass
     # stops where they are settled.  The tail bracket holds the radius, and
     # folded exactly (a NaN tolerance) it is the radius; the fold's re-walk
@@ -1392,10 +1383,8 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
         for tolerance in (1e-2, np.nan):
             scan = _scan(spec, X, mode, [h], ref["means"].max(), [h])[h]
             assert (scan.steps, scan.diverged_at, scan.mean_hit) == (h, None, None)
-            assert scan.walked == (ref["s"] - 1 if skips else h)
-            running = np.maximum.accumulate
-            assert _same(running(scan.means), running(ref["means"])), mode
-            assert _same(scan.means[: scan.walked], ref["means"][: scan.walked])
+            assert scan.walked == h
+            assert _same(scan.means, ref["means"]), mode
             if mode == "probe":
                 assert _same(scan.powers, ref["powers"])
             assert scan.snapshots.keys() == {h, h // 2}
@@ -1514,6 +1503,37 @@ def test_a_cap_inside_the_bracket_walks_the_phase(monkeypatch):
         with _walking():
             want = run(cap)
         assert [v.to_json_dict() for v in got[:4]] == [v.to_json_dict() for v in want[:4]]
+
+
+#: Undecided passes that turn stationary bit for bit: the norm of |T| is
+#: above 1, so no bracket decides them before the walk.  The 2x2 projection
+#: has T^2 = T, and the strictly upper-triangular 8x8 matrix T^8 = 0.
+_UNDECIDED_STATIONARY = {
+    "idempotent 2x2": OperatorSpec(KIND_DENSE, 2, [[1.0, 1.0], [0.0, 0.0]], "l2"),
+    "nilpotent 8x8": OperatorSpec(KIND_DENSE, 8, np.triu(np.full((8, 8), 0.5), 1), "l2"),
+}
+
+
+@pytest.mark.parametrize("name", _UNDECIDED_STATIONARY)
+def test_an_undecided_stationary_pass_walks_to_its_horizon(monkeypatch, name):
+    # Each block reaches its anchor long before its horizon, and walks on
+    # through the closed form: the probe block to 10 000, the identity
+    # block to 256.  Every verdict serializes as a forced walk's.
+    spec = _UNDECIDED_STATIONARY[name]
+    probes = default_probes(spec)
+    for mode, X in (("probe", probes.vectors.T), ("dense", np.eye(spec.dim))):
+        scan = _scan(spec, X, mode, [256], 1e3)[256]
+        assert scan.bracket is None and scan.stream.anchor[2] <= 10, mode
+        assert (scan.steps, scan.walked) == (256, 256), mode
+    walks = _Walks(monkeypatch)
+    families = check_families(spec, probes, 10_000, 1e-2, 1e3, 256)
+    assert walks.walks[:2] == [[False, 10_000], [False, 256]]
+    for v in families[:3]:
+        assert (v.evidence["steps"], v.evidence["diverged"]) == (10_000, False)
+    assert families.power_bounded.evidence["walked"] == 10_000
+    with _walking():
+        walked = check_families(spec, probes, 10_000, 1e-2, 1e3, 256)
+    assert _serialized(families) == _serialized(walked)
 
 
 @st.composite

@@ -78,8 +78,8 @@ def test_analyze_deterministic_without_cache(tmp_path):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert main(["analyze", spec_path, "--no-cache", "--out", out1, *ANALYZE_FAST]) == 0
     assert main(["analyze", spec_path, "--no-cache", "--out", out2, *ANALYZE_FAST]) == 0
-    r1 = canonical_loads(open(out1).read())
-    r2 = canonical_loads(open(out2).read())
+    r1 = canonical_loads(Path(out1).read_text())
+    r2 = canonical_loads(Path(out2).read_text())
     r1.pop("timings"), r2.pop("timings")
     assert canonical_dumps(r1) == canonical_dumps(r2)
     # no cache entries written in --no-cache mode
@@ -288,9 +288,9 @@ def test_check_rejects_tampered_certificate(tmp_path, capsys):
         "--probes", "basis", "--out", cert_path,
     ])
     capsys.readouterr()
-    data = json.loads(open(cert_path).read())
+    data = json.loads(Path(cert_path).read_text())
     data["epsilon"] = 1.5
-    open(cert_path, "w").write(canonical_dumps(data))
+    Path(cert_path).write_text(canonical_dumps(data))
     assert main(["check", cert_path]) == 1
     assert "rejected:" in capsys.readouterr().out
 
@@ -400,10 +400,10 @@ def test_main_parses_each_call_afresh_with_one_parser(tmp_path, monkeypatch):
                  "--out", second]) == 0
     assert built == [1]
     cli._parser.cache_clear()
-    config = canonical_loads(open(first).read())["config"]
+    config = canonical_loads(Path(first).read_text())["config"]
     assert (config["horizon"], config["ue_horizon"], config["tolerance"]) == (300, 40, 0.05)
     assert (config["probes"], config["seed"], config["index_bound"]) == ("basis", 7, 8)
-    config = canonical_loads(open(second).read())["config"]
+    config = canonical_loads(Path(second).read_text())["config"]
     assert (config["horizon"], config["ue_horizon"], config["index_bound"]) == (200, 200, 16)
     assert config["tolerance"] == cli.DEFAULT_TOLERANCE
     assert (config["probes"], config["seed"]) == ("default", cli.DEFAULT_SEED)

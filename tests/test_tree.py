@@ -20,7 +20,7 @@ from ergorank.tree import (
     tree_to_dot,
     truncated_height,
 )
-from reference import node_member
+from reference import few_default_probes, node_member
 
 
 def _seq(key):
@@ -206,7 +206,7 @@ def test_prefix_closure_and_antitonicity_random_specs(rng):
             spec = OperatorSpec(KIND_DENSE, dim, entries, "l2")
         else:
             spec = OperatorSpec(KIND_DIAGONAL, dim, rng.uniform(-1, 1, size=dim), "l2")
-        probes = default_probes(spec, random_count=4)
+        probes = few_default_probes(spec, 4)
         eps_hi, eps_lo = 0.5, 0.2
         hi = build_truncation(spec, eps_hi, depth_cap=4, index_bound=10, probes=probes)
         lo = build_truncation(spec, eps_lo, depth_cap=4, index_bound=10, probes=probes)
