@@ -9,8 +9,8 @@ import numpy as np
 
 from ergorank.operators import (
     OperatorSpec,
+    ProbeSet,
     apply_columns,
-    basis_probes,
     column_norms,
     default_probes,
     gallery,
@@ -63,7 +63,7 @@ def main():
     norms = [float(np.abs(probes[i]).sum()) for i in range(len(probes))]
     print(f"  label: {probes.label}")
     print(f"  {len(probes)} probes, ambient norms in [{min(norms):.6f}, {max(norms):.6f}]")
-    few = basis_probes(64, "l1", count=4)
+    few = ProbeSet(np.eye(64)[:4], "l1", "canonical-basis-0..3")
     print(f"  basis subset: {few.label}")
 
 

@@ -33,10 +33,12 @@ that anchor and the closed-form mean (`anchor`, `closed_form`), so a reader
 can take a mean past s without walking to it: every later mean is
 P + (S_s - sP)/n, monotone in n in each entry, so a tail's distances to
 its last mean are bounded past s by their value at s or at the tail's
-start (see `classify._tail_radius`).  A walk always starts at n = 1,
-so a reader that needs a mean again before s walks again.  A reader that
-has bounded every norm before the walk starts (see `classify._scan`) walks
-without power norms, and the stream forms only the means it reads.
+start (see `classify._tail_radius`).  `chunks` is the one walk, and it
+always starts at n = 1, so a reader that needs the means again walks
+again.  A reader that knows no power overflows, because it has bounded
+every norm before the walk starts (see `classify._scan`) or an earlier walk
+reached the horizon, walks without power norms, and the stream forms only
+the means it reads.
 Everything that needs means reads them from a stream: one vector is a
 (dim, 1) block, and the dense A_1..A_N are the stream of the identity
 block, X = I.
@@ -140,7 +142,7 @@ class Chunk(NamedTuple):
     stream reuses (once the power is stationary, `powers` and the norms are
     read-only broadcasts of one step), so they are valid only until the
     next chunk is requested: a consumer copies whatever it keeps.  A walk
-    for a reader that reads few means (see `CesaroStream._chunks`) leaves
+    for a reader that reads few means (see `CesaroStream.chunks`) leaves
     `power_norms` and `power_max` None, and `means` None where it reads none.
     """
 
@@ -185,18 +187,16 @@ class CesaroStream:
             j -= 1
         return 1 << j, levels[j]
 
-    def chunks(self, horizon: int):
+    def chunks(self, horizon: int, reads=None):
         """Yield the `Chunk`s of n = 1, 2, ..., up to `horizon`.  Every walk
-        starts at n = 1 and sets `diverged_at` and `anchor` afresh."""
-        return self._chunks(horizon, None)
+        starts at n = 1 and sets `diverged_at` and `anchor` afresh.
 
-    def _chunks(self, horizon: int, reads):
-        """`chunks`, or, given `reads`, the walk of a reader that has proven
-        that no power overflows and reads means only where
-        `reads(lo, hi)` says it reads one of the steps [lo, hi): its chunks
-        reduce no power norms (`power_norms` and `power_max` are None) and
-        form their means only there (`means` is None elsewhere).  The running
-        sum, the powers and the anchor are those of `chunks`."""
+        Given `reads`, this is the walk of a reader that has proven that no
+        power overflows and reads means only where `reads(lo, hi)` says it
+        reads one of the steps [lo, hi): its chunks reduce no power norms
+        (`power_norms` and `power_max` are None) and form their means only
+        there (`means` is None elsewhere).  The running sum, the powers and
+        the anchor are those of a walk without `reads`."""
         _check_args(at_least_one={"horizon": horizon})
         spec, tag = self.spec, self.spec.norm_tag
         self.diverged_at = anchor = self.anchor = None  # (S_s, P, s) once stationary

@@ -71,7 +71,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesaro import OVERFLOW_LIMIT, CesaroStream, _capacity
+from .cesaro import OVERFLOW_LIMIT, CesaroStream
 from .operators import (
     DENSE_CAP,
     KIND_DENSE,
@@ -164,12 +164,16 @@ class _Norms(NamedTuple):
     """The norm readers of a scan mode.  `slack` is the relative widening
     of every upper end that the step or radius reader reads off an
     entrywise envelope; `exact` says whether the radius reader reads exact
-    norms, so that a radius is also a lower bound on the tail diameter."""
+    norms, so that a radius is also a lower bound on the tail diameter.
+    `rho(l1, linf)` is the norm of |T| under the readers' norm, from the
+    l1 and linf norms of |T|: a bound on how much one step of T can grow a
+    norm they read (see `_bounded_bracket`)."""
 
     step: Callable
     radius: Callable
     slack: float
     exact: bool
+    rho: Callable
 
 
 def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
@@ -180,7 +184,8 @@ def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
     matrices A_n: per-step and radius norms are upper bounds (exact but for
     l2 above `_L2_EXACT_DIM`).  Both readers take a chunk's (count, dim, p)
     stack of means and give one row of norms per step (one norm per row in
-    ``dense`` mode).
+    ``dense`` mode).  Next to each reader, `rho` gives the norm of |T| that
+    bounds its growth per step.
 
     A bracket's upper end is the norm of an envelope E >= |D| entry by
     entry.  Every step and radius reader but the exact SVD is a fixed order
@@ -192,17 +197,18 @@ def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
     2 000 ulps), so that norm(D) <= norm(E) * (1 + 2^-40) as computed.
     """
     tag = spec.norm_tag
+    rho = lambda l1, linf: l1 if tag == "l1" else linf if tag == "linf" else math.sqrt(l1 * linf)
     if mode == "probe":
         cols = lambda X: column_norms(X, tag)
-        return _Norms(cols, cols, 0.0, True)
+        return _Norms(cols, cols, 0.0, True, rho)
     if mode != "dense":
         raise ValueError(f"unknown scan mode {mode!r}, expected probe or dense")
     radius, slack, exact = (lambda X: matrix_norm(X, tag)), 0.0, True
     if tag == "l2" and spec.dim > _L2_EXACT_DIM:
-        radius, exact = (lambda X: np.sqrt(matrix_norm(X, "l1") * matrix_norm(X, "linf"))), False
+        radius, exact, rho = (lambda X: np.sqrt(matrix_norm(X, "l1") * matrix_norm(X, "linf"))), False, max
     elif tag == "l2":
         slack = 2.0**-40
-    return _Norms(lambda X: radius(X)[:, None], radius, slack, exact)
+    return _Norms(lambda X: radius(X)[:, None], radius, slack, exact, rho)
 
 
 # -- one pass over the means ---------------------------------------------
@@ -308,15 +314,16 @@ def _bounded_bracket(spec, X, mode, horizon):
     The lower end is the reader's value at n = 1, which the walk reads too:
     A_1 = X bit for bit, and P_0 = X.  For the upper end, let u = 2^-53 and
     gamma_j = ju/(1 - ju).  Each reader reads a norm that is monotone in
-    the entries' magnitudes and under which |T|^m has norm at most rho^m:
-    rho is the l1 norm of |T| for l1, its linf norm for linf, the square
-    root of their product (>= || |T| ||_2) for l2, and their larger one for
-    the sqrt(l1 * linf) reader of dense l2 above `_L2_EXACT_DIM`; every
-    power column norm is bounded the same way.  A kernel step sums k
-    products per entry in some order, so |fl(T Y)| <= (1 + gamma_k)|T||Y|
-    entry by entry, up to 2^-1075 per subnormal product; a doubled dense
-    power T^(2^j) carries (1 + gamma_k)^(2^j - 1) from its squarings and
-    its product one more, so every computed power P_m has
+    the entries' magnitudes and under which |T|^m has norm at most rho^m,
+    rho the `_Norms.rho` of the pass's readers: the l1 norm of |T| for l1,
+    its linf norm for linf, the square root of their product
+    (>= || |T| ||_2) for l2, and their larger one for the sqrt(l1 * linf)
+    reader of dense l2 above `_L2_EXACT_DIM`; every power column norm is
+    bounded the same way.  A kernel step sums k products per entry in some
+    order, so |fl(T Y)| <= (1 + gamma_k)|T||Y| entry by entry, up to
+    2^-1075 per subnormal product; a doubled dense power T^(2^j) carries
+    (1 + gamma_k)^(2^j - 1) from its squarings and its product one more,
+    so every computed power P_m has
     |P_m| <= ((1 + gamma_k)|T|)^m |X|, one factor per unit of exponent.  The
     computed abs-sums are within gamma_(k+2) of the true ones (and of rho,
     with the product and the square root), and g = (1 + gamma)^2 rho,
@@ -340,14 +347,7 @@ def _bounded_bracket(spec, X, mode, horizon):
     norms = _mode_norms(spec, mode)
     lower = float(np.maximum.reduce(norms.step(X[None])[0]))
     l1, linf, k = _abs_norms(spec)
-    tag = spec.norm_tag
-    if tag != "l2":
-        rho = l1 if tag == "l1" else linf
-    elif mode == "dense" and spec.dim > _L2_EXACT_DIM:
-        rho = max(l1, linf)
-    else:
-        rho = math.sqrt(l1 * linf)
-    g = (1.0 + (k + 2) * 2.0**-52) ** 2 * rho
+    g = (1.0 + (k + 2) * 2.0**-52) ** 2 * norms.rho(l1, linf)
     exponent = horizon * math.log(g) if g > 1.0 else 0.0
     if horizon > 2**40 or not exponent <= _LOG_LIMIT:
         return lower, math.inf
@@ -383,12 +383,11 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     wanted = sorted({n for ns in marks.values() for n in ns})
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = stop = max(scans)  # the last step to walk: the horizon, or where the witnesses are settled
-    ends = {}  # the horizons whose scans end at the step w where the witnesses are settled
     lower, upper = bounds = _bounded_bracket(spec, X, mode, horizon)
     reads = None  # once decided: whether the steps [lo, hi) hold a mean the pass reads
     if upper <= min(bound_cap, OVERFLOW_LIMIT) and _int_bound(lower) == _int_bound(upper):
         reads = lambda lo, hi: any(t < hi and lo <= h for t, h in marks.values())
-    for chunk in stream._chunks(horizon, reads):
+    for chunk in stream.chunks(horizon, reads):
         first, count = chunk.first, len(chunk.powers)
         if reads is None:  # a decided pass reads no norms
             norms = step_norm(chunk.means)
@@ -407,13 +406,12 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
                     power_hit = (first + i, chunk.power_norms[i].copy())
             if mean_hit and (power_hit if mode == "probe" else mean_hit[2] > bound_cap):
                 stop = max(mean_hit[0], power_hit[0] if power_hit else 0)
-                ends = {h: stop for h in scans if h >= stop}
         for n in wanted[bisect_left(wanted, first) : bisect_left(wanted, first + count)]:
             snapshots[n] = chunk.means[n - first].copy()
         s = horizon + 1 if stream.anchor is None else stream.anchor[2]
         for h in tails if first < s else ():
             scan = scans[h]
-            lo, hi = max(first, max(1, h // 2)), min(first + count, ends.get(h, h) + 1)
+            lo, hi = max(first, max(1, h // 2)), min(first + count, min(h, stop) + 1)
             if lo < hi:
                 # Each chunk reduces into one spare block: a fresh temporary
                 # the size of a wide block page-faults on every chunk.
@@ -433,7 +431,7 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     means = np.concatenate(means) if means else None
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
-        scan.walked = min(ends.get(h, h), last)
+        scan.walked = min(h, stop, last)
         scan.steps = h if reads is not None else scan.walked
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
         scan.snapshots = {n: snapshots[n] for n in marks.get(h, ()) if n in snapshots and n <= scan.steps}
@@ -460,42 +458,35 @@ def _tail_radius(scan: _Scan, norms: _Norms, tolerance: float):
     bracket of the stationary part [max(t, s), N] (`_phase_bracket`; in
     exact arithmetic every |A_n - A_N| there is largest at its first mean,
     and 0 at N).  When the bracket straddles the decision (a NaN does too),
-    the radius is folded exactly and is both bounds: a fresh stream walks
-    the block again from n = 1 (the scan's own stream keeps the anchor its
-    other horizons read), and the stationary part is read off
-    `CesaroStream.closed_form` in chunk-sized slices.  Each stack is
-    reduced into one reused buffer, so the scan is left as it was.
+    the radius is folded exactly and is both bounds: one fresh stream walks
+    the block again from n = 1 to N (the scan's own stream keeps the anchor
+    its other horizons read), forming means only from t on and reducing no
+    power norm, which is safe since the scan reached N without overflow;
+    past its anchor it yields the closed form.  Each stack is reduced into
+    one reused buffer, so the scan is left as it was.
     """
     N, stream, norm = scan.horizon, scan.stream, norms.radius
     t, final = max(1, N // 2), scan.snapshots[N]
     s = N + 1 if stream.anchor is None else stream.anchor[2]
-    stationary = range(max(t, s), N + 1)
     lower = upper = norm((scan.snapshots[t] - final)[None])[0]
     if t < s:
         envelope = np.maximum(np.abs(scan.low - final), np.abs(scan.high - final))
         upper = np.maximum(upper, norm(envelope[None])[0] * (1.0 + norms.slack))
-    if stationary:
-        A = stream.closed_form(stationary[:1])[0]
+    if s <= N:  # the stationary part [max(t, s), N]
+        A = stream.closed_form([max(t, s)])[0]
         ends = _phase_bracket(norm, A, final, stream.anchor[1], norms.slack)
         lower, upper = np.maximum(lower, ends[0]), np.maximum(upper, ends[1])
     if 2.0 * upper.max() < tolerance or 2.0 * lower.max() >= tolerance:
         return lower, upper
     radius, buf = 0.0, np.empty((0, *final.shape))
-
-    def fold(means):
-        nonlocal radius, buf
-        if len(buf) < len(means):
-            buf = np.empty_like(means)
-        diffs = np.subtract(means, final, out=buf[: len(means)])
-        radius = np.maximum(radius, np.maximum.reduce(norm(diffs), axis=0))
-
-    if t < s:
-        for chunk in CesaroStream(stream.spec, stream.X).chunks(min(N, s - 1)):
-            if chunk.first + len(chunk.means) > t:
-                fold(chunk.means[max(0, t - chunk.first) :])
-    width = _capacity(final.nbytes)
-    for i in range(0, len(stationary), width):
-        fold(stream.closed_form(stationary[i : i + width]))
+    for chunk in CesaroStream(stream.spec, stream.X).chunks(N, reads=lambda lo, hi: hi > t):
+        # A chunk cut at a stationary power can end before t, with its means formed.
+        if chunk.first + len(chunk.powers) > t:
+            means = chunk.means[max(0, t - chunk.first) :]
+            if len(buf) < len(means):
+                buf = np.empty_like(means)
+            diffs = np.subtract(means, final, out=buf[: len(means)])
+            radius = np.maximum(radius, np.maximum.reduce(norm(diffs), axis=0))
     return radius, radius
 
 

@@ -96,21 +96,17 @@ class OperatorSpec:
             raise SpecValidationError(f"unknown norm tag {self.norm_tag!r}, expected one of {NORM_TAGS}")
 
         d = self.dim
-        if self.kind == KIND_DENSE:
-            mat = _as_float_array(self.entries, "dense entries")
-            if mat.shape != (d, d):
-                raise SpecValidationError(f"dense entries must have shape ({d}, {d}), got {mat.shape}")
-            self.entries = _freeze(mat)
-        elif self.kind == KIND_SHIFT:
-            w = _as_float_array(self.entries, "shift weights")
-            if w.shape != (d - 1,):
-                raise SpecValidationError(f"shift weights must have shape ({d - 1},), got {w.shape}")
-            self.entries = _freeze(w)
-        elif self.kind == KIND_DIAGONAL:
-            diag = _as_float_array(self.entries, "diagonal entries")
-            if diag.shape != (d,):
-                raise SpecValidationError(f"diagonal entries must have shape ({d},), got {diag.shape}")
-            self.entries = _freeze(diag)
+        arrays = {
+            KIND_DENSE: ("dense entries", (d, d)),
+            KIND_SHIFT: ("shift weights", (d - 1,)),
+            KIND_DIAGONAL: ("diagonal entries", (d,)),
+        }
+        if self.kind in arrays:
+            what, shape = arrays[self.kind]
+            arr = _as_float_array(self.entries, what)
+            if arr.shape != shape:
+                raise SpecValidationError(f"{what} must have shape {shape}, got {arr.shape}")
+            self.entries = _freeze(arr)
         else:
             self.entries, self._layout = _validate_triplets(self.entries, d)
             # Reused by the sparse kernel: fresh block-sized temporaries
@@ -395,13 +391,10 @@ class ProbeSet:
         return self.vectors.shape[1]
 
 
-def basis_probes(dim: int, norm_tag: str, count: int | None = None) -> ProbeSet:
-    """The first `count` canonical basis vectors (default min(dim, 32))."""
-    count = min(dim, 32) if count is None else count
-    if not 1 <= count <= dim:
-        raise ValueError(f"basis probe count must be in [1, {dim}], got {count}")
-    vecs = np.eye(dim)[:count]
-    return ProbeSet(vecs, norm_tag, f"canonical-basis-0..{count - 1}")
+def basis_probes(dim: int, norm_tag: str) -> ProbeSet:
+    """The first min(dim, 32) canonical basis vectors."""
+    count = min(dim, 32)
+    return ProbeSet(np.eye(dim)[:count], norm_tag, f"canonical-basis-0..{count - 1}")
 
 
 def default_probes(spec: OperatorSpec, seed: int = DEFAULT_SEED) -> ProbeSet:

@@ -29,6 +29,7 @@ from ergorank.cli import main
 from ergorank.operators import (
     KIND_DENSE,
     OperatorSpec,
+    ProbeSet,
     basis_probes,
     built_in_gallery,
     default_probes,
@@ -323,7 +324,7 @@ def test_criterion_4_tree_invariants():
                          min(8, spec.dim), min(32, spec.dim)})
         heights = []
         for count in counts:
-            few = basis_probes(spec.dim, spec.norm_tag, count=count)
+            few = ProbeSet(np.eye(spec.dim)[:count], spec.norm_tag, f"canonical-basis-0..{count - 1}")
             trunc = build_truncation(
                 spec, 0.25, depth_cap=4, index_bound=16,
                 probes=few, max_nodes=_TREE_BUDGET,

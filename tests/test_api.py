@@ -11,6 +11,7 @@ import re
 from pathlib import Path
 
 import ergorank
+from ergorank.cesaro import CesaroStream
 
 ROOT = Path(__file__).resolve().parent.parent
 PRODUCTION = [
@@ -46,3 +47,29 @@ def test_the_package_and_its_pyproject_name_one_version():
     # moves report bits bumps both versions together.
     text = (ROOT / "pyproject.toml").read_text(encoding="utf-8")
     assert re.findall(r'(?m)^version = "([^"]+)"$', text) == [ergorank.__version__]
+
+
+def _cesaro_breaches(source: str) -> list[str]:
+    """Where a module reaches past the public face of `ergorank.cesaro`: a
+    `_`-prefixed name imported from it or read off it, or a `_`-prefixed
+    `CesaroStream` method."""
+    methods = {name for name in vars(CesaroStream) if name.startswith("_") and not name.endswith("__")}
+    breaches = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module in ("cesaro", "ergorank.cesaro"):
+            breaches += [alias.name for alias in node.names if alias.name.startswith("_")]
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            if node.attr in methods or ast.unparse(node.value).split(".")[-1] == "cesaro":
+                breaches.append(node.attr)
+    return breaches
+
+
+def test_the_cesaro_stream_is_read_through_its_public_face():
+    # `CesaroStream.chunks` is the one walk every reader takes, so no other
+    # module of the package knows how the stream cuts its chunks or forms
+    # its powers.
+    caught = "from .cesaro import OVERFLOW_LIMIT, _capacity\nstream._doubling(4)\nergorank.cesaro._grid"
+    assert sorted(_cesaro_breaches(caught)) == ["_capacity", "_doubling", "_grid"]
+    for path in sorted((ROOT / "src" / "ergorank").glob("*.py")):
+        if path.name != "cesaro.py":
+            assert _cesaro_breaches(path.read_text(encoding="utf-8")) == [], path.name

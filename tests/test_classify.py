@@ -344,7 +344,7 @@ def test_ue_above_the_dense_cap_only_inherits():
     # stay bounded, so it is inconclusive.  jordan_1(600)'s probe 7 has
     # ||A_16 x|| = 1 223.7, above the cap.
     spec = gallery("left_shift_l1(600)")
-    probes = basis_probes(600, "l1", count=256)
+    probes = ProbeSet(np.eye(600)[:256], "l1", "canonical-basis-0..255")
     v = check_uniformly_ergodic(spec, 128, 1e-2, probes=probes)
     assert (v.status, v.evidence["mode"], v.evidence["cb_status"]) == (INCONCLUSIVE, "probe", HOLDS)
     assert v.evidence["tail_diameter_ub"] is None
@@ -834,18 +834,18 @@ def test_tail_brackets_decide_as_a_forced_walk(case, basis, data):
 
 
 class _Walks:
-    """Records every walk of a `CesaroStream` in a check (`chunks`, or a
-    decided pass's walk that forms few means) as (re-walk, steps), summing
-    chunk lengths: an `apply_columns` count would miss the steps of a stream
-    whose power is stationary.  A re-walk is any walk of a block (the same X
-    object) after its first."""
+    """Records every walk of a `CesaroStream` in a check (`chunks`, with or
+    without `reads`) as (re-walk, steps), summing chunk lengths: an
+    `apply_columns` count would miss the steps of a stream whose power is
+    stationary.  A re-walk is any walk of a block (the same X object) after
+    its first."""
 
     def __init__(self, monkeypatch):
         self.walks = []
         self.blocks = []  # held, so that no block's id is reused
-        real = CesaroStream._chunks
+        real = CesaroStream.chunks
 
-        def chunks(stream, horizon, reads):
+        def chunks(stream, horizon, reads=None):
             walk = [any(X is stream.X for X in self.blocks), 0]
             self.blocks.append(stream.X)
             self.walks.append(walk)
@@ -853,7 +853,7 @@ class _Walks:
                 walk[1] += len(chunk.powers)
                 yield chunk
 
-        monkeypatch.setattr(CesaroStream, "_chunks", chunks)
+        monkeypatch.setattr(CesaroStream, "chunks", chunks)
 
     def rewalks(self):
         return sum(rewalk for rewalk, _ in self.walks)
@@ -864,8 +864,8 @@ class _Walks:
 #: tails of scalar(-1.0) start at A_150 = 0 = A_300, so their lower end is
 #: 0 and their upper end 1/151; rotation(1.0)'s envelope mixes the means of
 #: different steps.  A tail that is stationary from its start (zero(4) and
-#: the identity from s = 2) is never walked again: its fold reads the
-#: closed form.
+#: the identity from s = 2) is bracketed at its endpoints and never walked
+#: again.
 _REWALK_CASES = {
     "zero": (0, 0),
     "monotone diagonal": (0, 0),
@@ -1205,10 +1205,10 @@ def test_a_pass_stops_where_its_witnesses_are_settled(monkeypatch):
 def test_a_re_walked_tail_leaves_the_anchor_a_longer_tail_reads(monkeypatch, mode):
     # One pass to 6 and 64 of a nilpotent shift: P_8 = 0, so the stream is
     # stationary from s = 10, past the short tail [3, 6] and before the long
-    # tail [32, 64].  Folded exactly (a NaN tolerance decides nothing), the
-    # short tail is walked again and that walk ends before s; the long tail
-    # is still read off the anchor of the pass, with no walk, whichever tail
-    # is read first.
+    # tail [32, 64].  Folded exactly (a NaN tolerance decides nothing), each
+    # tail is walked again by a fresh stream to its own horizon, and the
+    # pass keeps its anchor at s: each radius has the bits of a pass to its
+    # horizon alone, whichever tail is read first.
     spec = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
     block = lambda: np.eye(8) if mode == "dense" else default_probes(spec).vectors.T
     norms = _mode_norms(spec, mode)
@@ -1221,14 +1221,15 @@ def test_a_re_walked_tail_leaves_the_anchor_a_longer_tail_reads(monkeypatch, mod
         for h in order:
             walks.walks.clear()
             assert all(_same(a, b) for a, b in zip(radius(scans[h]), alone[h])), (order, h)
-            assert walks.walks == ([[True, 6]] if h == 6 else []), (order, h)
+            assert walks.walks == [[True, h]], (order, h)
+            assert scans[64].stream.anchor[2] == 10
 
 
 def test_the_identity_tail_is_bracketed_without_a_walk(monkeypatch):
     # The power of identity(8) is stationary from s = 2, so the probe pass
     # stops at step 1 and the whole tail is bracketed at its endpoints, with
-    # no walk.  Forced, the pass walks the phase through the closed form
-    # and folds the tail off it, and no block is walked again.
+    # no walk.  Forced, the pass walks the phase through the closed form,
+    # and each tail is folded off a fresh walk of its block to its horizon.
     spec, probes = _probes("identity(8)")
     X = probes.vectors.T
     horizon = 10_000
@@ -1241,7 +1242,7 @@ def test_the_identity_tail_is_bracketed_without_a_walk(monkeypatch):
     walks.walks.clear()
     with _walking():
         walked = check_families(spec, probes, horizon, 1e-2, 1e3, 256).ergodic
-    assert walks.walks == [[False, horizon], [False, 256]]
+    assert walks.walks == [[False, horizon], [True, horizon], [False, 256], [True, 256]]
     assert walked.to_json_dict() == erg.to_json_dict()
     assert _bits(walked.evidence["tail_diameter_ub"]) == _bits(2.0 * radius)
     assert _bits(walked.evidence["tail_diameter_lb"]) == _bits(radius)
@@ -1259,9 +1260,9 @@ def test_the_tail_radius_reads_a_scan_without_changing_it(tolerance, read):
     # they were.  rotation(1.0) has no stationary power: folded, both
     # bounds are the radius of the reference means; decided, they hold it.
     # With `read` set, one pass of left_shift_l1(64) (null from s = 66)
-    # serves tails to 100 (t < s: a re-walk and the closed form) and 200
-    # (t >= s: the closed form alone); folding the radius of
-    # horizons[read] leaves the other horizon's radius as it was.
+    # serves tails to 100 (t < s) and 200 (t >= s), each folded off a fresh
+    # walk to its horizon; folding the radius of horizons[read] leaves the
+    # other horizon's radius as it was.
     name, horizons = ("rotation(1.0)", [300]) if read is None else ("left_shift_l1(64)", [100, 200])
     spec, probes = _probes(name)
     X = probes.vectors.T
@@ -1352,9 +1353,9 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
     # its maxima, steps, snapshots and bounds are those of every step.
     # Under half that cap the hits are those of the reference, and the pass
     # stops where they are settled.  The tail bracket holds the radius, and
-    # folded exactly (a NaN tolerance) it is the radius; the fold's re-walk
-    # of a tail that starts before s stops at s - 1, under the exact SVD
-    # too.
+    # folded exactly (a NaN tolerance) it is the radius, read off one fresh
+    # walk to N (under the exact SVD too) whether the tail starts before s
+    # or not.
     spec, horizon, ue_horizon = _NULL_CASES[name]
     probes = default_probes(spec)
     probes = ProbeSet(probes.vectors[[0, -2, -1]], spec.norm_tag, "oracle")
@@ -1394,9 +1395,10 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
             assert np.all(lower <= radius) and np.all(upper >= radius), (mode, tolerance)
             if np.isnan(tolerance):
                 assert _same(lower, radius) and _same(upper, radius), mode
-            # A re-walk stops before the anchor.
-            end = ref["s"] - 1 if skips else h
-            assert all(steps == end for _, steps in walks.walks)
+            # Any fold is one fresh walk to N.
+            if np.isnan(tolerance):
+                assert walks.walks == [[True, h]], mode
+            assert all(steps == h for _, steps in walks.walks)
     assert skipped == 2
     families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
     with _walking():
@@ -1631,12 +1633,24 @@ def _bounded_specs(draw):
     return OperatorSpec(KIND_SPARSE, dim, [[int(r), int(c), float(v)] for r, c, v in zip(rows, cols, vals)], tag)
 
 
+def _wide_dense_l2(dim, scale):
+    """A dense l2 spec above `_L2_EXACT_DIM` whose |T| has its larger
+    abs-sum, the rho of the sqrt(l1 * linf) reader, at `scale`."""
+    mat = np.random.default_rng(dim).uniform(-1.0, 1.0, (dim, dim))
+    mat *= scale / max(matrix_norm(np.abs(mat), "l1"), matrix_norm(np.abs(mat), "linf"))
+    return OperatorSpec(KIND_DENSE, dim, mat, "l2")
+
+
 @given(
     _bounded_specs(),
     st.integers(1, 3000),
     st.booleans(),
     st.sampled_from(["lower", "below", "above", "default"]),
 )
+@example(_wide_dense_l2(33, 1.0 - 2.0**-44), 3000, False, "default")
+@example(_wide_dense_l2(34, 1.0 + 2.0**-44), 3000, False, "default")
+@example(_wide_dense_l2(35, 1.0 + 2.0**-44), 700, True, "default")
+@example(_wide_dense_l2(36, 1.0 - 2.0**-44), 700, False, "above")
 @settings(max_examples=60, deadline=None)
 def test_a_decided_pass_agrees_with_a_forced_walk(spec, horizon, tiny, cap_at):
     # Tiny probes (every norm below 1e-9) put the lower end in bucket 0.
@@ -1644,6 +1658,9 @@ def test_a_decided_pass_agrees_with_a_forced_walk(spec, horizon, tiny, cap_at):
     # leave the bracket undecided; the default cap lets it decide.  Every
     # verdict, and its steps and divergence, equal a forced walk's, and a
     # decided bracket holds the walked maximum of both bounded families.
+    # The examples are dense l2 at dims 33-36 with the norm of |T| a few
+    # ulps under or over 1, whose identity pass the bracket decides under
+    # the default cap with rho = max(l1, linf).
     probes = default_probes(spec)
     if tiny:
         probes = ProbeSet(probes.vectors * 1e-10, spec.norm_tag, "tiny")
