@@ -54,7 +54,8 @@ upper end is the norm of an envelope, widened by the reader's slack (see
 `_mode_norms`).  A bracket decides only where both of its ends give the
 same serialized answer; otherwise the pass walks every step, or the
 radius is folded from a fresh walk, so a decided verdict has the bits a
-walk of every step gives it.
+walk of every step gives it.  Where smaller, a bound on ||T||_2 plus the
+kernels' rounding stands in for rho for a dense T read in l2 (`_l2_bound`).
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -63,6 +64,7 @@ dim/2; `trusted_horizon` returns the horizon below which the two agree.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from collections.abc import Callable
@@ -167,7 +169,8 @@ class _Norms(NamedTuple):
     norms, so that a radius is also a lower bound on the tail diameter.
     `rho(l1, linf)` is the norm of |T| under the readers' norm, from the
     l1 and linf norms of |T|: a bound on how much one step of T can grow a
-    norm they read (see `_bounded_bracket`)."""
+    norm they read (see `_bounded_bracket`).  An exact l2 reader reads
+    ||.||_2, whose growth per step ||T||_2 bounds."""
 
     step: Callable
     radius: Callable
@@ -185,7 +188,8 @@ def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
     l2 above `_L2_EXACT_DIM`).  Both readers take a chunk's (count, dim, p)
     stack of means and give one row of norms per step (one norm per row in
     ``dense`` mode).  Next to each reader, `rho` gives the norm of |T| that
-    bounds its growth per step.
+    bounds its growth per step: for sqrt(l1 * linf), which is no norm, the
+    larger abs-sum, so that it bounds the means too.
 
     A bracket's upper end is the norm of an envelope E >= |D| entry by
     entry.  Every step and radius reader but the exact SVD is a fixed order
@@ -306,6 +310,41 @@ def _abs_norms(spec: OperatorSpec) -> tuple[float, float, int]:
     return top, top, 1
 
 
+@functools.lru_cache(maxsize=2)  # both passes of a check_families call
+def _l2_bound(spec: OperatorSpec) -> float:
+    """A rounding-sound upper bound r >= ||T||_2 of a dense spec, or inf.
+
+    S = 2^-e T, exact up to 2^-1074 per entry, has its largest magnitude in
+    [1/2, 1) or is 0.  G = fl(S^T S), its lower triangle (which
+    `np.linalg.eigh` reads) mirrored, has |G - S^T S| <= gamma_d |S|^T |S|.
+    Let R = GQ - Q diag(w) and E = Q^T Q - I for the computed (w, Q).  If
+    ||E||_2 <= 1/2, then ||Q^-1||_2 <= 1 + ||E||_2 and
+    Q^-1 G Q = diag(w) + Q^-1 R, so by Bauer-Fike and Weyl ||S||_2^2 is at
+    most max(w) + (1 + ||E||_2) ||R||_2 + gamma_d l1(|S|) linf(|S|).
+    Computed, R and E are off by at most u of themselves plus
+    gamma_d (|G||Q| + |Q||w|) and gamma_d |Q|^T |Q|, under (d + 2) 2^-52
+    times those, and sqrt(l1 * linf) of a nonnegative envelope bounds its l2
+    norm.  Each term is formed from nonnegative numbers by at most 4d + 8
+    roundings in a row, so twice its computed value covers it and their sum;
+    2^-900 covers the subnormal products (under d^3 2^-1070 in all), and
+    1 + 2^-50 the addition of max(w), the root and itself.  r is that times
+    2^e, plus 2^-1074 for a subnormal product.
+    """
+    d, e = spec.dim, math.frexp(float(np.max(np.abs(spec.entries))))[1]
+    c, norm = (d + 2) * 2.0**-52, lambda M: math.sqrt(np.max(M.sum(axis=0)) * np.max(M.sum(axis=1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = np.ldexp(spec.entries, -e)
+        G = np.tril(S.T @ S)
+        G += np.tril(G, -1).T
+        w, Q = np.linalg.eigh(G)
+        Qa = np.abs(Q)
+        res = 2.0 * norm(np.abs(G @ Q - Q * w) + c * (np.abs(G) @ Qa + Qa * np.abs(w)))
+        eta = 2.0 * norm(np.abs(Q.T @ Q - np.eye(d)) + c * (Qa.T @ Qa))
+        square = (1.0 + eta) * res + 2.0 * c * norm(np.abs(S)) ** 2 + 2.0**-900 + np.max(w)
+        r = float(np.ldexp(np.sqrt(square) * (1.0 + 2.0**-50), e)) + 2.0**-1074
+    return r if eta <= 0.5 and r <= math.inf else math.inf
+
+
 def _bounded_bracket(spec, X, mode, horizon):
     """Bounds (lower, upper) on every power norm and mean norm that a pass of
     X to `horizon` in `mode` reads, and on every power column norm that the
@@ -329,31 +368,52 @@ def _bounded_bracket(spec, X, mode, horizon):
     with the product and the square root), and g = (1 + gamma)^2 rho,
     gamma = (k + 2) 2^-52 >= gamma_(k+2) + 2u, pays for both factors and for
     the two roundings that form g, so every power norm is at most
-    max(1, g)^N ||X||.  A mean is the running sum over n powers divided by
-    n, or the closed form's three roundings of a sum over s < n, so
-    |A_n| <= (1 + gamma_(N+3)) (P_0 + ... + P_(n-1))/n entry by entry, and
-    its norm is at most (1 + gamma_(N+3)) max(1, g)^N ||X||.  Every reader
+    max(1, g)^N ||X||.
+
+    Where smaller, a dense T read in ||.||_2 (`_Norms.exact`: probe columns
+    or the exact SVD) grows by f = r (1 + (k + 2)^2 u), r >= ||T||_2 from
+    `_l2_bound`.  As || |M| ||_2 <= sqrt(k) ||M||_2 for M of k columns,
+    fl(MY) errs by at most gamma_k || |M| || || |Y| || in ||.||_2: a stepped
+    column has ||fl(Ty)|| <= (r + gamma_k || |T| ||) ||y||, under
+    (r + gamma_k rho) ||y|| and r (1 + sqrt(k) gamma_k) ||y||; a stepped
+    block, each squaring of the doubling grid (||fl(M^2)|| <=
+    (1 + k gamma_k) ||M||^2) and each product with a doubled power, of norm
+    at most (r (1 + k gamma_k))^(2^j) / (1 + k gamma_k), cost 1 + k gamma_k.
+    So ||P_m|| <= (r (1 + k gamma_k))^m ||X|| for columns and blocks, and f
+    pays for that and its two roundings.  Subnormal products add under
+    k^2 2^-1074 to a power (see below), and under 2^-900 of a squaring, in
+    the last factor's margin.
+
+    A mean is the running sum over n powers divided by n, or the closed
+    form's three roundings of a sum over s < n, so it errs by at most
+    gamma_(N+3) (|P_0| + ... + |P_(n-1)|)/n entry by entry, and its norm is
+    at most (1 + gamma_(N+3)) max(1, g)^N ||X||, with sqrt(k) gamma_(N+3) on
+    the f path (|| |E| ||_2 <= sqrt(k) ||E||_2 for a block).  Every reader
     is within eps = gamma_(dim+2) of the exact norm, widened by its slack
     (see `_mode_norms`), so ||X|| <= (1 + eps) lower, up to the absolute
     rounding of underflowing squares; that and the subnormal products stay
     under (N + 1)(dim k + 1) 2^-536 times the growth.  The upper end is the
     sum of that term and (1 + eps) lower, times max(1, g)^N, formed in log
     space and only up to `OVERFLOW_LIMIT`, times (1 + eps)
-    (1 + (N + 4) 2^-52)(1 + 2^-40): the last factor covers the rounding of
-    the logarithm, the exponential and the products that form the bound
-    (under 1 000u below that limit).  Past N = 2^40, or that limit, the
-    upper end is infinite.
+    (1 + (N + 4) 2^-52)(1 + 2^-40), with sqrt(k) (N + 4) on the f path: the
+    last factor covers the rounding of the logarithm, the exponential and
+    the products that form the bound (under 1 000u below that limit).  Past
+    N = 2^40, or that limit, the upper end is infinite.
     """
     norms = _mode_norms(spec, mode)
     lower = float(np.maximum.reduce(norms.step(X[None])[0]))
     l1, linf, k = _abs_norms(spec)
     g = (1.0 + (k + 2) * 2.0**-52) ** 2 * norms.rho(l1, linf)
+    terms = horizon + 4.0  # the mean's rounding, in units of 2^-52
+    if spec.kind == KIND_DENSE and spec.norm_tag == "l2" and norms.exact and g > 1.0:
+        f = _l2_bound(spec) * (1.0 + (k + 2) ** 2 * 2.0**-53)
+        g, terms = (f, terms * math.sqrt(k)) if f < g else (g, terms)
     exponent = horizon * math.log(g) if g > 1.0 else 0.0
     if horizon > 2**40 or not exponent <= _LOG_LIMIT:
         return lower, math.inf
     eps = (spec.dim + 3) * 2.0**-52 + norms.slack
     base = lower * (1.0 + eps) + (horizon + 1.0) * (spec.dim * k + 1.0) * 2.0**-536
-    widen = (1.0 + eps) * (1.0 + (horizon + 4) * 2.0**-52) * (1.0 + 2.0**-40)
+    widen = (1.0 + eps) * (1.0 + terms * 2.0**-52) * (1.0 + 2.0**-40)
     return lower, base * math.exp(exponent) * widen
 
 

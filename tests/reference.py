@@ -17,11 +17,13 @@ behind `best_chains`, the rank heights, the beam search and
 `build_truncation`.  `reference_dumps` is the stdlib's indent encoder,
 whose text `canonical_dumps` must give byte for byte.  `jordan_spec` builds
 a dense spec of known Jordan structure, whose family membership and window
-norms are known exactly (`JordanSpec`).
+norms are known exactly (`JordanSpec`).  `l2_bound_holds` decides
+r >= ||T||_2 exactly, in `Fraction`s.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from fractions import Fraction
@@ -309,6 +311,37 @@ def jordan_spec(blocks, U, norm_tag: str) -> JordanSpec:
     if not (as_exact(entries) == T).all():
         raise ValueError("an entry of U J U^-1 is not exact in binary64")
     return JordanSpec(OperatorSpec(KIND_DENSE, dim, entries, norm_tag), tuple(blocks), U, U_inv)
+
+
+def _exact_det(rows) -> Fraction:
+    """The determinant of a square list of `Fraction` rows, by elimination."""
+    rows, det = [list(row) for row in rows], Fraction(1)
+    for i in range(len(rows)):
+        pivot = next((k for k in range(i, len(rows)) if rows[k][i] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != i:
+            rows[i], rows[pivot], det = rows[pivot], rows[i], -det
+        det *= rows[i][i]
+        for k in range(i + 1, len(rows)):
+            ratio = rows[k][i] / rows[i][i]
+            rows[k] = [a - ratio * b for a, b in zip(rows[k], rows[i])]
+    return det
+
+
+def l2_bound_holds(T: np.ndarray, r: float) -> bool:
+    """Whether r >= ||T||_2 in exact arithmetic, for a float matrix T of dim
+    <= 4 and a float r >= 0: r^2 I - T^T T is positive semidefinite, that is
+    every principal minor is >= 0 (an infinite r holds)."""
+    if r == math.inf:
+        return True
+    A = as_exact(T)
+    M = Fraction(r) ** 2 * as_exact(np.eye(len(T))) - A.T @ A
+    return all(
+        _exact_det([[M[i, j] for j in idx] for i in idx]) >= 0
+        for size in range(1, len(T) + 1)
+        for idx in itertools.combinations(range(len(T)), size)
+    )
 
 
 class NodeMembership(NamedTuple):

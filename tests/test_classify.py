@@ -1,6 +1,7 @@
 import collections
 import contextlib
 import importlib.util
+import math
 import re
 import tracemalloc
 import warnings
@@ -27,6 +28,7 @@ from ergorank.classify import (
     trusted_horizon,
     _L2_EXACT_DIM,
     _int_bound,
+    _l2_bound,
     _mode_norms,
     _scan,
     _tail_radius,
@@ -50,7 +52,13 @@ from ergorank.operators import (
     gallery,
     matrix_norm,
 )
-from reference import JORDAN_EIGENVALUES, jordan_spec, reference_stream, reference_tail_radius
+from reference import (
+    JORDAN_EIGENVALUES,
+    jordan_spec,
+    l2_bound_holds,
+    reference_stream,
+    reference_tail_radius,
+)
 
 
 #: Powers overflow at the first step: T x already has norm 1e200.
@@ -1641,26 +1649,52 @@ def _wide_dense_l2(dim, scale):
     return OperatorSpec(KIND_DENSE, dim, mat, "l2")
 
 
+@st.composite
+def _unit_l2_specs(draw):
+    """Dense l2 specs with ||T||_2 within a few ulps of 1: rotations,
+    random_diagonalizable at dims 2-12 (symmetric, of norm 1 where it draws
+    an eigenvalue 1, a contraction otherwise), signed permutations and
+    Householder reflections."""
+    kind = draw(st.sampled_from(["rotation", "diagonalizable", "permutation", "householder"]))
+    if kind == "rotation":
+        return gallery(f"rotation({draw(st.floats(-4.0, 4.0))!r})")
+    if kind == "diagonalizable":
+        return gallery(f"random_diagonalizable({draw(st.integers(0, 2**16))},{draw(st.integers(2, 12))})")
+    dim = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "permutation":
+        mat = np.eye(dim)[draw(st.permutations(range(dim)))] * rng.choice([-1.0, 1.0], dim)
+    else:
+        v = rng.standard_normal(dim)
+        mat = np.eye(dim) - 2.0 * np.outer(v, v) / (v @ v)
+    return OperatorSpec(KIND_DENSE, dim, mat, "l2")
+
+
 @given(
-    _bounded_specs(),
+    st.one_of(_bounded_specs(), _unit_l2_specs()),
     st.integers(1, 3000),
     st.booleans(),
-    st.sampled_from(["lower", "below", "above", "default"]),
+    st.sampled_from(["lower", "below", "above", "default", "upper", "under"]),
 )
 @example(_wide_dense_l2(33, 1.0 - 2.0**-44), 3000, False, "default")
 @example(_wide_dense_l2(34, 1.0 + 2.0**-44), 3000, False, "default")
 @example(_wide_dense_l2(35, 1.0 + 2.0**-44), 700, True, "default")
 @example(_wide_dense_l2(36, 1.0 - 2.0**-44), 700, False, "above")
-@settings(max_examples=60, deadline=None)
+@example(gallery("rotation(1.0)"), 10_000, False, "default")
+@example(gallery("random_diagonalizable(7,12)"), 10_000, False, "default")
+@settings(max_examples=80, deadline=None)
 def test_a_decided_pass_agrees_with_a_forced_walk(spec, horizon, tiny, cap_at):
     # Tiny probes (every norm below 1e-9) put the lower end in bucket 0.
     # Caps at each block's lower end, and one ulp to either side of it,
-    # leave the bracket undecided; the default cap lets it decide.  Every
-    # verdict, and its steps and divergence, equal a forced walk's, and a
-    # decided bracket holds the walked maximum of both bounded families.
-    # The examples are dense l2 at dims 33-36 with the norm of |T| a few
-    # ulps under or over 1, whose identity pass the bracket decides under
-    # the default cap with rho = max(l1, linf).
+    # leave the bracket undecided; the default cap lets it decide, and so
+    # does a cap at the bracket's upper end, but not one ulp under it.
+    # Every verdict, and its steps and divergence, equal a forced walk's,
+    # and a decided bracket holds the walked maximum of both bounded
+    # families.  The first examples are dense l2 at dims 33-36 with the
+    # norm of |T| a few ulps under or over 1, whose identity pass the
+    # bracket decides under the default cap with rho = max(l1, linf); the
+    # last two are the gallery's orthogonal and symmetric operators at the
+    # default horizon, whose passes both decide through ||T||_2.
     probes = default_probes(spec)
     if tiny:
         probes = ProbeSet(probes.vectors * 1e-10, spec.norm_tag, "tiny")
@@ -1670,8 +1704,10 @@ def test_a_decided_pass_agrees_with_a_forced_walk(spec, horizon, tiny, cap_at):
         ("dense", np.eye(spec.dim), (), [horizon, ue]),
     ):
         lower = float(np.max(_mode_norms(spec, mode).step(X[None])))
+        upper = ergorank.classify._bounded_bracket(spec, X, mode, horizon)[1]
+        upper = upper if upper < np.inf else 1e3
         cap = {"lower": lower, "below": np.nextafter(lower, 0.0), "above": np.nextafter(lower, np.inf),
-               "default": 1e3}[cap_at]
+               "default": 1e3, "upper": upper, "under": np.nextafter(upper, 0.0)}[cap_at]
         run = lambda: ergorank.classify._block_verdicts(spec, probes, mode, [horizon], cap, 1e-2, ergodic, uniform)
         got = run()
         with _walking():
@@ -1745,6 +1781,142 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
                     assert probe == longer and identity == same < 256, (seed, label, per_horizon)
                 else:
                     assert probe < longer and identity == same >= 256, (seed, label, per_horizon)
+
+
+@st.composite
+def _exact_dense(draw):
+    """Dense l2 specs of dim <= 4 whose entries are exact dyadic rationals:
+    Jordan conjugates (`reference.jordan_spec`), signed permutations and
+    float rotations, scaled by a power of two from subnormal to huge."""
+    kind = draw(st.sampled_from(["jordan", "permutation", "rotation"]))
+    if kind == "jordan":
+        mat = draw(_jordan_specs()).spec.entries
+    elif kind == "permutation":
+        dim = draw(st.integers(1, 4))
+        signs = draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=dim, max_size=dim))
+        mat = np.eye(dim)[draw(st.permutations(range(dim)))] * signs
+    else:
+        mat = gallery(f"rotation({draw(st.floats(-4.0, 4.0))!r})").entries
+    shift = draw(st.sampled_from([0, -1070, -1040, -600, 600, 960]))
+    return OperatorSpec(KIND_DENSE, len(mat), np.ldexp(mat, shift), "l2")
+
+
+@given(_exact_dense())
+@example(OperatorSpec(KIND_DENSE, 2, [[2.7e160, -1.0], [1e-300, 2.7e160]], "l2"))
+@example(OperatorSpec(KIND_DENSE, 2, [[0.0, 0.0], [0.0, 0.0]], "l2"))
+@example(OperatorSpec(KIND_DENSE, 2, np.ldexp([[0.6, -0.8], [0.8, 0.6]], -1070), "l2"))
+@settings(max_examples=150, deadline=None)
+def test_the_l2_bound_holds_in_exact_arithmetic(spec):
+    # r^2 I - T^T T is positive semidefinite in Fractions, so r >= ||T||_2
+    # exactly: huge entries (2.7e160 squares past the largest float) are
+    # scaled first, without a RuntimeWarning, and a bound on subnormal
+    # entries is rounded up (the scaled rotation's norm, 16.4 * 2^-1074,
+    # would round to 16 * 2^-1074).  Where r is normal it is within 2^-30
+    # of LAPACK's norm of T.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        r = _l2_bound.__wrapped__(spec)
+    assert l2_bound_holds(spec.entries, r)
+    if np.any(spec.entries) and r >= 2.0**-1000:
+        assert r <= matrix_norm(spec.entries, "l2") * (1.0 + 2.0**-30)
+
+
+@given(_exact_dense(), st.integers(0, 2**32 - 1), st.sampled_from([1e-15, 1e-9, 1e-3, 0.1, 0.3, 2.0]), st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_the_l2_bound_survives_a_wrong_eigendecomposition(spec, seed, size, vectors):
+    # eigh is made to return eigenvalues pulled down by up to `size`, and,
+    # when `vectors`, eigenvectors moved by about `size` too, so Q is no
+    # longer orthogonal: the residual and the orthogonality defect still
+    # bound the true norm, or the bound is infinite.
+    real, rng = np.linalg.eigh, np.random.default_rng(seed)
+
+    def wrong(G):
+        w, Q = real(G)
+        return w - size * rng.uniform(0.0, 1.0, w.shape), Q + vectors * size * rng.standard_normal(Q.shape)
+
+    with mock.patch.object(np.linalg, "eigh", wrong):
+        r = _l2_bound.__wrapped__(spec)
+    assert l2_bound_holds(spec.entries, r)
+    if vectors and size >= 2.0:
+        assert r == math.inf
+
+
+#: Per gallery operator at the default config, each pass of check_families,
+#: probe then identity: whether its bracket decides it before it walks, and
+#: how many stacks of norms it reads (its lower end, then each chunk's means
+#: and powers).  rotation(1.0) and random_diagonalizable(7,12) read 41 and
+#: 3, and 315 and 5, when their brackets grew by the norm of |T|.
+_GALLERY_PASSES = {
+    "identity(8)": [(True, 1), (True, 1)],
+    "zero(4)": [(True, 1), (True, 1)],
+    "scalar(1.0)": [(True, 1), (True, 1)],
+    "scalar(0.5)": [(True, 1), (True, 1)],
+    "scalar(-1.0)": [(True, 1), (True, 1)],
+    "scalar(2.0)": [(False, 3), (False, 3)],
+    "jordan_1(2)": [(False, 9), (False, 3)],
+    "rotation(1.0)": [(True, 1), (True, 1)],
+    "left_shift_l1(64)": [(True, 1), (True, 1)],
+    "random_diagonalizable(7,12)": [(True, 1), (True, 1)],
+}
+
+
+def test_each_gallery_pass_decides_and_reads_as_pinned(monkeypatch):
+    # A pass that loses its decision reads a stack of norms per chunk, so
+    # this fails where the benchmark would only drift.  The gallery's
+    # orthogonal and symmetric operators decide with upper ends under
+    # 1 + 1e-9, inside `BOUND_SLACK` of their lower ends.
+    reads, passes = [0], []
+
+    def counting(module, name):
+        real = getattr(module, name)
+
+        def wrapper(X, *args, **kwargs):
+            reads[0] += X.ndim >= 3  # stacks only: the abs-sums of |T| and a hit's exact norm are matrices
+            return real(X, *args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module in (ergorank.classify, ergorank.cesaro):
+        counting(module, "column_norms")
+    counting(ergorank.classify, "matrix_norm")
+    real_scan = ergorank.classify._scan
+
+    def scan(*args, **kwargs):
+        before = reads[0]
+        scans = real_scan(*args, **kwargs)
+        bracket = next(iter(scans.values())).bracket
+        passes.append((bracket is not None, reads[0] - before, bracket))
+        return scans
+
+    monkeypatch.setattr(ergorank.classify, "_scan", scan)
+    got = {}
+    for name in built_in_gallery():
+        spec = gallery(name)
+        passes.clear()
+        check_families(spec, default_probes(spec), 10_000, 1e-2, 1e3, 256)
+        got[name] = [p[:2] for p in passes]
+        if name in ("rotation(1.0)", "random_diagonalizable(7,12)"):
+            assert all(b[1] < 1.0 + 1e-9 for _, _, b in passes), (name, passes)
+    assert got == _GALLERY_PASSES
+
+
+def test_the_wide_dense_l2_reader_grows_by_the_larger_abs_sum():
+    # Above `_L2_EXACT_DIM` the dense l2 reader, sqrt(l1 * linf), is no
+    # norm.  T = 1 e_1^T / sqrt(40) has sqrt(l1 * linf) = 1 for |T|, yet
+    # the reader gives (I + T) / 2 the value 1.456, so a bracket that grew
+    # by that square root would decide the identity pass with bound 1.  It
+    # grows by the larger abs-sum, sqrt(40), walks, and holds with bound 2.
+    # T = 0.03 * 1 e_1^T walks too (the larger abs-sum is 1.2), although
+    # every one of its means reads at most 1.
+    dim = 40
+    for weight, bound, top in ((1.0 / math.sqrt(dim), 2, 1.4562511118746972), (0.03, 1, 1.0)):
+        mat = np.zeros((dim, dim))
+        mat[:, 0] = weight
+        spec = OperatorSpec(KIND_DENSE, dim, mat, "l2")
+        cb = check_cesaro_bounded(spec, default_probes(spec), 256, mode="dense")
+        assert (cb.status, cb.bound, cb.evidence["bracket"], cb.evidence["walked"]) == (HOLDS, bound, None, 256)
+        assert cb.evidence["max"] == pytest.approx(top, rel=1e-12)
+
 
 def test_trusted_horizon_shrinks_for_shift_only():
     shift = gallery("left_shift_l1(64)")
