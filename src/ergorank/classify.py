@@ -45,7 +45,24 @@ norm it could read lies between its value at n = 1 and that value times
 verdict of the pass holds with that bound, so the pass reads no per-step
 norms, forms only the means its tails read, and stops at the anchor s of
 the stream (T P = P bit for bit from s on); every later mean has the
-closed form A_n = P + (S_s - sP)/n.  The tail radius is bracketed between
+closed form A_n = P + (S_s - sP)/n.
+
+Such a pass first tries to certify each tail without a walk (where its
+block has at least dim columns, so that no dense block of the splitting is
+larger than its own), from the mean ergodic splitting
+X = Ker(I - T) + Ran(I - T) (Yosida-Kakutani): for
+X = F + (I - T) Y + R, E = (I - T) F, and C >= ||T^k|| on the window, every
+||A_n - A_N|| over [t, N] is at most N C ||E|| + ||Y|| ((1 + C)/t +
+(C - 1)/N) + 2 C ||R||, and a computed mean is within delta_N of the exact
+one (`_deviation`, the per-step lemma the bracket's widening rests on
+too).  F and Y come from one LU solve, or from `np.linalg.eigh` of the
+Gram matrix of I - T where that is singular (`_split`); only the residuals
+they leave, widened for rounding, enter the bound (`_tail_certificate`).
+Where twice that upper end is under the tolerance, the tail holds as a
+walk would read it, and reads nothing; a decided pass walks only to its
+last tail left, and with none left it stops after step 1.
+
+The tail radius of a walked tail is bracketed between
 norm(A_t - A_N) at the tail's start and the norm of an entrywise envelope
 of the walked tail means, joined with the bracket of its stationary part
 from the endpoints of that part (`_phase_bracket`: in exact arithmetic
@@ -77,12 +94,14 @@ from .cesaro import OVERFLOW_LIMIT, CesaroStream
 from .operators import (
     DENSE_CAP,
     KIND_DENSE,
+    KIND_DIAGONAL,
     KIND_SHIFT,
     KIND_SPARSE,
     CapExceededError,
     OperatorSpec,
     ProbeSet,
     _check_args,
+    apply_columns,
     column_norms,
     matrix_norm,
 )
@@ -115,7 +134,13 @@ class Verdict:
     `witness` substantiates a ``fails`` status and can be replayed with
     `replay_witness`.  `bound` is the smallest integer bound found for the
     bounded families.  `evidence` holds diagnostic detail (per-probe tail
-    diameters, scan maxima) and is not part of the serialized form.
+    diameters, scan maxima) and is not part of the serialized form.  A
+    bounded verdict's `steps` is the horizon its scan reached and `walked`
+    the steps its pass produced: 1 for a pass decided before it walks that
+    reads no tail.  A tail verdict's `certified` says whether the resolvent
+    certificate decided it without a walk (see `_tail_certificate`); its
+    `tail_diameter_ub` is then twice the certificate's upper end and its
+    `tail_diameter_lb` 0.
     """
 
     family: str
@@ -236,7 +261,10 @@ class _Scan:
     `_bounded_bracket`) holds that `bracket`, (lower, upper), in place of
     the maxima and hits, which are None; the stream produced `walked` of
     its `steps`, and the snapshots past them come from the closed form.
-    Any other pass walks every one of its `steps`.  A scan whose bounded
+    There `certificate` holds the upper end of a tail certified without a
+    walk (`_tail_certificate`), which keeps no snapshots or envelope, and
+    `walked` is 1 for a horizon with no tail left to read.  Any other pass
+    walks every one of its `steps`.  A scan whose bounded
     witnesses were settled at step w (see `_scan`) ends at w: `steps` and
     `walked` are w, and its maxima, snapshots and envelope stop there.
     """
@@ -255,6 +283,7 @@ class _Scan:
     snapshots: dict = field(default_factory=dict)
     low: np.ndarray | None = None
     high: np.ndarray | None = None
+    certificate: np.ndarray | None = None
 
 
 def _first_above(tops: np.ndarray, cap: float) -> int | None:
@@ -345,79 +374,223 @@ def _l2_bound(spec: OperatorSpec) -> float:
     return r if eta <= 0.5 and r <= math.inf else math.inf
 
 
+def _deviation(spec, X, mode, horizon):
+    """The rounding allowance of a pass of X to a horizon N in `mode`, one
+    entry per reader row (per probe, or one for the identity block), as
+    (size, above, C, delta_N): the reader's norms of X as computed, bounds
+    on their exact values, C >= ||T^k|| for every k <= N in the readers'
+    norm, and delta_N >= ||fl(A_n X) - A_n X|| for every n <= N, fl(A_n X)
+    the mean the stream computes.
+
+    Let u = 2^-53 and gamma_j = ju/(1 - ju).  Each reader reads a norm that
+    is monotone in the entries' magnitudes and under which |T|^m has norm at
+    most rho^m, rho the `_Norms.rho` of the pass's readers: the l1 norm of
+    |T| for l1, its linf norm for linf, the square root of their product
+    (>= || |T| ||_2) for l2, and their larger one for the sqrt(l1 * linf)
+    reader of dense l2 above `_L2_EXACT_DIM`.  A kernel step sums k products
+    per entry in some order, so fl(T Y) = T Y + e with |e| <= gamma_k |T||Y|
+    entry by entry, up to 2^-1075 per subnormal product.  With
+    c' = (k + 2) 2^-52 >= gamma_(k+2) + 2u, a computed power
+    P_m = fl(T P_(m-1)) then has |P_m - T^m X| <= ((1 + c')^m - 1)|T|^m|X|
+    by induction, and so does a doubled dense power: a product of two
+    factors within (1 + c')^a - 1 and (1 + c')^b - 1 of theirs, rounded once
+    more, is within (1 + c')^(a+b+1) - 1 of its own, and T^(2^j) costs
+    2^j - 1 squarings, P_i = T^(2^j) P_(i-2^j) one product more, i in all.
+    The computed abs-sums are within gamma_(k+2) of the true ones (and of
+    rho, with the product and the square root), so g = (1 + c')^2 rho
+    bounds (1 + c') ||T|| and pays for the two roundings that form g.
+
+    Where smaller, a dense T read in ||.||_2 (`_Norms.exact`: probe columns
+    or the exact SVD) takes g = r (1 + c'), c' = (k + 2)^2 u, r >= ||T||_2
+    from `_l2_bound`.  As || |M| ||_2 <= sqrt(k) ||M||_2 for M of k columns,
+    fl(MY) errs by at most gamma_k || |M| || || |Y| || in ||.||_2, under
+    k gamma_k ||M|| ||Y|| <= c' ||M|| ||Y||, for a stepped column or block,
+    a squaring of the doubling grid and a product with a doubled power; the
+    same induction in norms gives ||P_m - T^m X|| <= ((1 + c')^m - 1) r^m
+    ||X||.  On either path, with r = g / (1 + c') >= ||T||:
+
+    - ||T^k|| <= C = max(1, r)^N for k <= N, and every power has
+      ||P_m - T^m X|| <= ((1 + c')^m - 1) r^m ||X||
+      <= (1 - (1 + c')^-N) max(1, g)^N ||X||;
+    - a mean is the running sum of n powers divided by n, or the closed
+      form's three roundings of a sum over s < n, so it is within
+      gamma_(N+3) (|P_0| + ... + |P_(n-1)|)/n of their exact mean entry by
+      entry, under (N + 4) 2^-52 max(1, g)^N ||X|| in norm, times sqrt(k)
+      on the ||.||_2 path (|| |E| ||_2 <= sqrt(k) ||E||_2 for a block).
+
+    So delta_N = max(1, g)^N ||X|| ((1 - (1 + c')^-N) + (N + 4) 2^-52).  Every
+    reader is within eps = gamma_(dim+2) of the exact norm, widened by its
+    slack (see `_mode_norms`), so ||X|| <= (1 + eps) size, up to the
+    absolute rounding of underflowing squares; that and the subnormal
+    products stay under (N + 1)(dim k + 1) 2^-536 times the growth, which
+    `above` adds.  Powers are formed in log space and only up to
+    `OVERFLOW_LIMIT`, and C and delta_N are widened by 1 + 2^-40, which
+    covers the rounding of the logarithm, the exponential and the products
+    that form them and that combine them in `_bounded_bracket` and
+    `_tail_certificate` (under 1 000u below that limit).  Past N = 2^40, or
+    that limit, C and delta_N are infinite.
+    """
+    norms = _mode_norms(spec, mode)
+    size = norms.step(X[None])[0]
+    l1, linf, k = _abs_norms(spec)
+    c = (k + 2) * 2.0**-52
+    g = (1.0 + c) ** 2 * norms.rho(l1, linf)
+    terms = horizon + 4.0  # the mean's rounding, in units of 2^-52
+    if spec.kind == KIND_DENSE and spec.norm_tag == "l2" and norms.exact and g > 1.0:
+        f = _l2_bound(spec) * (1.0 + (k + 2) ** 2 * 2.0**-53)
+        if f < g:
+            g, c, terms = f, (k + 2) ** 2 * 2.0**-53, terms * math.sqrt(k)
+    eps = (spec.dim + 3) * 2.0**-52 + norms.slack
+    above = size * (1.0 + eps) + (horizon + 1.0) * (spec.dim * k + 1.0) * 2.0**-536
+    exponent, steps = (horizon * math.log(g) if g > 1.0 else 0.0), horizon * math.log1p(c)
+    if horizon > 2**40 or not exponent <= _LOG_LIMIT:
+        return size, above, math.inf, np.full_like(above, math.inf)
+    widen = 1.0 + 2.0**-40
+    power = math.exp(max(0.0, exponent - steps)) * widen
+    deviation = above * (math.exp(exponent) * (terms * 2.0**-52 - math.expm1(-steps)) * widen)
+    return size, above, power, deviation
+
+
 def _bounded_bracket(spec, X, mode, horizon):
     """Bounds (lower, upper) on every power norm and mean norm that a pass of
     X to `horizon` in `mode` reads, and on every power column norm that the
     stream's overflow guard reads.
 
     The lower end is the reader's value at n = 1, which the walk reads too:
-    A_1 = X bit for bit, and P_0 = X.  For the upper end, let u = 2^-53 and
-    gamma_j = ju/(1 - ju).  Each reader reads a norm that is monotone in
-    the entries' magnitudes and under which |T|^m has norm at most rho^m,
-    rho the `_Norms.rho` of the pass's readers: the l1 norm of |T| for l1,
-    its linf norm for linf, the square root of their product
-    (>= || |T| ||_2) for l2, and their larger one for the sqrt(l1 * linf)
-    reader of dense l2 above `_L2_EXACT_DIM`; every power column norm is
-    bounded the same way.  A kernel step sums k products per entry in some
-    order, so |fl(T Y)| <= (1 + gamma_k)|T||Y| entry by entry, up to
-    2^-1075 per subnormal product; a doubled dense power T^(2^j) carries
-    (1 + gamma_k)^(2^j - 1) from its squarings and its product one more,
-    so every computed power P_m has
-    |P_m| <= ((1 + gamma_k)|T|)^m |X|, one factor per unit of exponent.  The
-    computed abs-sums are within gamma_(k+2) of the true ones (and of rho,
-    with the product and the square root), and g = (1 + gamma)^2 rho,
-    gamma = (k + 2) 2^-52 >= gamma_(k+2) + 2u, pays for both factors and for
-    the two roundings that form g, so every power norm is at most
-    max(1, g)^N ||X||.
-
-    Where smaller, a dense T read in ||.||_2 (`_Norms.exact`: probe columns
-    or the exact SVD) grows by f = r (1 + (k + 2)^2 u), r >= ||T||_2 from
-    `_l2_bound`.  As || |M| ||_2 <= sqrt(k) ||M||_2 for M of k columns,
-    fl(MY) errs by at most gamma_k || |M| || || |Y| || in ||.||_2: a stepped
-    column has ||fl(Ty)|| <= (r + gamma_k || |T| ||) ||y||, under
-    (r + gamma_k rho) ||y|| and r (1 + sqrt(k) gamma_k) ||y||; a stepped
-    block, each squaring of the doubling grid (||fl(M^2)|| <=
-    (1 + k gamma_k) ||M||^2) and each product with a doubled power, of norm
-    at most (r (1 + k gamma_k))^(2^j) / (1 + k gamma_k), cost 1 + k gamma_k.
-    So ||P_m|| <= (r (1 + k gamma_k))^m ||X|| for columns and blocks, and f
-    pays for that and its two roundings.  Subnormal products add under
-    k^2 2^-1074 to a power (see below), and under 2^-900 of a squaring, in
-    the last factor's margin.
-
-    A mean is the running sum over n powers divided by n, or the closed
-    form's three roundings of a sum over s < n, so it errs by at most
-    gamma_(N+3) (|P_0| + ... + |P_(n-1)|)/n entry by entry, and its norm is
-    at most (1 + gamma_(N+3)) max(1, g)^N ||X||, with sqrt(k) gamma_(N+3) on
-    the f path (|| |E| ||_2 <= sqrt(k) ||E||_2 for a block).  Every reader
-    is within eps = gamma_(dim+2) of the exact norm, widened by its slack
-    (see `_mode_norms`), so ||X|| <= (1 + eps) lower, up to the absolute
-    rounding of underflowing squares; that and the subnormal products stay
-    under (N + 1)(dim k + 1) 2^-536 times the growth.  The upper end is the
-    sum of that term and (1 + eps) lower, times max(1, g)^N, formed in log
-    space and only up to `OVERFLOW_LIMIT`, times (1 + eps)
-    (1 + (N + 4) 2^-52)(1 + 2^-40), with sqrt(k) (N + 4) on the f path: the
-    last factor covers the rounding of the logarithm, the exponential and
-    the products that form the bound (under 1 000u below that limit).  Past
-    N = 2^40, or that limit, the upper end is infinite.
+    A_1 = X bit for bit, and P_0 = X.  With `_deviation`'s bounds, for
+    m, n <= N, ||fl(A_n X)|| <= ||A_n X|| + delta_N <= C ||X|| + delta_N, and
+    ||P_m|| <= ||T^m X|| + ||P_m - T^m X|| is under that too; a reader
+    reads within eps of it, so the upper end is the largest such sum times
+    1 + eps, infinite where C is.
     """
-    norms = _mode_norms(spec, mode)
-    lower = float(np.maximum.reduce(norms.step(X[None])[0]))
-    l1, linf, k = _abs_norms(spec)
-    g = (1.0 + (k + 2) * 2.0**-52) ** 2 * norms.rho(l1, linf)
-    terms = horizon + 4.0  # the mean's rounding, in units of 2^-52
-    if spec.kind == KIND_DENSE and spec.norm_tag == "l2" and norms.exact and g > 1.0:
-        f = _l2_bound(spec) * (1.0 + (k + 2) ** 2 * 2.0**-53)
-        g, terms = (f, terms * math.sqrt(k)) if f < g else (g, terms)
-    exponent = horizon * math.log(g) if g > 1.0 else 0.0
-    if horizon > 2**40 or not exponent <= _LOG_LIMIT:
+    size, above, power, deviation = _deviation(spec, X, mode, horizon)
+    lower = float(np.maximum.reduce(size))
+    if power == math.inf:
         return lower, math.inf
-    eps = (spec.dim + 3) * 2.0**-52 + norms.slack
-    base = lower * (1.0 + eps) + (horizon + 1.0) * (spec.dim * k + 1.0) * 2.0**-536
-    widen = (1.0 + eps) * (1.0 + terms * 2.0**-52) * (1.0 + 2.0**-40)
-    return lower, base * math.exp(exponent) * widen
+    eps = (spec.dim + 3) * 2.0**-52 + _mode_norms(spec, mode).slack
+    return lower, float(np.maximum.reduce(power * above + deviation)) * (1.0 + eps)
 
 
-def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
+def _split(spec, X):
+    """F and Y with X = F + (I - T) Y + R for a small residual R and a
+    small (I - T) F; None where they come out non-finite.
+
+    With A = I - T, the columns (or, for a diagonal T, the coordinates)
+    where A is near null span the near-null space V_0: those whose
+    eigenvalue w of the Gram matrix A^T A, from `np.linalg.eigh`, is at most
+    2^-40 max(w), and the rest V_+.  With U = A V_+ and W = I - U
+    diag(1/w_+) U^T, near the projector onto Ker(A^T), F = V_0 a solves
+    W (X - V_0 a) = 0 in least squares, the oblique projection of X onto
+    Ker(A) along Ran(A) (the mean ergodic splitting), and
+    Y = V_+ diag(1/w_+) U^T (X - F) is the least-squares solution of
+    A Y = X - F.  Where A is invertible and Y = A^-1 X from an LU solve is
+    at most 2^26 times X in size relative to A, F = 0 and that Y stand
+    instead; a diagonal A splits entry by entry.  Neither need be accurate:
+    `_tail_certificate` reads only the residuals they leave.
+    """
+    with np.errstate(all="ignore"):
+        if spec.kind == KIND_DIAGONAL:
+            a = (1.0 - spec.entries)[:, None]
+            null = np.abs(a) <= 2.0**-20 * np.max(np.abs(a))
+            F, Y = np.where(null, X, 0.0), np.where(null, 0.0, X / a)
+            return (F, Y) if np.isfinite(F).all() and np.isfinite(Y).all() else None
+        A = apply_columns(spec, np.eye(spec.dim))
+        np.negative(A, out=A)
+        A.flat[:: spec.dim + 1] += 1.0
+        try:
+            Y = np.linalg.solve(A, X)
+            if np.max(np.abs(Y)) * np.max(np.abs(A)) <= 2.0**26 * np.max(np.abs(X)):
+                return np.zeros_like(X), Y
+        except np.linalg.LinAlgError:  # I - T is singular
+            pass
+        G = A.T @ A
+        del A  # free each dim x dim block once used: at `DENSE_CAP` one is 2 MB
+        try:
+            w, V = np.linalg.eigh(G)
+        except np.linalg.LinAlgError:
+            return None
+        null = w <= 2.0**-40 * w[-1]
+        V0, Vp, wp = V[:, null], V[:, ~null], w[~null]
+        del G, V
+        U = Vp - apply_columns(spec, Vp)  # A V_+
+        UX, UV0 = U.T @ X, U.T @ V0
+        U /= wp
+        Vp /= wp
+        B = V0 - U @ UV0  # W V_0
+        try:
+            a = np.linalg.solve(B.T @ B, B.T @ (X - U @ UX))
+        except np.linalg.LinAlgError:
+            return None
+        F, Y = V0 @ a, Vp @ (UX - UV0 @ a)
+    return (F, Y) if np.isfinite(F).all() and np.isfinite(Y).all() else None
+
+
+def _tail_certificate(spec, X, mode, tails) -> dict:
+    """Per tail horizon N >= 2 of `tails`, an upper end on the radius
+    max_n norm(A_n - A_N) over [t, N], t = N//2, that a walk of X in `mode`
+    would read, one per reader row, found without a walk; inf where there is
+    none: for a reader that reads no norm (sqrt(l1 * linf) above
+    `_L2_EXACT_DIM`), where `_split` finds no splitting, or where X has fewer
+    columns than dim, since the dense dim x dim blocks of `_split` would then
+    outgrow the block the pass walks (on `wide-operators`, dims 128-256 under
+    48 probes, they raised a process's peak RSS by 1.2 MB).
+
+    Let X = F + (I - T) Y + R and E = (I - T) F for the F and Y of
+    `_split`, and C >= ||T^k|| for k <= N (`_deviation`).  Then for
+    t <= n <= N, in the reader's exact norm (per probe column, or the
+    induced norm of a block):
+
+    - T^k F = F - (E + T E + ... + T^(k-1) E), so
+      ||A_n F - F|| <= (n - 1) C ||E|| / 2 and ||A_n F - A_N F|| <= N C ||E||;
+    - A_n (I - T) Y = (Y - T^n Y) / n, so
+      ||(A_n - A_N)(I - T) Y|| <= ||Y|| ((1 + C)/t + (C - 1)/N);
+    - ||(A_n - A_N) R|| <= 2 C ||R||;
+
+    and each computed mean is within delta_N of the exact one
+    (`_deviation`).  The walk reads fl(fl(A_n) - fl(A_N)), within u of the
+    difference entry by entry, through a reader within eps (and its slack)
+    of the exact norm, up to the absolute rounding of underflowing squares,
+    so the radius it reads is at most the sum of the three terms and
+    2 delta_N, widened by those; 1 + 2^-40 covers forming that sum.  R and E
+    are formed as computed: the kernel's fl(T M) is within gamma_k |T||M| of
+    T M entry by entry, and three more subtractions round R and one E, so
+    their errors are under (k + 4) 2^-52 (|X| + |F| + |Y| + |T||Y|) and
+    (k + 2) 2^-52 (|F| + |T||F|), plus k 2^-1075 per entry for subnormal
+    products.  In the reader's norm (sqrt(l1 * linf) >= ||.||_2 for a block
+    read in l2) || |T||M| || <= rho ||M||, rho that of |T| (`_Norms.rho`), so
+    (k + 4) 2^-52 (||X|| + ||F|| + (1 + rho) ||Y||), (k + 2) 2^-52 (1 + rho)
+    ||F|| and dim k 2^-1074 bound the errors' norms twice over, which covers
+    the rounding of rho and of forming the bounds; each norm is widened by
+    eps, and ||X|| is `_deviation`'s bound.
+    """
+    norms, d, tag = _mode_norms(spec, mode), spec.dim, spec.norm_tag
+    tails = [N for N in sorted(tails) if N >= 2]
+    shape = (X.shape[1],) if mode == "probe" else ()  # a dense tail reads one norm
+    uppers = {N: np.full(shape, math.inf) for N in tails}
+    split = _split(spec, X) if tails and norms.exact and d <= X.shape[1] else None
+    if split is None:
+        return uppers
+    F, Y = split
+    l1, linf, k = _abs_norms(spec)
+    rho, eps, tiny = norms.rho(l1, linf), (d + 3) * 2.0**-52, (d + 1) * 2.0**-536
+    if mode == "probe":
+        above = lambda M: column_norms(M, tag) * (1.0 + eps) + tiny
+    else:
+        above = lambda M: norms.rho(matrix_norm(M, "l1"), matrix_norm(M, "linf")) * (1.0 + eps) + tiny
+    reader = (1.0 + 2.0**-52) * (1.0 + eps + norms.slack) * (1.0 + 2.0**-40)
+    with np.errstate(all="ignore"):
+        f, y = above(F), above(Y)
+        R, E = above(X - F - Y + apply_columns(spec, Y)), above(F - apply_columns(spec, F))
+        for N in tails:
+            _, x, C, delta = _deviation(spec, X, mode, N)
+            r = R + (k + 4) * 2.0**-52 * (x + f + (1.0 + rho) * y) + d * k * 2.0**-1074
+            e = E + (k + 2) * 2.0**-52 * (1.0 + rho) * f + d * k * 2.0**-1074
+            bound = N * C * e + y * ((1.0 + C) / (N // 2) + (C - 1.0) / N) + 2.0 * C * r + 2.0 * delta
+            uppers[N] = np.where(bound >= 0.0, bound * reader + tiny, math.inf).reshape(shape)  # NaN reads inf
+    return uppers
+
+
+def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None) -> dict[int, _Scan]:
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` also bound their walked tail means for
@@ -426,10 +599,13 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     Before it walks, the pass brackets every norm it could read
     (`_bounded_bracket`).  When the upper end is under the cap and under
     `OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
-    verdict of the pass is decided: the pass reduces no norms, forms means
-    only for the tails, and stops at its anchor, and each scan holds the
-    bracket; its snapshots past the walk come from the closed form.  Any
-    other pass walks a stationary phase through the closed form.
+    verdict of the pass is decided: given a `tolerance`, each tail with
+    t * tolerance > 2 that `_tail_certificate` bounds under it is certified
+    and reads nothing; the pass reduces no norms, forms means only for the
+    tails left, and stops at its anchor or at the last of those tails (after
+    step 1 if none is left), and each scan holds the bracket; its snapshots
+    past the walk come from the closed form.  Any other pass walks a
+    stationary phase through the closed form.
 
     An undecided pass stops at the step w by which its bounded witnesses are
     settled: the first power and the first mean above the cap in ``probe``
@@ -439,15 +615,22 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
     step_norm = _mode_norms(spec, mode).step
     stream = CesaroStream(spec, X)
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
-    marks = {h: (max(1, h // 2), h) for h in tails}  # the snapshots of a tail: its start and its end
-    wanted = sorted({n for ns in marks.values() for n in ns})
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = stop = max(scans)  # the last step to walk: the horizon, or where the witnesses are settled
     lower, upper = bounds = _bounded_bracket(spec, X, mode, horizon)
-    reads = None  # once decided: whether the steps [lo, hi) hold a mean the pass reads
+    # Once decided: whether the steps [lo, hi) hold a mean the pass reads, and the certified tails.
+    reads, certified = None, {}
     if upper <= min(bound_cap, OVERFLOW_LIMIT) and _int_bound(lower) == _int_bound(upper):
+        # A tail whose start t has t * tol <= 2 is not tried: a unit column with no fixed
+        # part has ||Y x|| >= 1 / ||I - T|| >= 1 / (1 + C), so twice its Y term is >= 2 / t.
+        tried = [h for h in tails if tolerance is not None and h // 2 * tolerance > 2.0]
+        certified = {h: u for h, u in _tail_certificate(spec, X, mode, tried).items() if 2.0 * np.max(u) < tolerance}
         reads = lambda lo, hi: any(t < hi and lo <= h for t, h in marks.values())
-    for chunk in stream.chunks(horizon, reads):
+    # The snapshots of each tail not certified: its start and its end.
+    marks = {h: (max(1, h // 2), h) for h in tails if h not in certified}
+    wanted = sorted({n for ns in marks.values() for n in ns})
+    # A decided pass walks to its last tail not certified, and with none left, stops after step 1.
+    for chunk in stream.chunks(horizon if reads is None else max(marks, default=1), reads):
         first, count = chunk.first, len(chunk.powers)
         if reads is None:  # a decided pass reads no norms
             norms = step_norm(chunk.means)
@@ -469,7 +652,7 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
         for n in wanted[bisect_left(wanted, first) : bisect_left(wanted, first + count)]:
             snapshots[n] = chunk.means[n - first].copy()
         s = horizon + 1 if stream.anchor is None else stream.anchor[2]
-        for h in tails if first < s else ():
+        for h in marks if first < s else ():
             scan = scans[h]
             lo, hi = max(first, max(1, h // 2)), min(first + count, min(h, stop) + 1)
             if lo < hi:
@@ -485,16 +668,17 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=()) -> dict[int, _Scan]:
         if first + count > stop or reads is not None and stream.anchor is not None:
             break  # a decided pass stops after the chunk that reaches its anchor
     last = first + count - 1  # the last step read; a stream stops where it diverges
-    if last < horizon and reads is not None:  # every step past the anchor is stationary
-        unread = [n for n in wanted if n > last]
+    unread = [n for n in wanted if n > last] if reads is not None else []
+    if unread:  # a decided pass stopped at its anchor: every later step is stationary
         snapshots.update(zip(unread, stream.closed_form(unread)))
     means = np.concatenate(means) if means else None
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
-        scan.walked = min(h, stop, last)
+        scan.walked = min(h, stop, last) if reads is None or h in marks else 1
         scan.steps = h if reads is not None else scan.walked
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
         scan.snapshots = {n: snapshots[n] for n in marks.get(h, ()) if n in snapshots and n <= scan.steps}
+        scan.certificate = certified.get(h)
         if reads is not None:
             scan.bracket = bounds
             continue
@@ -642,9 +826,10 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     same horizon, read off the same pass; is inconclusive on a diverged
     scan; holds only when `cb` holds and the certified diameter 2 * radius
     is below the tolerance, and is inconclusive otherwise.  Norms come from
-    `_mode_norms`.  Uniform ergodicity off a ``probe`` scan (above
-    `DENSE_CAP`) has no upper bound on ||A_n - A_N||, so it reads no radius
-    and never holds.
+    `_mode_norms`; a tail certified without a walk reads its scan's
+    `certificate` as the radius's upper end, and 0 as its lower end.
+    Uniform ergodicity off a ``probe`` scan (above `DENSE_CAP`) has no upper
+    bound on ||A_n - A_N||, so it reads no radius and never holds.
     """
     evidence = {
         "mode": mode,
@@ -655,6 +840,7 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
         "steps": scan.steps,
         "tail_diameter_ub": None,
         "tail_diameter_lb": None,
+        "certified": scan.certificate is not None,
     }
 
     def verdict(status, witness=None):
@@ -665,7 +851,10 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     if scan.diverged_at is not None or family == FAMILY_UNIFORMLY_ERGODIC and mode == "probe":
         return verdict(INCONCLUSIVE)
     norms = _mode_norms(scan.stream.spec, mode)
-    lower, upper = _tail_radius(scan, norms, tolerance)
+    if scan.certificate is not None:
+        lower, upper = np.zeros_like(scan.certificate), scan.certificate
+    else:
+        lower, upper = _tail_radius(scan, norms, tolerance)
     diam_ub = 2.0 * upper
     # A_N lies in the tail, so an exact radius is also a diameter lower bound.
     diam_lb = lower if norms.exact else np.zeros_like(lower)
@@ -748,7 +937,7 @@ def _block_verdicts(spec, probes, mode, horizons, bound_cap, tolerance=None, erg
     probe = mode == "probe"
     X, label = (probes.vectors.T, probes.label) if probe else (np.eye(spec.dim), None)
     tails = ergodic if probe else uniform
-    scans = _scan(spec, X, mode, {*horizons, *ergodic, *uniform}, bound_cap, tails)
+    scans = _scan(spec, X, mode, {*horizons, *ergodic, *uniform}, bound_cap, tails, tolerance)
     bounded = (FAMILY_POWER_BOUNDED, FAMILY_CESARO_BOUNDED) if probe else (FAMILY_CESARO_BOUNDED,)
     verdicts = {f: {h: _bounded_verdict(f, s, mode, label) for h, s in scans.items()} for f in bounded}
     cbs = verdicts[FAMILY_CESARO_BOUNDED]

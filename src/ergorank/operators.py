@@ -316,16 +316,29 @@ def column_norms(X: np.ndarray, norm_tag: str) -> np.ndarray:
     """Per-column vector norms of a (dim, p) array, or of each (dim, p)
     slice of a (..., dim, p) stack, with the bits of the per-slice call.
 
-    l2 squares the entries, so a nonzero column whose entries are all below
-    about 1e-162 reads norm 0 (the squares underflow), as it did through
-    `np.linalg.norm`.
+    l2 squares the entries.  Where a square underflows, every column whose
+    entries are all below 2^-500 in magnitude is read again scaled by 2^600
+    and its norm scaled back, so that a nonzero column never reads 0; every
+    other column has the bits of `np.linalg.norm` (and so would a column
+    rescaled without an underflow: powers of two commute with every step).
     """
     # The ufunc reductions directly: the same bits as np.sum, np.linalg.norm
     # and np.max, without their Python wrappers.
     if norm_tag == "l1":
         return np.add.reduce(np.abs(X), axis=-2)
     if norm_tag == "l2":
-        return np.sqrt(np.add.reduce(X * X, axis=-2))
+        # The underflow flag screens every call for the price of a context;
+        # exact zeros, which margins between equal means are full of, raise none.
+        with np.errstate(under="raise"):
+            try:
+                return np.sqrt(np.add.reduce(X * X, axis=-2))
+            except FloatingPointError:
+                pass
+        norms = np.sqrt(np.add.reduce(X * X, axis=-2))
+        tiny = np.maximum.reduce(np.abs(X), axis=-2) < 2.0**-500
+        scaled = np.ldexp(np.moveaxis(X, -2, -1)[tiny], 600)
+        norms[tiny] = np.ldexp(np.sqrt(np.add.reduce(scaled * scaled, axis=-1)), -600)
+        return norms
     if norm_tag == "linf":
         return np.maximum.reduce(np.abs(X), axis=-2)
     raise ValueError(f"unknown norm tag {norm_tag!r}")

@@ -105,7 +105,12 @@ def _wrapper_norms(X: np.ndarray, norm_tag: str) -> np.ndarray:
     if norm_tag == "l1":
         return np.sum(np.abs(X), axis=0)
     if norm_tag == "l2":
-        return np.linalg.norm(X, axis=0)
+        norms = np.linalg.norm(X, axis=0)
+        for j in range(X.shape[1]):  # a column whose squares can underflow, read scaled by 2^600
+            if np.max(np.abs(X[:, j])) < 2.0**-500:
+                column = np.ldexp(np.ascontiguousarray(X[:, j]), 600)
+                norms[j] = np.ldexp(np.sqrt(np.sum(column * column)), -600)
+        return norms
     return np.max(np.abs(X), axis=0)
 
 

@@ -60,10 +60,15 @@ def test_the_benchmark_checks_pass_on_analyze_reports(tmp_path, name):
     assert checks._rank_heights(spec, probes, rank, max_nodes=config["max_nodes"]) == (True, "")
 
 
-#: The probe pass of each stops at the step before its anchor at the
-#: default config (horizon 10 000) and decides the rest from the phase's
-#: endpoints.
-_WALKED_AT_THE_DEFAULT_CONFIG = {"identity(8)": 1, "scalar(1.0)": 1, "left_shift_l1(64)": 65}
+#: Steps walked by the power-bounded and Cesaro-bounded checks at the
+#: default config (horizon 10 000).  Their bracket decides each before the
+#: walk, and they read no tail, so each pass stops after step 1.
+#: In `check_families` the probe tails of all but left_shift_l1(64) are
+#: certified by the resolvent, so that pass stops after step 1 too.
+_WALKED_AT_THE_DEFAULT_CONFIG = {
+    "identity(8)": 1, "scalar(1.0)": 1, "left_shift_l1(64)": 1,
+    "rotation(1.0)": 1, "scalar(-1.0)": 1, "random_diagonalizable(7,12)": 1,
+}
 
 
 @pytest.mark.parametrize("name", _WALKED_AT_THE_DEFAULT_CONFIG)

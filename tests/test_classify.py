@@ -1041,7 +1041,8 @@ def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
     # identity pass to 256.  The shift is nilpotent: its probe powers are
     # null from P_256 on, so its probe pass stops at step 257 and reads the
     # null tail [1000, 2000] off the closed form; its identity pass meets
-    # T^256 = 0 only past 256.
+    # T^256 = 0 only past 256.  (No resolvent certificate: 48 probes are
+    # fewer columns than dim.)
     rng = np.random.default_rng(14)
     dim = 128
     per_row = rng.permutation([3, 4] * (dim // 2))
@@ -1099,14 +1100,16 @@ def _bench_workloads():
 
 def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
     # At the default config identity(8) and scalar(1.0) walk [1, 1] and
-    # zero(4) [2, 2]: every pass stops at its anchor (s = 2, or 3), the
-    # exact-SVD identity passes included.  The one re-walk is scalar(-1.0)'s
-    # dense tail [128, 256]: A_128 = A_256 = 0 and A_129 = I / 129, so its
-    # bracket [0, 1/129] straddles the tolerance 1e-2, and its radius is
-    # folded from a walk of 256 steps.  No wide-operators input (seeds 1
-    # and 101, horizon 2 000) walks a block a second time.
+    # zero(4) [1, 2]: every pass stops at its anchor (s = 2, or 3), the
+    # exact-SVD identity passes included, or sooner where the resolvent
+    # certificate decides its tail (zero(4)'s probe tail).  The one re-walk
+    # is scalar(-1.0)'s dense tail [128, 256]: A_128 = A_256 = 0 and
+    # A_129 = I / 129, so its bracket [0, 1/129] straddles the tolerance
+    # 1e-2, and its radius is folded from a walk of 256 steps.  No
+    # wide-operators input (seeds 1 and 101, horizon 2 000) walks a block a
+    # second time.
     walks = _Walks(monkeypatch)
-    stationary = {"identity(8)": [1, 1], "scalar(1.0)": [1, 1], "zero(4)": [2, 2]}
+    stationary = {"identity(8)": [1, 1], "scalar(1.0)": [1, 1], "zero(4)": [1, 2]}
     for name in built_in_gallery():
         walks.walks.clear()
         check_families(*_probes(name), 10_000, 1e-2, 1e3, 256)
@@ -1427,7 +1430,9 @@ def test_a_null_tail_reads_like_the_reference_stream(monkeypatch, name):
     norm = lambda D: column_norms(D, spec.norm_tag)
     radius = reference_tail_radius(spec, probes.vectors.T, horizon, norm)
     assert np.all(np.asarray(erg.evidence["tail_diameter_ub"]) >= 2.0 * radius)
-    assert _bits(erg.evidence["tail_diameter_lb"]) == _bits(radius)
+    # A certified tail reads no radius: its lower end is 0.
+    lower = np.zeros_like(radius) if erg.evidence["certified"] else radius
+    assert _bits(erg.evidence["tail_diameter_lb"]) == _bits(lower)
     assert [v and v.to_json_dict() for v in walked] == [v and v.to_json_dict() for v in families]
     assert _bits(walked.ergodic.evidence["tail_diameter_ub"]) == _bits(2.0 * radius)
     ue, walked_ue = (f.section or f.uniformly_ergodic for f in (families, walked))
@@ -1444,7 +1449,9 @@ def test_the_null_skip_reads_the_bits_of_the_power_not_its_norms():
     steps, _ = reference_stream(spec, X, 2000)
     zero_norm = next(n for n, _, _, norms in steps if norms.max() == 0)
     null = next(n for n, _, P, _ in steps if not P.any())
-    assert zero_norm < 600 < 1000 < null
+    # The l2 reader rescales columns whose squares underflow, so a power
+    # reads norm 0 only once it is null.
+    assert 1000 < zero_norm == null
     # T P_null = P_null at step null + 1 ends the walk.
     scan = _scan(spec, X, "probe", [2000], 1e3, [2000])[2000]
     assert (scan.walked, scan.stream.anchor[2]) == (null + 1, null + 2)
@@ -1459,7 +1466,9 @@ def test_a_pass_stops_at_its_anchor_in_every_mode(monkeypatch):
     # from the phase's endpoints (their bounded verdicts are decided before
     # the walk, as the norm of |T| is 1).  sparse-256-linf of wide-operators
     # (seed 101) reaches its anchor at s = 908 of 2 000, and its probe pass
-    # stops there.
+    # stops there; its 48 probes are fewer columns than its dim, so it tries
+    # no resolvent certificate, while those of identity(8) and scalar(1.0)
+    # certify their tails.
     shift = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
     assert _mode_norms(shift, "dense").slack > 0.0
     for mode in ("probe", "dense"):
@@ -1472,12 +1481,13 @@ def test_a_pass_stops_at_its_anchor_in_every_mode(monkeypatch):
     for spec, probes, horizon in cases:
         walks.walks.clear()
         families = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
-        s = _scan(spec, probes.vectors.T, "probe", [horizon], 1e3)[horizon].stream.anchor[2]
+        s = _scan(spec, probes.vectors.T, "probe", [horizon], 1e3, [horizon])[horizon].stream.anchor[2]
         assert walks.walks[:2] == [[False, s - 1], [False, 1 if s == 2 else 256]], spec
         assert s == (908 if spec is sparse else 2)
         for v in families[:3]:
             assert (v.evidence["steps"], v.evidence["diverged"]) == (horizon, False)
         assert families.power_bounded.evidence["walked"] == s - 1
+        assert families.ergodic.evidence["certified"] == (spec is not sparse)
         with _walking():
             walked = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
         assert [v and v.to_json_dict() for v in walked] == [v and v.to_json_dict() for v in families]
@@ -1682,6 +1692,7 @@ def _unit_l2_specs(draw):
 @example(_wide_dense_l2(36, 1.0 - 2.0**-44), 700, False, "above")
 @example(gallery("rotation(1.0)"), 10_000, False, "default")
 @example(gallery("random_diagonalizable(7,12)"), 10_000, False, "default")
+@example(gallery("scalar(-1.0)"), 10_000, False, "default")
 @settings(max_examples=80, deadline=None)
 def test_a_decided_pass_agrees_with_a_forced_walk(spec, horizon, tiny, cap_at):
     # Tiny probes (every norm below 1e-9) put the lower end in bucket 0.
@@ -1693,12 +1704,14 @@ def test_a_decided_pass_agrees_with_a_forced_walk(spec, horizon, tiny, cap_at):
     # families.  The first examples are dense l2 at dims 33-36 with the
     # norm of |T| a few ulps under or over 1, whose identity pass the
     # bracket decides under the default cap with rho = max(l1, linf); the
-    # last two are the gallery's orthogonal and symmetric operators at the
-    # default horizon, whose passes both decide through ||T||_2.
+    # last three are the gallery's orthogonal, symmetric and unimodular
+    # operators at the default horizon, whose passes both decide through
+    # ||T||_2, and whose probe tails the resolvent certificate decides: a
+    # certified tail's diameter bound holds the walked one.
     probes = default_probes(spec)
     if tiny:
         probes = ProbeSet(probes.vectors * 1e-10, spec.norm_tag, "tiny")
-    ue = min(256, horizon)
+    ue, certified = min(256, horizon), 0
     for mode, X, ergodic, uniform in (
         ("probe", probes.vectors.T, [horizon], ()),
         ("dense", np.eye(spec.dim), (), [horizon, ue]),
@@ -1720,6 +1733,11 @@ def test_a_decided_pass_agrees_with_a_forced_walk(spec, horizon, tiny, cap_at):
                 if g.evidence.get("bracket") is not None:
                     low, high = g.evidence["bracket"]
                     assert low == lower and low <= w.evidence["max"] <= high, (mode, family, h)
+                if g.evidence.get("certified"):
+                    certified += 1
+                    assert np.all(np.asarray(w.evidence["tail_diameter_ub"]) <= g.evidence["tail_diameter_ub"])
+    if not tiny and cap_at == "default" and horizon == 10_000 and spec.dim <= 12:
+        assert certified == 2  # the probe tail and the dense tail at 10 000
 
 
 def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
@@ -1845,18 +1863,21 @@ def test_the_l2_bound_survives_a_wrong_eigendecomposition(spec, seed, size, vect
 #: probe then identity: whether its bracket decides it before it walks, and
 #: how many stacks of norms it reads (its lower end, then each chunk's means
 #: and powers).  rotation(1.0) and random_diagonalizable(7,12) read 41 and
-#: 3, and 315 and 5, when their brackets grew by the norm of |T|.
+#: 3, and 315 and 5, when their brackets grew by the norm of |T|.  A decided
+#: probe pass reads X once more for the C and delta_N of its resolvent
+#: certificate, but for left_shift_l1(64), whose 48 probes are fewer columns
+#: than its dim; the identity passes' tails [128, 256] are too short for one.
 _GALLERY_PASSES = {
-    "identity(8)": [(True, 1), (True, 1)],
-    "zero(4)": [(True, 1), (True, 1)],
-    "scalar(1.0)": [(True, 1), (True, 1)],
-    "scalar(0.5)": [(True, 1), (True, 1)],
-    "scalar(-1.0)": [(True, 1), (True, 1)],
+    "identity(8)": [(True, 2), (True, 1)],
+    "zero(4)": [(True, 2), (True, 1)],
+    "scalar(1.0)": [(True, 2), (True, 1)],
+    "scalar(0.5)": [(True, 2), (True, 1)],
+    "scalar(-1.0)": [(True, 2), (True, 1)],
     "scalar(2.0)": [(False, 3), (False, 3)],
     "jordan_1(2)": [(False, 9), (False, 3)],
-    "rotation(1.0)": [(True, 1), (True, 1)],
+    "rotation(1.0)": [(True, 2), (True, 1)],
     "left_shift_l1(64)": [(True, 1), (True, 1)],
-    "random_diagonalizable(7,12)": [(True, 1), (True, 1)],
+    "random_diagonalizable(7,12)": [(True, 2), (True, 1)],
 }
 
 
@@ -1967,7 +1988,8 @@ def test_overflowing_operators_check_without_runtime_warnings():
 
 def _assert_projections(spec, probes, horizon, tolerance, ue_horizon):
     """Every `check_families` verdict is its public check's: the same
-    serialized form, and the same steps, walked steps and divergence."""
+    serialized form, and the same steps and divergence; the same walked
+    steps too, but where a decided pass reads nothing."""
     families = check_families(spec, probes, horizon, tolerance, 1e3, ue_horizon)
     trusted = trusted_horizon(spec, ue_horizon)
     singles = [
@@ -1977,12 +1999,16 @@ def _assert_projections(spec, probes, horizon, tolerance, ue_horizon):
         check_uniformly_ergodic(spec, trusted, tolerance, probes=probes),
         check_uniformly_ergodic(spec, ue_horizon, tolerance, probes=probes) if trusted < ue_horizon else None,
     ]
-    keys = ("steps", "walked", "diverged_at")
+    keys = ("steps", "diverged_at")
     for got, want in zip(families, singles, strict=True):
         assert (got is None) == (want is None)
         if want is not None:
             assert got.to_json_dict() == want.to_json_dict()
             assert [got.evidence.get(k) for k in keys] == [want.evidence.get(k) for k in keys]
+            # A decided pass walks only for the tails it reads; a single
+            # bounded check reads none, so it stops after step 1.
+            walked = 1 if want.evidence.get("bracket") is not None else got.evidence.get("walked")
+            assert want.evidence.get("walked") == walked
 
 
 def test_families_match_the_single_checks():
@@ -2031,14 +2057,19 @@ def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):
 
 @pytest.mark.parametrize("name", ["rotation(1.0)", "scalar(-1.0)"])
 def test_families_walk_each_block_once_unless_a_tail_straddles(monkeypatch, name):
-    # The brackets of the probe tails [1000, 2000] decide, so one walk per
-    # block serves them.  The dense tail [32, 64] of scalar(-1.0) starts at
-    # A_32 = 0 = A_64, and its bracket [0, 1/33] straddles the tolerance, so
-    # that block alone is walked again.
+    # The resolvent certificate decides the probe tails [1000, 2000], so
+    # the probe pass stops after step 1; without it, their brackets decide
+    # off one walk of 2 000 steps.  The dense tail [32, 64] of scalar(-1.0)
+    # starts at A_32 = 0 = A_64, and its bracket [0, 1/33] straddles the
+    # tolerance, so that block alone is walked again.
     spec, probes = _probes(name)
     walks = _Walks(monkeypatch)
-    check_families(spec, probes, 2000, 1e-2, 1e3, 64)
     again = [[True, 64]] if name == "scalar(-1.0)" else []
+    check_families(spec, probes, 2000, 1e-2, 1e3, 64)
+    assert walks.walks == [[False, 1], [False, 64], *again]
+    walks.walks.clear()
+    with mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {}):
+        check_families(spec, probes, 2000, 1e-2, 1e3, 64)
     assert walks.walks == [[False, 2000], [False, 64], *again]
 
 

@@ -336,6 +336,26 @@ def test_vec_norm_hand_values():
     assert np.array_equal(column_norms(np.array([[3.0, 0.0], [-4.0, 2.0]]), "l1"), [7.0, 2.0])
 
 
+def test_l2_rescales_only_the_columns_whose_squares_can_underflow():
+    # Columns with every entry under 2^-500 are read scaled by 2^600: a
+    # column of 1e-170s, subnormals, and zero.  Every other column, one
+    # with a tiny entry beside a 1e-140 among them, keeps the bits of the
+    # plain reduction.  A stack reads each slice as the call on it alone.
+    X = np.random.default_rng(3).standard_normal((5, 6))
+    X[:, 1] *= 1e-170
+    X[:, 2] = [5e-324, 0.0, -1e-320, 0.0, 2e-310]
+    X[:, 3] = 0.0
+    X[:, 4] = [1e-140, 1e-170, 0.0, 5e-324, -1.0e-150]
+    got = column_norms(X, "l2")
+    plain = np.sqrt(np.add.reduce(X * X, axis=0))
+    for j in (0, 4, 5):
+        assert got[j].tobytes() == plain[j].tobytes(), j
+    assert plain[1] == 0.0 and got[1] == pytest.approx(1e-170 * np.linalg.norm(X[:, 1] * 1e170), rel=1e-15)
+    exact = math.sqrt(sum(float(v * 2.0**1000) ** 2 for v in X[:, 2])) * 2.0**-1000
+    assert got[2] == pytest.approx(exact, rel=1e-15) and got[3] == 0.0
+    assert column_norms(np.stack([X, X[::-1]]), "l2")[0].tobytes() == got.tobytes()
+
+
 def test_matrix_norm_hand_values():
     m = np.array([[1.0, -2.0], [3.0, 4.0]])
     assert matrix_norm(m, "l1") == 6.0  # max column abs sum

@@ -1,0 +1,262 @@
+"""The resolvent certificate of Cauchy tails (`classify._tail_certificate`)
+and the rounding allowance it rests on (`classify._deviation`).
+
+A decided pass whose tail the certificate bounds under the tolerance reads
+no radius and stops after step 1.  These tests hold its upper end against
+the radius a walk reads and against exact `Fraction` arithmetic, hold the
+allowance against exact means, and check what the certificate costs: no
+SVD, and one splitting per block.
+"""
+
+import math
+from fractions import Fraction
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import ergorank.classify
+from ergorank.cesaro import CesaroStream
+from ergorank.classify import (
+    HOLDS,
+    INCONCLUSIVE,
+    check_ergodic,
+    check_families,
+    _deviation,
+    _mode_norms,
+    _tail_certificate,
+)
+from ergorank.operators import (
+    KIND_DENSE,
+    KIND_DIAGONAL,
+    KIND_SHIFT,
+    KIND_SPARSE,
+    OperatorSpec,
+    basis_probes,
+    built_in_gallery,
+    default_probes,
+    gallery,
+)
+from reference import as_exact, exact_stream, few_default_probes, reference_tail_radius
+from test_classify import HUGE_DIAGONAL, _Walks, _bench_workloads, _jordan_specs, _serialized, _walking
+
+
+@pytest.mark.parametrize("name", ["rotation(1.0)", "scalar(-1.0)", "random_diagonalizable(7,12)"])
+def test_a_certified_probe_pass_walks_one_step_and_serializes_as_a_walk(monkeypatch, name):
+    # At the default config the bracket decides the probe pass, and the
+    # certificate its tail [5 000, 10 000], so the pass stops after step 1.
+    # Every verdict serializes as a forced walk's, and
+    # the walked diameters lie under the certified ones.
+    spec = gallery(name)
+    probes = default_probes(spec)
+    walks = _Walks(monkeypatch)
+    got = check_families(spec, probes, 10_000, 1e-2, 1e3, 256)
+    assert walks.walks[0] == [False, 1]
+    assert got.ergodic.status == HOLDS and got.ergodic.evidence["certified"]
+    assert (got.ergodic.evidence["steps"], got.power_bounded.evidence["walked"]) == (10_000, 1)
+    assert not np.any(got.ergodic.evidence["tail_diameter_lb"])
+    with _walking():
+        want = check_families(spec, probes, 10_000, 1e-2, 1e3, 256)
+    assert _serialized(got) == _serialized(want)
+    assert not want.ergodic.evidence["certified"]
+    assert np.all(np.asarray(want.ergodic.evidence["tail_diameter_ub"]) <= got.ergodic.evidence["tail_diameter_ub"])
+
+
+def test_a_tiny_l2_column_reads_its_radius():
+    # T = [[1, 1e-170], [0, 1]] has A_n e_2 = e_2 + (n - 1) 1e-170 / 2 e_1,
+    # so the radius on e_2 over [500, 1 000] is 2.5e-168, whose square
+    # underflows, yet the l2 reader reads it, so ergodicity is not held at
+    # tolerance 1e-175.
+    spec = OperatorSpec(KIND_DENSE, 2, [[1, 1e-170], [0, 1]], "l2")
+    v = check_ergodic(spec, basis_probes(2, "l2"), 1000, 1e-175)
+    assert v.status == INCONCLUSIVE
+    assert v.evidence["tail_diameter_ub"] == [0.0, pytest.approx(5e-168, rel=1e-12)]
+
+
+def test_the_certificate_calls_no_svd_and_splits_each_block_once(monkeypatch):
+    # Under a multithreaded BLAS a 64x64 SVD can take 100 times an LU solve.
+    # Over the gallery at the default config and the wide-operators inputs
+    # at horizon 2 000, the certificate calls no SVD, and each
+    # `check_families` splits each block at most once.
+    inside, svds, splits = [False], [], []
+    real_svd, real_split, real_certificate = np.linalg.svd, ergorank.classify._split, ergorank.classify._tail_certificate
+
+    def svd(*args, **kwargs):
+        svds.append(inside[0])
+        return real_svd(*args, **kwargs)
+
+    def split(spec, X):
+        splits.append((spec, X))
+        return real_split(spec, X)
+
+    def certificate(*args):
+        inside[0] = True
+        try:
+            return real_certificate(*args)
+        finally:
+            inside[0] = False
+
+    monkeypatch.setattr(np.linalg, "svd", svd)
+    monkeypatch.setattr(ergorank.classify, "_split", split)
+    monkeypatch.setattr(ergorank.classify, "_tail_certificate", certificate)
+    cases = [(gallery(name), None, 10_000) for name in built_in_gallery()]
+    cases += [(spec, 101, 2000) for spec in _bench_workloads().wide_specs(101).values()]
+    certified = 0
+    for spec, seed, horizon in cases:
+        splits.clear()
+        families = check_families(spec, default_probes(spec) if seed is None else default_probes(spec, seed=seed),
+                                  horizon, 1e-2, 1e3, 256)
+        blocks = [(id(s), X.shape, X.tobytes()) for s, X in splits]
+        assert len(blocks) == len(set(blocks)) <= 2, spec
+        certified += families.ergodic.evidence["certified"]
+    # The dense l2 norms of the small gallery operators are SVDs.  The
+    # wide-operators probe blocks have fewer columns than dim, so no split.
+    assert svds and not any(svds)
+    assert certified == 7
+
+
+@st.composite
+def _rough_specs(draw):
+    """Specs of all four kinds at dim 1-4, with entries of every size from
+    subnormal to 1e200, and `HUGE_DIAGONAL`."""
+    kind = draw(st.sampled_from([KIND_DENSE, KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE, "huge"]))
+    if kind == "huge":
+        return HUGE_DIAGONAL
+    dim, tag = draw(st.integers(1, 4)), draw(st.sampled_from(["l1", "l2", "linf"]))
+    scale = draw(st.sampled_from([5e-324, 2.0**-1040, 1e-300, 1e-3, 0.5, 1.0, 1.0 - 2.0**-40, 1e200]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == KIND_DENSE:
+        return OperatorSpec(kind, dim, scale * rng.uniform(-1.0, 1.0, (dim, dim)), tag)
+    if kind == KIND_DIAGONAL:
+        return OperatorSpec(kind, dim, scale * rng.uniform(-1.0, 1.0, dim), tag)
+    if kind == KIND_SHIFT:
+        return OperatorSpec(kind, dim, scale * rng.uniform(-1.0, 1.0, dim - 1), tag)
+    cells = [(r, c) for r in range(dim) for c in range(dim) if rng.uniform() < 0.6] or [(0, 0)]
+    return OperatorSpec(kind, dim, [[r, c, scale * rng.uniform(-1.0, 1.0)] for r, c in cells], tag)
+
+
+@given(_rough_specs(), st.sampled_from([2, 3, 8, 33, 64]), st.booleans())
+@example(HUGE_DIAGONAL, 8, True)
+@example(OperatorSpec(KIND_DIAGONAL, 1, [5e-324], "l2"), 64, True)
+@example(OperatorSpec(KIND_DENSE, 2, [[1.0, 1e-170], [0.0, 1.0]], "l2"), 64, True)
+@settings(max_examples=60, deadline=None)
+def test_a_certificate_is_at_least_the_walked_radius_or_infinite(spec, horizon, basis):
+    # Per block, the certificate's upper end is NaN nowhere, and where it
+    # is finite it is at least the radius a walk reads.  At a tolerance
+    # that lets it decide (2 / t < 0.5), no NaN reaches a verdict, a
+    # certified tail is finite, and every verdict serializes as a forced
+    # walk's: an infinite upper end certifies nothing, and the pass walks.
+    probes = basis_probes(spec.dim, spec.norm_tag) if basis else few_default_probes(spec, 2)
+    for mode, X in (("probe", probes.vectors.T), ("dense", np.eye(spec.dim))):
+        upper = _tail_certificate(spec, X, mode, [horizon])[horizon]
+        assert not np.any(np.isnan(upper)), mode
+        radius = reference_tail_radius(spec, X, horizon, _mode_norms(spec, mode).radius)
+        if radius is not None:
+            assert np.all(np.where(np.isfinite(upper), radius <= upper, True)), mode
+    got = check_families(spec, probes, horizon, 0.5, 1e3, horizon)
+    with _walking():
+        want = check_families(spec, probes, horizon, 0.5, 1e3, horizon)
+    assert _serialized(got) == _serialized(want)
+    for v in (got.ergodic, got.uniformly_ergodic):
+        ub = v.evidence["tail_diameter_ub"]
+        assert ub is None or not np.any(np.isnan(ub))
+        assert not v.evidence["certified"] or np.all(np.isfinite(ub))
+
+
+def _exact_norms(D, tag, mode):
+    """Per reader row, a quantity in `Fraction`s that is at most q (q^2 for
+    l2) wherever the reader's exact norm of the object array D is at most
+    q: the norm itself for l1 and linf; for the l2 norm of a block, its
+    largest column's square, which is at most the square of the norm."""
+    A = np.abs(D)
+    if tag == "l1":
+        sums = A.sum(axis=0)
+    elif tag == "linf":
+        sums = A.max(axis=0) if mode == "probe" else A.sum(axis=1)
+    else:
+        sums = (D * D).sum(axis=0)
+    return list(sums) if mode == "probe" else [max(sums)]
+
+
+def _within(values, bounds, tag):
+    return all(v <= (Fraction(b) ** 2 if tag == "l2" else Fraction(b)) for v, b in zip(values, np.ravel(bounds)))
+
+
+@st.composite
+def _exact_specs(draw):
+    """Specs whose entries are exact in binary, so that `exact_stream` is
+    their exact stream: Jordan specs, float rotations, and diagonals,
+    shifts and sparse specs of dim <= 4 at scales from subnormal to 1,
+    whose products round or underflow."""
+    kind = draw(st.sampled_from(["jordan", "rotation", KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE]))
+    if kind == "jordan":
+        return draw(_jordan_specs()).spec
+    tag = draw(st.sampled_from(["l1", "l2", "linf"]))
+    if kind == "rotation":
+        return OperatorSpec(KIND_DENSE, 2, gallery(f"rotation({draw(st.floats(-4.0, 4.0))!r})").entries, tag)
+    return draw(_rough_specs().filter(lambda s: s.kind == kind and s is not HUGE_DIAGONAL))
+
+
+@given(_exact_specs(), st.sampled_from([1, 2, 7, 33, 64]), st.booleans(), st.booleans())
+@example(OperatorSpec(KIND_DIAGONAL, 1, [0.75], "l2"), 8, True, False)
+@settings(max_examples=30, deadline=None)
+def test_the_deviation_bounds_every_computed_mean_exactly(spec, horizon, dense, tiny):
+    # |fl(A_n X) - A_n X| <= delta_N for every n <= N, in `Fraction`s, on
+    # the probe block (basis probes, scaled to subnormals when `tiny`, so
+    # that products underflow) and on the identity block.
+    mode = "dense" if dense else "probe"
+    X = np.eye(spec.dim) if dense else basis_probes(spec.dim, spec.norm_tag).vectors.T * (5e-324 if tiny else 1.0)
+    _, _, power, deviation = _deviation(spec, X, mode, horizon)
+    if power == math.inf:
+        return
+    exact = {n: A for n, A, *_ in exact_stream(spec, X, horizon)[0]}
+    for chunk in CesaroStream(spec, X).chunks(horizon):
+        for i, A in enumerate(chunk.means):
+            D = as_exact(A) - exact[chunk.first + i]
+            assert _within(_exact_norms(D, spec.norm_tag, mode), deviation, spec.norm_tag), chunk.first + i
+
+
+@given(st.one_of(_jordan_specs().map(lambda j: j.spec), _exact_specs()), st.sampled_from([2, 8, 33, 64]), st.booleans())
+@settings(max_examples=30, deadline=None)
+def test_a_certificate_holds_the_exact_and_the_walked_radius(spec, horizon, dense):
+    # Wherever the certificate's upper end is finite, the exact radius
+    # max_n ||A_n X - A_N X|| over [N/2, N] lies under it, in `Fraction`s,
+    # and so does the radius a walk reads.
+    mode = "dense" if dense else "probe"
+    X = np.eye(spec.dim) if dense else few_default_probes(spec, 1).vectors.T
+    upper = _tail_certificate(spec, X, mode, [horizon])[horizon]
+    if not np.all(np.isfinite(upper)):
+        return
+    steps, diverged = exact_stream(spec, X, horizon)
+    assert diverged is None
+    final = steps[-1][1]
+    for n, A, *_ in steps[horizon // 2 - 1 :]:
+        assert _within(_exact_norms(A - final, spec.norm_tag, mode), upper, spec.norm_tag), n
+    radius = reference_tail_radius(spec, X, horizon, _mode_norms(spec, mode).radius)
+    assert np.all(radius <= upper)
+
+
+@given(_exact_specs(), st.sampled_from([2, 8, 64]), st.booleans(), st.integers(0, 2**32 - 1),
+       st.sampled_from(["zero", "fixed", 1e-12, 1e-3, 0.3]))
+@settings(max_examples=60, deadline=None)
+def test_a_certificate_survives_a_wrong_split(spec, horizon, dense, seed, wrong):
+    # The certificate reads only the residuals a splitting leaves, so any
+    # F and Y give an upper end at least the walked radius, or infinity:
+    # F = Y = 0 (all residual), F = X (all claimed fixed), or the split
+    # moved by noise of each size.
+    mode = "dense" if dense else "probe"
+    X = np.eye(spec.dim) if dense else few_default_probes(spec, 1).vectors.T
+    real, rng = ergorank.classify._split, np.random.default_rng(seed)
+
+    def split(spec, X):
+        if wrong in ("zero", "fixed"):
+            return (X.copy() if wrong == "fixed" else np.zeros_like(X)), np.zeros_like(X)
+        F, Y = real(spec, X) or (np.zeros_like(X), np.zeros_like(X))
+        return F + wrong * rng.standard_normal(F.shape), Y + wrong * rng.standard_normal(Y.shape)
+
+    with mock.patch.object(ergorank.classify, "_split", split):
+        upper = _tail_certificate(spec, X, mode, [horizon])[horizon]
+    radius = reference_tail_radius(spec, X, horizon, _mode_norms(spec, mode).radius)
+    if radius is not None:
+        assert np.all(np.where(np.isfinite(upper), radius <= upper, True))
