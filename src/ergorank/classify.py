@@ -74,6 +74,14 @@ radius is folded from a fresh walk, so a decided verdict has the bits a
 walk of every step gives it.  Where smaller, a bound on ||T||_2 plus the
 kernels' rounding stands in for rho for a dense T read in l2 (`_l2_bound`).
 
+`check_families` walks no identity block whose verdicts are proven before
+it starts (`_unwalked`): its bracket decides dense Cesaro-boundedness, and
+at each uniformly ergodic horizon N the probe pass's means at t = N//2 and
+N, which it keeps where it walks past them anyway, prove a lower end on
+||A_t - A_N|| >= ||(A_t - A_N) x|| / ||x|| whose double, less the rounding
+of both streams, reaches the tolerance.  A walk's tail there would read
+``inconclusive``, and so does the proven one.
+
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
 dim/2; `trusted_horizon` returns the horizon below which the two agree.
@@ -137,10 +145,13 @@ class Verdict:
     diameters, scan maxima) and is not part of the serialized form.  A
     bounded verdict's `steps` is the horizon its scan reached and `walked`
     the steps its pass produced: 1 for a pass decided before it walks that
-    reads no tail.  A tail verdict's `certified` says whether the resolvent
-    certificate decided it without a walk (see `_tail_certificate`); its
-    `tail_diameter_ub` is then twice the certificate's upper end and its
-    `tail_diameter_lb` 0.
+    reads no tail, and 0 for an identity pass that `check_families` skips
+    (see `_unwalked`).  A tail verdict's `certified` says whether the
+    resolvent certificate decided it without a walk (see
+    `_tail_certificate`); its `tail_diameter_ub` is then twice the
+    certificate's upper end and its `tail_diameter_lb` 0.  A tail of a
+    skipped pass has `tail_diameter_ub` inf and `tail_diameter_lb` the
+    proven lower end (0 where the reader is no lower bound).
     """
 
     family: str
@@ -267,6 +278,10 @@ class _Scan:
     walks every one of its `steps`.  A scan whose bounded
     witnesses were settled at step w (see `_scan`) ends at w: `steps` and
     `walked` are w, and its maxima, snapshots and envelope stop there.
+    `kept` maps the steps a pass was asked to keep, where it formed them, to
+    A_n (one dict shared by a pass's scans).  A scan of a skipped identity
+    pass (`_unwalked`) has `walked` 0, and `floor` holds the proven lower
+    end of its tail radius at a uniformly ergodic horizon.
     """
 
     stream: CesaroStream
@@ -284,6 +299,8 @@ class _Scan:
     low: np.ndarray | None = None
     high: np.ndarray | None = None
     certificate: np.ndarray | None = None
+    kept: dict = field(default_factory=dict)
+    floor: float | None = None
 
 
 def _first_above(tops: np.ndarray, cap: float) -> int | None:
@@ -435,11 +452,16 @@ def _deviation(spec, X, mode, horizon):
     l1, linf, k = _abs_norms(spec)
     c = (k + 2) * 2.0**-52
     g = (1.0 + c) ** 2 * norms.rho(l1, linf)
-    terms = horizon + 4.0  # the mean's rounding, in units of 2^-52
+    terms, c2 = horizon + 4.0, (k + 2) ** 2 * 2.0**-53  # the mean's rounding in units of 2^-52; c' of ||.||_2
     if spec.kind == KIND_DENSE and spec.norm_tag == "l2" and norms.exact and g > 1.0:
-        f = _l2_bound(spec) * (1.0 + (k + 2) ** 2 * 2.0**-53)
-        if f < g:
-            g, c, terms = f, (k + 2) ** 2 * 2.0**-53, terms * math.sqrt(k)
+        # Whatever r is, the ||.||_2 path puts the bracket's upper end at least
+        # 1 - (1 + c')^-N + terms 2^-52 above its lower end: where that alone
+        # crosses an integer bound, no r decides the bracket, so r is not formed.
+        top = float(np.maximum.reduce(size))
+        if _int_bound(top) == _int_bound(top * (1.0 + terms * 2.0**-52 - math.expm1(-horizon * math.log1p(c2)))):
+            f = _l2_bound(spec) * (1.0 + c2)
+            if f < g:
+                g, c, terms = f, c2, terms * math.sqrt(k)
     eps = (spec.dim + 3) * 2.0**-52 + norms.slack
     above = size * (1.0 + eps) + (horizon + 1.0) * (spec.dim * k + 1.0) * 2.0**-536
     exponent, steps = (horizon * math.log(g) if g > 1.0 else 0.0), horizon * math.log1p(c)
@@ -469,6 +491,62 @@ def _bounded_bracket(spec, X, mode, horizon):
         return lower, math.inf
     eps = (spec.dim + 3) * 2.0**-52 + _mode_norms(spec, mode).slack
     return lower, float(np.maximum.reduce(power * above + deviation)) * (1.0 + eps)
+
+
+def _decides(bracket, cap) -> bool:
+    """Whether a `_bounded_bracket` decides every bounded verdict of its pass
+    before it walks: its upper end is under the cap and `OVERFLOW_LIMIT`,
+    and both ends give one integer bound."""
+    lower, upper = bracket
+    return upper <= min(cap, OVERFLOW_LIMIT) and _int_bound(lower) == _int_bound(upper)
+
+
+def _unwalked(spec, probes, X, horizons, bound_cap, tolerance, tails, kept):
+    """The scans of a pass of the identity block X to `horizons`, proven
+    without a walk from the means of the probe pass in `kept` (`_scan`'s
+    `keep`), or None.
+
+    Where its bracket decides (`_decides`) to the longest horizon, every
+    bounded verdict is the bracket's, as in a decided pass.  Take a tail
+    horizon N of `tails`, t = max(1, N//2), and D = A_t - A_N exactly.  For
+    every probe x, ||D|| >= ||D x|| / ||x|| in the induced norm, and with
+    `_deviation`'s delta_N of the probe block and `above` >= ||x||,
+    ||D x|| >= v / ((1 + u)(1 + eps)) - tiny - 2 delta_N for the computed
+    norm v of fl(A_t x) - fl(A_N x): a computed difference is within u of
+    the exact one entry by entry, and a reader within eps of the exact norm
+    up to `tiny` for underflowing squares.  So L = max_x of that over
+    `above` is at most ||D||.  A walk reads fl(fl(A_t) - fl(A_N)), each
+    mean within delta'_N of the exact one (`_deviation` of X), so the exact
+    norm of their difference is at least ||D|| - 2 delta'_N (every dense
+    reader reads at least the induced norm, and sqrt(l1 * linf) of each
+    error bounds its ||.||_2), and the walk's lower end of the radius,
+    norm(A_t - A_N) as computed, at least
+    (L - 2 delta'_N)(1 - u) / (1 + eps + slack) - tiny.  `floor` is under
+    that: 1 - 2^-40 covers the rounding of forming it (each step errs by
+    under 100u of its leading term).  Where twice the floor reaches the
+    tolerance at every N, so does twice the walk's lower end, and a walk's
+    upper end is never below its lower end (nor is a resolvent
+    certificate's, an upper end of the radius): the walk would read each
+    tail ``inconclusive``, with no witness, as the skipped pass does.
+    """
+    bounds = _bounded_bracket(spec, X, "dense", max(horizons))
+    if not _decides(bounds, bound_cap):
+        return None
+    d, slack, floors = spec.dim, _mode_norms(spec, "dense").slack, {}
+    eps, tiny = (d + 3) * 2.0**-52, (d + 1) * 2.0**-536
+    for N in tails:
+        t = max(1, N // 2)
+        if t not in kept or N not in kept:
+            return None
+        _, above, _, delta = _deviation(spec, probes.vectors.T, "probe", N)
+        with np.errstate(all="ignore"):
+            reach = column_norms(kept[t] - kept[N], spec.norm_tag) * ((1.0 - 2.0**-40) / (1.0 + eps)) - tiny
+            low = np.max((reach - 2.0 * delta) / above) - 2.0 * np.max(_deviation(spec, X, "dense", N)[3])
+            floors[N] = low * ((1.0 - 2.0**-40) / (1.0 + eps + slack)) - tiny
+        if not 2.0 * floors[N] >= tolerance:
+            return None
+    stream = CesaroStream(spec, X)
+    return {h: _Scan(stream, h, bound_cap, bounds, steps=h, walked=0, floor=floors.get(h)) for h in horizons}
 
 
 def _split(spec, X):
@@ -590,11 +668,14 @@ def _tail_certificate(spec, X, mode, tails) -> dict:
     return uppers
 
 
-def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None) -> dict[int, _Scan]:
+def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=()) -> dict[int, _Scan]:
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` also bound their walked tail means for
-    `_tail_radius`.  A step's bits do not depend on the chunk that holds it.
+    `_tail_radius`.  For each horizon N of `keep` the pass keeps A_t and A_N,
+    t = max(1, N//2), in `kept` where it forms them anyway or past its
+    anchor, and never walks further for them.  A step's bits do not depend
+    on the chunk that holds it.
 
     Before it walks, the pass brackets every norm it could read
     (`_bounded_bracket`).  When the upper end is under the cap and under
@@ -617,18 +698,21 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None) -> dict[
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = stop = max(scans)  # the last step to walk: the horizon, or where the witnesses are settled
-    lower, upper = bounds = _bounded_bracket(spec, X, mode, horizon)
+    bounds = _bounded_bracket(spec, X, mode, horizon)
     # Once decided: whether the steps [lo, hi) hold a mean the pass reads, and the certified tails.
     reads, certified = None, {}
-    if upper <= min(bound_cap, OVERFLOW_LIMIT) and _int_bound(lower) == _int_bound(upper):
+    if _decides(bounds, bound_cap):
         # A tail whose start t has t * tol <= 2 is not tried: a unit column with no fixed
         # part has ||Y x|| >= 1 / ||I - T|| >= 1 / (1 + C), so twice its Y term is >= 2 / t.
         tried = [h for h in tails if tolerance is not None and h // 2 * tolerance > 2.0]
         certified = {h: u for h, u in _tail_certificate(spec, X, mode, tried).items() if 2.0 * np.max(u) < tolerance}
-        reads = lambda lo, hi: any(t < hi and lo <= h for t, h in marks.values())
-    # The snapshots of each tail not certified: its start and its end.
+        reads = lambda lo, hi: bisect_left(wanted, lo) < bisect_left(wanted, hi) or any(
+            t < hi and lo <= h for t, h in marks.values()
+        )
+    # The snapshots of each tail not certified: its start and its end; and the steps to keep.
     marks = {h: (max(1, h // 2), h) for h in tails if h not in certified}
-    wanted = sorted({n for ns in marks.values() for n in ns})
+    extra = {n for N in keep for n in (max(1, N // 2), N)}
+    wanted = sorted({n for ns in marks.values() for n in ns} | extra)
     # A decided pass walks to its last tail not certified, and with none left, stops after step 1.
     for chunk in stream.chunks(horizon if reads is None else max(marks, default=1), reads):
         first, count = chunk.first, len(chunk.powers)
@@ -668,9 +752,10 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None) -> dict[
         if first + count > stop or reads is not None and stream.anchor is not None:
             break  # a decided pass stops after the chunk that reaches its anchor
     last = first + count - 1  # the last step read; a stream stops where it diverges
-    unread = [n for n in wanted if n > last] if reads is not None else []
+    unread = [n for n in wanted if n > last] if reads is not None and stream.anchor is not None else []
     if unread:  # a decided pass stopped at its anchor: every later step is stationary
         snapshots.update(zip(unread, stream.closed_form(unread)))
+    kept = {n: snapshots[n] for n in extra if n in snapshots}
     means = np.concatenate(means) if means else None
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
@@ -678,7 +763,7 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None) -> dict[
         scan.steps = h if reads is not None else scan.walked
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
         scan.snapshots = {n: snapshots[n] for n in marks.get(h, ()) if n in snapshots and n <= scan.steps}
-        scan.certificate = certified.get(h)
+        scan.certificate, scan.kept = certified.get(h), kept
         if reads is not None:
             scan.bracket = bounds
             continue
@@ -827,7 +912,9 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     scan; holds only when `cb` holds and the certified diameter 2 * radius
     is below the tolerance, and is inconclusive otherwise.  Norms come from
     `_mode_norms`; a tail certified without a walk reads its scan's
-    `certificate` as the radius's upper end, and 0 as its lower end.
+    `certificate` as the radius's upper end, and 0 as its lower end, and a
+    tail of a skipped pass its `floor` as the lower end, and inf as the
+    upper end (see `_unwalked`).
     Uniform ergodicity off a ``probe`` scan (above `DENSE_CAP`) has no upper
     bound on ||A_n - A_N||, so it reads no radius and never holds.
     """
@@ -853,6 +940,8 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     norms = _mode_norms(scan.stream.spec, mode)
     if scan.certificate is not None:
         lower, upper = np.zeros_like(scan.certificate), scan.certificate
+    elif scan.floor is not None:  # a skipped pass: its proven lower end, and no upper end
+        lower, upper = scan.floor, np.float64(math.inf)
     else:
         lower, upper = _tail_radius(scan, norms, tolerance)
     diam_ub = 2.0 * upper
@@ -923,7 +1012,9 @@ def check_uniformly_ergodic(
 # -- every family from one pass ------------------------------------------
 
 
-def _block_verdicts(spec, probes, mode, horizons, bound_cap, tolerance=None, ergodic=(), uniform=()):
+def _block_verdicts(
+    spec, probes, mode, horizons, bound_cap, tolerance=None, ergodic=(), uniform=(), keep=(), kept=None
+):
     """Every verdict of one `_scan` of a block, as {family: {horizon: Verdict}}.
 
     The pass walks the probe block (``probe``) or the identity block
@@ -932,17 +1023,22 @@ def _block_verdicts(spec, probes, mode, horizons, bound_cap, tolerance=None, erg
     only).  Ergodicity at each of `ergodic` and uniform ergodicity at each
     of `uniform` are gated by the Cesaro-bounded verdict at their own
     horizon (see `_tail_verdict`); uniform ergodicity off probes reads no
-    tail.
+    tail.  A probe pass keeps the means of the tails of `keep` that it forms
+    anyway (see `_scan`) and returns them under "kept"; given such `kept`
+    means, an identity pass that `_unwalked` proves from them is not walked.
     """
     probe = mode == "probe"
     X, label = (probes.vectors.T, probes.label) if probe else (np.eye(spec.dim), None)
-    tails = ergodic if probe else uniform
-    scans = _scan(spec, X, mode, {*horizons, *ergodic, *uniform}, bound_cap, tails, tolerance)
+    tails, served = (ergodic if probe else uniform), {*horizons, *ergodic, *uniform}
+    scans = None if kept is None else _unwalked(spec, probes, X, served, bound_cap, tolerance, uniform, kept)
+    scans = scans or _scan(spec, X, mode, served, bound_cap, tails, tolerance, keep)
     bounded = (FAMILY_POWER_BOUNDED, FAMILY_CESARO_BOUNDED) if probe else (FAMILY_CESARO_BOUNDED,)
     verdicts = {f: {h: _bounded_verdict(f, s, mode, label) for h, s in scans.items()} for f in bounded}
     cbs = verdicts[FAMILY_CESARO_BOUNDED]
     for family, tails in ((FAMILY_ERGODIC, ergodic), (FAMILY_UNIFORMLY_ERGODIC, uniform)):
         verdicts[family] = {h: _tail_verdict(family, scans[h], cbs[h], tolerance, label, mode) for h in tails}
+    if keep:
+        verdicts["kept"] = next(iter(scans.values())).kept
     return verdicts
 
 
@@ -970,7 +1066,9 @@ def check_families(
     (probe mode) and ergodic, with any tail re-walk of `_tail_radius`; the
     identity block gives Cesaro-bounded in dense mode, when ``auto`` picks
     it, and uniform ergodicity at the trusted horizon, and at `ue_horizon`
-    too when that is longer (off the probe block above `DENSE_CAP`).
+    too when that is longer (off the probe block above `DENSE_CAP`).  The
+    identity pass is skipped where `_unwalked` proves its verdicts from the
+    probe pass's means before it starts.
     """
     _check_inputs(
         spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap,
@@ -979,10 +1077,12 @@ def check_families(
     trusted = trusted_horizon(spec, ue_horizon)
     ues, wide = {trusted, ue_horizon}, spec.dim > DENSE_CAP
     dense = _auto_mode(spec, horizon) == "dense"
-    # The probe pass's snapshots are released before the identity pass starts.
-    probe = _block_verdicts(spec, probes, "probe", (), bound_cap, tolerance, [horizon], ues if wide else ())
+    # Of the probe pass's snapshots, only those of `ues` outlive it, for the identity pass.
+    probe = _block_verdicts(
+        spec, probes, "probe", (), bound_cap, tolerance, [horizon], ues if wide else (), () if wide else ues
+    )
     norm = probe if wide else _block_verdicts(
-        spec, probes, "dense", [horizon] if dense else (), bound_cap, tolerance, (), ues
+        spec, probes, "dense", [horizon] if dense else (), bound_cap, tolerance, (), ues, kept=probe.pop("kept")
     )
     ue = norm[FAMILY_UNIFORMLY_ERGODIC]
     return FamilyVerdicts(

@@ -6,11 +6,14 @@ benchmark harness under `bench/`.  A name only the tests or the demos use
 belongs in the tests (see `tests/reference.py`), not in `__all__`.
 """
 
+import argparse
 import ast
+import inspect
 import re
 from pathlib import Path
 
 import ergorank
+from ergorank import cli
 from ergorank.cesaro import CesaroStream
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,3 +76,36 @@ def test_the_cesaro_stream_is_read_through_its_public_face():
     for path in sorted((ROOT / "src" / "ergorank").glob("*.py")):
         if path.name != "cesaro.py":
             assert _cesaro_breaches(path.read_text(encoding="utf-8")) == [], path.name
+
+
+#: The public surface that analysis behaviour hangs on.  Work the package
+#: decides to skip is a rule inside it, never a parameter, flag or
+#: environment variable: a change to any of these is a change of interface.
+_FAMILIES_SIGNATURE = (
+    "(spec: 'OperatorSpec', probes: 'ProbeSet', horizon: 'int', tolerance: 'float', "
+    "bound_cap: 'float', ue_horizon: 'int') -> 'FamilyVerdicts'"
+)
+_REPORT_SIGNATURE = "(spec: 'OperatorSpec', config: 'dict', spec_sha256: 'str') -> 'dict'"
+_ANALYZE_OPTIONS = [
+    "help", "spec", "horizon", "tol", "bound_cap", "depth_cap", "index_bound", "ue_horizon",
+    "nse_epsilon", "out", "no_cache", "probes", "seed",
+]
+_EXPORTS = [
+    "__version__", "OperatorSpec", "ProbeSet", "SpecValidationError", "DimensionMismatchError",
+    "CapExceededError", "apply_columns", "matrix_norm", "basis_probes", "default_probes", "gallery",
+    "built_in_gallery", "DEFAULT_SEED", "CesaroStream", "OVERFLOW_LIMIT", "Verdict", "HOLDS", "FAILS",
+    "INCONCLUSIVE", "FamilyVerdicts", "check_families", "check_power_bounded", "check_cesaro_bounded",
+    "check_ergodic", "check_uniformly_ergodic", "replay_witness", "trusted_horizon", "TreeTruncation",
+    "chain_margins", "build_truncation", "truncated_height", "tree_to_dot", "NSECertificate",
+    "CheckResult", "RankEstimate", "check_certificate", "search_nse", "rank_estimate",
+    "canonical_dumps", "canonical_loads", "sha256_hex",
+]
+
+
+def test_no_knob_joins_the_analysis_interface():
+    parser = cli.build_parser()
+    (commands,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [a.dest for a in commands.choices["analyze"]._actions] == _ANALYZE_OPTIONS
+    assert str(inspect.signature(ergorank.check_families)) == _FAMILIES_SIGNATURE
+    assert str(inspect.signature(cli.build_report)) == _REPORT_SIGNATURE
+    assert ergorank.__all__ == _EXPORTS

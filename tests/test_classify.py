@@ -685,6 +685,11 @@ def _walking():
     return mock.patch.multiple(ergorank.classify, _bounded_bracket=_no_bounds, _tail_radius=_folded)
 
 
+def _no_skip():
+    """`check_families` walks every identity pass that it would skip."""
+    return mock.patch.object(ergorank.classify, "_unwalked", lambda *args: None)
+
+
 def _assert_tail_capacities_agree(spec, horizon, tolerance=1e-2):
     """Ergodic and uniformly ergodic verdicts with their evidence are bitwise
     equal at chunk capacities 1, 2 and the default, and serialize as a
@@ -1037,12 +1042,15 @@ def test_the_envelope_bounds_the_exact_svd_within_its_slack(dim, count, scale, s
 
 def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
     # Every tail below is bracketed off its envelope, so no block is walked
-    # again.  The shift's trusted horizon, 128, is a prefix of its one
-    # identity pass to 256.  The shift is nilpotent: its probe powers are
-    # null from P_256 on, so its probe pass stops at step 257 and reads the
-    # null tail [1000, 2000] off the closed form; its identity pass meets
-    # T^256 = 0 only past 256.  (No resolvent certificate: 48 probes are
-    # fewer columns than dim.)
+    # again.  The shift is nilpotent: its probe powers are null from P_256
+    # on, so its probe pass stops at step 257 and reads the null tail
+    # [1000, 2000] off the closed form.  (No resolvent certificate: 48
+    # probes are fewer columns than dim.)  Each identity bracket decides,
+    # and the probe means the pass keeps at 128 and 256 (64 and 128 too for
+    # the shift, whose trusted horizon is 128) prove every uniformly ergodic
+    # tail inconclusive, so no identity pass walks.  With that skip off, the
+    # shift's trusted horizon is a prefix of its one identity pass to 256,
+    # which meets T^256 = 0 only past 256.
     rng = np.random.default_rng(14)
     dim = 128
     per_row = rng.permutation([3, 4] * (dim // 2))
@@ -1062,30 +1070,44 @@ def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
         walks.walks.clear()
         families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
         assert families.ergodic.evidence["tail_diameter_ub"] is not None
+        assert walks.walks == [[False, probe_walk]], spec.kind
+        walks.walks.clear()
+        with _no_skip():
+            assert _serialized(check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)) == _serialized(families)
         assert walks.walks == [[False, probe_walk], [False, ue_horizon]], spec.kind
 
 
 #: (horizon, ue_horizon) of `check_families` and the steps of its stream
-#: walks: one probe pass, then one identity pass to the longest horizon it
-#: serves, and no re-walk.
+#: walks, and of its walks with the identity skip off: one probe pass, then
+#: at most one identity pass to the longest horizon it serves, and no
+#: re-walk.  The identity pass is skipped where its bracket decides and the
+#: probe means at t and N prove every uniformly ergodic tail inconclusive.
 _FAMILY_WALKS = {
-    # Dense Cesaro-bounded and uniformly ergodic, both at 256.
-    "rotation(1.0)": ((256, 256), [256, 256]),
+    # Dense Cesaro-bounded and uniformly ergodic, both at 256: the probe
+    # pass walks to 256, and its tail [128, 256] proves the skip.
+    "rotation(1.0)": ((256, 256), [256], [256, 256]),
     # Dense Cesaro-bounded at 1 000; uniformly ergodic at 256 is its prefix.
-    "jordan_1(2)": ((1000, 256), [1000, 1000]),
+    # The identity bracket does not decide (the Jordan means grow).
+    "jordan_1(2)": ((1000, 256), [1000, 1000], [1000, 1000]),
     # The default config: uniformly ergodic at the trusted 32 and at 256.
-    # P_64 = 0 for both blocks, and T P_64 = P_64 at step 65 ends each walk.
-    "left_shift_l1(64)": ((10_000, 256), [65, 65]),
+    # P_64 = 0 for both blocks, and T P_64 = P_64 at step 65 ends each walk;
+    # the probe means at 16 and 32 (walked) and at 128 and 256 (the closed
+    # form) prove the skip.
+    "left_shift_l1(64)": ((10_000, 256), [65], [65, 65]),
 }
 
 
 @pytest.mark.parametrize("name", _FAMILY_WALKS)
 def test_families_walk_the_identity_block_once(monkeypatch, name):
-    (horizon, ue_horizon), want = _FAMILY_WALKS[name]
+    (horizon, ue_horizon), want, unskipped = _FAMILY_WALKS[name]
     spec, probes = _probes(name)
     walks = _Walks(monkeypatch)
-    check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+    families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
     assert walks.walks == [[False, n] for n in want]
+    walks.walks.clear()
+    with _no_skip():
+        assert _serialized(check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)) == _serialized(families)
+    assert walks.walks == [[False, n] for n in unskipped]
 
 
 def _bench_workloads():
@@ -1098,6 +1120,23 @@ def _bench_workloads():
 
 
 
+#: Per wide-operators input, by seed: the steps of each walk of
+#: `check_families` at horizon 2 000 and UE horizon 256, probe pass first.
+#: The identity pass is skipped on the four inputs whose identity bracket
+#: decides; dense-96-l2's bracket is (1, inf), and the overflowing diagonal
+#: fails Cesaro-bounded and walks to its witness at A_42.  The probe passes
+#: walk to the horizon, to an anchor (sparse-256-linf at seed 101, the
+#: nilpotent shift) or to their settled witnesses.
+_WIDE_WALKS = {
+    "sparse-128-l1": {1: [2000], 101: [2000]},
+    "sparse-256-linf": {1: [2000], 101: [907]},
+    "dense-96-l2": {1: [2000, 256], 101: [2000, 256]},
+    "diagonal-256-l1": {1: [2000], 101: [2000]},
+    "shift-256-linf": {1: [257], 101: [257]},
+    "overflow-diagonal-256-l2": {1: [42, 42], 101: [50, 42]},
+}
+
+
 def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
     # At the default config identity(8) and scalar(1.0) walk [1, 1] and
     # zero(4) [1, 2]: every pass stops at its anchor (s = 2, or 3), the
@@ -1107,7 +1146,8 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
     # A_129 = I / 129, so its bracket [0, 1/129] straddles the tolerance
     # 1e-2, and its radius is folded from a walk of 256 steps.  No
     # wide-operators input (seeds 1 and 101, horizon 2 000) walks a block a
-    # second time.
+    # second time, and only dense-96-l2 and overflow-diagonal-256-l2 walk
+    # the identity block (`_WIDE_WALKS`).
     walks = _Walks(monkeypatch)
     stationary = {"identity(8)": [1, 1], "scalar(1.0)": [1, 1], "zero(4)": [1, 2]}
     for name in built_in_gallery():
@@ -1124,7 +1164,8 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
         for label, spec in _bench_workloads().wide_specs(seed).items():
             walks.walks.clear()
             check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
-            assert len(walks.walks) == 2 and walks.rewalks() == 0, (seed, label)
+            assert [n for _, n in walks.walks] == _WIDE_WALKS[label][seed], (seed, label)
+            assert walks.rewalks() == 0, (seed, label)
 
 
 #: Steps of the one probe pass of `check_families` above `DENSE_CAP` at
@@ -1468,7 +1509,9 @@ def test_a_pass_stops_at_its_anchor_in_every_mode(monkeypatch):
     # (seed 101) reaches its anchor at s = 908 of 2 000, and its probe pass
     # stops there; its 48 probes are fewer columns than its dim, so it tries
     # no resolvent certificate, while those of identity(8) and scalar(1.0)
-    # certify their tails.
+    # certify their tails.  So the sparse probe pass keeps its means at 128
+    # and 256, which prove its identity pass's tail inconclusive, and that
+    # pass is skipped; with the skip off it walks to 256.
     shift = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
     assert _mode_norms(shift, "dense").slack > 0.0
     for mode in ("probe", "dense"):
@@ -1479,10 +1522,14 @@ def test_a_pass_stops_at_its_anchor_in_every_mode(monkeypatch):
     cases = [(*_probes("identity(8)"), 10_000), (*_probes("scalar(1.0)"), 10_000),
              (sparse, default_probes(sparse, seed=101), 2000)]
     for spec, probes, horizon in cases:
+        s = _scan(spec, probes.vectors.T, "probe", [horizon], 1e3, [horizon])[horizon].stream.anchor[2]
         walks.walks.clear()
         families = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
-        s = _scan(spec, probes.vectors.T, "probe", [horizon], 1e3, [horizon])[horizon].stream.anchor[2]
-        assert walks.walks[:2] == [[False, s - 1], [False, 1 if s == 2 else 256]], spec
+        assert walks.walks == [[False, s - 1], *([[False, 1]] if s == 2 else [])], spec
+        walks.walks.clear()
+        with _no_skip():
+            check_families(spec, probes, horizon, 1e-2, 1e3, 256)
+        assert walks.walks == [[False, s - 1], [False, 1 if s == 2 else 256]], spec
         assert s == (908 if spec is sparse else 2)
         for v in families[:3]:
             assert (v.evidence["steps"], v.evidence["diverged"]) == (horizon, False)
@@ -1624,14 +1671,14 @@ _NEAR_ONE = [1.0, *(float(1.0 + k * 2.0**-52) for k in (1, 3)), *(float(1.0 - k 
 
 
 @st.composite
-def _bounded_specs(draw):
-    """Specs of every kind at dim <= 6 whose norm of |T| falls on either
+def _bounded_specs(draw, max_dim=6):
+    """Specs of every kind at dim <= `max_dim` whose norm of |T| falls on either
     side of 1: diagonal and shift weights in [0, 1] or a few ulps from 1,
     with random signs; signed sparse entries whose magnitudes are
     stochastic (columns summing to 1 under l1, rows otherwise), and dense
     matrices scaled alike, times 1/2, 3/2 or a magnitude near 1."""
     tag = draw(st.sampled_from(["l1", "l2", "linf"]))
-    dim = draw(st.integers(1, 6))
+    dim = draw(st.integers(1, max_dim))
     kind = draw(st.sampled_from([KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE, KIND_DENSE]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     near = st.sampled_from(_NEAR_ONE)
@@ -1740,14 +1787,27 @@ def test_a_decided_pass_agrees_with_a_forced_walk(spec, horizon, tiny, cap_at):
         assert certified == 2  # the probe tail and the dense tail at 10 000
 
 
+#: Per wide-operators input whose identity bracket decides, by seed: twice
+#: the proven lower end of each skipped identity tail (at the trusted UE
+#: horizon, then the requested one), against the tolerance 1e-2.
+#: sparse-256-linf's is the closest to it.
+_SKIP_MARGINS = {
+    "sparse-128-l1": {1: [0.2728], 101: [0.3343]},
+    "sparse-256-linf": {1: [0.01253], 101: [0.01376]},
+    "diagonal-256-l1": {1: [0.07262], 101: [0.05145]},
+    "shift-256-linf": {1: [0.03378, 0.01689], 101: [0.03542, 0.01771]},
+}
+
+
 def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
     # On the wide-operators inputs (seeds 1 and 101) whose norm of |T| is at
-    # most 1 + 3e-14, both passes of check_families are decided before they
-    # walk: at horizon 500 as at 2 000, each pass reads one norm, its lower
-    # end, and no norm per step.  (The tails read a few norms more, and
-    # their count moves with the horizon only where a tail starts before
-    # or after the stream's anchor: the shift's at 500 starts before its
-    # anchor at 258.)  The dense spec (norm of |T| 4.4-4.6 in l2) walks and
+    # most 1 + 3e-14, the probe pass of check_families is decided before it
+    # walks, and so is the identity block's bracket, so that pass is skipped
+    # (`_SKIP_MARGINS`): at horizon 500 as at 2 000, the one pass reads one
+    # norm, its lower end, and no norm per step.  (The tails read a few norms
+    # more, and their count moves with the horizon only where a tail starts
+    # before or after the stream's anchor: the shift's at 500 starts before
+    # its anchor at 258.)  The dense spec (norm of |T| 4.4-4.6 in l2) walks and
     # reads norms at every step: its probe pass reduces once per chunk of
     # steps, so more at 2 000 than at 500, and its identity pass to the UE
     # horizon 256 at least once per step.  So does the overflowing diagonal
@@ -1789,10 +1849,17 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
                 brackets = [v.evidence["bracket"] for v in families[:2]]
                 if label in decided:
                     assert all(b is not None and b[1] < 1 + 1e-10 for b in brackets), (seed, label)
+                    tails = [v for v in (families.uniformly_ergodic, families.section) if v is not None]
+                    assert all(v.evidence["tail_diameter_ub"] == np.inf for v in tails), (seed, label)
+                    margins = [2.0 * v.evidence["tail_diameter_lb"] for v in tails]
+                    assert margins == pytest.approx(_SKIP_MARGINS[label][seed], rel=1e-3), (seed, label)
+                    assert min(margins) >= 1e-2, (seed, label)
                 else:
                     assert brackets == [None, None], (seed, label)
+            identity = ergorank.classify._bounded_bracket(spec, np.eye(spec.dim), "dense", 256)
+            assert ergorank.classify._decides(identity, 1e3) == (label in decided), (seed, label)
             if label in decided:
-                assert per_horizon == [[1, 1], [1, 1]], (seed, label)
+                assert per_horizon == [[1], [1]], (seed, label)
             else:
                 (probe, identity), (longer, same) = per_horizon
                 if label == "overflow-diagonal-256-l2":
@@ -1867,6 +1934,8 @@ def test_the_l2_bound_survives_a_wrong_eigendecomposition(spec, seed, size, vect
 #: probe pass reads X once more for the C and delta_N of its resolvent
 #: certificate, but for left_shift_l1(64), whose 48 probes are fewer columns
 #: than its dim; the identity passes' tails [128, 256] are too short for one.
+#: left_shift_l1(64) has no identity pass: its probe means at 16, 32, 128
+#: and 256 prove its uniformly ergodic tails inconclusive before it starts.
 _GALLERY_PASSES = {
     "identity(8)": [(True, 2), (True, 1)],
     "zero(4)": [(True, 2), (True, 1)],
@@ -1876,7 +1945,7 @@ _GALLERY_PASSES = {
     "scalar(2.0)": [(False, 3), (False, 3)],
     "jordan_1(2)": [(False, 9), (False, 3)],
     "rotation(1.0)": [(True, 2), (True, 1)],
-    "left_shift_l1(64)": [(True, 1), (True, 1)],
+    "left_shift_l1(64)": [(True, 1)],
     "random_diagonalizable(7,12)": [(True, 2), (True, 1)],
 }
 
@@ -2061,7 +2130,9 @@ def test_families_walk_each_block_once_unless_a_tail_straddles(monkeypatch, name
     # the probe pass stops after step 1; without it, their brackets decide
     # off one walk of 2 000 steps.  The dense tail [32, 64] of scalar(-1.0)
     # starts at A_32 = 0 = A_64, and its bracket [0, 1/33] straddles the
-    # tolerance, so that block alone is walked again.
+    # tolerance, so that block alone is walked again.  The probe walk of
+    # 2 000 steps keeps rotation(1.0)'s means at 32 and 64, which prove its
+    # dense tail [32, 64] inconclusive, so its identity pass is skipped.
     spec, probes = _probes(name)
     walks = _Walks(monkeypatch)
     again = [[True, 64]] if name == "scalar(-1.0)" else []
@@ -2069,6 +2140,10 @@ def test_families_walk_each_block_once_unless_a_tail_straddles(monkeypatch, name
     assert walks.walks == [[False, 1], [False, 64], *again]
     walks.walks.clear()
     with mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {}):
+        check_families(spec, probes, 2000, 1e-2, 1e3, 64)
+    assert walks.walks == [[False, 2000], *([] if name == "rotation(1.0)" else [[False, 64], *again])]
+    walks.walks.clear()
+    with mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {}), _no_skip():
         check_families(spec, probes, 2000, 1e-2, 1e3, 64)
     assert walks.walks == [[False, 2000], [False, 64], *again]
 
