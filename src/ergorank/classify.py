@@ -47,20 +47,27 @@ norms, forms only the means its tails read, and stops at the anchor s of
 the stream (T P = P bit for bit from s on); every later mean has the
 closed form A_n = P + (S_s - sP)/n.
 
-Such a pass first tries to certify each tail without a walk (where its
-block has at least dim columns, so that no dense block of the splitting is
-larger than its own), from the mean ergodic splitting
-X = Ker(I - T) + Ran(I - T) (Yosida-Kakutani): for
-X = F + (I - T) Y + R, E = (I - T) F, and C >= ||T^k|| on the window, every
-||A_n - A_N|| over [t, N] is at most N C ||E|| + ||Y|| ((1 + C)/t +
-(C - 1)/N) + 2 C ||R||, and a computed mean is within delta_N of the exact
-one (`_deviation`, the per-step lemma the bracket's widening rests on
-too).  F and Y come from one LU solve, or from `np.linalg.eigh` of the
-Gram matrix of I - T where that is singular (`_split`); only the residuals
-they leave, widened for rounding, enter the bound (`_tail_certificate`).
-Where twice that upper end is under the tolerance, the tail holds as a
-walk would read it, and reads nothing; a decided pass walks only to its
-last tail left, and with none left it stops after step 1.
+Such a pass settles each tail it can before it walks, from a pre-walk
+bracket on its radius.  It first tries the probe-mean floor: on the
+identity block, the probe pass's means at t = N//2 and N, which that pass
+keeps where it forms them anyway, prove a lower end on the walk's radius,
+since ||A_t - A_N|| >= ||(A_t - A_N) x|| / ||x|| for every probe x
+(`_tail_floor`); where twice it, less the rounding of both streams,
+reaches the tolerance, the tail is ``inconclusive`` as a walk would read
+it.  It then tries to certify the tail (where its block has at least dim
+columns, so that no dense block of the splitting is larger than its own),
+from the mean ergodic splitting X = Ker(I - T) + Ran(I - T)
+(Yosida-Kakutani): for X = F + (I - T) Y + R, E = (I - T) F, and
+C >= ||T^k|| on the window, every ||A_n - A_N|| over [t, N] is at most
+N C ||E|| + ||Y|| ((1 + C)/t + (C - 1)/N) + 2 C ||R||, and a computed mean
+is within delta_N of the exact one (`_deviation`, the per-step lemma the
+bracket's widening rests on too).  F and Y come from one LU solve, or from
+`np.linalg.eigh` of the Gram matrix of I - T where that is singular
+(`_split`); only the residuals they leave, widened for rounding, enter the
+bound (`_tail_certificate`).  Where twice that upper end is under the
+tolerance, the tail holds as a walk would read it.  A settled tail reads
+nothing; a decided pass walks only to its last tail left, and with none
+left it walks no step, in either mode.
 
 The tail radius of a walked tail is bracketed between
 norm(A_t - A_N) at the tail's start and the norm of an entrywise envelope
@@ -73,14 +80,6 @@ same serialized answer; otherwise the pass walks every step, or the
 radius is folded from a fresh walk, so a decided verdict has the bits a
 walk of every step gives it.  Where smaller, a bound on ||T||_2 plus the
 kernels' rounding stands in for rho for a dense T read in l2 (`_l2_bound`).
-
-`check_families` walks no identity block whose verdicts are proven before
-it starts (`_unwalked`): its bracket decides dense Cesaro-boundedness, and
-at each uniformly ergodic horizon N the probe pass's means at t = N//2 and
-N, which it keeps where it walks past them anyway, prove a lower end on
-||A_t - A_N|| >= ||(A_t - A_N) x|| / ||x|| whose double, less the rounding
-of both streams, reaches the tolerance.  A walk's tail there would read
-``inconclusive``, and so does the proven one.
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -144,14 +143,14 @@ class Verdict:
     bounded families.  `evidence` holds diagnostic detail (per-probe tail
     diameters, scan maxima) and is not part of the serialized form.  A
     bounded verdict's `steps` is the horizon its scan reached and `walked`
-    the steps its pass produced: 1 for a pass decided before it walks that
-    reads no tail, and 0 for an identity pass that `check_families` skips
-    (see `_unwalked`).  A tail verdict's `certified` says whether the
-    resolvent certificate decided it without a walk (see
-    `_tail_certificate`); its `tail_diameter_ub` is then twice the
-    certificate's upper end and its `tail_diameter_lb` 0.  A tail of a
-    skipped pass has `tail_diameter_ub` inf and `tail_diameter_lb` the
-    proven lower end (0 where the reader is no lower bound).
+    the steps its pass produced for it: a pass decided before it walks
+    produces only the steps of the tails it has left to read, and none
+    where it has none (see `_scan`).  A tail settled before the walk reads
+    its pre-walk bracket on the radius: where the resolvent certificate
+    settles it (`certified`, see `_tail_certificate`), `tail_diameter_ub` is
+    twice the certificate's upper end and `tail_diameter_lb` 0; where the
+    probe-mean floor does (`_tail_floor`), `tail_diameter_ub` is inf and
+    `tail_diameter_lb` the floor (0 where the reader is no lower bound).
     """
 
     family: str
@@ -206,13 +205,18 @@ class _Norms(NamedTuple):
     `rho(l1, linf)` is the norm of |T| under the readers' norm, from the
     l1 and linf norms of |T|: a bound on how much one step of T can grow a
     norm they read (see `_bounded_bracket`).  An exact l2 reader reads
-    ||.||_2, whose growth per step ||T||_2 bounds."""
+    ||.||_2, whose growth per step ||T||_2 bounds.  Every reader reads
+    within `eps` = (dim + 3) 2^-52 >= gamma_(dim+2) of the exact norm,
+    relatively, before its slack, and within `tiny` = (dim + 1) 2^-536 of
+    it absolutely, for squares that underflow."""
 
     step: Callable
     radius: Callable
     slack: float
     exact: bool
     rho: Callable
+    eps: float
+    tiny: float
 
 
 def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
@@ -238,9 +242,10 @@ def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
     """
     tag = spec.norm_tag
     rho = lambda l1, linf: l1 if tag == "l1" else linf if tag == "linf" else math.sqrt(l1 * linf)
+    rounding = ((spec.dim + 3) * 2.0**-52, (spec.dim + 1) * 2.0**-536)
     if mode == "probe":
         cols = lambda X: column_norms(X, tag)
-        return _Norms(cols, cols, 0.0, True, rho)
+        return _Norms(cols, cols, 0.0, True, rho, *rounding)
     if mode != "dense":
         raise ValueError(f"unknown scan mode {mode!r}, expected probe or dense")
     radius, slack, exact = (lambda X: matrix_norm(X, tag)), 0.0, True
@@ -248,7 +253,7 @@ def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
         radius, exact, rho = (lambda X: np.sqrt(matrix_norm(X, "l1") * matrix_norm(X, "linf"))), False, max
     elif tag == "l2":
         slack = 2.0**-40
-    return _Norms(lambda X: radius(X)[:, None], radius, slack, exact, rho)
+    return _Norms(lambda X: radius(X)[:, None], radius, slack, exact, rho, *rounding)
 
 
 # -- one pass over the means ---------------------------------------------
@@ -272,16 +277,13 @@ class _Scan:
     `_bounded_bracket`) holds that `bracket`, (lower, upper), in place of
     the maxima and hits, which are None; the stream produced `walked` of
     its `steps`, and the snapshots past them come from the closed form.
-    There `certificate` holds the upper end of a tail certified without a
-    walk (`_tail_certificate`), which keeps no snapshots or envelope, and
-    `walked` is 1 for a horizon with no tail left to read.  Any other pass
-    walks every one of its `steps`.  A scan whose bounded
-    witnesses were settled at step w (see `_scan`) ends at w: `steps` and
-    `walked` are w, and its maxima, snapshots and envelope stop there.
-    `kept` maps the steps a pass was asked to keep, where it formed them, to
-    A_n (one dict shared by a pass's scans).  A scan of a skipped identity
-    pass (`_unwalked`) has `walked` 0, and `floor` holds the proven lower
-    end of its tail radius at a uniformly ergodic horizon.
+    There `tail_bracket` holds (lower, upper) on the radius of a tail
+    settled before the walk (`_tail_floor`, `_tail_certificate`), which
+    keeps no snapshots or envelope, and `walked` is 0 for a horizon with no
+    tail left to read.  Any other pass walks every one of its `steps`.  A
+    scan whose bounded witnesses were settled at step w (see `_scan`) ends
+    at w: `steps` and `walked` are w, and its maxima, snapshots and
+    envelope stop there.
     """
 
     stream: CesaroStream
@@ -298,9 +300,7 @@ class _Scan:
     snapshots: dict = field(default_factory=dict)
     low: np.ndarray | None = None
     high: np.ndarray | None = None
-    certificate: np.ndarray | None = None
-    kept: dict = field(default_factory=dict)
-    floor: float | None = None
+    tail_bracket: tuple | None = None
 
 
 def _first_above(tops: np.ndarray, cap: float) -> int | None:
@@ -462,7 +462,7 @@ def _deviation(spec, X, mode, horizon):
             f = _l2_bound(spec) * (1.0 + c2)
             if f < g:
                 g, c, terms = f, c2, terms * math.sqrt(k)
-    eps = (spec.dim + 3) * 2.0**-52 + norms.slack
+    eps = norms.eps + norms.slack
     above = size * (1.0 + eps) + (horizon + 1.0) * (spec.dim * k + 1.0) * 2.0**-536
     exponent, steps = (horizon * math.log(g) if g > 1.0 else 0.0), horizon * math.log1p(c)
     if horizon > 2**40 or not exponent <= _LOG_LIMIT:
@@ -489,8 +489,8 @@ def _bounded_bracket(spec, X, mode, horizon):
     lower = float(np.maximum.reduce(size))
     if power == math.inf:
         return lower, math.inf
-    eps = (spec.dim + 3) * 2.0**-52 + _mode_norms(spec, mode).slack
-    return lower, float(np.maximum.reduce(power * above + deviation)) * (1.0 + eps)
+    norms = _mode_norms(spec, mode)
+    return lower, float(np.maximum.reduce(power * above + deviation)) * (1.0 + (norms.eps + norms.slack))
 
 
 def _decides(bracket, cap) -> bool:
@@ -499,54 +499,6 @@ def _decides(bracket, cap) -> bool:
     and both ends give one integer bound."""
     lower, upper = bracket
     return upper <= min(cap, OVERFLOW_LIMIT) and _int_bound(lower) == _int_bound(upper)
-
-
-def _unwalked(spec, probes, X, horizons, bound_cap, tolerance, tails, kept):
-    """The scans of a pass of the identity block X to `horizons`, proven
-    without a walk from the means of the probe pass in `kept` (`_scan`'s
-    `keep`), or None.
-
-    Where its bracket decides (`_decides`) to the longest horizon, every
-    bounded verdict is the bracket's, as in a decided pass.  Take a tail
-    horizon N of `tails`, t = max(1, N//2), and D = A_t - A_N exactly.  For
-    every probe x, ||D|| >= ||D x|| / ||x|| in the induced norm, and with
-    `_deviation`'s delta_N of the probe block and `above` >= ||x||,
-    ||D x|| >= v / ((1 + u)(1 + eps)) - tiny - 2 delta_N for the computed
-    norm v of fl(A_t x) - fl(A_N x): a computed difference is within u of
-    the exact one entry by entry, and a reader within eps of the exact norm
-    up to `tiny` for underflowing squares.  So L = max_x of that over
-    `above` is at most ||D||.  A walk reads fl(fl(A_t) - fl(A_N)), each
-    mean within delta'_N of the exact one (`_deviation` of X), so the exact
-    norm of their difference is at least ||D|| - 2 delta'_N (every dense
-    reader reads at least the induced norm, and sqrt(l1 * linf) of each
-    error bounds its ||.||_2), and the walk's lower end of the radius,
-    norm(A_t - A_N) as computed, at least
-    (L - 2 delta'_N)(1 - u) / (1 + eps + slack) - tiny.  `floor` is under
-    that: 1 - 2^-40 covers the rounding of forming it (each step errs by
-    under 100u of its leading term).  Where twice the floor reaches the
-    tolerance at every N, so does twice the walk's lower end, and a walk's
-    upper end is never below its lower end (nor is a resolvent
-    certificate's, an upper end of the radius): the walk would read each
-    tail ``inconclusive``, with no witness, as the skipped pass does.
-    """
-    bounds = _bounded_bracket(spec, X, "dense", max(horizons))
-    if not _decides(bounds, bound_cap):
-        return None
-    d, slack, floors = spec.dim, _mode_norms(spec, "dense").slack, {}
-    eps, tiny = (d + 3) * 2.0**-52, (d + 1) * 2.0**-536
-    for N in tails:
-        t = max(1, N // 2)
-        if t not in kept or N not in kept:
-            return None
-        _, above, _, delta = _deviation(spec, probes.vectors.T, "probe", N)
-        with np.errstate(all="ignore"):
-            reach = column_norms(kept[t] - kept[N], spec.norm_tag) * ((1.0 - 2.0**-40) / (1.0 + eps)) - tiny
-            low = np.max((reach - 2.0 * delta) / above) - 2.0 * np.max(_deviation(spec, X, "dense", N)[3])
-            floors[N] = low * ((1.0 - 2.0**-40) / (1.0 + eps + slack)) - tiny
-        if not 2.0 * floors[N] >= tolerance:
-            return None
-    stream = CesaroStream(spec, X)
-    return {h: _Scan(stream, h, bound_cap, bounds, steps=h, walked=0, floor=floors.get(h)) for h in horizons}
 
 
 def _split(spec, X):
@@ -650,7 +602,7 @@ def _tail_certificate(spec, X, mode, tails) -> dict:
         return uppers
     F, Y = split
     l1, linf, k = _abs_norms(spec)
-    rho, eps, tiny = norms.rho(l1, linf), (d + 3) * 2.0**-52, (d + 1) * 2.0**-536
+    rho, eps, tiny = norms.rho(l1, linf), norms.eps, norms.tiny
     if mode == "probe":
         above = lambda M: column_norms(M, tag) * (1.0 + eps) + tiny
     else:
@@ -668,25 +620,65 @@ def _tail_certificate(spec, X, mode, tails) -> dict:
     return uppers
 
 
-def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=()) -> dict[int, _Scan]:
+def _tail_floor(spec, probes, kept, N):
+    """A proven lower end on the tail radius that a walk of the identity
+    block to N reads, from the probe means at t = max(1, N//2) and N in
+    `kept` (see `_scan`); None where `kept` lacks either.
+
+    Let D = A_t - A_N exactly.  For every probe x, ||D|| >= ||D x|| / ||x||
+    in the induced norm, and with `_deviation`'s delta_N of the probe block
+    and `above` >= ||x||, ||D x|| >= v / ((1 + u)(1 + eps)) - tiny -
+    2 delta_N for the computed norm v of fl(A_t x) - fl(A_N x): a computed
+    difference is within u of the exact one entry by entry, and a reader
+    within eps of the exact norm up to `tiny` for underflowing squares (see
+    `_Norms`).  So L = max_x of that over `above` is at most ||D||.  A walk
+    reads fl(fl(A_t) - fl(A_N)), each mean within delta'_N of the exact one
+    (`_deviation` of the identity), so the exact norm of their difference
+    is at least ||D|| - 2 delta'_N (every dense reader reads at least the
+    induced norm, and sqrt(l1 * linf) of each error bounds its ||.||_2), and
+    the walk's lower end of the radius, norm(A_t - A_N) as computed, at
+    least (L - 2 delta'_N)(1 - u) / (1 + eps + slack) - tiny.  The floor is
+    under that: 1 - 2^-40 covers the rounding of forming it (each step errs
+    by under 100u of its leading term).  Where twice the floor reaches the
+    tolerance, so does twice the walk's lower end, and a walk's upper end is
+    never below its lower end (nor is a resolvent certificate's, an upper
+    end of the radius): the walk would read the tail ``inconclusive``, with
+    no witness, as the floor does.
+    """
+    t = max(1, N // 2)
+    if t not in kept or N not in kept:
+        return None
+    dense = _mode_norms(spec, "dense")
+    _, above, _, delta = _deviation(spec, probes.vectors.T, "probe", N)
+    with np.errstate(all="ignore"):
+        reach = column_norms(kept[t] - kept[N], spec.norm_tag) * ((1.0 - 2.0**-40) / (1.0 + dense.eps)) - dense.tiny
+        walk = np.max(_deviation(spec, np.eye(spec.dim), "dense", N)[3])  # delta'_N
+        low = np.max((reach - 2.0 * delta) / above) - 2.0 * walk
+        return low * ((1.0 - 2.0**-40) / (1.0 + dense.eps + dense.slack)) - dense.tiny
+
+
+def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(), kept=None, probes=None):
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` also bound their walked tail means for
-    `_tail_radius`.  For each horizon N of `keep` the pass keeps A_t and A_N,
-    t = max(1, N//2), in `kept` where it forms them anyway or past its
-    anchor, and never walks further for them.  A step's bits do not depend
-    on the chunk that holds it.
+    `_tail_radius`.  `kept` is shared by the passes of one `check_families`:
+    for each horizon N of `keep` the pass adds A_t and A_N, t = max(1, N//2),
+    to it where it forms them anyway or past its anchor, and never walks
+    further for them.  A step's bits do not depend on the chunk that holds
+    it.
 
     Before it walks, the pass brackets every norm it could read
     (`_bounded_bracket`).  When the upper end is under the cap and under
     `OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
-    verdict of the pass is decided: given a `tolerance`, each tail with
-    t * tolerance > 2 that `_tail_certificate` bounds under it is certified
-    and reads nothing; the pass reduces no norms, forms means only for the
-    tails left, and stops at its anchor or at the last of those tails (after
-    step 1 if none is left), and each scan holds the bracket; its snapshots
-    past the walk come from the closed form.  Any other pass walks a
-    stationary phase through the closed form.
+    verdict of the pass is decided, and so is each tail whose pre-walk
+    bracket on the radius lies on one side of `tolerance`: first, given
+    `probes`, the floor that their means in `kept` prove (`_tail_floor`),
+    then, where t * tolerance > 2, the upper end of `_tail_certificate`.
+    Such a tail reads nothing.  The pass reduces no norms, forms means only
+    for the tails left, and stops at its anchor or at the last of those
+    tails; with none left it walks no step.  Each scan holds the bracket,
+    and its snapshots past the walk come from the closed form.  Any other
+    pass walks a stationary phase through the closed form.
 
     An undecided pass stops at the step w by which its bounded witnesses are
     settled: the first power and the first mean above the cap in ``probe``
@@ -699,23 +691,32 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=())
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = stop = max(scans)  # the last step to walk: the horizon, or where the witnesses are settled
     bounds = _bounded_bracket(spec, X, mode, horizon)
-    # Once decided: whether the steps [lo, hi) hold a mean the pass reads, and the certified tails.
-    reads, certified = None, {}
+    # Once decided: whether the steps [lo, hi) hold a mean the pass reads, and the tails settled before the walk.
+    reads, settled = None, {}
     if _decides(bounds, bound_cap):
+        for h in tails if probes is not None else ():
+            floor = _tail_floor(spec, probes, kept, h)
+            if floor is not None and 2.0 * floor >= tolerance:
+                settled[h] = (floor, np.float64(math.inf))
         # A tail whose start t has t * tol <= 2 is not tried: a unit column with no fixed
         # part has ||Y x|| >= 1 / ||I - T|| >= 1 / (1 + C), so twice its Y term is >= 2 / t.
-        tried = [h for h in tails if tolerance is not None and h // 2 * tolerance > 2.0]
-        certified = {h: u for h, u in _tail_certificate(spec, X, mode, tried).items() if 2.0 * np.max(u) < tolerance}
+        tried = [h for h in tails if h not in settled and tolerance is not None and h // 2 * tolerance > 2.0]
+        for h, u in _tail_certificate(spec, X, mode, tried).items():
+            if 2.0 * np.max(u) < tolerance:
+                settled[h] = (np.zeros_like(u), u)
         reads = lambda lo, hi: bisect_left(wanted, lo) < bisect_left(wanted, hi) or any(
             t < hi and lo <= h for t, h in marks.values()
         )
-    # The snapshots of each tail not certified: its start and its end; and the steps to keep.
-    marks = {h: (max(1, h // 2), h) for h in tails if h not in certified}
+    # The snapshots of each tail left: its start and its end; and the steps to keep.
+    marks = {h: (max(1, h // 2), h) for h in tails if h not in settled}
     extra = {n for N in keep for n in (max(1, N // 2), N)}
     wanted = sorted({n for ns in marks.values() for n in ns} | extra)
-    # A decided pass walks to its last tail not certified, and with none left, stops after step 1.
-    for chunk in stream.chunks(horizon if reads is None else max(marks, default=1), reads):
+    last = 0  # the last step read; a stream stops where it diverges
+    # A decided pass walks to its last tail left, and with none left, not at all.
+    end = horizon if reads is None else max(marks, default=0)
+    for chunk in stream.chunks(end, reads) if end else ():
         first, count = chunk.first, len(chunk.powers)
+        last = first + count - 1
         if reads is None:  # a decided pass reads no norms
             norms = step_norm(chunk.means)
             tops = np.maximum.reduce(norms, axis=-1)
@@ -749,21 +750,21 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=())
                 for bound, ufunc in ((scan.low, np.minimum), (scan.high, np.maximum)):
                     part = ufunc.reduce(rest, out=spare) if len(rest) > 1 else rest[0]
                     ufunc(bound, part, out=bound)
-        if first + count > stop or reads is not None and stream.anchor is not None:
+        if last >= stop or reads is not None and stream.anchor is not None:
             break  # a decided pass stops after the chunk that reaches its anchor
-    last = first + count - 1  # the last step read; a stream stops where it diverges
     unread = [n for n in wanted if n > last] if reads is not None and stream.anchor is not None else []
     if unread:  # a decided pass stopped at its anchor: every later step is stationary
         snapshots.update(zip(unread, stream.closed_form(unread)))
-    kept = {n: snapshots[n] for n in extra if n in snapshots}
+    for n in extra & snapshots.keys():
+        kept[n] = snapshots[n]
     means = np.concatenate(means) if means else None
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
-        scan.walked = min(h, stop, last) if reads is None or h in marks else 1
+        scan.walked = min(h, stop, last) if reads is None or h in marks else 0
         scan.steps = h if reads is not None else scan.walked
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
         scan.snapshots = {n: snapshots[n] for n in marks.get(h, ()) if n in snapshots and n <= scan.steps}
-        scan.certificate, scan.kept = certified.get(h), kept
+        scan.tail_bracket = settled.get(h)
         if reads is not None:
             scan.bracket = bounds
             continue
@@ -911,10 +912,10 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     same horizon, read off the same pass; is inconclusive on a diverged
     scan; holds only when `cb` holds and the certified diameter 2 * radius
     is below the tolerance, and is inconclusive otherwise.  Norms come from
-    `_mode_norms`; a tail certified without a walk reads its scan's
-    `certificate` as the radius's upper end, and 0 as its lower end, and a
-    tail of a skipped pass its `floor` as the lower end, and inf as the
-    upper end (see `_unwalked`).
+    `_mode_norms`.  The radius is bracketed once, before the walk or off
+    it: a tail settled before the walk reads its scan's `tail_bracket`, a
+    resolvent certificate as (0, upper) (`certified`) or a probe floor as
+    (floor, inf) (see `_scan`), and any other tail `_tail_radius`.
     Uniform ergodicity off a ``probe`` scan (above `DENSE_CAP`) has no upper
     bound on ||A_n - A_N||, so it reads no radius and never holds.
     """
@@ -927,7 +928,7 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
         "steps": scan.steps,
         "tail_diameter_ub": None,
         "tail_diameter_lb": None,
-        "certified": scan.certificate is not None,
+        "certified": scan.tail_bracket is not None and bool(np.all(np.isfinite(scan.tail_bracket[1]))),
     }
 
     def verdict(status, witness=None):
@@ -938,12 +939,7 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     if scan.diverged_at is not None or family == FAMILY_UNIFORMLY_ERGODIC and mode == "probe":
         return verdict(INCONCLUSIVE)
     norms = _mode_norms(scan.stream.spec, mode)
-    if scan.certificate is not None:
-        lower, upper = np.zeros_like(scan.certificate), scan.certificate
-    elif scan.floor is not None:  # a skipped pass: its proven lower end, and no upper end
-        lower, upper = scan.floor, np.float64(math.inf)
-    else:
-        lower, upper = _tail_radius(scan, norms, tolerance)
+    lower, upper = scan.tail_bracket or _tail_radius(scan, norms, tolerance)
     diam_ub = 2.0 * upper
     # A_N lies in the tail, so an exact radius is also a diameter lower bound.
     diam_lb = lower if norms.exact else np.zeros_like(lower)
@@ -1023,22 +1019,20 @@ def _block_verdicts(
     only).  Ergodicity at each of `ergodic` and uniform ergodicity at each
     of `uniform` are gated by the Cesaro-bounded verdict at their own
     horizon (see `_tail_verdict`); uniform ergodicity off probes reads no
-    tail.  A probe pass keeps the means of the tails of `keep` that it forms
-    anyway (see `_scan`) and returns them under "kept"; given such `kept`
-    means, an identity pass that `_unwalked` proves from them is not walked.
+    tail.  A probe pass adds to `kept` the means of the tails of `keep` that
+    it forms anyway, and an identity pass given `kept` floors its tails with
+    them before it walks (see `_scan`).
     """
     probe = mode == "probe"
     X, label = (probes.vectors.T, probes.label) if probe else (np.eye(spec.dim), None)
     tails, served = (ergodic if probe else uniform), {*horizons, *ergodic, *uniform}
-    scans = None if kept is None else _unwalked(spec, probes, X, served, bound_cap, tolerance, uniform, kept)
-    scans = scans or _scan(spec, X, mode, served, bound_cap, tails, tolerance, keep)
+    floored = None if probe or kept is None else probes  # the probes whose kept means floor the tails
+    scans = _scan(spec, X, mode, served, bound_cap, tails, tolerance, keep, kept, floored)
     bounded = (FAMILY_POWER_BOUNDED, FAMILY_CESARO_BOUNDED) if probe else (FAMILY_CESARO_BOUNDED,)
     verdicts = {f: {h: _bounded_verdict(f, s, mode, label) for h, s in scans.items()} for f in bounded}
     cbs = verdicts[FAMILY_CESARO_BOUNDED]
     for family, tails in ((FAMILY_ERGODIC, ergodic), (FAMILY_UNIFORMLY_ERGODIC, uniform)):
         verdicts[family] = {h: _tail_verdict(family, scans[h], cbs[h], tolerance, label, mode) for h in tails}
-    if keep:
-        verdicts["kept"] = next(iter(scans.values())).kept
     return verdicts
 
 
@@ -1066,9 +1060,13 @@ def check_families(
     (probe mode) and ergodic, with any tail re-walk of `_tail_radius`; the
     identity block gives Cesaro-bounded in dense mode, when ``auto`` picks
     it, and uniform ergodicity at the trusted horizon, and at `ue_horizon`
-    too when that is longer (off the probe block above `DENSE_CAP`).  The
-    identity pass is skipped where `_unwalked` proves its verdicts from the
-    probe pass's means before it starts.
+    too when that is longer (off the probe block above `DENSE_CAP`).
+
+    Each pass walks only for what its bracket does not decide before it
+    starts (see `_scan`).  The probe pass keeps its means at t = N//2 and N
+    of each uniformly ergodic horizon N where it forms them anyway, and the
+    identity pass settles a tail from them first (`_tail_floor`), then from
+    the resolvent certificate, so with every tail settled it walks no step.
     """
     _check_inputs(
         spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap,
@@ -1077,12 +1075,12 @@ def check_families(
     trusted = trusted_horizon(spec, ue_horizon)
     ues, wide = {trusted, ue_horizon}, spec.dim > DENSE_CAP
     dense = _auto_mode(spec, horizon) == "dense"
-    # Of the probe pass's snapshots, only those of `ues` outlive it, for the identity pass.
+    kept = {}  # of the probe pass's snapshots, only those of `ues` outlive it, for the identity pass
     probe = _block_verdicts(
-        spec, probes, "probe", (), bound_cap, tolerance, [horizon], ues if wide else (), () if wide else ues
+        spec, probes, "probe", (), bound_cap, tolerance, [horizon], ues if wide else (), () if wide else ues, kept
     )
     norm = probe if wide else _block_verdicts(
-        spec, probes, "dense", [horizon] if dense else (), bound_cap, tolerance, (), ues, kept=probe.pop("kept")
+        spec, probes, "dense", [horizon] if dense else (), bound_cap, tolerance, (), ues, kept=kept
     )
     ue = norm[FAMILY_UNIFORMLY_ERGODIC]
     return FamilyVerdicts(

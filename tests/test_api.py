@@ -8,6 +8,7 @@ belongs in the tests (see `tests/reference.py`), not in `__all__`.
 
 import argparse
 import ast
+import collections
 import inspect
 import re
 from pathlib import Path
@@ -109,3 +110,36 @@ def test_no_knob_joins_the_analysis_interface():
     assert str(inspect.signature(ergorank.check_families)) == _FAMILIES_SIGNATURE
     assert str(inspect.signature(cli.build_report)) == _REPORT_SIGNATURE
     assert ergorank.__all__ == _EXPORTS
+
+
+def _callers(source: str) -> dict[str, set[str]]:
+    """Per name called directly (`name(...)`), the functions of a module
+    that call it (``<module>`` outside any function)."""
+    callers, where = collections.defaultdict(set), ["<module>"]
+
+    class Visitor(ast.NodeVisitor):
+        def visit_FunctionDef(self, node):
+            where.append(node.name)
+            self.generic_visit(node)
+            where.pop()
+
+        def visit_Call(self, node):
+            if isinstance(node.func, ast.Name):
+                callers[node.func.id].add(where[-1])
+            self.generic_visit(node)
+
+    Visitor().visit(ast.parse(source))
+    return callers
+
+
+def test_only_the_pass_plans_a_pass():
+    # `_scan` is the one code that plans a pass over a block, so no other
+    # code builds a `_Scan`, and `classify` builds a `CesaroStream` only
+    # where it walks one: the pass itself, a tail radius folded from a fresh
+    # walk, and a witness replay.  A second planner that builds scans of a
+    # stream it never walks is caught.
+    caught = _callers("def _unwalked(spec, X):\n    return {1: _Scan(CesaroStream(spec, X), 1, 1.0)}\n")
+    assert (caught["_Scan"], caught["CesaroStream"]) == ({"_unwalked"}, {"_unwalked"})
+    callers = _callers((ROOT / "src" / "ergorank" / "classify.py").read_text(encoding="utf-8"))
+    assert callers["_Scan"] == {"_scan"}
+    assert callers["CesaroStream"] == {"_scan", "_tail_radius", "replay_witness"}

@@ -686,8 +686,9 @@ def _walking():
 
 
 def _no_skip():
-    """`check_families` walks every identity pass that it would skip."""
-    return mock.patch.object(ergorank.classify, "_unwalked", lambda *args: None)
+    """`check_families` floors no identity tail with the probe means: every
+    tail that the floor would settle is certified or walked."""
+    return mock.patch.object(ergorank.classify, "_tail_floor", lambda *args: None)
 
 
 def _assert_tail_capacities_agree(spec, horizon, tolerance=1e-2):
@@ -1138,24 +1139,32 @@ _WIDE_WALKS = {
 
 
 def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
-    # At the default config identity(8) and scalar(1.0) walk [1, 1] and
-    # zero(4) [1, 2]: every pass stops at its anchor (s = 2, or 3), the
-    # exact-SVD identity passes included, or sooner where the resolvent
-    # certificate decides its tail (zero(4)'s probe tail).  The one re-walk
-    # is scalar(-1.0)'s dense tail [128, 256]: A_128 = A_256 = 0 and
-    # A_129 = I / 129, so its bracket [0, 1/129] straddles the tolerance
-    # 1e-2, and its radius is folded from a walk of 256 steps.  No
+    # At the default config the resolvent certificate settles the probe
+    # tails of identity(8), scalar(1.0) and zero(4), so their probe passes
+    # walk no step, and their identity passes stop at their anchors (s = 2,
+    # or 3), the exact-SVD ones included: [1], [1] and [2].  With the
+    # certificate off, each probe pass walks to its anchor too: [1, 1],
+    # [1, 1] and [2, 2].  No gallery analysis walks more than its two passes
+    # and their re-walks, and the one re-walk is scalar(-1.0)'s dense tail
+    # [128, 256]: A_128 = A_256 = 0 and A_129 = I / 129, so its bracket
+    # [0, 1/129] straddles the tolerance 1e-2, and its radius is folded from
+    # a walk of 256 steps.  No
     # wide-operators input (seeds 1 and 101, horizon 2 000) walks a block a
     # second time, and only dense-96-l2 and overflow-diagonal-256-l2 walk
     # the identity block (`_WIDE_WALKS`).
     walks = _Walks(monkeypatch)
-    stationary = {"identity(8)": [1, 1], "scalar(1.0)": [1, 1], "zero(4)": [1, 2]}
+    stationary = {"identity(8)": ([1], [1, 1]), "scalar(1.0)": ([1], [1, 1]), "zero(4)": ([2], [2, 2])}
     for name in built_in_gallery():
         walks.walks.clear()
         check_families(*_probes(name), 10_000, 1e-2, 1e3, 256)
+        again = [[True, 256]] if name == "scalar(-1.0)" else []
+        assert [w for w in walks.walks if w[0]] == again and len(walks.walks) <= 2 + len(again), name
         if name in stationary:
-            assert walks.walks == [[False, n] for n in stationary[name]], name
-        assert walks.walks[2:] == ([[True, 256]] if name == "scalar(-1.0)" else []), name
+            assert walks.walks == [[False, n] for n in stationary[name][0]], name
+            walks.walks.clear()
+            with mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {}):
+                check_families(*_probes(name), 10_000, 1e-2, 1e3, 256)
+            assert walks.walks == [[False, n] for n in stationary[name][1]], name
     spec = gallery("scalar(-1.0)")
     scan = _scan(spec, np.eye(1), "dense", [256], 1e3, [256])[256]
     lower, upper = _tail_radius(scan, _mode_norms(spec, "dense"), 0.0)
@@ -1278,19 +1287,29 @@ def test_a_re_walked_tail_leaves_the_anchor_a_longer_tail_reads(monkeypatch, mod
 
 
 def test_the_identity_tail_is_bracketed_without_a_walk(monkeypatch):
-    # The power of identity(8) is stationary from s = 2, so the probe pass
-    # stops at step 1 and the whole tail is bracketed at its endpoints, with
-    # no walk.  Forced, the pass walks the phase through the closed form,
-    # and each tail is folded off a fresh walk of its block to its horizon.
+    # The power of identity(8) is stationary from s = 2.  The resolvent
+    # certificate settles the probe tail, so the probe pass walks no step,
+    # and the identity pass stops at step 1.  With the certificate off, the
+    # probe pass stops at step 1 too, and the whole tail is bracketed at its
+    # endpoints, with no walk.  Forced, the pass walks the phase through the
+    # closed form, and each tail is folded off a fresh walk of its block to
+    # its horizon.
     spec, probes = _probes("identity(8)")
     X = probes.vectors.T
     horizon = 10_000
     radius = reference_tail_radius(spec, X, horizon, lambda D: column_norms(D, spec.norm_tag))
     walks = _Walks(monkeypatch)
     erg = check_families(spec, probes, horizon, 1e-2, 1e3, 256).ergodic
-    assert walks.walks == [[False, 1], [False, 1]]
+    assert walks.walks == [[False, 1]] and erg.evidence["certified"]
     assert np.all(np.asarray(erg.evidence["tail_diameter_lb"]) <= radius)
     assert np.all(np.asarray(erg.evidence["tail_diameter_ub"]) >= 2.0 * radius)
+    walks.walks.clear()
+    with mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {}):
+        bracketed = check_families(spec, probes, horizon, 1e-2, 1e3, 256).ergodic
+    assert walks.walks == [[False, 1], [False, 1]]
+    assert np.all(np.asarray(bracketed.evidence["tail_diameter_lb"]) <= radius)
+    assert np.all(np.asarray(bracketed.evidence["tail_diameter_ub"]) >= 2.0 * radius)
+    assert bracketed.to_json_dict() == erg.to_json_dict()
     walks.walks.clear()
     with _walking():
         walked = check_families(spec, probes, horizon, 1e-2, 1e3, 256).ergodic
@@ -1503,15 +1522,16 @@ def test_a_pass_stops_at_its_anchor_in_every_mode(monkeypatch):
     # and so does the dense pass at dim <= 32, whose exact SVDs bracket the
     # phase within their slack.  A stationary power that is not null stops
     # a pass too: identity(8) and scalar(1.0) keep P = X from s = 2, so
-    # their probe and identity passes walk one step and decide every tail
-    # from the phase's endpoints (their bounded verdicts are decided before
-    # the walk, as the norm of |T| is 1).  sparse-256-linf of wide-operators
-    # (seed 101) reaches its anchor at s = 908 of 2 000, and its probe pass
-    # stops there; its 48 probes are fewer columns than its dim, so it tries
-    # no resolvent certificate, while those of identity(8) and scalar(1.0)
-    # certify their tails.  So the sparse probe pass keeps its means at 128
-    # and 256, which prove its identity pass's tail inconclusive, and that
-    # pass is skipped; with the skip off it walks to 256.
+    # their identity passes walk one step and decide every tail from the
+    # phase's endpoints (their bounded verdicts are decided before the walk,
+    # as the norm of |T| is 1); their probe passes certify their tails and
+    # walk no step, or, with the certificate off, walk one step as the
+    # identity passes do.  sparse-256-linf of wide-operators (seed 101)
+    # reaches its anchor at s = 908 of 2 000, and its probe pass stops
+    # there; its 48 probes are fewer columns than its dim, so it tries no
+    # resolvent certificate.  So the sparse probe pass keeps its means at
+    # 128 and 256, which floor its identity pass's tail inconclusive, and
+    # that pass walks no step; with the floor off it walks to 256.
     shift = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
     assert _mode_norms(shift, "dense").slack > 0.0
     for mode in ("probe", "dense"):
@@ -1523,18 +1543,29 @@ def test_a_pass_stops_at_its_anchor_in_every_mode(monkeypatch):
              (sparse, default_probes(sparse, seed=101), 2000)]
     for spec, probes, horizon in cases:
         s = _scan(spec, probes.vectors.T, "probe", [horizon], 1e3, [horizon])[horizon].stream.anchor[2]
+        certified = spec is not sparse
+        no_certificate = mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {})
         walks.walks.clear()
         families = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
-        assert walks.walks == [[False, s - 1], *([[False, 1]] if s == 2 else [])], spec
+        assert walks.walks == ([[False, 1]] if certified else [[False, s - 1]]), spec
         walks.walks.clear()
         with _no_skip():
+            check_families(spec, probes, horizon, 1e-2, 1e3, 256)
+        assert walks.walks == ([[False, 1]] if certified else [[False, s - 1], [False, 256]]), spec
+        walks.walks.clear()
+        with no_certificate:
+            uncertified = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
+        assert walks.walks == [[False, s - 1], *([[False, 1]] if s == 2 else [])], spec
+        walks.walks.clear()
+        with no_certificate, _no_skip():
             check_families(spec, probes, horizon, 1e-2, 1e3, 256)
         assert walks.walks == [[False, s - 1], [False, 1 if s == 2 else 256]], spec
         assert s == (908 if spec is sparse else 2)
         for v in families[:3]:
             assert (v.evidence["steps"], v.evidence["diverged"]) == (horizon, False)
-        assert families.power_bounded.evidence["walked"] == s - 1
-        assert families.ergodic.evidence["certified"] == (spec is not sparse)
+        assert families.power_bounded.evidence["walked"] == (0 if certified else s - 1)
+        assert uncertified.power_bounded.evidence["walked"] == s - 1
+        assert families.ergodic.evidence["certified"] == certified
         with _walking():
             walked = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
         assert [v and v.to_json_dict() for v in walked] == [v and v.to_json_dict() for v in families]
@@ -1802,10 +1833,13 @@ _SKIP_MARGINS = {
 def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
     # On the wide-operators inputs (seeds 1 and 101) whose norm of |T| is at
     # most 1 + 3e-14, the probe pass of check_families is decided before it
-    # walks, and so is the identity block's bracket, so that pass is skipped
-    # (`_SKIP_MARGINS`): at horizon 500 as at 2 000, the one pass reads one
-    # norm, its lower end, and no norm per step.  (The tails read a few norms
-    # more, and their count moves with the horizon only where a tail starts
+    # walks, and so is the identity block's bracket, whose pass the probe
+    # means floor (`_SKIP_MARGINS`): at horizon 500 as at 2 000, the probe
+    # pass reads one norm, its lower end, and no norm per step, and the
+    # identity pass its lower end and, per tail, the probe block's lower
+    # end, the kept means' difference and its own lower end again for their
+    # delta_N (`_tail_floor`), and no norm per step.  (The tails read a few
+    # norms more, and their count moves with the horizon only where a tail starts
     # before or after the stream's anchor: the shift's at 500 starts before
     # its anchor at 258.)  The dense spec (norm of |T| 4.4-4.6 in l2) walks and
     # reads norms at every step: its probe pass reduces once per chunk of
@@ -1859,7 +1893,8 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
             identity = ergorank.classify._bounded_bracket(spec, np.eye(spec.dim), "dense", 256)
             assert ergorank.classify._decides(identity, 1e3) == (label in decided), (seed, label)
             if label in decided:
-                assert per_horizon == [[1], [1]], (seed, label)
+                floors = 1 + 3 * len(_SKIP_MARGINS[label][seed])
+                assert per_horizon == [[1, floors], [1, floors]], (seed, label)
             else:
                 (probe, identity), (longer, same) = per_horizon
                 if label == "overflow-diagonal-256-l2":
@@ -1934,8 +1969,10 @@ def test_the_l2_bound_survives_a_wrong_eigendecomposition(spec, seed, size, vect
 #: probe pass reads X once more for the C and delta_N of its resolvent
 #: certificate, but for left_shift_l1(64), whose 48 probes are fewer columns
 #: than its dim; the identity passes' tails [128, 256] are too short for one.
-#: left_shift_l1(64) has no identity pass: its probe means at 16, 32, 128
-#: and 256 prove its uniformly ergodic tails inconclusive before it starts.
+#: left_shift_l1(64)'s identity pass walks no step: its probe means at 16,
+#: 32, 128 and 256 floor its uniformly ergodic tails inconclusive before it
+#: starts, and each of its two floors reads the probe block and the identity
+#: once more for their delta_N.
 _GALLERY_PASSES = {
     "identity(8)": [(True, 2), (True, 1)],
     "zero(4)": [(True, 2), (True, 1)],
@@ -1945,7 +1982,7 @@ _GALLERY_PASSES = {
     "scalar(2.0)": [(False, 3), (False, 3)],
     "jordan_1(2)": [(False, 9), (False, 3)],
     "rotation(1.0)": [(True, 2), (True, 1)],
-    "left_shift_l1(64)": [(True, 1)],
+    "left_shift_l1(64)": [(True, 1), (True, 5)],
     "random_diagonalizable(7,12)": [(True, 2), (True, 1)],
 }
 
@@ -2075,8 +2112,8 @@ def _assert_projections(spec, probes, horizon, tolerance, ue_horizon):
             assert got.to_json_dict() == want.to_json_dict()
             assert [got.evidence.get(k) for k in keys] == [want.evidence.get(k) for k in keys]
             # A decided pass walks only for the tails it reads; a single
-            # bounded check reads none, so it stops after step 1.
-            walked = 1 if want.evidence.get("bracket") is not None else got.evidence.get("walked")
+            # bounded check reads none, so it walks no step.
+            walked = 0 if want.evidence.get("bracket") is not None else got.evidence.get("walked")
             assert want.evidence.get("walked") == walked
 
 
@@ -2127,17 +2164,17 @@ def test_families_walk_the_horizon_one_and_a_half_times(monkeypatch):
 @pytest.mark.parametrize("name", ["rotation(1.0)", "scalar(-1.0)"])
 def test_families_walk_each_block_once_unless_a_tail_straddles(monkeypatch, name):
     # The resolvent certificate decides the probe tails [1000, 2000], so
-    # the probe pass stops after step 1; without it, their brackets decide
-    # off one walk of 2 000 steps.  The dense tail [32, 64] of scalar(-1.0)
+    # the probe pass walks no step; without it, their brackets decide off
+    # one walk of 2 000 steps.  The dense tail [32, 64] of scalar(-1.0)
     # starts at A_32 = 0 = A_64, and its bracket [0, 1/33] straddles the
     # tolerance, so that block alone is walked again.  The probe walk of
-    # 2 000 steps keeps rotation(1.0)'s means at 32 and 64, which prove its
-    # dense tail [32, 64] inconclusive, so its identity pass is skipped.
+    # 2 000 steps keeps rotation(1.0)'s means at 32 and 64, which floor its
+    # dense tail [32, 64] inconclusive, so its identity pass walks no step.
     spec, probes = _probes(name)
     walks = _Walks(monkeypatch)
     again = [[True, 64]] if name == "scalar(-1.0)" else []
     check_families(spec, probes, 2000, 1e-2, 1e3, 64)
-    assert walks.walks == [[False, 1], [False, 64], *again]
+    assert walks.walks == [[False, 64], *again]
     walks.walks.clear()
     with mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {}):
         check_families(spec, probes, 2000, 1e-2, 1e3, 64)

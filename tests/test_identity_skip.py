@@ -1,71 +1,144 @@
-"""The identity pass that `check_families` skips (`classify._unwalked`),
-and the bound on ||T||_2 that a pass forms only where it can decide.
+"""The identity tails that the probe means settle before the walk
+(`classify._tail_floor`), the one bracket each pass forms, and the bound on
+||T||_2 that a pass forms only where it can decide.
 
-A skipped pass gives the verdicts a walk gives: its dense Cesaro-bounded
-verdicts are its bracket's, and each uniformly ergodic tail is
-inconclusive, since the probe means prove a lower end on its radius that
-reaches half the tolerance.  These tests hold the skip against a walk of
-the identity block, on generated specs and on the benchmark's inputs.
+A floored tail gives the verdict a walk gives: the probe means prove a lower
+end on its radius that reaches half the tolerance, so it is inconclusive.
+Where the floor or the resolvent certificate settles every identity tail,
+the identity pass walks no step.  These tests hold the floor against a walk
+of the identity block, on generated specs and on the benchmark's inputs.
 """
 
 import collections
+import contextlib
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import ergorank.classify
-from ergorank.classify import INCONCLUSIVE, check_families, _mode_norms, _scan, _tail_radius
-from ergorank.operators import basis_probes, default_probes, gallery
-from test_classify import _bench_workloads, _bounded_specs, _jordan_specs, _no_skip, _serialized
+from ergorank.classify import HOLDS, INCONCLUSIVE, check_families, _mode_norms, _scan, _tail_radius
+from ergorank.operators import (
+    DENSE_CAP, KIND_SHIFT, OperatorSpec, basis_probes, built_in_gallery, default_probes, gallery,
+)
+from test_classify import _Walks, _bench_workloads, _bounded_specs, _jordan_specs, _no_skip, _serialized
+
+#: A nilpotent shift whose identity tails settle both ways before the walk
+#: at horizon 2 000, tolerance 0.1 and UE horizon 256: the probe means floor
+#: the trusted tail [16, 32], and the resolvent certificate the tail
+#: [128, 256].
+MIXED_SHIFT = OperatorSpec(KIND_SHIFT, 64, np.full(63, 0.5), "l1")
 
 
 def _spying(floors):
-    """`_unwalked` that appends, per call, the floors of the tails it
-    proves ({} where it proves none)."""
-    real = ergorank.classify._unwalked
+    """`_tail_floor` that records each floor it proves, by horizon."""
+    real = ergorank.classify._tail_floor
 
-    def spying(*args):
-        scans = real(*args)
-        floors.append({h: s.floor for h, s in (scans or {}).items() if s.floor is not None})
-        return scans
+    def spying(spec, probes, kept, N):
+        floor = real(spec, probes, kept, N)
+        if floor is not None:
+            floors[N] = floor
+        return floor
 
-    return mock.patch.object(ergorank.classify, "_unwalked", spying)
+    return mock.patch.object(ergorank.classify, "_tail_floor", spying)
 
 
 @given(
     st.one_of(_bounded_specs(64), _jordan_specs().map(lambda j: j.spec)),
     st.sampled_from([(64, 32), (300, 64), (300, 256), (1000, 256)]),
     st.booleans(),
-    st.data(),
+    st.one_of(st.just(1e-2), st.tuples(st.integers(0, 7), st.sampled_from([-1, 0, 1]))),
 )
+@example(MIXED_SHIFT, (2000, 256), False, 1e-1)
 @settings(max_examples=60, deadline=None)
-def test_a_skipped_identity_pass_serializes_as_a_walk(spec, horizons, basis, data):
+def test_a_skipped_identity_pass_serializes_as_a_walk(spec, horizons, basis, at):
     # Horizons at or past the UE horizon, so that the probe pass walks past
-    # it unless the resolvent certificate stops it.  Tolerances are drawn at
-    # twice each proven floor and one ulp to either side, so the skip is
-    # taken and refused at its edge.  Every skipped tail's walk reads a
-    # lower end at least its floor, and twice that reaches the tolerance.
+    # it unless the resolvent certificate stops it.  A tolerance is 1e-2 (or
+    # 0.1 in the example), or twice a proven floor, picked by `at`, moved one
+    # ulp to either side or not at all, so a floor settles its tail and
+    # fails to at its edge.  Every floored tail's walk reads a lower end at
+    # least its floor, and twice that reaches the tolerance; the verdicts
+    # serialize as with the floor off.
     horizon, ue = horizons
     probes = basis_probes(spec.dim, spec.norm_tag) if basis else default_probes(spec)
-    floors = []
-    with _spying(floors):
-        check_families(spec, probes, horizon, 5e-324, 1e3, ue)  # every positive floor skips
-    doubled = {2.0 * float(f) for proven in floors for f in proven.values()}
-    near = {float(np.nextafter(x, d)) for x in doubled for d in (-np.inf, x, np.inf)}
-    tol = data.draw(st.sampled_from(sorted({1e-2} | {x for x in near if 0.0 < x < np.inf})))
-    floors.clear()
+    floors = {}
+    if isinstance(at, tuple):
+        with _spying(floors):
+            check_families(spec, probes, horizon, 5e-324, 1e3, ue)  # every positive floor settles
+        doubled = sorted({2.0 * float(f) for f in floors.values() if 0.0 < f < np.inf})
+        tol = doubled[at[0] % len(doubled)] if doubled else 1e-2
+        if doubled:
+            tol = float(np.nextafter(tol, {-1: -np.inf, 0: tol, 1: np.inf}[at[1]]))
+        floors.clear()
+    else:
+        tol = at
     with _spying(floors):
         got = check_families(spec, probes, horizon, tol, 1e3, ue)
     with _no_skip():
         want = check_families(spec, probes, horizon, tol, 1e3, ue)
     assert _serialized(got) == _serialized(want)
+    tails = {v.horizon: v for v in (got.uniformly_ergodic, got.section) if v is not None}
+    floored = {N: f for N, f in floors.items() if 2.0 * f >= tol}
+    event(f"floored {len(floored)} of {len(tails)} uniformly ergodic tails")
     norms = _mode_norms(spec, "dense")
-    for N, floor in (floors[0] if floors else {}).items():
+    for N, floor in floored.items():
         scan = _scan(spec, np.eye(spec.dim), "dense", [N], 1e3, [N])[N]
         lower = float(np.max(_tail_radius(scan, norms, 0.0)[0]))
         assert floor <= lower and 2.0 * lower >= tol, (N, floor, lower, tol)
-        assert got.uniformly_ergodic.status == INCONCLUSIVE
+        assert tails[N].status == INCONCLUSIVE and tails[N].evidence["tail_diameter_ub"] == np.inf, N
+
+
+def test_the_floor_and_the_certificate_settle_one_pass(monkeypatch):
+    # `MIXED_SHIFT`'s probe pass stops at its anchor, step 65 (T^64 = 0),
+    # and keeps its means at 16, 32, 128 and 256.  They floor the trusted
+    # tail [16, 32] inconclusive, and the certificate holds the tail
+    # [128, 256], so the identity pass walks no step.  With the floor off,
+    # it walks to 32 for that tail; with the certificate off, to its anchor
+    # at 65 for the other.  Every verdict serializes alike.
+    probes = default_probes(MIXED_SHIFT)
+    run = lambda: check_families(MIXED_SHIFT, probes, 2000, 0.1, 1e3, 256)
+    no_certificate = lambda: mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {})
+    walks = _Walks(monkeypatch)
+    got = run()
+    assert walks.walks == [[False, 65]]
+    assert (got.uniformly_ergodic.horizon, got.uniformly_ergodic.status) == (32, INCONCLUSIVE)
+    assert (got.section.horizon, got.section.status) == (256, HOLDS)
+    assert got.uniformly_ergodic.evidence["tail_diameter_ub"] == np.inf
+    assert 2.0 * got.uniformly_ergodic.evidence["tail_diameter_lb"] >= 0.1
+    assert got.section.evidence["certified"] and not got.uniformly_ergodic.evidence["certified"]
+    for patches, want in (
+        ((_no_skip,), [[False, 65], [False, 32]]),
+        ((no_certificate,), [[False, 65], [False, 65]]),
+        ((_no_skip, no_certificate), [[False, 65], [False, 65]]),
+    ):
+        walks.walks.clear()
+        with contextlib.ExitStack() as stack:
+            for patch in patches:
+                stack.enter_context(patch())
+            assert _serialized(run()) == _serialized(got)
+        assert walks.walks == want, patches
+
+
+def test_each_pass_brackets_its_norms_once(monkeypatch):
+    # `check_families` forms one `_bounded_bracket` per pass: two at dims up
+    # to `DENSE_CAP` (the probe pass and the identity pass, walked or not)
+    # and one above it, where only the probe pass runs.
+    calls = [0]
+    real = ergorank.classify._bounded_bracket
+
+    def counting(*args):
+        calls[0] += 1
+        return real(*args)
+
+    monkeypatch.setattr(ergorank.classify, "_bounded_bracket", counting)
+    cases = [(gallery(name), None, 10_000) for name in built_in_gallery()]
+    cases += [(spec, seed, 2000) for seed in (1, 101) for spec in _bench_workloads().wide_specs(seed).values()]
+    cases += [(gallery(name), None, 2000) for name in ("identity(600)", "left_shift_l1(600)")]
+    for spec, seed, horizon in cases:
+        calls[0] = 0
+        probes = default_probes(spec) if seed is None else default_probes(spec, seed=seed)
+        check_families(spec, probes, horizon, 1e-2, 1e3, 256)
+        assert calls[0] == (2 if spec.dim <= DENSE_CAP else 1), (spec.kind, spec.dim, seed)
 
 
 def test_no_l2_bound_where_no_r_decides(monkeypatch):

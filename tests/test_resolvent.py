@@ -2,7 +2,7 @@
 and the rounding allowance it rests on (`classify._deviation`).
 
 A decided pass whose tail the certificate bounds under the tolerance reads
-no radius and stops after step 1.  These tests hold its upper end against
+no radius and walks no step.  These tests hold its upper end against
 the radius a walk reads and against exact `Fraction` arithmetic, hold the
 allowance against exact means, and check what the certificate costs: no
 SVD, and one splitting per block.
@@ -43,18 +43,18 @@ from test_classify import HUGE_DIAGONAL, _Walks, _bench_workloads, _jordan_specs
 
 
 @pytest.mark.parametrize("name", ["rotation(1.0)", "scalar(-1.0)", "random_diagonalizable(7,12)"])
-def test_a_certified_probe_pass_walks_one_step_and_serializes_as_a_walk(monkeypatch, name):
+def test_a_certified_probe_pass_walks_no_steps_and_serializes_as_a_walk(monkeypatch, name):
     # At the default config the bracket decides the probe pass, and the
-    # certificate its tail [5 000, 10 000], so the pass stops after step 1.
-    # Every verdict serializes as a forced walk's, and
-    # the walked diameters lie under the certified ones.
+    # certificate its tail [5 000, 10 000], so the pass walks no step: every
+    # walk is of the identity block.  Every verdict serializes as a forced
+    # walk's, and the walked diameters lie under the certified ones.
     spec = gallery(name)
     probes = default_probes(spec)
     walks = _Walks(monkeypatch)
     got = check_families(spec, probes, 10_000, 1e-2, 1e3, 256)
-    assert walks.walks[0] == [False, 1]
+    assert walks.blocks and all(X.shape == (spec.dim, spec.dim) != (spec.dim, len(probes)) for X in walks.blocks)
     assert got.ergodic.status == HOLDS and got.ergodic.evidence["certified"]
-    assert (got.ergodic.evidence["steps"], got.power_bounded.evidence["walked"]) == (10_000, 1)
+    assert (got.ergodic.evidence["steps"], got.power_bounded.evidence["walked"]) == (10_000, 0)
     assert not np.any(got.ergodic.evidence["tail_diameter_lb"])
     with _walking():
         want = check_families(spec, probes, 10_000, 1e-2, 1e3, 256)
