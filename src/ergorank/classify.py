@@ -54,20 +54,23 @@ keeps where it forms them anyway, prove a lower end on the walk's radius,
 since ||A_t - A_N|| >= ||(A_t - A_N) x|| / ||x|| for every probe x
 (`_tail_floor`); where twice it, less the rounding of both streams,
 reaches the tolerance, the tail is ``inconclusive`` as a walk would read
-it.  It then tries to certify the tail (where its block has at least dim
-columns, so that no dense block of the splitting is larger than its own),
-from the mean ergodic splitting X = Ker(I - T) + Ran(I - T)
-(Yosida-Kakutani): for X = F + (I - T) Y + R, E = (I - T) F, and
-C >= ||T^k|| on the window, every ||A_n - A_N|| over [t, N] is at most
-N C ||E|| + ||Y|| ((1 + C)/t + (C - 1)/N) + 2 C ||R||, and a computed mean
-is within delta_N of the exact one (`_deviation`, the per-step lemma the
-bracket's widening rests on too).  F and Y come from one LU solve, or from
-`np.linalg.eigh` of the Gram matrix of I - T where that is singular
-(`_split`); only the residuals they leave, widened for rounding, enter the
-bound (`_tail_certificate`).  Where twice that upper end is under the
-tolerance, the tail holds as a walk would read it.  A settled tail reads
-nothing; a decided pass walks only to its last tail left, and with none
-left it walks no step, in either mode.
+it.  It then tries to certify the tail from the mean ergodic splitting
+X = Ker(I - T) + Ran(I - T) (Yosida-Kakutani): for X = F + (I - T) Y + R,
+E = (I - T) F, C >= ||T^k|| on the window and D >= ||T^k Y|| / ||Y|| over
+the tail, every ||A_n - A_N|| over [t, N] is at most N C ||E|| +
+||Y|| ((1/t - 1/N) + D (1/t + 1/N)) + 2 C ||R||, and a computed mean is
+within delta_N of the exact one (`_deviation`, the per-step lemma the
+bracket's widening rests on too).  D is C, or rho_+^t for a diagonal whose
+largest |lambda| on Y's support, rho_+, is under 1 (`_decay`).  F and Y
+come entry by entry for a diagonal T, and otherwise from one LU solve, or
+from `np.linalg.eigh` of the Gram matrix of I - T where that is singular,
+at dims up to `DENSE_CAP`, where the identity block is as large (`_split`);
+only the residuals they leave, widened for rounding, enter the bound
+(`_tail_certificate`).  Where twice that upper end is under the tolerance,
+the tail holds as a walk would read it.  A settled tail reads nothing; a
+decided pass walks only to its last tail left, and with none left it walks
+no step, in either mode, but for a probe block narrower than the identity,
+which walks on to the UE horizon for the means the floor reads.
 
 The tail radius of a walked tail is bracketed between
 norm(A_t - A_N) at the tail's start and the norm of an entrywise envelope
@@ -144,8 +147,10 @@ class Verdict:
     diameters, scan maxima) and is not part of the serialized form.  A
     bounded verdict's `steps` is the horizon its scan reached and `walked`
     the steps its pass produced for it: a pass decided before it walks
-    produces only the steps of the tails it has left to read, and none
-    where it has none (see `_scan`).  A tail settled before the walk reads
+    produces for it only the steps of the tails it has left to read, and
+    none where it has none; `walked` leaves out the steps a probe block
+    narrower than dim walks only for the means the identity pass's floor
+    reads (see `_scan`).  A tail settled before the walk reads
     its pre-walk bracket on the radius: where the resolvent certificate
     settles it (`certified`, see `_tail_certificate`), `tail_diameter_ub` is
     twice the certificate's upper end and `tail_diameter_lb` 0; where the
@@ -280,7 +285,8 @@ class _Scan:
     There `tail_bracket` holds (lower, upper) on the radius of a tail
     settled before the walk (`_tail_floor`, `_tail_certificate`), which
     keeps no snapshots or envelope, and `walked` is 0 for a horizon with no
-    tail left to read.  Any other pass walks every one of its `steps`.  A
+    tail left to read, also where the block walks on for the means in
+    `keep` alone.  Any other pass walks every one of its `steps`.  A
     scan whose bounded witnesses were settled at step w (see `_scan`) ends
     at w: `steps` and `walked` are w, and its maxima, snapshots and
     envelope stop there.
@@ -391,11 +397,11 @@ def _l2_bound(spec: OperatorSpec) -> float:
     return r if eta <= 0.5 and r <= math.inf else math.inf
 
 
-def _deviation(spec, X, mode, horizon):
+def _deviation(spec, X, mode, horizon, size=None):
     """The rounding allowance of a pass of X to a horizon N in `mode`, one
     entry per reader row (per probe, or one for the identity block), as
-    (size, above, C, delta_N): the reader's norms of X as computed, bounds
-    on their exact values, C >= ||T^k|| for every k <= N in the readers'
+    (size, above, C, delta_N): the reader's norms of X as computed (read
+    here unless given as `size`), bounds on their exact values, C >= ||T^k|| for every k <= N in the readers'
     norm, and delta_N >= ||fl(A_n X) - A_n X|| for every n <= N, fl(A_n X)
     the mean the stream computes.
 
@@ -448,7 +454,7 @@ def _deviation(spec, X, mode, horizon):
     that limit, C and delta_N are infinite.
     """
     norms = _mode_norms(spec, mode)
-    size = norms.step(X[None])[0]
+    size = norms.step(X[None])[0] if size is None else size
     l1, linf, k = _abs_norms(spec)
     c = (k + 2) * 2.0**-52
     g = (1.0 + c) ** 2 * norms.rho(l1, linf)
@@ -473,7 +479,7 @@ def _deviation(spec, X, mode, horizon):
     return size, above, power, deviation
 
 
-def _bounded_bracket(spec, X, mode, horizon):
+def _bounded_bracket(spec, X, mode, horizon, size=None):
     """Bounds (lower, upper) on every power norm and mean norm that a pass of
     X to `horizon` in `mode` reads, and on every power column norm that the
     stream's overflow guard reads.
@@ -483,9 +489,9 @@ def _bounded_bracket(spec, X, mode, horizon):
     m, n <= N, ||fl(A_n X)|| <= ||A_n X|| + delta_N <= C ||X|| + delta_N, and
     ||P_m|| <= ||T^m X|| + ||P_m - T^m X|| is under that too; a reader
     reads within eps of it, so the upper end is the largest such sum times
-    1 + eps, infinite where C is.
+    1 + eps, infinite where C is.  `size` is as in `_deviation`.
     """
-    size, above, power, deviation = _deviation(spec, X, mode, horizon)
+    size, above, power, deviation = _deviation(spec, X, mode, horizon, size)
     lower = float(np.maximum.reduce(size))
     if power == math.inf:
         return lower, math.inf
@@ -555,15 +561,38 @@ def _split(spec, X):
     return (F, Y) if np.isfinite(F).all() and np.isfinite(Y).all() else None
 
 
-def _tail_certificate(spec, X, mode, tails) -> dict:
+def _decay(spec, Y, t, C):
+    """D >= ||T^k Y|| / ||Y|| for every k >= t on the window, in every
+    reader's exact norm, given C >= ||T^k||: C, or for a diagonal T whose
+    largest |lambda| on the rows where Y is not 0, rho_+, is under 1, the
+    smaller rho_+^t.  T^k Y scales those rows by lambda^k, so no entry
+    grows, and every such norm (of a column, or of a block, by the norm of
+    the diagonal) falls by at least rho_+^k <= rho_+^t.  It is formed in log
+    space from an exponent raised to at least -log `OVERFLOW_LIMIT`, so it
+    neither overflows nor underflows, and widened by 1 + 2^-40, which covers
+    the rounding of the logarithm, the product and the exponential there
+    (as in `_deviation`)."""
+    if spec.kind != KIND_DIAGONAL:
+        return C
+    top = float(np.max(np.abs(spec.entries)[np.any(Y != 0.0, axis=1)], initial=0.0))
+    if not top < 1.0:
+        return C
+    exponent = t * math.log(top) if top > 0.0 else -math.inf
+    return min(C, math.exp(max(-_LOG_LIMIT, exponent)) * (1.0 + 2.0**-40))
+
+
+def _tail_certificate(spec, X, mode, tails, size=None) -> dict:
     """Per tail horizon N >= 2 of `tails`, an upper end on the radius
     max_n norm(A_n - A_N) over [t, N], t = N//2, that a walk of X in `mode`
     would read, one per reader row, found without a walk; inf where there is
     none: for a reader that reads no norm (sqrt(l1 * linf) above
-    `_L2_EXACT_DIM`), where `_split` finds no splitting, or where X has fewer
-    columns than dim, since the dense dim x dim blocks of `_split` would then
-    outgrow the block the pass walks (on `wide-operators`, dims 128-256 under
-    48 probes, they raised a process's peak RSS by 1.2 MB).
+    `_L2_EXACT_DIM`), where `_split` finds no splitting, or where its dense
+    dim x dim blocks would outgrow every block the analysis forms: for a T
+    that is not diagonal (a diagonal splits entry by entry), above
+    `DENSE_CAP`, where no identity block is walked, unless X has dim
+    columns or more.  (On `wide-operators`, dims 128-256 under 48 probes,
+    the dim x dim blocks and LAPACK work arrays of those splits raise the
+    benchmark's peak RSS by 2.6 MB, 55.0 to 57.6 MB.)
 
     Let X = F + (I - T) Y + R and E = (I - T) F for the F and Y of
     `_split`, and C >= ||T^k|| for k <= N (`_deviation`).  Then for
@@ -572,8 +601,9 @@ def _tail_certificate(spec, X, mode, tails) -> dict:
 
     - T^k F = F - (E + T E + ... + T^(k-1) E), so
       ||A_n F - F|| <= (n - 1) C ||E|| / 2 and ||A_n F - A_N F|| <= N C ||E||;
-    - A_n (I - T) Y = (Y - T^n Y) / n, so
-      ||(A_n - A_N)(I - T) Y|| <= ||Y|| ((1 + C)/t + (C - 1)/N);
+    - A_n (I - T) Y = (Y - T^n Y) / n, so with D >= ||T^k Y|| / ||Y|| for
+      t <= k <= N (`_decay`: C, or less for a contracting diagonal),
+      ||(A_n - A_N)(I - T) Y|| <= ||Y|| ((1/t - 1/N) + D (1/t + 1/N));
     - ||(A_n - A_N) R|| <= 2 C ||R||;
 
     and each computed mean is within delta_N of the exact one
@@ -591,16 +621,20 @@ def _tail_certificate(spec, X, mode, tails) -> dict:
     (k + 4) 2^-52 (||X|| + ||F|| + (1 + rho) ||Y||), (k + 2) 2^-52 (1 + rho)
     ||F|| and dim k 2^-1074 bound the errors' norms twice over, which covers
     the rounding of rho and of forming the bounds; each norm is widened by
-    eps, and ||X|| is `_deviation`'s bound.
+    eps, and ||X|| is `_deviation`'s bound, from the reader's norms of X
+    as computed, read once here unless given as `size` (a pass has read
+    them for its bracket).
     """
     norms, d, tag = _mode_norms(spec, mode), spec.dim, spec.norm_tag
     tails = [N for N in sorted(tails) if N >= 2]
     shape = (X.shape[1],) if mode == "probe" else ()  # a dense tail reads one norm
     uppers = {N: np.full(shape, math.inf) for N in tails}
-    split = _split(spec, X) if tails and norms.exact and d <= X.shape[1] else None
+    small = spec.kind == KIND_DIAGONAL or d <= max(DENSE_CAP, X.shape[1])  # no block outgrows the analysis's
+    split = _split(spec, X) if tails and norms.exact and small else None
     if split is None:
         return uppers
     F, Y = split
+    size = norms.step(X[None])[0] if size is None else size
     l1, linf, k = _abs_norms(spec)
     rho, eps, tiny = norms.rho(l1, linf), norms.eps, norms.tiny
     if mode == "probe":
@@ -612,10 +646,12 @@ def _tail_certificate(spec, X, mode, tails) -> dict:
         f, y = above(F), above(Y)
         R, E = above(X - F - Y + apply_columns(spec, Y)), above(F - apply_columns(spec, F))
         for N in tails:
-            _, x, C, delta = _deviation(spec, X, mode, N)
+            _, x, C, delta = _deviation(spec, X, mode, N, size)
+            t = N // 2
+            D = _decay(spec, Y, t, C)  # D >= ||T^k Y|| / ||Y|| over the tail
             r = R + (k + 4) * 2.0**-52 * (x + f + (1.0 + rho) * y) + d * k * 2.0**-1074
             e = E + (k + 2) * 2.0**-52 * (1.0 + rho) * f + d * k * 2.0**-1074
-            bound = N * C * e + y * ((1.0 + C) / (N // 2) + (C - 1.0) / N) + 2.0 * C * r + 2.0 * delta
+            bound = N * C * e + y * ((1.0 / t - 1.0 / N) + D * (1.0 / t + 1.0 / N)) + 2.0 * C * r + 2.0 * delta
             uppers[N] = np.where(bound >= 0.0, bound * reader + tiny, math.inf).reshape(shape)  # NaN reads inf
     return uppers
 
@@ -673,10 +709,14 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     verdict of the pass is decided, and so is each tail whose pre-walk
     bracket on the radius lies on one side of `tolerance`: first, given
     `probes`, the floor that their means in `kept` prove (`_tail_floor`),
-    then, where t * tolerance > 2, the upper end of `_tail_certificate`.
+    then, where t * tolerance > 2 (a filter on work alone), the upper end of
+    `_tail_certificate`.
     Such a tail reads nothing.  The pass reduces no norms, forms means only
     for the tails left, and stops at its anchor or at the last of those
-    tails; with none left it walks no step.  Each scan holds the bracket,
+    tails.  With none left it walks no step, but for a block narrower than
+    the identity block, which walks on to the longest horizon of `keep` (up
+    to its own), so that the identity pass's floor still has the means it
+    reads: that walk is the cheaper one.  Each scan holds the bracket,
     and its snapshots past the walk come from the closed form.  Any other
     pass walks a stationary phase through the closed form.
 
@@ -690,7 +730,8 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = stop = max(scans)  # the last step to walk: the horizon, or where the witnesses are settled
-    bounds = _bounded_bracket(spec, X, mode, horizon)
+    size = step_norm(X[None])[0]  # the reader's norms of X, read once for the bracket and the certificate
+    bounds = _bounded_bracket(spec, X, mode, horizon, size)
     # Once decided: whether the steps [lo, hi) hold a mean the pass reads, and the tails settled before the walk.
     reads, settled = None, {}
     if _decides(bounds, bound_cap):
@@ -698,10 +739,12 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
             floor = _tail_floor(spec, probes, kept, h)
             if floor is not None and 2.0 * floor >= tolerance:
                 settled[h] = (floor, np.float64(math.inf))
-        # A tail whose start t has t * tol <= 2 is not tried: a unit column with no fixed
-        # part has ||Y x|| >= 1 / ||I - T|| >= 1 / (1 + C), so twice its Y term is >= 2 / t.
+        # A work filter: a tail it skips is walked, so it is sound for any D.  It skips the
+        # tails t * tol <= 2 that D = C cannot settle (a unit column with no fixed part has
+        # ||Y x|| >= 1 / ||I - T|| >= 1 / (1 + C), so twice its Y term is >= 2 / t); a
+        # contracting diagonal's smaller D could settle some, short tails walked in a few steps.
         tried = [h for h in tails if h not in settled and tolerance is not None and h // 2 * tolerance > 2.0]
-        for h, u in _tail_certificate(spec, X, mode, tried).items():
+        for h, u in _tail_certificate(spec, X, mode, tried, size).items():
             if 2.0 * np.max(u) < tolerance:
                 settled[h] = (np.zeros_like(u), u)
         reads = lambda lo, hi: bisect_left(wanted, lo) < bisect_left(wanted, hi) or any(
@@ -712,8 +755,15 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     extra = {n for N in keep for n in (max(1, N // 2), N)}
     wanted = sorted({n for ns in marks.values() for n in ns} | extra)
     last = 0  # the last step read; a stream stops where it diverges
-    # A decided pass walks to its last tail left, and with none left, not at all.
-    end = horizon if reads is None else max(marks, default=0)
+    # A decided pass walks to its last tail left.  With none left, a block narrower than the
+    # identity walks on to the longest horizon it keeps, up to its own, for the identity
+    # pass's floor (a walk of that wider block costs more), and any other block not at all.
+    if reads is None:
+        end = horizon
+    elif marks:
+        end = max(marks)
+    else:
+        end = min(horizon, max(keep, default=0)) if X.shape[1] < spec.dim else 0
     for chunk in stream.chunks(end, reads) if end else ():
         first, count = chunk.first, len(chunk.powers)
         last = first + count - 1

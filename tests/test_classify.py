@@ -672,7 +672,7 @@ def _folded(scan, norms, tolerance):
     return _tail_radius(scan, norms, np.nan)
 
 
-def _no_bounds(spec, X, mode, horizon):
+def _no_bounds(spec, X, mode, horizon, size=None):
     """A bracket on the bounded verdicts that decides nothing: every pass
     reads the norms of every step."""
     return np.nan, np.inf
@@ -689,6 +689,11 @@ def _no_skip():
     """`check_families` floors no identity tail with the probe means: every
     tail that the floor would settle is certified or walked."""
     return mock.patch.object(ergorank.classify, "_tail_floor", lambda *args: None)
+
+
+def _no_certificate():
+    """The resolvent certificate settles no tail: each is floored or walked."""
+    return mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {})
 
 
 def _assert_tail_capacities_agree(spec, horizon, tolerance=1e-2):
@@ -1042,13 +1047,17 @@ def test_the_envelope_bounds_the_exact_svd_within_its_slack(dim, count, scale, s
 
 
 def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
-    # Every tail below is bracketed off its envelope, so no block is walked
-    # again.  The shift is nilpotent: its probe powers are null from P_256
-    # on, so its probe pass stops at step 257 and reads the null tail
-    # [1000, 2000] off the closed form.  (No resolvent certificate: 48
-    # probes are fewer columns than dim.)  Each identity bracket decides,
-    # and the probe means the pass keeps at 128 and 256 (64 and 128 too for
-    # the shift, whose trusted horizon is 128) prove every uniformly ergodic
+    # Every walked tail below is bracketed off its envelope, so no block is
+    # walked again.  The resolvent certificate settles the probe tail
+    # [1000, 2000] of the diagonal and of the shift, so their probe passes
+    # walk only to the UE horizon 256, for the means that the identity
+    # pass's floor reads; the stochastic matrix's tail is not settled, and
+    # its probe pass walks to the horizon.  With the certificate off, the
+    # diagonal's walks to the horizon, and the nilpotent shift's stops at
+    # step 257 (its probe powers are null from P_256 on) and reads the null
+    # tail off the closed form.  Each identity bracket decides, and the
+    # probe means the pass keeps at 128 and 256 (64 and 128 too for the
+    # shift, whose trusted horizon is 128) prove every uniformly ergodic
     # tail inconclusive, so no identity pass walks.  With that skip off, the
     # shift's trusted horizon is a prefix of its one identity pass to 256,
     # which meets T^256 = 0 only past 256.
@@ -1066,16 +1075,22 @@ def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
     shift = OperatorSpec(KIND_SHIFT, 256, rng.uniform(0.5, 1.0, 255), "linf")
     horizon, ue_horizon = 2000, 256
     walks = _Walks(monkeypatch)
-    for spec, probe_walk in ((stochastic, horizon), (diagonal, horizon), (shift, 257)):
+    for spec, probe_walk, uncertified in ((stochastic, horizon, horizon), (diagonal, 256, horizon), (shift, 256, 257)):
         probes = default_probes(spec)
-        walks.walks.clear()
-        families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
-        assert families.ergodic.evidence["tail_diameter_ub"] is not None
-        assert walks.walks == [[False, probe_walk]], spec.kind
-        walks.walks.clear()
-        with _no_skip():
-            assert _serialized(check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)) == _serialized(families)
-        assert walks.walks == [[False, probe_walk], [False, ue_horizon]], spec.kind
+        for patches, walk in (((), probe_walk), ((_no_certificate,), uncertified)):
+            with contextlib.ExitStack() as stack:
+                for patch in patches:
+                    stack.enter_context(patch())
+                walks.walks.clear()
+                families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+                assert families.ergodic.evidence["tail_diameter_ub"] is not None
+                assert families.ergodic.evidence["certified"] == (walk < uncertified), spec.kind
+                assert walks.walks == [[False, walk]], (spec.kind, patches)
+                walks.walks.clear()
+                with _no_skip():
+                    unskipped = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+                assert _serialized(unskipped) == _serialized(families)
+                assert walks.walks == [[False, walk], [False, ue_horizon]], (spec.kind, patches)
 
 
 #: (horizon, ue_horizon) of `check_families` and the steps of its stream
@@ -1122,19 +1137,23 @@ def _bench_workloads():
 
 
 #: Per wide-operators input, by seed: the steps of each walk of
-#: `check_families` at horizon 2 000 and UE horizon 256, probe pass first.
-#: The identity pass is skipped on the four inputs whose identity bracket
-#: decides; dense-96-l2's bracket is (1, inf), and the overflowing diagonal
-#: fails Cesaro-bounded and walks to its witness at A_42.  The probe passes
-#: walk to the horizon, to an anchor (sparse-256-linf at seed 101, the
-#: nilpotent shift) or to their settled witnesses.
+#: `check_families` at horizon 2 000 and UE horizon 256, probe pass first,
+#: and (second) the same with the resolvent certificate off.  The identity
+#: pass is skipped on the four inputs whose identity bracket decides;
+#: dense-96-l2's bracket is (1, inf), and the overflowing diagonal fails
+#: Cesaro-bounded and walks to its witness at A_42.  The certificate settles
+#: the probe tails of sparse-256-linf, diagonal-256-l1 and shift-256-linf,
+#: whose probe passes then walk only to the UE horizon, for the means that
+#: floor the identity tails.  Without it they walk to the horizon, to an
+#: anchor (sparse-256-linf at seed 101, the nilpotent shift) or to their
+#: settled witnesses.
 _WIDE_WALKS = {
-    "sparse-128-l1": {1: [2000], 101: [2000]},
-    "sparse-256-linf": {1: [2000], 101: [907]},
-    "dense-96-l2": {1: [2000, 256], 101: [2000, 256]},
-    "diagonal-256-l1": {1: [2000], 101: [2000]},
-    "shift-256-linf": {1: [257], 101: [257]},
-    "overflow-diagonal-256-l2": {1: [42, 42], 101: [50, 42]},
+    "sparse-128-l1": {1: ([2000], [2000]), 7: ([2000], [2000]), 101: ([2000], [2000])},
+    "sparse-256-linf": {1: ([256], [2000]), 7: ([256], [2000]), 101: ([256], [907])},
+    "dense-96-l2": {1: ([2000, 256], [2000, 256]), 7: ([2000, 256], [2000, 256]), 101: ([2000, 256], [2000, 256])},
+    "diagonal-256-l1": {1: ([256], [2000]), 7: ([256], [2000]), 101: ([256], [2000])},
+    "shift-256-linf": {1: ([256], [257]), 7: ([256], [257]), 101: ([256], [257])},
+    "overflow-diagonal-256-l2": {1: ([42, 42], [42, 42]), 7: ([42, 42], [42, 42]), 101: ([50, 42], [50, 42])},
 }
 
 
@@ -1149,9 +1168,9 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
     # [128, 256]: A_128 = A_256 = 0 and A_129 = I / 129, so its bracket
     # [0, 1/129] straddles the tolerance 1e-2, and its radius is folded from
     # a walk of 256 steps.  No
-    # wide-operators input (seeds 1 and 101, horizon 2 000) walks a block a
-    # second time, and only dense-96-l2 and overflow-diagonal-256-l2 walk
-    # the identity block (`_WIDE_WALKS`).
+    # wide-operators input (seeds 1, 7 and 101, horizon 2 000) walks a block
+    # a second time, with the certificate on or off, and only dense-96-l2
+    # and overflow-diagonal-256-l2 walk the identity block (`_WIDE_WALKS`).
     walks = _Walks(monkeypatch)
     stationary = {"identity(8)": ([1], [1, 1]), "scalar(1.0)": ([1], [1, 1]), "zero(4)": ([2], [2, 2])}
     for name in built_in_gallery():
@@ -1169,31 +1188,38 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
     scan = _scan(spec, np.eye(1), "dense", [256], 1e3, [256])[256]
     lower, upper = _tail_radius(scan, _mode_norms(spec, "dense"), 0.0)
     assert lower == 0.0 and upper == pytest.approx(1 / 129, rel=1e-12)
-    for seed in (1, 101):
+    for seed in (1, 7, 101):
         for label, spec in _bench_workloads().wide_specs(seed).items():
-            walks.walks.clear()
-            check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
-            assert [n for _, n in walks.walks] == _WIDE_WALKS[label][seed], (seed, label)
-            assert walks.rewalks() == 0, (seed, label)
+            for patch, want in zip((contextlib.nullcontext(), _no_certificate()), _WIDE_WALKS[label][seed]):
+                walks.walks.clear()
+                with patch:
+                    check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
+                assert [n for _, n in walks.walks] == want, (seed, label)
+                assert walks.rewalks() == 0, (seed, label)
 
 
 #: Steps of the one probe pass of `check_families` above `DENSE_CAP` at
-#: horizon 2 000 and UE horizon 256: uniform ergodicity is read off that
-#: pass, and no other walk runs.  left_shift_l1(600) is null from P_600 on
-#: and stops after T P_600 = P_600; identity(600) is stationary from s = 2.
-#: jordan_1(600)'s bounded witnesses are settled at A_16, long before its
-#: powers overflow at step 468, and every verdict of the pass (uniform
-#: ergodicity off probes too) fails or inherits there, so the pass stops.
-_WIDE_FAMILY_WALKS = {"left_shift_l1(600)": 601, "identity(600)": 1, "jordan_1(600)": 16}
+#: horizon 2 000 and UE horizon 256, and (second) with the resolvent
+#: certificate off: uniform ergodicity is read off that pass, and no other
+#: walk runs.  left_shift_l1(600) is null from P_600 on and stops after
+#: T P_600 = P_600.  identity(600) is stationary from s = 2, and the
+#: entrywise split of its diagonal, which forms no block wider than the
+#: probes, certifies its tail, so it walks no step.  jordan_1(600)'s
+#: bounded witnesses are settled at A_16, long before its powers overflow
+#: at step 468, and every verdict of the pass (uniform ergodicity off
+#: probes too) fails or inherits there, so the pass stops.
+_WIDE_FAMILY_WALKS = {"left_shift_l1(600)": (601, 601), "identity(600)": (None, 1), "jordan_1(600)": (16, 16)}
 
 
 def test_families_walk_the_probe_block_once_above_the_dense_cap(monkeypatch):
     walks = _Walks(monkeypatch)
     for name, steps in _WIDE_FAMILY_WALKS.items():
-        walks.walks.clear()
-        ue = check_families(*_probes(name), 2000, 1e-2, 1e3, 256).uniformly_ergodic
-        assert walks.walks == [[False, steps]], name
-        assert (ue.horizon, ue.evidence["mode"]) == (256, "probe"), name
+        for patch, n in zip((contextlib.nullcontext(), _no_certificate()), steps):
+            walks.walks.clear()
+            with patch:
+                ue = check_families(*_probes(name), 2000, 1e-2, 1e3, 256).uniformly_ergodic
+            assert walks.walks == ([] if n is None else [[False, n]]), name
+            assert (ue.horizon, ue.evidence["mode"]) == (256, "probe"), name
 
 
 def _first_crossings(spec, X, horizon, cap):
@@ -1527,11 +1553,13 @@ def test_a_pass_stops_at_its_anchor_in_every_mode(monkeypatch):
     # as the norm of |T| is 1); their probe passes certify their tails and
     # walk no step, or, with the certificate off, walk one step as the
     # identity passes do.  sparse-256-linf of wide-operators (seed 101)
-    # reaches its anchor at s = 908 of 2 000, and its probe pass stops
-    # there; its 48 probes are fewer columns than its dim, so it tries no
-    # resolvent certificate.  So the sparse probe pass keeps its means at
-    # 128 and 256, which floor its identity pass's tail inconclusive, and
-    # that pass walks no step; with the floor off it walks to 256.
+    # reaches its anchor at s = 908 of 2 000.  The certificate settles its
+    # probe tail, but its 48 probes are fewer columns than its dim, so its
+    # probe pass walks on to the UE horizon 256 (steps its `walked` leaves
+    # out) and keeps its means at 128 and 256, which floor its identity
+    # pass's tail inconclusive: that pass walks no step, and with the floor
+    # off it walks to 256.  With the certificate off, the probe pass walks
+    # to its anchor and keeps the same means.
     shift = OperatorSpec(KIND_SHIFT, 8, np.ones(7), "l2")
     assert _mode_norms(shift, "dense").slack > 0.0
     for mode in ("probe", "dense"):
@@ -1543,15 +1571,15 @@ def test_a_pass_stops_at_its_anchor_in_every_mode(monkeypatch):
              (sparse, default_probes(sparse, seed=101), 2000)]
     for spec, probes, horizon in cases:
         s = _scan(spec, probes.vectors.T, "probe", [horizon], 1e3, [horizon])[horizon].stream.anchor[2]
-        certified = spec is not sparse
-        no_certificate = mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {})
+        narrow = len(probes) < spec.dim
+        no_certificate = _no_certificate()
         walks.walks.clear()
         families = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
-        assert walks.walks == ([[False, 1]] if certified else [[False, s - 1]]), spec
+        assert walks.walks == [[False, 256 if narrow else 1]], spec
         walks.walks.clear()
         with _no_skip():
             check_families(spec, probes, horizon, 1e-2, 1e3, 256)
-        assert walks.walks == ([[False, 1]] if certified else [[False, s - 1], [False, 256]]), spec
+        assert walks.walks == ([[False, 256], [False, 256]] if narrow else [[False, 1]]), spec
         walks.walks.clear()
         with no_certificate:
             uncertified = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
@@ -1563,9 +1591,9 @@ def test_a_pass_stops_at_its_anchor_in_every_mode(monkeypatch):
         assert s == (908 if spec is sparse else 2)
         for v in families[:3]:
             assert (v.evidence["steps"], v.evidence["diverged"]) == (horizon, False)
-        assert families.power_bounded.evidence["walked"] == (0 if certified else s - 1)
+        assert families.power_bounded.evidence["walked"] == 0
         assert uncertified.power_bounded.evidence["walked"] == s - 1
-        assert families.ergodic.evidence["certified"] == certified
+        assert families.ergodic.evidence["certified"] and not uncertified.ergodic.evidence["certified"]
         with _walking():
             walked = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
         assert [v and v.to_json_dict() for v in walked] == [v and v.to_json_dict() for v in families]
@@ -1835,7 +1863,10 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
     # most 1 + 3e-14, the probe pass of check_families is decided before it
     # walks, and so is the identity block's bracket, whose pass the probe
     # means floor (`_SKIP_MARGINS`): at horizon 500 as at 2 000, the probe
-    # pass reads one norm, its lower end, and no norm per step, and the
+    # pass reads its lower end (which the tail's delta_N reuses) and the
+    # norms of the four blocks of its resolvent certificate (F, Y and the
+    # residuals R and E), and no norm per step (with the certificate off,
+    # only its lower end), and the
     # identity pass its lower end and, per tail, the probe block's lower
     # end, the kept means' difference and its own lower end again for their
     # delta_N (`_tail_floor`), and no norm per step.  (The tails read a few
@@ -1894,7 +1925,12 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
             assert ergorank.classify._decides(identity, 1e3) == (label in decided), (seed, label)
             if label in decided:
                 floors = 1 + 3 * len(_SKIP_MARGINS[label][seed])
-                assert per_horizon == [[1, floors], [1, floors]], (seed, label)
+                assert per_horizon == [[1 + 4, floors], [1 + 4, floors]], (seed, label)
+                for horizon in (500, 2000):
+                    passes.clear()
+                    with _no_certificate():
+                        check_families(spec, probes, horizon, 1e-2, 1e3, 256)
+                    assert passes == [1, floors], (seed, label, horizon)
             else:
                 (probe, identity), (longer, same) = per_horizon
                 if label == "overflow-diagonal-256-l2":
@@ -1965,25 +2001,24 @@ def test_the_l2_bound_survives_a_wrong_eigendecomposition(spec, seed, size, vect
 #: probe then identity: whether its bracket decides it before it walks, and
 #: how many stacks of norms it reads (its lower end, then each chunk's means
 #: and powers).  rotation(1.0) and random_diagonalizable(7,12) read 41 and
-#: 3, and 315 and 5, when their brackets grew by the norm of |T|.  A decided
-#: probe pass reads X once more for the C and delta_N of its resolvent
-#: certificate, but for left_shift_l1(64), whose 48 probes are fewer columns
-#: than its dim; the identity passes' tails [128, 256] are too short for one.
-#: left_shift_l1(64)'s identity pass walks no step: its probe means at 16,
-#: 32, 128 and 256 floor its uniformly ergodic tails inconclusive before it
-#: starts, and each of its two floors reads the probe block and the identity
-#: once more for their delta_N.
+#: 3, and 315 and 5, when their brackets grew by the norm of |T|.  The C
+#: and delta_N of a decided pass's resolvent certificate reuse the lower
+#: end's read of X, so no pass reads X again for one.  left_shift_l1(64)'s
+#: identity pass walks no step: its probe means at 16, 32, 128 and 256
+#: floor its uniformly ergodic tails inconclusive before it starts, and
+#: each of its two floors reads the probe block and the identity once more
+#: for their delta_N.
 _GALLERY_PASSES = {
-    "identity(8)": [(True, 2), (True, 1)],
-    "zero(4)": [(True, 2), (True, 1)],
-    "scalar(1.0)": [(True, 2), (True, 1)],
-    "scalar(0.5)": [(True, 2), (True, 1)],
-    "scalar(-1.0)": [(True, 2), (True, 1)],
+    "identity(8)": [(True, 1), (True, 1)],
+    "zero(4)": [(True, 1), (True, 1)],
+    "scalar(1.0)": [(True, 1), (True, 1)],
+    "scalar(0.5)": [(True, 1), (True, 1)],
+    "scalar(-1.0)": [(True, 1), (True, 1)],
     "scalar(2.0)": [(False, 3), (False, 3)],
     "jordan_1(2)": [(False, 9), (False, 3)],
-    "rotation(1.0)": [(True, 2), (True, 1)],
+    "rotation(1.0)": [(True, 1), (True, 1)],
     "left_shift_l1(64)": [(True, 1), (True, 5)],
-    "random_diagonalizable(7,12)": [(True, 2), (True, 1)],
+    "random_diagonalizable(7,12)": [(True, 1), (True, 1)],
 }
 
 

@@ -19,7 +19,7 @@ from hypothesis import event, example, given, settings, strategies as st
 import ergorank.classify
 from ergorank.classify import HOLDS, INCONCLUSIVE, check_families, _mode_norms, _scan, _tail_radius
 from ergorank.operators import (
-    DENSE_CAP, KIND_SHIFT, OperatorSpec, basis_probes, built_in_gallery, default_probes, gallery,
+    DENSE_CAP, KIND_DIAGONAL, KIND_SHIFT, OperatorSpec, basis_probes, built_in_gallery, default_probes, gallery,
 )
 from test_classify import _Walks, _bench_workloads, _bounded_specs, _jordan_specs, _no_skip, _serialized
 
@@ -43,22 +43,39 @@ def _spying(floors):
     return mock.patch.object(ergorank.classify, "_tail_floor", spying)
 
 
+@st.composite
+def _narrow_specs(draw):
+    """Weighted shifts of dim 32-64 with weights under 1, and diagonals of
+    dim 49-96 (wider than their 48 default probes) with entries inside
+    (-0.9, 0.9): specs whose probe pass the certificate can settle, and,
+    past dim 48, narrower than the identity block, so that it walks on for
+    the means of the identity pass's floor."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tag, top = draw(st.sampled_from(["l1", "l2", "linf"])), draw(st.sampled_from([0.1, 0.5, 0.9]))
+    if draw(st.booleans()):
+        dim = draw(st.integers(32, 64))
+        return OperatorSpec(KIND_SHIFT, dim, rng.uniform(0.0, top, dim - 1), tag)
+    dim = draw(st.integers(49, 96))
+    return OperatorSpec(KIND_DIAGONAL, dim, rng.uniform(-top, top, dim), tag)
+
+
 @given(
-    st.one_of(_bounded_specs(64), _jordan_specs().map(lambda j: j.spec)),
+    st.one_of(_bounded_specs(64), _jordan_specs().map(lambda j: j.spec), _narrow_specs(), _narrow_specs()),
     st.sampled_from([(64, 32), (300, 64), (300, 256), (1000, 256)]),
     st.booleans(),
-    st.one_of(st.just(1e-2), st.tuples(st.integers(0, 7), st.sampled_from([-1, 0, 1]))),
+    st.one_of(st.sampled_from([1e-2, 1e-1]), st.tuples(st.integers(0, 7), st.sampled_from([-1, 0, 1]))),
 )
 @example(MIXED_SHIFT, (2000, 256), False, 1e-1)
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=100, deadline=None)
 def test_a_skipped_identity_pass_serializes_as_a_walk(spec, horizons, basis, at):
     # Horizons at or past the UE horizon, so that the probe pass walks past
-    # it unless the resolvent certificate stops it.  A tolerance is 1e-2 (or
-    # 0.1 in the example), or twice a proven floor, picked by `at`, moved one
-    # ulp to either side or not at all, so a floor settles its tail and
-    # fails to at its edge.  Every floored tail's walk reads a lower end at
-    # least its floor, and twice that reaches the tolerance; the verdicts
-    # serialize as with the floor off.
+    # it unless the resolvent certificate stops it (a narrow block walks on
+    # to the UE horizon for the floor's means).  A tolerance is 1e-2 or 0.1,
+    # or twice a proven floor, picked by `at`, moved one ulp to either side
+    # or not at all, so a floor settles its tail and fails to at its edge.
+    # Every floored tail's walk reads a lower end at least its floor, and
+    # twice that reaches the tolerance; the verdicts serialize as with the
+    # floor off.
     horizon, ue = horizons
     probes = basis_probes(spec.dim, spec.norm_tag) if basis else default_probes(spec)
     floors = {}
@@ -79,7 +96,11 @@ def test_a_skipped_identity_pass_serializes_as_a_walk(spec, horizons, basis, at)
     assert _serialized(got) == _serialized(want)
     tails = {v.horizon: v for v in (got.uniformly_ergodic, got.section) if v is not None}
     floored = {N: f for N, f in floors.items() if 2.0 * f >= tol}
-    event(f"floored {len(floored)} of {len(tails)} uniformly ergodic tails")
+    settled = ["floored" if N in floored else "certified" if v.evidence["certified"] else "walked"
+               for N, v in sorted(tails.items())]
+    event(f"uniformly ergodic tails: {' + '.join(settled)}")
+    narrow = got.ergodic.evidence["certified"] and len(probes) < spec.dim
+    event(f"probe pass: {'narrow, certified' if narrow else 'other'}{', then a floor' if narrow and floored else ''}")
     norms = _mode_norms(spec, "dense")
     for N, floor in floored.items():
         scan = _scan(spec, np.eye(spec.dim), "dense", [N], 1e3, [N])[N]

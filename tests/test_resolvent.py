@@ -23,16 +23,19 @@ from ergorank.classify import (
     INCONCLUSIVE,
     check_ergodic,
     check_families,
+    _decay,
     _deviation,
     _mode_norms,
     _tail_certificate,
 )
 from ergorank.operators import (
+    DENSE_CAP,
     KIND_DENSE,
     KIND_DIAGONAL,
     KIND_SHIFT,
     KIND_SPARSE,
     OperatorSpec,
+    ProbeSet,
     basis_probes,
     built_in_gallery,
     default_probes,
@@ -111,19 +114,33 @@ def test_the_certificate_calls_no_svd_and_splits_each_block_once(monkeypatch):
         assert len(blocks) == len(set(blocks)) <= 2, spec
         certified += families.ergodic.evidence["certified"]
     # The dense l2 norms of the small gallery operators are SVDs.  The
-    # wide-operators probe blocks have fewer columns than dim, so no split.
+    # certificate holds seven gallery probe tails and those of
+    # sparse-256-linf, diagonal-256-l1 and shift-256-linf.
     assert svds and not any(svds)
-    assert certified == 7
+    assert certified == 10
+
+
+#: Diagonal entries at the edges of `_decay` and `_split`: at +-1, at the
+#: null threshold 2^-20 max |1 - lambda| of the split beside 0 (or -1) and
+#: an ulp to either side of it, an ulp under 1 in magnitude, subnormal, and
+#: of `HUGE_DIAGONAL`'s size.
+_EDGE_ENTRIES = (
+    1.0, -1.0, 0.0, 1.0 - 2.0**-20, np.nextafter(1.0 - 2.0**-20, 0.0), np.nextafter(1.0 - 2.0**-20, 1.0),
+    1.0 - 2.0**-19, 1.0 - 2.0**-53, -(1.0 - 2.0**-53), 5e-324, -5e-324, 0.5, 1e200, -1e200,
+)
 
 
 @st.composite
 def _rough_specs(draw):
     """Specs of all four kinds at dim 1-4, with entries of every size from
-    subnormal to 1e200, and `HUGE_DIAGONAL`."""
-    kind = draw(st.sampled_from([KIND_DENSE, KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE, "huge"]))
+    subnormal to 1e200, diagonals of `_EDGE_ENTRIES`, and `HUGE_DIAGONAL`."""
+    kind = draw(st.sampled_from([KIND_DENSE, KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE, "huge", "edge"]))
     if kind == "huge":
         return HUGE_DIAGONAL
     dim, tag = draw(st.integers(1, 4)), draw(st.sampled_from(["l1", "l2", "linf"]))
+    if kind == "edge":
+        entries = draw(st.lists(st.sampled_from(_EDGE_ENTRIES), min_size=dim, max_size=dim))
+        return OperatorSpec(KIND_DIAGONAL, dim, entries, tag)
     scale = draw(st.sampled_from([5e-324, 2.0**-1040, 1e-300, 1e-3, 0.5, 1.0, 1.0 - 2.0**-40, 1e200]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == KIND_DENSE:
@@ -136,18 +153,35 @@ def _rough_specs(draw):
     return OperatorSpec(kind, dim, [[r, c, scale * rng.uniform(-1.0, 1.0)] for r, c in cells], tag)
 
 
-@given(_rough_specs(), st.sampled_from([2, 3, 8, 33, 64]), st.booleans())
-@example(HUGE_DIAGONAL, 8, True)
-@example(OperatorSpec(KIND_DIAGONAL, 1, [5e-324], "l2"), 64, True)
-@example(OperatorSpec(KIND_DENSE, 2, [[1.0, 1e-170], [0.0, 1.0]], "l2"), 64, True)
-@settings(max_examples=60, deadline=None)
-def test_a_certificate_is_at_least_the_walked_radius_or_infinite(spec, horizon, basis):
-    # Per block, the certificate's upper end is NaN nowhere, and where it
-    # is finite it is at least the radius a walk reads.  At a tolerance
-    # that lets it decide (2 / t < 0.5), no NaN reaches a verdict, a
-    # certified tail is finite, and every verdict serializes as a forced
-    # walk's: an infinite upper end certifies nothing, and the pass walks.
-    probes = basis_probes(spec.dim, spec.norm_tag) if basis else few_default_probes(spec, 2)
+def _test_probes(spec, block):
+    """The basis probes, a few default probes (the basis and two more), or
+    one default probe alone, a block narrower than dim past dim 1."""
+    if block == "basis":
+        return basis_probes(spec.dim, spec.norm_tag)
+    few = few_default_probes(spec, 2)
+    return few if block == "few" else ProbeSet(few.vectors[-1:], spec.norm_tag, f"{few.label}[-1:]")
+
+
+_BLOCKS = st.sampled_from(["basis", "few", "narrow"])
+
+
+@given(_rough_specs(), st.sampled_from([2, 3, 8, 33, 64]), _BLOCKS)
+@example(HUGE_DIAGONAL, 8, "basis")
+@example(HUGE_DIAGONAL, 8, "narrow")
+@example(OperatorSpec(KIND_DIAGONAL, 1, [5e-324], "l2"), 64, "basis")
+@example(OperatorSpec(KIND_DIAGONAL, 3, [1.0 - 2.0**-53, 0.0, 1.0 - 2.0**-20], "l1"), 64, "narrow")
+@example(OperatorSpec(KIND_DIAGONAL, 2, [-1.0, 5e-324], "linf"), 33, "narrow")
+@example(OperatorSpec(KIND_DENSE, 2, [[1.0, 1e-170], [0.0, 1.0]], "l2"), 64, "basis")
+@example(OperatorSpec(KIND_DENSE, 2, [[1.0, 1e-170], [0.0, 1.0]], "l2"), 64, "narrow")
+@settings(max_examples=80, deadline=None)
+def test_a_certificate_is_at_least_the_walked_radius_or_infinite(spec, horizon, block):
+    # Per block (of dim columns or more, or fewer), the certificate's upper
+    # end is NaN nowhere, and where it is finite it is at least the radius
+    # a walk reads.  At a tolerance that lets it decide (2 / t < 0.5), no
+    # NaN reaches a verdict, a certified tail is finite, and every verdict
+    # serializes as a forced walk's: an infinite upper end certifies
+    # nothing, and the pass walks.
+    probes = _test_probes(spec, block)
     for mode, X in (("probe", probes.vectors.T), ("dense", np.eye(spec.dim))):
         upper = _tail_certificate(spec, X, mode, [horizon])[horizon]
         assert not np.any(np.isnan(upper)), mode
@@ -237,16 +271,19 @@ def test_a_certificate_holds_the_exact_and_the_walked_radius(spec, horizon, dens
     assert np.all(radius <= upper)
 
 
-@given(_exact_specs(), st.sampled_from([2, 8, 64]), st.booleans(), st.integers(0, 2**32 - 1),
-       st.sampled_from(["zero", "fixed", 1e-12, 1e-3, 0.3]))
+@given(_exact_specs(), st.sampled_from([2, 8, 64]), st.sampled_from(["dense", "few", "narrow"]),
+       st.integers(0, 2**32 - 1), st.sampled_from(["zero", "fixed", 1e-12, 1e-3, 0.3]))
+@example(OperatorSpec(KIND_DIAGONAL, 3, [0.5, -1.0, 1.0 - 2.0**-20], "l1"), 64, "narrow", 1, 0.3)
 @settings(max_examples=60, deadline=None)
-def test_a_certificate_survives_a_wrong_split(spec, horizon, dense, seed, wrong):
+def test_a_certificate_survives_a_wrong_split(spec, horizon, block, seed, wrong):
     # The certificate reads only the residuals a splitting leaves, so any
     # F and Y give an upper end at least the walked radius, or infinity:
     # F = Y = 0 (all residual), F = X (all claimed fixed), or the split
-    # moved by noise of each size.
-    mode = "dense" if dense else "probe"
-    X = np.eye(spec.dim) if dense else few_default_probes(spec, 1).vectors.T
+    # moved by noise of each size, which also moves the support of Y that
+    # a diagonal's D reads.  The block is the identity, the basis and a
+    # default probe, or that probe alone (fewer columns than dim).
+    mode = "dense" if block == "dense" else "probe"
+    X = np.eye(spec.dim) if block == "dense" else _test_probes(spec, block).vectors.T
     real, rng = ergorank.classify._split, np.random.default_rng(seed)
 
     def split(spec, X):
@@ -260,3 +297,46 @@ def test_a_certificate_survives_a_wrong_split(spec, horizon, dense, seed, wrong)
     radius = reference_tail_radius(spec, X, horizon, _mode_norms(spec, mode).radius)
     if radius is not None:
         assert np.all(np.where(np.isfinite(upper), radius <= upper, True))
+
+
+@given(st.lists(st.sampled_from(_EDGE_ENTRIES + (0.25, -0.75, 0.999)), min_size=1, max_size=4),
+       st.integers(0, 2**32 - 1), st.sampled_from([2, 3, 8, 64, 1000]))
+@example([5e-324, 0.0], 0, 2)
+@example([1.0 - 2.0**-53, 0.5], 0, 1000)
+@settings(max_examples=60, deadline=None)
+def test_the_decay_bounds_every_power_on_the_support_exactly(entries, seed, horizon):
+    # D as the certificate forms it (`_decay`) is at most C and, in
+    # `Fraction`s, at least the largest |lambda|^k over t <= k <= N and
+    # the rows where Y is not 0 (|lambda|^k is monotone in k, so that
+    # largest is at k = t or k = N).  Y has rows of 0 at random, so the
+    # support leaves out entries of every size.
+    spec = OperatorSpec(KIND_DIAGONAL, len(entries), entries, "l1")
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((spec.dim, 3)) * (rng.uniform(size=(spec.dim, 1)) < 0.6)
+    t, C = horizon // 2, _deviation(spec, Y, "probe", horizon)[2]
+    D = _decay(spec, Y, t, C)
+    assert D <= C
+    if C == math.inf:
+        return
+    support = [abs(Fraction(float(lam))) for lam, row in zip(entries, Y) if np.any(row != 0.0)]
+    assert Fraction(D) >= max((max(a**t, a**horizon) for a in support), default=Fraction(0))
+
+
+def test_no_narrow_block_above_the_dense_cap_is_split(monkeypatch):
+    # A 600-dim sparse spec (a cyclic shift scaled by 1/2, l1) under 48
+    # probes: its probe bracket decides and its tail [1 000, 2 000] passes
+    # the screen, but `_split` would form 600 x 600 blocks, and no block of
+    # the analysis above `DENSE_CAP` is as large, so it is not called.  The
+    # same diagonal splits entry by entry, into blocks of the probes' shape.
+    dim, splits = 600, []
+    real = ergorank.classify._split
+    monkeypatch.setattr(ergorank.classify, "_split", lambda spec, X: splits.append(X.shape) or real(spec, X))
+    sparse = OperatorSpec(KIND_SPARSE, dim, [[i, (i + 1) % dim, 0.5] for i in range(dim)], "l1")
+    diagonal = OperatorSpec(KIND_DIAGONAL, dim, np.full(dim, 0.5), "l1")
+    for spec, want in ((sparse, []), (diagonal, [(dim, 48)])):
+        probes = default_probes(spec)
+        assert (len(probes), dim > DENSE_CAP) == (48, True)
+        families = check_families(spec, probes, 2000, 1e-2, 1e3, 256)
+        assert families.power_bounded.evidence["bracket"] is not None, spec.kind
+        assert splits == want and families.ergodic.evidence["certified"] == bool(want), spec.kind
+        splits.clear()
