@@ -38,7 +38,10 @@ always starts at n = 1, so a reader that needs the means again walks
 again.  A reader that knows no power overflows, because it has bounded
 every norm before the walk starts (see `classify._scan`) or an earlier walk
 reached the horizon, walks without power norms, and the stream forms only
-the means it reads.
+the means it reads.  Two far means A_(N//2) and A_N need no walk: `ladder`
+forms them from log2(N) doublings of the sum, with squarings of a dense T
+up to `_DOUBLING_DIM` (shared with the doubling grid), at other bits than a
+walk's, so a reader of them reads only a proven bound on their rounding.
 Everything that needs means reads them from a stream: one vector is a
 (dim, 1) block, and the dense A_1..A_N are the stream of the identity
 block, X = I.
@@ -172,20 +175,28 @@ class CesaroStream:
         self.X = X
         self.diverged_at: int | None = None
         self.anchor: tuple | None = None
-        self._doublings = [spec.entries]  # T, T^2, T^4, ..., None past the limit
+        self._doublings = [spec.entries] if spec.kind == KIND_DENSE else []  # T, T^2, T^4, ...
 
-    def _doubling(self, width: int) -> tuple[int, np.ndarray]:
-        """The largest 2^j <= width whose power T^(2^j) is usable, and it."""
+    def _level(self, j: int) -> np.ndarray | None:
+        """T^(2^j), squared from a dense T (`spec.entries`, or T applied to
+        the identity for the other kinds) and cached; None past the first
+        square with an entry above `OVERFLOW_LIMIT` (or NaN)."""
         levels = self._doublings
-        while 1 << len(levels) <= width and levels[-1] is not None:
+        if not levels:
+            levels.append(apply_columns(self.spec, np.eye(self.spec.dim)))
+        while len(levels) <= j and levels[-1] is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 square = np.matmul(levels[-1], levels[-1])
             usable = np.maximum.reduce(np.abs(square), axis=None) <= OVERFLOW_LIMIT
             levels.append(square if usable else None)
-        j = min(width.bit_length() - 1, len(levels) - 1)
-        if levels[j] is None:
+        return levels[j] if j < len(levels) else None
+
+    def _doubling(self, width: int) -> tuple[int, np.ndarray]:
+        """The largest 2^j <= width whose power T^(2^j) is usable, and it."""
+        j = width.bit_length() - 1
+        while self._level(j) is None:
             j -= 1
-        return 1 << j, levels[j]
+        return 1 << j, self._level(j)
 
     def chunks(self, horizon: int, reads=None):
         """Yield the `Chunk`s of n = 1, 2, ..., up to `horizon`.  Every walk
@@ -312,6 +323,37 @@ class CesaroStream:
         A += s_sum
         A /= steps
         return A
+
+    def ladder(self, horizon: int):
+        """(A_t X, A_N X) for N = `horizon` and t = max(1, N//2), formed
+        without a walk on a doubling ladder over the binary digits of N:
+        S_1 = X, S_2m = S_m + T^m S_m and S_(m+1) = X + T S_m, T^m the
+        product of the levels T^(2^j) of m's digits (see `_level`), so S_t
+        is the rung before S_N.  Its bits are not the walk's (see
+        `classify._ladder_deviation` for how far they may be from the exact
+        means).  None above `_DOUBLING_DIM`, where squaring T costs more
+        than stepping, and where a level it needs passes `OVERFLOW_LIMIT` or
+        a mean is not finite."""
+        if self.spec.dim > _DOUBLING_DIM:
+            return None
+        X, t = self.X, max(1, horizon // 2)
+        S, S_t = np.array(X, dtype=np.float64), None
+        with np.errstate(all="ignore"):
+            for i in range(horizon.bit_length() - 2, -1, -1):  # the digits after the leading one
+                m = horizon >> (i + 1)  # S is S_m
+                if m == t:
+                    S_t = S
+                Y = S
+                for j in range(m.bit_length()):
+                    if m >> j & 1:
+                        if (level := self._level(j)) is None:
+                            return None
+                        Y = level @ Y
+                S = S + Y  # S_2m
+                if horizon >> i & 1:
+                    S = X + self._level(0) @ S  # S_(2m+1)
+            means = (S if S_t is None else S_t) / t, S / horizon
+        return means if all(np.isfinite(A).all() for A in means) else None
 
     def means_at(self, indices) -> dict[int, np.ndarray]:
         """A_n X for each requested n that the stream reaches."""

@@ -48,8 +48,8 @@ the stream (T P = P bit for bit from s on); every later mean has the
 closed form A_n = P + (S_s - sP)/n.
 
 Such a pass settles each tail it can before it walks, from a pre-walk
-bracket on its radius.  It first tries the probe-mean floor: on the
-identity block, the probe pass's means at t = N//2 and N, which that pass
+bracket on its radius.  On the identity block it first tries the
+probe-mean floor: the probe pass's means at t = N//2 and N, which that pass
 keeps where it forms them anyway, prove a lower end on the walk's radius,
 since ||A_t - A_N|| >= ||(A_t - A_N) x|| / ||x|| for every probe x
 (`_tail_floor`); where twice it, less the rounding of both streams,
@@ -67,10 +67,17 @@ from `np.linalg.eigh` of the Gram matrix of I - T where that is singular,
 at dims up to `DENSE_CAP`, where the identity block is as large (`_split`);
 only the residuals they leave, widened for rounding, enter the bound
 (`_tail_certificate`).  Where twice that upper end is under the tolerance,
-the tail holds as a walk would read it.  A settled tail reads nothing; a
-decided pass walks only to its last tail left, and with none left it walks
-no step, in either mode, but for a probe block narrower than the identity,
-which walks on to the UE horizon for the means the floor reads.
+the tail holds as a walk would read it.  Last, on a probe block, a tail
+the pass would not walk to anyway is floored like an identity tail, per
+probe and with no division by ||x||, from A_t x and A_N x formed on the
+doubling ladder of the stream (`CesaroStream.ladder`, up to dim 128),
+whose bits are not the walk's: only its proven allowance
+(`_ladder_deviation`) enters the floor.  The certificate goes first, since
+it settles most probe tails and the ladder would cost each of them its
+squarings.  A settled tail reads nothing; a decided pass walks only to its
+last tail left, and with none left it walks no step, in either mode, but
+for a probe block narrower than the identity, which walks on to the UE
+horizon for the means the identity floor reads.
 
 The tail radius of a walked tail is bracketed between
 norm(A_t - A_N) at the tail's start and the norm of an entrywise envelope
@@ -153,9 +160,11 @@ class Verdict:
     reads (see `_scan`).  A tail settled before the walk reads
     its pre-walk bracket on the radius: where the resolvent certificate
     settles it (`certified`, see `_tail_certificate`), `tail_diameter_ub` is
-    twice the certificate's upper end and `tail_diameter_lb` 0; where the
-    probe-mean floor does (`_tail_floor`), `tail_diameter_ub` is inf and
-    `tail_diameter_lb` the floor (0 where the reader is no lower bound).
+    twice the certificate's upper end and `tail_diameter_lb` 0; where a
+    floor does (`_tail_floor`: from the probe means on the identity block,
+    or per probe from the ladder's means on the probe block),
+    `tail_diameter_ub` is inf and `tail_diameter_lb` the floor (0 where the
+    reader is no lower bound).
     """
 
     family: str
@@ -283,8 +292,10 @@ class _Scan:
     the maxima and hits, which are None; the stream produced `walked` of
     its `steps`, and the snapshots past them come from the closed form.
     There `tail_bracket` holds (lower, upper) on the radius of a tail
-    settled before the walk (`_tail_floor`, `_tail_certificate`), which
-    keeps no snapshots or envelope, and `walked` is 0 for a horizon with no
+    settled before the walk, which keeps no snapshots or envelope: (floor,
+    inf) from `_tail_floor`, one floor on the identity block and one per
+    probe, from the ladder's means, on the probe block, or (0, upper) from
+    `_tail_certificate`; and `walked` is 0 for a horizon with no
     tail left to read, also where the block walks on for the means in
     `keep` alone.  Any other pass walks every one of its `steps`.  A
     scan whose bounded witnesses were settled at step w (see `_scan`) ends
@@ -656,61 +667,104 @@ def _tail_certificate(spec, X, mode, tails, size=None) -> dict:
     return uppers
 
 
-def _tail_floor(spec, probes, kept, N):
-    """A proven lower end on the tail radius that a walk of the identity
-    block to N reads, from the probe means at t = max(1, N//2) and N in
-    `kept` (see `_scan`); None where `kept` lacks either.
+def _ladder_deviation(spec, horizon, above):
+    """delta^L_N >= ||fl(A_n x) - A_n x|| for the means n = t, N that
+    `CesaroStream.ladder` forms for N = `horizon`, one per probe, given
+    `above` >= ||x|| (`_deviation`'s); inf past `OVERFLOW_LIMIT`.
 
-    Let D = A_t - A_N exactly.  For every probe x, ||D|| >= ||D x|| / ||x||
-    in the induced norm, and with `_deviation`'s delta_N of the probe block
-    and `above` >= ||x||, ||D x|| >= v / ((1 + u)(1 + eps)) - tiny -
-    2 delta_N for the computed norm v of fl(A_t x) - fl(A_N x): a computed
-    difference is within u of the exact one entry by entry, and a reader
-    within eps of the exact norm up to `tiny` for underflowing squares (see
-    `_Norms`).  So L = max_x of that over `above` is at most ||D||.  A walk
-    reads fl(fl(A_t) - fl(A_N)), each mean within delta'_N of the exact one
-    (`_deviation` of the identity), so the exact norm of their difference
-    is at least ||D|| - 2 delta'_N (every dense reader reads at least the
-    induced norm, and sqrt(l1 * linf) of each error bounds its ||.||_2), and
-    the walk's lower end of the radius, norm(A_t - A_N) as computed, at
-    least (L - 2 delta'_N)(1 - u) / (1 + eps + slack) - tiny.  The floor is
-    under that: 1 - 2^-40 covers the rounding of forming it (each step errs
-    by under 100u of its leading term).  Where twice the floor reaches the
+    Let c = (max(k, dim) + 2) 2^-52, at least gamma of every sum the
+    ladder's products form and 2u, and Sigma_m = |X| + |T||X| + ... +
+    |T|^(m-1) |X|.  Say a computed block has depth a when it is within
+    ((1 + c)^a - 1) E of the exact one, for an envelope E at least both in
+    magnitude entry by entry.  A product of blocks of depths a and b then
+    has depth a + b + 1 under the product of their envelopes, and a sum, or
+    a division by n, depth one more than its deeper term under the sum of
+    theirs (the same induction as `_deviation`'s).  The dense T has depth 0
+    for a dense spec and 1 otherwise (the kernel applied to the identity
+    sums at most k products), so with e = 1, or 2, its level T^(2^j) has
+    depth e 2^j - 1 under |T|^(2^j), and T^m S_m adds e m to the depth of
+    S_m.  So a rung S_2m = S_m + T^m S_m has depth e m + 1 more than S_m,
+    under Sigma_2m, and S_(m+1) = X + T S_m e + 1 more, under
+    Sigma_(m+1).  Over the digits of N the m's sum to N - popcount(N), so
+    A_N = S_N / N has depth at most e N + 2 log2(N), under
+    D = e N + 2 bit_length(N), and A_t less, under Sigma_N / N and
+    Sigma_t / t.  Each reader's norm is monotone in the entries' magnitudes
+    and gives || |T|^k |x| || <= rho^k ||x|| for the `_Norms.rho` of |T|,
+    at most g = (1 + c)^2 rho as computed, so both envelopes have norm at
+    most max(1, g)^N ||x||, and delta^L_N = max(1, g)^N above
+    ((1 + c)^D - 1).  An underflowing product errs by at most 2^-1075 more,
+    under D dim^2 2^-1074 max(1, g)^N in norm for all of them, which the
+    absolute term of `above` times c D covers.  It is formed in log space
+    and widened by 1 + 2^-40, as in `_deviation`.
+    """
+    l1, linf, k = _abs_norms(spec)
+    c = (max(k, spec.dim) + 2) * 2.0**-52
+    g = (1.0 + c) ** 2 * _mode_norms(spec, "probe").rho(l1, linf)
+    depth = (1 if spec.kind == KIND_DENSE else 2) * horizon + 2 * horizon.bit_length()
+    exponent = horizon * math.log(g) if g > 1.0 else 0.0
+    if horizon > 2**40 or not exponent <= _LOG_LIMIT:
+        return np.full_like(above, math.inf)
+    return above * (math.exp(exponent) * math.expm1(depth * math.log1p(c)) * (1.0 + 2.0**-40))
+
+
+def _tail_floor(spec, mode, means, allowance, walk, above=None):
+    """A proven lower end on the tail radius that a walk of a block in
+    `mode` to N reads, from probe means (A_t x, A_N x), t = max(1, N//2),
+    each within `allowance` of the exact one, and `walk` >= the walk's own
+    delta_N (`_deviation`): per probe for the probe block, and given
+    `above` >= ||x||, one for the identity block.  Never below 0.
+
+    Let D = A_t - A_N exactly.  For the computed norm v of
+    fl(A_t x) - fl(A_N x), ||D x|| >= v / ((1 + u)(1 + eps)) - tiny -
+    2 allowance: a computed difference is within u of the exact one entry by
+    entry, and a reader within eps of the exact norm up to `tiny` for
+    underflowing squares (see `_Norms`).  Call that L per probe; on the
+    identity side, ||D|| >= ||D x|| / ||x|| in the induced norm, so L is the
+    largest of them over `above` instead.  A walk reads
+    fl(fl(A_t) - fl(A_N)), each mean within `walk` of the exact one, so the
+    exact norm of their difference is at least L - 2 walk (every dense
+    reader reads at least the induced norm, and sqrt(l1 * linf) of each
+    error bounds its ||.||_2), and the walk's lower end of the radius, that
+    difference's norm as computed, at least
+    (L - 2 walk)(1 - u) / (1 + eps + slack) - tiny.  The floor is under
+    that: 1 - 2^-40 covers the rounding of forming it (each step errs by
+    under 100u of its leading term).  Where twice the floor reaches the
     tolerance, so does twice the walk's lower end, and a walk's upper end is
     never below its lower end (nor is a resolvent certificate's, an upper
     end of the radius): the walk would read the tail ``inconclusive``, with
     no witness, as the floor does.
     """
-    t = max(1, N // 2)
-    if t not in kept or N not in kept:
-        return None
-    dense = _mode_norms(spec, "dense")
-    _, above, _, delta = _deviation(spec, probes.vectors.T, "probe", N)
+    norms = _mode_norms(spec, mode)
     with np.errstate(all="ignore"):
-        reach = column_norms(kept[t] - kept[N], spec.norm_tag) * ((1.0 - 2.0**-40) / (1.0 + dense.eps)) - dense.tiny
-        walk = np.max(_deviation(spec, np.eye(spec.dim), "dense", N)[3])  # delta'_N
-        low = np.max((reach - 2.0 * delta) / above) - 2.0 * walk
-        return low * ((1.0 - 2.0**-40) / (1.0 + dense.eps + dense.slack)) - dense.tiny
+        reach = column_norms(means[0] - means[1], spec.norm_tag) * ((1.0 - 2.0**-40) / (1.0 + norms.eps))
+        low = reach - norms.tiny - 2.0 * allowance
+        if above is not None:
+            low = np.max(low / above)
+        low = (low - 2.0 * walk) * ((1.0 - 2.0**-40) / (1.0 + norms.eps + norms.slack)) - norms.tiny
+        return np.maximum(low, 0.0)
 
 
-def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(), kept=None, probes=None):
+def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(), kept=None):
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` also bound their walked tail means for
     `_tail_radius`.  `kept` is shared by the passes of one `check_families`:
-    for each horizon N of `keep` the pass adds A_t and A_N, t = max(1, N//2),
-    to it where it forms them anyway or past its anchor, and never walks
-    further for them.  A step's bits do not depend on the chunk that holds
-    it.
+    for each horizon N of `keep` the pass adds ((A_t, A_N), size) to it
+    under N, t = max(1, N//2) and size its reader's norms of X, where it forms
+    both means anyway or past its anchor, and never walks further for them.
+    A step's bits do not depend on the chunk that holds it.
 
     Before it walks, the pass brackets every norm it could read
     (`_bounded_bracket`).  When the upper end is under the cap and under
     `OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
     verdict of the pass is decided, and so is each tail whose pre-walk
-    bracket on the radius lies on one side of `tolerance`: first, given
-    `probes`, the floor that their means in `kept` prove (`_tail_floor`),
-    then, where t * tolerance > 2 (a filter on work alone), the upper end of
-    `_tail_certificate`.
+    bracket on the radius lies on one side of `tolerance`: on the identity
+    block, first the floor that the probe means in `kept` prove
+    (`_tail_floor`); then, where t * tolerance > 2 (a filter on work alone),
+    the upper end of `_tail_certificate`; and last, on a probe block, the
+    floor that the means of `CesaroStream.ladder` prove (formed only where
+    squaring a dense T costs less than stepping), for each tail the pass
+    would not walk to anyway.
     Such a tail reads nothing.  The pass reduces no norms, forms means only
     for the tails left, and stops at its anchor or at the last of those
     tails.  With none left it walks no step, but for a block narrower than
@@ -730,15 +784,25 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = stop = max(scans)  # the last step to walk: the horizon, or where the witnesses are settled
-    size = step_norm(X[None])[0]  # the reader's norms of X, read once for the bracket and the certificate
+    size = step_norm(X[None])[0]  # the reader's norms of X, read once for the bracket, certificate and floors
     bounds = _bounded_bracket(spec, X, mode, horizon, size)
+    # A decided block narrower than the identity walks at least to the longest horizon it
+    # keeps, up to its own, for the identity pass's floor (a walk of that wider block costs more).
+    anyway = min(horizon, max(keep, default=0)) if X.shape[1] < spec.dim else 0
     # Once decided: whether the steps [lo, hi) hold a mean the pass reads, and the tails settled before the walk.
     reads, settled = None, {}
     if _decides(bounds, bound_cap):
-        for h in tails if probes is not None else ():
-            floor = _tail_floor(spec, probes, kept, h)
-            if floor is not None and 2.0 * floor >= tolerance:
-                settled[h] = (floor, np.float64(math.inf))
+
+        def floor(h, pair, allowance, walk, above=None):
+            low = _tail_floor(spec, mode, pair, allowance, walk, above)
+            if 2.0 * np.max(low) >= tolerance:
+                settled[h] = (low, np.full_like(low, math.inf))
+
+        for h in tails if mode == "dense" and kept else ():
+            if h in kept:  # the probe means, and the probe pass's read of its block's norms
+                pair, probe_size = kept[h]
+                _, above, _, delta = _deviation(spec, None, "probe", h, probe_size)
+                floor(h, pair, delta, np.max(_deviation(spec, X, mode, h, size)[3]), above)
         # A work filter: a tail it skips is walked, so it is sound for any D.  It skips the
         # tails t * tol <= 2 that D = C cannot settle (a unit column with no fixed part has
         # ||Y x|| >= 1 / ||I - T|| >= 1 / (1 + C), so twice its Y term is >= 2 / t); a
@@ -747,6 +811,13 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
         for h, u in _tail_certificate(spec, X, mode, tried, size).items():
             if 2.0 * np.max(u) < tolerance:
                 settled[h] = (np.zeros_like(u), u)
+        for h in tails if mode == "probe" and tolerance is not None else ():
+            if h not in settled and h > anyway:
+                _, above, _, delta = _deviation(spec, X, mode, h, size)
+                allowance = _ladder_deviation(spec, h, above)
+                pair = stream.ladder(h) if np.all(np.isfinite(allowance)) else None
+                if pair is not None:
+                    floor(h, pair, allowance, delta)
         reads = lambda lo, hi: bisect_left(wanted, lo) < bisect_left(wanted, hi) or any(
             t < hi and lo <= h for t, h in marks.values()
         )
@@ -755,15 +826,13 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     extra = {n for N in keep for n in (max(1, N // 2), N)}
     wanted = sorted({n for ns in marks.values() for n in ns} | extra)
     last = 0  # the last step read; a stream stops where it diverges
-    # A decided pass walks to its last tail left.  With none left, a block narrower than the
-    # identity walks on to the longest horizon it keeps, up to its own, for the identity
-    # pass's floor (a walk of that wider block costs more), and any other block not at all.
+    # A decided pass walks to its last tail left, and with none left, only as far as it must anyway.
     if reads is None:
         end = horizon
     elif marks:
         end = max(marks)
     else:
-        end = min(horizon, max(keep, default=0)) if X.shape[1] < spec.dim else 0
+        end = anyway
     for chunk in stream.chunks(end, reads) if end else ():
         first, count = chunk.first, len(chunk.powers)
         last = first + count - 1
@@ -805,8 +874,9 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     unread = [n for n in wanted if n > last] if reads is not None and stream.anchor is not None else []
     if unread:  # a decided pass stopped at its anchor: every later step is stationary
         snapshots.update(zip(unread, stream.closed_form(unread)))
-    for n in extra & snapshots.keys():
-        kept[n] = snapshots[n]
+    for N in keep:
+        if max(1, N // 2) in snapshots and N in snapshots:
+            kept[N] = ((snapshots[max(1, N // 2)], snapshots[N]), size)
     means = np.concatenate(means) if means else None
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
@@ -1070,14 +1140,14 @@ def _block_verdicts(
     of `uniform` are gated by the Cesaro-bounded verdict at their own
     horizon (see `_tail_verdict`); uniform ergodicity off probes reads no
     tail.  A probe pass adds to `kept` the means of the tails of `keep` that
-    it forms anyway, and an identity pass given `kept` floors its tails with
-    them before it walks (see `_scan`).
+    it forms anyway, with its read of the block's norms, and an identity
+    pass given `kept` floors its tails with them before it walks (see
+    `_scan`).
     """
     probe = mode == "probe"
     X, label = (probes.vectors.T, probes.label) if probe else (np.eye(spec.dim), None)
     tails, served = (ergodic if probe else uniform), {*horizons, *ergodic, *uniform}
-    floored = None if probe or kept is None else probes  # the probes whose kept means floor the tails
-    scans = _scan(spec, X, mode, served, bound_cap, tails, tolerance, keep, kept, floored)
+    scans = _scan(spec, X, mode, served, bound_cap, tails, tolerance, keep, kept)
     bounded = (FAMILY_POWER_BOUNDED, FAMILY_CESARO_BOUNDED) if probe else (FAMILY_CESARO_BOUNDED,)
     verdicts = {f: {h: _bounded_verdict(f, s, mode, label) for h, s in scans.items()} for f in bounded}
     cbs = verdicts[FAMILY_CESARO_BOUNDED]
@@ -1113,10 +1183,12 @@ def check_families(
     too when that is longer (off the probe block above `DENSE_CAP`).
 
     Each pass walks only for what its bracket does not decide before it
-    starts (see `_scan`).  The probe pass keeps its means at t = N//2 and N
-    of each uniformly ergodic horizon N where it forms them anyway, and the
-    identity pass settles a tail from them first (`_tail_floor`), then from
-    the resolvent certificate, so with every tail settled it walks no step.
+    starts (see `_scan`).  The probe pass settles its tail from the
+    resolvent certificate, then from the floor of its ladder's means, and
+    keeps its means at t = N//2 and N of each uniformly ergodic horizon N
+    where it forms them anyway; the identity pass settles a tail from them
+    first (`_tail_floor`), then from the resolvent certificate, so with
+    every tail settled it walks no step.
     """
     _check_inputs(
         spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap,

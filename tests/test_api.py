@@ -113,8 +113,9 @@ def test_no_knob_joins_the_analysis_interface():
 
 
 def _callers(source: str) -> dict[str, set[str]]:
-    """Per name called directly (`name(...)`), the functions of a module
-    that call it (``<module>`` outside any function)."""
+    """Per name called directly (`name(...)`) or as an attribute
+    (`obj.name(...)`), the functions of a module that call it (``<module>``
+    outside any function)."""
     callers, where = collections.defaultdict(set), ["<module>"]
 
     class Visitor(ast.NodeVisitor):
@@ -126,6 +127,8 @@ def _callers(source: str) -> dict[str, set[str]]:
         def visit_Call(self, node):
             if isinstance(node.func, ast.Name):
                 callers[node.func.id].add(where[-1])
+            elif isinstance(node.func, ast.Attribute):
+                callers[node.func.attr].add(where[-1])
             self.generic_visit(node)
 
     Visitor().visit(ast.parse(source))
@@ -137,9 +140,16 @@ def test_only_the_pass_plans_a_pass():
     # code builds a `_Scan`, and `classify` builds a `CesaroStream` only
     # where it walks one: the pass itself, a tail radius folded from a fresh
     # walk, and a witness replay.  A second planner that builds scans of a
-    # stream it never walks is caught.
-    caught = _callers("def _unwalked(spec, X):\n    return {1: _Scan(CesaroStream(spec, X), 1, 1.0)}\n")
-    assert (caught["_Scan"], caught["CesaroStream"]) == ({"_unwalked"}, {"_unwalked"})
+    # stream it never walks is caught.  The stream's ladder of means is
+    # formed only by the pass, as it plans which tails it floors, in no
+    # module of the package but `classify`; a second caller is caught.
+    source = "def _unwalked(spec, X):\n    return {1: _Scan(CesaroStream(spec, X), 1, 1.0)}\n"
+    caught = _callers(source + "def _floors(stream):\n    return stream.ladder(4)\n")
+    assert (caught["_Scan"], caught["CesaroStream"], caught["ladder"]) == ({"_unwalked"}, {"_unwalked"}, {"_floors"})
     callers = _callers((ROOT / "src" / "ergorank" / "classify.py").read_text(encoding="utf-8"))
     assert callers["_Scan"] == {"_scan"}
     assert callers["CesaroStream"] == {"_scan", "_tail_radius", "replay_witness"}
+    assert callers["ladder"] == {"_scan"}
+    for path in sorted((ROOT / "src" / "ergorank").glob("*.py")):
+        if path.name != "classify.py":
+            assert "ladder" not in _callers(path.read_text(encoding="utf-8")), path.name

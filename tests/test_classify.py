@@ -686,9 +686,32 @@ def _walking():
 
 
 def _no_skip():
-    """`check_families` floors no identity tail with the probe means: every
-    tail that the floor would settle is certified or walked."""
-    return mock.patch.object(ergorank.classify, "_tail_floor", lambda *args: None)
+    """No tail is floored, neither an identity tail from the probe means nor
+    a probe tail from the ladder's: every tail that a floor would settle is
+    certified or walked."""
+    return mock.patch.object(ergorank.classify, "_tail_floor", lambda *args: 0.0)
+
+
+def _no_ladder():
+    """No probe tail is floored from the ladder's means: each is certified
+    or walked, and the identity tails are floored as before."""
+    return mock.patch.object(CesaroStream, "ladder", lambda self, horizon: None)
+
+
+def _spying(floors, mode):
+    """`_scan` that records, by horizon, each tail of a pass in `mode` that
+    a floor settles (its pre-walk bracket's upper end is inf) and that
+    floor: one on the identity block, one per probe on the probe block."""
+    real = ergorank.classify._scan
+
+    def spying(spec, X, scan_mode, *args, **kwargs):
+        scans = real(spec, X, scan_mode, *args, **kwargs)
+        for N, scan in scans.items():
+            if scan_mode == mode and scan.tail_bracket is not None and np.all(scan.tail_bracket[1] == np.inf):
+                floors[N] = scan.tail_bracket[0]
+        return scans
+
+    return mock.patch.object(ergorank.classify, "_scan", spying)
 
 
 def _no_certificate():
@@ -884,7 +907,8 @@ class _Walks:
 #: 0 and their upper end 1/151; rotation(1.0)'s envelope mixes the means of
 #: different steps.  A tail that is stationary from its start (zero(4) and
 #: the identity from s = 2) is bracketed at its endpoints and never walked
-#: again.
+#: again.  These are walked tails: the ladder, which floors the monotone
+#: diagonal's and the wide dense spec's probe tails before any walk, is off.
 _REWALK_CASES = {
     "zero": (0, 0),
     "monotone diagonal": (0, 0),
@@ -913,7 +937,7 @@ def test_only_a_straddling_tail_is_walked_again(monkeypatch, name):
             brackets.append(_tail_radius(scan, norms, 0.0))
             return _tail_radius(scan, norms, tolerance)
 
-        with mock.patch.object(ergorank.classify, "_tail_radius", bracketing):
+        with mock.patch.object(ergorank.classify, "_tail_radius", bracketing), _no_ladder():
             assert check().evidence["tail_diameter_ub"] is not None
         (lower, upper), = brackets
         straddles = 2.0 * np.max(lower) < 1e-2 <= 2.0 * np.max(upper)
@@ -1051,16 +1075,19 @@ def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
     # walked again.  The resolvent certificate settles the probe tail
     # [1000, 2000] of the diagonal and of the shift, so their probe passes
     # walk only to the UE horizon 256, for the means that the identity
-    # pass's floor reads; the stochastic matrix's tail is not settled, and
-    # its probe pass walks to the horizon.  With the certificate off, the
-    # diagonal's walks to the horizon, and the nilpotent shift's stops at
-    # step 257 (its probe powers are null from P_256 on) and reads the null
-    # tail off the closed form.  Each identity bracket decides, and the
-    # probe means the pass keeps at 128 and 256 (64 and 128 too for the
+    # pass's floor reads; the stochastic matrix's tail is not certified, but
+    # the ladder's means floor it (2 * lower >= tol), so its probe pass walks
+    # to 256 too, and with the ladder off, to the horizon.  With the
+    # certificate off, the diagonal's walks to the horizon, and the nilpotent
+    # shift's stops at step 257 (its probe powers are null from P_256 on) and
+    # reads the null tail off the closed form.  The ladder forms no means
+    # above dim 128, so it moves neither.  Each identity bracket decides, and
+    # the probe means the pass keeps at 128 and 256 (64 and 128 too for the
     # shift, whose trusted horizon is 128) prove every uniformly ergodic
-    # tail inconclusive, so no identity pass walks.  With that skip off, the
-    # shift's trusted horizon is a prefix of its one identity pass to 256,
-    # which meets T^256 = 0 only past 256.
+    # tail inconclusive, so no identity pass walks.  With both floors off,
+    # each probe pass walks as with the ladder off, and the shift's trusted
+    # horizon is a prefix of its one identity pass to 256, which meets
+    # T^256 = 0 only past 256.
     rng = np.random.default_rng(14)
     dim = 128
     per_row = rng.permutation([3, 4] * (dim // 2))
@@ -1075,22 +1102,27 @@ def test_families_walk_each_block_once_on_wide_monotone_specs(monkeypatch):
     shift = OperatorSpec(KIND_SHIFT, 256, rng.uniform(0.5, 1.0, 255), "linf")
     horizon, ue_horizon = 2000, 256
     walks = _Walks(monkeypatch)
-    for spec, probe_walk, uncertified in ((stochastic, horizon, horizon), (diagonal, 256, horizon), (shift, 256, 257)):
+    # Probe walks with the certificate on, then off, each as (with the
+    # ladder, without it).
+    cases = ((stochastic, (256, horizon), (256, horizon)), (diagonal, (256, 256), (horizon, horizon)),
+             (shift, (256, 256), (257, 257)))
+    for spec, certified, uncertified in cases:
         probes = default_probes(spec)
-        for patches, walk in (((), probe_walk), ((_no_certificate,), uncertified)):
-            with contextlib.ExitStack() as stack:
-                for patch in patches:
-                    stack.enter_context(patch())
-                walks.walks.clear()
-                families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
-                assert families.ergodic.evidence["tail_diameter_ub"] is not None
-                assert families.ergodic.evidence["certified"] == (walk < uncertified), spec.kind
-                assert walks.walks == [[False, walk]], (spec.kind, patches)
-                walks.walks.clear()
-                with _no_skip():
-                    unskipped = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
-                assert _serialized(unskipped) == _serialized(families)
-                assert walks.walks == [[False, walk], [False, ue_horizon]], (spec.kind, patches)
+        for certificate, (laddered, unladdered) in (((), certified), ((_no_certificate,), uncertified)):
+            for patches, walk in ((certificate, laddered), (certificate + (_no_ladder,), unladdered)):
+                with contextlib.ExitStack() as stack:
+                    for patch in patches:
+                        stack.enter_context(patch())
+                    walks.walks.clear()
+                    families = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+                    assert families.ergodic.evidence["tail_diameter_ub"] is not None
+                    assert families.ergodic.evidence["certified"] == (spec is not stochastic and not certificate)
+                    assert walks.walks == [[False, walk]], (spec.kind, patches)
+                    walks.walks.clear()
+                    with _no_skip():
+                        unskipped = check_families(spec, probes, horizon, 1e-2, 1e3, ue_horizon)
+                    assert _serialized(unskipped) == _serialized(families)
+                    assert walks.walks == [[False, unladdered], [False, ue_horizon]], (spec.kind, patches)
 
 
 #: (horizon, ue_horizon) of `check_families` and the steps of its stream
@@ -1138,22 +1170,27 @@ def _bench_workloads():
 
 #: Per wide-operators input, by seed: the steps of each walk of
 #: `check_families` at horizon 2 000 and UE horizon 256, probe pass first,
-#: and (second) the same with the resolvent certificate off.  The identity
-#: pass is skipped on the four inputs whose identity bracket decides;
-#: dense-96-l2's bracket is (1, inf), and the overflowing diagonal fails
-#: Cesaro-bounded and walks to its witness at A_42.  The certificate settles
-#: the probe tails of sparse-256-linf, diagonal-256-l1 and shift-256-linf,
-#: whose probe passes then walk only to the UE horizon, for the means that
-#: floor the identity tails.  Without it they walk to the horizon, to an
+#: then the same with the resolvent certificate off, and with the ladder
+#: off.  The identity pass is skipped on the four inputs whose identity
+#: bracket decides; dense-96-l2's bracket is (1, inf), and the overflowing
+#: diagonal fails Cesaro-bounded and walks to its witness at A_42.  The
+#: certificate settles the probe tails of sparse-256-linf, diagonal-256-l1
+#: and shift-256-linf, whose probe passes then walk only to the UE horizon,
+#: for the means that floor the identity tails.  Without it they walk to
+#: the horizon, to an
 #: anchor (sparse-256-linf at seed 101, the nilpotent shift) or to their
-#: settled witnesses.
+#: settled witnesses.  sparse-128-l1's probe tail is not certified, but the
+#: ladder's means floor it (2 * lower >= tol), so its probe pass walks only
+#: to the UE horizon too; without the ladder it walks to the horizon.  The
+#: ladder forms no means above dim 128, and dense-96-l2's and the overflowing
+#: diagonal's probe brackets do not decide, so it moves no other walk.
 _WIDE_WALKS = {
-    "sparse-128-l1": {1: ([2000], [2000]), 7: ([2000], [2000]), 101: ([2000], [2000])},
-    "sparse-256-linf": {1: ([256], [2000]), 7: ([256], [2000]), 101: ([256], [907])},
-    "dense-96-l2": {1: ([2000, 256], [2000, 256]), 7: ([2000, 256], [2000, 256]), 101: ([2000, 256], [2000, 256])},
-    "diagonal-256-l1": {1: ([256], [2000]), 7: ([256], [2000]), 101: ([256], [2000])},
-    "shift-256-linf": {1: ([256], [257]), 7: ([256], [257]), 101: ([256], [257])},
-    "overflow-diagonal-256-l2": {1: ([42, 42], [42, 42]), 7: ([42, 42], [42, 42]), 101: ([50, 42], [50, 42])},
+    "sparse-128-l1": {s: ([256], [256], [2000]) for s in (1, 7, 101)},
+    "sparse-256-linf": {1: ([256], [2000], [256]), 7: ([256], [2000], [256]), 101: ([256], [907], [256])},
+    "dense-96-l2": {s: ([2000, 256],) * 3 for s in (1, 7, 101)},
+    "diagonal-256-l1": {s: ([256], [2000], [256]) for s in (1, 7, 101)},
+    "shift-256-linf": {s: ([256], [257], [256]) for s in (1, 7, 101)},
+    "overflow-diagonal-256-l2": {1: ([42, 42],) * 3, 7: ([42, 42],) * 3, 101: ([50, 42],) * 3},
 }
 
 
@@ -1167,10 +1204,10 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
     # and their re-walks, and the one re-walk is scalar(-1.0)'s dense tail
     # [128, 256]: A_128 = A_256 = 0 and A_129 = I / 129, so its bracket
     # [0, 1/129] straddles the tolerance 1e-2, and its radius is folded from
-    # a walk of 256 steps.  No
-    # wide-operators input (seeds 1, 7 and 101, horizon 2 000) walks a block
-    # a second time, with the certificate on or off, and only dense-96-l2
-    # and overflow-diagonal-256-l2 walk the identity block (`_WIDE_WALKS`).
+    # a walk of 256 steps.  No wide-operators input (seeds 1, 7 and 101,
+    # horizon 2 000) walks a block a second time, with the certificate or
+    # the ladder on or off, and only dense-96-l2 and
+    # overflow-diagonal-256-l2 walk the identity block (`_WIDE_WALKS`).
     walks = _Walks(monkeypatch)
     stationary = {"identity(8)": ([1], [1, 1]), "scalar(1.0)": ([1], [1, 1]), "zero(4)": ([2], [2, 2])}
     for name in built_in_gallery():
@@ -1190,7 +1227,7 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
     assert lower == 0.0 and upper == pytest.approx(1 / 129, rel=1e-12)
     for seed in (1, 7, 101):
         for label, spec in _bench_workloads().wide_specs(seed).items():
-            for patch, want in zip((contextlib.nullcontext(), _no_certificate()), _WIDE_WALKS[label][seed]):
+            for patch, want in zip((contextlib.nullcontext(), _no_certificate(), _no_ladder()), _WIDE_WALKS[label][seed]):
                 walks.walks.clear()
                 with patch:
                     check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
@@ -1865,11 +1902,12 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
     # means floor (`_SKIP_MARGINS`): at horizon 500 as at 2 000, the probe
     # pass reads its lower end (which the tail's delta_N reuses) and the
     # norms of the four blocks of its resolvent certificate (F, Y and the
-    # residuals R and E), and no norm per step (with the certificate off,
-    # only its lower end), and the
-    # identity pass its lower end and, per tail, the probe block's lower
-    # end, the kept means' difference and its own lower end again for their
-    # delta_N (`_tail_floor`), and no norm per step.  (The tails read a few
+    # residuals R and E), sparse-128-l1's also the difference of the
+    # ladder's means that floor its tail, and no norm per step (with the
+    # certificate off, only its lower end and that difference), and the
+    # identity pass its lower end and, per tail, the kept means' difference
+    # (`_tail_floor`; both blocks' delta_N reuse the lower ends the two
+    # passes read), and no norm per step.  (The tails read a few
     # norms more, and their count moves with the horizon only where a tail starts
     # before or after the stream's anchor: the shift's at 500 starts before
     # its anchor at 258.)  The dense spec (norm of |T| 4.4-4.6 in l2) walks and
@@ -1924,13 +1962,13 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
             identity = ergorank.classify._bounded_bracket(spec, np.eye(spec.dim), "dense", 256)
             assert ergorank.classify._decides(identity, 1e3) == (label in decided), (seed, label)
             if label in decided:
-                floors = 1 + 3 * len(_SKIP_MARGINS[label][seed])
-                assert per_horizon == [[1 + 4, floors], [1 + 4, floors]], (seed, label)
+                floors, ladder = 1 + len(_SKIP_MARGINS[label][seed]), int(label == "sparse-128-l1")
+                assert per_horizon == [[1 + 4 + ladder, floors], [1 + 4 + ladder, floors]], (seed, label)
                 for horizon in (500, 2000):
                     passes.clear()
                     with _no_certificate():
                         check_families(spec, probes, horizon, 1e-2, 1e3, 256)
-                    assert passes == [1, floors], (seed, label, horizon)
+                    assert passes == [1 + ladder, floors], (seed, label, horizon)
             else:
                 (probe, identity), (longer, same) = per_horizon
                 if label == "overflow-diagonal-256-l2":
@@ -2006,8 +2044,8 @@ def test_the_l2_bound_survives_a_wrong_eigendecomposition(spec, seed, size, vect
 #: end's read of X, so no pass reads X again for one.  left_shift_l1(64)'s
 #: identity pass walks no step: its probe means at 16, 32, 128 and 256
 #: floor its uniformly ergodic tails inconclusive before it starts, and
-#: each of its two floors reads the probe block and the identity once more
-#: for their delta_N.
+#: the delta_N of both blocks that its two floors read reuse the lower ends
+#: the two passes read, so neither block is read again.
 _GALLERY_PASSES = {
     "identity(8)": [(True, 1), (True, 1)],
     "zero(4)": [(True, 1), (True, 1)],
@@ -2017,7 +2055,7 @@ _GALLERY_PASSES = {
     "scalar(2.0)": [(False, 3), (False, 3)],
     "jordan_1(2)": [(False, 9), (False, 3)],
     "rotation(1.0)": [(True, 1), (True, 1)],
-    "left_shift_l1(64)": [(True, 1), (True, 5)],
+    "left_shift_l1(64)": [(True, 1), (True, 1)],
     "random_diagonalizable(7,12)": [(True, 1), (True, 1)],
 }
 

@@ -21,26 +21,13 @@ from ergorank.classify import HOLDS, INCONCLUSIVE, check_families, _mode_norms, 
 from ergorank.operators import (
     DENSE_CAP, KIND_DIAGONAL, KIND_SHIFT, OperatorSpec, basis_probes, built_in_gallery, default_probes, gallery,
 )
-from test_classify import _Walks, _bench_workloads, _bounded_specs, _jordan_specs, _no_skip, _serialized
+from test_classify import _Walks, _bench_workloads, _bounded_specs, _jordan_specs, _no_skip, _serialized, _spying
 
 #: A nilpotent shift whose identity tails settle both ways before the walk
 #: at horizon 2 000, tolerance 0.1 and UE horizon 256: the probe means floor
 #: the trusted tail [16, 32], and the resolvent certificate the tail
 #: [128, 256].
 MIXED_SHIFT = OperatorSpec(KIND_SHIFT, 64, np.full(63, 0.5), "l1")
-
-
-def _spying(floors):
-    """`_tail_floor` that records each floor it proves, by horizon."""
-    real = ergorank.classify._tail_floor
-
-    def spying(spec, probes, kept, N):
-        floor = real(spec, probes, kept, N)
-        if floor is not None:
-            floors[N] = floor
-        return floor
-
-    return mock.patch.object(ergorank.classify, "_tail_floor", spying)
 
 
 @st.composite
@@ -80,7 +67,7 @@ def test_a_skipped_identity_pass_serializes_as_a_walk(spec, horizons, basis, at)
     probes = basis_probes(spec.dim, spec.norm_tag) if basis else default_probes(spec)
     floors = {}
     if isinstance(at, tuple):
-        with _spying(floors):
+        with _spying(floors, "dense"):
             check_families(spec, probes, horizon, 5e-324, 1e3, ue)  # every positive floor settles
         doubled = sorted({2.0 * float(f) for f in floors.values() if 0.0 < f < np.inf})
         tol = doubled[at[0] % len(doubled)] if doubled else 1e-2
@@ -89,7 +76,7 @@ def test_a_skipped_identity_pass_serializes_as_a_walk(spec, horizons, basis, at)
         floors.clear()
     else:
         tol = at
-    with _spying(floors):
+    with _spying(floors, "dense"):
         got = check_families(spec, probes, horizon, tol, 1e3, ue)
     with _no_skip():
         want = check_families(spec, probes, horizon, tol, 1e3, ue)
