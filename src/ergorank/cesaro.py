@@ -40,8 +40,9 @@ every norm before the walk starts (see `classify._scan`) or an earlier walk
 reached the horizon, walks without power norms, and the stream forms only
 the means it reads.  Two far means A_(N//2) and A_N need no walk: `ladder`
 forms them from log2(N) doublings of the sum, with squarings of a dense T
-up to `_DOUBLING_DIM` (shared with the doubling grid), at other bits than a
-walk's, so a reader of them reads only a proven bound on their rounding.
+up to `_DOUBLING_DIM` (shared with the doubling grid, and with `power`,
+which forms T^m Y from them), at other bits than a walk's, so a reader of
+them reads only a proven bound on their rounding.
 Everything that needs means reads them from a stream: one vector is a
 (dim, 1) block, and the dense A_1..A_N are the stream of the identity
 block, X = I.
@@ -104,6 +105,13 @@ def _grid(spec: OperatorSpec, shape: tuple[int, int]) -> int:
     if spec.kind != KIND_DENSE or dim > _DOUBLING_DIM or steps < _SMALL_STEPS:
         return 1
     return 1 << (steps.bit_length() - 1)
+
+
+def doubles(spec: OperatorSpec, shape: tuple[int, int]) -> bool:
+    """Whether a walk of a (dim, p) block forms its powers on the doubling
+    grid, from squarings of T (see `_grid`), rather than as T times the
+    power before it, one product of its columns per step."""
+    return _grid(spec, shape) > 1
 
 
 def _power_norms(powers: np.ndarray, tag: str):
@@ -177,13 +185,25 @@ class CesaroStream:
         self.anchor: tuple | None = None
         self._doublings = [spec.entries] if spec.kind == KIND_DENSE else []  # T, T^2, T^4, ...
 
+    def dense(self) -> np.ndarray:
+        """T as a dense (dim, dim) matrix, not to be written: a dense spec's
+        own entries, and for the other kinds T applied to the identity, which
+        the stream keeps as its first level up to `_DOUBLING_DIM` (see
+        `_level`) and forms afresh above it, where it squares none."""
+        if self._doublings:
+            return self._doublings[0]
+        T = apply_columns(self.spec, np.eye(self.spec.dim))
+        if self.spec.dim <= _DOUBLING_DIM:
+            self._doublings.append(T)
+        return T
+
     def _level(self, j: int) -> np.ndarray | None:
-        """T^(2^j), squared from a dense T (`spec.entries`, or T applied to
-        the identity for the other kinds) and cached; None past the first
-        square with an entry above `OVERFLOW_LIMIT` (or NaN)."""
+        """T^(2^j), squared from `dense` and cached, for a T up to
+        `_DOUBLING_DIM` or dense; None past the first square with an entry
+        above `OVERFLOW_LIMIT` (or NaN)."""
         levels = self._doublings
         if not levels:
-            levels.append(apply_columns(self.spec, np.eye(self.spec.dim)))
+            self.dense()  # which keeps T as the first level
         while len(levels) <= j and levels[-1] is not None:
             with np.errstate(over="ignore", invalid="ignore"):
                 square = np.matmul(levels[-1], levels[-1])
@@ -330,7 +350,7 @@ class CesaroStream:
         S_1 = X, S_2m = S_m + T^m S_m and S_(m+1) = X + T S_m, T^m the
         product of the levels T^(2^j) of m's digits (see `_level`), so S_t
         is the rung before S_N.  Its bits are not the walk's (see
-        `classify._ladder_deviation` for how far they may be from the exact
+        `classify._deviation` for how far they may be from the exact
         means).  None above `_DOUBLING_DIM`, where squaring T costs more
         than stepping, and where a level it needs passes `OVERFLOW_LIMIT` or
         a mean is not finite."""
@@ -343,17 +363,28 @@ class CesaroStream:
                 m = horizon >> (i + 1)  # S is S_m
                 if m == t:
                     S_t = S
-                Y = S
-                for j in range(m.bit_length()):
-                    if m >> j & 1:
-                        if (level := self._level(j)) is None:
-                            return None
-                        Y = level @ Y
+                if (Y := self.power(m, S)) is None:
+                    return None
                 S = S + Y  # S_2m
                 if horizon >> i & 1:
                     S = X + self._level(0) @ S  # S_(2m+1)
             means = (S if S_t is None else S_t) / t, S / horizon
         return means if all(np.isfinite(A).all() for A in means) else None
+
+    def power(self, m: int, Y: np.ndarray) -> np.ndarray | None:
+        """T^m Y as the product of the levels T^(2^j) of m's binary digits
+        (see `_level`), lowest first; None above `_DOUBLING_DIM`, where
+        squaring T costs more than stepping, and where a level it needs
+        passes `OVERFLOW_LIMIT`.  Its bits are not a walk's (see
+        `classify._deviation`)."""
+        if self.spec.dim > _DOUBLING_DIM:
+            return None
+        for j in range(m.bit_length()):
+            if m >> j & 1:
+                if (level := self._level(j)) is None:
+                    return None
+                Y = level @ Y
+        return Y
 
     def means_at(self, indices) -> dict[int, np.ndarray]:
         """A_n X for each requested n that the stream reaches."""

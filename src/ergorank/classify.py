@@ -59,9 +59,13 @@ X = Ker(I - T) + Ran(I - T) (Yosida-Kakutani): for X = F + (I - T) Y + R,
 E = (I - T) F, C >= ||T^k|| on the window and D >= ||T^k Y|| / ||Y|| over
 the tail, every ||A_n - A_N|| over [t, N] is at most N C ||E|| +
 ||Y|| ((1/t - 1/N) + D (1/t + 1/N)) + 2 C ||R||, and a computed mean is
-within delta_N of the exact one (`_deviation`, the per-step lemma the
-bracket's widening rests on too).  D is C, or rho_+^t for a diagonal whose
-largest |lambda| on Y's support, rho_+, is under 1 (`_decay`).  F and Y
+within delta_N of the exact one (`_deviation`, the one depth lemma that the
+bracket's widening, the ladder's allowance and D's rest on).  D is C, or
+less (`_decay`): rho_+^t for a diagonal whose largest |lambda| on Y's
+support, rho_+, is under 1; 0 for a weighted shift from t = dim on; and,
+for any other T up to dim 128, C (||fl(T^t Y)|| + delta_t) / ||Y||, with
+T^t Y formed from squarings of T on the pass's stream, only for a tail
+that a smaller D could settle.  F and Y
 come entry by entry for a diagonal T, and otherwise from one LU solve, or
 from `np.linalg.eigh` of the Gram matrix of I - T where that is singular,
 at dims up to `DENSE_CAP`, where the identity block is as large (`_split`);
@@ -71,13 +75,16 @@ the tail holds as a walk would read it.  Last, on a probe block, a tail
 the pass would not walk to anyway is floored like an identity tail, per
 probe and with no division by ||x||, from A_t x and A_N x formed on the
 doubling ladder of the stream (`CesaroStream.ladder`, up to dim 128),
-whose bits are not the walk's: only its proven allowance
-(`_ladder_deviation`) enters the floor.  The certificate goes first, since
-it settles most probe tails and the ladder would cost each of them its
-squarings.  A settled tail reads nothing; a decided pass walks only to its
-last tail left, and with none left it walks no step, in either mode, but
-for a probe block narrower than the identity, which walks on to the UE
-horizon for the means the identity floor reads.
+whose bits are not the walk's: only its proven allowance (`_deviation` at
+the ladder's depth) enters the floor; not for a tail that starts past a
+weighted shift's anchor, at most dim + 1, which the walk reaches first.
+The certificate goes first, since it settles most probe tails and the
+ladder would cost each of them its squarings.  A settled tail reads
+nothing; a decided pass walks only to its last tail left, and with none
+left it walks no step, in either mode, but for a probe block narrower than
+the identity whose identity bracket decides, which walks on to the UE
+horizon for the means the identity floor reads (`check_families` forms
+the identity bracket first).
 
 The tail radius of a walked tail is bracketed between
 norm(A_t - A_N) at the tail's start and the norm of an entrywise envelope
@@ -88,8 +95,14 @@ upper end is the norm of an envelope, widened by the reader's slack (see
 `_mode_norms`).  A bracket decides only where both of its ends give the
 same serialized answer; otherwise the pass walks every step, or the
 radius is folded from a fresh walk, so a decided verdict has the bits a
-walk of every step gives it.  Where smaller, a bound on ||T||_2 plus the
-kernels' rounding stands in for rho for a dense T read in l2 (`_l2_bound`).
+walk of every step gives it.  Where smaller, a bound r on ||T||_2 stands
+in for rho for a dense T read in l2, with a rounding factor per product
+that follows the kernel the stream runs: per column where a probe block is
+stepped, so that || |y| ||_2 = ||y||_2, per block on the doubling grid
+(`_deviation`).  r is formed only where some r could decide the bracket:
+first a priori, and where that does not decide but the estimate of
+||T||_2 would, tight, from error-free split products on BLAS
+(`operators._l2_bound`).
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -98,7 +111,6 @@ dim/2; `trusted_horizon` returns the horizon below which the two agree.
 
 from __future__ import annotations
 
-import functools
 import math
 from bisect import bisect_left
 from collections.abc import Callable
@@ -107,17 +119,18 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .cesaro import OVERFLOW_LIMIT, CesaroStream
+from .cesaro import OVERFLOW_LIMIT, CesaroStream, doubles
 from .operators import (
     DENSE_CAP,
     KIND_DENSE,
     KIND_DIAGONAL,
     KIND_SHIFT,
-    KIND_SPARSE,
     CapExceededError,
     OperatorSpec,
     ProbeSet,
+    _abs_norms,
     _check_args,
+    _l2_bound,
     apply_columns,
     column_norms,
     matrix_norm,
@@ -355,139 +368,143 @@ def _phase_bracket(norm, A, final, P, slack):
 _LOG_LIMIT = math.log(OVERFLOW_LIMIT)
 
 
-def _abs_norms(spec: OperatorSpec) -> tuple[float, float, int]:
-    """The l1 and linf norms of |T| (its largest column and row abs-sums) as
-    computed, and k, the most terms in one of those sums or in one entry of
-    T x: 1 for a diagonal or a shift, the longest row or column of a sparse
-    spec, dim for a dense one."""
-    T = spec.entries
-    if spec.kind == KIND_DENSE:
-        A = np.abs(T)
-        return matrix_norm(A, "l1"), matrix_norm(A, "linf"), spec.dim
-    if spec.kind == KIND_SPARSE:
-        rows, cols, vals = T
-        sums = [np.bincount(i, weights=np.abs(vals), minlength=spec.dim).max() for i in (cols, rows)]
-        terms = max(int(np.bincount(i, minlength=1).max()) for i in (cols, rows))
-        return float(sums[0]), float(sums[1]), max(1, terms)
-    top = float(np.abs(T).max(initial=0.0))
-    return top, top, 1
-
-
-@functools.lru_cache(maxsize=2)  # both passes of a check_families call
-def _l2_bound(spec: OperatorSpec) -> float:
-    """A rounding-sound upper bound r >= ||T||_2 of a dense spec, or inf.
-
-    S = 2^-e T, exact up to 2^-1074 per entry, has its largest magnitude in
-    [1/2, 1) or is 0.  G = fl(S^T S), its lower triangle (which
-    `np.linalg.eigh` reads) mirrored, has |G - S^T S| <= gamma_d |S|^T |S|.
-    Let R = GQ - Q diag(w) and E = Q^T Q - I for the computed (w, Q).  If
-    ||E||_2 <= 1/2, then ||Q^-1||_2 <= 1 + ||E||_2 and
-    Q^-1 G Q = diag(w) + Q^-1 R, so by Bauer-Fike and Weyl ||S||_2^2 is at
-    most max(w) + (1 + ||E||_2) ||R||_2 + gamma_d l1(|S|) linf(|S|).
-    Computed, R and E are off by at most u of themselves plus
-    gamma_d (|G||Q| + |Q||w|) and gamma_d |Q|^T |Q|, under (d + 2) 2^-52
-    times those, and sqrt(l1 * linf) of a nonnegative envelope bounds its l2
-    norm.  Each term is formed from nonnegative numbers by at most 4d + 8
-    roundings in a row, so twice its computed value covers it and their sum;
-    2^-900 covers the subnormal products (under d^3 2^-1070 in all), and
-    1 + 2^-50 the addition of max(w), the root and itself.  r is that times
-    2^e, plus 2^-1074 for a subnormal product.
-    """
-    d, e = spec.dim, math.frexp(float(np.max(np.abs(spec.entries))))[1]
-    c, norm = (d + 2) * 2.0**-52, lambda M: math.sqrt(np.max(M.sum(axis=0)) * np.max(M.sum(axis=1)))
-    with np.errstate(over="ignore", invalid="ignore"):
-        S = np.ldexp(spec.entries, -e)
-        G = np.tril(S.T @ S)
-        G += np.tril(G, -1).T
-        w, Q = np.linalg.eigh(G)
-        Qa = np.abs(Q)
-        res = 2.0 * norm(np.abs(G @ Q - Q * w) + c * (np.abs(G) @ Qa + Qa * np.abs(w)))
-        eta = 2.0 * norm(np.abs(Q.T @ Q - np.eye(d)) + c * (Qa.T @ Qa))
-        square = (1.0 + eta) * res + 2.0 * c * norm(np.abs(S)) ** 2 + 2.0**-900 + np.max(w)
-        r = float(np.ldexp(np.sqrt(square) * (1.0 + 2.0**-50), e)) + 2.0**-1074
-    return r if eta <= 0.5 and r <= math.inf else math.inf
-
-
-def _deviation(spec, X, mode, horizon, size=None):
-    """The rounding allowance of a pass of X to a horizon N in `mode`, one
+def _deviation(spec, X, mode, horizon, size=None, depth=None):
+    """The rounding allowance of a block X read by `mode`'s readers, one
     entry per reader row (per probe, or one for the identity block), as
-    (size, above, C, delta_N): the reader's norms of X as computed (read
-    here unless given as `size`), bounds on their exact values, C >= ||T^k|| for every k <= N in the readers'
-    norm, and delta_N >= ||fl(A_n X) - A_n X|| for every n <= N, fl(A_n X)
-    the mean the stream computes.
+    (size, above, C, delta): the reader's norms of X as computed (read here
+    unless given as `size`), bounds on their exact values, C >= ||T^k|| for
+    every k <= N = `horizon` in the readers' norm, and, for a walk of X to N
+    (`depth` None), delta >= ||fl(A_n X) - A_n X|| for every n <= N, fl(A_n X)
+    the mean the stream computes; given a depth, delta bounds the error of a
+    block formed on the stream's levels from powers up to T^N at that depth.
 
     Let u = 2^-53 and gamma_j = ju/(1 - ju).  Each reader reads a norm that
     is monotone in the entries' magnitudes and under which |T|^m has norm at
     most rho^m, rho the `_Norms.rho` of the pass's readers: the l1 norm of
     |T| for l1, its linf norm for linf, the square root of their product
     (>= || |T| ||_2) for l2, and their larger one for the sqrt(l1 * linf)
-    reader of dense l2 above `_L2_EXACT_DIM`.  A kernel step sums k products
-    per entry in some order, so fl(T Y) = T Y + e with |e| <= gamma_k |T||Y|
-    entry by entry, up to 2^-1075 per subnormal product.  With
-    c' = (k + 2) 2^-52 >= gamma_(k+2) + 2u, a computed power
-    P_m = fl(T P_(m-1)) then has |P_m - T^m X| <= ((1 + c')^m - 1)|T|^m|X|
-    by induction, and so does a doubled dense power: a product of two
-    factors within (1 + c')^a - 1 and (1 + c')^b - 1 of theirs, rounded once
-    more, is within (1 + c')^(a+b+1) - 1 of its own, and T^(2^j) costs
-    2^j - 1 squarings, P_i = T^(2^j) P_(i-2^j) one product more, i in all.
-    The computed abs-sums are within gamma_(k+2) of the true ones (and of
-    rho, with the product and the square root), so g = (1 + c')^2 rho
-    bounds (1 + c') ||T|| and pays for the two roundings that form g.
+    reader of dense l2 above `_L2_EXACT_DIM`.  A product sums K products per
+    entry in some order, K the most terms of the kernel's sums (k of
+    `_abs_norms`) for a walk, and max(k, dim) for a dense product on the
+    levels T^(2^j) (`CesaroStream.dense` squared; the doubling grid's are a
+    dense T's, k = dim); so fl(M Y) = M Y + e with |e| <= gamma_K |M||Y|
+    entry by entry, up to 2^-1075 per subnormal product.  Let
+    c = (K + 2) 2^-52 >= gamma_(K+2) + 2u.
+
+    The depth lemma.  Say a computed block has depth a under an envelope E
+    (a nonnegative block, or on the ||.||_2 path below a number) when it is
+    within ((1 + c)^a - 1) E of its exact value, and E bounds that value's
+    magnitude.  A product of blocks of depths a and b rounded once more has
+    depth a + b + 1 under the product of their envelopes, since
+    |fl(LZ) - L*Z*| <= c |L||Z| + |LZ - L*Z*|; a sum, or a division by n,
+    depth one more than its deeper term under the sum of theirs.  So a
+    stepped power P_m = fl(T P_(m-1)) has depth m under |T|^m |X|, and so
+    has a doubled one: T^(2^j) costs 2^j - 1 squarings, and
+    P_i = T^(2^j) P_(i-2^j) one product more, i in all.  The kernel applied
+    to the identity rounds once for a T that is not dense, so with e = 1 for
+    a dense T and 2 otherwise, T^(2^j) has depth e 2^j - 1, and a product
+    with it adds e 2^j to the depth of what it multiplies.  So a term T^m X
+    enters T^m Y (`CesaroStream.power`) or the ladder's means
+    (`CesaroStream.ladder`) at depth e m plus one per sum or division on its
+    way: none for T^m Y, under 2 bit_length(N) for the ladder (at most two
+    rungs per digit of N after the first, and the division).  Each enters at
+    depth at most m + x, x = depth - N: (e - 1) t for T^t Y at depth e t
+    (`_level_depth`), (e - 1) N + 2 bit_length(N) for the ladder, and 0 for
+    the walk's powers.  The computed abs-sums are
+    within gamma_(K+2) of the true ones (and of rho, with the product and
+    the square root), so g = (1 + c)^2 rho bounds rho' (1 + c), rho' =
+    (1 + c) rho >= the true norm of |T|, and pays for the roundings that form
+    g; the envelope of T^m X then has norm at most rho'^m ||X||, and
+    ((1 + c)^(m + x) - 1) rho'^m = g^m ((1 + c)^x - (1 + c)^-m) is at most
+    max(1, g)^N ((1 + c)^x - (1 + c)^-N) for m <= N.
 
     Where smaller, a dense T read in ||.||_2 (`_Norms.exact`: probe columns
-    or the exact SVD) takes g = r (1 + c'), c' = (k + 2)^2 u, r >= ||T||_2
-    from `_l2_bound`.  As || |M| ||_2 <= sqrt(k) ||M||_2 for M of k columns,
-    fl(MY) errs by at most gamma_k || |M| || || |Y| || in ||.||_2, under
-    k gamma_k ||M|| ||Y|| <= c' ||M|| ||Y||, for a stepped column or block,
-    a squaring of the doubling grid and a product with a doubled power; the
-    same induction in norms gives ||P_m - T^m X|| <= ((1 + c')^m - 1) r^m
-    ||X||.  On either path, with r = g / (1 + c') >= ||T||:
+    or the exact SVD) takes the ||.||_2 path: rho' = r >= ||T||_2 from
+    `_l2_bound`, and envelopes r^m ||X||.  The lemma holds in norms with
+    c' >= gamma_K || |M| ||_2 || |Y| ||_2 / (||M||_2 ||Y||_2) + 2u, since
+    || |M| ||_2 <= sqrt(K) ||M||_2 for M of K columns and || |y| ||_2 =
+    ||y||_2 for a column: c' = (K + 2)(isqrt(K) + 1) u where every product
+    multiplies a column by T (a probe block stepped one product per step,
+    as `cesaro.doubles` says of a dense T above dim 128 or a wide block),
+    and c' = (K + 2)^2 u where it multiplies blocks (a squaring, or the
+    identity block; `_l2_factor`), and g = r (1 + c').  A walk forms r only
+    where some r could decide its bracket: the a priori r, and the tight one
+    only where the a priori r leaves it undecided and the estimate of
+    ||T||_2 would decide it.  On either path:
 
-    - ||T^k|| <= C = max(1, r)^N for k <= N, and every power has
-      ||P_m - T^m X|| <= ((1 + c')^m - 1) r^m ||X||
-      <= (1 - (1 + c')^-N) max(1, g)^N ||X||;
-    - a mean is the running sum of n powers divided by n, or the closed
-      form's three roundings of a sum over s < n, so it is within
+    - ||T^k|| <= C = max(1, rho')^N for k <= N;
+    - a mean of the walk is the running sum of n powers divided by n, or
+      the closed form's three roundings of a sum over s < n, so it is within
       gamma_(N+3) (|P_0| + ... + |P_(n-1)|)/n of their exact mean entry by
-      entry, under (N + 4) 2^-52 max(1, g)^N ||X|| in norm, times sqrt(k)
-      on the ||.||_2 path (|| |E| ||_2 <= sqrt(k) ||E||_2 for a block).
+      entry, under (N + 4) 2^-52 max(1, g)^N ||X|| in norm, times sqrt(dim)
+      for a block on the ||.||_2 path (|| |E| ||_2 <= sqrt(dim) ||E||_2).
 
-    So delta_N = max(1, g)^N ||X|| ((1 - (1 + c')^-N) + (N + 4) 2^-52).  Every
-    reader is within eps = gamma_(dim+2) of the exact norm, widened by its
-    slack (see `_mode_norms`), so ||X|| <= (1 + eps) size, up to the
-    absolute rounding of underflowing squares; that and the subnormal
-    products stay under (N + 1)(dim k + 1) 2^-536 times the growth, which
-    `above` adds.  Powers are formed in log space and only up to
-    `OVERFLOW_LIMIT`, and C and delta_N are widened by 1 + 2^-40, which
-    covers the rounding of the logarithm, the exponential and the products
-    that form them and that combine them in `_bounded_bracket` and
-    `_tail_certificate` (under 1 000u below that limit).  Past N = 2^40, or
-    that limit, C and delta_N are infinite.
+    So delta = max(1, g)^N ||X|| ((1 + c)^x - (1 + c)^-N + t 2^-52), t the
+    walk's N + 4 (so scaled) and 0 at a given depth.  Every reader is within
+    eps = gamma_(dim+2) of the exact norm, widened by its slack (see
+    `_mode_norms`), so ||X|| <= (1 + eps) size, up to the absolute rounding
+    of underflowing squares; that and the subnormal products stay under
+    (max(N, depth) + 1)(dim K + 1) 2^-536 times the growth, which `above`
+    adds.  Powers are formed in log space and only up to `OVERFLOW_LIMIT`,
+    and C and delta are widened by 1 + 2^-40, which covers the rounding of
+    the logarithm, the exponential and the products that form them and that
+    combine them in `_bounded_bracket`, `_decay` and `_tail_certificate`
+    (under 1 000u below that limit).  Past N = 2^40, or that limit, C and
+    delta are infinite.
     """
     norms = _mode_norms(spec, mode)
     size = norms.step(X[None])[0] if size is None else size
     l1, linf, k = _abs_norms(spec)
-    c = (k + 2) * 2.0**-52
+    K = k if depth is None else max(k, spec.dim)
+    c = (K + 2) * 2.0**-52
     g = (1.0 + c) ** 2 * norms.rho(l1, linf)
-    terms, c2 = horizon + 4.0, (k + 2) ** 2 * 2.0**-53  # the mean's rounding in units of 2^-52; c' of ||.||_2
-    if spec.kind == KIND_DENSE and spec.norm_tag == "l2" and norms.exact and g > 1.0:
-        # Whatever r is, the ||.||_2 path puts the bracket's upper end at least
-        # 1 - (1 + c')^-N + terms 2^-52 above its lower end: where that alone
-        # crosses an integer bound, no r decides the bracket, so r is not formed.
-        top = float(np.maximum.reduce(size))
-        if _int_bound(top) == _int_bound(top * (1.0 + terms * 2.0**-52 - math.expm1(-horizon * math.log1p(c2)))):
-            f = _l2_bound(spec) * (1.0 + c2)
-            if f < g:
-                g, c, terms = f, c2, terms * math.sqrt(k)
+    terms, excess = (horizon + 4.0, 0) if depth is None else (0.0, depth - horizon)
     eps = norms.eps + norms.slack
-    above = size * (1.0 + eps) + (horizon + 1.0) * (spec.dim * k + 1.0) * 2.0**-536
-    exponent, steps = (horizon * math.log(g) if g > 1.0 else 0.0), horizon * math.log1p(c)
-    if horizon > 2**40 or not exponent <= _LOG_LIMIT:
-        return size, above, math.inf, np.full_like(above, math.inf)
+    above = size * (1.0 + eps) + (max(horizon, depth or 0) + 1.0) * (spec.dim * K + 1.0) * 2.0**-536
     widen = 1.0 + 2.0**-40
-    power = math.exp(max(0.0, exponent - steps)) * widen
-    deviation = above * (math.exp(exponent) * (terms * 2.0**-52 - math.expm1(-steps)) * widen)
-    return size, above, power, deviation
+
+    def growth(g, c, terms):  # (C, delta / above)
+        exponent, steps = (horizon * math.log(g) if g > 1.0 else 0.0), horizon * math.log1p(c)
+        if horizon > 2**40 or not exponent <= _LOG_LIMIT:
+            return math.inf, math.inf
+        rounding = math.expm1(excess * math.log1p(c)) - math.expm1(-steps) + terms * 2.0**-52
+        return math.exp(max(0.0, exponent - steps)) * widen, math.exp(exponent) * rounding * widen
+
+    if spec.kind == KIND_DENSE and spec.norm_tag == "l2" and norms.exact and g > 1.0:
+        c2 = _l2_factor(K, depth is None and mode == "probe" and not doubles(spec, (spec.dim, len(size))))
+        t2 = terms * (1.0 if mode == "probe" else math.sqrt(K))
+        lower, top = float(np.maximum.reduce(size)), float(np.maximum.reduce(above))
+
+        def decides(f):  # whether the bracket's upper end with g = f gives its lower end's integer bound
+            upper = top * sum(growth(f, c2, t2)) * (1.0 + eps)
+            return upper < math.inf and _int_bound(lower) == _int_bound(upper)
+
+        # decides(1.0) is the upper end for every r <= 1 / (1 + c'), the least of all.
+        if depth is not None or decides(1.0):
+            r, estimate = _l2_bound(spec)
+            if depth is None and not decides(r * (1.0 + c2)) and decides(estimate * (1.0 + c2)):
+                r = min(r, _l2_bound(spec, True)[0])
+            if r * (1.0 + c2) < g:
+                g, c, terms = r * (1.0 + c2), c2, t2
+    power, factor = growth(g, c, terms)
+    if power == math.inf:
+        return size, above, math.inf, np.full_like(above, math.inf)
+    return size, above, power, above * factor
+
+
+def _l2_factor(K, column):
+    """c' of the ||.||_2 path of `_deviation`, at least gamma_K times the
+    largest || |M||Y| ||_2 / (||M||_2 ||Y||_2) over M of K columns, plus 2u:
+    (K + 2)(isqrt(K) + 1) u for a column Y (|| |M| ||_2 <= sqrt(K) ||M||_2
+    and || |Y| ||_2 = ||Y||_2), and (K + 2)^2 u for a block."""
+    return (K + 2) * (math.isqrt(K) + 1 if column else K + 2) * 2.0**-53
+
+
+def _level_depth(spec, m):
+    """The depth (see `_deviation`) of T^m Y formed on the stream's levels
+    (`CesaroStream.power`): e m, with e = 1 for a dense T and 2 for the
+    other kinds, whose kernel applied to the identity rounds once."""
+    return (1 if spec.kind == KIND_DENSE else 2) * m
 
 
 def _bounded_bracket(spec, X, mode, horizon, size=None):
@@ -518,9 +535,11 @@ def _decides(bracket, cap) -> bool:
     return upper <= min(cap, OVERFLOW_LIMIT) and _int_bound(lower) == _int_bound(upper)
 
 
-def _split(spec, X):
+def _split(spec, X, stream=None):
     """F and Y with X = F + (I - T) Y + R for a small residual R and a
-    small (I - T) F; None where they come out non-finite.
+    small (I - T) F; None where they come out non-finite.  I - T is formed
+    from the dense T of the pass's `stream` (`CesaroStream.dense`), or from
+    a copy made here where none is given.
 
     With A = I - T, the columns (or, for a diagonal T, the coordinates)
     where A is near null span the near-null space V_0: those whose
@@ -541,8 +560,9 @@ def _split(spec, X):
             null = np.abs(a) <= 2.0**-20 * np.max(np.abs(a))
             F, Y = np.where(null, X, 0.0), np.where(null, 0.0, X / a)
             return (F, Y) if np.isfinite(F).all() and np.isfinite(Y).all() else None
-        A = apply_columns(spec, np.eye(spec.dim))
-        np.negative(A, out=A)
+        T = apply_columns(spec, np.eye(spec.dim)) if stream is None else stream.dense()
+        A = np.negative(T)
+        del T  # a copy the stream does not keep is freed here
         A.flat[:: spec.dim + 1] += 1.0
         try:
             Y = np.linalg.solve(A, X)
@@ -572,27 +592,66 @@ def _split(spec, X):
     return (F, Y) if np.isfinite(F).all() and np.isfinite(Y).all() else None
 
 
-def _decay(spec, Y, t, C):
+def _reader_above(spec, mode):
+    """M -> an upper bound on each reader's exact norm of M: per column in
+    ``probe`` mode; in ``dense`` mode the induced norm, from the l1 and linf
+    norms (sqrt(l1 * linf) >= ||.||_2 for l2), widened by eps and tiny (see
+    `_Norms`)."""
+    norms, tag = _mode_norms(spec, mode), spec.norm_tag
+    if mode == "probe":
+        return lambda M: column_norms(M, tag) * (1.0 + norms.eps) + norms.tiny
+    return lambda M: norms.rho(matrix_norm(M, "l1"), matrix_norm(M, "linf")) * (1.0 + norms.eps) + norms.tiny
+
+
+def _decay(spec, Y, t, C, stream=None, mode="probe"):
     """D >= ||T^k Y|| / ||Y|| for every k >= t on the window, in every
-    reader's exact norm, given C >= ||T^k||: C, or for a diagonal T whose
-    largest |lambda| on the rows where Y is not 0, rho_+, is under 1, the
-    smaller rho_+^t.  T^k Y scales those rows by lambda^k, so no entry
-    grows, and every such norm (of a column, or of a block, by the norm of
-    the diagonal) falls by at least rho_+^k <= rho_+^t.  It is formed in log
-    space from an exponent raised to at least -log `OVERFLOW_LIMIT`, so it
-    neither overflows nor underflows, and widened by 1 + 2^-40, which covers
-    the rounding of the logarithm, the product and the exponential there
+    reader's exact norm (per column of Y in ``probe`` mode), given
+    C >= ||T^k|| for k <= N: the least of C and of these, where they apply.
+
+    - For a diagonal T whose largest |lambda| on the rows where Y is not 0,
+      rho_+, is under 1: rho_+^t.  T^k Y scales those rows by lambda^k, so no
+      entry grows, and every such norm (of a column, or of a block, by the
+      norm of the diagonal) falls by at least rho_+^k <= rho_+^t.  It is
+      formed in log space from an exponent raised to at least
+      -log `OVERFLOW_LIMIT`, so it neither overflows nor underflows.
+    - For a weighted shift, 0 from t = dim on: T^k = 0 for k >= dim.
+    - Given the pass's `stream`, for a T that is not diagonal, up to
+      `_DOUBLING_DIM`: for t <= k <= N, T^k Y = T^(k - t) T^t Y with
+      k - t <= N, so ||T^k Y|| <= C ||T^t Y|| <= C (||fl(T^t Y)|| + delta_t),
+      fl(T^t Y) formed from the stream's levels (`CesaroStream.power`) and
+      delta_t its allowance at depth e t (`_level_depth`, `_deviation`; on
+      the ||.||_2 path with r for a dense T read in l2, since rho^t of |T|
+      overflows there).  D is C times that, read by `_reader_above`, over a
+      lower bound on ||Y||: the reader's norm of each column less its
+      rounding in ``probe`` mode; in ``dense`` mode that of the largest
+      column, which no induced norm is below.
+
+    Each is widened by 1 + 2^-40, which covers the rounding of the
+    logarithm, the products, the division and the exponential that form it
     (as in `_deviation`)."""
-    if spec.kind != KIND_DIAGONAL:
+    if spec.kind == KIND_DIAGONAL:
+        top = float(np.max(np.abs(spec.entries)[np.any(Y != 0.0, axis=1)], initial=0.0))
+        if not top < 1.0:
+            return C
+        exponent = t * math.log(top) if top > 0.0 else -math.inf
+        return min(C, math.exp(max(-_LOG_LIMIT, exponent)) * (1.0 + 2.0**-40))
+    if spec.kind == KIND_SHIFT and t >= spec.dim:
+        return 0.0
+    if stream is None or C == math.inf:
         return C
-    top = float(np.max(np.abs(spec.entries)[np.any(Y != 0.0, axis=1)], initial=0.0))
-    if not top < 1.0:
-        return C
-    exponent = t * math.log(top) if top > 0.0 else -math.inf
-    return min(C, math.exp(max(-_LOG_LIMIT, exponent)) * (1.0 + 2.0**-40))
+    norms, above = _mode_norms(spec, mode), _reader_above(spec, mode)
+    with np.errstate(all="ignore"):
+        Z = stream.power(t, Y)
+        if Z is None:
+            return C
+        low = (column_norms(Y, spec.norm_tag) - norms.tiny) * ((1.0 - 2.0**-40) / (1.0 + norms.eps))
+        low = low if mode == "probe" else np.max(low)
+        delta = _deviation(spec, None, mode, t, np.atleast_1d(above(Y)), _level_depth(spec, t))[3]
+        D = C * (above(Z) + delta) / low * (1.0 + 2.0**-40)
+        return np.where((low > 0.0) & (D < C), D, C)
 
 
-def _tail_certificate(spec, X, mode, tails, size=None) -> dict:
+def _tail_certificate(spec, X, mode, tails, size=None, stream=None, tolerance=None) -> dict:
     """Per tail horizon N >= 2 of `tails`, an upper end on the radius
     max_n norm(A_n - A_N) over [t, N], t = N//2, that a walk of X in `mode`
     would read, one per reader row, found without a walk; inf where there is
@@ -613,7 +672,8 @@ def _tail_certificate(spec, X, mode, tails, size=None) -> dict:
     - T^k F = F - (E + T E + ... + T^(k-1) E), so
       ||A_n F - F|| <= (n - 1) C ||E|| / 2 and ||A_n F - A_N F|| <= N C ||E||;
     - A_n (I - T) Y = (Y - T^n Y) / n, so with D >= ||T^k Y|| / ||Y|| for
-      t <= k <= N (`_decay`: C, or less for a contracting diagonal),
+      t <= k <= N (`_decay`: C, or less for a contracting diagonal, or from
+      T^t Y),
       ||(A_n - A_N)(I - T) Y|| <= ||Y|| ((1/t - 1/N) + D (1/t + 1/N));
     - ||(A_n - A_N) R|| <= 2 C ||R||;
 
@@ -635,76 +695,45 @@ def _tail_certificate(spec, X, mode, tails, size=None) -> dict:
     eps, and ||X|| is `_deviation`'s bound, from the reader's norms of X
     as computed, read once here unless given as `size` (a pass has read
     them for its bracket).
+
+    Given the pass's `stream`, `_split` reads its dense copy of T
+    (`CesaroStream.dense`: a dense spec's own entries, or the copy the
+    stream keeps for its levels), and `_decay` forms T^t Y from its levels;
+    with none, `_split` forms its own copy and D forms no T^t Y.  Given the
+    pass's `tolerance`, T^t Y is formed only for a tail that D = 0 would
+    settle and `_decay`'s other bounds do not, a filter on work alone.
     """
-    norms, d, tag = _mode_norms(spec, mode), spec.dim, spec.norm_tag
+    norms, d = _mode_norms(spec, mode), spec.dim
     tails = [N for N in sorted(tails) if N >= 2]
     shape = (X.shape[1],) if mode == "probe" else ()  # a dense tail reads one norm
     uppers = {N: np.full(shape, math.inf) for N in tails}
     small = spec.kind == KIND_DIAGONAL or d <= max(DENSE_CAP, X.shape[1])  # no block outgrows the analysis's
-    split = _split(spec, X) if tails and norms.exact and small else None
+    if not (tails and norms.exact and small):
+        return uppers
+    split = _split(spec, X, stream)
     if split is None:
         return uppers
     F, Y = split
     size = norms.step(X[None])[0] if size is None else size
     l1, linf, k = _abs_norms(spec)
-    rho, eps, tiny = norms.rho(l1, linf), norms.eps, norms.tiny
-    if mode == "probe":
-        above = lambda M: column_norms(M, tag) * (1.0 + eps) + tiny
-    else:
-        above = lambda M: norms.rho(matrix_norm(M, "l1"), matrix_norm(M, "linf")) * (1.0 + eps) + tiny
-    reader = (1.0 + 2.0**-52) * (1.0 + eps + norms.slack) * (1.0 + 2.0**-40)
+    rho, tiny, above = norms.rho(l1, linf), norms.tiny, _reader_above(spec, mode)
+    reader = (1.0 + 2.0**-52) * (1.0 + norms.eps + norms.slack) * (1.0 + 2.0**-40)
     with np.errstate(all="ignore"):
         f, y = above(F), above(Y)
         R, E = above(X - F - Y + apply_columns(spec, Y)), above(F - apply_columns(spec, F))
         for N in tails:
             _, x, C, delta = _deviation(spec, X, mode, N, size)
             t = N // 2
-            D = _decay(spec, Y, t, C)  # D >= ||T^k Y|| / ||Y|| over the tail
             r = R + (k + 4) * 2.0**-52 * (x + f + (1.0 + rho) * y) + d * k * 2.0**-1074
             e = E + (k + 2) * 2.0**-52 * (1.0 + rho) * f + d * k * 2.0**-1074
-            bound = N * C * e + y * ((1.0 / t - 1.0 / N) + D * (1.0 / t + 1.0 / N)) + 2.0 * C * r + 2.0 * delta
-            uppers[N] = np.where(bound >= 0.0, bound * reader + tiny, math.inf).reshape(shape)  # NaN reads inf
+            bound = lambda D: N * C * e + y * ((1.0 / t - 1.0 / N) + D * (1.0 / t + 1.0 / N)) + 2.0 * C * r + 2.0 * delta
+            settles = lambda D: 2.0 * np.max(bound(D)) * reader < tolerance
+            D = _decay(spec, Y, t, C)  # D >= ||T^k Y|| / ||Y|| over the tail
+            if tolerance is None or not settles(D) and settles(0.0):
+                D = _decay(spec, Y, t, C, stream, mode)
+            upper = bound(D)
+            uppers[N] = np.where(upper >= 0.0, upper * reader + tiny, math.inf).reshape(shape)  # NaN reads inf
     return uppers
-
-
-def _ladder_deviation(spec, horizon, above):
-    """delta^L_N >= ||fl(A_n x) - A_n x|| for the means n = t, N that
-    `CesaroStream.ladder` forms for N = `horizon`, one per probe, given
-    `above` >= ||x|| (`_deviation`'s); inf past `OVERFLOW_LIMIT`.
-
-    Let c = (max(k, dim) + 2) 2^-52, at least gamma of every sum the
-    ladder's products form and 2u, and Sigma_m = |X| + |T||X| + ... +
-    |T|^(m-1) |X|.  Say a computed block has depth a when it is within
-    ((1 + c)^a - 1) E of the exact one, for an envelope E at least both in
-    magnitude entry by entry.  A product of blocks of depths a and b then
-    has depth a + b + 1 under the product of their envelopes, and a sum, or
-    a division by n, depth one more than its deeper term under the sum of
-    theirs (the same induction as `_deviation`'s).  The dense T has depth 0
-    for a dense spec and 1 otherwise (the kernel applied to the identity
-    sums at most k products), so with e = 1, or 2, its level T^(2^j) has
-    depth e 2^j - 1 under |T|^(2^j), and T^m S_m adds e m to the depth of
-    S_m.  So a rung S_2m = S_m + T^m S_m has depth e m + 1 more than S_m,
-    under Sigma_2m, and S_(m+1) = X + T S_m e + 1 more, under
-    Sigma_(m+1).  Over the digits of N the m's sum to N - popcount(N), so
-    A_N = S_N / N has depth at most e N + 2 log2(N), under
-    D = e N + 2 bit_length(N), and A_t less, under Sigma_N / N and
-    Sigma_t / t.  Each reader's norm is monotone in the entries' magnitudes
-    and gives || |T|^k |x| || <= rho^k ||x|| for the `_Norms.rho` of |T|,
-    at most g = (1 + c)^2 rho as computed, so both envelopes have norm at
-    most max(1, g)^N ||x||, and delta^L_N = max(1, g)^N above
-    ((1 + c)^D - 1).  An underflowing product errs by at most 2^-1075 more,
-    under D dim^2 2^-1074 max(1, g)^N in norm for all of them, which the
-    absolute term of `above` times c D covers.  It is formed in log space
-    and widened by 1 + 2^-40, as in `_deviation`.
-    """
-    l1, linf, k = _abs_norms(spec)
-    c = (max(k, spec.dim) + 2) * 2.0**-52
-    g = (1.0 + c) ** 2 * _mode_norms(spec, "probe").rho(l1, linf)
-    depth = (1 if spec.kind == KIND_DENSE else 2) * horizon + 2 * horizon.bit_length()
-    exponent = horizon * math.log(g) if g > 1.0 else 0.0
-    if horizon > 2**40 or not exponent <= _LOG_LIMIT:
-        return np.full_like(above, math.inf)
-    return above * (math.exp(exponent) * math.expm1(depth * math.log1p(c)) * (1.0 + 2.0**-40))
 
 
 def _tail_floor(spec, mode, means, allowance, walk, above=None):
@@ -744,7 +773,7 @@ def _tail_floor(spec, mode, means, allowance, walk, above=None):
         return np.maximum(low, 0.0)
 
 
-def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(), kept=None):
+def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(), kept=None, bounds=None):
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` also bound their walked tail means for
@@ -755,7 +784,8 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     A step's bits do not depend on the chunk that holds it.
 
     Before it walks, the pass brackets every norm it could read
-    (`_bounded_bracket`).  When the upper end is under the cap and under
+    (`_bounded_bracket`, or `bounds` where its caller formed it first).
+    When the upper end is under the cap and under
     `OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
     verdict of the pass is decided, and so is each tail whose pre-walk
     bracket on the radius lies on one side of `tolerance`: on the identity
@@ -764,13 +794,16 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     the upper end of `_tail_certificate`; and last, on a probe block, the
     floor that the means of `CesaroStream.ladder` prove (formed only where
     squaring a dense T costs less than stepping), for each tail the pass
-    would not walk to anyway.
+    would not walk to anyway and that does not start past a weighted
+    shift's anchor (at most dim + 1: its powers are 0 from step dim on).
     Such a tail reads nothing.  The pass reduces no norms, forms means only
     for the tails left, and stops at its anchor or at the last of those
     tails.  With none left it walks no step, but for a block narrower than
     the identity block, which walks on to the longest horizon of `keep` (up
     to its own), so that the identity pass's floor still has the means it
-    reads: that walk is the cheaper one.  Each scan holds the bracket,
+    reads: that walk is the cheaper one.  (`check_families` keeps means only
+    where the identity bracket decides, since an undecided identity pass
+    reads no floor.)  Each scan holds the bracket,
     and its snapshots past the walk come from the closed form.  Any other
     pass walks a stationary phase through the closed form.
 
@@ -785,7 +818,8 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = stop = max(scans)  # the last step to walk: the horizon, or where the witnesses are settled
     size = step_norm(X[None])[0]  # the reader's norms of X, read once for the bracket, certificate and floors
-    bounds = _bounded_bracket(spec, X, mode, horizon, size)
+    if bounds is None:  # else the caller formed it first
+        bounds = _bounded_bracket(spec, X, mode, horizon, size)
     # A decided block narrower than the identity walks at least to the longest horizon it
     # keeps, up to its own, for the identity pass's floor (a walk of that wider block costs more).
     anyway = min(horizon, max(keep, default=0)) if X.shape[1] < spec.dim else 0
@@ -808,13 +842,17 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
         # ||Y x|| >= 1 / ||I - T|| >= 1 / (1 + C), so twice its Y term is >= 2 / t); a
         # contracting diagonal's smaller D could settle some, short tails walked in a few steps.
         tried = [h for h in tails if h not in settled and tolerance is not None and h // 2 * tolerance > 2.0]
-        for h, u in _tail_certificate(spec, X, mode, tried, size).items():
+        for h, u in _tail_certificate(spec, X, mode, tried, size, stream, tolerance).items():
             if 2.0 * np.max(u) < tolerance:
                 settled[h] = (np.zeros_like(u), u)
+        # A weighted shift is nilpotent: from step dim on its powers are a block of
+        # zeros that T maps to itself bit for bit, so its anchor is at most dim + 1
+        # before any walk, and a tail that starts past it is read from the closed form.
+        reached = spec.dim + 1 if spec.kind == KIND_SHIFT else math.inf
         for h in tails if mode == "probe" and tolerance is not None else ():
-            if h not in settled and h > anyway:
-                _, above, _, delta = _deviation(spec, X, mode, h, size)
-                allowance = _ladder_deviation(spec, h, above)
+            if h not in settled and h > anyway and max(1, h // 2) < reached:
+                delta = _deviation(spec, X, mode, h, size)[3]
+                allowance = _deviation(spec, X, mode, h, size, _level_depth(spec, h) + 2 * h.bit_length())[3]
                 pair = stream.ladder(h) if np.all(np.isfinite(allowance)) else None
                 if pair is not None:
                     floor(h, pair, allowance, delta)
@@ -1129,7 +1167,7 @@ def check_uniformly_ergodic(
 
 
 def _block_verdicts(
-    spec, probes, mode, horizons, bound_cap, tolerance=None, ergodic=(), uniform=(), keep=(), kept=None
+    spec, probes, mode, horizons, bound_cap, tolerance=None, ergodic=(), uniform=(), keep=(), kept=None, bounds=None
 ):
     """Every verdict of one `_scan` of a block, as {family: {horizon: Verdict}}.
 
@@ -1147,7 +1185,7 @@ def _block_verdicts(
     probe = mode == "probe"
     X, label = (probes.vectors.T, probes.label) if probe else (np.eye(spec.dim), None)
     tails, served = (ergodic if probe else uniform), {*horizons, *ergodic, *uniform}
-    scans = _scan(spec, X, mode, served, bound_cap, tails, tolerance, keep, kept)
+    scans = _scan(spec, X, mode, served, bound_cap, tails, tolerance, keep, kept, bounds)
     bounded = (FAMILY_POWER_BOUNDED, FAMILY_CESARO_BOUNDED) if probe else (FAMILY_CESARO_BOUNDED,)
     verdicts = {f: {h: _bounded_verdict(f, s, mode, label) for h, s in scans.items()} for f in bounded}
     cbs = verdicts[FAMILY_CESARO_BOUNDED]
@@ -1186,9 +1224,10 @@ def check_families(
     starts (see `_scan`).  The probe pass settles its tail from the
     resolvent certificate, then from the floor of its ladder's means, and
     keeps its means at t = N//2 and N of each uniformly ergodic horizon N
-    where it forms them anyway; the identity pass settles a tail from them
-    first (`_tail_floor`), then from the resolvent certificate, so with
-    every tail settled it walks no step.
+    where it forms them anyway, where the identity bracket, formed first,
+    decides; the identity pass settles a tail from them first
+    (`_tail_floor`), then from the resolvent certificate, so with every tail
+    settled it walks no step.
     """
     _check_inputs(
         spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap,
@@ -1197,12 +1236,16 @@ def check_families(
     trusted = trusted_horizon(spec, ue_horizon)
     ues, wide = {trusted, ue_horizon}, spec.dim > DENSE_CAP
     dense = _auto_mode(spec, horizon) == "dense"
-    kept = {}  # of the probe pass's snapshots, only those of `ues` outlive it, for the identity pass
+    # The identity pass's bracket comes first: only where it decides does that pass read
+    # a floor, so only there does the probe pass keep the means the floor reads.
+    identity = None if wide else _bounded_bracket(spec, np.eye(spec.dim), "dense", max(*ues, horizon if dense else 0))
+    keep = ues if identity is not None and _decides(identity, bound_cap) else ()
+    kept = {}  # of the probe pass's snapshots, only those of `keep` outlive it, for the identity pass
     probe = _block_verdicts(
-        spec, probes, "probe", (), bound_cap, tolerance, [horizon], ues if wide else (), () if wide else ues, kept
+        spec, probes, "probe", (), bound_cap, tolerance, [horizon], ues if wide else (), keep, kept
     )
     norm = probe if wide else _block_verdicts(
-        spec, probes, "dense", [horizon] if dense else (), bound_cap, tolerance, (), ues, kept=kept
+        spec, probes, "dense", [horizon] if dense else (), bound_cap, tolerance, (), ues, kept=kept, bounds=identity
     )
     ue = norm[FAMILY_UNIFORMLY_ERGODIC]
     return FamilyVerdicts(

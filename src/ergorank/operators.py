@@ -8,7 +8,10 @@ norm (l1, l2, or linf) in which all vector and operator norms are taken.
 Everything downstream (Cesaro means, classification, trees, certificates)
 consumes these specs through `apply_columns` and the two norm reducers,
 `column_norms` for vectors and `matrix_norm` for dense matrices, so the
-spec plus a seed fully determines every computed number.
+spec plus a seed fully determines every computed number.  Next to them,
+`_abs_norms` gives the norms of |T| and `_l2_bound` a rounding-sound bound
+on ||T||_2 of a dense spec, which `classify` reads to bound how far a
+pass's norms can grow.
 
 A spec prepares its kernel once: a sparse spec builds its slot-prefix
 layout when validated, and non-dense weights are shaped like the column
@@ -17,6 +20,7 @@ blocks they multiply, once per block width.  Neither changes a bit.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 import threading
@@ -362,6 +366,117 @@ def matrix_norm(mat: np.ndarray, norm_tag: str):
     else:
         raise ValueError(f"unknown norm tag {norm_tag!r}")
     return float(norms) if mat.ndim == 2 else norms
+
+
+def _abs_norms(spec: OperatorSpec) -> tuple[float, float, int]:
+    """The l1 and linf norms of |T| (its largest column and row abs-sums) as
+    computed, and k, the most terms in one of those sums or in one entry of
+    T x: 1 for a diagonal or a shift, the longest row or column of a sparse
+    spec, dim for a dense one."""
+    T = spec.entries
+    if spec.kind == KIND_DENSE:
+        A = np.abs(T)
+        return matrix_norm(A, "l1"), matrix_norm(A, "linf"), spec.dim
+    if spec.kind == KIND_SPARSE:
+        rows, cols, vals = T
+        sums = [np.bincount(i, weights=np.abs(vals), minlength=spec.dim).max() for i in (cols, rows)]
+        terms = max(int(np.bincount(i, minlength=1).max()) for i in (cols, rows))
+        return float(sums[0]), float(sums[1]), max(1, terms)
+    top = float(np.abs(T).max(initial=0.0))
+    return top, top, 1
+
+
+def _split_product(A, B):
+    """(P, err): P = fl(AB), and err >= |AB - P| entry by entry, about u |AB|,
+    for finite A and B under 2^900 (the leading bits split off error-free on
+    BLAS: Ozaki, Ogita, Oishi and Rump, Numer. Algorithms 59, 2012).
+
+    Let n be the inner dimension, u = 2^-53 and 2 rho >= 55 + log2 n.  A row
+    of A whose largest magnitude is under 2^e splits without rounding as
+    A_1 + A' with A_1 = fl(fl(A + sigma) - sigma), sigma = 2^s, s = e + rho
+    (Sterbenz): A_1 holds multiples of 2^(s - 53) under 2^(s - rho + 1), and
+    A' is under 2^(s - 53); each column of B splits alike at 2^t.  Every
+    partial sum of (A_1 B_1)_pq is then a multiple of 2^(s + t - 106) under
+    2^(s + t - 53), so fl(A_1 B_1) is exact, in any order of summation, where
+    s + t >= -968 (no product underflows).  fl(A_1 B') and fl(A' B), and an
+    inexact fl(A_1 B_1), err by at most gamma_n n a_p b_q + n 2^-1074, a_p and
+    b_q the largest magnitudes in row p and column q of their factors, and
+    adding the three by at most u of each of the two sums formed.  err adds
+    those with (n + 2) u for gamma_n, 4n 2^-1074 and 2u for u, which covers
+    its own rounding (under ten roundings in a row of nonnegative terms).
+    """
+    n = A.shape[1]
+    rho = (56 + (n - 1).bit_length()) // 2
+
+    def split(M, axis):  # (M_1, M', s) per row (axis 1) or column (axis 0)
+        e = np.frexp(np.max(np.abs(M), axis=axis, keepdims=True))[1]
+        sigma = np.ldexp(1.0, e + rho)
+        lead = (M + sigma) - sigma
+        return lead, M - lead, e + rho
+
+    (A1, A2, s), (B1, B2, t) = split(A, 1), split(B, 0)
+    top = lambda M, axis: np.max(np.abs(M), axis=axis, keepdims=True)
+    a1, b1 = top(A1, 1), top(B1, 0)
+    rest = A1 @ B2 + A2 @ B
+    P = A1 @ B1 + rest
+    lost = np.where(s + t < -968, a1 * b1, 0.0)
+    err = (n + 2) * n * 2.0**-53 * (a1 * top(B2, 0) + top(A2, 1) * top(B, 0) + lost) + 4 * n * 2.0**-1074
+    return P, err + 2.0**-52 * (np.abs(rest) + np.abs(P))
+
+
+@functools.lru_cache(maxsize=4)  # a priori and tight, for both passes of a check_families call
+def _l2_bound(spec: OperatorSpec, tight: bool = False) -> tuple[float, float]:
+    """(r, estimate): a rounding-sound upper bound r >= ||T||_2 of a dense
+    spec, or inf, and 2^e sqrt(max(w)), the estimate of ||T||_2 it rests on.
+
+    S = 2^-e T, exact up to 2^-1074 per entry, has its largest magnitude in
+    [1/2, 1) or is 0.  G is S^T S as computed, its lower triangle (which
+    `np.linalg.eigh` reads) mirrored.  Let R = GQ - Q diag(w) and
+    E = Q^T Q - I for the computed (w, Q).  If ||E||_2 <= 1/2, then
+    ||Q^-1||_2 <= 1 + ||E||_2 and Q^-1 G Q = diag(w) + Q^-1 R, so by
+    Bauer-Fike and Weyl ||S||_2^2 is at most
+    max(w) + (1 + ||E||_2) ||R||_2 + ||G - S^T S||_2, and sqrt(l1 * linf) of
+    a nonnegative envelope bounds the l2 norm of what it envelops.
+
+    A priori, G = fl(S^T S) is within gamma_d |S|^T |S| of S^T S, and R and
+    E as computed are off by at most u of themselves plus
+    gamma_d (|G||Q| + |Q||w|) and gamma_d |Q|^T |Q|, under (d + 2) 2^-52
+    times those: r is about d^2 u ||T||_2 above ||T||_2 (r - 1 is 1.0e-12 on
+    the benchmark's dense-96-l2).  `tight` forms G, R = [G Q] [Q; -diag(w)]
+    and E = [Q^T I] [Q; -I] by `_split_product` instead, whose envelopes are
+    about u of themselves, so r is within a few u || |T| ||_2 of ||T||_2
+    (r - 1 is 7.8e-15 to 9.8e-15 there), for three BLAS products each and a
+    second `eigh`.  Each term is formed from nonnegative numbers
+    by at most 4d + 8 roundings in a row, so twice its computed value covers
+    it and their sum; 2^-900 covers the subnormal products (under
+    d^3 2^-1070 in all), and 1 + 2^-50 the addition of max(w), the root and
+    itself.  r is that times 2^e, plus 2^-1074 for a subnormal product.
+    """
+    d, e = spec.dim, math.frexp(float(np.max(np.abs(spec.entries))))[1]
+    c, norm = (d + 2) * 2.0**-52, lambda M: math.sqrt(np.max(M.sum(axis=0)) * np.max(M.sum(axis=1)))
+    mirror = lambda M: np.tril(M) + np.tril(M, -1).T
+    with np.errstate(over="ignore", invalid="ignore"):
+        S = np.ldexp(spec.entries, -e)
+        if tight:
+            G, gram = _split_product(S.T, S)
+            G, gram = mirror(G), norm(mirror(gram))
+        else:
+            G, gram = mirror(S.T @ S), c * norm(np.abs(S)) ** 2
+        w, Q = np.linalg.eigh(G)
+        if tight:
+            I = np.eye(d)
+            (R, res), (E, eta) = _split_product(np.hstack([G, Q]), np.vstack([Q, -np.diag(w)])), _split_product(
+                np.hstack([Q.T, I]), np.vstack([Q, -I])
+            )
+            res, eta = 2.0 * norm(np.abs(R) + res), 2.0 * norm(np.abs(E) + eta)
+        else:
+            Qa = np.abs(Q)
+            res = 2.0 * norm(np.abs(G @ Q - Q * w) + c * (np.abs(G) @ Qa + Qa * np.abs(w)))
+            eta = 2.0 * norm(np.abs(Q.T @ Q - np.eye(d)) + c * (Qa.T @ Qa))
+        square = (1.0 + eta) * res + 2.0 * gram + 2.0**-900 + np.max(w)
+        r = float(np.ldexp(np.sqrt(square) * (1.0 + 2.0**-50), e)) + 2.0**-1074
+        estimate = float(np.ldexp(np.sqrt(max(float(np.max(w)), 0.0)), e))
+    return (r if eta <= 0.5 and r <= math.inf else math.inf), estimate
 
 
 # -- probe sets ----------------------------------------------------------

@@ -698,6 +698,15 @@ def _no_ladder():
     return mock.patch.object(CesaroStream, "ladder", lambda self, horizon: None)
 
 
+def _no_tight_l2():
+    """No tight bound on ||T||_2 (`_l2_bound(spec, True)` is infinite): a
+    dense l2 bracket decides only with the a priori r."""
+    real = ergorank.classify._l2_bound
+    return mock.patch.object(
+        ergorank.classify, "_l2_bound", lambda spec, tight=False: (math.inf, math.inf) if tight else real(spec)
+    )
+
+
 def _spying(floors, mode):
     """`_scan` that records, by horizon, each tail of a pass in `mode` that
     a floor settles (its pre-walk bracket's upper end is inf) and that
@@ -1181,13 +1190,21 @@ def _bench_workloads():
 #: anchor (sparse-256-linf at seed 101, the nilpotent shift) or to their
 #: settled witnesses.  sparse-128-l1's probe tail is not certified, but the
 #: ladder's means floor it (2 * lower >= tol), so its probe pass walks only
-#: to the UE horizon too; without the ladder it walks to the horizon.  The
-#: ladder forms no means above dim 128, and dense-96-l2's and the overflowing
-#: diagonal's probe brackets do not decide, so it moves no other walk.
+#: to the UE horizon too; without the ladder it walks to the horizon.
+#: dense-96-l2's probe bracket decides with the tight r (`_l2_bound`), and
+#: the certificate settles its tail with a decay factor from T^1000 Y
+#: (`_decay`); its identity bracket does not decide, so the probe pass keeps
+#: no means for the identity floor and walks no step, and only its identity
+#: pass walks.  Without the certificate its probe pass walks to the horizon
+#: (the ladder's floor does not reach half the tolerance).  The ladder forms
+#: no means above dim 128, and the overflowing diagonal's probe bracket does
+#: not decide, so it moves no other walk.  With the tight r off (`_no_tight_l2`)
+#: dense-96-l2's bracket does not decide and both of its passes walk,
+#: [2000, 256].
 _WIDE_WALKS = {
     "sparse-128-l1": {s: ([256], [256], [2000]) for s in (1, 7, 101)},
     "sparse-256-linf": {1: ([256], [2000], [256]), 7: ([256], [2000], [256]), 101: ([256], [907], [256])},
-    "dense-96-l2": {s: ([2000, 256],) * 3 for s in (1, 7, 101)},
+    "dense-96-l2": {s: ([256], [2000, 256], [256]) for s in (1, 7, 101)},
     "diagonal-256-l1": {s: ([256], [2000], [256]) for s in (1, 7, 101)},
     "shift-256-linf": {s: ([256], [257], [256]) for s in (1, 7, 101)},
     "overflow-diagonal-256-l2": {1: ([42, 42],) * 3, 7: ([42, 42],) * 3, 101: ([50, 42],) * 3},
@@ -1205,8 +1222,8 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
     # [128, 256]: A_128 = A_256 = 0 and A_129 = I / 129, so its bracket
     # [0, 1/129] straddles the tolerance 1e-2, and its radius is folded from
     # a walk of 256 steps.  No wide-operators input (seeds 1, 7 and 101,
-    # horizon 2 000) walks a block a second time, with the certificate or
-    # the ladder on or off, and only dense-96-l2 and
+    # horizon 2 000) walks a block a second time, with the certificate, the
+    # ladder or the tight r on or off, and only dense-96-l2 and
     # overflow-diagonal-256-l2 walk the identity block (`_WIDE_WALKS`).
     walks = _Walks(monkeypatch)
     stationary = {"identity(8)": ([1], [1, 1]), "scalar(1.0)": ([1], [1, 1]), "zero(4)": ([2], [2, 2])}
@@ -1233,6 +1250,11 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
                     check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
                 assert [n for _, n in walks.walks] == want, (seed, label)
                 assert walks.rewalks() == 0, (seed, label)
+            walks.walks.clear()
+            spec = _bench_workloads().wide_specs(seed)["dense-96-l2"]
+            with _no_tight_l2():
+                check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
+            assert [n for _, n in walks.walks] == [2000, 256] and walks.rewalks() == 0, seed
 
 
 #: Steps of the one probe pass of `check_families` above `DENSE_CAP` at
@@ -1897,26 +1919,34 @@ _SKIP_MARGINS = {
 
 def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
     # On the wide-operators inputs (seeds 1 and 101) whose norm of |T| is at
-    # most 1 + 3e-14, the probe pass of check_families is decided before it
-    # walks, and so is the identity block's bracket, whose pass the probe
-    # means floor (`_SKIP_MARGINS`): at horizon 500 as at 2 000, the probe
-    # pass reads its lower end (which the tail's delta_N reuses) and the
-    # norms of the four blocks of its resolvent certificate (F, Y and the
-    # residuals R and E), sparse-128-l1's also the difference of the
-    # ladder's means that floor its tail, and no norm per step (with the
-    # certificate off, only its lower end and that difference), and the
-    # identity pass its lower end and, per tail, the kept means' difference
-    # (`_tail_floor`; both blocks' delta_N reuse the lower ends the two
-    # passes read), and no norm per step.  (The tails read a few
-    # norms more, and their count moves with the horizon only where a tail starts
-    # before or after the stream's anchor: the shift's at 500 starts before
-    # its anchor at 258.)  The dense spec (norm of |T| 4.4-4.6 in l2) walks and
-    # reads norms at every step: its probe pass reduces once per chunk of
-    # steps, so more at 2 000 than at 500, and its identity pass to the UE
-    # horizon 256 at least once per step.  So does the overflowing diagonal
-    # (1.25), but only up to the step where its witnesses above the cap are
-    # settled, well inside 500 steps: both of its passes read as many norms
-    # at 500 as at 2 000, its identity pass for fewer than 256 steps.
+    # most 1 + 3e-14, and on dense-96-l2, whose ||T||_2 is at most the tight
+    # r = 1 + 9e-15 (`_l2_bound`), the probe pass of check_families is
+    # decided before it walks.  On the first four so is the identity
+    # block's bracket, whose pass the probe means floor (`_SKIP_MARGINS`):
+    # at horizon 500 as at 2 000, the probe pass reads its lower end (which
+    # the tail's delta_N reuses) and the norms of the four blocks of its
+    # resolvent certificate (F, Y and the residuals R and E), sparse-128-l1's
+    # also the difference of the ladder's means that floor its tail, and no
+    # norm per step (with the certificate off, only its lower end and that
+    # difference), and the identity pass its lower end and, per tail, the
+    # kept means' difference (`_tail_floor`; both blocks' delta_N reuse the
+    # lower ends the two passes read), and no norm per step.  (The tails
+    # read a few norms more, and their count moves with the horizon only
+    # where a tail starts before or after the stream's anchor: the shift's
+    # at 500 starts before its anchor at 258.)  dense-96-l2's probe bracket
+    # ends under 1 + 1e-9 (1 + 2.4e-10 at 2 000 with the tight r, 1 + 5.4e-10
+    # to 5.6e-10 at 500 with the a priori one), and its probe pass reads no
+    # norm per step: its lower end and the certificate's four blocks, and at
+    # 500 the difference of the ladder's means, which floor its tail, at
+    # 2 000 the three reads of the decay factor that certifies it (Y twice,
+    # T^1000 Y once).  Its identity pass, read by sqrt(l1 * linf) with the
+    # norm of |T| (4.4-4.6) as its growth, walks to the UE horizon 256 and
+    # reads norms at least once per step, so the probe pass keeps no means
+    # for its floor.  The overflowing diagonal (1.25) walks and reads norms
+    # at every step, but only up to the step where its witnesses above the
+    # cap are settled, well inside 500 steps: both of its passes read as
+    # many norms at 500 as at 2 000, its identity pass for fewer than 256
+    # steps.
     reads, passes = collections.Counter(), []
 
     def counting(module, name):
@@ -1940,7 +1970,7 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
         return scans
 
     monkeypatch.setattr(ergorank.classify, "_scan", scan)
-    decided = {"sparse-128-l1", "sparse-256-linf", "diagonal-256-l1", "shift-256-linf"}
+    decided = {"sparse-128-l1", "sparse-256-linf", "diagonal-256-l1", "shift-256-linf", "dense-96-l2"}
     for seed in (1, 101):
         for label, spec in _bench_workloads().wide_specs(seed).items():
             probes = default_probes(spec, seed=seed)
@@ -1950,7 +1980,9 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
                 families = check_families(spec, probes, horizon, 1e-2, 1e3, 256)
                 per_horizon.append(list(passes))
                 brackets = [v.evidence["bracket"] for v in families[:2]]
-                if label in decided:
+                if label == "dense-96-l2":
+                    assert all(b is not None and b[1] < 1 + 1e-9 for b in brackets), (seed, label)
+                elif label in decided:
                     assert all(b is not None and b[1] < 1 + 1e-10 for b in brackets), (seed, label)
                     tails = [v for v in (families.uniformly_ergodic, families.section) if v is not None]
                     assert all(v.evidence["tail_diameter_ub"] == np.inf for v in tails), (seed, label)
@@ -1960,8 +1992,8 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
                 else:
                     assert brackets == [None, None], (seed, label)
             identity = ergorank.classify._bounded_bracket(spec, np.eye(spec.dim), "dense", 256)
-            assert ergorank.classify._decides(identity, 1e3) == (label in decided), (seed, label)
-            if label in decided:
+            assert ergorank.classify._decides(identity, 1e3) == (label in _SKIP_MARGINS), (seed, label)
+            if label in _SKIP_MARGINS:
                 floors, ladder = 1 + len(_SKIP_MARGINS[label][seed]), int(label == "sparse-128-l1")
                 assert per_horizon == [[1 + 4 + ladder, floors], [1 + 4 + ladder, floors]], (seed, label)
                 for horizon in (500, 2000):
@@ -1974,7 +2006,7 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
                 if label == "overflow-diagonal-256-l2":
                     assert probe == longer and identity == same < 256, (seed, label, per_horizon)
                 else:
-                    assert probe < longer and identity == same >= 256, (seed, label, per_horizon)
+                    assert (probe, longer) == (1 + 4 + 1, 1 + 4 + 3) and identity == same >= 256, (seed, label)
 
 
 @st.composite
@@ -2006,13 +2038,15 @@ def test_the_l2_bound_holds_in_exact_arithmetic(spec):
     # scaled first, without a RuntimeWarning, and a bound on subnormal
     # entries is rounded up (the scaled rotation's norm, 16.4 * 2^-1074,
     # would round to 16 * 2^-1074).  Where r is normal it is within 2^-30
-    # of LAPACK's norm of T.
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        r = _l2_bound.__wrapped__(spec)
-    assert l2_bound_holds(spec.entries, r)
-    if np.any(spec.entries) and r >= 2.0**-1000:
-        assert r <= matrix_norm(spec.entries, "l2") * (1.0 + 2.0**-30)
+    # of LAPACK's norm of T, and the tight r, from error-free split
+    # products, within 2^-40.
+    for tight, within in ((False, 2.0**-30), (True, 2.0**-40)):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = _l2_bound.__wrapped__(spec, tight)[0]
+        assert l2_bound_holds(spec.entries, r), tight
+        if np.any(spec.entries) and r >= 2.0**-1000:
+            assert r <= matrix_norm(spec.entries, "l2") * (1.0 + within), tight
 
 
 @given(_exact_dense(), st.integers(0, 2**32 - 1), st.sampled_from([1e-15, 1e-9, 1e-3, 0.1, 0.3, 2.0]), st.booleans())
@@ -2021,18 +2055,19 @@ def test_the_l2_bound_survives_a_wrong_eigendecomposition(spec, seed, size, vect
     # eigh is made to return eigenvalues pulled down by up to `size`, and,
     # when `vectors`, eigenvectors moved by about `size` too, so Q is no
     # longer orthogonal: the residual and the orthogonality defect still
-    # bound the true norm, or the bound is infinite.
+    # bound the true norm, or the bound is infinite; a priori and tight.
     real, rng = np.linalg.eigh, np.random.default_rng(seed)
 
     def wrong(G):
         w, Q = real(G)
         return w - size * rng.uniform(0.0, 1.0, w.shape), Q + vectors * size * rng.standard_normal(Q.shape)
 
-    with mock.patch.object(np.linalg, "eigh", wrong):
-        r = _l2_bound.__wrapped__(spec)
-    assert l2_bound_holds(spec.entries, r)
-    if vectors and size >= 2.0:
-        assert r == math.inf
+    for tight in (False, True):
+        with mock.patch.object(np.linalg, "eigh", wrong):
+            r = _l2_bound.__wrapped__(spec, tight)[0]
+        assert l2_bound_holds(spec.entries, r), tight
+        if vectors and size >= 2.0:
+            assert r == math.inf, tight
 
 
 #: Per gallery operator at the default config, each pass of check_families,

@@ -17,6 +17,7 @@ import numpy as np
 from hypothesis import event, example, given, settings, strategies as st
 
 import ergorank.classify
+from ergorank.cesaro import CesaroStream
 from ergorank.classify import HOLDS, INCONCLUSIVE, check_families, _mode_norms, _scan, _tail_radius
 from ergorank.operators import (
     DENSE_CAP, KIND_DIAGONAL, KIND_SHIFT, OperatorSpec, basis_probes, built_in_gallery, default_probes, gallery,
@@ -150,32 +151,49 @@ def test_each_pass_brackets_its_norms_once(monkeypatch):
 
 
 def test_no_l2_bound_where_no_r_decides(monkeypatch):
-    # dense-96-l2's probe bracket at horizon 2 000: the ||.||_2 path's
-    # rounding, 1 - (1 + 98^2 2^-53)^-2000 = 2.1e-9 above the lower end 1,
-    # is past `BOUND_SLACK` for every r, so no r is formed; its identity
-    # pass reads sqrt(l1 * linf), which takes none either.  At the default
-    # config rotation(1.0) and random_diagonalizable(7,12) still form one,
-    # and it decides both of their passes.
-    calls, decided = collections.Counter(), []
-    real_bound, real_scan = ergorank.classify._l2_bound, ergorank.classify._scan
+    # dense-96-l2's probe bracket at horizon 2 000: the a priori r leaves it
+    # undecided (r^2000 is 1 + 2e-9, past `BOUND_SLACK`), the estimate of
+    # ||T||_2 would decide it, so the tight r is formed, and decides it; the
+    # certificate settles its tail with T^1000 Y from the stream's levels,
+    # and its identity pass, read by sqrt(l1 * linf), takes no r.  At horizon
+    # 10 000 the ||.||_2 path's rounding alone, 1 - (1 + 98 * 10 * 2^-53)^-10000
+    # = 1.1e-9 above the lower end 1, is past `BOUND_SLACK` for every r, so no
+    # r is formed.  At the default config rotation(1.0) and
+    # random_diagonalizable(7,12) form the a priori r, which decides both of
+    # their passes, and neither forms the tight r or T^t Y; nor does
+    # jordan_1(2), whose ||T||_2 is 1.6.
+    calls, powers, decided = collections.Counter(), collections.Counter(), []
+    real_bound, real_scan, real_power = ergorank.classify._l2_bound, ergorank.classify._scan, CesaroStream.power
 
-    def counting(spec):
-        calls[spec] += 1
-        return real_bound(spec)
+    def counting(spec, tight=False):
+        calls[spec, tight] += 1
+        return real_bound(spec, tight)
 
     def scan(*args, **kwargs):
         scans = real_scan(*args, **kwargs)
         decided.append(next(iter(scans.values())).bracket is not None)
         return scans
 
+    def power(stream, m, Y):
+        powers[stream.spec] += 1
+        return real_power(stream, m, Y)
+
     monkeypatch.setattr(ergorank.classify, "_l2_bound", counting)
     monkeypatch.setattr(ergorank.classify, "_scan", scan)
+    monkeypatch.setattr(CesaroStream, "power", power)
     for seed in (1, 101):
         spec = _bench_workloads().wide_specs(seed)["dense-96-l2"]
-        check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
-        assert calls[spec] == 0, seed
-    for name in ("rotation(1.0)", "random_diagonalizable(7,12)"):
+        decided.clear()
+        families = check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
+        assert calls[spec, False] > 0 and calls[spec, True] > 0 and powers[spec] > 0, seed
+        assert decided == [True, False] and families.ergodic.evidence["certified"], seed
+        calls.clear()
+        check_families(spec, default_probes(spec, seed=seed), 10_000, 1e-2, 1e3, 256)
+        assert calls[spec, False] == calls[spec, True] == 0, seed
+    for name in ("rotation(1.0)", "random_diagonalizable(7,12)", "jordan_1(2)"):
         spec = gallery(name)
         decided.clear()
         check_families(spec, default_probes(spec), 10_000, 1e-2, 1e3, 256)
-        assert calls[spec] > 0 and decided == [True, True], name
+        assert calls[spec, True] == 0 and powers[spec] == 0, name
+        if name != "jordan_1(2)":
+            assert calls[spec, False] > 0 and decided == [True, True], name

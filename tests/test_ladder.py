@@ -1,5 +1,5 @@
 """The doubling ladder of Cesaro means (`CesaroStream.ladder`), its rounding
-allowance (`classify._ladder_deviation`), and the probe tails that a decided
+allowance (`classify._deviation` at the ladder's depth), and the probe tails that a decided
 pass floors from its means before it walks (`classify._tail_floor`).
 
 A floored probe tail gives the verdict a walk gives: the ladder's means
@@ -10,6 +10,7 @@ worst walk its allowance admits, and check that a ladder past the overflow
 limit gives no floor.
 """
 
+import contextlib
 import math
 import warnings
 from fractions import Fraction
@@ -23,7 +24,7 @@ from ergorank.classify import (
     check_ergodic,
     check_families,
     _deviation,
-    _ladder_deviation,
+    _level_depth,
     _mode_norms,
     _scan,
     _tail_floor,
@@ -33,13 +34,15 @@ from ergorank.operators import (
     KIND_DENSE, KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE, OperatorSpec, basis_probes, default_probes, gallery,
 )
 from reference import as_exact, exact_stream, few_default_probes
-from test_classify import HUGE_DIAGONAL, _bounded_specs, _jordan_specs, _no_ladder, _serialized, _spying
+from test_classify import (
+    HUGE_DIAGONAL, _bounded_specs, _jordan_specs, _no_certificate, _no_ladder, _serialized, _spying,
+)
 from test_resolvent import _exact_norms, _exact_specs, _within
 
 
 def _allowance(spec, X, horizon):
-    """delta^L_N of the ladder of X, from `_deviation`'s bound on ||x||."""
-    return _ladder_deviation(spec, horizon, _deviation(spec, X, "probe", horizon)[1])
+    """delta^L_N of the ladder of X: `_deviation` at the ladder's depth."""
+    return _deviation(spec, X, "probe", horizon, depth=_level_depth(spec, horizon) + 2 * horizon.bit_length())[3]
 
 
 @st.composite
@@ -98,8 +101,7 @@ def test_a_ladder_floor_is_under_every_walk_it_admits_exactly(spec, horizon, bas
     # delta_N, is at most the lower end of the worst walk within delta_N of
     # the exact means, in `Fraction`s, wherever it is positive.
     X = basis_probes(spec.dim, spec.norm_tag).vectors.T if basis else few_default_probes(spec, 2).vectors.T
-    _, above, _, delta = _deviation(spec, X, "probe", horizon)
-    allowance = _ladder_deviation(spec, horizon, above)
+    delta, allowance = _deviation(spec, X, "probe", horizon)[3], _allowance(spec, X, horizon)
     means = CesaroStream(spec, X).ladder(horizon)
     if means is None or not np.all(np.isfinite(allowance)) or not np.all(np.isfinite(delta)):
         return
@@ -200,3 +202,22 @@ def test_a_ladder_past_the_overflow_limit_gives_no_floor():
             probes = default_probes(spec)
             check_ergodic(spec, probes, N, 1e-2)
             check_families(spec, probes, N, 1e-2, 1e3, min(N, 256))
+
+
+def test_no_ladder_on_a_tail_past_a_shifts_anchor(monkeypatch):
+    # A weighted shift is nilpotent, so its anchor is at most dim + 1 before
+    # any walk, and a probe tail that starts past it is read from the closed
+    # form: left_shift_l1(64)'s tail [5 000, 10 000] forms no ladder at the
+    # default config, with the certificate on (which settles it, T^k = 0
+    # past dim) or off (its pass walks to the anchor, 65).  The verdicts
+    # serialize as with the ladder off.
+    spec, calls = gallery("left_shift_l1(64)"), []
+    real = CesaroStream.ladder
+    monkeypatch.setattr(CesaroStream, "ladder", lambda self, horizon: calls.append(horizon) or real(self, horizon))
+    probes = default_probes(spec)
+    for patch in (contextlib.nullcontext, _no_certificate):
+        with patch():
+            got = check_families(spec, probes, 10_000, 1e-2, 1e3, 256)
+            with _no_ladder():
+                want = check_families(spec, probes, 10_000, 1e-2, 1e3, 256)
+        assert calls == [] and _serialized(got) == _serialized(want), patch

@@ -8,13 +8,14 @@ allowance against exact means, and check what the certificate costs: no
 SVD, and one splitting per block.
 """
 
+import contextlib
 import math
 from fractions import Fraction
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import event, example, given, settings, strategies as st
 
 import ergorank.classify
 from ergorank.cesaro import CesaroStream
@@ -25,6 +26,8 @@ from ergorank.classify import (
     check_families,
     _decay,
     _deviation,
+    _l2_factor,
+    _level_depth,
     _mode_norms,
     _tail_certificate,
 )
@@ -42,7 +45,9 @@ from ergorank.operators import (
     gallery,
 )
 from reference import as_exact, exact_stream, few_default_probes, reference_tail_radius
-from test_classify import HUGE_DIAGONAL, _Walks, _bench_workloads, _jordan_specs, _serialized, _walking
+from test_classify import (
+    HUGE_DIAGONAL, _Walks, _bench_workloads, _exact_dense, _jordan_specs, _serialized, _walking,
+)
 
 
 @pytest.mark.parametrize("name", ["rotation(1.0)", "scalar(-1.0)", "random_diagonalizable(7,12)"])
@@ -89,9 +94,9 @@ def test_the_certificate_calls_no_svd_and_splits_each_block_once(monkeypatch):
         svds.append(inside[0])
         return real_svd(*args, **kwargs)
 
-    def split(spec, X):
+    def split(spec, X, stream=None):
         splits.append((spec, X))
-        return real_split(spec, X)
+        return real_split(spec, X, stream)
 
     def certificate(*args):
         inside[0] = True
@@ -114,10 +119,13 @@ def test_the_certificate_calls_no_svd_and_splits_each_block_once(monkeypatch):
         assert len(blocks) == len(set(blocks)) <= 2, spec
         certified += families.ergodic.evidence["certified"]
     # The dense l2 norms of the small gallery operators are SVDs.  The
-    # certificate holds seven gallery probe tails and those of
-    # sparse-256-linf, diagonal-256-l1 and shift-256-linf.
+    # certificate holds eight gallery probe tails and those of
+    # sparse-256-linf, dense-96-l2, diagonal-256-l1 and shift-256-linf:
+    # left_shift_l1(64)'s and dense-96-l2's with a decay factor (T^k = 0
+    # past dim for the shift, and T^1000 Y from the levels for the dense
+    # spec), which their walks read as holding too.
     assert svds and not any(svds)
-    assert certified == 10
+    assert certified == 12
 
 
 #: Diagonal entries at the edges of `_decay` and `_split`: at +-1, at the
@@ -286,10 +294,10 @@ def test_a_certificate_survives_a_wrong_split(spec, horizon, block, seed, wrong)
     X = np.eye(spec.dim) if block == "dense" else _test_probes(spec, block).vectors.T
     real, rng = ergorank.classify._split, np.random.default_rng(seed)
 
-    def split(spec, X):
+    def split(spec, X, stream=None):
         if wrong in ("zero", "fixed"):
             return (X.copy() if wrong == "fixed" else np.zeros_like(X)), np.zeros_like(X)
-        F, Y = real(spec, X) or (np.zeros_like(X), np.zeros_like(X))
+        F, Y = real(spec, X, stream) or (np.zeros_like(X), np.zeros_like(X))
         return F + wrong * rng.standard_normal(F.shape), Y + wrong * rng.standard_normal(Y.shape)
 
     with mock.patch.object(ergorank.classify, "_split", split):
@@ -330,7 +338,7 @@ def test_no_narrow_block_above_the_dense_cap_is_split(monkeypatch):
     # same diagonal splits entry by entry, into blocks of the probes' shape.
     dim, splits = 600, []
     real = ergorank.classify._split
-    monkeypatch.setattr(ergorank.classify, "_split", lambda spec, X: splits.append(X.shape) or real(spec, X))
+    monkeypatch.setattr(ergorank.classify, "_split", lambda spec, X, stream=None: splits.append(X.shape) or real(spec, X, stream))
     sparse = OperatorSpec(KIND_SPARSE, dim, [[i, (i + 1) % dim, 0.5] for i in range(dim)], "l1")
     diagonal = OperatorSpec(KIND_DIAGONAL, dim, np.full(dim, 0.5), "l1")
     for spec, want in ((sparse, []), (diagonal, [(dim, 48)])):
@@ -340,3 +348,129 @@ def test_no_narrow_block_above_the_dense_cap_is_split(monkeypatch):
         assert families.power_bounded.evidence["bracket"] is not None, spec.kind
         assert splits == want and families.ergodic.evidence["certified"] == bool(want), spec.kind
         splits.clear()
+
+
+@given(_exact_dense(), st.sampled_from([1, 2, 7, 33, 64]), st.booleans(), st.booleans())
+@example(OperatorSpec(KIND_DENSE, 2, [[0.5, 0.5], [0.5, -0.5]], "l2"), 64, True, False)
+@settings(max_examples=60, deadline=None)
+def test_the_l2_path_bounds_every_computed_mean_exactly(spec, horizon, stepped, basis):
+    # A dense T read in ||.||_2 grows by r >= ||T||_2 per step, with a
+    # rounding factor that follows the kernel the stream runs: per column,
+    # (K + 2)(isqrt(K) + 1) u, where the probe walk steps one product of its
+    # columns per step, and (K + 2)^2 u where it doubles with squarings.
+    # Over the stream's real walk, stepped (`_grid` 1) or on the doubling
+    # grid, every computed mean is within delta_N of the exact one, in
+    # `Fraction`s (the basis probes, or a few default probes).
+    X = (basis_probes(spec.dim, "l2") if basis else few_default_probes(spec, 2)).vectors.T
+    real, formed = ergorank.classify._l2_bound, []
+    grid = mock.patch.object(ergorank.cesaro, "_grid", lambda spec, shape: 1) if stepped else contextlib.nullcontext()
+    with grid, mock.patch.object(ergorank.classify, "_l2_bound", lambda *args: formed.append(args) or real(*args)):
+        _, _, power, deviation = _deviation(spec, X, "probe", horizon)
+        event(f"{'stepped' if stepped else 'doubled'}, {'with r' if formed else 'no r'}")
+        if power == math.inf:
+            return
+        exact = {n: A for n, A, *_ in exact_stream(spec, X, horizon)[0]}
+        for chunk in CesaroStream(spec, X).chunks(horizon):
+            for i, A in enumerate(chunk.means):
+                D = as_exact(A) - exact[chunk.first + i]
+                assert _within(_exact_norms(D, "l2", "probe"), deviation, "l2"), chunk.first + i
+
+
+@st.composite
+def _decaying_specs(draw):
+    """Specs whose tails the resolvent certificate may settle only with a
+    decay factor from T^t Y: dense symmetric ones of dim 2-16 with one or
+    two eigenvalues at 1 and the rest of magnitude up to 0.3, 0.9 or 1,
+    like the benchmark's dense-96-l2, in each norm; weighted shifts of dim
+    3-12, whose powers vanish from dim on; and the exact specs."""
+    kind = draw(st.sampled_from(["symmetric", "shift", "exact"]))
+    if kind == "exact":
+        return draw(_exact_specs())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    tag = draw(st.sampled_from(["l1", "l2", "linf"]))
+    if kind == "shift":
+        dim = draw(st.integers(3, 12))
+        return OperatorSpec(KIND_SHIFT, dim, rng.uniform(-1.0, 1.0, dim - 1), tag)
+    dim, top = draw(st.integers(2, 16)), draw(st.sampled_from([0.3, 0.9, 1.0]))
+    ones = min(dim - 1, draw(st.integers(1, 2)))
+    eigs = np.concatenate([np.ones(ones), rng.uniform(-top, top, dim - ones)])
+    q, _ = np.linalg.qr(rng.standard_normal((dim, dim)))
+    mat = q @ np.diag(eigs) @ q.T
+    return OperatorSpec(KIND_DENSE, dim, (mat + mat.T) / 2.0, tag)
+
+
+@given(_decaying_specs(), st.sampled_from([2, 8, 33, 64, 300]), _BLOCKS)
+@settings(max_examples=80, deadline=None)
+def test_a_tail_certified_with_a_decay_factor_walks_under_it(spec, horizon, block):
+    # Given the pass's stream, D is formed from T^t Y on the stream's levels
+    # (`_decay`).  Wherever the certificate with it is finite, it is at
+    # least the radius a walk reads, and a tolerance just above twice it
+    # settles the tail before the walk: the pass walks no step for it, the
+    # tail holds, and every verdict serializes as a forced walk's (`_walking`),
+    # whose walked diameters lie under the certified ones.
+    probes = _test_probes(spec, block)
+    X = probes.vectors.T
+    stream = CesaroStream(spec, X)
+    C = _deviation(spec, X, "probe", horizon)[2]
+    upper = _tail_certificate(spec, X, "probe", [horizon], stream=stream)[horizon]
+    if horizon < 2 or not np.all(np.isfinite(upper)):
+        event("certificate: infinite")
+        return
+    split = ergorank.classify._split(spec, X)
+    D = _decay(spec, split[1], horizon // 2, C, stream) if split is not None else C
+    event(f"certificate: finite, D {'under C' if np.any(np.asarray(D) < C) else 'C'}")
+    radius = reference_tail_radius(spec, X, horizon, _mode_norms(spec, "probe").radius)
+    assert radius is not None and np.all(radius <= upper)
+    tol = float(2.0 * np.max(upper) * (1.0 + 2.0**-30))
+    got = check_families(spec, probes, horizon, tol, 1e3, horizon)
+    with _walking():
+        want = check_families(spec, probes, horizon, tol, 1e3, horizon)
+    assert _serialized(got) == _serialized(want)
+    if got.ergodic.evidence["certified"]:
+        event("check_families: certified")
+        assert got.ergodic.status == HOLDS
+        assert np.all(np.asarray(want.ergodic.evidence["tail_diameter_ub"]) <= got.ergodic.evidence["tail_diameter_ub"])
+
+
+def test_each_probe_pass_forms_one_dense_copy_of_t(monkeypatch):
+    # sparse-128-l1's probe pass splits I - T for its certificate and squares
+    # T for its ladder, both from the one dense copy its stream keeps
+    # (`CesaroStream.dense`): one dim-column `apply_columns` call, at seeds
+    # 1, 7 and 101.  Its identity pass, floored before it walks, makes none.
+    columns, per_pass = [], []
+    for module in (ergorank.classify, ergorank.cesaro):
+        real = module.apply_columns
+        monkeypatch.setattr(
+            module, "apply_columns", lambda spec, X, out=None, real=real: columns.append(X.shape[1]) or real(spec, X, out)
+        )
+    real_scan = ergorank.classify._scan
+
+    def scan(spec, X, mode, *args, **kwargs):
+        before = len(columns)
+        scans = real_scan(spec, X, mode, *args, **kwargs)
+        per_pass.append((mode, columns[before:].count(spec.dim)))
+        return scans
+
+    monkeypatch.setattr(ergorank.classify, "_scan", scan)
+    for seed in (1, 7, 101):
+        spec = _bench_workloads().wide_specs(seed)["sparse-128-l1"]
+        per_pass.clear()
+        check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
+        assert per_pass == [("probe", 1), ("dense", 0)], seed
+
+
+def test_the_l2_factors_cover_the_worst_column_and_block():
+    # On the ||.||_2 path a product fl(M Y), M of K columns, errs by at most
+    # gamma_K || |M||Y| ||_2, and its factor c' must cover that over
+    # ||M||_2 ||Y||_2, plus 2u.  The ratio || |M||Y| ||_2 / (||M||_2 ||Y||_2)
+    # is at most sqrt(K) for a column Y and K for a block, and a Hadamard
+    # matrix H (entries +-1, ||H||_2 = sqrt(K)) attains both: |H| 1 = K 1,
+    # and |H||H| = K J.  In `Fraction`s, for K = 1, 2, 4, ..., 1024, the
+    # per-column factor covers sqrt(K) gamma_K + 2u (compared as squares)
+    # and the per-block one K gamma_K + 2u.
+    u = Fraction(1, 2**53)
+    for K in (2**j for j in range(11)):
+        gamma = K * u / (1 - K * u)
+        column, block = Fraction(_l2_factor(K, True)) - 2 * u, Fraction(_l2_factor(K, False)) - 2 * u
+        assert column > 0 and column**2 >= K * gamma**2, K
+        assert block >= K * gamma, K
