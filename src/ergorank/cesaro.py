@@ -36,7 +36,7 @@ its last mean are bounded past s by their value at s or at the tail's
 start (see `classify._tail_radius`).  `chunks` is the one walk, and it
 always starts at n = 1, so a reader that needs the means again walks
 again.  A reader that knows no power overflows, because it has bounded
-every norm before the walk starts (see `classify._scan`) or an earlier walk
+every norm before the walk starts (see `classify._reads`) or an earlier walk
 reached the horizon, walks without power norms, and the stream forms only
 the means it reads.  Two far means A_(N//2) and A_N need no walk: `ladder`
 forms them from log2(N) doublings of the sum, with squarings of a dense T

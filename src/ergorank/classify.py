@@ -21,88 +21,21 @@ fails only by inheriting the Cesaro-bounded ``fails`` at its own horizon,
 and a tail that is not certified small is ``inconclusive``.
 
 Every check projects one reducer, `_block_verdicts`, over one pass of
-`CesaroStream` on a block, with norms reduced one chunk of steps at a time:
-per-step maxima are arrays, and the first step above a cap is found with
-`argmax`.  The scan mode (``probe`` or ``dense``) fixes how a pass reads its
-norms: `_mode_norms` gives the per-step and radius readers of each.
-`check_families` makes one pass per block: the probe block gives the
-power-bounded, Cesaro-bounded and ergodic verdicts (and uniformly ergodic
-ones above `DENSE_CAP`, which can only inherit), the identity block the
-dense Cesaro-bounded and the other uniformly ergodic ones.  No ``holds``
-comes from a scan that the overflow guard stopped, nor from a one-index tail.
-A pass stops at the step where its bounded witnesses are settled: the first
-power and the first mean above the cap off probes, the first mean with an
-exact norm above it off the identity.  Every later horizon then fails, and
-ergodicity and uniform ergodicity inherit that, so they read nothing past
-it.
+`CesaroStream` on a block, with norms reduced one chunk of steps at a time.
+The scan mode (``probe`` or ``dense``) fixes how a pass reads its norms
+(`_mode_norms`), and `check_families` makes one pass per block.  No
+``holds`` comes from a scan that the overflow guard stopped, nor from a
+one-index tail, and no pass reads past the step where its bounded
+witnesses are settled (`_scan`).
 
-One rule decides what a pass does not walk: bracket the quantity, and walk
-only when the bracket straddles the decision.  Before a pass walks, every
-norm it could read lies between its value at n = 1 and that value times
-((1 + gamma_k)^2 rho)^N, rho the norm of |T|, widened for rounding
-(`_bounded_bracket`).  When that upper end is under the cap and under
-`OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
-verdict of the pass holds with that bound, so the pass reads no per-step
-norms, forms only the means its tails read, and stops at the anchor s of
-the stream (T P = P bit for bit from s on); every later mean has the
-closed form A_n = P + (S_s - sP)/n.
-
-Such a pass settles each tail it can before it walks, from a pre-walk
-bracket on its radius.  On the identity block it first tries the
-probe-mean floor: the probe pass's means at t = N//2 and N, which that pass
-keeps where it forms them anyway, prove a lower end on the walk's radius,
-since ||A_t - A_N|| >= ||(A_t - A_N) x|| / ||x|| for every probe x
-(`_tail_floor`); where twice it, less the rounding of both streams,
-reaches the tolerance, the tail is ``inconclusive`` as a walk would read
-it.  It then tries to certify the tail from the mean ergodic splitting
-X = Ker(I - T) + Ran(I - T) (Yosida-Kakutani): for X = F + (I - T) Y + R,
-E = (I - T) F, C >= ||T^k|| on the window and D >= ||T^k Y|| / ||Y|| over
-the tail, every ||A_n - A_N|| over [t, N] is at most N C ||E|| +
-||Y|| ((1/t - 1/N) + D (1/t + 1/N)) + 2 C ||R||, and a computed mean is
-within delta_N of the exact one (`_deviation`, the one depth lemma that the
-bracket's widening, the ladder's allowance and D's rest on).  D is C, or
-less (`_decay`): rho_+^t for a diagonal whose largest |lambda| on Y's
-support, rho_+, is under 1; 0 for a weighted shift from t = dim on; and,
-for any other T up to dim 128, C (||fl(T^t Y)|| + delta_t) / ||Y||, with
-T^t Y formed from squarings of T on the pass's stream, only for a tail
-that a smaller D could settle.  F and Y
-come entry by entry for a diagonal T, and otherwise from one LU solve, or
-from `np.linalg.eigh` of the Gram matrix of I - T where that is singular,
-at dims up to `DENSE_CAP`, where the identity block is as large (`_split`);
-only the residuals they leave, widened for rounding, enter the bound
-(`_tail_certificate`).  Where twice that upper end is under the tolerance,
-the tail holds as a walk would read it.  Last, on a probe block, a tail
-the pass would not walk to anyway is floored like an identity tail, per
-probe and with no division by ||x||, from A_t x and A_N x formed on the
-doubling ladder of the stream (`CesaroStream.ladder`, up to dim 128),
-whose bits are not the walk's: only its proven allowance (`_deviation` at
-the ladder's depth) enters the floor; not for a tail that starts past a
-weighted shift's anchor, at most dim + 1, which the walk reaches first.
-The certificate goes first, since it settles most probe tails and the
-ladder would cost each of them its squarings.  A settled tail reads
-nothing; a decided pass walks only to its last tail left, and with none
-left it walks no step, in either mode, but for a probe block narrower than
-the identity whose identity bracket decides, which walks on to the UE
-horizon for the means the identity floor reads (`check_families` forms
-the identity bracket first).
-
-The tail radius of a walked tail is bracketed between
-norm(A_t - A_N) at the tail's start and the norm of an entrywise envelope
-of the walked tail means, joined with the bracket of its stationary part
-from the endpoints of that part (`_phase_bracket`: in exact arithmetic
-every entry of A_n - A_N is monotone there); see `_tail_radius`.  Every
-upper end is the norm of an envelope, widened by the reader's slack (see
-`_mode_norms`).  A bracket decides only where both of its ends give the
-same serialized answer; otherwise the pass walks every step, or the
-radius is folded from a fresh walk, so a decided verdict has the bits a
-walk of every step gives it.  Where smaller, a bound r on ||T||_2 stands
-in for rho for a dense T read in l2, with a rounding factor per product
-that follows the kernel the stream runs: per column where a probe block is
-stepped, so that || |y| ||_2 = ||y||_2, per block on the doubling grid
-(`_deviation`).  r is formed only where some r could decide the bracket:
-first a priori, and where that does not decide but the estimate of
-||T||_2 would, tight, from error-free split products on BLAS
-(`operators._l2_bound`).
+A pass walks only where a bracket straddles a decision.  Its bounded
+verdicts are bracketed from the block's reads (`_reads`); where that
+decides them, the pass reads no per-step norms and stops at the stream's
+anchor, past which every mean has a closed form, and `_plan` settles its
+tails by one ordered rule.  A walked tail is bracketed off the walk
+(`_tail_radius`), and its radius folded from a fresh walk where that
+straddles, so a decided verdict has the bits a walk of every step gives
+it.  Every rounding allowance rests on one depth lemma (`_deviation`).
 
 For weighted-shift specs, norm-level results describe the finite section
 rather than the infinite-dimensional operator once the horizon passes
@@ -111,6 +44,7 @@ dim/2; `trusted_horizon` returns the horizon below which the two agree.
 
 from __future__ import annotations
 
+import functools
 import math
 from bisect import bisect_left
 from collections.abc import Callable
@@ -168,16 +102,10 @@ class Verdict:
     bounded verdict's `steps` is the horizon its scan reached and `walked`
     the steps its pass produced for it: a pass decided before it walks
     produces for it only the steps of the tails it has left to read, and
-    none where it has none; `walked` leaves out the steps a probe block
-    narrower than dim walks only for the means the identity pass's floor
-    reads (see `_scan`).  A tail settled before the walk reads
-    its pre-walk bracket on the radius: where the resolvent certificate
-    settles it (`certified`, see `_tail_certificate`), `tail_diameter_ub` is
-    twice the certificate's upper end and `tail_diameter_lb` 0; where a
-    floor does (`_tail_floor`: from the probe means on the identity block,
-    or per probe from the ladder's means on the probe block),
-    `tail_diameter_ub` is inf and `tail_diameter_lb` the floor (0 where the
-    reader is no lower bound).
+    none where it has none, nor the steps a probe block narrower than dim
+    walks only for the identity pass's floor.  A tail settled before the
+    walk (`_plan`) reads its bracket as a walked one reads its radius:
+    `certified` where the upper end is finite.
     """
 
     family: str
@@ -294,26 +222,19 @@ class _Scan:
     first step above the cap as (n, norms, exact), exact the `matrix_norm`
     of A_n in ``dense`` mode (None in ``probe`` mode); `powers` holds the
     power-norm maxima for m = 0..steps (None in ``dense`` mode) and
-    `power_hit` (m, norms); a hit is None when no step crossed the cap.
-    On a tail scan, `snapshots` maps the tail's start t = max(1, N//2) and
-    the horizon N to A_n; it is empty on any other.  On a tail scan, `low`
-    and `high` bound the walked means from t to min(N, s - 1) entry by
-    entry, s the stream's anchor (see `_tail_radius`).  These are complete
-    only on a scan that reached N, and all are copies, since the stream
-    reuses its chunk buffers.  A pass decided before it walks (see
-    `_bounded_bracket`) holds that `bracket`, (lower, upper), in place of
-    the maxima and hits, which are None; the stream produced `walked` of
-    its `steps`, and the snapshots past them come from the closed form.
-    There `tail_bracket` holds (lower, upper) on the radius of a tail
-    settled before the walk, which keeps no snapshots or envelope: (floor,
-    inf) from `_tail_floor`, one floor on the identity block and one per
-    probe, from the ladder's means, on the probe block, or (0, upper) from
-    `_tail_certificate`; and `walked` is 0 for a horizon with no
-    tail left to read, also where the block walks on for the means in
-    `keep` alone.  Any other pass walks every one of its `steps`.  A
-    scan whose bounded witnesses were settled at step w (see `_scan`) ends
-    at w: `steps` and `walked` are w, and its maxima, snapshots and
-    envelope stop there.
+    `power_hit` (m, norms); a hit is None when no step crossed the cap.  On
+    a tail scan, `snapshots` maps t = max(1, N//2) and N to A_n (it is empty
+    on any other), and `low` and `high` bound the walked means from t to
+    min(N, s - 1) entry by entry, s the stream's anchor (`_tail_radius`):
+    complete only on a scan that reached N, and copies, since the stream
+    reuses its chunk buffers.  A decided pass (`_scan`) holds its `bracket`
+    in place of the maxima and hits, which are None, and produced `walked`
+    of its `steps`, the snapshots past them from the closed form: 0 for a
+    horizon with no tail left to read, even where the block walks on for
+    the means of `keep`, whose `tail_bracket` is the one `_plan` settled
+    it with, and which keeps no snapshots or envelope.  Any other pass
+    walks every one of its `steps`, which end where its bounded witnesses
+    are settled (`_scan`), as do its maxima, snapshots and envelope.
     """
 
     stream: CesaroStream
@@ -368,11 +289,11 @@ def _phase_bracket(norm, A, final, P, slack):
 _LOG_LIMIT = math.log(OVERFLOW_LIMIT)
 
 
-def _deviation(spec, X, mode, horizon, size=None, depth=None):
+def _deviation(spec, size, mode, horizon, depth=None):
     """The rounding allowance of a block X read by `mode`'s readers, one
     entry per reader row (per probe, or one for the identity block), as
-    (size, above, C, delta): the reader's norms of X as computed (read here
-    unless given as `size`), bounds on their exact values, C >= ||T^k|| for
+    (size, above, C, delta): `size`, the reader's norms of X as computed
+    (`_reads`), bounds on their exact values, C >= ||T^k|| for
     every k <= N = `horizon` in the readers' norm, and, for a walk of X to N
     (`depth` None), delta >= ||fl(A_n X) - A_n X|| for every n <= N, fl(A_n X)
     the mean the stream computes; given a depth, delta bounds the error of a
@@ -453,7 +374,6 @@ def _deviation(spec, X, mode, horizon, size=None, depth=None):
     delta are infinite.
     """
     norms = _mode_norms(spec, mode)
-    size = norms.step(X[None])[0] if size is None else size
     l1, linf, k = _abs_norms(spec)
     K = k if depth is None else max(k, spec.dim)
     c = (K + 2) * 2.0**-52
@@ -475,13 +395,12 @@ def _deviation(spec, X, mode, horizon, size=None, depth=None):
         t2 = terms * (1.0 if mode == "probe" else math.sqrt(K))
         lower, top = float(np.maximum.reduce(size)), float(np.maximum.reduce(above))
 
-        def decides(f):  # whether the bracket's upper end with g = f gives its lower end's integer bound
-            upper = top * sum(growth(f, c2, t2)) * (1.0 + eps)
-            return upper < math.inf and _int_bound(lower) == _int_bound(upper)
+        # Whether the bracket with g = f decides (an upper end past `OVERFLOW_LIMIT` decides nothing).
+        decides = lambda f: _decides((lower, top * sum(growth(f, c2, t2)) * (1.0 + eps)), math.inf)
 
         # decides(1.0) is the upper end for every r <= 1 / (1 + c'), the least of all.
         if depth is not None or decides(1.0):
-            r, estimate = _l2_bound(spec)
+            r, estimate = _l2_bound(spec)[:2]
             if depth is None and not decides(r * (1.0 + c2)) and decides(estimate * (1.0 + c2)):
                 r = min(r, _l2_bound(spec, True)[0])
             if r * (1.0 + c2) < g:
@@ -507,24 +426,46 @@ def _level_depth(spec, m):
     return (1 if spec.kind == KIND_DENSE else 2) * m
 
 
-def _bounded_bracket(spec, X, mode, horizon, size=None):
+def _bounded_bracket(spec, mode, deviation):
     """Bounds (lower, upper) on every power norm and mean norm that a pass of
-    X to `horizon` in `mode` reads, and on every power column norm that the
-    stream's overflow guard reads.
+    X to N in `mode` reads, and on every power column norm that the
+    stream's overflow guard reads, from `deviation`, the `_deviation` of X
+    at N.
 
     The lower end is the reader's value at n = 1, which the walk reads too:
     A_1 = X bit for bit, and P_0 = X.  With `_deviation`'s bounds, for
     m, n <= N, ||fl(A_n X)|| <= ||A_n X|| + delta_N <= C ||X|| + delta_N, and
     ||P_m|| <= ||T^m X|| + ||P_m - T^m X|| is under that too; a reader
     reads within eps of it, so the upper end is the largest such sum times
-    1 + eps, infinite where C is.  `size` is as in `_deviation`.
+    1 + eps, infinite where C is.
     """
-    size, above, power, deviation = _deviation(spec, X, mode, horizon, size)
+    size, above, power, delta = deviation
     lower = float(np.maximum.reduce(size))
     if power == math.inf:
         return lower, math.inf
     norms = _mode_norms(spec, mode)
-    return lower, float(np.maximum.reduce(power * above + deviation)) * (1.0 + (norms.eps + norms.slack))
+    return lower, float(np.maximum.reduce(power * above + delta)) * (1.0 + (norms.eps + norms.slack))
+
+
+class _Reads(NamedTuple):
+    """A block's reads from before the walk, formed once and passed down:
+    `deviation(N, depth=None)`, its `_deviation` at N, memoized, whose `size`
+    is the reader's norms of the block; and the `bracket` of its pass."""
+
+    deviation: Callable
+    bracket: tuple
+
+
+def _reads(spec, X, mode, horizon) -> _Reads:
+    """The `_Reads` of block X for a pass to `horizon` in `mode`."""
+    size, memo = _mode_norms(spec, mode).step(X[None])[0], {}
+
+    def deviation(N, depth=None):
+        if (N, depth) not in memo:
+            memo[N, depth] = _deviation(spec, size, mode, N, depth)
+        return memo[N, depth]
+
+    return _Reads(deviation, _bounded_bracket(spec, mode, deviation(horizon)))
 
 
 def _decides(bracket, cap) -> bool:
@@ -646,23 +587,22 @@ def _decay(spec, Y, t, C, stream=None, mode="probe"):
             return C
         low = (column_norms(Y, spec.norm_tag) - norms.tiny) * ((1.0 - 2.0**-40) / (1.0 + norms.eps))
         low = low if mode == "probe" else np.max(low)
-        delta = _deviation(spec, None, mode, t, np.atleast_1d(above(Y)), _level_depth(spec, t))[3]
+        delta = _deviation(spec, np.atleast_1d(above(Y)), mode, t, _level_depth(spec, t))[3]
         D = C * (above(Z) + delta) / low * (1.0 + 2.0**-40)
         return np.where((low > 0.0) & (D < C), D, C)
 
 
-def _tail_certificate(spec, X, mode, tails, size=None, stream=None, tolerance=None) -> dict:
-    """Per tail horizon N >= 2 of `tails`, an upper end on the radius
-    max_n norm(A_n - A_N) over [t, N], t = N//2, that a walk of X in `mode`
-    would read, one per reader row, found without a walk; inf where there is
-    none: for a reader that reads no norm (sqrt(l1 * linf) above
-    `_L2_EXACT_DIM`), where `_split` finds no splitting, or where its dense
+def _tail_certificate(spec, X, mode, deviation, stream=None):
+    """upper(N, tolerance=None): an upper end on the radius max_n
+    norm(A_n - A_N) over [t, N], t = N//2, that a walk of X in `mode` would
+    read, per reader row, without a walk, from X's `deviation` (`_reads`)
+    and one split of X, formed for the first tail that reads it.  It is inf
+    for N < 2, for a reader that reads no norm (sqrt(l1 * linf) above
+    `_L2_EXACT_DIM`), where `_split` finds no splitting, and where its
     dim x dim blocks would outgrow every block the analysis forms: for a T
-    that is not diagonal (a diagonal splits entry by entry), above
-    `DENSE_CAP`, where no identity block is walked, unless X has dim
-    columns or more.  (On `wide-operators`, dims 128-256 under 48 probes,
-    the dim x dim blocks and LAPACK work arrays of those splits raise the
-    benchmark's peak RSS by 2.6 MB, 55.0 to 57.6 MB.)
+    that is not diagonal (a diagonal splits entry by entry) above
+    `DENSE_CAP`, where no identity block is walked, unless X has dim columns
+    or more (on `wide-operators` they raised the peak RSS by 2.6 MB).
 
     Let X = F + (I - T) Y + R and E = (I - T) F for the F and Y of
     `_split`, and C >= ||T^k|| for k <= N (`_deviation`).  Then for
@@ -693,37 +633,38 @@ def _tail_certificate(spec, X, mode, tails, size=None, stream=None, tolerance=No
     ||F|| and dim k 2^-1074 bound the errors' norms twice over, which covers
     the rounding of rho and of forming the bounds; each norm is widened by
     eps, and ||X|| is `_deviation`'s bound, from the reader's norms of X
-    as computed, read once here unless given as `size` (a pass has read
-    them for its bracket).
+    as computed.
 
     Given the pass's `stream`, `_split` reads its dense copy of T
-    (`CesaroStream.dense`: a dense spec's own entries, or the copy the
-    stream keeps for its levels), and `_decay` forms T^t Y from its levels;
-    with none, `_split` forms its own copy and D forms no T^t Y.  Given the
+    (`CesaroStream.dense`), and `_decay` forms T^t Y from its levels; with
+    none, `_split` forms its own copy and D forms no T^t Y.  Given the
     pass's `tolerance`, T^t Y is formed only for a tail that D = 0 would
     settle and `_decay`'s other bounds do not, a filter on work alone.
     """
     norms, d = _mode_norms(spec, mode), spec.dim
-    tails = [N for N in sorted(tails) if N >= 2]
     shape = (X.shape[1],) if mode == "probe" else ()  # a dense tail reads one norm
-    uppers = {N: np.full(shape, math.inf) for N in tails}
     small = spec.kind == KIND_DIAGONAL or d <= max(DENSE_CAP, X.shape[1])  # no block outgrows the analysis's
-    if not (tails and norms.exact and small):
-        return uppers
-    split = _split(spec, X, stream)
-    if split is None:
-        return uppers
-    F, Y = split
-    size = norms.step(X[None])[0] if size is None else size
-    l1, linf, k = _abs_norms(spec)
-    rho, tiny, above = norms.rho(l1, linf), norms.tiny, _reader_above(spec, mode)
     reader = (1.0 + 2.0**-52) * (1.0 + norms.eps + norms.slack) * (1.0 + 2.0**-40)
-    with np.errstate(all="ignore"):
-        f, y = above(F), above(Y)
-        R, E = above(X - F - Y + apply_columns(spec, Y)), above(F - apply_columns(spec, F))
-        for N in tails:
-            _, x, C, delta = _deviation(spec, X, mode, N, size)
-            t = N // 2
+    formed = []  # the parts of the one split, formed for the first tail that reads them
+
+    def residuals():  # Y, the norms of F, Y, R and E, and those of |T|; None with no splitting
+        split = _split(spec, X, stream) if norms.exact and small else None
+        if split is None:
+            return None
+        F, Y = split
+        above = _reader_above(spec, mode)
+        with np.errstate(all="ignore"):
+            R, E = above(X - F - Y + apply_columns(spec, Y)), above(F - apply_columns(spec, F))
+            return Y, above(F), above(Y), R, E, _abs_norms(spec)
+
+    def upper(N, tolerance=None):
+        if N >= 2 and not formed:
+            formed.append(residuals())
+        if N < 2 or formed[0] is None:
+            return np.full(shape, math.inf)
+        Y, f, y, R, E, (l1, linf, k) = formed[0]
+        rho, (_, x, C, delta), t = norms.rho(l1, linf), deviation(N), N // 2
+        with np.errstate(all="ignore"):
             r = R + (k + 4) * 2.0**-52 * (x + f + (1.0 + rho) * y) + d * k * 2.0**-1074
             e = E + (k + 2) * 2.0**-52 * (1.0 + rho) * f + d * k * 2.0**-1074
             bound = lambda D: N * C * e + y * ((1.0 / t - 1.0 / N) + D * (1.0 / t + 1.0 / N)) + 2.0 * C * r + 2.0 * delta
@@ -731,9 +672,10 @@ def _tail_certificate(spec, X, mode, tails, size=None, stream=None, tolerance=No
             D = _decay(spec, Y, t, C)  # D >= ||T^k Y|| / ||Y|| over the tail
             if tolerance is None or not settles(D) and settles(0.0):
                 D = _decay(spec, Y, t, C, stream, mode)
-            upper = bound(D)
-            uppers[N] = np.where(upper >= 0.0, upper * reader + tiny, math.inf).reshape(shape)  # NaN reads inf
-    return uppers
+            end = bound(D)
+            return np.where(end >= 0.0, end * reader + norms.tiny, math.inf).reshape(shape)  # NaN reads inf
+
+    return upper
 
 
 def _tail_floor(spec, mode, means, allowance, walk, above=None):
@@ -757,11 +699,7 @@ def _tail_floor(spec, mode, means, allowance, walk, above=None):
     difference's norm as computed, at least
     (L - 2 walk)(1 - u) / (1 + eps + slack) - tiny.  The floor is under
     that: 1 - 2^-40 covers the rounding of forming it (each step errs by
-    under 100u of its leading term).  Where twice the floor reaches the
-    tolerance, so does twice the walk's lower end, and a walk's upper end is
-    never below its lower end (nor is a resolvent certificate's, an upper
-    end of the radius): the walk would read the tail ``inconclusive``, with
-    no witness, as the floor does.
+    under 100u of its leading term); `_plan` says what it decides.
     """
     norms = _mode_norms(spec, mode)
     with np.errstate(all="ignore"):
@@ -773,41 +711,104 @@ def _tail_floor(spec, mode, means, allowance, walk, above=None):
         return np.maximum(low, 0.0)
 
 
-def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(), kept=None, bounds=None):
+def _settles(bracket, tolerance) -> bool:
+    """Whether a bracket (lower, upper) on a tail radius decides
+    2 * radius < `tolerance`: twice its largest upper end is under the
+    tolerance, or twice its largest lower end reaches it (a NaN straddles)."""
+    top = lambda ends: np.maximum.reduce(ends, axis=None)
+    return 2.0 * top(bracket[1]) < tolerance or 2.0 * top(bracket[0]) >= tolerance
+
+
+def _plan(stream, mode, reads, tails, tolerance, anyway, kept):
+    """The tails of `tails` that a pass of `stream`'s block in `mode`, whose
+    bracket decides, settles before it walks, as {N: (lower, upper)}: a
+    bracket on the radius max_n norm(A_n - A_N) over [t, N], t = max(1, N//2),
+    that a walk would read, per reader row, from the block's `reads` and no
+    walk.  Per tail it tries, in order:
+
+    1. on the identity block, the probe-mean floor (floor, inf), where
+       `kept` holds the probe pass's means at t and N, which that pass keeps
+       where it forms them anyway, and its block's reads (`_scan`):
+       ||A_t - A_N|| >= ||(A_t - A_N) x|| / ||x|| for every probe x
+       (`_tail_floor`);
+    2. where t * tolerance > 2, the resolvent certificate (0, upper), from
+       the mean ergodic splitting X = Ker(I - T) + Ran(I - T)
+       (Yosida-Kakutani; `_tail_certificate`, `_decay`), at most one split
+       per block.  It skips the tails D = C cannot settle (a unit column
+       with no fixed part has ||Y x|| >= 1 / ||I - T|| >= 1 / (1 + C), so
+       twice its Y term is >= 2 / t), and short ones that a contracting
+       diagonal's smaller D might, which walk in a few steps;
+    3. on a probe block, the ladder floor (floor, inf), per probe and with
+       no division by ||x||, from A_t x and A_N x formed on the stream's
+       doubling ladder (`CesaroStream.ladder`, up to dim 128, where squaring
+       T costs less than stepping), whose bits are not the walk's: only its
+       proven allowance (`_deviation` at the ladder's depth) enters.  Only
+       past `anyway`, the step the pass walks to anyway, and before a
+       weighted shift's anchor: a shift's powers are 0 from step dim on, a
+       block T maps to itself bit for bit, so its anchor is at most dim + 1
+       before any walk, and the walk reaches that tail first, in closed form;
+
+    and it keeps the first bracket that decides (`_settles`).  A floor lies
+    under the walk's lower end, and the certificate over its upper end, with
+    the rounding of both streams proven where each is formed; a walk's upper
+    end is never below its lower end.  So where twice a floor reaches the
+    tolerance, the walk reads the tail ``inconclusive``, with no witness, as
+    the floor does, and where twice the certificate is under it, the walk
+    reads the tail as holding.  No two brackets on one radius decide apart,
+    so the order and each filter are a matter of work alone: the identity
+    floor costs a norm of the kept means, and the certificate, which settles
+    most probe tails, goes before the ladder's squarings.
+
+    A settled tail reads nothing.  The pass walks to its last tail left, and
+    with none left walks no step, but for a probe block narrower than the
+    identity block whose identity bracket decides: it walks on to `anyway`,
+    the longest horizon of `keep` up to its own, for the means the identity
+    floor reads, a walk cheaper than the identity block's (`check_families`
+    keeps means only there: an undecided identity pass reads no floor).
+    """
+    spec, settled = stream.spec, {}
+    certified = _tail_certificate(spec, stream.X, mode, reads.deviation, stream)
+    reached = spec.dim + 1 if spec.kind == KIND_SHIFT else math.inf
+    floor = lambda low: (low, np.full_like(low, math.inf))
+    settles = lambda bracket: bracket is not None and _settles(bracket, tolerance)
+    for N in tails:
+        bracket = None  # the last settler's
+        if mode == "dense" and N in (kept or ()):
+            pair, probe = kept[N]
+            _, above, _, delta = probe.deviation(N)
+            bracket = floor(_tail_floor(spec, mode, pair, delta, np.max(reads.deviation(N)[3]), above))
+        if N // 2 * tolerance > 2.0 and not settles(bracket):
+            upper = certified(N, tolerance)
+            bracket = np.zeros_like(upper), upper
+        if mode == "probe" and N > anyway and max(1, N // 2) < reached and not settles(bracket):
+            allowance = reads.deviation(N, _level_depth(spec, N) + 2 * N.bit_length())[3]
+            pair = stream.ladder(N) if np.all(np.isfinite(allowance)) else None
+            bracket = None if pair is None else floor(_tail_floor(spec, mode, pair, allowance, reads.deviation(N)[3]))
+        if settles(bracket):
+            settled[N] = bracket
+    return settled
+
+
+def _wants(wanted, marks, lo, hi) -> bool:
+    """Whether the steps [lo, hi) hold a mean that a decided pass reads: a
+    step of the sorted `wanted`, or one of a tail [t, N] of `marks`."""
+    return bisect_left(wanted, lo) < bisect_left(wanted, hi) or any(t < hi and lo <= N for t, N in marks.values())
+
+
+def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(), kept=None, reads=None):
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` also bound their walked tail means for
     `_tail_radius`.  `kept` is shared by the passes of one `check_families`:
-    for each horizon N of `keep` the pass adds ((A_t, A_N), size) to it
-    under N, t = max(1, N//2) and size its reader's norms of X, where it forms
-    both means anyway or past its anchor, and never walks further for them.
-    A step's bits do not depend on the chunk that holds it.
+    for each horizon N of `keep` the pass adds ((A_t, A_N), reads) to it
+    under N, t = max(1, N//2), where it forms both means anyway or past its
+    anchor.  A step's bits do not depend on the chunk that holds it.
 
-    Before it walks, the pass brackets every norm it could read
-    (`_bounded_bracket`, or `bounds` where its caller formed it first).
-    When the upper end is under the cap and under
-    `OVERFLOW_LIMIT`, and both ends give one integer bound, every bounded
-    verdict of the pass is decided, and so is each tail whose pre-walk
-    bracket on the radius lies on one side of `tolerance`: on the identity
-    block, first the floor that the probe means in `kept` prove
-    (`_tail_floor`); then, where t * tolerance > 2 (a filter on work alone),
-    the upper end of `_tail_certificate`; and last, on a probe block, the
-    floor that the means of `CesaroStream.ladder` prove (formed only where
-    squaring a dense T costs less than stepping), for each tail the pass
-    would not walk to anyway and that does not start past a weighted
-    shift's anchor (at most dim + 1: its powers are 0 from step dim on).
-    Such a tail reads nothing.  The pass reduces no norms, forms means only
-    for the tails left, and stops at its anchor or at the last of those
-    tails.  With none left it walks no step, but for a block narrower than
-    the identity block, which walks on to the longest horizon of `keep` (up
-    to its own), so that the identity pass's floor still has the means it
-    reads: that walk is the cheaper one.  (`check_families` keeps means only
-    where the identity bracket decides, since an undecided identity pass
-    reads no floor.)  Each scan holds the bracket,
-    and its snapshots past the walk come from the closed form.  Any other
-    pass walks a stationary phase through the closed form.
-
-    An undecided pass stops at the step w by which its bounded witnesses are
+    `reads` are the block's (`_reads`), formed here unless given.  Where
+    their bracket decides, the pass reduces no norms, forms only the means
+    it reads, and walks only as far as `_plan` leaves it to, up to its
+    anchor.  Any other pass walks a stationary phase through the closed
+    form, and stops at the step w by which its bounded witnesses are
     settled: the first power and the first mean above the cap in ``probe``
     mode, the first mean above it, with an exact norm above it too, in
     ``dense`` mode.  Every verdict of a horizon h >= w is then ``fails`` or
@@ -817,64 +818,20 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = stop = max(scans)  # the last step to walk: the horizon, or where the witnesses are settled
-    size = step_norm(X[None])[0]  # the reader's norms of X, read once for the bracket, certificate and floors
-    if bounds is None:  # else the caller formed it first
-        bounds = _bounded_bracket(spec, X, mode, horizon, size)
-    # A decided block narrower than the identity walks at least to the longest horizon it
-    # keeps, up to its own, for the identity pass's floor (a walk of that wider block costs more).
+    reads = reads or _reads(spec, X, mode, horizon)
+    decided = _decides(reads.bracket, bound_cap)
     anyway = min(horizon, max(keep, default=0)) if X.shape[1] < spec.dim else 0
-    # Once decided: whether the steps [lo, hi) hold a mean the pass reads, and the tails settled before the walk.
-    reads, settled = None, {}
-    if _decides(bounds, bound_cap):
-
-        def floor(h, pair, allowance, walk, above=None):
-            low = _tail_floor(spec, mode, pair, allowance, walk, above)
-            if 2.0 * np.max(low) >= tolerance:
-                settled[h] = (low, np.full_like(low, math.inf))
-
-        for h in tails if mode == "dense" and kept else ():
-            if h in kept:  # the probe means, and the probe pass's read of its block's norms
-                pair, probe_size = kept[h]
-                _, above, _, delta = _deviation(spec, None, "probe", h, probe_size)
-                floor(h, pair, delta, np.max(_deviation(spec, X, mode, h, size)[3]), above)
-        # A work filter: a tail it skips is walked, so it is sound for any D.  It skips the
-        # tails t * tol <= 2 that D = C cannot settle (a unit column with no fixed part has
-        # ||Y x|| >= 1 / ||I - T|| >= 1 / (1 + C), so twice its Y term is >= 2 / t); a
-        # contracting diagonal's smaller D could settle some, short tails walked in a few steps.
-        tried = [h for h in tails if h not in settled and tolerance is not None and h // 2 * tolerance > 2.0]
-        for h, u in _tail_certificate(spec, X, mode, tried, size, stream, tolerance).items():
-            if 2.0 * np.max(u) < tolerance:
-                settled[h] = (np.zeros_like(u), u)
-        # A weighted shift is nilpotent: from step dim on its powers are a block of
-        # zeros that T maps to itself bit for bit, so its anchor is at most dim + 1
-        # before any walk, and a tail that starts past it is read from the closed form.
-        reached = spec.dim + 1 if spec.kind == KIND_SHIFT else math.inf
-        for h in tails if mode == "probe" and tolerance is not None else ():
-            if h not in settled and h > anyway and max(1, h // 2) < reached:
-                delta = _deviation(spec, X, mode, h, size)[3]
-                allowance = _deviation(spec, X, mode, h, size, _level_depth(spec, h) + 2 * h.bit_length())[3]
-                pair = stream.ladder(h) if np.all(np.isfinite(allowance)) else None
-                if pair is not None:
-                    floor(h, pair, allowance, delta)
-        reads = lambda lo, hi: bisect_left(wanted, lo) < bisect_left(wanted, hi) or any(
-            t < hi and lo <= h for t, h in marks.values()
-        )
+    settled = _plan(stream, mode, reads, tails, tolerance, anyway, kept) if decided and tolerance is not None else {}
     # The snapshots of each tail left: its start and its end; and the steps to keep.
     marks = {h: (max(1, h // 2), h) for h in tails if h not in settled}
-    extra = {n for N in keep for n in (max(1, N // 2), N)}
-    wanted = sorted({n for ns in marks.values() for n in ns} | extra)
+    wanted = sorted({n for ns in marks.values() for n in ns} | {n for N in keep for n in (max(1, N // 2), N)})
+    wants = functools.partial(_wants, wanted, marks) if decided else None
     last = 0  # the last step read; a stream stops where it diverges
-    # A decided pass walks to its last tail left, and with none left, only as far as it must anyway.
-    if reads is None:
-        end = horizon
-    elif marks:
-        end = max(marks)
-    else:
-        end = anyway
-    for chunk in stream.chunks(end, reads) if end else ():
+    end = max(marks, default=anyway) if decided else horizon
+    for chunk in stream.chunks(end, wants) if end else ():
         first, count = chunk.first, len(chunk.powers)
         last = first + count - 1
-        if reads is None:  # a decided pass reads no norms
+        if not decided:  # a decided pass reads no norms
             norms = step_norm(chunk.means)
             tops = np.maximum.reduce(norms, axis=-1)
             means.append(tops)
@@ -907,24 +864,24 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
                 for bound, ufunc in ((scan.low, np.minimum), (scan.high, np.maximum)):
                     part = ufunc.reduce(rest, out=spare) if len(rest) > 1 else rest[0]
                     ufunc(bound, part, out=bound)
-        if last >= stop or reads is not None and stream.anchor is not None:
+        if last >= stop or decided and stream.anchor is not None:
             break  # a decided pass stops after the chunk that reaches its anchor
-    unread = [n for n in wanted if n > last] if reads is not None and stream.anchor is not None else []
+    unread = [n for n in wanted if n > last] if decided and stream.anchor is not None else []
     if unread:  # a decided pass stopped at its anchor: every later step is stationary
         snapshots.update(zip(unread, stream.closed_form(unread)))
     for N in keep:
         if max(1, N // 2) in snapshots and N in snapshots:
-            kept[N] = ((snapshots[max(1, N // 2)], snapshots[N]), size)
+            kept[N] = ((snapshots[max(1, N // 2)], snapshots[N]), reads)
     means = np.concatenate(means) if means else None
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
-        scan.walked = min(h, stop, last) if reads is None or h in marks else 0
-        scan.steps = h if reads is not None else scan.walked
+        scan.walked = min(h, stop, last) if not decided or h in marks else 0
+        scan.steps = h if decided else scan.walked
         scan.diverged_at = stream.diverged_at if stream.diverged_at == scan.steps else None
         scan.snapshots = {n: snapshots[n] for n in marks.get(h, ()) if n in snapshots and n <= scan.steps}
         scan.tail_bracket = settled.get(h)
-        if reads is not None:
-            scan.bracket = bounds
+        if decided:
+            scan.bracket = reads.bracket
             continue
         scan.means = means[: scan.walked]
         scan.powers = None if powers is None else powers[: scan.steps + 1]
@@ -964,7 +921,7 @@ def _tail_radius(scan: _Scan, norms: _Norms, tolerance: float):
         A = stream.closed_form([max(t, s)])[0]
         ends = _phase_bracket(norm, A, final, stream.anchor[1], norms.slack)
         lower, upper = np.maximum(lower, ends[0]), np.maximum(upper, ends[1])
-    if 2.0 * upper.max() < tolerance or 2.0 * lower.max() >= tolerance:
+    if _settles((lower, upper), tolerance):
         return lower, upper
     radius, buf = 0.0, np.empty((0, *final.shape))
     for chunk in CesaroStream(stream.spec, stream.X).chunks(N, reads=lambda lo, hi: hi > t):
@@ -976,12 +933,6 @@ def _tail_radius(scan: _Scan, norms: _Norms, tolerance: float):
             diffs = np.subtract(means, final, out=buf[: len(means)])
             radius = np.maximum(radius, np.maximum.reduce(norm(diffs), axis=0))
     return radius, radius
-
-
-def _tail_holds(horizon: int, diameter_ub: float, tolerance: float) -> bool:
-    """A tail diameter certifies convergence only over a tail
-    [max(1, N//2), N] with at least two indices."""
-    return max(1, horizon // 2) < horizon and diameter_ub < tolerance
 
 
 # -- bounded families ----------------------------------------------------
@@ -1020,12 +971,7 @@ def _bounded_verdict(family, scan, mode, label) -> Verdict:
     return Verdict(family, status, scan.horizon, None, bound, witness, label, evidence)
 
 
-def check_power_bounded(
-    spec: OperatorSpec,
-    probes: ProbeSet,
-    horizon: int,
-    bound_cap: float = 1e3,
-) -> Verdict:
+def check_power_bounded(spec: OperatorSpec, probes: ProbeSet, horizon: int, bound_cap: float = 1e3) -> Verdict:
     """Scan ||T^m x|| for all probes and m = 0..horizon."""
     _check_inputs(spec, probes, horizon=horizon, bound_cap=bound_cap)
     return _block_verdicts(spec, probes, "probe", [horizon], bound_cap)[FAMILY_POWER_BOUNDED][horizon]
@@ -1036,11 +982,7 @@ def _auto_mode(spec: OperatorSpec, horizon: int) -> str:
 
 
 def check_cesaro_bounded(
-    spec: OperatorSpec,
-    probes: ProbeSet,
-    horizon: int,
-    bound_cap: float = 1e3,
-    mode: str = "auto",
+    spec: OperatorSpec, probes: ProbeSet, horizon: int, bound_cap: float = 1e3, mode: str = "auto"
 ) -> Verdict:
     """Scan ||A_n x|| over probes (probe mode) or exact ||A_n|| (dense mode)
     for n = 1..horizon.
@@ -1054,9 +996,7 @@ def check_cesaro_bounded(
         raise ValueError(f"unknown mode {mode!r}, expected probe, dense, or auto")
     _check_inputs(spec, probes, mode == "probe", horizon=horizon, bound_cap=bound_cap)
     if mode == "dense" and spec.dim > DENSE_CAP:
-        raise CapExceededError(
-            f"dense Cesaro-bounded mode is capped at dim {DENSE_CAP} (got {spec.dim})"
-        )
+        raise CapExceededError(f"dense Cesaro-bounded mode is capped at dim {DENSE_CAP} (got {spec.dim})")
     return _block_verdicts(spec, probes, mode, [horizon], bound_cap)[FAMILY_CESARO_BOUNDED][horizon]
 
 
@@ -1069,13 +1009,11 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     Fails only by inheriting a failing Cesaro-bounded verdict `cb` at the
     same horizon, read off the same pass; is inconclusive on a diverged
     scan; holds only when `cb` holds and the certified diameter 2 * radius
-    is below the tolerance, and is inconclusive otherwise.  Norms come from
-    `_mode_norms`.  The radius is bracketed once, before the walk or off
-    it: a tail settled before the walk reads its scan's `tail_bracket`, a
-    resolvent certificate as (0, upper) (`certified`) or a probe floor as
-    (floor, inf) (see `_scan`), and any other tail `_tail_radius`.
-    Uniform ergodicity off a ``probe`` scan (above `DENSE_CAP`) has no upper
-    bound on ||A_n - A_N||, so it reads no radius and never holds.
+    is below the tolerance, and is inconclusive otherwise.  The radius is
+    bracketed by `_plan` before the walk (`tail_bracket`) or off it
+    (`_tail_radius`).  Uniform ergodicity off a ``probe`` scan (above
+    `DENSE_CAP`) has no upper bound on ||A_n - A_N||, so it reads no radius
+    and never holds.
     """
     evidence = {
         "mode": mode,
@@ -1103,20 +1041,14 @@ def _tail_verdict(family, scan, cb, tolerance, label, mode) -> Verdict:
     diam_lb = lower if norms.exact else np.zeros_like(lower)
     evidence["tail_diameter_ub"] = np.asarray(diam_ub).tolist()
     evidence["tail_diameter_lb"] = np.asarray(diam_lb).tolist()
-    if cb.status == HOLDS and _tail_holds(scan.horizon, diam_ub.max(), tolerance):
+    # Only a tail [max(1, N//2), N] of two indices or more certifies convergence.
+    if cb.status == HOLDS and max(1, scan.horizon // 2) < scan.horizon and diam_ub.max() < tolerance:
         return verdict(HOLDS)
     return verdict(INCONCLUSIVE)
 
 
-# -- ergodic -------------------------------------------------------------
-
-
 def check_ergodic(
-    spec: OperatorSpec,
-    probes: ProbeSet,
-    horizon: int,
-    tolerance: float,
-    bound_cap: float = 1e3,
+    spec: OperatorSpec, probes: ProbeSet, horizon: int, tolerance: float, bound_cap: float = 1e3
 ) -> Verdict:
     """Probe-level Cauchy check of the means over the tail [N/2, N].
 
@@ -1130,15 +1062,8 @@ def check_ergodic(
     return verdicts[FAMILY_ERGODIC][horizon]
 
 
-# -- uniformly ergodic ---------------------------------------------------
-
-
 def check_uniformly_ergodic(
-    spec: OperatorSpec,
-    horizon: int,
-    tolerance: float,
-    probes: ProbeSet | None = None,
-    bound_cap: float = 1e3,
+    spec: OperatorSpec, horizon: int, tolerance: float, probes: ProbeSet | None = None, bound_cap: float = 1e3
 ) -> Verdict:
     """Norm-level Cauchy check of the means over the tail [N/2, N].
 
@@ -1152,13 +1077,8 @@ def check_uniformly_ergodic(
     """
     mode = "probe" if spec.dim > DENSE_CAP else "dense"
     if mode == "probe" and probes is None:
-        raise ValueError(
-            f"dim {spec.dim} exceeds the dense cap {DENSE_CAP}; probes are "
-            "required above it"
-        )
-    _check_inputs(
-        spec, probes, mode == "probe", horizon=horizon, tolerance=tolerance, bound_cap=bound_cap
-    )
+        raise ValueError(f"dim {spec.dim} exceeds the dense cap {DENSE_CAP}; probes are required above it")
+    _check_inputs(spec, probes, mode == "probe", horizon=horizon, tolerance=tolerance, bound_cap=bound_cap)
     verdicts = _block_verdicts(spec, probes, mode, (), bound_cap, tolerance, uniform=[horizon])
     return verdicts[FAMILY_UNIFORMLY_ERGODIC][horizon]
 
@@ -1167,25 +1087,21 @@ def check_uniformly_ergodic(
 
 
 def _block_verdicts(
-    spec, probes, mode, horizons, bound_cap, tolerance=None, ergodic=(), uniform=(), keep=(), kept=None, bounds=None
+    spec, probes, mode, horizons, bound_cap, tolerance=None, ergodic=(), uniform=(), keep=(), kept=None, reads=None
 ):
     """Every verdict of one `_scan` of a block, as {family: {horizon: Verdict}}.
 
     The pass walks the probe block (``probe``) or the identity block
     (``dense``) to the longest of `horizons`, `ergodic` and `uniform`, and
     gives the block's bounded verdicts at each (power-bounded off probes
-    only).  Ergodicity at each of `ergodic` and uniform ergodicity at each
-    of `uniform` are gated by the Cesaro-bounded verdict at their own
-    horizon (see `_tail_verdict`); uniform ergodicity off probes reads no
-    tail.  A probe pass adds to `kept` the means of the tails of `keep` that
-    it forms anyway, with its read of the block's norms, and an identity
-    pass given `kept` floors its tails with them before it walks (see
-    `_scan`).
+    only), and ergodicity at each of `ergodic` and uniform ergodicity at
+    each of `uniform` (`_tail_verdict`).  A probe pass adds the means of
+    `keep` to `kept`, for an identity pass given it to floor its tails.
     """
     probe = mode == "probe"
     X, label = (probes.vectors.T, probes.label) if probe else (np.eye(spec.dim), None)
     tails, served = (ergodic if probe else uniform), {*horizons, *ergodic, *uniform}
-    scans = _scan(spec, X, mode, served, bound_cap, tails, tolerance, keep, kept, bounds)
+    scans = _scan(spec, X, mode, served, bound_cap, tails, tolerance, keep, kept, reads)
     bounded = (FAMILY_POWER_BOUNDED, FAMILY_CESARO_BOUNDED) if probe else (FAMILY_CESARO_BOUNDED,)
     verdicts = {f: {h: _bounded_verdict(f, s, mode, label) for h, s in scans.items()} for f in bounded}
     cbs = verdicts[FAMILY_CESARO_BOUNDED]
@@ -1205,12 +1121,7 @@ class FamilyVerdicts(NamedTuple):
 
 
 def check_families(
-    spec: OperatorSpec,
-    probes: ProbeSet,
-    horizon: int,
-    tolerance: float,
-    bound_cap: float,
-    ue_horizon: int,
+    spec: OperatorSpec, probes: ProbeSet, horizon: int, tolerance: float, bound_cap: float, ue_horizon: int
 ) -> FamilyVerdicts:
     """Every family verdict of an analysis report.
 
@@ -1220,32 +1131,20 @@ def check_families(
     it, and uniform ergodicity at the trusted horizon, and at `ue_horizon`
     too when that is longer (off the probe block above `DENSE_CAP`).
 
-    Each pass walks only for what its bracket does not decide before it
-    starts (see `_scan`).  The probe pass settles its tail from the
-    resolvent certificate, then from the floor of its ladder's means, and
-    keeps its means at t = N//2 and N of each uniformly ergodic horizon N
-    where it forms them anyway, where the identity bracket, formed first,
-    decides; the identity pass settles a tail from them first
-    (`_tail_floor`), then from the resolvent certificate, so with every tail
-    settled it walks no step.
+    Each pass walks only for what its bracket and `_plan` leave.  The
+    identity block's reads come first, and where its bracket decides, the
+    probe pass keeps its means for the identity pass's floor.
     """
-    _check_inputs(
-        spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap,
-        ue_horizon=ue_horizon,
-    )
+    _check_inputs(spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap, ue_horizon=ue_horizon)
     trusted = trusted_horizon(spec, ue_horizon)
     ues, wide = {trusted, ue_horizon}, spec.dim > DENSE_CAP
     dense = _auto_mode(spec, horizon) == "dense"
-    # The identity pass's bracket comes first: only where it decides does that pass read
-    # a floor, so only there does the probe pass keep the means the floor reads.
-    identity = None if wide else _bounded_bracket(spec, np.eye(spec.dim), "dense", max(*ues, horizon if dense else 0))
-    keep = ues if identity is not None and _decides(identity, bound_cap) else ()
+    identity = None if wide else _reads(spec, np.eye(spec.dim), "dense", max(*ues, horizon if dense else 0))
+    keep = ues if identity is not None and _decides(identity.bracket, bound_cap) else ()
     kept = {}  # of the probe pass's snapshots, only those of `keep` outlive it, for the identity pass
-    probe = _block_verdicts(
-        spec, probes, "probe", (), bound_cap, tolerance, [horizon], ues if wide else (), keep, kept
-    )
+    probe = _block_verdicts(spec, probes, "probe", (), bound_cap, tolerance, [horizon], ues if wide else (), keep, kept)
     norm = probe if wide else _block_verdicts(
-        spec, probes, "dense", [horizon] if dense else (), bound_cap, tolerance, (), ues, kept=kept, bounds=identity
+        spec, probes, "dense", [horizon] if dense else (), bound_cap, tolerance, (), ues, kept=kept, reads=identity
     )
     ue = norm[FAMILY_UNIFORMLY_ERGODIC]
     return FamilyVerdicts(
@@ -1260,11 +1159,7 @@ def check_families(
 # -- witness replay ------------------------------------------------------
 
 
-def replay_witness(
-    spec: OperatorSpec,
-    verdict: Verdict,
-    probes: ProbeSet | None = None,
-) -> tuple[float, bool]:
+def replay_witness(spec: OperatorSpec, verdict: Verdict, probes: ProbeSet | None = None) -> tuple[float, bool]:
     """Re-run the pass that wrote a ``fails`` witness and read it again.
 
     Returns the reproduced value and whether it is still above the

@@ -425,9 +425,10 @@ def _split_product(A, B):
 
 
 @functools.lru_cache(maxsize=4)  # a priori and tight, for both passes of a check_families call
-def _l2_bound(spec: OperatorSpec, tight: bool = False) -> tuple[float, float]:
-    """(r, estimate): a rounding-sound upper bound r >= ||T||_2 of a dense
-    spec, or inf, and 2^e sqrt(max(w)), the estimate of ||T||_2 it rests on.
+def _l2_bound(spec: OperatorSpec, tight: bool = False) -> tuple[float, float, tuple]:
+    """(r, estimate, (w, Q)): a rounding-sound upper bound r >= ||T||_2 of a
+    dense spec, or inf, 2^e sqrt(max(w)), the estimate of ||T||_2 it rests
+    on, and the eigenpairs it reads.
 
     S = 2^-e T, exact up to 2^-1074 per entry, has its largest magnitude in
     [1/2, 1) or is 0.  G is S^T S as computed, its lower triangle (which
@@ -445,12 +446,14 @@ def _l2_bound(spec: OperatorSpec, tight: bool = False) -> tuple[float, float]:
     the benchmark's dense-96-l2).  `tight` forms G, R = [G Q] [Q; -diag(w)]
     and E = [Q^T I] [Q; -I] by `_split_product` instead, whose envelopes are
     about u of themselves, so r is within a few u || |T| ||_2 of ||T||_2
-    (r - 1 is 7.8e-15 to 9.8e-15 there), for three BLAS products each and a
-    second `eigh`.  Each term is formed from nonnegative numbers
-    by at most 4d + 8 roundings in a row, so twice its computed value covers
-    it and their sum; 2^-900 covers the subnormal products (under
-    d^3 2^-1070 in all), and 1 + 2^-50 the addition of max(w), the root and
-    itself.  r is that times 2^e, plus 2^-1074 for a subnormal product.
+    (r - 1 is 8.2e-15 to 1.02e-14 there), for three BLAS products each and
+    the a priori call's (w, Q), whose residual against the split G is still
+    about u ||G||: the bound holds for any pair.  Each term is formed from
+    nonnegative numbers by at most 4d + 8 roundings in a row, so twice its
+    computed value covers it and their sum; 2^-900 covers the subnormal
+    products (under d^3 2^-1070 in all), and 1 + 2^-50 the addition of
+    max(w), the root and itself.  r is that times 2^e, plus 2^-1074 for a
+    subnormal product.
     """
     d, e = spec.dim, math.frexp(float(np.max(np.abs(spec.entries))))[1]
     c, norm = (d + 2) * 2.0**-52, lambda M: math.sqrt(np.max(M.sum(axis=0)) * np.max(M.sum(axis=1)))
@@ -458,25 +461,22 @@ def _l2_bound(spec: OperatorSpec, tight: bool = False) -> tuple[float, float]:
     with np.errstate(over="ignore", invalid="ignore"):
         S = np.ldexp(spec.entries, -e)
         if tight:
-            G, gram = _split_product(S.T, S)
+            (G, gram), (w, Q), I = _split_product(S.T, S), _l2_bound(spec)[2], np.eye(d)
             G, gram = mirror(G), norm(mirror(gram))
-        else:
-            G, gram = mirror(S.T @ S), c * norm(np.abs(S)) ** 2
-        w, Q = np.linalg.eigh(G)
-        if tight:
-            I = np.eye(d)
             (R, res), (E, eta) = _split_product(np.hstack([G, Q]), np.vstack([Q, -np.diag(w)])), _split_product(
                 np.hstack([Q.T, I]), np.vstack([Q, -I])
             )
             res, eta = 2.0 * norm(np.abs(R) + res), 2.0 * norm(np.abs(E) + eta)
         else:
+            G, gram = mirror(S.T @ S), c * norm(np.abs(S)) ** 2
+            w, Q = np.linalg.eigh(G)
             Qa = np.abs(Q)
             res = 2.0 * norm(np.abs(G @ Q - Q * w) + c * (np.abs(G) @ Qa + Qa * np.abs(w)))
             eta = 2.0 * norm(np.abs(Q.T @ Q - np.eye(d)) + c * (Qa.T @ Qa))
         square = (1.0 + eta) * res + 2.0 * gram + 2.0**-900 + np.max(w)
         r = float(np.ldexp(np.sqrt(square) * (1.0 + 2.0**-50), e)) + 2.0**-1074
         estimate = float(np.ldexp(np.sqrt(max(float(np.max(w)), 0.0)), e))
-    return (r if eta <= 0.5 and r <= math.inf else math.inf), estimate
+    return (r if eta <= 0.5 and r <= math.inf else math.inf), estimate, (w, Q)
 
 
 # -- probe sets ----------------------------------------------------------

@@ -141,15 +141,21 @@ def test_only_the_pass_plans_a_pass():
     # where it walks one: the pass itself, a tail radius folded from a fresh
     # walk, and a witness replay.  A second planner that builds scans of a
     # stream it never walks is caught.  The stream's ladder of means is
-    # formed only by the pass, as it plans which tails it floors, in no
-    # module of the package but `classify`; a second caller is caught.
+    # formed only by `_plan`, as it plans which tails it floors, in no
+    # module of the package but `classify`; a second caller is caught.  The
+    # pass only walks: it calls no settler itself, and nests no function.
     source = "def _unwalked(spec, X):\n    return {1: _Scan(CesaroStream(spec, X), 1, 1.0)}\n"
     caught = _callers(source + "def _floors(stream):\n    return stream.ladder(4)\n")
     assert (caught["_Scan"], caught["CesaroStream"], caught["ladder"]) == ({"_unwalked"}, {"_unwalked"}, {"_floors"})
     callers = _callers((ROOT / "src" / "ergorank" / "classify.py").read_text(encoding="utf-8"))
     assert callers["_Scan"] == {"_scan"}
     assert callers["CesaroStream"] == {"_scan", "_tail_radius", "replay_witness"}
-    assert callers["ladder"] == {"_scan"}
+    assert callers["ladder"] == {"_plan"}
+    for settler in ("_tail_floor", "_tail_certificate", "ladder"):
+        assert "_scan" not in callers[settler], settler
+    tree = ast.parse((ROOT / "src" / "ergorank" / "classify.py").read_text(encoding="utf-8"))
+    (scan,) = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_scan"]
+    assert not [node for node in ast.walk(scan) if node is not scan and isinstance(node, (ast.FunctionDef, ast.Lambda))]
     for path in sorted((ROOT / "src" / "ergorank").glob("*.py")):
         if path.name != "classify.py":
             assert "ladder" not in _callers(path.read_text(encoding="utf-8")), path.name

@@ -672,7 +672,7 @@ def _folded(scan, norms, tolerance):
     return _tail_radius(scan, norms, np.nan)
 
 
-def _no_bounds(spec, X, mode, horizon, size=None):
+def _no_bounds(spec, mode, deviation):
     """A bracket on the bounded verdicts that decides nothing: every pass
     reads the norms of every step."""
     return np.nan, np.inf
@@ -725,7 +725,7 @@ def _spying(floors, mode):
 
 def _no_certificate():
     """The resolvent certificate settles no tail: each is floored or walked."""
-    return mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {})
+    return mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: lambda *tail: np.inf)
 
 
 def _assert_tail_capacities_agree(spec, horizon, tolerance=1e-2):
@@ -1235,7 +1235,7 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
         if name in stationary:
             assert walks.walks == [[False, n] for n in stationary[name][0]], name
             walks.walks.clear()
-            with mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {}):
+            with _no_certificate():
                 check_families(*_probes(name), 10_000, 1e-2, 1e3, 256)
             assert walks.walks == [[False, n] for n in stationary[name][1]], name
     spec = gallery("scalar(-1.0)")
@@ -1389,7 +1389,7 @@ def test_the_identity_tail_is_bracketed_without_a_walk(monkeypatch):
     assert np.all(np.asarray(erg.evidence["tail_diameter_lb"]) <= radius)
     assert np.all(np.asarray(erg.evidence["tail_diameter_ub"]) >= 2.0 * radius)
     walks.walks.clear()
-    with mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {}):
+    with _no_certificate():
         bracketed = check_families(spec, probes, horizon, 1e-2, 1e3, 256).ergodic
     assert walks.walks == [[False, 1], [False, 1]]
     assert np.all(np.asarray(bracketed.evidence["tail_diameter_lb"]) <= radius)
@@ -1882,7 +1882,7 @@ def test_a_decided_pass_agrees_with_a_forced_walk(spec, horizon, tiny, cap_at):
         ("dense", np.eye(spec.dim), (), [horizon, ue]),
     ):
         lower = float(np.max(_mode_norms(spec, mode).step(X[None])))
-        upper = ergorank.classify._bounded_bracket(spec, X, mode, horizon)[1]
+        upper = ergorank.classify._reads(spec, X, mode, horizon).bracket[1]
         upper = upper if upper < np.inf else 1e3
         cap = {"lower": lower, "below": np.nextafter(lower, 0.0), "above": np.nextafter(lower, np.inf),
                "default": 1e3, "upper": upper, "under": np.nextafter(upper, 0.0)}[cap_at]
@@ -1928,9 +1928,11 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
     # resolvent certificate (F, Y and the residuals R and E), sparse-128-l1's
     # also the difference of the ladder's means that floor its tail, and no
     # norm per step (with the certificate off, only its lower end and that
-    # difference), and the identity pass its lower end and, per tail, the
-    # kept means' difference (`_tail_floor`; both blocks' delta_N reuse the
-    # lower ends the two passes read), and no norm per step.  (The tails
+    # difference), and the identity pass, per tail, the kept means'
+    # difference (`_tail_floor`; its lower end is read once, for the
+    # identity bracket that `check_families` forms first and hands it, and
+    # both blocks' delta_N reuse the lower ends read), and no norm per
+    # step.  (The tails
     # read a few norms more, and their count moves with the horizon only
     # where a tail starts before or after the stream's anchor: the shift's
     # at 500 starts before its anchor at 258.)  dense-96-l2's probe bracket
@@ -1991,10 +1993,10 @@ def test_the_bracket_decides_the_benchmark_specs_at_norm_one(monkeypatch):
                     assert min(margins) >= 1e-2, (seed, label)
                 else:
                     assert brackets == [None, None], (seed, label)
-            identity = ergorank.classify._bounded_bracket(spec, np.eye(spec.dim), "dense", 256)
+            identity = ergorank.classify._reads(spec, np.eye(spec.dim), "dense", 256).bracket
             assert ergorank.classify._decides(identity, 1e3) == (label in _SKIP_MARGINS), (seed, label)
             if label in _SKIP_MARGINS:
-                floors, ladder = 1 + len(_SKIP_MARGINS[label][seed]), int(label == "sparse-128-l1")
+                floors, ladder = len(_SKIP_MARGINS[label][seed]), int(label == "sparse-128-l1")
                 assert per_horizon == [[1 + 4 + ladder, floors], [1 + 4 + ladder, floors]], (seed, label)
                 for horizon in (500, 2000):
                     passes.clear()
@@ -2070,28 +2072,45 @@ def test_the_l2_bound_survives_a_wrong_eigendecomposition(spec, seed, size, vect
             assert r == math.inf, tight
 
 
+def test_the_tight_l2_bound_reads_the_a_priori_eigenpairs(monkeypatch):
+    # The tight r forms its residuals from the a priori call's (w, Q): the
+    # bound holds for any computed pair, so forming both r on dense-96-l2
+    # runs one `eigh` of its 96 x 96 Gram matrix, and the tight r is still
+    # within 2e-14 of its norm, 1, at seeds 1, 7 and 101.
+    real, calls = np.linalg.eigh, []
+    monkeypatch.setattr(np.linalg, "eigh", lambda G: calls.append(G.shape) or real(G))
+    for seed in (1, 7, 101):
+        spec = _bench_workloads().wide_specs(seed)["dense-96-l2"]
+        calls.clear()
+        r, tight = _l2_bound(spec)[0], _l2_bound(spec, True)[0]
+        assert calls == [(96, 96)] and 1.0 <= tight < r and tight < 1.0 + 2e-14, (seed, calls, r, tight)
+
+
 #: Per gallery operator at the default config, each pass of check_families,
 #: probe then identity: whether its bracket decides it before it walks, and
-#: how many stacks of norms it reads (its lower end, then each chunk's means
-#: and powers).  rotation(1.0) and random_diagonalizable(7,12) read 41 and
-#: 3, and 315 and 5, when their brackets grew by the norm of |T|.  The C
-#: and delta_N of a decided pass's resolvent certificate reuse the lower
+#: how many stacks of norms it reads (the probe pass its lower end, then
+#: each pass each chunk's means and powers).  The identity block's lower
+#: end is read once, by `check_families` before the probe pass, for the
+#: identity bracket, and handed to the identity pass with it, so that pass
+#: reads it no more.  rotation(1.0) and random_diagonalizable(7,12) read 41
+#: and 3, and 315 and 5, when their brackets grew by the norm of |T|.  The
+#: C and delta_N of a decided pass's resolvent certificate reuse the lower
 #: end's read of X, so no pass reads X again for one.  left_shift_l1(64)'s
 #: identity pass walks no step: its probe means at 16, 32, 128 and 256
 #: floor its uniformly ergodic tails inconclusive before it starts, and
 #: the delta_N of both blocks that its two floors read reuse the lower ends
-#: the two passes read, so neither block is read again.
+#: already read, so neither block is read again.
 _GALLERY_PASSES = {
-    "identity(8)": [(True, 1), (True, 1)],
-    "zero(4)": [(True, 1), (True, 1)],
-    "scalar(1.0)": [(True, 1), (True, 1)],
-    "scalar(0.5)": [(True, 1), (True, 1)],
-    "scalar(-1.0)": [(True, 1), (True, 1)],
-    "scalar(2.0)": [(False, 3), (False, 3)],
-    "jordan_1(2)": [(False, 9), (False, 3)],
-    "rotation(1.0)": [(True, 1), (True, 1)],
-    "left_shift_l1(64)": [(True, 1), (True, 1)],
-    "random_diagonalizable(7,12)": [(True, 1), (True, 1)],
+    "identity(8)": [(True, 1), (True, 0)],
+    "zero(4)": [(True, 1), (True, 0)],
+    "scalar(1.0)": [(True, 1), (True, 0)],
+    "scalar(0.5)": [(True, 1), (True, 0)],
+    "scalar(-1.0)": [(True, 1), (True, 0)],
+    "scalar(2.0)": [(False, 3), (False, 2)],
+    "jordan_1(2)": [(False, 9), (False, 2)],
+    "rotation(1.0)": [(True, 1), (True, 0)],
+    "left_shift_l1(64)": [(True, 1), (True, 0)],
+    "random_diagonalizable(7,12)": [(True, 1), (True, 0)],
 }
 
 
@@ -2284,11 +2303,11 @@ def test_families_walk_each_block_once_unless_a_tail_straddles(monkeypatch, name
     check_families(spec, probes, 2000, 1e-2, 1e3, 64)
     assert walks.walks == [[False, 64], *again]
     walks.walks.clear()
-    with mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {}):
+    with _no_certificate():
         check_families(spec, probes, 2000, 1e-2, 1e3, 64)
     assert walks.walks == [[False, 2000], *([] if name == "rotation(1.0)" else [[False, 64], *again])]
     walks.walks.clear()
-    with mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {}), _no_skip():
+    with _no_certificate(), _no_skip():
         check_families(spec, probes, 2000, 1e-2, 1e3, 64)
     assert walks.walks == [[False, 2000], [False, 64], *again]
 

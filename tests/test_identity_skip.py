@@ -11,7 +11,6 @@ of the identity block, on generated specs and on the benchmark's inputs.
 
 import collections
 import contextlib
-from unittest import mock
 
 import numpy as np
 from hypothesis import event, example, given, settings, strategies as st
@@ -22,7 +21,9 @@ from ergorank.classify import HOLDS, INCONCLUSIVE, check_families, _mode_norms, 
 from ergorank.operators import (
     DENSE_CAP, KIND_DIAGONAL, KIND_SHIFT, OperatorSpec, basis_probes, built_in_gallery, default_probes, gallery,
 )
-from test_classify import _Walks, _bench_workloads, _bounded_specs, _jordan_specs, _no_skip, _serialized, _spying
+from test_classify import (
+    _Walks, _bench_workloads, _bounded_specs, _jordan_specs, _no_certificate, _no_skip, _serialized, _spying,
+)
 
 #: A nilpotent shift whose identity tails settle both ways before the walk
 #: at horizon 2 000, tolerance 0.1 and UE horizon 256: the probe means floor
@@ -106,7 +107,6 @@ def test_the_floor_and_the_certificate_settle_one_pass(monkeypatch):
     # at 65 for the other.  Every verdict serializes alike.
     probes = default_probes(MIXED_SHIFT)
     run = lambda: check_families(MIXED_SHIFT, probes, 2000, 0.1, 1e3, 256)
-    no_certificate = lambda: mock.patch.object(ergorank.classify, "_tail_certificate", lambda *args: {})
     walks = _Walks(monkeypatch)
     got = run()
     assert walks.walks == [[False, 65]]
@@ -117,8 +117,8 @@ def test_the_floor_and_the_certificate_settle_one_pass(monkeypatch):
     assert got.section.evidence["certified"] and not got.uniformly_ergodic.evidence["certified"]
     for patches, want in (
         ((_no_skip,), [[False, 65], [False, 32]]),
-        ((no_certificate,), [[False, 65], [False, 65]]),
-        ((_no_skip, no_certificate), [[False, 65], [False, 65]]),
+        ((_no_certificate,), [[False, 65], [False, 65]]),
+        ((_no_skip, _no_certificate), [[False, 65], [False, 65]]),
     ):
         walks.walks.clear()
         with contextlib.ExitStack() as stack:

@@ -23,9 +23,9 @@ from ergorank.classify import (
     INCONCLUSIVE,
     check_ergodic,
     check_families,
-    _deviation,
     _level_depth,
     _mode_norms,
+    _reads,
     _scan,
     _tail_floor,
     _tail_radius,
@@ -42,7 +42,7 @@ from test_resolvent import _exact_norms, _exact_specs, _within
 
 def _allowance(spec, X, horizon):
     """delta^L_N of the ladder of X: `_deviation` at the ladder's depth."""
-    return _deviation(spec, X, "probe", horizon, depth=_level_depth(spec, horizon) + 2 * horizon.bit_length())[3]
+    return _reads(spec, X, "probe", horizon).deviation(horizon, _level_depth(spec, horizon) + 2 * horizon.bit_length())[3]
 
 
 @st.composite
@@ -82,7 +82,7 @@ def _worst_walk_holds(spec, X, N, floor):
     whose means lie within their delta_N of the exact ones reads,
     (||(A_t - A_N) x|| - 2 delta_N)(1 - u) / (1 + eps) - tiny, with the
     exact norm in `Fraction`s (compared as squares for l2)."""
-    norms, delta = _mode_norms(spec, "probe"), _deviation(spec, X, "probe", N)[3]
+    norms, delta = _mode_norms(spec, "probe"), _reads(spec, X, "probe", N).deviation(N)[3]
     steps, diverged = exact_stream(spec, X, N)
     assert diverged is None
     D = steps[max(1, N // 2) - 1][1] - steps[-1][1]
@@ -101,7 +101,7 @@ def test_a_ladder_floor_is_under_every_walk_it_admits_exactly(spec, horizon, bas
     # delta_N, is at most the lower end of the worst walk within delta_N of
     # the exact means, in `Fraction`s, wherever it is positive.
     X = basis_probes(spec.dim, spec.norm_tag).vectors.T if basis else few_default_probes(spec, 2).vectors.T
-    delta, allowance = _deviation(spec, X, "probe", horizon)[3], _allowance(spec, X, horizon)
+    delta, allowance = _reads(spec, X, "probe", horizon).deviation(horizon)[3], _allowance(spec, X, horizon)
     means = CesaroStream(spec, X).ladder(horizon)
     if means is None or not np.all(np.isfinite(allowance)) or not np.all(np.isfinite(delta)):
         return

@@ -25,10 +25,10 @@ from ergorank.classify import (
     check_ergodic,
     check_families,
     _decay,
-    _deviation,
     _l2_factor,
     _level_depth,
     _mode_norms,
+    _reads,
     _tail_certificate,
 )
 from ergorank.operators import (
@@ -48,6 +48,12 @@ from reference import as_exact, exact_stream, few_default_probes, reference_tail
 from test_classify import (
     HUGE_DIAGONAL, _Walks, _bench_workloads, _exact_dense, _jordan_specs, _serialized, _walking,
 )
+
+
+def _certificate(spec, X, mode, horizon, stream=None):
+    """The resolvent certificate's upper end on the tail ending at
+    `horizon`, over the reads of a pass of X to it."""
+    return _tail_certificate(spec, X, mode, _reads(spec, X, mode, horizon).deviation, stream)(horizon)
 
 
 @pytest.mark.parametrize("name", ["rotation(1.0)", "scalar(-1.0)", "random_diagonalizable(7,12)"])
@@ -99,11 +105,16 @@ def test_the_certificate_calls_no_svd_and_splits_each_block_once(monkeypatch):
         return real_split(spec, X, stream)
 
     def certificate(*args):
-        inside[0] = True
-        try:
-            return real_certificate(*args)
-        finally:
-            inside[0] = False
+        upper = real_certificate(*args)
+
+        def within(*tail):  # the certificate's work runs per tail, on the first one asked for
+            inside[0] = True
+            try:
+                return upper(*tail)
+            finally:
+                inside[0] = False
+
+        return within
 
     monkeypatch.setattr(np.linalg, "svd", svd)
     monkeypatch.setattr(ergorank.classify, "_split", split)
@@ -191,7 +202,7 @@ def test_a_certificate_is_at_least_the_walked_radius_or_infinite(spec, horizon, 
     # nothing, and the pass walks.
     probes = _test_probes(spec, block)
     for mode, X in (("probe", probes.vectors.T), ("dense", np.eye(spec.dim))):
-        upper = _tail_certificate(spec, X, mode, [horizon])[horizon]
+        upper = _certificate(spec, X, mode, horizon)
         assert not np.any(np.isnan(upper)), mode
         radius = reference_tail_radius(spec, X, horizon, _mode_norms(spec, mode).radius)
         if radius is not None:
@@ -249,7 +260,7 @@ def test_the_deviation_bounds_every_computed_mean_exactly(spec, horizon, dense, 
     # that products underflow) and on the identity block.
     mode = "dense" if dense else "probe"
     X = np.eye(spec.dim) if dense else basis_probes(spec.dim, spec.norm_tag).vectors.T * (5e-324 if tiny else 1.0)
-    _, _, power, deviation = _deviation(spec, X, mode, horizon)
+    _, _, power, deviation = _reads(spec, X, mode, horizon).deviation(horizon)
     if power == math.inf:
         return
     exact = {n: A for n, A, *_ in exact_stream(spec, X, horizon)[0]}
@@ -267,7 +278,7 @@ def test_a_certificate_holds_the_exact_and_the_walked_radius(spec, horizon, dens
     # and so does the radius a walk reads.
     mode = "dense" if dense else "probe"
     X = np.eye(spec.dim) if dense else few_default_probes(spec, 1).vectors.T
-    upper = _tail_certificate(spec, X, mode, [horizon])[horizon]
+    upper = _certificate(spec, X, mode, horizon)
     if not np.all(np.isfinite(upper)):
         return
     steps, diverged = exact_stream(spec, X, horizon)
@@ -301,7 +312,7 @@ def test_a_certificate_survives_a_wrong_split(spec, horizon, block, seed, wrong)
         return F + wrong * rng.standard_normal(F.shape), Y + wrong * rng.standard_normal(Y.shape)
 
     with mock.patch.object(ergorank.classify, "_split", split):
-        upper = _tail_certificate(spec, X, mode, [horizon])[horizon]
+        upper = _certificate(spec, X, mode, horizon)
     radius = reference_tail_radius(spec, X, horizon, _mode_norms(spec, mode).radius)
     if radius is not None:
         assert np.all(np.where(np.isfinite(upper), radius <= upper, True))
@@ -321,7 +332,7 @@ def test_the_decay_bounds_every_power_on_the_support_exactly(entries, seed, hori
     spec = OperatorSpec(KIND_DIAGONAL, len(entries), entries, "l1")
     rng = np.random.default_rng(seed)
     Y = rng.standard_normal((spec.dim, 3)) * (rng.uniform(size=(spec.dim, 1)) < 0.6)
-    t, C = horizon // 2, _deviation(spec, Y, "probe", horizon)[2]
+    t, C = horizon // 2, _reads(spec, Y, "probe", horizon).deviation(horizon)[2]
     D = _decay(spec, Y, t, C)
     assert D <= C
     if C == math.inf:
@@ -365,7 +376,7 @@ def test_the_l2_path_bounds_every_computed_mean_exactly(spec, horizon, stepped, 
     real, formed = ergorank.classify._l2_bound, []
     grid = mock.patch.object(ergorank.cesaro, "_grid", lambda spec, shape: 1) if stepped else contextlib.nullcontext()
     with grid, mock.patch.object(ergorank.classify, "_l2_bound", lambda *args: formed.append(args) or real(*args)):
-        _, _, power, deviation = _deviation(spec, X, "probe", horizon)
+        _, _, power, deviation = _reads(spec, X, "probe", horizon).deviation(horizon)
         event(f"{'stepped' if stepped else 'doubled'}, {'with r' if formed else 'no r'}")
         if power == math.inf:
             return
@@ -411,8 +422,8 @@ def test_a_tail_certified_with_a_decay_factor_walks_under_it(spec, horizon, bloc
     probes = _test_probes(spec, block)
     X = probes.vectors.T
     stream = CesaroStream(spec, X)
-    C = _deviation(spec, X, "probe", horizon)[2]
-    upper = _tail_certificate(spec, X, "probe", [horizon], stream=stream)[horizon]
+    C = _reads(spec, X, "probe", horizon).deviation(horizon)[2]
+    upper = _certificate(spec, X, "probe", horizon, stream)
     if horizon < 2 or not np.all(np.isfinite(upper)):
         event("certificate: infinite")
         return
