@@ -22,6 +22,12 @@ of the separation tree, read at every k off one `tree.best_chains` run;
 heights that keep growing with the probe budget indicate higher-rank
 non-convergence structure.  No tree is enumerated, so the estimate is
 never cut short by a node budget.
+
+An analysis forms one `tree.margin_tensor` (`_rank`) and hands it to its
+doubling search (`_search`), whose table is then the tensor's entries
+along the dyadic chain: the bits that `tree.chain_margins` gives on the
+probe block, in `operators.column_norms`' summation order.  A search on
+its own walks the block along the chain instead.
 """
 
 from __future__ import annotations
@@ -42,7 +48,9 @@ MARGIN_ATOL = 1e-9
 RANK_CONSTRUCT = "separation-tree truncation heights"
 NSE_CONSTRUCT = "subsequence separation certificate"
 
-#: Chain length cap and index bound of a rank estimate.
+#: Separation grid (epsilon = 1/k), chain length cap and index bound of a
+#: rank estimate.
+DEFAULT_KS = tuple(range(1, 9))
 DEFAULT_DEPTH_CAP = 4
 DEFAULT_INDEX_BOUND = 32
 
@@ -181,21 +189,33 @@ def search_nse(
     target) or None when not even one separated pair was witnessed.  The
     index bound defaults to 2 ** target_depth, the deepest dyadic index.
     """
+    return _search(spec, probes, epsilon, target_depth, index_bound, strategy)
+
+
+def _search(spec, probes, epsilon, target_depth, index_bound, strategy, margins=None):
+    """`search_nse`, whose doubling search reads its table off `margins`,
+    the block's `margin_tensor` to `index_bound`, where one is given."""
     if index_bound is None:
         index_bound = 2 ** target_depth
     _check_args({"epsilon": epsilon}, {"target_depth": target_depth, "index_bound": index_bound})
     if strategy == "doubling":
-        return _search_doubling(spec, probes, epsilon, target_depth, index_bound)
+        return _search_doubling(spec, probes, epsilon, target_depth, index_bound, margins)
     if strategy == "beam":
         return _search_beam(spec, probes, epsilon, target_depth, index_bound)
     raise ValueError(f"unknown strategy {strategy!r}, expected doubling or beam")
 
 
-def _search_doubling(spec, probes, epsilon, target_depth, index_bound):
+def _search_doubling(spec, probes, epsilon, target_depth, index_bound, margins):
     t = min(target_depth, int(math.floor(math.log2(index_bound))))
     J = tuple(2 ** i for i in range(t + 1))
-    # Rows stop at the overflow stop, past which no index separates.
-    table = chain_margins(spec, probes.vectors.T, J)  # (pairs, n_probes)
+    # (pairs, n_probes): the bits of `chain_margins` on the block either way
+    # (see `margin_tensor`).  Past the overflow stop, `chain_margins` has no
+    # rows and the tensor has -inf, and no index separates there.  A lone
+    # search walks the block to J[-1] instead of forming a B^2 tensor.
+    if margins is None:
+        table = chain_margins(spec, probes.vectors.T, J)
+    else:
+        table = margins[np.array(J[:-1], dtype=np.intp), np.array(J[1:], dtype=np.intp)]
     # lowest[m - 1, q]: the minimum margin of probe q over the first m
     # pairs; level m separates where it does, and it never grows with m.
     lowest = np.minimum.accumulate(table, axis=0)
@@ -282,7 +302,7 @@ class RankEstimate:
 def rank_estimate(
     spec: OperatorSpec,
     probes: ProbeSet,
-    ks: Sequence[int] = tuple(range(1, 9)),
+    ks: Sequence[int] = DEFAULT_KS,
     depth_cap: int = DEFAULT_DEPTH_CAP,
     index_bound: int = DEFAULT_INDEX_BOUND,
 ) -> RankEstimate:
@@ -292,12 +312,18 @@ def rank_estimate(
     the height at epsilon counts the chain lengths up to `depth_cap` whose
     largest minimum margin separates.  They are never partial.
     """
+    return _rank(spec, probes, ks, depth_cap, index_bound)[0]
+
+
+def _rank(spec, probes, ks, depth_cap, index_bound):
+    """`rank_estimate` and the `margin_tensor` it reads, which an analysis
+    hands on to its doubling search (`_search`)."""
     ks = [int(k) for k in ks]
     _check_args(at_least_one={"k grid entries": min(ks, default=1), "depth_cap": depth_cap})
     epsilons = [1.0 / k for k in ks]
     margins = margin_tensor(spec, probes, index_bound)
     peaks = best_chains(margins, depth_cap - 1).max(axis=(1, 2))
-    return RankEstimate(
+    estimate = RankEstimate(
         ks=ks,
         epsilons=epsilons,
         heights=[int(np.count_nonzero(separates(peaks, eps))) for eps in epsilons],
@@ -305,3 +331,4 @@ def rank_estimate(
         index_bound=index_bound,
         probe_label=probes.label,
     )
+    return estimate, margins

@@ -34,10 +34,12 @@ from . import __version__
 from .certify import (
     DEFAULT_DEPTH_CAP,
     DEFAULT_INDEX_BOUND,
+    DEFAULT_KS,
     NSE_CONSTRUCT,
     NSECertificate,
+    _rank,
+    _search,
     check_certificate,
-    rank_estimate,
     search_nse,
 )
 from .classify import check_families
@@ -127,23 +129,12 @@ def build_report(spec: OperatorSpec, config: dict, spec_sha256: str) -> dict:
     families = check_families(spec, probes, horizon, tolerance, bound_cap, ue_requested)
     t1 = time.perf_counter()
 
-    rank = rank_estimate(
-        spec,
-        probes,
-        depth_cap=config["depth_cap"],
-        index_bound=config["index_bound"],
-    )
+    # One margin tensor serves the rank heights and the doubling search.
+    rank, margins = _rank(spec, probes, DEFAULT_KS, config["depth_cap"], config["index_bound"])
     t2 = time.perf_counter()
 
     nse_target = max(1, int(math.floor(math.log2(config["index_bound"]))))
-    cert = search_nse(
-        spec,
-        probes,
-        epsilon=config["nse_epsilon"],
-        target_depth=nse_target,
-        index_bound=config["index_bound"],
-        strategy="doubling",
-    )
+    cert = _search(spec, probes, config["nse_epsilon"], nse_target, config["index_bound"], "doubling", margins)
     t3 = time.perf_counter()
 
     norm_trusted = {

@@ -320,6 +320,12 @@ def column_norms(X: np.ndarray, norm_tag: str) -> np.ndarray:
     """Per-column vector norms of a (dim, p) array, or of each (dim, p)
     slice of a (..., dim, p) stack, with the bits of the per-slice call.
 
+    Summation order: numpy sums a C-ordered block or stack of two or more
+    columns left to right over dim, and sums pairwise where the dim axis
+    is contiguous: one column, or columns picked by fancy indexing.
+    `tree.margin_tensor`'s row tiles, which carry their running sums, and
+    the doubling table read off the tensor rely on the sequential order.
+
     l2 squares the entries.  Where a square underflows, every column whose
     entries are all below 2^-500 in magnitude is read again scaled by 2^600
     and its norm scaled back, so that a nonzero column never reads 0; every
@@ -425,10 +431,12 @@ def _split_product(A, B):
 
 
 @functools.lru_cache(maxsize=4)  # a priori and tight, for both passes of a check_families call
-def _l2_bound(spec: OperatorSpec, tight: bool = False) -> tuple[float, float, tuple]:
-    """(r, estimate, (w, Q)): a rounding-sound upper bound r >= ||T||_2 of a
+def _l2_bound(spec: OperatorSpec, tight: bool = False) -> tuple[float, float, list]:
+    """(r, estimate, pairs): a rounding-sound upper bound r >= ||T||_2 of a
     dense spec, or inf, 2^e sqrt(max(w)), the estimate of ||T||_2 it rests
-    on, and the eigenpairs it reads.
+    on, and, from the a priori call, [(w, Q)], the eigenpairs it reads.
+    The tight call is their last reader and pops them, so that the cache
+    keeps no d x d array past it; it forms them again if they are gone.
 
     S = 2^-e T, exact up to 2^-1074 per entry, has its largest magnitude in
     [1/2, 1) or is 0.  G is S^T S as computed, its lower triangle (which
@@ -461,7 +469,11 @@ def _l2_bound(spec: OperatorSpec, tight: bool = False) -> tuple[float, float, tu
     with np.errstate(over="ignore", invalid="ignore"):
         S = np.ldexp(spec.entries, -e)
         if tight:
-            (G, gram), (w, Q), I = _split_product(S.T, S), _l2_bound(spec)[2], np.eye(d)
+            try:
+                w, Q = _l2_bound(spec)[2].pop()
+            except IndexError:
+                w, Q = np.linalg.eigh(mirror(S.T @ S))
+            (G, gram), I = _split_product(S.T, S), np.eye(d)
             G, gram = mirror(G), norm(mirror(gram))
             (R, res), (E, eta) = _split_product(np.hstack([G, Q]), np.vstack([Q, -np.diag(w)])), _split_product(
                 np.hstack([Q.T, I]), np.vstack([Q, -I])
@@ -476,7 +488,7 @@ def _l2_bound(spec: OperatorSpec, tight: bool = False) -> tuple[float, float, tu
         square = (1.0 + eta) * res + 2.0 * gram + 2.0**-900 + np.max(w)
         r = float(np.ldexp(np.sqrt(square) * (1.0 + 2.0**-50), e)) + 2.0**-1074
         estimate = float(np.ldexp(np.sqrt(max(float(np.max(w)), 0.0)), e))
-    return (r if eta <= 0.5 and r <= math.inf else math.inf), estimate, (w, Q)
+    return (r if eta <= 0.5 and r <= math.inf else math.inf), estimate, [] if tight else [(w, Q)]
 
 
 # -- probe sets ----------------------------------------------------------

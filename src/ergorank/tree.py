@@ -16,7 +16,11 @@ past the stream's overflow stop never separates.  `chain_margins` gives
 the consecutive margins along one chain, the one number that the
 certificate searches and the certificate checker both read;
 `margin_tensor` gives the epsilon-independent margins of every pair, and
-`separates` is the one separation rule applied to either.  A member needs
+`separates` is the one separation rule applied to either.  Each entry of
+the tensor has the bits of `chain_margins` on its pair, since both sum
+over dim in `column_norms`' order: the tensor reduces its rows in
+cache-sized tiles of dim rows that carry their running sums, so an
+analysis reads its doubling chain off the tensor too.  A member needs
 a single probe that separates every consecutive pair, so a chain separates
 exactly when its minimum margin does.  `best_chains` finds the largest
 minimum margin over the chains of each length by dynamic programming,
@@ -45,6 +49,17 @@ SEPARATION_SLACK = 1e-9
 
 #: Members `build_truncation` lists; one more member marks the walk partial.
 DEFAULT_MAX_NODES = 200_000
+
+#: `margin_tensor` cuts the dim axis into dim // 64 tiles of equal height
+#: (one tile below 128 rows), so a tile has 64 to 127 rows once dim is 64
+#: or more.  With the default 48 probes at index bound 32, a 64-row tile is
+#: 0.75 MB, inside the 2 MB L2 cache that `cesaro._CHUNK_BYTES` is sized
+#: for.  Measured on the (32, dim, 48) stacks of the benchmark's wide specs
+#: (2 vCPUs), 32-row tiles were slower than one full-height stack (17.0 ms
+#: against 14.5 at dim 256), and tiles of 64 + 32 rows slowed dim 96 (4.3
+#: ms against 3.3 for one tile); 64-128-row tiles took 9.8-10.0 ms at dim
+#: 256, and two 64-row tiles beat one 128-row tile at dim 128.
+_TILE_ROWS = 64
 
 
 def separates(margins: np.ndarray, epsilon: float) -> np.ndarray:
@@ -102,19 +117,62 @@ def margin_tensor(spec: OperatorSpec, probes: ProbeSet, index_bound: int) -> np.
     Returns a (B+1, B+1, p) array, B = index_bound, with
     M[n, m, q] = ||A_m x_q - A_n x_q|| for 1 <= n < m <= B, and -inf for
     every other (n, m), including pairs past the overflow stop.  The means
-    come from one `CesaroStream` pass; rows are reduced one n at a time, so
-    the difference stack stays at (B, dim, p).  The tensor does not depend
-    on epsilon: `separates(M, epsilon)` is the separation relation of the
+    come from one `CesaroStream` pass.  The tensor does not depend on
+    epsilon: `separates(M, epsilon)` is the separation relation of the
     tree at any epsilon.
+
+    Each entry has the bits of `column_norms` on its pair alone, so
+    M[J[i], J[i + 1]] is what `chain_margins` gives on the block.  Rows n
+    of a block of two or more probes are reduced in tiles of dim rows, one
+    reused buffer per tile: every tile after the first carries the running
+    sums as its row 0, so each sum runs left to right over dim as
+    `column_norms` sums a C-ordered stack.  A one-probe block sums
+    pairwise (see `column_norms`), and an l2 square that underflows needs
+    `column_norms`' rescaling: both reduce one row n at a time instead.
     """
     _check_args(at_least_one={"index_bound": index_bound})
     snaps = CesaroStream(spec, probes.vectors.T).means_at(range(1, index_bound + 1))
     stacked = np.stack(list(snaps.values()))
     reached = len(snaps)
     margins = np.full((index_bound + 1, index_bound + 1, len(probes)), -np.inf)
+    if len(probes) > 1:
+        try:
+            with np.errstate(under="raise"):
+                return _tiled_margins(stacked, margins, spec.norm_tag)
+        except FloatingPointError:
+            pass
     for n in range(1, reached):
         diffs = stacked[n:] - stacked[n - 1][None, :, :]
         margins[n, n + 1 : reached + 1] = column_norms(diffs, spec.norm_tag)
+    return margins
+
+
+def _tiled_margins(stacked: np.ndarray, margins: np.ndarray, norm_tag: str) -> np.ndarray:
+    """`margin_tensor`'s rows from the (reached, dim, p) stack of means,
+    reduced in tiles of dim rows (see `_TILE_ROWS`); l2 squares in place
+    and takes one root at the end."""
+    reached, dim, p = stacked.shape
+    reduce = np.maximum.reduce if norm_tag == "linf" else np.add.reduce
+    rows = -(-dim // max(1, dim // _TILE_ROWS))
+    cuts = [*range(0, dim, rows), dim]
+    # One flat buffer, reshaped per tile, so every tile is contiguous.
+    flat = np.empty((reached - 1) * (rows + 1) * p)
+    for n in range(1, reached):
+        sums = margins[n, n + 1 : reached + 1]
+        for lo, hi in zip(cuts, cuts[1:]):
+            top = 1 if lo else 0
+            tile = flat[: (reached - n) * (hi - lo + top) * p].reshape(reached - n, hi - lo + top, p)
+            if top:
+                tile[:, 0] = sums
+            diffs = tile[:, top:]
+            np.subtract(stacked[n:, lo:hi], stacked[n - 1, lo:hi], out=diffs)
+            if norm_tag == "l2":
+                np.multiply(diffs, diffs, out=diffs)
+            else:
+                np.abs(diffs, out=diffs)
+            reduce(tile, axis=-2, out=sums)
+    if norm_tag == "l2":
+        np.sqrt(margins, out=margins, where=margins >= 0.0)
     return margins
 
 

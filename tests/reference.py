@@ -11,7 +11,9 @@ plainest form: one step at a time, with T applied and the power norms
 reduced, through numpy's wrapper reductions, at every step;
 `reference_tail_radius` reads the Cauchy tail radius off it one step at a
 time.  `exact_stream` gives the means and powers in exact rational
-arithmetic, the oracle that the stream's accuracy is measured against.  `node_member` decides tree membership of one index
+arithmetic, the oracle that the stream's accuracy is measured against.  `row_margin_tensor` is the pair-margin tensor
+reduced one row n at a time by `column_norms`, which the tiles of
+`margin_tensor` must match bit for bit.  `node_member` decides tree membership of one index
 chain from its `chain_margins`, independently of the dynamic programming
 behind `best_chains`, the rank heights, the beam search and
 `build_truncation`.  `reference_dumps` is the stdlib's indent encoder,
@@ -38,9 +40,10 @@ from ergorank.operators import (
     OperatorSpec,
     ProbeSet,
     apply_columns,
+    column_norms,
     default_probes,
 )
-from ergorank.cesaro import OVERFLOW_LIMIT, _grid
+from ergorank.cesaro import OVERFLOW_LIMIT, CesaroStream, _grid
 from ergorank.tree import chain_margins, separates
 
 
@@ -347,6 +350,17 @@ def l2_bound_holds(T: np.ndarray, r: float) -> bool:
         for size in range(1, len(T) + 1)
         for idx in itertools.combinations(range(len(T)), size)
     )
+
+
+def row_margin_tensor(spec: OperatorSpec, probes: ProbeSet, index_bound: int) -> np.ndarray:
+    """`margin_tensor` one row n at a time: the (B - n, dim, p) difference
+    stack of row n, reduced by one `column_norms` call."""
+    snaps = CesaroStream(spec, probes.vectors.T).means_at(range(1, index_bound + 1))
+    stacked, reached = np.stack(list(snaps.values())), len(snaps)
+    margins = np.full((index_bound + 1, index_bound + 1, len(probes)), -np.inf)
+    for n in range(1, reached):
+        margins[n, n + 1 : reached + 1] = column_norms(stacked[n:] - stacked[n - 1], spec.norm_tag)
+    return margins
 
 
 class NodeMembership(NamedTuple):

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ergorank.certify
 import ergorank.cesaro
+import ergorank.tree
+from ergorank import cli
 from ergorank.certify import (
     MARGIN_ATOL,
     CheckResult,
@@ -20,6 +23,7 @@ from ergorank.operators import (
     KIND_SHIFT,
     OperatorSpec,
     basis_probes,
+    built_in_gallery,
     default_probes,
     gallery,
 )
@@ -30,6 +34,7 @@ from ergorank.tree import (
     truncated_height,
 )
 from reference import few_default_probes, node_member
+from test_classify import _bench_workloads
 
 #: Powers overflow at the first step: T x already has norm 1e200.
 HUGE_DIAGONAL = OperatorSpec(KIND_DIAGONAL, 2, [1e200, -1e200], "linf")
@@ -282,6 +287,43 @@ def test_rank_estimate_makes_one_stream_pass(monkeypatch):
     est = rank_estimate(spec, probes, ks=range(1, 9), index_bound=48)
     assert 0 < len(calls) <= 48
     assert est.heights == [4] * 8
+
+
+def _analyze_inputs():
+    """(label, spec, extra analyze arguments): the gallery at the default
+    config and the wide-operators inputs at seed 101, horizon 2 000."""
+    wide = _bench_workloads().wide_specs(101).items()
+    return [(name, gallery(name), []) for name in built_in_gallery()] + [
+        (label, spec, ["--horizon", "2000"]) for label, spec in wide
+    ]
+
+
+@pytest.mark.parametrize("label, spec, extra", _analyze_inputs(), ids=lambda v: v if isinstance(v, str) else "")
+def test_one_analysis_walks_its_probe_block_once_for_rank_and_search(monkeypatch, tmp_path, label, spec, extra):
+    # The rank heights and the doubling search read one margin tensor, so
+    # `analyze` walks the probe block once past `check_families`; the
+    # certificate then walks one column per distinct witness probe, the
+    # margins that `check_certificate` recomputes.
+    path = tmp_path / "spec.json"
+    path.write_text(canonical_dumps(spec.to_json_dict()), encoding="utf-8")
+    widths, witnesses = [], []
+    real_stream, real_certificate = ergorank.tree.CesaroStream, ergorank.certify._certificate
+
+    def stream(spec, X, *args, **kwargs):
+        widths.append(X.shape[1])
+        return real_stream(spec, X, *args, **kwargs)
+
+    def certificate(spec, probes, epsilon, J, witness_probes):
+        witnesses.extend(witness_probes)
+        return real_certificate(spec, probes, epsilon, J, witness_probes)
+
+    monkeypatch.setattr(ergorank.tree, "CesaroStream", stream)
+    monkeypatch.setattr(ergorank.certify, "_certificate", certificate)
+    argv = ["analyze", str(path), "--no-cache", "--seed", "101", "--out", str(tmp_path / "report.json"), *extra]
+    assert cli.main(argv) == cli.EXIT_OK
+    width = len(default_probes(spec, seed=101))
+    assert widths.count(width) == 1, label
+    assert sorted(widths) == sorted([width] + [1] * len(set(witnesses))), label
 
 
 # -- dynamic programming against enumeration ------------------------------

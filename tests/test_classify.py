@@ -2086,6 +2086,25 @@ def test_the_tight_l2_bound_reads_the_a_priori_eigenpairs(monkeypatch):
         assert calls == [(96, 96)] and 1.0 <= tight < r and tight < 1.0 + 2e-14, (seed, calls, r, tight)
 
 
+def test_the_l2_bound_cache_keeps_no_eigenvectors_past_the_tight_bound():
+    # The tight r is the last reader of the a priori eigenpairs and takes
+    # them out of the cache, so a check_families on dense-96-l2 that forms
+    # both bounds leaves under a quarter of its 96 x 96 Q (8 d^2 bytes,
+    # 0.074 MB) behind; with Q kept it left 0.079 MB.
+    spec = _bench_workloads().wide_specs(101)["dense-96-l2"]
+    probes = default_probes(spec, seed=101)
+    _l2_bound.cache_clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.take_snapshot()
+        families = check_families(spec, probes, 2000, 1e-2, 1e3, 256)
+        left = sum(stat.size_diff for stat in tracemalloc.take_snapshot().compare_to(before, "filename"))
+    finally:
+        tracemalloc.stop()
+    assert families.ergodic.evidence["certified"]
+    assert left < 2 * 96 * 96, left
+
+
 #: Per gallery operator at the default config, each pass of check_families,
 #: probe then identity: whether its bracket decides it before it walks, and
 #: how many stacks of norms it reads (the probe pass its lower end, then

@@ -1,4 +1,6 @@
+import functools
 import math
+import operator
 from unittest import mock
 
 import numpy as np
@@ -354,6 +356,25 @@ def test_l2_rescales_only_the_columns_whose_squares_can_underflow():
     exact = math.sqrt(sum(float(v * 2.0**1000) ** 2 for v in X[:, 2])) * 2.0**-1000
     assert got[2] == pytest.approx(exact, rel=1e-15) and got[3] == 0.0
     assert column_norms(np.stack([X, X[::-1]]), "l2")[0].tobytes() == got.tobytes()
+
+
+def test_column_norms_sum_in_order_over_a_c_ordered_stack_and_pairwise_down_a_contiguous_dim():
+    # The summation-order contract that `margin_tensor`'s row tiles and the
+    # doubling table rest on.  A C-ordered block of two or more columns, or
+    # a stack of them, sums each column left to right over dim.  Where the
+    # dim axis is contiguous, in one column or in columns picked by fancy
+    # indexing, numpy sums it pairwise, which differs in the last bits.
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((256, 4)) * 10.0 ** rng.integers(-3, 3, (256, 4))
+    in_order = np.array([functools.reduce(operator.add, np.abs(X[:, j]).tolist()) for j in range(4)])
+    pairwise = np.array([np.add.reduce(np.abs(np.ascontiguousarray(X[:, j]))) for j in range(4)])
+    assert column_norms(X, "l1").tobytes() == in_order.tobytes()
+    assert column_norms(np.stack([X, X]), "l1").tobytes() == np.stack([in_order, in_order]).tobytes()
+    picked = np.stack([X, X])[:, :, [0, 2]]
+    assert picked.strides[1] == 8
+    assert column_norms(picked, "l1")[1].tobytes() == pairwise[[0, 2]].tobytes()
+    assert column_norms(X[:, :1], "l1").tobytes() == pairwise[:1].tobytes()
+    assert not np.array_equal(pairwise, in_order)
 
 
 def test_matrix_norm_hand_values():

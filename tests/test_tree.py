@@ -5,11 +5,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ergorank.tree
 from ergorank.operators import (
     KIND_DENSE,
     KIND_DIAGONAL,
     OperatorSpec,
+    ProbeSet,
     basis_probes,
+    column_norms,
     default_probes,
     gallery,
 )
@@ -17,10 +20,13 @@ from ergorank.tree import (
     TreeTruncation,
     best_chains,
     build_truncation,
+    chain_margins,
+    margin_tensor,
     tree_to_dot,
     truncated_height,
 )
-from reference import few_default_probes, node_member
+from reference import few_default_probes, node_member, row_margin_tensor
+from test_certify import HUGE_DIAGONAL
 
 
 def _seq(key):
@@ -253,3 +259,72 @@ def test_best_chains_match_brute_force(seed, bound, probes, depth):
     assert best.shape == (depth + 1, bound + 1, probes)
     for d, n, q in itertools.product(range(depth + 1), range(bound + 1), range(probes)):
         assert best[d, n, q] == _brute_force_best(margins, d, n, q)
+
+
+# -- the pair-margin tensor in row tiles ----------------------------------
+
+#: Dims around `_TILE_ROWS` (64): one tile up to 127 rows, then two, then
+#: four of 64.
+_TILE_DIMS = (1, 63, 64, 65, 96, 128, 129, 256)
+
+#: The dyadic chain of an analysis's doubling search at index bound 32.
+_DYADIC = (1, 2, 4, 8, 16, 32)
+
+
+def _tile_case(dim, norm_tag, count, scale):
+    """A seeded dense spec of spectral radius about 0.9 and `count` probes
+    of norm scale / 2, with +0 and -0 entries past the first."""
+    rng = np.random.default_rng([dim, count])
+    spec = OperatorSpec(KIND_DENSE, dim, rng.standard_normal((dim, dim)) * (0.9 / np.sqrt(dim)), norm_tag)
+    vectors = rng.standard_normal((count, dim))
+    vectors[:, 1::5], vectors[::2, 1::7] = 0.0, -0.0
+    vectors *= scale / (2.0 * column_norms(vectors.T, norm_tag)[:, None])
+    return spec, ProbeSet(vectors, norm_tag, f"tile-case-{count}")
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def _assert_table_is_the_chain(margins, spec, probes):
+    # The doubling table read off the tensor has the bits of `chain_margins`
+    # on the block, and -inf past the overflow stop.
+    J = np.array(_DYADIC)
+    table, chain = margins[J[:-1], J[1:]], chain_margins(spec, probes.vectors.T, _DYADIC)
+    assert np.array_equal(_bits(table[: len(chain)]), _bits(chain))
+    assert np.all(table[len(chain) :] == -np.inf)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160])
+@pytest.mark.parametrize("count", [1, 2, 48])
+@pytest.mark.parametrize("norm_tag", ["l1", "l2", "linf"])
+@pytest.mark.parametrize("dim", _TILE_DIMS)
+def test_the_tiled_tensor_has_the_bits_of_one_row_at_a_time(monkeypatch, dim, norm_tag, count, scale):
+    # Row tiles carry their running sums, so every entry sums over dim in
+    # the order of one `column_norms` call on its row: the bits of
+    # `row_margin_tensor`, signed zeros included.  A one-probe block, which
+    # numpy sums pairwise, and an l2 block of 1e-160 probes, whose squares
+    # underflow, are reduced one row at a time, by `column_norms`.
+    spec, probes = _tile_case(dim, norm_tag, count, scale)
+    calls = []
+    real = ergorank.tree.column_norms
+    monkeypatch.setattr(ergorank.tree, "column_norms", lambda X, tag: calls.append(X.shape) or real(X, tag))
+    margins = margin_tensor(spec, probes, 32)
+    rows = len(calls)
+    monkeypatch.undo()
+    assert np.array_equal(_bits(margins), _bits(row_margin_tensor(spec, probes, 32)))
+    assert rows == (31 if count == 1 or (norm_tag == "l2" and scale < 1.0) else 0)
+    _assert_table_is_the_chain(margins, spec, probes)
+
+
+@pytest.mark.parametrize("count", [1, 2, None])
+def test_the_tensor_and_its_table_stop_at_the_overflow_stop(count):
+    # `HUGE_DIAGONAL` stops after A_1: every pair is -inf, so is every pair
+    # of the doubling chain, and `chain_margins` has no rows.
+    probes = default_probes(HUGE_DIAGONAL)
+    if count is not None:
+        probes = ProbeSet(probes.vectors[:count], probes.norm_tag, probes.label)
+    margins = margin_tensor(HUGE_DIAGONAL, probes, 32)
+    assert np.array_equal(_bits(margins), _bits(row_margin_tensor(HUGE_DIAGONAL, probes, 32)))
+    assert np.all(margins == -np.inf)
+    _assert_table_is_the_chain(margins, HUGE_DIAGONAL, probes)
