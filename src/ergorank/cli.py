@@ -13,7 +13,8 @@ Reports are canonical JSON (sorted insertion order, repr floats, trailing
 newline) so identical inputs produce byte-identical output apart from the
 timings block.  ``analyze`` results are cached under ``~/.cache/ergorank``
 (override with ``ERGORANK_CACHE_DIR``) keyed by the spec hash and a hash of
-the config, package version, report schema and the package's source files.
+the config, package version, report schema and the package's source files;
+an entry is the report's text without its timings block.
 
 Exit codes: 0 success; 1 certificate not found / rejected; 2 invalid
 input; 3 the node budget truncated a ``tree`` enumeration.  Only ``tree``
@@ -53,6 +54,8 @@ from .operators import (
     gallery,
 )
 from .serialization import (
+    _Fragment,
+    _with_member,
     atomic_write_text,
     canonical_dumps,
     load_json_file,
@@ -114,6 +117,30 @@ def _source_digest() -> str:
                 data = handle.read()
             digest.update(f"{name}\0{len(data)}\0".encode() + data)
     return digest.hexdigest()
+
+
+def _cache_file(spec_sha256: str, config: dict) -> str:
+    """The cache entry of this spec and config, from this code."""
+    # Reports from other code (version, report schema or sources) never match.
+    key_text = canonical_dumps(
+        {"version": __version__, "schema": REPORT_SCHEMA, "code": _source_digest(), "config": config}
+    )
+    return os.path.join(_cache_dir(), f"{spec_sha256[:16]}-{sha256_hex(key_text)[:16]}.json")
+
+
+def _cached_text(path: str, spec_sha256: str, config: dict) -> str | None:
+    """The report to emit from the cache entry at `path`, or None unless the
+    entry is the report of this spec and config and holds only finite
+    numbers: any other entry is recomputed and overwritten."""
+    wanted = {"schema": REPORT_SCHEMA, "operator_sha256": spec_sha256, "config": config}
+    try:
+        entry = load_json_file(path)
+        if isinstance(entry, dict) and all(entry.get(k) == v for k, v in wanted.items()):
+            entry["timings"] = {"cached": True}
+            return canonical_dumps(entry)  # ValueError on NaN, Infinity or 1e400
+    except (OSError, ValueError):
+        pass
+    return None
 
 
 def build_report(spec: OperatorSpec, config: dict, spec_sha256: str) -> dict:
@@ -198,34 +225,25 @@ def cmd_analyze(args) -> int:
         "probes": args.probes,
     }
 
-    spec_sha256 = sha256_hex(canonical_dumps(spec.to_json_dict()))
-    # Reports from other code (version, report schema or sources) never match.
-    key_text = canonical_dumps(
-        {"version": __version__, "schema": REPORT_SCHEMA, "code": _source_digest(), "config": config}
-    )
-    cache_file = os.path.join(
-        _cache_dir(), f"{spec_sha256[:16]}-{sha256_hex(key_text)[:16]}.json"
-    )
-    report = None
-    if not args.no_cache:
-        try:
-            report = load_json_file(cache_file)
-        except (OSError, ValueError):
-            pass
-    # Serve only an entry that is this report; recompute and overwrite any other.
-    wanted = {"schema": REPORT_SCHEMA, "operator_sha256": spec_sha256, "config": config}
-    if isinstance(report, dict) and all(report.get(k) == v for k, v in wanted.items()):
-        report["timings"] = {"cached": True}
-    else:
+    operator = _Fragment(canonical_dumps(spec.to_json_dict()))
+    spec_sha256 = sha256_hex(operator.text)
+    cache_file = None if args.no_cache else _cache_file(spec_sha256, config)
+    text = None if cache_file is None else _cached_text(cache_file, spec_sha256, config)
+    if text is None:
         report = build_report(spec, config, spec_sha256)
-        if not args.no_cache:
-            stored = {k: v for k, v in report.items() if k != "timings"}
+        timings = report.pop("timings")
+        report["operator"] = operator
+        del operator  # so the spec text is freed with the report, once laid out
+        text = canonical_dumps(report)
+        del report
+        if cache_file is not None:
             try:
-                os.makedirs(_cache_dir(), exist_ok=True)
-                atomic_write_text(cache_file, canonical_dumps(stored))
+                atomic_write_text(cache_file, text)
             except OSError as exc:  # the report is still emitted
                 print(f"warning: analyze cache not written: {exc}", file=sys.stderr)
-    _emit(canonical_dumps(report), args.out)
+        # `timings` is the report's last key, and the cache entry is the rest.
+        text = _with_member(text, "timings", timings)
+    _emit(text, args.out)
     return EXIT_OK
 
 

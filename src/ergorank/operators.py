@@ -124,12 +124,10 @@ class OperatorSpec:
     def to_json_dict(self) -> dict:
         """Canonical JSON form: kind, dim, norm, entries, in that order."""
         if self.kind == KIND_SPARSE:
-            rows, cols, vals = self.entries
-            payload = [[int(r), int(c), float(v)] for r, c, v in zip(rows, cols, vals)]
-        elif self.kind == KIND_DENSE:
-            payload = [[float(v) for v in row] for row in self.entries]
+            rows, cols, vals = (array.tolist() for array in self.entries)
+            payload = [[r, c, v] for r, c, v in zip(rows, cols, vals)]
         else:
-            payload = [float(v) for v in self.entries]
+            payload = self.entries.tolist()  # Python floats, nested by rows
         return {"kind": self.kind, "dim": self.dim, "norm": self.norm_tag, "entries": payload}
 
     @classmethod

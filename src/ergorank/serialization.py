@@ -14,6 +14,16 @@ container that holds containers recurses, and the keys and scalar items of
 all such containers go through one more C-encoder call per document.
 Anything else (non-`str` keys, subclasses, other types) goes to the stdlib
 indent encoder and is re-indented.
+
+A `_Fragment` holds text that `canonical_dumps` has already given: a value
+laid out at the top level.  Nested `level` deep, a canonical value's text is
+its top-level text with every newline followed by `level` more indents
+(JSON escapes a newline inside a string), so `_layout` splices a fragment
+in re-indented and never lays its value out again.  The stdlib encoder
+cannot splice text, so a fragment under a container that goes to it
+raises its TypeError.  ``analyze`` digests the operator's canonical text
+for ``operator_sha256`` and splices that same text into the report as
+``operator``.
 """
 
 from __future__ import annotations
@@ -44,11 +54,25 @@ def _encoder(level: int) -> json.JSONEncoder:
     )
 
 
-def _stdlib_dumps(obj, level: int) -> str:
+class _Fragment:
+    """A value's text as `canonical_dumps` gave it, spliced in wherever the
+    value is nested in dicts with `str` keys, lists and tuples."""
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+
+def _indented(text: str, level: int) -> str:
     # JSON escapes a newline inside a string, so every raw newline starts a
     # line, and shifting each line re-indents the value to `level` exactly.
-    text = json.dumps(obj, indent=len(_INDENT), ensure_ascii=False, allow_nan=False)
     return text.replace("\n", "\n" + _INDENT * level)
+
+
+def _stdlib_dumps(obj, level: int) -> str:
+    text = json.dumps(obj, indent=len(_INDENT), ensure_ascii=False, allow_nan=False)
+    return _indented(text, level)
 
 
 def _layout(obj, level: int, parts: list, scalars: list, active: set) -> None:
@@ -64,6 +88,9 @@ def _layout(obj, level: int, parts: list, scalars: list, active: set) -> None:
         items, brackets = obj.values(), "{}"
     elif kind is list or kind is tuple:
         items, brackets = obj, "[]"
+    elif kind is _Fragment:
+        parts.append(_indented(obj.text[:-1], level))
+        return
     else:
         parts.append(_stdlib_dumps(obj, level))
         return
@@ -109,6 +136,12 @@ def canonical_dumps(obj) -> str:
     # No scalar's text holds a raw newline, so the batch splits apart again.
     texts = iter(_encoder(-1).encode(scalars)[1:-1].split(",\n"))
     return "".join([next(texts) if part is _SLOT else part for part in parts])
+
+
+def _with_member(text: str, key: str, value) -> str:
+    """`text`, the canonical text of a non-empty dict, with `key`: `value`
+    appended as its last member."""
+    return text[: -len("\n}\n")] + "," + canonical_dumps({key: value})[1:]
 
 
 def canonical_loads(text: str):

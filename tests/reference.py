@@ -17,9 +17,11 @@ reduced one row n at a time by `column_norms`, which the tiles of
 chain from its `chain_margins`, independently of the dynamic programming
 behind `best_chains`, the rank heights, the beam search and
 `build_truncation`.  `reference_dumps` is the stdlib's indent encoder,
-whose text `canonical_dumps` must give byte for byte.  `jordan_spec` builds
-a dense spec of known Jordan structure, whose family membership and window
-norms are known exactly (`JordanSpec`).  `l2_bound_holds` decides
+whose text `canonical_dumps` must give byte for byte, and
+`elementwise_payload` is a spec's JSON entries converted one element at a
+time, which `OperatorSpec.to_json_dict` must give value for value and type
+for type.  `jordan_spec` builds a dense spec of known Jordan structure,
+whose family membership and window norms are known exactly (`JordanSpec`).  `l2_bound_holds` decides
 r >= ||T||_2 exactly, in `Fraction`s.
 """
 
@@ -37,6 +39,7 @@ from ergorank.operators import (
     KIND_DENSE,
     KIND_DIAGONAL,
     KIND_SHIFT,
+    KIND_SPARSE,
     OperatorSpec,
     ProbeSet,
     apply_columns,
@@ -406,3 +409,14 @@ def reference_dumps(obj) -> str:
     """The canonical JSON text of `obj`, from `json`'s pure-Python indent
     encoder."""
     return json.dumps(obj, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+
+
+def elementwise_payload(spec: OperatorSpec) -> list:
+    """The "entries" of `spec.to_json_dict()`, formed one element at a time:
+    `int` rows and columns, `float` values."""
+    if spec.kind == KIND_SPARSE:
+        rows, cols, vals = spec.entries
+        return [[int(r), int(c), float(v)] for r, c, v in zip(rows, cols, vals)]
+    if spec.kind == KIND_DENSE:
+        return [[float(v) for v in row] for row in spec.entries]
+    return [float(v) for v in spec.entries]

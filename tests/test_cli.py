@@ -201,6 +201,41 @@ def test_the_cache_serves_only_an_entry_that_is_this_report(tmp_path, capsys, en
         assert got == want
 
 
+@pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_a_cache_entry_with_a_non_finite_number_is_recomputed(tmp_path, capsys, number):
+    # `json` reads these tokens, but no report holds them: the entry is a
+    # miss, recomputed and overwritten, and then a hit.
+    spec_path = _write_spec(tmp_path, "scalar(0.5)")
+    assert main(["analyze", spec_path, "--no-cache", *ANALYZE_FAST]) == 0
+    _, want = _without_timings(capsys.readouterr().out)
+    assert main(["analyze", spec_path, *ANALYZE_FAST]) == 0
+    capsys.readouterr()
+    (name,) = os.listdir(_cache_dir())
+    path = Path(_cache_dir(), name)
+    text = path.read_text()
+    path.write_text(text[: -len("\n}\n")] + f',\n  "junk": {number}\n}}\n')
+    for cached in (False, True):
+        assert main(["analyze", spec_path, *ANALYZE_FAST]) == 0
+        timings, got = _without_timings(capsys.readouterr().out)
+        assert (timings == {"cached": True}) is cached
+        assert got == want
+    assert path.read_text() == text
+
+
+def test_a_miss_stores_the_emitted_report_without_its_timings(tmp_path, capsys):
+    spec_path = _write_spec(tmp_path, "left_shift_l1(64)")
+    out = tmp_path / "report.json"
+    assert main(["analyze", spec_path, *ANALYZE_FAST, "--out", str(out)]) == 0
+    (name,) = os.listdir(_cache_dir())
+    entry, emitted = Path(_cache_dir(), name).read_text(), out.read_text()
+    report = canonical_loads(emitted)
+    assert set(report.pop("timings")) == {"verdicts_s", "rank_s", "nse_s", "total_s"}
+    assert canonical_loads(entry) == report
+    assert entry == canonical_dumps(report)
+    head, tail = emitted.split(',\n  "timings": ')
+    assert entry == head + "\n}\n" and tail.endswith("\n  }\n}\n")
+
+
 def test_analyze_shift_reports_section_verdict(tmp_path, capsys):
     spec_path = _write_spec(tmp_path, "left_shift_l1(64)")
     assert main(["analyze", spec_path, "--no-cache", *ANALYZE_FAST]) == 0

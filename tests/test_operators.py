@@ -27,7 +27,7 @@ from ergorank.operators import (
     matrix_norm,
 )
 from ergorank.serialization import canonical_dumps, canonical_loads, sha256_hex
-from reference import add_at_apply, as_dense, broadcast_apply
+from reference import add_at_apply, as_dense, broadcast_apply, elementwise_payload
 
 finite = st.floats(min_value=-3.0, max_value=3.0, allow_nan=False, allow_infinity=False)
 
@@ -140,6 +140,49 @@ def test_json_round_trip(spec):
     assert again.dim == spec.dim
     assert again.norm_tag == spec.norm_tag
     assert np.array_equal(as_dense(again), as_dense(spec))
+
+
+_ANY_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([
+        0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1e300, -1e300,
+        1.7976931348623157e308,
+    ]),
+    st.floats(min_value=1e299, max_value=1e301),
+)
+
+
+@st.composite
+def _payload_specs(draw):
+    dim = draw(st.integers(min_value=1, max_value=7))
+    kind = draw(st.sampled_from((KIND_DENSE, KIND_DIAGONAL, KIND_SHIFT, KIND_SPARSE)))
+
+    def values(n):
+        return draw(st.lists(_ANY_FINITE, min_size=n, max_size=n))
+
+    if kind == KIND_DENSE:
+        entries = [values(dim) for _ in range(dim)]
+    elif kind == KIND_SPARSE:
+        index = st.integers(0, dim - 1)
+        cells = draw(st.permutations(sorted(draw(st.sets(st.tuples(index, index), max_size=dim * dim)))))
+        entries = [[r, c, v] for (r, c), v in zip(cells, values(len(cells)))]
+    else:
+        entries = values(dim - 1 if kind == KIND_SHIFT else dim)
+    return OperatorSpec(kind, dim, entries, draw(st.sampled_from(NORM_TAGS)))
+
+
+def _types(value):
+    return [_types(item) for item in value] if isinstance(value, list) else type(value)
+
+
+@settings(max_examples=300)
+@given(_payload_specs())
+def test_the_json_payload_is_the_elementwise_one(spec):
+    # `tolist` gives the Python ints and floats that converting one element
+    # at a time gives, so the canonical text and its digest stay.
+    got, want = spec.to_json_dict(), elementwise_payload(spec)
+    assert _types(got["entries"]) == _types(want)
+    assert canonical_dumps(got) == canonical_dumps({**got, "entries": want})
 
 
 def test_from_json_missing_fields():

@@ -4,9 +4,11 @@ import json
 import os
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ergorank.serialization import (
+    _Fragment,
+    _with_member,
     atomic_write_text,
     canonical_dumps,
     canonical_loads,
@@ -95,6 +97,43 @@ def test_dumps_raises_where_the_stdlib_raises(value):
             canonical_dumps(value)
     else:
         assert canonical_dumps(value) == want
+
+
+_HOLE = object()
+
+
+def _filled(tree, value):
+    """`tree` with `value` in place of every `_HOLE`."""
+    if tree is _HOLE:
+        return value
+    if isinstance(tree, dict):
+        return {key: _filled(item, value) for key, item in tree.items()}
+    if isinstance(tree, (list, tuple)):
+        return type(tree)(_filled(item, value) for item in tree)
+    return tree
+
+
+@settings(max_examples=300)
+@given(_nested(st.one_of(_SCALARS, st.just(_HOLE)), _TEXT), _nested(_SCALARS, _TEXT))
+def test_a_fragment_lays_out_as_its_value_at_any_depth(tree, value):
+    # Fragments at the top level or nested in dicts, lists and tuples.
+    if _filled(tree, None) == tree:
+        tree = [tree, _HOLE]
+    text = canonical_dumps(value)
+    want = canonical_dumps(_filled(tree, canonical_loads(text)))
+    assert canonical_dumps(_filled(tree, _Fragment(text))) == want
+
+
+def test_a_fragment_under_a_container_of_the_stdlib_encoder_raises():
+    with pytest.raises(TypeError, match="_Fragment"):
+        canonical_dumps({1: _Fragment(canonical_dumps([1.5]))})
+
+
+@given(st.dictionaries(_TEXT, _nested(_SCALARS, _KEYS), min_size=1, max_size=4), _TEXT, _nested(_SCALARS, _KEYS))
+def test_a_member_appended_to_the_text_is_the_last_key(obj, key, value):
+    obj.pop(key, None)
+    assume(obj)
+    assert _with_member(canonical_dumps(obj), key, value) == canonical_dumps({**obj, key: value})
 
 
 def test_dumps_of_a_cycle_raises_as_the_stdlib_does():
