@@ -23,11 +23,12 @@ heights that keep growing with the probe budget indicate higher-rank
 non-convergence structure.  No tree is enumerated, so the estimate is
 never cut short by a node budget.
 
-An analysis forms one `tree.margin_tensor` (`_rank`) and hands it to its
-doubling search (`_search`), whose table is then the tensor's entries
-along the dyadic chain: the bits that `tree.chain_margins` gives on the
-probe block, in `operators.column_norms`' summation order.  A search on
-its own walks the block along the chain instead.
+An analysis forms one `tree.margin_tensor` (`_rank`), from the means its
+probe pass wrote where that pass walked to the index bound, and hands it
+to its doubling search (`_search`), whose table is then the tensor's
+entries along the dyadic chain: the bits that `tree.chain_margins` gives
+on the probe block, in `operators.column_norms`' summation order.  A
+search on its own walks the block along the chain instead.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .operators import OperatorSpec, ProbeSet, UNIT_BALL_SLACK, _check_args, column_norms
-from .tree import best_chains, chain_margins, margin_tensor, separates
+from .tree import _margins, best_chains, chain_margins, margin_tensor, separates
 
 #: Recomputed margins must match stated ones to this absolute tolerance.
 MARGIN_ATOL = 1e-9
@@ -315,13 +316,16 @@ def rank_estimate(
     return _rank(spec, probes, ks, depth_cap, index_bound)[0]
 
 
-def _rank(spec, probes, ks, depth_cap, index_bound):
+def _rank(spec, probes, ks, depth_cap, index_bound, means=None):
     """`rank_estimate` and the `margin_tensor` it reads, which an analysis
-    hands on to its doubling search (`_search`)."""
+    hands on to its doubling search (`_search`).  Given `means`, the probe
+    block's A_1..A_r that the analysis's probe pass wrote (r = the index
+    bound, or the overflow stop before it; `classify._leading_means`), the
+    tensor reads them and walks no step."""
     ks = [int(k) for k in ks]
     _check_args(at_least_one={"k grid entries": min(ks, default=1), "depth_cap": depth_cap})
     epsilons = [1.0 / k for k in ks]
-    margins = margin_tensor(spec, probes, index_bound)
+    margins = margin_tensor(spec, probes, index_bound) if means is None else _margins(means, index_bound, spec.norm_tag)
     peaks = best_chains(margins, depth_cap - 1).max(axis=(1, 2))
     estimate = RankEstimate(
         ks=ks,

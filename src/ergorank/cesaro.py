@@ -45,7 +45,8 @@ which forms T^m Y from them), at other bits than a walk's, so a reader of
 them reads only a proven bound on their rounding.
 Everything that needs means reads them from a stream: one vector is a
 (dim, 1) block, and the dense A_1..A_N are the stream of the identity
-block, X = I.
+block, X = I.  For a diagonal T every A_n is diagonal, and a packed stream
+walks the identity as the column of its diagonal (see `CesaroStream`).
 """
 
 from __future__ import annotations
@@ -175,12 +176,21 @@ class CesaroStream:
     T P_n equals P_n bit for bit (signed zeros included), the stream stops
     applying T: every later step has that same P and power norms, and
     `anchor` holds (S_s, P, s) for the first step s past it (None before).
+
+    A `packed` stream of a diagonal T holds a diagonal (dim, dim) block by
+    its diagonal, a (dim, 1) X: T scales the rows of a block, so every step
+    holds the diagonal of the dense block's step bit for bit, and the dense
+    block's other entries are +0.0 in its means.  It is cut into the chunks
+    of the dense block, and its overflow guard reads each power's largest
+    |entry|, the largest column norm of the dense power in every norm, so
+    it stops where the dense block's walk stops.
     """
 
-    def __init__(self, spec: OperatorSpec, X: np.ndarray):
+    def __init__(self, spec: OperatorSpec, X: np.ndarray, packed: bool = False):
         _check_block(spec, X)
         self.spec = spec
         self.X = X
+        self.packed = packed
         self.diverged_at: int | None = None
         self.anchor: tuple | None = None
         self._doublings = [spec.entries] if spec.kind == KIND_DENSE else []  # T, T^2, T^4, ...
@@ -229,17 +239,20 @@ class CesaroStream:
         there (`means` is None elsewhere).  The running sum, the powers and
         the anchor are those of a walk without `reads`."""
         _check_args(at_least_one={"horizon": horizon})
-        spec, tag = self.spec, self.spec.norm_tag
+        spec = self.spec
         self.diverged_at = anchor = self.anchor = None  # (S_s, P, s) once stationary
         S = np.array(self.X, dtype=np.float64, order="C")  # the running sum, updated in place
         prev, first, shape = self.X, 1, S.shape
         # Blocks above `_CHUNK_BYTES` step one at a time, which measured
         # faster: two steps per chunk made the dense uniform-ergodicity
-        # passes of 256-wide (512 KB) identity blocks 3-9 % slower.
-        K = min(_capacity(S.nbytes), horizon)
+        # passes of 256-wide (512 KB) identity blocks 3-9 % slower.  A
+        # packed block is cut as the dense block it holds.
+        capacity = _capacity(S.nbytes * (shape[0] if self.packed else 1))
+        guard = "linf" if self.packed else spec.norm_tag
+        K = min(capacity, horizon)
         G = _grid(spec, shape)
         diagonal = spec.kind == KIND_DIAGONAL
-        small = G > 1 or diagonal and _capacity(S.nbytes) >= _SMALL_STEPS
+        small = G > 1 or diagonal and capacity >= _SMALL_STEPS
         # C order keeps every column-norm reduction in one summation order.
         # On a small block, slot 0 of `buf` holds the power before a chunk
         # (or its doubling group), then the sum before the chunk's first
@@ -261,7 +274,7 @@ class CesaroStream:
                 if anchor is not None:
                     P = anchor[1]
                     if fixed is None:
-                        norms, tops = _power_norms(P[None], tag)[:2] if reads is None else ([None], [None])
+                        norms, tops = _power_norms(P[None], guard)[:2] if reads is None else ([None], [None])
                         ends = (P, norms[0], tops[0])
                         fixed = [v if v is None else np.broadcast_to(v, (K, *v.shape)) for v in ends]
                     A = self.closed_form(offsets[:count] + first, out=means[:count]) if formed else None
@@ -308,7 +321,7 @@ class CesaroStream:
                             src = Q
                     norms, tops, over = None, None, False
                     if reads is None:
-                        norms, tops, over = _power_norms(region[:count], tag)
+                        norms, tops, over = _power_norms(region[:count], guard)
                         count = len(tops)
                     region = region[:count]
                     if small:

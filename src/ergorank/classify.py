@@ -23,7 +23,10 @@ and a tail that is not certified small is ``inconclusive``.
 Every check projects one reducer, `_block_verdicts`, over one pass of
 `CesaroStream` on a block, with norms reduced one chunk of steps at a time.
 The scan mode (``probe`` or ``dense``) fixes how a pass reads its norms
-(`_mode_norms`), and `check_families` makes one pass per block.  No
+(`_mode_norms`), and `check_families` makes one pass per block, each at its
+own width: the identity pass of a diagonal T walks the column of its
+diagonal (`_packed`), and inside an analysis the probe pass writes the
+means its margin tensor reads (`_leading_means`).  No
 ``holds`` comes from a scan that the overflow guard stopped, nor from a
 one-index tail, and no pass reads past the step where its bounded
 witnesses are settled (`_scan`).
@@ -44,6 +47,8 @@ dim/2; `trusted_horizon` returns the horizon below which the two agree.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import functools
 import math
 from bisect import bisect_left
@@ -87,7 +92,7 @@ BOUND_SLACK = 1e-9
 #: exact SVDs up to this dimension; above it they are the upper bound
 #: sqrt(l1 * linf), and the radius is then no lower bound on the tail
 #: diameter.  A dense witness is read by `matrix_norm`, an exact SVD, at
-#: every dimension.
+#: every dimension (a packed pass reads its bits by `_diagonal_norm`).
 _L2_EXACT_DIM = 32
 
 
@@ -163,7 +168,8 @@ class _Norms(NamedTuple):
     ||.||_2, whose growth per step ||T||_2 bounds.  Every reader reads
     within `eps` = (dim + 3) 2^-52 >= gamma_(dim+2) of the exact norm,
     relatively, before its slack, and within `tiny` = (dim + 1) 2^-536 of
-    it absolutely, for squares that underflow."""
+    it absolutely, for squares that underflow.  `induced(M, tag)` is the
+    induced norm of a block as the pass holds it (`_packed`)."""
 
     step: Callable
     radius: Callable
@@ -172,6 +178,7 @@ class _Norms(NamedTuple):
     rho: Callable
     eps: float
     tiny: float
+    induced: Callable
 
 
 def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
@@ -194,21 +201,55 @@ def _mode_norms(spec: OperatorSpec, mode: str) -> _Norms:
     slack, 2^-40, assumes that LAPACK's largest singular value is within
     2^-42 of the true one, relatively, at dim <= `_L2_EXACT_DIM` (about
     2 000 ulps), so that norm(D) <= norm(E) * (1 + 2^-40) as computed.
+    A packed pass (`_packed`) reads the same norms off the diagonals.
     """
     tag = spec.norm_tag
     rho = lambda l1, linf: l1 if tag == "l1" else linf if tag == "linf" else math.sqrt(l1 * linf)
     rounding = ((spec.dim + 3) * 2.0**-52, (spec.dim + 1) * 2.0**-536)
     if mode == "probe":
         cols = lambda X: column_norms(X, tag)
-        return _Norms(cols, cols, 0.0, True, rho, *rounding)
+        return _Norms(cols, cols, 0.0, True, rho, *rounding, matrix_norm)
     if mode != "dense":
         raise ValueError(f"unknown scan mode {mode!r}, expected probe or dense")
-    radius, slack, exact = (lambda X: matrix_norm(X, tag)), 0.0, True
+    induced = _diagonal_norm if _packed(spec, mode) else matrix_norm
+    radius, slack, exact = (lambda X: induced(X, tag)), 0.0, True
     if tag == "l2" and spec.dim > _L2_EXACT_DIM:
-        radius, exact, rho = (lambda X: np.sqrt(matrix_norm(X, "l1") * matrix_norm(X, "linf"))), False, max
+        radius, exact, rho = (lambda X: np.sqrt(induced(X, "l1") * induced(X, "linf"))), False, max
     elif tag == "l2":
         slack = 2.0**-40
-    return _Norms(lambda X: radius(X)[:, None], radius, slack, exact, rho, *rounding)
+    return _Norms(lambda X: radius(X)[:, None], radius, slack, exact, rho, *rounding, induced)
+
+
+def _packed(spec: OperatorSpec, mode: str) -> bool:
+    """Whether a pass in `mode` holds its block by its diagonal: a ``dense``
+    pass of a diagonal T, every one of whose powers and means of the
+    identity block is a diagonal matrix.  Such a pass walks the column of
+    ones (a packed `CesaroStream`, see `_identity_block`) and reads each
+    induced norm of diag(a) as max |a_i| (`_diagonal_norm`)."""
+    return mode == "dense" and spec.kind == KIND_DIAGONAL
+
+
+def _identity_block(spec: OperatorSpec) -> np.ndarray:
+    """The block a ``dense`` pass walks: the identity, or where that pass is
+    `_packed`, its diagonal, the (dim, 1) column of ones."""
+    return np.ones((spec.dim, 1)) if _packed(spec, "dense") else np.eye(spec.dim)
+
+
+def _diagonal_norm(M: np.ndarray, tag: str):
+    """The induced norm of diag(m) for a packed (dim, 1) block m, or of each
+    block of a (..., dim, 1) stack, with the bits `matrix_norm` gives the
+    dense block (a float for one block): max |m_i|.  That is the l1 and
+    linf norm bit for bit, since each abs-sum adds +0.0 to one entry.  It
+    is also LAPACK's largest singular value at every dim but 2: the
+    bidiagonal form of a diagonal matrix is itself, and `dlasq1` returns the
+    sorted |m_i| of a bidiagonal with no off-diagonal entry, except at
+    dim 2, where `dlas2`'s closed form can round (1 ulp low on
+    diag(0.75, 0.5)), so dim 2 reads the SVD of its 2 x 2 diagonal.  A
+    block of dim columns is read as it is, by `matrix_norm`."""
+    if M.shape[-1] > 1 or tag == "l2" and M.shape[-2] == 2:
+        return matrix_norm(M if M.shape[-1] > 1 else M * np.eye(2), tag)
+    top = np.maximum.reduce(np.abs(M), axis=(-2, -1))
+    return float(top) if M.ndim == 2 else top
 
 
 # -- one pass over the means ---------------------------------------------
@@ -219,7 +260,7 @@ class _Scan:
     """What one stream pass keeps; norms are reduced a chunk at a time.
 
     `means` holds the mean-norm maxima for n = 1..steps and `mean_hit` the
-    first step above the cap as (n, norms, exact), exact the `matrix_norm`
+    first step above the cap as (n, norms, exact), exact the induced norm
     of A_n in ``dense`` mode (None in ``probe`` mode); `powers` holds the
     power-norm maxima for m = 0..steps (None in ``dense`` mode) and
     `power_hit` (m, norms); a hit is None when no step crossed the cap.  On
@@ -541,7 +582,7 @@ def _reader_above(spec, mode):
     norms, tag = _mode_norms(spec, mode), spec.norm_tag
     if mode == "probe":
         return lambda M: column_norms(M, tag) * (1.0 + norms.eps) + norms.tiny
-    return lambda M: norms.rho(matrix_norm(M, "l1"), matrix_norm(M, "linf")) * (1.0 + norms.eps) + norms.tiny
+    return lambda M: norms.rho(norms.induced(M, "l1"), norms.induced(M, "linf")) * (1.0 + norms.eps) + norms.tiny
 
 
 def _decay(spec, Y, t, C, stream=None, mode="probe"):
@@ -600,9 +641,10 @@ def _tail_certificate(spec, X, mode, deviation, stream=None):
     for N < 2, for a reader that reads no norm (sqrt(l1 * linf) above
     `_L2_EXACT_DIM`), where `_split` finds no splitting, and where its
     dim x dim blocks would outgrow every block the analysis forms: for a T
-    that is not diagonal (a diagonal splits entry by entry) above
-    `DENSE_CAP`, where no identity block is walked, unless X has dim columns
-    or more (on `wide-operators` they raised the peak RSS by 2.6 MB).
+    that is not diagonal (a diagonal splits entry by entry) on a probe
+    block above `DENSE_CAP`, where no identity block is walked, unless it
+    has dim columns or more (on `wide-operators` they raised the peak RSS
+    by 2.6 MB).
 
     Let X = F + (I - T) Y + R and E = (I - T) F for the F and Y of
     `_split`, and C >= ||T^k|| for k <= N (`_deviation`).  Then for
@@ -643,7 +685,7 @@ def _tail_certificate(spec, X, mode, deviation, stream=None):
     """
     norms, d = _mode_norms(spec, mode), spec.dim
     shape = (X.shape[1],) if mode == "probe" else ()  # a dense tail reads one norm
-    small = spec.kind == KIND_DIAGONAL or d <= max(DENSE_CAP, X.shape[1])  # no block outgrows the analysis's
+    small = spec.kind == KIND_DIAGONAL or mode == "dense" or d <= max(DENSE_CAP, X.shape[1])  # none outgrows the analysis's
     reader = (1.0 + 2.0**-52) * (1.0 + norms.eps + norms.slack) * (1.0 + 2.0**-40)
     formed = []  # the parts of the one split, formed for the first tail that reads them
 
@@ -789,20 +831,30 @@ def _plan(stream, mode, reads, tails, tolerance, anyway, kept):
     return settled
 
 
-def _wants(wanted, marks, lo, hi) -> bool:
-    """Whether the steps [lo, hi) hold a mean that a decided pass reads: a
-    step of the sorted `wanted`, or one of a tail [t, N] of `marks`."""
-    return bisect_left(wanted, lo) < bisect_left(wanted, hi) or any(t < hi and lo <= N for t, N in marks.values())
+def _wants(wanted, marks, head, lo, hi) -> bool:
+    """Whether the steps [lo, hi) hold a mean that a decided pass reads: one
+    of the first `head`, a step of the sorted `wanted`, or one of a tail
+    [t, N] of `marks`."""
+    return (
+        lo <= head
+        or bisect_left(wanted, lo) < bisect_left(wanted, hi)
+        or any(t < hi and lo <= N for t, N in marks.values())
+    )
 
 
-def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(), kept=None, reads=None):
+def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(), kept=None, reads=None, head=0):
     """One pass of the stream of X to the longest of `horizons`, reading
     norms as `mode` says, and per horizon the `_Scan` of a pass to it alone;
     the horizons in `tails` also bound their walked tail means for
     `_tail_radius`.  `kept` is shared by the passes of one `check_families`:
     for each horizon N of `keep` the pass adds ((A_t, A_N), reads) to it
     under N, t = max(1, N//2), where it forms both means anyway or past its
-    anchor.  A step's bits do not depend on the chunk that holds it.
+    anchor.  Given `head` B, it adds A_1..A_r under ``"head"``, written into
+    one (B, dim, p) stack as the walk forms them, r = B or the step of the
+    stream's overflow stop before B, where the walk reaches that step or an
+    anchor before it (past which every mean is the closed form), and None
+    where it does not: it walks no step further for them.  A step's bits do
+    not depend on the chunk that holds it.
 
     `reads` are the block's (`_reads`), formed here unless given.  Where
     their bracket decides, the pass reduces no norms, forms only the means
@@ -813,30 +865,35 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     mode, the first mean above it, with an exact norm above it too, in
     ``dense`` mode.  Every verdict of a horizon h >= w is then ``fails`` or
     inherits it, so its scan ends at w."""
-    step_norm = _mode_norms(spec, mode).step
-    stream = CesaroStream(spec, X)
+    readers = _mode_norms(spec, mode)
+    stream = CesaroStream(spec, X, _packed(spec, mode))
     scans = {h: _Scan(stream, h, bound_cap) for h in sorted(set(horizons))}
     means, powers, snapshots, mean_hit, power_hit = [], [], {}, None, None
     horizon = stop = max(scans)  # the last step to walk: the horizon, or where the witnesses are settled
     reads = reads or _reads(spec, X, mode, horizon)
     decided = _decides(reads.bracket, bound_cap)
-    anyway = min(horizon, max(keep, default=0)) if X.shape[1] < spec.dim else 0
+    # A probe block narrower than the identity block walks on for the identity floor.
+    anyway = min(horizon, max(keep, default=0)) if mode == "probe" and X.shape[1] < spec.dim else 0
     settled = _plan(stream, mode, reads, tails, tolerance, anyway, kept) if decided and tolerance is not None else {}
     # The snapshots of each tail left: its start and its end; and the steps to keep.
     marks = {h: (max(1, h // 2), h) for h in tails if h not in settled}
     wanted = sorted({n for ns in marks.values() for n in ns} | {n for N in keep for n in (max(1, N // 2), N)})
-    wants = functools.partial(_wants, wanted, marks) if decided else None
+    wants = functools.partial(_wants, wanted, marks, head) if decided else None
     last = 0  # the last step read; a stream stops where it diverges
     end = max(marks, default=anyway) if decided else horizon
+    leading = np.empty((head, *X.shape)) if head and end else None  # A_1..A_B, as the walk forms them
     for chunk in stream.chunks(end, wants) if end else ():
         first, count = chunk.first, len(chunk.powers)
         last = first + count - 1
+        if leading is not None and first <= head:
+            rows = chunk.means[: head - first + 1]
+            leading[first - 1 : first - 1 + len(rows)] = rows
         if not decided:  # a decided pass reads no norms
-            norms = step_norm(chunk.means)
+            norms = readers.step(chunk.means)
             tops = np.maximum.reduce(norms, axis=-1)
             means.append(tops)
             if mean_hit is None and (i := _first_above(tops, bound_cap)) is not None:
-                exact = matrix_norm(chunk.means[i], spec.norm_tag) if mode == "dense" else None
+                exact = readers.induced(chunk.means[i], spec.norm_tag) if mode == "dense" else None
                 mean_hit = (first + i, norms[i].copy(), exact)
             if mode == "probe":
                 if first == 1:  # T^0 X = A_1 X
@@ -872,6 +929,12 @@ def _scan(spec, X, mode, horizons, bound_cap, tails=(), tolerance=None, keep=(),
     for N in keep:
         if max(1, N // 2) in snapshots and N in snapshots:
             kept[N] = ((snapshots[max(1, N // 2)], snapshots[N]), reads)
+    if head:
+        filled = last
+        if leading is not None and last < head and stream.anchor is not None:
+            filled = head  # the walk stopped at its anchor: the rest is the closed form
+            stream.closed_form(range(last + 1, head + 1), out=leading[last:])
+        kept["head"] = leading[: min(head, filled)] if filled >= head or stream.diverged_at is not None else None
     means = np.concatenate(means) if means else None
     powers = np.concatenate(powers) if powers else None
     for h, scan in scans.items():
@@ -902,7 +965,9 @@ def _tail_radius(scan: _Scan, norms: _Norms, tolerance: float):
     norm(E), widened by the reader's slack, is the upper end.  Both join the
     bracket of the stationary part [max(t, s), N] (`_phase_bracket`; in
     exact arithmetic every |A_n - A_N| there is largest at its first mean,
-    and 0 at N).  When the bracket straddles the decision (a NaN does too),
+    and 0 at N; a packed pass read by an exact SVD brackets it on the dense
+    blocks, whose other entries the allowance fills).  When the bracket
+    straddles the decision (a NaN does too),
     the radius is folded exactly and is both bounds: one fresh stream walks
     the block again from n = 1 to N (the scan's own stream keeps the anchor
     its other horizons read), forming means only from t on and reducing no
@@ -918,13 +983,15 @@ def _tail_radius(scan: _Scan, norms: _Norms, tolerance: float):
         envelope = np.maximum(np.abs(scan.low - final), np.abs(scan.high - final))
         upper = np.maximum(upper, norm(envelope[None])[0] * (1.0 + norms.slack))
     if s <= N:  # the stationary part [max(t, s), N]
-        A = stream.closed_form([max(t, s)])[0]
-        ends = _phase_bracket(norm, A, final, stream.anchor[1], norms.slack)
+        phase = (stream.closed_form([max(t, s)])[0], final, stream.anchor[1])
+        if stream.packed and norms.slack:  # an SVD reads the dense envelope, which the allowance fills
+            phase = [np.diagflat(v) for v in phase]
+        ends = _phase_bracket(norm, *phase, norms.slack)
         lower, upper = np.maximum(lower, ends[0]), np.maximum(upper, ends[1])
     if _settles((lower, upper), tolerance):
         return lower, upper
     radius, buf = 0.0, np.empty((0, *final.shape))
-    for chunk in CesaroStream(stream.spec, stream.X).chunks(N, reads=lambda lo, hi: hi > t):
+    for chunk in CesaroStream(stream.spec, stream.X, stream.packed).chunks(N, reads=lambda lo, hi: hi > t):
         # A chunk cut at a stationary power can end before t, with its means formed.
         if chunk.first + len(chunk.powers) > t:
             means = chunk.means[max(0, t - chunk.first) :]
@@ -1087,21 +1154,23 @@ def check_uniformly_ergodic(
 
 
 def _block_verdicts(
-    spec, probes, mode, horizons, bound_cap, tolerance=None, ergodic=(), uniform=(), keep=(), kept=None, reads=None
+    spec, probes, mode, horizons, bound_cap, tolerance=None, ergodic=(), uniform=(), keep=(), kept=None, reads=None,
+    head=0,
 ):
     """Every verdict of one `_scan` of a block, as {family: {horizon: Verdict}}.
 
     The pass walks the probe block (``probe``) or the identity block
-    (``dense``) to the longest of `horizons`, `ergodic` and `uniform`, and
-    gives the block's bounded verdicts at each (power-bounded off probes
-    only), and ergodicity at each of `ergodic` and uniform ergodicity at
-    each of `uniform` (`_tail_verdict`).  A probe pass adds the means of
-    `keep` to `kept`, for an identity pass given it to floor its tails.
+    (``dense``, `_identity_block`) to the longest of `horizons`, `ergodic`
+    and `uniform`, and gives the block's bounded verdicts at each
+    (power-bounded off probes only), and ergodicity at each of `ergodic` and
+    uniform ergodicity at each of `uniform` (`_tail_verdict`).  A probe pass
+    adds the means of `keep` to `kept`, for an identity pass given it to
+    floor its tails, and its first `head` means (`_scan`).
     """
     probe = mode == "probe"
-    X, label = (probes.vectors.T, probes.label) if probe else (np.eye(spec.dim), None)
+    X, label = (probes.vectors.T, probes.label) if probe else (_identity_block(spec), None)
     tails, served = (ergodic if probe else uniform), {*horizons, *ergodic, *uniform}
-    scans = _scan(spec, X, mode, served, bound_cap, tails, tolerance, keep, kept, reads)
+    scans = _scan(spec, X, mode, served, bound_cap, tails, tolerance, keep, kept, reads, head)
     bounded = (FAMILY_POWER_BOUNDED, FAMILY_CESARO_BOUNDED) if probe else (FAMILY_CESARO_BOUNDED,)
     verdicts = {f: {h: _bounded_verdict(f, s, mode, label) for h, s in scans.items()} for f in bounded}
     cbs = verdicts[FAMILY_CESARO_BOUNDED]
@@ -1133,16 +1202,23 @@ def check_families(
 
     Each pass walks only for what its bracket and `_plan` leave.  The
     identity block's reads come first, and where its bracket decides, the
-    probe pass keeps its means for the identity pass's floor.
+    probe pass keeps its means for the identity pass's floor.  The identity
+    pass of a diagonal T walks one column (`_packed`).  Inside an analysis
+    (`_leading_means`), the probe pass also hands on its first means.
     """
     _check_inputs(spec, probes, horizon=horizon, tolerance=tolerance, bound_cap=bound_cap, ue_horizon=ue_horizon)
+    head, leading = _LEADING.get()
     trusted = trusted_horizon(spec, ue_horizon)
     ues, wide = {trusted, ue_horizon}, spec.dim > DENSE_CAP
     dense = _auto_mode(spec, horizon) == "dense"
-    identity = None if wide else _reads(spec, np.eye(spec.dim), "dense", max(*ues, horizon if dense else 0))
+    identity = None if wide else _reads(spec, _identity_block(spec), "dense", max(*ues, horizon if dense else 0))
     keep = ues if identity is not None and _decides(identity.bracket, bound_cap) else ()
-    kept = {}  # of the probe pass's snapshots, only those of `keep` outlive it, for the identity pass
-    probe = _block_verdicts(spec, probes, "probe", (), bound_cap, tolerance, [horizon], ues if wide else (), keep, kept)
+    kept = {}  # of the probe pass's means, only those of `keep` and `head` outlive it
+    probe = _block_verdicts(
+        spec, probes, "probe", (), bound_cap, tolerance, [horizon], ues if wide else (), keep, kept, head=head
+    )
+    if leading is not None:
+        leading["means"] = kept.pop("head", None)
     norm = probe if wide else _block_verdicts(
         spec, probes, "dense", [horizon] if dense else (), bound_cap, tolerance, (), ues, kept=kept, reads=identity
     )
@@ -1156,6 +1232,26 @@ def check_families(
     )
 
 
+#: The count B of leading probe means that a `check_families` inside an
+#: open analysis writes for its margin tensor, and the dict they go to.
+_LEADING = contextvars.ContextVar("leading", default=(0, None))
+
+
+@contextlib.contextmanager
+def _leading_means(count: int):
+    """Open an analysis: each `check_families` inside it sets "means" in the
+    dict this yields to A_1..A_r of its probe block, r = `count` or the
+    overflow stop before it, as the one stack its probe pass wrote where it
+    reached step r (`_scan`'s `head`), else to None.  No verdict reads them:
+    an analysis hands them to its margin tensor (`certify._rank`)."""
+    out = {"means": None}
+    token = _LEADING.set((count, out))
+    try:
+        yield out
+    finally:
+        _LEADING.reset(token)
+
+
 # -- witness replay ------------------------------------------------------
 
 
@@ -1164,9 +1260,9 @@ def replay_witness(spec: OperatorSpec, verdict: Verdict, probes: ProbeSet | None
 
     Returns the reproduced value and whether it is still above the
     verdict's cap.  The replay walks the block the pass walked, the identity
-    for a ``dense`` witness and the whole probe block for any other, and
-    reads it as the pass did (`matrix_norm` for a dense mean, the probe
-    column's norm otherwise), so given the verdict's own probe set a
+    (`_identity_block`) for a ``dense`` witness and the whole probe block
+    for any other, and reads it as the pass did (the induced norm of a dense
+    mean, the probe column's norm otherwise), so given the verdict's own probe set a
     genuine witness reproduces its recorded value bit for bit.  A witness
     that reads probes refuses a set with another label, and a probe index
     outside the set, with `ValueError`.
@@ -1184,13 +1280,13 @@ def replay_witness(spec: OperatorSpec, verdict: Verdict, probes: ProbeSet | None
             raise ValueError(f"this witness reads the probe set {verdict.probe_label!r}; pass that set")
         if not 0 <= w["probe"] < len(probes):
             raise ValueError(f"witness probe {w['probe']} is outside the set of {len(probes)} probes")
-    stream = CesaroStream(spec, np.eye(spec.dim) if dense else probes.vectors.T)
+    stream = CesaroStream(spec, _identity_block(spec) if dense else probes.vectors.T, _packed(spec, mode))
     for chunk in stream.chunks(max(1, step)):
         pass
     if chunk.first + len(chunk.means) <= step:
         raise ValueError("the means stop before the witness step: the powers overflow")
     if dense:
-        value = float(matrix_norm(chunk.means[-1], spec.norm_tag))
+        value = float(_mode_norms(spec, mode).induced(chunk.means[-1], spec.norm_tag))
     else:
         # Power 0 is X = A_1, which the pass reads off the means.
         norms = chunk.power_norms[-1] if w.get("power") else column_norms(chunk.means[-1], spec.norm_tag)

@@ -43,7 +43,7 @@ from .certify import (
     check_certificate,
     search_nse,
 )
-from .classify import check_families
+from .classify import _leading_means, check_families
 from .operators import (
     DEFAULT_SEED,
     OperatorSpec,
@@ -145,7 +145,8 @@ def _cached_text(path: str, spec_sha256: str, config: dict) -> str | None:
 
 def build_report(spec: OperatorSpec, config: dict, spec_sha256: str) -> dict:
     """Assemble the full analysis report (everything but cache handling).
-    `spec_sha256` is the digest of the spec's canonical JSON text."""
+    `spec_sha256` is the digest of the spec's canonical JSON text, which
+    the caller holds and sets as the report's `operator` (None here)."""
     probes = _make_probes(spec, config["probes"], config["seed"])
     horizon = config["horizon"]
     tolerance = config["tolerance"]
@@ -153,11 +154,13 @@ def build_report(spec: OperatorSpec, config: dict, spec_sha256: str) -> dict:
 
     t0 = time.perf_counter()
     ue_requested = config["ue_horizon"]
-    families = check_families(spec, probes, horizon, tolerance, bound_cap, ue_requested)
+    with _leading_means(config["index_bound"]) as leading:
+        families = check_families(spec, probes, horizon, tolerance, bound_cap, ue_requested)
     t1 = time.perf_counter()
 
-    # One margin tensor serves the rank heights and the doubling search.
-    rank, margins = _rank(spec, probes, DEFAULT_KS, config["depth_cap"], config["index_bound"])
+    # One margin tensor serves the rank heights and the doubling search,
+    # from the means the probe pass wrote where it walked far enough.
+    rank, margins = _rank(spec, probes, DEFAULT_KS, config["depth_cap"], config["index_bound"], leading.pop("means"))
     t2 = time.perf_counter()
 
     nse_target = max(1, int(math.floor(math.log2(config["index_bound"]))))
@@ -184,7 +187,7 @@ def build_report(spec: OperatorSpec, config: dict, spec_sha256: str) -> dict:
     }
     report = {
         "schema": REPORT_SCHEMA,
-        "operator": spec.to_json_dict(),
+        "operator": None,
         "operator_sha256": spec_sha256,
         "config": config,
         "verdicts": {
@@ -232,7 +235,7 @@ def cmd_analyze(args) -> int:
     if text is None:
         report = build_report(spec, config, spec_sha256)
         timings = report.pop("timings")
-        report["operator"] = operator
+        report["operator"] = operator  # the spec's one canonical text
         del operator  # so the spec text is freed with the report, once laid out
         text = canonical_dumps(report)
         del report

@@ -11,11 +11,13 @@ Witnesses here are drawn from a finite probe set, so the enumerated tree
 is an under-approximation of the true tree: membership and heights are
 certificates, non-membership only means "no probe witnessed it".
 
-Margins come from one `CesaroStream` pass, so a pair involving an index
-past the stream's overflow stop never separates.  `chain_margins` gives
-the consecutive margins along one chain, the one number that the
-certificate searches and the certificate checker both read;
-`margin_tensor` gives the epsilon-independent margins of every pair, and
+Margins come from one `CesaroStream` pass, which writes A_1..A_B into one
+(B, dim, p) stack, so a pair involving an index past the stream's overflow
+stop never separates; an analysis hands the tensor the stack its probe
+pass wrote instead, where that pass walked far enough (`_margins`).
+`chain_margins` gives the consecutive margins along one chain, the one
+number that the certificate searches and the certificate checker both
+read; `margin_tensor` gives the epsilon-independent margins of every pair, and
 `separates` is the one separation rule applied to either.  Each entry of
 the tensor has the bits of `chain_margins` on its pair, since both sum
 over dim in `column_norms`' order: the tensor reduces its rows in
@@ -122,28 +124,49 @@ def margin_tensor(spec: OperatorSpec, probes: ProbeSet, index_bound: int) -> np.
     tree at any epsilon.
 
     Each entry has the bits of `column_norms` on its pair alone, so
-    M[J[i], J[i + 1]] is what `chain_margins` gives on the block.  Rows n
-    of a block of two or more probes are reduced in tiles of dim rows, one
-    reused buffer per tile: every tile after the first carries the running
-    sums as its row 0, so each sum runs left to right over dim as
-    `column_norms` sums a C-ordered stack.  A one-probe block sums
+    M[J[i], J[i + 1]] is what `chain_margins` gives on the block (see
+    `_margins`).  The walk writes A_1..A_B into one (B, dim, p) stack
+    (`_first_means`).
+    """
+    _check_args(at_least_one={"index_bound": index_bound})
+    return _margins(_first_means(spec, probes.vectors.T, index_bound), index_bound, spec.norm_tag)
+
+
+def _first_means(spec: OperatorSpec, X: np.ndarray, count: int) -> np.ndarray:
+    """A_1 X..A_r X as one (r, dim, p) stack that one `CesaroStream` walk
+    writes in place: r = `count`, or the step of the stream's overflow stop
+    before it."""
+    stack, reached = np.empty((count, *X.shape)), 0
+    for chunk in CesaroStream(spec, X).chunks(count):
+        reached = chunk.first + len(chunk.means) - 1
+        stack[chunk.first - 1 : reached] = chunk.means
+    return stack[:reached]
+
+
+def _margins(stacked: np.ndarray, index_bound: int, norm_tag: str) -> np.ndarray:
+    """`margin_tensor` from its block's (reached, dim, p) stack of means
+    A_1..A_reached, reached <= `index_bound`: the stack its own walk writes,
+    or the one an analysis's probe pass wrote (`classify._leading_means`),
+    with the same bits.
+
+    Rows n of a block of two or more probes are reduced in tiles of dim
+    rows, one reused buffer per tile: every tile after the first carries
+    the running sums as its row 0, so each sum runs left to right over dim
+    as `column_norms` sums a C-ordered stack.  A one-probe block sums
     pairwise (see `column_norms`), and an l2 square that underflows needs
     `column_norms`' rescaling: both reduce one row n at a time instead.
     """
-    _check_args(at_least_one={"index_bound": index_bound})
-    snaps = CesaroStream(spec, probes.vectors.T).means_at(range(1, index_bound + 1))
-    stacked = np.stack(list(snaps.values()))
-    reached = len(snaps)
-    margins = np.full((index_bound + 1, index_bound + 1, len(probes)), -np.inf)
-    if len(probes) > 1:
+    reached, _, p = stacked.shape
+    margins = np.full((index_bound + 1, index_bound + 1, p), -np.inf)
+    if p > 1:
         try:
             with np.errstate(under="raise"):
-                return _tiled_margins(stacked, margins, spec.norm_tag)
+                return _tiled_margins(stacked, margins, norm_tag)
         except FloatingPointError:
             pass
     for n in range(1, reached):
         diffs = stacked[n:] - stacked[n - 1][None, :, :]
-        margins[n, n + 1 : reached + 1] = column_norms(diffs, spec.norm_tag)
+        margins[n, n + 1 : reached + 1] = column_norms(diffs, norm_tag)
     return margins
 
 

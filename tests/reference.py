@@ -22,7 +22,9 @@ whose text `canonical_dumps` must give byte for byte, and
 time, which `OperatorSpec.to_json_dict` must give value for value and type
 for type.  `jordan_spec` builds a dense spec of known Jordan structure,
 whose family membership and window norms are known exactly (`JordanSpec`).  `l2_bound_holds` decides
-r >= ||T||_2 exactly, in `Fraction`s.
+r >= ||T||_2 exactly, in `Fraction`s.  `dense_identity` runs every ``dense`` pass of a diagonal T as
+the (dim, dim) identity walk read by `matrix_norm`, the oracle of the packed pass that walks its
+diagonal column.
 """
 
 from __future__ import annotations
@@ -33,8 +35,11 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+from unittest import mock
+
 import numpy as np
 
+import ergorank.classify
 from ergorank.operators import (
     KIND_DENSE,
     KIND_DIAGONAL,
@@ -420,3 +425,11 @@ def elementwise_payload(spec: OperatorSpec) -> list:
     if spec.kind == KIND_DENSE:
         return [[float(v) for v in row] for row in spec.entries]
     return [float(v) for v in spec.entries]
+
+
+def dense_identity():
+    """A context in which no ``dense`` pass is packed: the identity pass of a
+    diagonal T walks the (dim, dim) identity block with one stream step per
+    dense chunk, guards it by column norms in the spec's norm, and reads
+    every norm of it by `matrix_norm`, the one path of every other kind."""
+    return mock.patch.object(ergorank.classify, "_packed", lambda spec, mode: False)

@@ -298,12 +298,24 @@ def _analyze_inputs():
     ]
 
 
+#: The analyses of `_analyze_inputs` whose probe pass walks to the index
+#: bound 32 (or to the overflow stop before it) and so writes the means the
+#: margin tensor reads: every other probe pass is settled before it walks,
+#: or walks fewer steps (dense-96-l2's walks none).
+PROBE_PASS_SERVES_THE_TENSOR = {
+    "scalar(2.0)", "jordan_1(2)", "left_shift_l1(64)",
+    "sparse-128-l1", "sparse-256-linf", "diagonal-256-l1", "shift-256-linf", "overflow-diagonal-256-l2",
+}
+
+
 @pytest.mark.parametrize("label, spec, extra", _analyze_inputs(), ids=lambda v: v if isinstance(v, str) else "")
 def test_one_analysis_walks_its_probe_block_once_for_rank_and_search(monkeypatch, tmp_path, label, spec, extra):
-    # The rank heights and the doubling search read one margin tensor, so
-    # `analyze` walks the probe block once past `check_families`; the
-    # certificate then walks one column per distinct witness probe, the
-    # margins that `check_certificate` recomputes.
+    # The rank heights and the doubling search read one margin tensor, from
+    # the means the probe pass of `check_families` wrote where it walked to
+    # the index bound, so `analyze` walks the probe block no more there, and
+    # once more elsewhere; the certificate then walks one column per
+    # distinct witness probe, the margins that `check_certificate`
+    # recomputes.
     path = tmp_path / "spec.json"
     path.write_text(canonical_dumps(spec.to_json_dict()), encoding="utf-8")
     widths, witnesses = [], []
@@ -322,8 +334,9 @@ def test_one_analysis_walks_its_probe_block_once_for_rank_and_search(monkeypatch
     argv = ["analyze", str(path), "--no-cache", "--seed", "101", "--out", str(tmp_path / "report.json"), *extra]
     assert cli.main(argv) == cli.EXIT_OK
     width = len(default_probes(spec, seed=101))
-    assert widths.count(width) == 1, label
-    assert sorted(widths) == sorted([width] + [1] * len(set(witnesses))), label
+    walks = 0 if label in PROBE_PASS_SERVES_THE_TENSOR else 1
+    assert widths.count(width) == walks, label
+    assert sorted(widths) == sorted([width] * walks + [1] * len(set(witnesses))), label
 
 
 # -- dynamic programming against enumeration ------------------------------

@@ -889,10 +889,10 @@ class _Walks:
     without `reads`) as (re-walk, steps), summing chunk lengths: an
     `apply_columns` count would miss the steps of a stream whose power is
     stationary.  A re-walk is any walk of a block (the same X object) after
-    its first."""
+    its first.  `widths` holds each walk's block width."""
 
     def __init__(self, monkeypatch):
-        self.walks = []
+        self.walks, self.widths = [], []
         self.blocks = []  # held, so that no block's id is reused
         real = CesaroStream.chunks
 
@@ -900,6 +900,7 @@ class _Walks:
             walk = [any(X is stream.X for X in self.blocks), 0]
             self.blocks.append(stream.X)
             self.walks.append(walk)
+            self.widths.append(stream.X.shape[1])
             for chunk in real(stream, horizon, reads):
                 walk[1] += len(chunk.powers)
                 yield chunk
@@ -1177,12 +1178,13 @@ def _bench_workloads():
 
 
 
-#: Per wide-operators input, by seed: the steps of each walk of
-#: `check_families` at horizon 2 000 and UE horizon 256, probe pass first,
-#: then the same with the resolvent certificate off, and with the ladder
-#: off.  The identity pass is skipped on the four inputs whose identity
-#: bracket decides; dense-96-l2's bracket is (1, inf), and the overflowing
-#: diagonal fails Cesaro-bounded and walks to its witness at A_42.  The
+#: Per wide-operators input, by seed: the (steps, block width) of each walk
+#: of `check_families` at horizon 2 000 and UE horizon 256, probe pass
+#: first (48 probes), then the same with the resolvent certificate off, and
+#: with the ladder off.  The identity pass is skipped on the four inputs
+#: whose identity bracket decides; dense-96-l2's bracket is (1, inf), and
+#: the overflowing diagonal fails Cesaro-bounded and walks to its witness
+#: at A_42, on its diagonal column (256 columns before it was packed).  The
 #: certificate settles the probe tails of sparse-256-linf, diagonal-256-l1
 #: and shift-256-linf, whose probe passes then walk only to the UE horizon,
 #: for the means that floor the identity tails.  Without it they walk to
@@ -1202,12 +1204,18 @@ def _bench_workloads():
 #: dense-96-l2's bracket does not decide and both of its passes walk,
 #: [2000, 256].
 _WIDE_WALKS = {
-    "sparse-128-l1": {s: ([256], [256], [2000]) for s in (1, 7, 101)},
-    "sparse-256-linf": {1: ([256], [2000], [256]), 7: ([256], [2000], [256]), 101: ([256], [907], [256])},
-    "dense-96-l2": {s: ([256], [2000, 256], [256]) for s in (1, 7, 101)},
-    "diagonal-256-l1": {s: ([256], [2000], [256]) for s in (1, 7, 101)},
-    "shift-256-linf": {s: ([256], [257], [256]) for s in (1, 7, 101)},
-    "overflow-diagonal-256-l2": {1: ([42, 42],) * 3, 7: ([42, 42],) * 3, 101: ([50, 42],) * 3},
+    "sparse-128-l1": {s: ([(256, 48)], [(256, 48)], [(2000, 48)]) for s in (1, 7, 101)},
+    "sparse-256-linf": {
+        1: ([(256, 48)], [(2000, 48)], [(256, 48)]),
+        7: ([(256, 48)], [(2000, 48)], [(256, 48)]),
+        101: ([(256, 48)], [(907, 48)], [(256, 48)]),
+    },
+    "dense-96-l2": {s: ([(256, 96)], [(2000, 48), (256, 96)], [(256, 96)]) for s in (1, 7, 101)},
+    "diagonal-256-l1": {s: ([(256, 48)], [(2000, 48)], [(256, 48)]) for s in (1, 7, 101)},
+    "shift-256-linf": {s: ([(256, 48)], [(257, 48)], [(256, 48)]) for s in (1, 7, 101)},
+    "overflow-diagonal-256-l2": {
+        1: ([(42, 48), (42, 1)],) * 3, 7: ([(42, 48), (42, 1)],) * 3, 101: ([(50, 48), (42, 1)],) * 3,
+    },
 }
 
 
@@ -1246,9 +1254,10 @@ def test_no_analysis_of_the_benchmark_inputs_walks_a_block_again(monkeypatch):
         for label, spec in _bench_workloads().wide_specs(seed).items():
             for patch, want in zip((contextlib.nullcontext(), _no_certificate(), _no_ladder()), _WIDE_WALKS[label][seed]):
                 walks.walks.clear()
+                walks.widths.clear()
                 with patch:
                     check_families(spec, default_probes(spec, seed=seed), 2000, 1e-2, 1e3, 256)
-                assert [n for _, n in walks.walks] == want, (seed, label)
+                assert [(n, w) for (_, n), w in zip(walks.walks, walks.widths)] == want, (seed, label)
                 assert walks.rewalks() == 0, (seed, label)
             walks.walks.clear()
             spec = _bench_workloads().wide_specs(seed)["dense-96-l2"]
@@ -2106,9 +2115,10 @@ def test_the_l2_bound_cache_keeps_no_eigenvectors_past_the_tight_bound():
 
 
 #: Per gallery operator at the default config, each pass of check_families,
-#: probe then identity: whether its bracket decides it before it walks, and
-#: how many stacks of norms it reads (the probe pass its lower end, then
-#: each pass each chunk's means and powers).  The identity block's lower
+#: probe then identity: whether its bracket decides it before it walks, how
+#: many stacks of norms it reads (the probe pass its lower end, then each
+#: pass each chunk's means and powers), and its block's width: a diagonal's
+#: identity pass walks one column (it walked dim).  The identity block's lower
 #: end is read once, by `check_families` before the probe pass, for the
 #: identity bracket, and handed to the identity pass with it, so that pass
 #: reads it no more.  rotation(1.0) and random_diagonalizable(7,12) read 41
@@ -2120,16 +2130,16 @@ def test_the_l2_bound_cache_keeps_no_eigenvectors_past_the_tight_bound():
 #: the delta_N of both blocks that its two floors read reuse the lower ends
 #: already read, so neither block is read again.
 _GALLERY_PASSES = {
-    "identity(8)": [(True, 1), (True, 0)],
-    "zero(4)": [(True, 1), (True, 0)],
-    "scalar(1.0)": [(True, 1), (True, 0)],
-    "scalar(0.5)": [(True, 1), (True, 0)],
-    "scalar(-1.0)": [(True, 1), (True, 0)],
-    "scalar(2.0)": [(False, 3), (False, 2)],
-    "jordan_1(2)": [(False, 9), (False, 2)],
-    "rotation(1.0)": [(True, 1), (True, 0)],
-    "left_shift_l1(64)": [(True, 1), (True, 0)],
-    "random_diagonalizable(7,12)": [(True, 1), (True, 0)],
+    "identity(8)": [(True, 1, 24), (True, 0, 1)],
+    "zero(4)": [(True, 1, 20), (True, 0, 1)],
+    "scalar(1.0)": [(True, 1, 17), (True, 0, 1)],
+    "scalar(0.5)": [(True, 1, 17), (True, 0, 1)],
+    "scalar(-1.0)": [(True, 1, 17), (True, 0, 1)],
+    "scalar(2.0)": [(False, 3, 17), (False, 2, 1)],
+    "jordan_1(2)": [(False, 9, 18), (False, 2, 2)],
+    "rotation(1.0)": [(True, 1, 18), (True, 0, 2)],
+    "left_shift_l1(64)": [(True, 1, 48), (True, 0, 64)],
+    "random_diagonalizable(7,12)": [(True, 1, 28), (True, 0, 12)],
 }
 
 
@@ -2152,13 +2162,14 @@ def test_each_gallery_pass_decides_and_reads_as_pinned(monkeypatch):
     for module in (ergorank.classify, ergorank.cesaro):
         counting(module, "column_norms")
     counting(ergorank.classify, "matrix_norm")
+    counting(ergorank.classify, "_diagonal_norm")
     real_scan = ergorank.classify._scan
 
-    def scan(*args, **kwargs):
+    def scan(spec, X, *args, **kwargs):
         before = reads[0]
-        scans = real_scan(*args, **kwargs)
+        scans = real_scan(spec, X, *args, **kwargs)
         bracket = next(iter(scans.values())).bracket
-        passes.append((bracket is not None, reads[0] - before, bracket))
+        passes.append((bracket is not None, reads[0] - before, X.shape[1], bracket))
         return scans
 
     monkeypatch.setattr(ergorank.classify, "_scan", scan)
@@ -2167,9 +2178,9 @@ def test_each_gallery_pass_decides_and_reads_as_pinned(monkeypatch):
         spec = gallery(name)
         passes.clear()
         check_families(spec, default_probes(spec), 10_000, 1e-2, 1e3, 256)
-        got[name] = [p[:2] for p in passes]
+        got[name] = [p[:3] for p in passes]
         if name in ("rotation(1.0)", "random_diagonalizable(7,12)"):
-            assert all(b[1] < 1.0 + 1e-9 for _, _, b in passes), (name, passes)
+            assert all(b[1] < 1.0 + 1e-9 for *_, b in passes), (name, passes)
     assert got == _GALLERY_PASSES
 
 

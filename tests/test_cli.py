@@ -236,6 +236,29 @@ def test_a_miss_stores_the_emitted_report_without_its_timings(tmp_path, capsys):
     assert entry == head + "\n}\n" and tail.endswith("\n  }\n}\n")
 
 
+@pytest.mark.parametrize("cached", [False, True], ids=["no-cache", "cache"])
+def test_an_analyze_miss_lays_out_the_operator_once(tmp_path, capsys, monkeypatch, cached):
+    # The report's `operator` is the spec's one canonical text, set by
+    # `cmd_analyze`, so a miss builds the spec's JSON payload once, for
+    # that text and its digest, and a hit builds it once too, for the key.
+    spec_path = _write_spec(tmp_path, "left_shift_l1(64)")
+    real, calls = OperatorSpec.to_json_dict, []
+    monkeypatch.setattr(OperatorSpec, "to_json_dict", lambda spec: calls.append(spec.kind) or real(spec))
+    argv = ["analyze", spec_path, *ANALYZE_FAST, *([] if cached else ["--no-cache"])]
+    assert main(argv) == 0
+    assert calls == [KIND_SHIFT]
+    report = canonical_loads(capsys.readouterr().out)
+    assert list(report) == [
+        "schema", "operator", "operator_sha256", "config", "verdicts", "norm_trusted", "rank_estimate", "nse",
+        "timings",
+    ]
+    assert report["operator"] == real(gallery("left_shift_l1(64)"))
+    if cached:
+        calls.clear()
+        assert main(argv) == 0
+        assert calls == [KIND_SHIFT] and canonical_loads(capsys.readouterr().out)["timings"] == {"cached": True}
+
+
 def test_analyze_shift_reports_section_verdict(tmp_path, capsys):
     spec_path = _write_spec(tmp_path, "left_shift_l1(64)")
     assert main(["analyze", spec_path, "--no-cache", *ANALYZE_FAST]) == 0

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ergorank.tree
+from ergorank.certify import _rank
+from ergorank.classify import _leading_means, check_families
 from ergorank.operators import (
     KIND_DENSE,
     KIND_DIAGONAL,
@@ -26,7 +28,7 @@ from ergorank.tree import (
     truncated_height,
 )
 from reference import few_default_probes, node_member, row_margin_tensor
-from test_certify import HUGE_DIAGONAL
+from test_certify import HUGE_DIAGONAL, PROBE_PASS_SERVES_THE_TENSOR, _analyze_inputs
 
 
 def _seq(key):
@@ -328,3 +330,63 @@ def test_the_tensor_and_its_table_stop_at_the_overflow_stop(count):
     assert np.array_equal(_bits(margins), _bits(row_margin_tensor(HUGE_DIAGONAL, probes, 32)))
     assert np.all(margins == -np.inf)
     _assert_table_is_the_chain(margins, HUGE_DIAGONAL, probes)
+
+
+def _probe_pass_means(spec, probes, horizon, cap, bound):
+    """The means A_1..A_r that the probe pass of `check_families` writes for
+    an analysis's margin tensor at index bound `bound`, or None."""
+    with _leading_means(bound) as leading:
+        check_families(spec, probes, horizon, 1e-2, cap, min(256, horizon))
+    return leading["means"]
+
+
+def _assert_the_rank_reads_the_pass(monkeypatch, spec, probes, means, bound):
+    # The tensor off the pass's means has the bits of a standalone
+    # `margin_tensor`, and the rank layer that reads it walks no step.
+    walks = []
+    real = ergorank.tree.CesaroStream
+    monkeypatch.setattr(ergorank.tree, "CesaroStream", lambda *args: walks.append(args) or real(*args))
+    _, margins = _rank(spec, probes, range(1, 9), 4, bound, means)
+    assert walks == []
+    monkeypatch.undo()
+    assert np.array_equal(_bits(margins), _bits(margin_tensor(spec, probes, bound)))
+    return margins
+
+
+@pytest.mark.parametrize("label, spec, extra", _analyze_inputs(), ids=lambda v: v if isinstance(v, str) else "")
+def test_an_analysis_tensor_reads_the_probe_pass_where_it_reached_the_bound(monkeypatch, label, spec, extra):
+    # The gallery at the default config and the wide-operators inputs at
+    # seed 101, horizon 2 000: where the probe pass walked to the index
+    # bound 32 it wrote A_1..A_32, and the rank layer reads them.
+    probes = default_probes(spec, seed=101)
+    means = _probe_pass_means(spec, probes, 2000 if extra else 10_000, 1e3, 32)
+    assert (means is not None) == (label in PROBE_PASS_SERVES_THE_TENSOR), label
+    if means is not None:
+        assert means.shape == (32, spec.dim, len(probes))
+        _assert_the_rank_reads_the_pass(monkeypatch, spec, probes, means, 32)
+
+
+def _jordan_probes(count, scale):
+    probes = default_probes(gallery("jordan_1(2)"))
+    return ProbeSet(probes.vectors[:count] * scale, probes.norm_tag, f"jordan-{count}-{scale}")
+
+
+@pytest.mark.parametrize(
+    "spec, probes, cap, bound, reached",
+    [
+        # Powers past the overflow limit from the first step: only A_1.
+        (HUGE_DIAGONAL, default_probes(HUGE_DIAGONAL), 1e3, 32, 1),
+        # Means under the cap up to the overflow stop near 2^466.
+        (gallery("scalar(2.0)"), few_default_probes(gallery("scalar(2.0)"), 2), 1e300, 480, 466),
+        # A one-probe block, whose tensor reduces one row at a time.
+        (gallery("jordan_1(2)"), _jordan_probes(1, 1.0), 1e3, 32, 32),
+        # l2 squares that underflow, which the row tiles leave to `column_norms`.
+        (gallery("jordan_1(2)"), _jordan_probes(3, 1e-160), 1e3, 32, 32),
+    ],
+    ids=["huge-diagonal", "scalar-2-overflow", "one-probe", "l2-underflow"],
+)
+def test_the_probe_pass_means_give_the_standalone_tensor_bits(monkeypatch, spec, probes, cap, bound, reached):
+    means = _probe_pass_means(spec, probes, 2000, cap, bound)
+    assert means is not None and len(means) == reached
+    margins = _assert_the_rank_reads_the_pass(monkeypatch, spec, probes, means, bound)
+    assert np.all(margins[reached:] == -np.inf) and np.all(margins[:, reached + 1 :] == -np.inf)
